@@ -317,7 +317,7 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Command> {
     let mut models: Option<PathBuf> = None;
     let mut queue = 64usize;
     let mut batch = 8usize;
-    let mut cache = 1024usize;
+    let mut cache = pressio_serve::server::DEFAULT_CACHE_ENTRIES;
     let mut deadline_ms = 10_000u64;
     let mut op: Option<String> = None;
     let mut model: Option<String> = None;

@@ -53,8 +53,8 @@ const INTERESTING_U32: [u32; 8] = [
     0x7f,
     0xff,
     0xffff,
-    64 << 20,       // pressio-serve MAX_FRAME
-    (64 << 20) + 1, // one past it
+    128 << 20,       // pressio-serve MAX_FRAME
+    (128 << 20) + 1, // one past it
     u32::MAX,
 ];
 

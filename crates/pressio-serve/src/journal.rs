@@ -22,7 +22,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Cap on one journal record (a record embeds at most one trailing outer
-/// slice, far below the 64 MiB wire frame cap).
+/// slice of a chunk, far below the chunk's own wire frame).
 const MAX_RECORD: usize = 64 << 20;
 
 /// The journal directory for a model store rooted at `model_dir`.

@@ -4,9 +4,9 @@
 //! daemon answers "how well will this compressor do on this buffer?"
 //! without re-running training or (when cached) even feature extraction.
 //!
-//! - [`protocol`] — length-prefixed JSON frames over a byte stream; every
-//!   message is an [`pressio_core::Options`] structure, so the wire format
-//!   reuses the same serialization as checkpoints and the CLI.
+//! - [`protocol`] — versioned frames over a byte stream: a JSON header
+//!   carrying an [`pressio_core::Options`] structure (the serialization
+//!   checkpoints and the CLI use) and its byte buffers raw behind it.
 //! - [`net`] — one [`net::Endpoint`] covering Unix-domain sockets and TCP.
 //! - [`store`] — versioned, checksummed model artifacts
 //!   (`<name>/<version>.pmodel`), written atomically.

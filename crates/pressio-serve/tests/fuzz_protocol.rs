@@ -1,6 +1,7 @@
 //! Fuzz the wire-protocol frame parser: `read_frame` must never panic on
-//! adversarial input — torn frames, lying length prefixes, non-UTF-8
-//! payloads, malformed JSON — only return `Ok`/`Err`. Cases are seeded
+//! adversarial input — torn frames, a wrong magic, lying header and
+//! payload lengths, blob tables that disagree with the payload, non-UTF-8
+//! or malformed JSON headers — only return `Ok`/`Err`. Cases are seeded
 //! mutations of real frames (see `pressio_core::fuzz`), so every failure
 //! replays from the `seed`/`iteration` pair in the panic message; the
 //! nightly CI tier deepens the run via `PRESSIO_FUZZ_ITERS`.
@@ -27,7 +28,7 @@ fn corpus() -> Vec<Vec<u8>> {
             .with("serve:bounds", vec![1e-4]),
         Client::predict_request("m@1", &data, &Options::new().with("pressio:abs", 1e-4)),
         error_response("overloaded", "queue full (depth 64)"),
-        Options::new(), // empty payload: the 4-byte prefix dominates
+        Options::new(), // nothing but the 16-byte prefix and an empty header
     ];
     messages
         .into_iter()
@@ -48,13 +49,26 @@ fn read_frame_never_panics_on_mutated_frames() {
 }
 
 #[test]
-fn options_json_parser_never_panics_on_mutated_payloads() {
-    // strip the length prefixes: this targets the JSON payload parser
-    // directly, where mutations stay syntactically "almost JSON"
-    let corpus: Vec<Vec<u8>> = corpus().into_iter().map(|f| f[4..].to_vec()).collect();
+fn header_parser_never_panics_on_mutated_headers() {
+    // mutate the JSON header alone, then re-wrap it under a prefix whose
+    // lengths are true: the length checks pass, so every case reaches the
+    // header parser and the blob-table checks behind it — invalid UTF-8,
+    // "almost JSON", tables that no longer match the payload
+    let corpus: Vec<Vec<u8>> = corpus()
+        .into_iter()
+        .map(|f| {
+            let header_len = u32::from_be_bytes(f[4..8].try_into().unwrap()) as usize;
+            f[16..16 + header_len].to_vec()
+        })
+        .collect();
+    let payload = [0x5au8; 64]; // the predict frame's blob is 64 bytes
     Fuzzer::from_env(600).run(&corpus, |case| {
-        let text = String::from_utf8_lossy(case);
-        let _ = Options::from_json(&text);
+        let mut frame = protocol::MAGIC.to_vec();
+        frame.extend_from_slice(&(case.len() as u32).to_be_bytes());
+        frame.extend_from_slice(&(payload.len() as u64).to_be_bytes());
+        frame.extend_from_slice(case);
+        frame.extend_from_slice(&payload);
+        let _ = read_frame(&mut frame.as_slice());
     });
 }
 

@@ -147,6 +147,39 @@ fn calculation_scheme_predicts_without_a_model() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One wire byte per data byte: a 32 MiB buffer — about 112 MiB spelled
+/// as a JSON integer array, past every ceiling this protocol has had —
+/// crosses in a single frame. `tao2019` samples a fixed number of blocks,
+/// so the request costs the wire and the content hash, not the buffer.
+#[test]
+fn a_32_mib_buffer_is_served_through_a_live_daemon() {
+    let dir = temp_dir("large");
+    let handle = Server::start(local_config(&dir)).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let n = 256 * 256 * 128;
+    let values = (0..n).map(|i| (i as f32 * 1e-3).sin()).collect();
+    let data = pressio_core::Data::from_f32(vec![256, 256, 128], values);
+    assert_eq!(data.size_in_bytes(), 32 << 20);
+    let mut req = Options::new()
+        .with("serve:op", op::PREDICT)
+        .with("serve:scheme", "tao2019")
+        .with("serve:deadline_ms", 120_000u64)
+        .with("pressio:abs", 1e-3);
+    protocol::data_into_request(&mut req, &data);
+    let frame = protocol::frame_bytes(&req).unwrap();
+    assert!(
+        frame.len() < (32 << 20) + 1024,
+        "{} wire bytes",
+        frame.len()
+    );
+    let resp = client.call(&req).unwrap();
+    assert_eq!(resp.get_str("serve:type").unwrap(), "prediction", "{resp}");
+    assert!(resp.get_f64("serve:prediction").unwrap() > 1.0);
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn overload_answers_overloaded_not_unbounded_queueing() {
     let dir = temp_dir("overload");

@@ -4,7 +4,7 @@
 
 use pressio_core::Options;
 use pressio_dataset::{DatasetPlugin, Hurricane};
-use pressio_serve::protocol::op;
+use pressio_serve::protocol::{self, op};
 use pressio_serve::shard::{routing_key, InProcessSpawner};
 use pressio_serve::{
     Client, Endpoint, ServeConfig, Server, ShardedClient, Supervisor, SupervisorConfig, Topology,
@@ -553,6 +553,50 @@ fn mid_stream_shard_kill_resumes_on_failover_shard_byte_identically() {
         "{ended}"
     );
     assert_eq!(ended.get_u64("stream:chunks").unwrap(), 6);
+
+    sup.trigger_shutdown();
+    sup.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--shards N --max-frame-mb M`: the base endpoint's proxy enforces the
+/// configured cap on the declared length, like the shards behind it. (It
+/// used to check only the protocol ceiling, so a hostile prefix under the
+/// ceiling made it allocate the declared size and wait for the body.)
+#[test]
+fn supervisor_proxy_honours_the_configured_frame_cap() {
+    let dir = temp_dir("proxy_cap");
+    let mut template = local_config(&dir);
+    template.max_frame = 64 << 10;
+    let config = SupervisorConfig::new(Endpoint::Tcp("127.0.0.1:0".into()), template, 2);
+    let sup = Supervisor::start(config, Arc::new(InProcessSpawner)).unwrap();
+
+    // 1 MiB declared, nothing behind it: over the cap, under the ceiling
+    let mut prefix = protocol::MAGIC.to_vec();
+    prefix.extend_from_slice(&2u32.to_be_bytes());
+    prefix.extend_from_slice(&(1u64 << 20).to_be_bytes());
+    let mut conn = sup.endpoint().connect().unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    std::io::Write::write_all(&mut conn, &prefix).unwrap();
+    let reply = protocol::read_frame(&mut conn)
+        .expect("the proxy must answer from the prefix alone")
+        .unwrap();
+    assert!(protocol::is_error(&reply, protocol::code::BAD_REQUEST));
+    assert!(
+        reply
+            .get_str("serve:message")
+            .unwrap()
+            .contains("frame cap"),
+        "{reply}"
+    );
+
+    // a frame under the cap is proxied as before
+    let mut client = Client::connect(sup.endpoint()).unwrap();
+    assert_eq!(
+        client.ping().unwrap().get_str("serve:role").unwrap(),
+        "supervisor"
+    );
 
     sup.trigger_shutdown();
     sup.wait().unwrap();

@@ -5,7 +5,7 @@
 
 use pressio_core::{Dtype, Options};
 use pressio_dataset::{DatasetPlugin, Hurricane};
-use pressio_serve::protocol::{code, op};
+use pressio_serve::protocol::{self, code, op};
 use pressio_serve::{Client, Endpoint, ServeConfig, Server};
 use pressio_stream::{StreamEncoder, StreamHeader};
 use std::path::PathBuf;
@@ -201,24 +201,36 @@ fn online_mode_refits_and_bumps_model_version() {
 }
 
 #[test]
-fn configured_frame_cap_drops_oversized_frames_before_allocation() {
+fn unacceptable_frames_get_a_typed_answer_then_a_close() {
     let dir = temp_dir("frame_cap");
     let mut config = local_config(&dir);
     config.max_frame = 64 << 10; // 64 KiB
     let handle = Server::start(config).unwrap();
 
-    // a declared length over the cap (but under the protocol ceiling)
-    // gets the connection dropped without the body ever being read
-    let mut conn = handle.endpoint().connect().unwrap();
-    let declared = (1u32 << 20).to_be_bytes();
-    std::io::Write::write_all(&mut conn, &declared).unwrap();
-    std::io::Write::flush(&mut conn).unwrap();
-    let mut buf = [0u8; 16];
-    let got = std::io::Read::read(&mut conn, &mut buf).unwrap_or(0);
-    assert_eq!(
-        got, 0,
-        "server answered an over-cap frame instead of dropping"
-    );
+    // a v2 prefix declaring a payload over the cap (but under the protocol
+    // ceiling), with no body behind it: the declared length alone rejects
+    let mut over_cap = protocol::MAGIC.to_vec();
+    over_cap.extend_from_slice(&2u32.to_be_bytes());
+    over_cap.extend_from_slice(&(1u64 << 20).to_be_bytes());
+    // a whole v1 `[u32 len][JSON]` ping, as a client from before the
+    // binary data plane would send it
+    let v1_json = br#"{"entries":{"serve:op":{"Str":"ping"}}}"#;
+    let mut v1 = (v1_json.len() as u32).to_be_bytes().to_vec();
+    v1.extend_from_slice(v1_json);
+
+    for (sent, why) in [(over_cap, "frame cap"), (v1, "unsupported wire version")] {
+        let mut conn = handle.endpoint().connect().unwrap();
+        std::io::Write::write_all(&mut conn, &sent).unwrap();
+        std::io::Write::flush(&mut conn).unwrap();
+        let reply = protocol::read_frame(&mut conn).unwrap().expect(why);
+        assert!(protocol::is_error(&reply, code::BAD_REQUEST));
+        assert!(
+            reply.get_str("serve:message").unwrap().contains(why),
+            "{reply}"
+        );
+        // the reply is the server's last word on this connection
+        assert!(!matches!(protocol::read_frame(&mut conn), Ok(Some(_))));
+    }
 
     // the daemon is still healthy for well-behaved clients
     let mut client = Client::connect(handle.endpoint()).unwrap();

@@ -577,3 +577,36 @@ fn torn_journal_tail_rewinds_the_sender_and_observes_each_chunk_once() {
     handle.wait().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The durable format does not depend on the wire: the `.psj` journal a
+/// begin + two chunks leave behind is pinned byte for byte, by a digest
+/// taken at the last commit that shipped buffers as JSON integer arrays.
+#[test]
+fn journal_written_through_the_wire_is_byte_identical_across_wire_versions() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    pressio_faults::clear();
+    let dir = temp_dir("journal_bytes");
+    let handle = Server::start(local_config(&dir)).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    client.call(&train_request("hurr")).unwrap();
+
+    let begin = extra().with("stream:token", "pinned-token");
+    client.stream_begin("pinned", &begin).unwrap();
+    for (t, chunk) in chunks(2).iter().enumerate() {
+        let resp = client
+            .stream_chunk_at("pinned", t as u64 + 1, chunk, &Options::new())
+            .unwrap();
+        assert_eq!(resp.get_u64("stream:acked").unwrap(), t as u64 + 1);
+    }
+    let journal = pressio_serve::SessionJournal::open(&dir.join("models")).unwrap();
+    let bytes = std::fs::read(journal.path("pinned")).unwrap();
+    assert_eq!(bytes.len(), 2913);
+    assert_eq!(
+        pressio_core::hash::to_hex(&pressio_core::hash::Sha256::digest(&bytes)),
+        "37c23d7f447b2e76e28bbc19b305280972db198eb3a04c6ea8954cf65912b5b8"
+    );
+
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
