@@ -1,7 +1,6 @@
 //! The data-affinity scheduling ablation (paper §4.3 — "we attempt to
-//! schedule as many jobs with the same data to the same workers"), shared
-//! by the `ablation_affinity` binary and `pressio bench --ablation
-//! affinity`.
+//! schedule as many jobs with the same data to the same workers"), run by
+//! `pressio bench --ablation affinity`.
 //!
 //! Tasks simulate a load-then-compute pattern where each worker pays a
 //! load cost the first time it touches a dataset; the report compares

@@ -11,9 +11,8 @@
 //!   single-node analog of the LibDistributed MPI queue).
 //! - [`experiment`] — the k-fold cross-validated Table 2 driver with
 //!   per-stage timing and checkpointed ground-truth collection.
-//! - [`affinity`] — the data-affinity vs round-robin scheduling ablation,
-//!   shared by the `ablation_affinity` binary and `pressio bench
-//!   --ablation affinity`.
+//! - [`affinity`] — the data-affinity vs round-robin scheduling ablation
+//!   behind `pressio bench --ablation affinity`.
 //!
 //! ```no_run
 //! use pressio_bench_infra::experiment::{format_table2, run_table2, Table2Config};

@@ -274,9 +274,10 @@ pub fn run_tasks(
             attempt.task.id.clone(),
             (w, attempt.task.clone(), attempt.attempt),
         );
-        worker_txs[w]
-            .send(attempt)
-            .expect("worker channel closed prematurely");
+        // a closed channel means worker `w` crashed and the supervisor scan
+        // below has not restarted it yet; the attempt is already in
+        // `assigned`, so that scan requeues it with the worker's other orphans
+        let _ = worker_txs[w].send(attempt);
     };
     for task in tasks {
         dispatch(

@@ -1,7 +1,6 @@
 //! The checkpoint-restart ablation (paper §3/§4.3 — "fine-grained
 //! checkpoint restart allows us to re-run only the affected results
-//! quickly"), shared by the `ablation_checkpoint` binary and
-//! `pressio bench --ablation checkpoint`.
+//! quickly"), run by `pressio bench --ablation checkpoint`.
 //!
 //! Runs the ground-truth collection of the Table 2 experiment twice
 //! against the same checkpoint store: the cold run computes everything,

@@ -24,7 +24,7 @@ fn val(tag: &str) -> Options {
 
 #[test]
 fn injected_put_io_error_surfaces_and_store_recovers() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let path = temp_log("put_io");
     let mut store = CheckpointStore::open(&path).unwrap();
     pressio_faults::configure("store:put.io=err,times=1").unwrap();
@@ -45,7 +45,7 @@ fn injected_put_io_error_surfaces_and_store_recovers() {
 
 #[test]
 fn torn_put_fails_then_heals_on_retry() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let path = temp_log("torn_put");
     let mut store = CheckpointStore::open(&path).unwrap();
     store.put("before", val("intact")).unwrap();
@@ -70,7 +70,7 @@ fn torn_put_fails_then_heals_on_retry() {
 
 #[test]
 fn crash_during_compact_preserves_the_whole_log() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let path = temp_log("compact_crash");
     let mut store = CheckpointStore::open(&path).unwrap();
     for i in 0..6 {
@@ -99,7 +99,7 @@ fn crash_during_compact_preserves_the_whole_log() {
 
 #[test]
 fn injected_sync_and_open_errors_surface() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let path = temp_log("sync_open");
     let mut store = CheckpointStore::open(&path).unwrap();
     store.put("k", val("v")).unwrap();

@@ -74,7 +74,7 @@ fn deterministic_fingerprint(t: &Table2) -> String {
 
 #[test]
 fn seeded_fault_schedule_leaves_table2_byte_identical() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join("pressio_chaos_table2");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -140,7 +140,7 @@ fn seeded_fault_schedule_leaves_table2_byte_identical() {
 
 #[test]
 fn resume_after_faulted_run_recomputes_nothing() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join("pressio_chaos_table2_resume");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();

@@ -1,10 +1,8 @@
 //! Library entry points for the ablation studies.
 //!
-//! Each ablation is a standalone `--bin ablation_*` for direct invocation
-//! from scripts, but the study bodies live here so `pressio bench
-//! --ablation <name>` can run the same code in-process (the CLI crate
-//! links this module; the bins are thin `main()` wrappers around it).
-//! Every function writes its markdown report to the supplied writer.
+//! The study bodies `pressio bench --ablation <name>` runs in-process
+//! (the CLI crate links this module). Every function writes its markdown
+//! report to the supplied writer.
 
 use crate::BenchArgs;
 use pressio_core::timing::{time_ms, MeanStd};

@@ -8,11 +8,7 @@
 //! | `--bin table1` | Table 1 (method taxonomy, from live registry metadata) |
 //! | `--bin table2` | Table 2 (Hurricane stage timings + MedAPE, 10-fold CV) |
 //! | `--bin fig2_pipeline` | Figure 2 (dataset-loader pipeline: cold vs cached vs sampled) |
-//! | `--bin ablation_checkpoint` | checkpoint-restart speedup ablation |
-//! | `--bin ablation_affinity` | data-affinity vs round-robin scheduling ablation |
-//! | `--bin ablation_tao_sweep` | Tao block-size/count accuracy-vs-time sweep |
-//! | `--bin ablation_rahman` | FXRZ sparsity-correction / augmentation ablation |
-//! | `--bin ablation_invalidation` | error-agnostic metric reuse across bounds |
+//! | `pressio bench --ablation <name>` | the eight ablations ([`ablations::NAMES`] plus `affinity` and `checkpoint`) |
 //! | `cargo bench` | Criterion microbenches (compressor baselines, metric costs, scheme estimate costs) |
 //!
 //! Binaries accept `--quick` for a reduced problem size and

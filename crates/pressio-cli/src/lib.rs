@@ -835,8 +835,8 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<()> {
                         Ok(())
                     }
                     // the remaining ablations live in pressio-bench's
-                    // library (shared with the ablation_* bins); the
-                    // CLI's --timesteps 1 default maps to quick mode
+                    // library; the CLI's --timesteps 1 default maps to
+                    // quick mode
                     name if pressio_bench::ablations::NAMES.contains(&name) => {
                         let bench_args = pressio_bench::BenchArgs {
                             dims,

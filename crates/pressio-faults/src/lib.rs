@@ -113,12 +113,7 @@ pub const OPTION_KEY: &str = "pressio:faults";
 /// FNV-1a over `bytes` — the stable hash behind per-site decisions, also
 /// exported for deterministic retry jitter.
 pub fn hash64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    pressio_core::hash::fnv1a64(bytes)
 }
 
 /// SplitMix64 finalizer — a cheap, high-quality mix for turning counters
@@ -128,10 +123,6 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
     x ^ (x >> 31)
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    hash64(bytes)
 }
 
 /// Exponential backoff with deterministic jitter, shared by the queue's
@@ -318,7 +309,7 @@ fn check_slow(site: &str) -> Option<FaultAction> {
         }
     }
     if let Some(p) = config.p {
-        let u = splitmix64(config.seed ^ fnv1a64(site.as_bytes()) ^ index);
+        let u = splitmix64(config.seed ^ hash64(site.as_bytes()) ^ index);
         if (u >> 11) as f64 / (1u64 << 53) as f64 >= p {
             return None;
         }
@@ -488,8 +479,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "injected panic at boom")]
     fn panic_action_panics() {
-        // no lock: panicking with the test lock held would poison it; a
-        // dedicated site name keeps this isolated from other tests.
+        // under the lock like every test that configures the registry: a
+        // concurrent `clear()` would otherwise unschedule the panic.
+        // `lock()` tolerates the poison this leaves behind.
+        let _g = lock();
         configure("boom=panic").unwrap();
         let _ = inject("boom");
     }

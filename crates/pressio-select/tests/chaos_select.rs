@@ -19,7 +19,7 @@ fn field(index: usize) -> Data {
 
 #[test]
 fn predictor_down_falls_back_to_static_byte_identical() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     pressio_faults::clear();
     let data = field(0);
 
@@ -80,7 +80,7 @@ fn predictor_down_falls_back_to_static_byte_identical() {
 
 #[test]
 fn stale_model_failpoint_falls_back_in_remote_mode() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     pressio_faults::clear();
     let dir = std::env::temp_dir()
         .join("pressio_chaos_select")

@@ -5,36 +5,21 @@
 //! [`Client::call`]: transport errors (dropped connection, torn frame)
 //! trigger a reconnect, transient server errors (`overloaded`,
 //! `deadline_exceeded` — see [`protocol::is_retryable`]) trigger a resend,
-//! both under a [`RetryPolicy`] budget with deterministic exponential
-//! backoff + jitter (`pressio_faults::backoff_ms`). Fatal server errors
-//! (`bad_request`, `not_found`, `internal`) return immediately: resending
-//! those reproduces the same answer.
+//! both under one [`RetryPolicy`] budget (the `retry` module). Fatal
+//! server errors (`bad_request`, `not_found`, `internal`) return
+//! immediately: resending those reproduces the same answer.
 
 use crate::net::{Conn, Endpoint};
 use crate::protocol::{self, op, read_frame, write_frame};
+pub use crate::retry::RetryPolicy;
+use crate::retry::{classify, Outcome, RetryBudget};
+use crate::route::ShardConns;
+use crate::shard::{routing_key, Topology};
 use pressio_core::error::{Error, Result};
 use pressio_core::{Data, Options};
 
-/// Retry budget and backoff shape for [`Client::call_resilient`].
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (1 = no retries).
-    pub max_attempts: usize,
-    /// Backoff before the second attempt, doubling per attempt after.
-    pub base_ms: u64,
-    /// Ceiling on any single backoff.
-    pub max_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            base_ms: 10,
-            max_ms: 500,
-        }
-    }
-}
+/// Bumped once per retry by both clients in this module.
+const RETRY_COUNTER: &str = "serve:client.retry";
 
 /// One connection to a `pressio-serve` daemon; requests are strictly
 /// serial per client (pipeline parallelism comes from multiple clients).
@@ -86,52 +71,27 @@ impl Client {
     /// `models`, `load`); a retried `train` would persist a second model
     /// version.
     pub fn call_resilient(&mut self, request: &Options, policy: &RetryPolicy) -> Result<Options> {
-        let op_key = request.get_str_opt("serve:op").ok().flatten().unwrap_or("");
-        let mut attempt = 1usize;
+        let op_key = protocol::op_name(request);
+        let mut budget = RetryBudget::new(policy, RETRY_COUNTER);
+        let mut reconnect = false;
         loop {
-            let outcome = self.call(request);
-            let reconnect = match &outcome {
-                Ok(resp) if protocol::is_retryable(resp) => false,
-                Ok(_) => return outcome,
-                // transport-level failure: the connection is in an unknown
-                // state (possibly mid-frame), so it must be re-established
-                Err(Error::Io(_)) | Err(Error::CorruptStream(_)) => true,
-                Err(_) => return outcome,
+            // a dead connection must be replaced before the next call;
+            // failed reconnects burn attempts from the same budget
+            let outcome = if reconnect {
+                self.endpoint.connect().and_then(|conn| {
+                    self.conn = conn;
+                    self.call(request)
+                })
+            } else {
+                self.call(request)
             };
-            if attempt >= policy.max_attempts {
+            reconnect = match classify(&outcome) {
+                Outcome::Done | Outcome::Fatal => return outcome,
+                Outcome::Busy => false,
+                Outcome::Broken => true,
+            };
+            if !budget.spend(op_key) {
                 return outcome;
-            }
-            attempt += 1;
-            pressio_obs::add_counter("serve:client.retry", 1);
-            let wait = pressio_faults::backoff_ms(policy.base_ms, policy.max_ms, attempt, op_key);
-            if wait > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(wait));
-            }
-            if reconnect {
-                // a dead connection must be replaced before the next call;
-                // failed reconnects burn attempts from the same budget
-                loop {
-                    match self.endpoint.connect() {
-                        Ok(conn) => {
-                            self.conn = conn;
-                            break;
-                        }
-                        Err(e) => {
-                            if attempt >= policy.max_attempts {
-                                return Err(e);
-                            }
-                            attempt += 1;
-                            pressio_obs::add_counter("serve:client.retry", 1);
-                            let wait = pressio_faults::backoff_ms(
-                                policy.base_ms,
-                                policy.max_ms,
-                                attempt,
-                                op_key,
-                            );
-                            std::thread::sleep(std::time::Duration::from_millis(wait));
-                        }
-                    }
-                }
             }
         }
     }
@@ -271,28 +231,24 @@ impl Client {
 /// base endpoint, then routes every request *directly* to its home shard
 /// by content hash, bypassing the supervisor proxy on the hot path. On a
 /// transport failure it walks the rendezvous failover order, and on any
-/// failover (or periodically) refetches the topology in case shards were
-/// restarted under a new generation.
+/// failover refetches the topology in case shards were restarted under a
+/// new generation.
 pub struct ShardedClient {
     base: Endpoint,
     topology: Topology,
-    /// One cached connection per shard index, opened lazily.
-    conns: Vec<Option<Client>>,
+    /// One cached connection per shard, opened lazily.
+    conns: ShardConns,
     policy: RetryPolicy,
 }
-
-use crate::shard::{routing_key, Topology};
 
 impl ShardedClient {
     /// Connect to `base` (a supervisor or standalone server) and fetch the
     /// topology.
     pub fn connect(base: &Endpoint) -> Result<ShardedClient> {
-        let topology = Self::fetch_topology(base)?;
-        let conns = (0..topology.shards.len()).map(|_| None).collect();
         Ok(ShardedClient {
             base: base.clone(),
-            topology,
-            conns,
+            topology: Self::fetch_topology(base)?,
+            conns: ShardConns::default(),
             policy: RetryPolicy::default(),
         })
     }
@@ -309,85 +265,39 @@ impl ShardedClient {
     }
 
     /// Refetch the topology from the base endpoint (after failover, or
-    /// when a response carries an unexpected shard).
+    /// when a response carries an unexpected shard). Cached connections
+    /// to endpoints the new topology no longer lists are never reused.
     pub fn refresh(&mut self) -> Result<()> {
-        let topology = Self::fetch_topology(&self.base)?;
-        if topology.generation != self.topology.generation
-            || topology.shards != self.topology.shards
-        {
-            self.conns = (0..topology.shards.len()).map(|_| None).collect();
-            self.topology = topology;
-        }
+        self.topology = Self::fetch_topology(&self.base)?;
         Ok(())
-    }
-
-    fn shard_call(&mut self, index: usize, request: &Options) -> Result<Options> {
-        if self.conns[index].is_none() {
-            self.conns[index] = Some(Client::connect(&self.topology.shards[index])?);
-        }
-        let client = self.conns[index].as_mut().expect("connected above");
-        let outcome = client.call(request);
-        if matches!(&outcome, Err(Error::Io(_)) | Err(Error::CorruptStream(_))) {
-            // poisoned connection: drop it so the next attempt reconnects
-            self.conns[index] = None;
-        }
-        outcome
     }
 
     /// Route one request to its home shard, failing over along the
     /// rendezvous order when shards are unreachable. Transient server
-    /// errors (`overloaded`, `deadline_exceeded`) retry on the *same*
-    /// shard under the retry policy — they signal load, not death.
+    /// errors (`overloaded`, `deadline_exceeded`) retry under the retry
+    /// policy without failing over — they signal load, not death, and
+    /// spilling load to another shard would dilute its cache.
     pub fn call(&mut self, request: &Options) -> Result<Options> {
         let key = routing_key(request).unwrap_or_default();
-        let order: Vec<usize> = self
-            .topology
-            .failover_order(&key)
-            .into_iter()
-            .map(|(i, _)| i)
-            .collect();
-        let mut last: Option<Result<Options>> = None;
-        for (attempt, &index) in order.iter().enumerate() {
-            match self.shard_call(index, request) {
-                Ok(resp) if protocol::is_retryable(&resp) => {
-                    // busy shard: bounded retry in place, then give up on
-                    // the whole call (spilling load to another shard would
-                    // dilute its cache)
-                    let mut retried = Ok(resp);
-                    for extra in 2..=self.policy.max_attempts {
-                        let wait = pressio_faults::backoff_ms(
-                            self.policy.base_ms,
-                            self.policy.max_ms,
-                            extra,
-                            &key,
-                        );
-                        std::thread::sleep(std::time::Duration::from_millis(wait));
-                        retried = self.shard_call(index, request);
-                        match &retried {
-                            Ok(r) if protocol::is_retryable(r) => continue,
-                            _ => break,
-                        }
-                    }
-                    return retried;
+        let mut budget = RetryBudget::new(&self.policy, RETRY_COUNTER);
+        loop {
+            let routed = self.conns.call_routed(&self.topology, &key, request);
+            match &routed {
+                Ok(routed) if routed.hops == 0 => {}
+                // shards changed under us; pick up the new layout
+                Ok(routed) => {
+                    pressio_obs::add_counter("serve:client.failover", routed.hops as i64);
+                    let _ = self.refresh();
                 }
-                Ok(resp) => {
-                    if attempt > 0 {
-                        pressio_obs::add_counter("serve:client.failover", attempt as i64);
-                        // shards changed under us; pick up the new layout
-                        let _ = self.refresh();
-                    }
-                    return Ok(resp);
+                Err(_) => {
+                    let _ = self.refresh();
                 }
-                Err(e) => last = Some(Err(e)),
+            }
+            let outcome = routed.map(|routed| routed.response);
+            if classify(&outcome) != Outcome::Busy || !budget.spend(&key) {
+                return outcome;
             }
         }
-        let _ = self.refresh();
-        last.unwrap_or_else(|| {
-            Err(Error::Io(format!(
-                "no shard reachable via {} (topology generation {})",
-                self.base, self.topology.generation
-            )))
-        })
     }
 
     /// `predict` routed by the data buffer's content hash.

@@ -4,46 +4,50 @@
 //! daemon answers "how well will this compressor do on this buffer?"
 //! without re-running training or (when cached) even feature extraction.
 //!
-//! - [`protocol`] — versioned frames over a byte stream: a JSON header
-//!   carrying an [`pressio_core::Options`] structure (the serialization
-//!   checkpoints and the CLI use) and its byte buffers raw behind it.
-//! - [`net`] — one [`net::Endpoint`] covering Unix-domain sockets and TCP.
-//! - [`store`] — versioned, checksummed model artifacts
-//!   (`<name>/<version>.pmodel`), written atomically.
-//! - [`cache`] — sharded, content-hash-keyed LRU for features and
-//!   predictions, with hit/miss counters in `pressio-obs`.
-//! - [`pipeline`] — bounded batching queue with per-request deadlines and
-//!   explicit `overloaded` backpressure.
-//! - [`breaker`] — load-shedding circuit breaker: sustained overload trips
-//!   it open so excess requests are rejected without queue churn.
-//! - [`server`] — the daemon: accept loop, per-model request batching,
-//!   hot model reload, graceful draining shutdown.
-//! - [`shard`] — multi-process scale-out: rendezvous (consistent-hash)
-//!   routing by content hash, the shard topology file, and the
-//!   acceptor/supervisor that restarts dead shards.
-//! - [`client`] — the blocking client used by `pressio query`, the tests,
-//!   and the serve benchmark; [`client::ShardedClient`] routes directly to
-//!   shards by content hash with failover.
-//! - [`stream`] — streaming prediction sessions (`stream.begin` /
-//!   `stream.chunk` / `stream.end` / `stream.resume`) with per-chunk
-//!   temporal features and the rolling-window online learner behind
-//!   `--online`.
-//! - [`journal`] — crash-safe append+fsync per-session stream journals
-//!   under the model store, the durable half of `stream.resume`.
-//! - [`sender`] — [`sender::ResilientStreamSender`], the reconnecting
-//!   stream client: retry with backoff on transient errors,
-//!   `stream.resume` + replay-from-acked-offset across disconnects and
-//!   daemon crashes.
+//! One implementation per concern — concern → its one home:
+//!
+//! - wire frames, caps, version check → [`protocol`]
+//! - transports (Unix-domain sockets and TCP behind one endpoint) → [`net`]
+//! - serving a socket: accept loop, connection loop, stop signal,
+//!   connection failpoints → `listen` (the daemon and the supervisor are
+//!   each an op table behind it)
+//! - the daemon: config, model catalog, op table, `train` / `load` /
+//!   `reload` / `stats`, graceful drain → [`server`]
+//! - the predict core (the paper's Fig. 4: who answers, which compressor,
+//!   error-agnostic → error-dependent → predictor) and the batched
+//!   `predict` op → `predict`
+//! - retrying: attempt budget, deterministic backoff, outcome classes →
+//!   `retry`, under [`Client::call_resilient`], [`ShardedClient`] and
+//!   [`ResilientStreamSender`]
+//! - the routed call: per-shard connection cache, stale-socket redial,
+//!   failover walk → `route`, under the supervisor's proxy and
+//!   [`ShardedClient`]
+//! - rendezvous routing, the topology file, shard spawn and restart →
+//!   [`shard`]
+//! - stream sessions: state, journal records, chunk responses, the online
+//!   learner, the `stream.*` ops → [`stream`]
+//! - journal framing, append + fsync, torn-tail load → [`journal`]
+//! - versioned, checksummed model artifacts → [`store`]
+//! - content-hash LRUs → [`cache`]; the bounded batching queue →
+//!   [`pipeline`]; the load-shedding breaker → [`breaker`]
+//! - the blocking clients → [`client`]; the reconnecting, resuming stream
+//!   client → [`sender`]
 
 #![warn(missing_docs)]
+// keeps handlers a reader can hold in their head (default limit: 100 lines)
+#![warn(clippy::too_many_lines)]
 
 pub mod breaker;
 pub mod cache;
 pub mod client;
 pub mod journal;
+mod listen;
 pub mod net;
 pub mod pipeline;
+mod predict;
 pub mod protocol;
+mod retry;
+mod route;
 pub mod sender;
 pub mod server;
 pub mod shard;

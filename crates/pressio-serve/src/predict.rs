@@ -1,0 +1,316 @@
+//! The predict core — the paper's Fig. 4 flow (error-agnostic features →
+//! error-dependent features → predictor), written once — and the batched
+//! `predict` op built on it.
+//!
+//! Every op that predicts (`predict`, `stream.chunk`) or collects samples
+//! to fit (`train`) resolves who answers through [`resolve_target`],
+//! builds its compressor through [`compressor`] and extracts through
+//! [`with_dependent`]. The batch handler runs three stages: a serial
+//! **prepare** (decode, hash, cache probes — prediction-cache hits answer
+//! here), a coalesced parallel **extract** over the misses, and a serial
+//! **finalize** (merge, predict, reply).
+
+use crate::pipeline::WorkItem;
+use crate::protocol::{self, code};
+use crate::server::{respond, LoadedModel, ServerState, Stat};
+use pressio_core::error::{Error, Result};
+use pressio_core::{threads, Compressor, Data, Options};
+use pressio_predict::evaluator::CachedEvaluator;
+use pressio_predict::{standard_compressors, standard_schemes, Scheme};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+/// Who answers a prediction: the resident trained model a `serve:model`
+/// reference names (which wins), or the analytic predictor of a
+/// `serve:scheme` that works untrained. An unversioned model reference
+/// resolves the latest version, so callers that re-resolve per batch or
+/// per chunk pick up retrains and online refits. Errors are rendered as
+/// the response to send.
+pub(crate) fn resolve_target(
+    state: &ServerState,
+    model_ref: Option<&str>,
+    scheme_name: Option<&str>,
+) -> std::result::Result<Arc<LoadedModel>, Options> {
+    if let Some(model_ref) = model_ref {
+        return state.resolve_model(model_ref).map_err(|e| respond(Err(e)));
+    }
+    let scheme_name = scheme_name.ok_or_else(|| {
+        protocol::error_response(
+            code::BAD_REQUEST,
+            "request needs serve:model or serve:scheme",
+        )
+    })?;
+    let predictor = standard_schemes()
+        .build(scheme_name)
+        .map_err(|e| respond(Err(e)))?
+        .make_predictor();
+    if predictor.requires_training() {
+        return Err(protocol::error_response(
+            code::NOT_FOUND,
+            format!(
+                "scheme '{scheme_name}' needs a trained model; \
+                 train one and pass serve:model"
+            ),
+        ));
+    }
+    Ok(Arc::new(LoadedModel {
+        tag: String::new(),
+        name: String::new(),
+        version: 0,
+        scheme: scheme_name.to_string(),
+        predictor,
+    }))
+}
+
+/// The compressor a request names: `serve:compressor`, sz3 when absent.
+pub(crate) fn compressor_id(request: &Options) -> Result<&str> {
+    Ok(request.get_str_opt("serve:compressor")?.unwrap_or("sz3"))
+}
+
+/// Build compressor `comp_id` and configure it from each options layer in
+/// order (later layers override earlier ones).
+pub(crate) fn compressor(comp_id: &str, layers: &[&Options]) -> Result<Box<dyn Compressor>> {
+    let mut comp = standard_compressors().build(comp_id)?;
+    for layer in layers {
+        comp.set_options(layer)?;
+    }
+    Ok(comp)
+}
+
+/// Build scheme `scheme_name`, refusing a compressor it cannot model.
+pub(crate) fn scheme_for(scheme_name: &str, comp_id: &str) -> Result<Box<dyn Scheme>> {
+    let scheme = standard_schemes().build(scheme_name)?;
+    if !scheme.supports(comp_id) {
+        return Err(Error::Unsupported(format!(
+            "scheme '{scheme_name}' does not support compressor '{comp_id}'"
+        )));
+    }
+    Ok(scheme)
+}
+
+/// Fig. 4's second stage over its first: `comp`'s error-dependent
+/// features for `data` merged onto the error-agnostic ones — the vector a
+/// predictor consumes. Callers hold the agnostic half across compressor
+/// settings (a training sweep over bounds).
+pub(crate) fn with_dependent(
+    scheme: &dyn Scheme,
+    mut agnostic: Options,
+    data: &Data,
+    comp: &dyn Compressor,
+) -> Result<Options> {
+    agnostic.merge_from(&scheme.error_dependent_features(data, comp)?);
+    Ok(agnostic)
+}
+
+pub(crate) fn prediction_response(
+    value: f64,
+    cached: bool,
+    scheme: &str,
+    model_tag: &str,
+    shard: Option<usize>,
+) -> Options {
+    pressio_obs::add_counter("serve:prediction", 1);
+    let mut resp = Options::new()
+        .with("serve:type", "prediction")
+        .with("serve:prediction", value)
+        .with("serve:cached", cached)
+        .with("serve:scheme", scheme);
+    if !model_tag.is_empty() {
+        resp = resp.with("serve:model", model_tag);
+    }
+    if let Some(shard) = shard {
+        resp = resp.with("serve:shard", shard as u64);
+    }
+    resp
+}
+
+/// A request past the prediction-cache probe, waiting on features.
+struct Prep {
+    item: WorkItem,
+    data: Data,
+    comp: Box<dyn Compressor>,
+    pred_key: String,
+    agnostic_key: String,
+    dependent_key: String,
+    /// Cached error-agnostic features (`None` = must compute).
+    agnostic: Option<Options>,
+    /// Cached error-dependent features (`None` = must compute).
+    dependent: Option<Options>,
+}
+
+/// Features by cache key, errors pre-rendered to responses so one failed
+/// extraction answers every request that coalesced onto it.
+type Extracted = HashMap<String, std::result::Result<Options, Options>>;
+
+/// Answer a batch of `predict` requests. Items share the batch key by
+/// construction, so the model/scheme is resolved once from the first.
+pub(crate) fn handle_predict_batch(state: &ServerState, batch: Vec<WorkItem>) {
+    let _span = pressio_obs::span("serve:predict.batch");
+    let first = &batch[0].request;
+    let target = match resolve_target(
+        state,
+        first.get_str_opt("serve:model").ok().flatten(),
+        first.get_str_opt("serve:scheme").ok().flatten(),
+    ) {
+        Ok(target) => target,
+        Err(resp) => {
+            for item in batch {
+                item.respond(resp.clone());
+            }
+            return;
+        }
+    };
+    let preps: Vec<Prep> = batch
+        .into_iter()
+        .filter_map(|item| prepare(state, &target, item))
+        .collect();
+    if preps.is_empty() {
+        return;
+    }
+    let extracted = extract(state, &target.scheme, &preps);
+    for prep in preps {
+        finalize(state, &target, &extracted, prep);
+    }
+}
+
+/// Decode, hash and probe the caches for one request. A prediction-cache
+/// hit (or a malformed request) is answered here and never reaches
+/// feature extraction.
+fn prepare(state: &ServerState, target: &LoadedModel, item: WorkItem) -> Option<Prep> {
+    let request = &item.request;
+    let decoded = (|| {
+        let data = protocol::data_from_request(request)?;
+        let data_sha = protocol::data_content_hash(request)?;
+        let comp = compressor(compressor_id(request)?, &[request])?;
+        Ok((data, data_sha, comp))
+    })();
+    let (data, data_sha, comp) = match decoded {
+        Ok(decoded) => decoded,
+        Err(e) => {
+            item.respond(respond(Err(e)));
+            return None;
+        }
+    };
+    let scheme_name = &target.scheme;
+    let settings_key = CachedEvaluator::error_settings_key(comp.as_ref());
+    let pred_key = format!("p:{scheme_name}:{}:{settings_key}:{data_sha}", target.tag);
+    if let Some(value) = state.prediction_cache.get(&pred_key) {
+        state.count(Stat::PredictionsServed, 1);
+        item.respond(prediction_response(
+            value,
+            true,
+            scheme_name,
+            &target.tag,
+            state.config.shard_index,
+        ));
+        return None;
+    }
+    let agnostic_key = format!("a:{scheme_name}:{data_sha}");
+    let dependent_key = format!("d:{scheme_name}:{settings_key}:{data_sha}");
+    Some(Prep {
+        agnostic: state.feature_cache.get(&agnostic_key),
+        dependent: state.feature_cache.get(&dependent_key),
+        item,
+        data,
+        comp,
+        pred_key,
+        agnostic_key,
+        dependent_key,
+    })
+}
+
+/// Coalesced parallel extraction: identical buffers submitted by
+/// different connections in the same batch share a cache key, so each
+/// unique (key → extraction) job runs exactly once regardless of how many
+/// requests need it. The first prep needing a key owns the job.
+fn extract(state: &ServerState, scheme_name: &str, preps: &[Prep]) -> Extracted {
+    // (cache key, owning prep, whether it is the error-dependent stage)
+    let mut jobs: Vec<(&str, &Prep, bool)> = Vec::new();
+    let mut needed = 0u64;
+    let mut claimed: HashSet<&str> = HashSet::new();
+    for p in preps {
+        for (cached, key, dependent) in [
+            (&p.agnostic, &p.agnostic_key, false),
+            (&p.dependent, &p.dependent_key, true),
+        ] {
+            if cached.is_none() {
+                needed += 1;
+                if claimed.insert(key) {
+                    jobs.push((key, p, dependent));
+                }
+            }
+        }
+    }
+    let coalesced = needed - jobs.len() as u64;
+    if coalesced > 0 {
+        state.count(Stat::Coalesced, coalesced);
+    }
+    // The scheme is rebuilt inside the closure (a cheap registry
+    // construction; schemes are not `Sync`) so the closure stays `Sync`.
+    let nthreads = threads::resolve(None).min(jobs.len().max(1));
+    let results: Vec<Result<Options>> = threads::par_map_indexed(nthreads, jobs.len(), |j| {
+        let (_, p, dependent) = jobs[j];
+        let scheme = standard_schemes().build(scheme_name)?;
+        if dependent {
+            scheme.error_dependent_features(&p.data, p.comp.as_ref())
+        } else {
+            scheme.error_agnostic_features(&p.data)
+        }
+    });
+    let mut extracted = Extracted::new();
+    let mut computed = 0u64;
+    for ((key, _, _), result) in jobs.iter().zip(results) {
+        let entry = result.map_err(|e| respond(Err(e))).inspect(|features| {
+            state
+                .feature_cache
+                .insert(key.to_string(), features.clone());
+            computed += 1;
+        });
+        extracted.insert(key.to_string(), entry);
+    }
+    if computed > 0 {
+        state.count(Stat::FeaturesComputed, computed);
+    }
+    extracted
+}
+
+/// Assemble one request's features, predict, cache and reply.
+fn finalize(state: &ServerState, target: &LoadedModel, extracted: &Extracted, prep: Prep) {
+    let fetch = |cached: Option<Options>, key: &str| match cached {
+        Some(features) => Ok(features),
+        None => extracted.get(key).cloned().unwrap_or_else(|| {
+            Err(protocol::error_response(
+                code::INTERNAL,
+                format!("no extraction job produced feature key {key}"),
+            ))
+        }),
+    };
+    let predictor = target.predictor.as_ref();
+    let response = (|| -> std::result::Result<Options, Options> {
+        let mut features = fetch(prep.agnostic, &prep.agnostic_key)?;
+        features.merge_from(&fetch(prep.dependent, &prep.dependent_key)?);
+        let value = predictor.predict(&features).map_err(|e| respond(Err(e)))?;
+        state.prediction_cache.insert(prep.pred_key, value);
+        state.count(Stat::PredictionsServed, 1);
+        let mut resp = prediction_response(
+            value,
+            false,
+            &target.scheme,
+            &target.tag,
+            state.config.shard_index,
+        );
+        if let Ok(Some(alpha)) = prep.item.request.get_f64_opt("serve:alpha") {
+            if let Some(interval) = predictor.predict_interval(&features, alpha) {
+                resp = resp
+                    .with("serve:interval.lo", interval.lo)
+                    .with("serve:interval.hi", interval.hi)
+                    .with("serve:interval.coverage", interval.coverage);
+            }
+        }
+        Ok(resp)
+    })();
+    // deadline re-check after compute: the client stopped waiting at the
+    // deadline, so a slow extraction must not pretend to succeed
+    prep.item
+        .respond_checked(response.unwrap_or_else(|error| error));
+}

@@ -126,6 +126,11 @@ pub fn is_retryable(resp: &Options) -> bool {
             .is_some_and(is_retryable_code)
 }
 
+/// The operation a request names (`serve:op`; "" when absent).
+pub fn op_name(request: &Options) -> &str {
+    request.get_str_opt("serve:op").ok().flatten().unwrap_or("")
+}
+
 /// Serialize one frame without writing it.
 pub fn frame_bytes(msg: &Options) -> Result<Vec<u8>> {
     let mut payload: Vec<&[u8]> = Vec::new();

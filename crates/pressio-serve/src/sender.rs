@@ -4,7 +4,7 @@
 //! `stream.chunk` / `stream.end` calls the way [`crate::Client::
 //! call_resilient`] wraps `query`: transient server errors (`overloaded`,
 //! `deadline_exceeded`) retry in place with deterministic seeded backoff
-//! (`pressio_faults::backoff_ms`), and transport failures (dropped
+//! (the `retry` module), and transport failures (dropped
 //! connection, torn frame, daemon crash) reconnect, `stream.resume` the
 //! session with its token, and replay from the server's authoritative
 //! acked chunk offset — all under one bounded [`RetryPolicy`] budget per
@@ -20,11 +20,21 @@
 //! online learner sees every chunk exactly once no matter how many times
 //! the stream is replayed.
 
-use crate::client::{Client, RetryPolicy};
+use crate::client::Client;
 use crate::net::Endpoint;
 use crate::protocol::{self, code};
+use crate::retry::{classify, Outcome, RetryBudget, RetryPolicy};
 use pressio_core::error::{Error, Result};
 use pressio_core::{Data, Options};
+
+/// Bumped once per retry, whatever was retried.
+const RETRY_COUNTER: &str = "serve:sender.retry";
+
+/// The `serve:message` of an error response.
+fn message(resp: &Options) -> String {
+    let text = resp.get_str_opt("serve:message").ok().flatten();
+    text.unwrap_or("").to_string()
+}
 
 /// A stream sender that survives disconnects, daemon crashes, and
 /// transient overload. See the module docs for the protocol walkthrough.
@@ -99,178 +109,146 @@ impl ResilientStreamSender {
         self.retries
     }
 
-    fn backoff(&mut self, attempt: usize, key: &str) {
-        self.retries += 1;
-        pressio_obs::add_counter("serve:sender.retry", 1);
-        let wait =
-            pressio_faults::backoff_ms(self.policy.base_ms, self.policy.max_ms, attempt, key);
-        if wait > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(wait));
-        }
+    /// Spend one attempt of `budget` (see [`RetryBudget::spend`]), counting
+    /// it towards [`retries`](Self::retries).
+    fn spend(&mut self, budget: &mut RetryBudget, key: &str) -> bool {
+        let spent = budget.spend(key);
+        self.retries += spent as u64;
+        spent
     }
 
     /// Ensure a live connection, resuming the session when the previous
     /// transport died mid-stream. Burns attempts from the shared budget.
-    fn ensure_ready(&mut self, attempt: &mut usize) -> Result<()> {
+    fn ensure_ready(&mut self, budget: &mut RetryBudget) -> Result<()> {
         loop {
-            if self.client.is_none() {
+            let Some(client) = self.client.as_mut() else {
                 match Client::connect(&self.endpoint) {
                     Ok(client) => self.client = Some(client),
                     Err(e) => {
-                        if *attempt >= self.policy.max_attempts {
+                        if !self.spend(budget, "stream.connect") {
                             return Err(e);
                         }
-                        *attempt += 1;
-                        self.backoff(*attempt, "stream.connect");
-                        continue;
                     }
                 }
-            }
+                continue;
+            };
             if !self.need_resume || !self.begun {
                 self.need_resume = false;
                 return Ok(());
             }
-            let client = self.client.as_mut().expect("connected above");
-            match client.stream_resume(&self.stream_id, &self.token, self.progress) {
-                Ok(resp) if protocol::is_retryable(&resp) => {
-                    if *attempt >= self.policy.max_attempts {
+            let outcome = client.stream_resume(&self.stream_id, &self.token, self.progress);
+            let resp = match classify(&outcome) {
+                Outcome::Done => outcome?,
+                Outcome::Fatal => return outcome.map(drop),
+                Outcome::Busy => {
+                    if !self.spend(budget, "stream.resume") {
                         return Err(Error::TaskFailed(format!(
                             "stream.resume still rejected after {} attempts: {}",
-                            *attempt,
-                            resp.get_str_opt("serve:message")
-                                .ok()
-                                .flatten()
-                                .unwrap_or("")
+                            budget.attempt(),
+                            outcome.as_ref().map_or_else(|e| e.to_string(), message)
                         )));
                     }
-                    *attempt += 1;
-                    self.backoff(*attempt, "stream.resume");
+                    continue;
                 }
+                Outcome::Broken => {
+                    self.client = None;
+                    if !self.spend(budget, "stream.resume") {
+                        return Err(Error::Io(format!(
+                            "stream.resume transport failed after {} attempts",
+                            budget.attempt()
+                        )));
+                    }
+                    continue;
+                }
+            };
+            let server_acked = resp.get_u64_opt("stream:acked").ok().flatten();
+            if resp.get_str_opt("serve:type").ok().flatten() == Some("error") {
                 // past-end rejection carrying the authoritative acked
                 // offset: our progress outran the durable journal (torn
                 // tail after a crash) — rewind to the server's offset and
                 // re-resume; the gap chunks will simply be re-sent
-                Ok(resp)
-                    if protocol::is_error(&resp, code::BAD_REQUEST)
-                        && resp.get_u64_opt("stream:acked").ok().flatten().is_some() =>
-                {
-                    let server_acked = resp
-                        .get_u64_opt("stream:acked")
-                        .ok()
-                        .flatten()
-                        .expect("checked in guard");
-                    if *attempt >= self.policy.max_attempts || server_acked >= self.progress {
+                match server_acked.filter(|_| protocol::is_error(&resp, code::BAD_REQUEST)) {
+                    Some(acked) if acked < self.progress && self.spend(budget, "stream.resume") => {
+                        self.progress = acked;
+                        continue;
+                    }
+                    _ => {
                         return Err(Error::TaskFailed(format!(
-                            "stream.resume refused: {}",
-                            resp.get_str_opt("serve:message")
-                                .ok()
-                                .flatten()
-                                .unwrap_or("")
-                        )));
+                            "stream.resume refused ({}): {}",
+                            resp.get_str_opt("serve:code").ok().flatten().unwrap_or("?"),
+                            message(&resp)
+                        )))
                     }
-                    *attempt += 1;
-                    self.progress = server_acked;
                 }
-                Ok(resp)
-                    if protocol::is_error(&resp, code::BAD_REQUEST)
-                        || protocol::is_error(&resp, code::NOT_FOUND)
-                        || protocol::is_error(&resp, code::INTERNAL) =>
-                {
-                    return Err(Error::TaskFailed(format!(
-                        "stream.resume refused ({}): {}",
-                        resp.get_str_opt("serve:code").ok().flatten().unwrap_or("?"),
-                        resp.get_str_opt("serve:message")
-                            .ok()
-                            .flatten()
-                            .unwrap_or("")
-                    )));
-                }
-                Ok(resp) => {
-                    let server_acked = resp.get_u64_opt("stream:acked")?.unwrap_or(0);
-                    if server_acked < self.progress {
-                        // the server durably acked less than we saw (torn
-                        // journal tail): rewind and re-send the gap so the
-                        // learner still observes every chunk
-                        self.progress = server_acked;
-                    }
-                    self.resumes += 1;
-                    pressio_obs::add_counter("serve:sender.resume", 1);
-                    self.need_resume = false;
-                    return Ok(());
-                }
-                Err(Error::Io(_)) | Err(Error::CorruptStream(_)) => {
-                    self.client = None;
-                    if *attempt >= self.policy.max_attempts {
-                        return Err(Error::Io(format!(
-                            "stream.resume transport failed after {} attempts",
-                            *attempt
-                        )));
-                    }
-                    *attempt += 1;
-                    self.backoff(*attempt, "stream.resume");
-                }
-                Err(e) => return Err(e),
             }
+            // the server may have durably acked less than we saw (torn
+            // journal tail): rewind and re-send the gap so the learner
+            // still observes every chunk
+            self.progress = self.progress.min(server_acked.unwrap_or(0));
+            self.resumes += 1;
+            pressio_obs::add_counter("serve:sender.resume", 1);
+            self.need_resume = false;
+            return Ok(());
         }
     }
 
-    /// One resilient request round trip. `fatal_ok` lets `stream.end`
-    /// treat a `not_found` after a reconnect as success (the ambiguous
-    /// window where the previous attempt's response was lost).
-    fn call_with_recovery(&mut self, request: &Options, op_key: &str) -> Result<Options> {
-        let mut attempt = 1usize;
+    /// One resilient request round trip: every reconnect, resume and
+    /// resend draws on `budget`. A busy answer that outlasts the budget is
+    /// returned as it is; a transport that does is an error.
+    fn call_with_recovery(
+        &mut self,
+        budget: &mut RetryBudget,
+        request: &Options,
+        op_key: &str,
+    ) -> Result<Options> {
+        let is_chunk = op_key == "stream.chunk";
         loop {
-            self.ensure_ready(&mut attempt)?;
-            if op_key == "stream.chunk" {
-                if let Ok(Some(seq)) = request.get_u64_opt("stream:seq") {
-                    if seq > self.progress + 1 {
-                        // a resume rewound progress below this chunk (the
-                        // durable journal acked less than we had sent):
-                        // hand control back — the caller owns the chunk
-                        // data and re-sends from next_seq()
-                        return Ok(Options::new()
-                            .with("serve:type", "stream.rewound")
-                            .with("stream:id", self.stream_id.as_str())
-                            .with("stream:acked", self.progress));
-                    }
+            self.ensure_ready(budget)?;
+            if let Some(seq) = request.get_u64_opt("stream:seq").ok().flatten() {
+                if is_chunk && seq > self.progress + 1 {
+                    // a resume rewound progress below this chunk (the
+                    // durable journal acked less than we had sent): hand
+                    // control back — the caller owns the chunk data and
+                    // re-sends from next_seq()
+                    return Ok(Options::new()
+                        .with("serve:type", "stream.rewound")
+                        .with("stream:id", self.stream_id.as_str())
+                        .with("stream:acked", self.progress));
                 }
             }
             let client = self.client.as_mut().expect("ensure_ready connected");
-            match client.call(request) {
-                Ok(resp) if protocol::is_retryable(&resp) => {
-                    if attempt >= self.policy.max_attempts {
-                        return Ok(resp);
+            let outcome = client.call(request);
+            match classify(&outcome) {
+                Outcome::Fatal => return outcome,
+                Outcome::Busy => {
+                    if !self.spend(budget, op_key) {
+                        return outcome;
                     }
-                    attempt += 1;
-                    self.backoff(attempt, op_key);
                 }
-                // the in-memory session vanished (shard crash/respawn or
-                // reap): resume — the journal rehydrates it — then retry
-                Ok(resp)
-                    if protocol::is_error(&resp, code::NOT_FOUND)
-                        && self.begun
-                        && op_key == "stream.chunk" =>
-                {
-                    if attempt >= self.policy.max_attempts {
-                        return Ok(resp);
-                    }
-                    attempt += 1;
-                    self.need_resume = true;
-                    self.backoff(attempt, op_key);
-                }
-                Ok(resp) => return Ok(resp),
-                Err(Error::Io(_)) | Err(Error::CorruptStream(_)) => {
+                Outcome::Broken => {
                     self.client = None;
                     self.need_resume = true;
-                    if attempt >= self.policy.max_attempts {
+                    if !self.spend(budget, op_key) {
                         return Err(Error::Io(format!(
-                            "{op_key} transport failed after {attempt} attempts"
+                            "{op_key} transport failed after {} attempts",
+                            budget.attempt()
                         )));
                     }
-                    attempt += 1;
-                    self.backoff(attempt, op_key);
                 }
-                Err(e) => return Err(e),
+                Outcome::Done => {
+                    // the in-memory session vanished (shard crash/respawn
+                    // or reap): resume — the journal rehydrates it — then
+                    // retry
+                    let lost = is_chunk
+                        && self.begun
+                        && outcome
+                            .as_ref()
+                            .is_ok_and(|resp| protocol::is_error(resp, code::NOT_FOUND));
+                    if !(lost && self.spend(budget, op_key)) {
+                        return outcome;
+                    }
+                    self.need_resume = true;
+                }
             }
         }
     }
@@ -284,57 +262,25 @@ impl ResilientStreamSender {
             .with("serve:op", crate::protocol::op::STREAM_BEGIN)
             .with("stream:id", self.stream_id.as_str())
             .with("stream:token", self.token.as_str());
-        let mut attempt = 1usize;
-        loop {
-            self.ensure_ready(&mut attempt)?;
-            let client = self.client.as_mut().expect("ensure_ready connected");
-            match client.call(&request) {
-                Ok(resp) if protocol::is_retryable(&resp) => {
-                    if attempt >= self.policy.max_attempts {
-                        return Ok(resp);
-                    }
-                    attempt += 1;
-                    self.backoff(attempt, "stream.begin");
-                }
-                // "already open" after a transport retry means our earlier
-                // begin landed but its response was lost: resume instead
-                Ok(resp)
-                    if protocol::is_error(&resp, code::BAD_REQUEST)
-                        && resp
-                            .get_str_opt("serve:message")
-                            .ok()
-                            .flatten()
-                            .is_some_and(|m| m.contains("already open")) =>
-                {
-                    self.begun = true;
-                    self.need_resume = true;
-                    self.ensure_ready(&mut attempt)?;
-                    return Ok(Options::new()
-                        .with("serve:type", "stream.begun")
-                        .with("stream:id", self.stream_id.as_str())
-                        .with("stream:token", self.token.as_str())
-                        .with("stream:acked", self.progress)
-                        .with("stream:resumed", true));
-                }
-                Ok(resp) => {
-                    if resp.get_str_opt("serve:type").ok().flatten() == Some("stream.begun") {
-                        self.begun = true;
-                    }
-                    return Ok(resp);
-                }
-                Err(Error::Io(_)) | Err(Error::CorruptStream(_)) => {
-                    self.client = None;
-                    if attempt >= self.policy.max_attempts {
-                        return Err(Error::Io(format!(
-                            "stream.begin transport failed after {attempt} attempts"
-                        )));
-                    }
-                    attempt += 1;
-                    self.backoff(attempt, "stream.begin");
-                }
-                Err(e) => return Err(e),
-            }
+        let mut budget = RetryBudget::new(&self.policy, RETRY_COUNTER);
+        let resp = self.call_with_recovery(&mut budget, &request, "stream.begin")?;
+        // "already open" after a transport retry means our earlier begin
+        // landed but its response was lost: resume instead
+        if protocol::is_error(&resp, code::BAD_REQUEST) && message(&resp).contains("already open") {
+            self.begun = true;
+            self.need_resume = true;
+            self.ensure_ready(&mut budget)?;
+            return Ok(Options::new()
+                .with("serve:type", "stream.begun")
+                .with("stream:id", self.stream_id.as_str())
+                .with("stream:token", self.token.as_str())
+                .with("stream:acked", self.progress)
+                .with("stream:resumed", true));
         }
+        if resp.get_str_opt("serve:type").ok().flatten() == Some("stream.begun") {
+            self.begun = true;
+        }
+        Ok(resp)
     }
 
     /// Send chunk `seq` (must equal [`next_seq`](Self::next_seq)). On
@@ -356,7 +302,8 @@ impl ResilientStreamSender {
             });
         }
         let request = Client::stream_chunk_request(&self.stream_id, seq, chunk, extra);
-        let resp = self.call_with_recovery(&request, "stream.chunk")?;
+        let mut budget = RetryBudget::new(&self.policy, RETRY_COUNTER);
+        let resp = self.call_with_recovery(&mut budget, &request, "stream.chunk")?;
         if resp.get_str_opt("serve:type").ok().flatten() == Some("stream.prediction") {
             self.progress = self.progress.max(seq);
             if resp.get_bool_opt("stream:replayed").ok().flatten() == Some(true) {
@@ -374,7 +321,8 @@ impl ResilientStreamSender {
         let request = Options::new()
             .with("serve:op", crate::protocol::op::STREAM_END)
             .with("stream:id", self.stream_id.as_str());
-        self.call_with_recovery(&request, "stream.end")
+        let mut budget = RetryBudget::new(&self.policy, RETRY_COUNTER);
+        self.call_with_recovery(&mut budget, &request, "stream.end")
     }
 }
 

@@ -22,39 +22,27 @@
 //! shard drops state cached under superseded model versions.
 
 use crate::client::Client;
-use crate::net::{Conn, Endpoint};
+use crate::listen::{self, Service, StopSignal};
+use crate::net::Endpoint;
 use crate::protocol::{self, code, op};
+use crate::route::ShardConns;
 use crate::server::{ServeConfig, Server, ServerHandle};
 use pressio_core::error::{Error, Result};
+use pressio_core::hash::fnv1a64;
 use pressio_core::Options;
+use pressio_faults::splitmix64;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // ---- rendezvous routing ----------------------------------------------------
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// The rendezvous weight of `key` on shard `shard`. Deterministic and
 /// independent of the shard count, which is what makes the routing stable
 /// under rebalancing.
 pub fn shard_weight(key: &str, shard: usize) -> u64 {
-    splitmix64(fnv1a(key.as_bytes()) ^ splitmix64(shard as u64 + 1))
+    splitmix64(fnv1a64(key.as_bytes()) ^ splitmix64(shard as u64 + 1))
 }
 
 /// Shard indices ordered by descending weight for `key`: element 0 is the
@@ -325,7 +313,6 @@ impl SupervisorConfig {
 
 struct ShardSlot {
     handle: Box<dyn ShardHandle>,
-    endpoint: Endpoint,
     restarts: u32,
 }
 
@@ -336,16 +323,12 @@ struct SupervisorState {
     generation: AtomicU64,
     base: Endpoint,
     shared: Option<Endpoint>,
-    stop: AtomicBool,
+    stop: StopSignal,
     routed: AtomicU64,
     failovers: AtomicU64,
     restarts_total: AtomicU64,
-    /// Parked proxy connections, one per shard slot. An entry leaves the
-    /// pool while a request is in flight (request/response frames must
-    /// never interleave on one socket) and returns on success; errors drop
-    /// it so the next request dials fresh. The endpoint is stored with the
-    /// client so a restarted shard's stale connection is never reused.
-    pool: Mutex<std::collections::HashMap<usize, (Endpoint, Client)>>,
+    /// The proxy's cached shard connections.
+    conns: ShardConns,
     conn_reuse: AtomicU64,
 }
 
@@ -370,7 +353,7 @@ impl SupervisorState {
             generation: self.generation.load(Ordering::Acquire),
             base: self.base.clone(),
             shared: self.shared.clone(),
-            shards: slots.iter().map(|s| s.endpoint.clone()).collect(),
+            shards: slots.iter().map(|s| s.handle.endpoint()).collect(),
         }
     }
 
@@ -378,52 +361,10 @@ impl SupervisorState {
         let _ = self.topology().save(&self.config.template.model_dir);
     }
 
-    /// Take shard `index`'s parked connection, if its endpoint still
-    /// matches; a mismatch means the shard restarted elsewhere, so the
-    /// stale connection is dropped instead of handed out.
-    fn take_pooled(&self, index: usize, endpoint: &Endpoint) -> Option<Client> {
-        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        match pool.remove(&index) {
-            Some((ep, client)) if &ep == endpoint => Some(client),
-            _ => None,
-        }
-    }
-
-    /// Park a healthy connection for the next request to shard `index`.
-    fn park(&self, index: usize, endpoint: &Endpoint, client: Client) {
-        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        pool.insert(index, (endpoint.clone(), client));
-    }
-
-    /// One pooled request/response against shard `index`: reuse the parked
-    /// connection when available, dial otherwise, and reconnect once when
-    /// a reused socket turns out stale — pooling must never cause a
-    /// spurious failover that a fresh dial would have avoided.
-    fn call_shard(&self, index: usize, endpoint: &Endpoint, request: &Options) -> Option<Options> {
-        let pooled = self.take_pooled(index, endpoint);
-        let reused = pooled.is_some();
-        let mut client = match pooled {
-            Some(client) => client,
-            None => Client::connect(endpoint).ok()?,
-        };
-        match client.call(request) {
-            Ok(resp) => {
-                if reused {
-                    self.conn_reuse.fetch_add(1, Ordering::Relaxed);
-                    pressio_obs::add_counter("proxy:conn.reuse", 1);
-                }
-                self.park(index, endpoint, client);
-                Some(resp)
-            }
-            Err(_) if reused => {
-                // stale parked socket (peer closed it while idle, or the
-                // shard restarted on the same endpoint): one fresh dial
-                let mut fresh = Client::connect(endpoint).ok()?;
-                let resp = fresh.call(request).ok()?;
-                self.park(index, endpoint, fresh);
-                Some(resp)
-            }
-            Err(_) => None,
+    fn count_reuse(&self, reused: bool) {
+        if reused {
+            self.conn_reuse.fetch_add(1, Ordering::Relaxed);
+            pressio_obs::add_counter("proxy:conn.reuse", 1);
         }
     }
 
@@ -431,32 +372,31 @@ impl SupervisorState {
     /// rendezvous failover order when shards are unreachable.
     fn forward(&self, key: &str, request: &Options) -> Options {
         self.routed.fetch_add(1, Ordering::Relaxed);
-        let order = self.topology().failover_order(key);
-        for (attempt, (index, endpoint)) in order.iter().enumerate() {
-            if let Some(resp) = self.call_shard(*index, endpoint, request) {
-                if attempt > 0 {
-                    self.failovers.fetch_add(attempt as u64, Ordering::Relaxed);
-                    pressio_obs::add_counter("serve:supervisor.failover", attempt as i64);
+        match self.conns.call_routed(&self.topology(), key, request) {
+            Ok(routed) => {
+                self.count_reuse(routed.reused);
+                if routed.hops > 0 {
+                    self.failovers
+                        .fetch_add(routed.hops as u64, Ordering::Relaxed);
+                    pressio_obs::add_counter("serve:supervisor.failover", routed.hops as i64);
                 }
-                return resp;
+                routed.response
             }
+            Err(_) => protocol::error_response(code::INTERNAL, "no shard reachable for request"),
         }
-        protocol::error_response(code::INTERNAL, "no shard reachable for request")
     }
 
     /// Send `request` to every shard, returning per-shard success count.
     fn broadcast(&self, request: &Options) -> (usize, usize) {
-        let endpoints: Vec<Endpoint> = {
-            let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-            slots.iter().map(|s| s.endpoint.clone()).collect()
-        };
+        let shards = self.topology().shards;
         let mut ok = 0usize;
-        for (index, endpoint) in endpoints.iter().enumerate() {
-            if self.call_shard(index, endpoint, request).is_some() {
+        for (index, endpoint) in shards.iter().enumerate() {
+            if let Ok((_, reused)) = self.conns.call_shard(index, endpoint, request) {
+                self.count_reuse(reused);
                 ok += 1;
             }
         }
-        (ok, endpoints.len())
+        (ok, shards.len())
     }
 
     fn shutdown_shards(&self) {
@@ -474,7 +414,6 @@ pub struct Supervisor;
 
 /// A running supervisor.
 pub struct SupervisorHandle {
-    endpoint: Endpoint,
     state: Arc<SupervisorState>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
@@ -482,7 +421,7 @@ pub struct SupervisorHandle {
 impl SupervisorHandle {
     /// The concrete base endpoint.
     pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
+        &self.state.base
     }
 
     /// The current topology (generation, shard endpoints).
@@ -492,10 +431,7 @@ impl SupervisorHandle {
 
     /// Request a full (shards + supervisor) graceful shutdown.
     pub fn trigger_shutdown(&self) {
-        if !self.state.stop.swap(true, Ordering::AcqRel) {
-            self.state.shutdown_shards();
-            let _ = self.endpoint.connect(); // wake the accept loop
-        }
+        listen::shutdown(&*self.state);
     }
 
     /// Block until the supervisor has exited.
@@ -547,11 +483,11 @@ impl Supervisor {
             generation: AtomicU64::new(0),
             base: base.clone(),
             shared,
-            stop: AtomicBool::new(false),
+            stop: StopSignal::new(vec![base.clone()]),
             routed: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
             restarts_total: AtomicU64::new(0),
-            pool: Mutex::new(std::collections::HashMap::new()),
+            conns: ShardConns::default(),
             conn_reuse: AtomicU64::new(0),
             spawner,
             config,
@@ -560,10 +496,8 @@ impl Supervisor {
             let mut slots = state.slots.lock().unwrap_or_else(|e| e.into_inner());
             for index in 0..state.config.shards {
                 let handle = state.spawner.spawn(state.shard_config(index))?;
-                let endpoint = handle.endpoint();
                 slots.push(ShardSlot {
                     handle,
-                    endpoint,
                     restarts: 0,
                 });
             }
@@ -577,13 +511,9 @@ impl Supervisor {
             .name("pressio-serve-monitor".into())
             .spawn(move || monitor_loop(&monitor_state))
             .map_err(|e| Error::Io(format!("spawning monitor thread: {e}")))?;
-        let accept_state = state.clone();
-        let accept = std::thread::Builder::new()
-            .name("pressio-serve-supervisor".into())
-            .spawn(move || supervisor_accept_loop(listener, &accept_state))
-            .map_err(|e| Error::Io(format!("spawning supervisor accept thread: {e}")))?;
+        let accept =
+            listen::spawn_accept_loop(listener, state.clone(), "pressio-serve-sup".into())?;
         Ok(SupervisorHandle {
-            endpoint: base,
             state,
             threads: vec![accept, monitor],
         })
@@ -593,9 +523,9 @@ impl Supervisor {
 /// Poll shard liveness; respawn dead shards (bumping the topology
 /// generation) until their restart budget runs out.
 fn monitor_loop(state: &SupervisorState) {
-    while !state.stop.load(Ordering::Acquire) {
+    while !state.stop.is_raised() {
         std::thread::sleep(Duration::from_millis(50));
-        if state.stop.load(Ordering::Acquire) {
+        if state.stop.is_raised() {
             break;
         }
         let mut slots = state.slots.lock().unwrap_or_else(|e| e.into_inner());
@@ -606,7 +536,6 @@ fn monitor_loop(state: &SupervisorState) {
             }
             match state.spawner.spawn(state.shard_config(index)) {
                 Ok(handle) => {
-                    slot.endpoint = handle.endpoint();
                     slot.handle = handle;
                     slot.restarts += 1;
                     state.restarts_total.fetch_add(1, Ordering::Relaxed);
@@ -628,72 +557,43 @@ fn monitor_loop(state: &SupervisorState) {
     }
 }
 
-fn supervisor_accept_loop(listener: crate::net::Listener, state: &Arc<SupervisorState>) {
-    let mut connections = Vec::new();
-    while !state.stop.load(Ordering::Acquire) {
-        let conn = match listener.accept() {
-            Ok(c) => c,
-            Err(_) => continue,
-        };
-        if state.stop.load(Ordering::Acquire) {
-            break;
-        }
-        let state = state.clone();
-        if let Ok(handle) = std::thread::Builder::new()
-            .name("pressio-serve-sup-conn".into())
-            .spawn(move || supervisor_connection_loop(conn, &state))
-        {
-            connections.push(handle);
-        }
-        connections.retain(|h| !h.is_finished());
+/// The supervisor's op table: control-plane ops answered here, everything
+/// that needs a model or a buffer proxied to its home shard.
+impl Service for SupervisorState {
+    fn stop(&self) -> &StopSignal {
+        &self.stop
     }
-    for handle in connections {
-        let _ = handle.join();
-    }
-    #[cfg(unix)]
-    if let crate::net::Listener::Unix(_, path) = &listener {
-        let _ = std::fs::remove_file(path);
-    }
-}
 
-fn supervisor_connection_loop(mut conn: Conn, state: &Arc<SupervisorState>) {
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(200)));
-    while let Some(request) =
-        protocol::next_request(&mut conn, state.config.template.max_frame, &state.stop)
-    {
-        let op_name = request
-            .get_str_opt("serve:op")
-            .ok()
-            .flatten()
-            .unwrap_or("")
-            .to_string();
-        let started = Instant::now();
-        let mut shutting_down = false;
-        let response = match op_name.as_str() {
+    fn max_frame(&self) -> usize {
+        self.config.template.max_frame
+    }
+
+    fn on_stop(&self) {
+        self.shutdown_shards();
+    }
+
+    fn dispatch(&self, op_name: &str, request: Options) -> Options {
+        match op_name {
             op::PING => Options::new()
                 .with("serve:type", "pong")
                 .with("serve:role", "supervisor"),
-            op::TOPOLOGY => state.topology().to_options(),
-            op::STATS => supervisor_stats(state),
+            op::TOPOLOGY => self.topology().to_options(),
+            op::STATS => supervisor_stats(self),
             op::RELOAD => {
-                let (ok, total) = state.broadcast(&request);
+                let (ok, total) = self.broadcast(&request);
                 Options::new()
                     .with("serve:type", "reloaded")
                     .with("serve:shards.reloaded", ok as u64)
                     .with("serve:shards.total", total as u64)
             }
-            op::SHUTDOWN => {
-                shutting_down = true;
-                Options::new().with("serve:type", "bye")
-            }
             op::TRAIN => {
                 // train on the model's home shard, then tell every other
                 // shard to re-resolve so the new version is hot everywhere
                 let key = routing_key(&request).unwrap_or_default();
-                let resp = state.forward(&key, &request);
+                let resp = self.forward(&key, &request);
                 if resp.get_str_opt("serve:type").ok().flatten() == Some("trained") {
                     let reload = Options::new().with("serve:op", op::RELOAD);
-                    let _ = state.broadcast(&reload);
+                    let _ = self.broadcast(&reload);
                 }
                 resp
             }
@@ -707,35 +607,20 @@ fn supervisor_connection_loop(mut conn: Conn, state: &Arc<SupervisorState>) {
             | op::STREAM_RESUME => {
                 let key = routing_key(&request).unwrap_or_else(|| {
                     // no routing affinity: spread by request counter
-                    format!("rr:{}", state.routed.load(Ordering::Relaxed))
+                    format!("rr:{}", self.routed.load(Ordering::Relaxed))
                 });
-                state.forward(&key, &request)
+                self.forward(&key, &request)
             }
             other => {
                 protocol::error_response(code::BAD_REQUEST, format!("unknown serve:op '{other}'"))
             }
-        };
-        let response = response.with("serve:elapsed_ms", started.elapsed().as_secs_f64() * 1e3);
-        let write_ok = protocol::write_frame(&mut conn, &response).is_ok();
-        if shutting_down {
-            if !state.stop.swap(true, Ordering::AcqRel) {
-                state.shutdown_shards();
-                let _ = state.base.connect(); // wake our own accept loop
-            }
-            break;
-        }
-        if !write_ok {
-            break;
         }
     }
 }
 
 /// Aggregate stats across shards plus the supervisor's own counters.
 fn supervisor_stats(state: &SupervisorState) -> Options {
-    let endpoints: Vec<Endpoint> = {
-        let slots = state.slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots.iter().map(|s| s.endpoint.clone()).collect()
-    };
+    let endpoints = state.topology().shards;
     let summed = [
         "serve:feature_cache.hits",
         "serve:feature_cache.misses",
@@ -785,6 +670,62 @@ fn supervisor_stats(state: &SupervisorState) -> Options {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Routing is an on-the-wire contract between supervisor, shards and
+    /// topology-aware clients: these values were taken before the private
+    /// FNV-1a/SplitMix64 copies were replaced by the shared ones.
+    #[test]
+    fn rendezvous_routing_golden_values() {
+        // per key: weights on shards 0..4, then home shard and failover
+        // order at 1, 3 and 4 shards
+        let check = |key: &str, weights: [u64; 4], routes: [usize; 3], orders: [&[usize]; 3]| {
+            for (shard, &want) in weights.iter().enumerate() {
+                assert_eq!(shard_weight(key, shard), want, "{key} on shard {shard}");
+            }
+            for (i, shards) in [1usize, 3, 4].into_iter().enumerate() {
+                assert_eq!(route(key, shards), routes[i], "{key} at {shards} shards");
+                assert_eq!(
+                    rendezvous_order(key, shards),
+                    orders[i],
+                    "{key} at {shards}"
+                );
+            }
+        };
+        check(
+            "model:hurr",
+            [
+                0xa343_0107_c274_61a2,
+                0xe958_dfeb_d4b9_5cef,
+                0x93aa_8d1e_4049_9648,
+                0x10b2_5fcc_12c0_407d,
+            ],
+            [0, 1, 1],
+            [&[0], &[1, 0, 2], &[1, 0, 2, 3]],
+        );
+        check(
+            "stream:kill",
+            [
+                0x4310_c3ab_6d15_6af0,
+                0x1724_ca4d_c57b_1108,
+                0x5556_f9c4_7456_3763,
+                0xf132_22f9_97d6_0727,
+            ],
+            [0, 2, 3],
+            [&[0], &[2, 0, 1], &[3, 2, 0, 1]],
+        );
+        // a content hash, the routing key of every `predict`
+        check(
+            "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08",
+            [
+                0x1b0e_f701_f77f_0b35,
+                0x1b4e_f007_ba98_9d73,
+                0x0562_7f6d_b89e_d7b9,
+                0x93e1_8509_a555_b9b1,
+            ],
+            [0, 1, 3],
+            [&[0], &[1, 0, 2], &[3, 1, 0, 2]],
+        );
+    }
 
     #[test]
     fn route_is_stable_and_in_range() {

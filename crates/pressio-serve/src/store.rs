@@ -7,13 +7,14 @@
 //! "PSRV" magic (4 bytes) | format version (1 byte, = 2)
 //! header length (u32 BE) | header JSON
 //! predictor state bytes
-//! SHA-256 of everything above (32 bytes)   -- format version 2 only
+//! SHA-256 of everything above (32 bytes)
 //! ```
 //!
 //! The header records the model name, version, scheme, state length, and a
-//! SHA-256 of the state bytes. Format 2 adds a whole-file checksum trailer
-//! so corruption anywhere — including the header, which format 1 left
-//! unprotected — is detected; format 1 artifacts remain loadable. Writes
+//! SHA-256 of the state bytes; the whole-file checksum trailer detects
+//! corruption anywhere, including the header. Any other format version
+//! (format 1 had no trailer; no such artifact was ever deployed) is a
+//! typed `CorruptStream`. Writes
 //! follow the torn-write-tolerant conventions of the bench
 //! `CheckpointStore`: the artifact is written to a dot-prefixed temp file,
 //! fsynced, and renamed into place, so a crash can never leave a partially
@@ -42,7 +43,7 @@ const MAGIC: &[u8; 4] = b"PSRV";
 const FORMAT_VERSION: u8 = 2;
 /// Prologue: magic + format byte + header length.
 const PROLOGUE: usize = 4 + 1 + 4;
-/// Length of the format-2 whole-file checksum trailer.
+/// Length of the whole-file checksum trailer.
 const TRAILER: usize = 32;
 
 /// A persisted (or to-be-persisted) trained model.
@@ -160,13 +161,7 @@ impl ModelStore {
         validate_name(name)?;
         let version = match version {
             Some(v) => v,
-            None => *self
-                .versions(name)?
-                .last()
-                .ok_or_else(|| Error::UnknownPlugin {
-                    kind: "model",
-                    name: name.to_string(),
-                })?,
+            None => self.latest(name)?,
         };
         let path = self.artifact_path(name, version);
         let mut bytes = std::fs::read(&path).map_err(|e| {
@@ -186,22 +181,16 @@ impl ModelStore {
             return Err(corrupt("bad magic or truncated prologue"));
         }
         let format = bytes[4];
-        if format == 0 || format > FORMAT_VERSION {
+        if format != FORMAT_VERSION {
             return Err(corrupt(&format!("unsupported format version {format}")));
         }
-        // format 2: the trailer checksums everything before it, so header
-        // corruption (which format 1 cannot detect) fails here
-        let body_end = if format >= 2 {
-            let Some(body_end) = bytes.len().checked_sub(TRAILER).filter(|&e| e >= PROLOGUE) else {
-                return Err(corrupt("truncated checksum trailer"));
-            };
-            if Sha256::digest(&bytes[..body_end])[..] != bytes[body_end..] {
-                return Err(corrupt("whole-file checksum mismatch"));
-            }
-            body_end
-        } else {
-            bytes.len()
+        // the trailer checksums everything before it, header included
+        let Some(body_end) = bytes.len().checked_sub(TRAILER).filter(|&e| e >= PROLOGUE) else {
+            return Err(corrupt("truncated checksum trailer"));
         };
+        if Sha256::digest(&bytes[..body_end])[..] != bytes[body_end..] {
+            return Err(corrupt("whole-file checksum mismatch"));
+        }
         let header_len = u32::from_be_bytes(bytes[5..9].try_into().unwrap()) as usize;
         let Some(state_off) = PROLOGUE.checked_add(header_len).filter(|&o| o <= body_end) else {
             return Err(corrupt("truncated header"));
@@ -250,35 +239,22 @@ impl ModelStore {
     /// than the caller pinned would be worse); for an unpinned reference
     /// the next-newest version is tried until one loads or none remain.
     pub fn load_resilient(&self, name: &str, version: Option<u64>) -> Result<ModelArtifact> {
-        if let Some(v) = version {
-            return match self.load(name, Some(v)) {
-                Err(e @ Error::CorruptStream(_)) => {
-                    let dest = self.quarantine(name, v)?;
-                    eprintln!(
-                        "warning: quarantined corrupt model '{name}@{v}' to {}",
-                        dest.display()
-                    );
-                    Err(e)
-                }
-                other => other,
-            };
-        }
         loop {
-            let latest = *self
-                .versions(name)?
-                .last()
-                .ok_or_else(|| Error::UnknownPlugin {
-                    kind: "model",
-                    name: name.to_string(),
-                })?;
-            match self.load(name, Some(latest)) {
-                Err(Error::CorruptStream(why)) => {
-                    let dest = self.quarantine(name, latest)?;
+            let candidate = match version {
+                Some(v) => v,
+                None => self.latest(name)?,
+            };
+            match self.load(name, Some(candidate)) {
+                Err(e @ Error::CorruptStream(_)) => {
+                    let dest = self.quarantine(name, candidate)?;
                     eprintln!(
-                        "warning: quarantined corrupt model '{name}@{latest}' to {} ({why}); \
-                         falling back to previous version",
+                        "warning: quarantined corrupt model '{name}@{candidate}' to {} ({e})",
                         dest.display()
                     );
+                    if version.is_some() {
+                        return Err(e);
+                    }
+                    // unpinned: fall back to the previous version
                 }
                 other => return other,
             }
@@ -307,6 +283,16 @@ impl ModelStore {
         }
         versions.sort_unstable();
         Ok(versions)
+    }
+
+    /// The newest version persisted for `name`; a name with none is an
+    /// unknown model.
+    pub fn latest(&self, name: &str) -> Result<u64> {
+        let newest = self.versions(name)?.last().copied();
+        newest.ok_or_else(|| Error::UnknownPlugin {
+            kind: "model",
+            name: name.to_string(),
+        })
     }
 
     /// All model names with their versions, sorted by name.
@@ -412,38 +398,18 @@ mod tests {
         assert!(s.save("ok-name_1.2", "x", b"s").is_ok());
     }
 
-    /// Hand-roll a format-1 artifact (no whole-file trailer).
-    fn write_v1(s: &ModelStore, name: &str, version: u64, scheme: &str, state: &[u8]) {
-        let header = serde_json::to_vec(&Header {
-            name: name.to_string(),
-            version,
-            scheme: scheme.to_string(),
-            state_len: state.len() as u64,
-            state_sha256: to_hex(&Sha256::digest(state)),
-        })
-        .unwrap();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.push(1);
-        bytes.extend_from_slice(&(header.len() as u32).to_be_bytes());
-        bytes.extend_from_slice(&header);
-        bytes.extend_from_slice(state);
-        let dir = s.root().join(name);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(format!("{version:06}.pmodel")), bytes).unwrap();
-    }
-
     #[test]
-    fn format_1_artifacts_remain_loadable() {
-        let s = temp_store("v1compat");
-        write_v1(&s, "m", 1, "lu2018", b"legacy state");
-        let art = s.load("m", None).unwrap();
-        assert_eq!(art.state, b"legacy state");
-        assert_eq!(art.scheme, "lu2018");
-        // saving appends a format-2 version on top
-        let v2 = s.save("m", "lu2018", b"new state").unwrap();
-        assert_eq!(v2, 2);
-        assert_eq!(s.load("m", None).unwrap().state, b"new state");
+    fn format_1_artifacts_are_a_typed_corrupt_stream() {
+        let s = temp_store("v1retired");
+        let dir = s.root().join("m");
+        std::fs::create_dir_all(&dir).unwrap();
+        // the retired trailer-less layout: magic, format byte 1, empty header
+        std::fs::write(dir.join("000001.pmodel"), b"PSRV\x01\x00\x00\x00\x00").unwrap();
+        let err = s.load("m", None).unwrap_err();
+        assert!(
+            matches!(&err, Error::CorruptStream(why) if why.ends_with("unsupported format version 1")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -452,7 +418,7 @@ mod tests {
         s.save("m", "lu2018", b"some state").unwrap();
         let path = s.root().join("m").join("000001.pmodel");
         let mut bytes = std::fs::read(&path).unwrap();
-        // flip a byte inside the header JSON — format 1 could not catch this
+        // flip a byte inside the header JSON: only the trailer covers it
         bytes[PROLOGUE + 2] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let err = s.load("m", None).unwrap_err();

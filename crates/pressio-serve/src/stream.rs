@@ -19,7 +19,20 @@
 //! the exact `model@version` that produced it, concurrent `predict`
 //! traffic picks the refreshed version up through the latest-version TTL
 //! cache, and a daemon restart replays from the persisted artifacts.
+//!
+//! The session also owns its durable form: `StreamSession::begin_record`
+//! and `ChunkRecord` are the only code that spells the journal's `j:*`
+//! schema, in both directions. A live chunk and a replayed one enter the
+//! session through the same `commit`; a fresh and a replayed answer leave
+//! it through the same `chunk_response`. The four `stream.*` op handlers
+//! live beside it in `stream/ops.rs`.
 
+mod ops;
+
+pub(crate) use ops::{handle_begin, handle_chunk, handle_end, handle_resume};
+
+use crate::predict::prediction_response;
+use crate::protocol;
 use pressio_core::{Data, Options};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,6 +137,11 @@ impl OnlineLearner {
         self.refits += 1;
     }
 
+    /// The `(window, refit_every)` shape this learner was built with.
+    fn shape(&self) -> (usize, usize) {
+        (self.window_cap, self.refit_every)
+    }
+
     /// Observations currently in the window.
     pub fn observations(&self) -> usize {
         self.window.len()
@@ -150,6 +168,74 @@ pub(crate) struct ChunkOutcome {
     /// Whether this chunk fed the online learner (exactly-once replay
     /// protection: a replay of an observed chunk never observes again).
     pub(crate) observed: bool,
+}
+
+/// One acked chunk as journaled: the outcome a replay answers from, plus
+/// what rehydration must put back — the learner's observation and the
+/// trailing slice the next chunk's `temporal:*` features need.
+pub(crate) struct ChunkRecord {
+    /// 1-based chunk sequence number.
+    pub(crate) seq: u64,
+    pub(crate) outcome: ChunkOutcome,
+    /// `(features as JSON, actual)` fed to the learner, when it was.
+    pub(crate) observation: Option<(String, f64)>,
+    pub(crate) prev_last: Option<Data>,
+}
+
+impl ChunkRecord {
+    /// The journal record.
+    pub(crate) fn to_options(&self) -> Options {
+        let outcome = &self.outcome;
+        let mut record = Options::new()
+            .with("j:type", "chunk")
+            .with("j:seq", self.seq)
+            .with("j:prediction", outcome.prediction)
+            .with("j:model", outcome.model_tag.as_str())
+            .with("j:observed", outcome.observed);
+        if let Some((features_json, actual)) = &self.observation {
+            record.set("j:features", features_json.as_str());
+            record.set("j:actual", *actual);
+        }
+        if let Some(err) = outcome.online_error {
+            record.set("j:online.error", err);
+        }
+        if let Some(obs) = outcome.online_observations {
+            record.set("j:online.observations", obs);
+        }
+        if let Some(version) = outcome.online_version {
+            record.set("j:online.version", version);
+        }
+        if let Some(prev) = &self.prev_last {
+            protocol::data_into_request(&mut record, prev);
+        }
+        record
+    }
+
+    /// Parse a journal record; `None` for anything that is not a
+    /// well-formed chunk record.
+    pub(crate) fn from_options(record: &Options) -> Option<ChunkRecord> {
+        let str_of = |key| record.get_str_opt(key).ok().flatten();
+        let f64_of = |key| record.get_f64_opt(key).ok().flatten();
+        let u64_of = |key| record.get_u64_opt(key).ok().flatten();
+        if str_of("j:type") != Some("chunk") {
+            return None;
+        }
+        Some(ChunkRecord {
+            seq: u64_of("j:seq")?,
+            outcome: ChunkOutcome {
+                prediction: f64_of("j:prediction")?,
+                model_tag: str_of("j:model").unwrap_or("").to_string(),
+                online_error: f64_of("j:online.error"),
+                online_observations: u64_of("j:online.observations"),
+                online_version: u64_of("j:online.version"),
+                observed: record.get_bool_opt("j:observed").ok().flatten() == Some(true),
+            },
+            observation: str_of("j:features")
+                .map(str::to_string)
+                .zip(f64_of("j:actual")),
+            prev_last: protocol::data_from_request(record).ok(),
+        })
+    }
 }
 
 /// One open streaming session.
@@ -188,6 +274,177 @@ impl StreamSession {
         }
         self.outcomes.get(seq as usize - 1)
     }
+
+    /// The journal's first record: everything `stream.resume` needs to
+    /// rebuild the session shell (the chunk records then replay its
+    /// state). A session with no learner journals `offline_shape` (the
+    /// daemon's configured window and refit cadence).
+    pub(crate) fn begin_record(&self, offline_shape: (usize, usize)) -> Options {
+        let (window, refit_every) = self
+            .learner
+            .as_ref()
+            .map_or(offline_shape, OnlineLearner::shape);
+        let mut record = Options::new()
+            .with("j:type", "begin")
+            .with("j:id", self.id.as_str())
+            .with("j:token", self.token.as_str())
+            .with("j:scheme", self.scheme_name.as_str())
+            .with("j:comp", self.comp_id.as_str())
+            .with("j:online", self.learner.is_some())
+            .with("j:window", window as u64)
+            .with("j:refit_every", refit_every as u64);
+        if let Some(model) = &self.model_name {
+            record.set("j:model", model.as_str());
+        }
+        if let Ok(json) = self.codec_options.to_json() {
+            record.set("j:request", json);
+        }
+        record
+    }
+
+    /// Rebuild a session from its journal: the shell from the begin
+    /// record, then every chunk record replayed in sequence. A gap,
+    /// malformed record or torn tail ends the replay there (acked state
+    /// is always a prefix). `Ok(None)` when `records` does not start with
+    /// the begin record of stream `id`.
+    pub(crate) fn from_records(
+        id: &str,
+        records: &[Options],
+        offline_shape: (usize, usize),
+    ) -> pressio_core::error::Result<Option<StreamSession>> {
+        let Some((begin, chunks)) = records.split_first() else {
+            return Ok(None);
+        };
+        if begin.get_str_opt("j:type").ok().flatten() != Some("begin")
+            || begin.get_str_opt("j:id").ok().flatten() != Some(id)
+        {
+            return Ok(None);
+        }
+        let shape_of = |key, default: usize| -> pressio_core::error::Result<usize> {
+            Ok(begin.get_u64_opt(key)?.map_or(default, |v| v as usize))
+        };
+        let window = shape_of("j:window", offline_shape.0)?;
+        let refit_every = shape_of("j:refit_every", offline_shape.1)?;
+        let mut session = StreamSession {
+            id: id.to_string(),
+            token: begin.get_str("j:token")?.to_string(),
+            scheme_name: begin.get_str("j:scheme")?.to_string(),
+            model_name: begin.get_str_opt("j:model")?.map(str::to_string),
+            comp_id: begin.get_str("j:comp")?.to_string(),
+            codec_options: match begin.get_str_opt("j:request")? {
+                Some(json) => Options::from_json(json)?,
+                None => Options::new(),
+            },
+            prev_last: None,
+            chunks: 0,
+            observed: 0,
+            outcomes: Vec::new(),
+            last_active: Instant::now(),
+            learner: (begin.get_bool_opt("j:online")? == Some(true))
+                .then(|| OnlineLearner::new(window, refit_every)),
+        };
+        for chunk in chunks.iter().map_while(ChunkRecord::from_options) {
+            if chunk.seq != session.chunks + 1 {
+                break;
+            }
+            session.replay(chunk);
+        }
+        Ok(Some(session))
+    }
+
+    /// Re-apply a journaled chunk: feed the learner the observation it
+    /// saw (exactly once — this is the only place a replay observes),
+    /// restore its refit cadence, then [`commit`](Self::commit).
+    fn replay(&mut self, chunk: ChunkRecord) {
+        if let Some(learner) = self.learner.as_mut() {
+            let observation = chunk
+                .observation
+                .as_ref()
+                .filter(|_| chunk.outcome.observed);
+            if let Some((features_json, actual)) = observation {
+                if let Ok(features) = Options::from_json(features_json) {
+                    learner.observe(features, chunk.outcome.prediction, *actual);
+                    self.observed += 1;
+                }
+            }
+            if chunk.outcome.online_version.is_some() {
+                // the refit itself is already persisted in the model
+                // store; replaying only restores the cadence counters
+                learner.mark_refit();
+            }
+        }
+        self.commit(chunk);
+    }
+
+    /// Ack one chunk: the single way a chunk — live or replayed — becomes
+    /// session state.
+    pub(crate) fn commit(&mut self, chunk: ChunkRecord) {
+        self.chunks = chunk.seq;
+        self.prev_last = chunk.prev_last;
+        self.outcomes.push(chunk.outcome);
+        self.last_active = Instant::now();
+    }
+
+    /// The `stream.prediction` response for acked chunk `seq`, fresh or
+    /// (`replayed`) served again from the outcome cache.
+    pub(crate) fn chunk_response(
+        &self,
+        seq: u64,
+        replayed: bool,
+        shard: Option<usize>,
+    ) -> Option<Options> {
+        let outcome = self.outcome(seq)?;
+        let mut resp = prediction_response(
+            outcome.prediction,
+            replayed,
+            &self.scheme_name,
+            &outcome.model_tag,
+            shard,
+        )
+        .with("serve:type", "stream.prediction")
+        .with("stream:id", self.id.as_str())
+        .with("stream:seq", seq)
+        .with("stream:acked", self.chunks)
+        .with("stream:token", self.token.as_str());
+        if replayed {
+            resp.set("stream:replayed", true);
+        }
+        if let Some(err) = outcome.online_error {
+            resp.set("stream:online.error", err);
+        }
+        if let Some(obs) = outcome.online_observations {
+            resp.set("stream:online.observations", obs);
+        }
+        if let Some(version) = outcome.online_version {
+            resp.set("stream:online.version", version);
+        }
+        Some(resp)
+    }
+}
+
+/// What `stream.resume` makes of a journal, in journal form: `records` →
+/// the session they rebuild → the records that session journals. For a
+/// journal the daemon wrote this is the identity (`tests/resume_prop.rs`),
+/// which is what makes rehydration lossless.
+#[doc(hidden)]
+pub fn rejournal(
+    id: &str,
+    records: &[Options],
+) -> pressio_core::error::Result<Option<Vec<Options>>> {
+    // an offline session journals the daemon's shape: take it from the record
+    let shape_of = |key| records.first().and_then(|r| r.get_u64(key).ok());
+    let shape = (
+        shape_of("j:window").unwrap_or(0) as usize,
+        shape_of("j:refit_every").unwrap_or(0) as usize,
+    );
+    Ok(
+        StreamSession::from_records(id, records, shape)?.map(|session| {
+            let acked = records[1..=session.chunks as usize].iter();
+            std::iter::once(session.begin_record(shape))
+                .chain(acked.filter_map(|r| Some(ChunkRecord::from_options(r)?.to_options())))
+                .collect()
+        }),
+    )
 }
 
 /// The daemon's registry of open sessions: bounded, idle-reaped, each
@@ -221,7 +478,10 @@ impl SessionMap {
     /// is held (mid-chunk) are definitionally not idle. Returns the number
     /// reaped so the caller can bump the `serve:session.reaped` counter.
     pub(crate) fn sweep(&self) -> usize {
-        let mut map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        self.reap(&mut self.inner.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    fn reap(&self, map: &mut HashMap<String, Arc<Mutex<StreamSession>>>) -> usize {
         let before = map.len();
         map.retain(|_, entry| match entry.try_lock() {
             Ok(s) => s.last_active.elapsed() < self.idle_expiry,
@@ -236,13 +496,7 @@ impl SessionMap {
         if map.contains_key(&session.id) {
             return Err(BeginError::Duplicate);
         }
-        if map.len() >= MAX_SESSIONS {
-            map.retain(|_, entry| match entry.try_lock() {
-                Ok(s) => s.last_active.elapsed() < self.idle_expiry,
-                Err(_) => true, // mid-chunk: definitionally not idle
-            });
-        }
-        if map.len() >= MAX_SESSIONS {
+        if map.len() >= MAX_SESSIONS && self.reap(&mut map) == 0 {
             return Err(BeginError::Full);
         }
         map.insert(session.id.clone(), Arc::new(Mutex::new(session)));

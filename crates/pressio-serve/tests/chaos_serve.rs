@@ -43,7 +43,7 @@ fn sample_data() -> pressio_core::Data {
 
 #[test]
 fn dropped_connection_is_healed_by_client_retry_byte_identical() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     pressio_faults::clear();
     let dir = temp_dir("conn_drop");
     let handle = Server::start(local_config(&dir)).unwrap();
@@ -83,7 +83,7 @@ fn dropped_connection_is_healed_by_client_retry_byte_identical() {
 
 #[test]
 fn stalled_connection_delays_but_completes() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     pressio_faults::clear();
     let dir = temp_dir("conn_stall");
     let handle = Server::start(local_config(&dir)).unwrap();
@@ -106,7 +106,7 @@ fn stalled_connection_delays_but_completes() {
 
 #[test]
 fn corrupt_latest_model_is_quarantined_and_served_from_previous_version() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     pressio_faults::clear();
     let dir = temp_dir("quarantine");
     let handle = Server::start(local_config(&dir)).unwrap();
@@ -165,7 +165,7 @@ fn corrupt_latest_model_is_quarantined_and_served_from_previous_version() {
 
 #[test]
 fn breaker_trips_sheds_and_recovers() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     pressio_faults::clear();
     let dir = temp_dir("breaker");
     let mut config = local_config(&dir);
@@ -254,7 +254,7 @@ fn breaker_trips_sheds_and_recovers() {
 
 #[test]
 fn client_side_faults_are_healed_by_retry_byte_identical() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     pressio_faults::clear();
     let dir = temp_dir("client_faults");
     let handle = Server::start(local_config(&dir)).unwrap();

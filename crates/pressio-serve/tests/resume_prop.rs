@@ -6,6 +6,10 @@
 //! offset, a resume past the end is a typed rejection that leaves the
 //! session fully usable, and a replay of the chunk right after a
 //! mid-stream resume point is served idempotently from the cache.
+//!
+//! And for the durable half: the journal an online daemon writes for
+//! begin + N chunks, with and without observations, rebuilds a session
+//! that journals exactly those records again.
 
 use pressio_core::{Data, Dtype, Options};
 use pressio_serve::protocol::{code, op};
@@ -24,6 +28,42 @@ fn endpoint() -> &'static Endpoint {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let config = ServeConfig::new(Endpoint::Tcp("127.0.0.1:0".into()), dir.join("models"));
+        let handle = Server::start(config).unwrap();
+        let mut client = Client::connect(handle.endpoint()).unwrap();
+        let trained = client
+            .call(
+                &Options::new()
+                    .with("serve:op", op::TRAIN)
+                    .with("serve:model", "hurr")
+                    .with("serve:scheme", "rahman2023")
+                    .with("serve:dims", vec![8u64, 8, 4])
+                    .with("serve:timesteps", 1u64)
+                    .with("serve:bounds", vec![1e-4]),
+            )
+            .unwrap();
+        assert_eq!(trained.get_str("serve:type").unwrap(), "trained");
+        let endpoint = handle.endpoint().clone();
+        std::mem::forget(handle);
+        endpoint
+    })
+}
+
+/// The model store of the `--online` daemon behind [`online_endpoint`].
+fn online_models() -> std::path::PathBuf {
+    std::env::temp_dir()
+        .join("pressio_resume_prop_online")
+        .join("models")
+}
+
+/// A second shared daemon with online learning on (refit every 2
+/// observations), so journals carry observations and refit versions.
+fn online_endpoint() -> &'static Endpoint {
+    static SERVER: OnceLock<Endpoint> = OnceLock::new();
+    SERVER.get_or_init(|| {
+        let _ = std::fs::remove_dir_all(online_models());
+        let mut config = ServeConfig::new(Endpoint::Tcp("127.0.0.1:0".into()), online_models());
+        config.online = true;
+        config.online_refit_every = 2;
         let handle = Server::start(config).unwrap();
         let mut client = Client::connect(handle.endpoint()).unwrap();
         let trained = client
@@ -196,5 +236,61 @@ proptest! {
         );
         let ended = client.stream_end(&id).unwrap();
         prop_assert_eq!(ended.get_u64("stream:chunks").unwrap(), acked + 1);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn journal_records_rebuild_a_session_that_journals_the_same_records(
+        n in 1usize..8,
+        seed in 1u64..u64::MAX,
+        f32_input in any::<bool>(),
+        chained in any::<bool>(),
+        // bit t set: chunk t reports its observed outcome
+        observed in 0u32..256,
+    ) {
+        let mut client = Client::connect(online_endpoint()).unwrap();
+        let id = unique_stream_id("journal");
+        let data = chunk_series(n, seed, f32_input, chained);
+        let begun = client
+            .stream_begin(
+                &id,
+                &Options::new()
+                    .with("serve:model", "hurr")
+                    .with("pressio:abs", 1e-4),
+            )
+            .unwrap();
+        prop_assert_eq!(begun.get_str("serve:type").unwrap(), "stream.begun");
+        let mut observations = 0u64;
+        for (t, chunk) in data.iter().enumerate() {
+            let mut extra = Options::new();
+            if observed & (1 << t) != 0 {
+                extra.set("stream:actual", 2.0 + t as f64);
+                observations += 1;
+            }
+            let resp = client.stream_chunk_at(&id, t as u64 + 1, chunk, &extra).unwrap();
+            prop_assert_eq!(resp.get_str("serve:type").unwrap(), "stream.prediction");
+        }
+
+        let journal = pressio_serve::SessionJournal::open(&online_models()).unwrap();
+        let records = journal.load(&id).unwrap().unwrap();
+        // begin + one record per chunk
+        prop_assert_eq!(records.len(), n + 1);
+
+        // records → session → records is the identity ...
+        let again = pressio_serve::stream::rejournal(&id, &records).unwrap().unwrap();
+        prop_assert_eq!(&again, &records);
+        // ... for every acked prefix (what a torn tail leaves behind) ...
+        let prefix = pressio_serve::stream::rejournal(&id, &records[..n]).unwrap().unwrap();
+        prop_assert_eq!(&prefix[..], &records[..n]);
+        // ... and only for this stream's journal
+        prop_assert!(pressio_serve::stream::rejournal("other", &records).unwrap().is_none());
+        prop_assert!(pressio_serve::stream::rejournal(&id, &records[1..]).unwrap().is_none());
+
+        let ended = client.stream_end(&id).unwrap();
+        prop_assert_eq!(ended.get_u64("stream:chunks").unwrap(), n as u64);
+        prop_assert_eq!(ended.get_u64("stream:observed").unwrap(), observations);
     }
 }

@@ -42,7 +42,7 @@ fn assert_corrupt(result: Result<Data, Error>) {
 
 #[test]
 fn corrupted_chunk_is_a_typed_error_not_a_partial_result() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     pressio_faults::clear();
     let data = field(9);
 
@@ -64,7 +64,7 @@ fn corrupted_chunk_is_a_typed_error_not_a_partial_result() {
 
 #[test]
 fn dropped_chunk_is_detected_by_framing_or_totals() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     pressio_faults::clear();
     let data = field(9);
 
@@ -78,7 +78,7 @@ fn dropped_chunk_is_detected_by_framing_or_totals() {
 
 #[test]
 fn dropped_chunk_in_chained_mode_poisons_nothing_downstream() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     pressio_faults::clear();
     let data = field(9);
 
@@ -93,7 +93,7 @@ fn dropped_chunk_in_chained_mode_poisons_nothing_downstream() {
 
 #[test]
 fn truncation_at_every_byte_is_a_typed_error() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     pressio_faults::clear();
     let data = field(7);
     let stream = compress_stream(&data, header(false)).unwrap();
@@ -115,7 +115,7 @@ fn truncation_at_every_byte_is_a_typed_error() {
 
 #[test]
 fn faultless_runs_are_byte_identical_with_registry_armed() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     pressio_faults::clear();
     let data = field(6);
     let clean = compress_stream(&data, header(true)).unwrap();

@@ -39,8 +39,6 @@ use pressio_core::{Compressor, Data, Dtype, Options};
 use pressio_lossless::{BitReader, BitWriter};
 
 const MAGIC: &[u8; 4] = b"ZFRS";
-/// Legacy container: one continuous bitstream after the header.
-const VERSION_V1: u8 = 1;
 /// Chunked container: per-chunk payload lengths enable parallel decode.
 const VERSION: u8 = 2;
 
@@ -232,11 +230,10 @@ fn block_grid(nd: &[usize]) -> (usize, usize, usize) {
 }
 
 impl ZfpCompressor {
-    /// Shared header prefix (everything before the payload layout, which is
-    /// where v1 and v2 diverge).
-    fn write_header(&self, out: &mut Vec<u8>, version: u8, input: &Data, header_abs: f64) {
+    /// The header up to the chunk table.
+    fn write_header(&self, out: &mut Vec<u8>, input: &Data, header_abs: f64) {
         out.extend_from_slice(MAGIC);
-        out.push(version);
+        out.push(VERSION);
         out.push(if input.dtype() == Dtype::F32 { 0 } else { 1 });
         out.push(mode_tag(&self.mode));
         out.push(input.dims().len() as u8);
@@ -246,45 +243,6 @@ impl ZfpCompressor {
         out.extend_from_slice(&header_abs.to_le_bytes());
         out.extend_from_slice(&(self.precision as u64).to_le_bytes());
         out.extend_from_slice(&self.rate.to_le_bytes());
-    }
-
-    /// Encode with the legacy v1 container (one continuous bitstream).
-    /// Kept so compatibility tests can mint v1-era streams; new code always
-    /// writes v2.
-    pub fn compress_v1(&self, input: &Data) -> Result<Vec<u8>> {
-        let dtype = input.dtype();
-        if !matches!(dtype, Dtype::F32 | Dtype::F64) {
-            return Err(Error::UnsupportedData(format!(
-                "zfp supports f32/f64, got {}",
-                dtype.name()
-            )));
-        }
-        let values = input.to_f64_vec();
-        let nd = collapse_dims(input.dims());
-        let d = nd.len().clamp(1, 3);
-        let mode = self.effective_mode(&values);
-        let header_abs = match mode {
-            Mode::Accuracy(a) => a,
-            _ => self.abs,
-        };
-        let mut out = Vec::new();
-        self.write_header(&mut out, VERSION_V1, input, header_abs);
-        let mut w = BitWriter::with_capacity(values.len());
-        if !values.is_empty() {
-            let (bx_n, by_n, bz_n) = block_grid(&nd);
-            for bz in 0..bz_n {
-                for by in 0..by_n {
-                    for bx in 0..bx_n {
-                        let blk = gather_block(&values, &nd, d, bx, by, bz);
-                        block::encode_block(&blk, d, mode, &mut w);
-                    }
-                }
-            }
-        }
-        let payload = w.into_bytes();
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        Ok(out)
     }
 }
 
@@ -400,7 +358,7 @@ impl Compressor for ZfpCompressor {
         };
 
         let mut out = Vec::new();
-        self.write_header(&mut out, VERSION, input, header_abs);
+        self.write_header(&mut out, input, header_abs);
 
         // v2 chunked layout: blocks in canonical linear order are grouped
         // into fixed-size chunks, each encoded into its own byte-aligned
@@ -460,7 +418,7 @@ impl Compressor for ZfpCompressor {
             return Err(Error::CorruptStream("bad zfp magic".into()));
         }
         let version = get(&mut pos, 1)?[0];
-        if version != VERSION_V1 && version != VERSION {
+        if version != VERSION {
             return Err(Error::CorruptStream("unknown zfp version".into()));
         }
         let stored_dtype = if get(&mut pos, 1)?[0] == 0 {
@@ -507,68 +465,49 @@ impl Compressor for ZfpCompressor {
         let n: usize = dims.iter().product();
         let mut values = vec![0.0f64; n];
         let (bx_n, by_n, bz_n) = block_grid(&nd);
-        if version == VERSION_V1 {
-            let payload_len = u64::from_le_bytes(get(&mut pos, 8)?.try_into().unwrap()) as usize;
-            let payload = compressed
-                .get(pos..pos + payload_len)
-                .ok_or_else(|| Error::CorruptStream("truncated zfp payload".into()))?;
-            if n > 0 {
-                let mut r = BitReader::new(payload);
-                for bz in 0..bz_n {
-                    for by in 0..by_n {
-                        for bx in 0..bx_n {
-                            let blk = block::decode_block(&mut r, d, mode)
-                                .map_err(|e| Error::CorruptStream(e.to_string()))?;
-                            scatter_block(&blk, &mut values, &nd, d, bx, by, bz);
-                        }
-                    }
-                }
-            }
-        } else {
-            // v2: per-chunk payload lengths let every chunk decode
-            // independently (and therefore in parallel)
-            let chunk_blocks = u64::from_le_bytes(get(&mut pos, 8)?.try_into().unwrap()) as usize;
-            let n_chunks = u64::from_le_bytes(get(&mut pos, 8)?.try_into().unwrap()) as usize;
-            let total_blocks = if n == 0 { 0 } else { bx_n * by_n * bz_n };
-            if chunk_blocks == 0 || n_chunks != total_blocks.div_ceil(chunk_blocks) {
-                return Err(Error::CorruptStream("bad zfp chunk table".into()));
-            }
-            let mut offsets = Vec::with_capacity(n_chunks + 1);
-            offsets.push(0usize);
-            for _ in 0..n_chunks {
-                let len = u64::from_le_bytes(get(&mut pos, 8)?.try_into().unwrap()) as usize;
-                let next = offsets
-                    .last()
-                    .unwrap()
-                    .checked_add(len)
-                    .ok_or_else(|| Error::CorruptStream("zfp chunk table overflow".into()))?;
-                offsets.push(next);
-            }
-            let payload = compressed
-                .get(pos..pos + offsets[n_chunks])
-                .ok_or_else(|| Error::CorruptStream("truncated zfp payload".into()))?;
-            let nthreads = pressio_core::threads::resolve(self.nthreads);
-            let decoded: Vec<Result<Vec<Vec<f64>>>> =
-                pressio_core::threads::par_map_indexed(nthreads, n_chunks, |c| {
-                    let lo = c * chunk_blocks;
-                    let hi = ((c + 1) * chunk_blocks).min(total_blocks);
-                    let mut r = BitReader::new(&payload[offsets[c]..offsets[c + 1]]);
-                    (lo..hi)
-                        .map(|_| {
-                            block::decode_block(&mut r, d, mode)
-                                .map_err(|e| Error::CorruptStream(e.to_string()))
-                        })
-                        .collect()
-                });
-            for (c, chunk) in decoded.into_iter().enumerate() {
+        // per-chunk payload lengths let every chunk decode independently
+        // (and therefore in parallel)
+        let chunk_blocks = u64::from_le_bytes(get(&mut pos, 8)?.try_into().unwrap()) as usize;
+        let n_chunks = u64::from_le_bytes(get(&mut pos, 8)?.try_into().unwrap()) as usize;
+        let total_blocks = if n == 0 { 0 } else { bx_n * by_n * bz_n };
+        if chunk_blocks == 0 || n_chunks != total_blocks.div_ceil(chunk_blocks) {
+            return Err(Error::CorruptStream("bad zfp chunk table".into()));
+        }
+        let mut offsets = Vec::with_capacity(n_chunks + 1);
+        offsets.push(0usize);
+        for _ in 0..n_chunks {
+            let len = u64::from_le_bytes(get(&mut pos, 8)?.try_into().unwrap()) as usize;
+            let next = offsets
+                .last()
+                .unwrap()
+                .checked_add(len)
+                .ok_or_else(|| Error::CorruptStream("zfp chunk table overflow".into()))?;
+            offsets.push(next);
+        }
+        let payload = compressed
+            .get(pos..pos + offsets[n_chunks])
+            .ok_or_else(|| Error::CorruptStream("truncated zfp payload".into()))?;
+        let nthreads = pressio_core::threads::resolve(self.nthreads);
+        let decoded: Vec<Result<Vec<Vec<f64>>>> =
+            pressio_core::threads::par_map_indexed(nthreads, n_chunks, |c| {
                 let lo = c * chunk_blocks;
-                for (k, blk) in chunk?.into_iter().enumerate() {
-                    let i = lo + k;
-                    let bx = i % bx_n;
-                    let by = (i / bx_n) % by_n;
-                    let bz = i / (bx_n * by_n);
-                    scatter_block(&blk, &mut values, &nd, d, bx, by, bz);
-                }
+                let hi = ((c + 1) * chunk_blocks).min(total_blocks);
+                let mut r = BitReader::new(&payload[offsets[c]..offsets[c + 1]]);
+                (lo..hi)
+                    .map(|_| {
+                        block::decode_block(&mut r, d, mode)
+                            .map_err(|e| Error::CorruptStream(e.to_string()))
+                    })
+                    .collect()
+            });
+        for (c, chunk) in decoded.into_iter().enumerate() {
+            let lo = c * chunk_blocks;
+            for (k, blk) in chunk?.into_iter().enumerate() {
+                let i = lo + k;
+                let bx = i % bx_n;
+                let by = (i / bx_n) % by_n;
+                let bz = i / (bx_n * by_n);
+                scatter_block(&blk, &mut values, &nd, d, bx, by, bz);
             }
         }
         Ok(match dtype {
@@ -751,20 +690,21 @@ mod tests {
     }
 
     #[test]
-    fn v1_streams_still_decode() {
-        // 64×64×16 → 1024 blocks → 4 chunks in v2; both containers must
-        // reconstruct the same values
-        let data = field(64, 64, 16);
-        let mut zfp = ZfpCompressor::new();
-        zfp.set_options(&Options::new().with("pressio:abs", 1e-3))
-            .unwrap();
-        let v1 = zfp.compress_v1(&data).unwrap();
-        let v2 = zfp.compress(&data).unwrap();
-        assert_eq!(v1[4], 1);
-        assert_eq!(v2[4], 2);
-        let out1 = zfp.decompress(&v1, Dtype::F32, data.dims()).unwrap();
-        let out2 = zfp.decompress(&v2, Dtype::F32, data.dims()).unwrap();
-        assert_eq!(out1.as_f32().unwrap(), out2.as_f32().unwrap());
+    fn v1_container_is_a_typed_corrupt_stream() {
+        // the retired continuous-bitstream container: same header, version 1
+        let mut v1 = b"ZFRS\x01\x00\x00\x01".to_vec();
+        v1.extend_from_slice(&4u64.to_le_bytes()); // dims [4]
+        v1.extend_from_slice(&1e-3f64.to_le_bytes()); // abs
+        v1.extend_from_slice(&0u64.to_le_bytes()); // precision
+        v1.extend_from_slice(&0f64.to_le_bytes()); // rate
+        v1.extend_from_slice(&0u64.to_le_bytes()); // payload length
+        let err = ZfpCompressor::new()
+            .decompress(&v1, Dtype::F32, &[4])
+            .unwrap_err();
+        assert!(
+            matches!(&err, Error::CorruptStream(why) if why == "unknown zfp version"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -40,9 +40,8 @@ fn field(dims: &[usize], f32_input: bool) -> (Data, Dtype) {
     }
 }
 
-/// Valid containers across all modes, dtypes, and ranks — including a
-/// legacy v1 stream — so mutations reach the mode-specific header fields
-/// (precision planes, rate budget) and both version branches.
+/// Valid containers across all modes, dtypes, and ranks, so mutations
+/// reach the mode-specific header fields (precision planes, rate budget).
 fn corpus() -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     for dims in DIMS {
@@ -63,8 +62,6 @@ fn corpus() -> Vec<Vec<u8>> {
                 zfp.set_options(&mode_opts).unwrap();
                 out.push(zfp.compress(&data).unwrap());
             }
-            let zfp = ZfpCompressor::new();
-            out.push(zfp.compress_v1(&data).unwrap());
         }
     }
     out
@@ -94,20 +91,14 @@ fn unmutated_corpus_round_trips() {
     for dims in DIMS {
         for f32_input in [false, true] {
             let (data, dtype) = field(dims, f32_input);
-            for bytes in [
-                {
-                    let mut z = ZfpCompressor::new();
-                    z.set_options(&Options::new().with("pressio:abs", 1e-3))
-                        .unwrap();
-                    z.compress(&data).unwrap()
-                },
-                zfp.compress_v1(&data).unwrap(),
-            ] {
-                let out = zfp
-                    .decompress(&bytes, dtype, dims)
-                    .expect("corpus stream decodes");
-                assert_eq!(out.dims(), dims);
-            }
+            let mut z = ZfpCompressor::new();
+            z.set_options(&Options::new().with("pressio:abs", 1e-3))
+                .unwrap();
+            let bytes = z.compress(&data).unwrap();
+            let out = zfp
+                .decompress(&bytes, dtype, dims)
+                .expect("corpus stream decodes");
+            assert_eq!(out.dims(), dims);
         }
     }
 }

@@ -1,8 +1,7 @@
 //! Property-based parity for the chunked (v2) ZFP container: parallel
 //! encodes must be **byte-identical** to sequential ones for arbitrary
-//! dims/dtypes/bounds/modes, parallel decodes must reproduce sequential
-//! decodes bit-for-bit, and legacy v1 streams must keep decoding to the
-//! same values the v2 path produces.
+//! dims/dtypes/bounds/modes, and parallel decodes must reproduce
+//! sequential decodes bit-for-bit.
 
 use pressio_core::{Compressor, Data, Dtype, Options};
 use pressio_zfp::ZfpCompressor;
@@ -96,27 +95,5 @@ proptest! {
                 "{threads}-thread decode differs from sequential (dims {dims:?})"
             );
         }
-    }
-
-    #[test]
-    fn v2_decode_matches_v1_era_decode(
-        dims in dims_strategy(),
-        seed in any::<u64>(),
-        f32_input in any::<bool>(),
-        eb_exp in 2u32..6,
-    ) {
-        let (data, dtype) = make_data(&dims, seed, f32_input);
-        let zfp = zfp_with("accuracy", 10f64.powi(-(eb_exp as i32)), 0);
-        // a legacy stream written by the v1 (continuous-bitstream) encoder
-        // must decode to exactly what the chunked v2 stream decodes to
-        let legacy = zfp.compress_v1(&data).unwrap();
-        let chunked = zfp.compress(&data).unwrap();
-        prop_assert!(legacy[4] == 1 && chunked[4] == 2, "container versions");
-        let from_legacy = zfp.decompress(&legacy, dtype, &dims).unwrap();
-        let from_chunked = zfp.decompress(&chunked, dtype, &dims).unwrap();
-        prop_assert!(
-            from_legacy == from_chunked,
-            "v1 and v2 decodes diverge (dims {dims:?})"
-        );
     }
 }
