@@ -221,18 +221,24 @@ impl Data {
         }
     }
 
-    /// Rebuild a buffer from the little-endian image written by
-    /// [`Data::to_le_bytes`].
-    pub fn from_le_bytes(dtype: Dtype, dims: Vec<usize>, bytes: &[u8]) -> Result<Data> {
-        let n: usize = dims.iter().product();
-        if bytes.len() != n * dtype.size() {
+    /// What [`Data::from_le_bytes`] requires of its arguments — `byte_len`
+    /// is exactly `dims` elements of `dtype` — checked without the bytes,
+    /// so a caller can reject a malformed buffer before paying for the copy.
+    pub fn check_le_len(dtype: Dtype, dims: &[usize], byte_len: usize) -> Result<()> {
+        let n = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        if n.and_then(|n| n.checked_mul(dtype.size())) != Some(byte_len) {
             return Err(Error::UnsupportedData(format!(
-                "byte length {} does not match {} elements of {}",
-                bytes.len(),
-                n,
+                "byte length {byte_len} does not match dims {dims:?} of {}",
                 dtype.name()
             )));
         }
+        Ok(())
+    }
+
+    /// Rebuild a buffer from the little-endian image written by
+    /// [`Data::to_le_bytes`].
+    pub fn from_le_bytes(dtype: Dtype, dims: Vec<usize>, bytes: &[u8]) -> Result<Data> {
+        Data::check_le_len(dtype, &dims, bytes.len())?;
         let storage = match dtype {
             Dtype::F32 => Storage::F32(
                 bytes

@@ -8,6 +8,12 @@
 //! byte encoding of [`Options`]: entries are walked in sorted-key order and
 //! `Opaque` values (the analog of `void*` CUDA streams / `MPI_Comm`) are
 //! skipped.
+//!
+//! The one [`Sha256`] sits on one of two block kernels, picked once per
+//! process by CPU detection and by nothing else: the x86-64 SHA-NI
+//! instructions where the CPU has them, the portable FIPS loop everywhere
+//! else. The portable loop is also the scalar twin: the tests drive both
+//! kernels directly and hold every digest of the fast one to it.
 
 use crate::options::Options;
 use crate::value::Value;
@@ -23,62 +29,19 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-/// Incremental SHA-256 hasher.
-#[derive(Clone)]
-pub struct Sha256 {
-    state: [u32; 8],
-    buffer: [u8; 64],
-    buffer_len: usize,
-    total_len: u64,
-}
+/// A SHA-256 block kernel: fold the whole 64-byte blocks of its second
+/// argument (whose length is a multiple of 64) into the eight state words.
+type BlockKernel = fn(&mut [u32; 8], &[u8]);
 
-impl Default for Sha256 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[cfg(target_arch = "x86_64")]
+mod sha_ni;
 
-impl Sha256 {
-    /// Fresh hasher with the FIPS initial state.
-    pub fn new() -> Self {
-        Sha256 {
-            state: [
-                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-                0x5be0cd19,
-            ],
-            buffer: [0u8; 64],
-            buffer_len: 0,
-            total_len: 0,
-        }
-    }
-
-    /// Absorb `data`.
-    pub fn update(&mut self, data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut rest = data;
-        if self.buffer_len > 0 {
-            let take = (64 - self.buffer_len).min(rest.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&rest[..take]);
-            self.buffer_len += take;
-            rest = &rest[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            self.compress(block.try_into().unwrap());
-            rest = tail;
-        }
-        if !rest.is_empty() {
-            self.buffer[..rest.len()].copy_from_slice(rest);
-            self.buffer_len = rest.len();
-        }
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable kernel: the FIPS 180-4 §6.2.2 loop, block after block. It
+/// is the only path on hosts without SHA-NI and the scalar twin the
+/// SHA-NI kernel is tested against.
+fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
@@ -91,7 +54,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -112,29 +75,107 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, x) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(x);
+        }
+    }
+}
+
+/// The SHA-NI kernel, or `None` where the CPU (or the architecture) does
+/// not have it.
+fn sha_ni_kernel() -> Option<BlockKernel> {
+    #[cfg(target_arch = "x86_64")]
+    return sha_ni::detect();
+    #[cfg(not(target_arch = "x86_64"))]
+    None
+}
+
+/// The kernel every [`Sha256`] of this process uses, with its name:
+/// SHA-NI where the CPU has it, the portable loop otherwise. Detected
+/// once; nothing but the CPU selects it.
+fn selected_kernel() -> (&'static str, BlockKernel) {
+    static SELECTED: std::sync::OnceLock<(&str, BlockKernel)> = std::sync::OnceLock::new();
+    *SELECTED.get_or_init(|| match sha_ni_kernel() {
+        Some(kernel) => ("sha-ni", kernel),
+        None => ("scalar", compress_blocks_scalar),
+    })
+}
+
+/// Incremental SHA-256 hasher.
+#[derive(Clone)]
+pub struct Sha256 {
+    state: [u32; 8],
+    buffer: [u8; 64],
+    buffer_len: usize,
+    total_len: u64,
+    compress_blocks: BlockKernel,
+}
+
+impl Default for Sha256 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Sha256 {
+    /// Fresh hasher with the FIPS initial state.
+    pub fn new() -> Self {
+        Self::with_kernel(selected_kernel().1)
+    }
+
+    fn with_kernel(compress_blocks: BlockKernel) -> Self {
+        Sha256 {
+            state: [
+                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+                0x5be0cd19,
+            ],
+            buffer: [0u8; 64],
+            buffer_len: 0,
+            total_len: 0,
+            compress_blocks,
+        }
+    }
+
+    /// Absorb `data`.
+    pub fn update(&mut self, data: &[u8]) {
+        self.total_len = self.total_len.wrapping_add(data.len() as u64);
+        let mut rest = data;
+        if self.buffer_len > 0 {
+            let take = (64 - self.buffer_len).min(rest.len());
+            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&rest[..take]);
+            self.buffer_len += take;
+            rest = &rest[take..];
+            if self.buffer_len < 64 {
+                return;
+            }
+            (self.compress_blocks)(&mut self.state, &self.buffer);
+        }
+        // every whole block of the input goes to the kernel in one call,
+        // straight from the caller's slice
+        let (blocks, tail) = rest.split_at(rest.len() & !63);
+        if !blocks.is_empty() {
+            (self.compress_blocks)(&mut self.state, blocks);
+        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffer_len = tail.len();
     }
 
     /// Finish and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
+        // the buffered tail, 0x80, zeros, and the bit length closing the
+        // last block: one block if the tail leaves room for nine bytes,
+        // two if not
+        let mut padded = [0u8; 128];
+        let tail = self.buffer_len;
+        padded[..tail].copy_from_slice(&self.buffer[..tail]);
+        padded[tail] = 0x80;
+        let end = if tail < 56 { 64 } else { 128 };
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
-        }
-        // append length without re-counting it
-        self.total_len = self.total_len.wrapping_sub(8);
-        self.update(&bit_len.to_be_bytes());
+        padded[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+        (self.compress_blocks)(&mut self.state, &padded[..end]);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
@@ -192,9 +233,11 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Render a digest as lowercase hex.
 pub fn to_hex(digest: &[u8; 32]) -> String {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(64);
-    for b in digest {
-        s.push_str(&format!("{b:02x}"));
+    for &b in digest {
+        s.push(NIBBLES[usize::from(b >> 4)] as char);
+        s.push(NIBBLES[usize::from(b & 0x0f)] as char);
     }
     s
 }
@@ -283,28 +326,63 @@ pub fn hash_options_hex(opts: &Options) -> String {
 mod tests {
     use super::*;
 
-    /// FIPS 180-4 test vectors.
-    #[test]
-    fn sha256_known_vectors() {
-        assert_eq!(
-            to_hex(&Sha256::digest(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            to_hex(&Sha256::digest(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            to_hex(&Sha256::digest(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+    /// The SHA-NI kernel, or a line on stderr (one per case, however often
+    /// a proptest asks) saying `case` was skipped: on a host without the
+    /// instructions the SHA-NI cases must not look like passes in the log.
+    fn sha_ni_or_skip(case: &'static str) -> Option<BlockKernel> {
+        static SKIPPED: std::sync::Mutex<Vec<&str>> = std::sync::Mutex::new(Vec::new());
+        let kernel = sha_ni_kernel();
+        if kernel.is_none() {
+            let mut skipped = SKIPPED.lock().unwrap();
+            if !skipped.contains(&case) {
+                skipped.push(case);
+                eprintln!("SKIPPED {case}: this CPU has no SHA-NI; only the scalar kernel ran");
+            }
+        }
+        kernel
     }
 
-    #[test]
-    fn sha256_million_a() {
-        let mut h = Sha256::new();
+    fn digest_with(kernel: BlockKernel, data: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::with_kernel(kernel);
+        h.update(data);
+        h.finalize()
+    }
+
+    /// Deterministic filler for the large-buffer cases.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// FIPS 180-4 test vectors.
+    fn check_known_vectors(kernel: BlockKernel) {
+        for (message, hex) in [
+            (
+                &b""[..],
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+        ] {
+            assert_eq!(to_hex(&digest_with(kernel, message)), hex);
+        }
+    }
+
+    fn check_million_a(kernel: BlockKernel) {
+        let mut h = Sha256::with_kernel(kernel);
         let chunk = [b'a'; 1000];
         for _ in 0..1000 {
             h.update(&chunk);
@@ -313,6 +391,134 @@ mod tests {
             to_hex(&h.finalize()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    #[test]
+    fn sha256_known_vectors_scalar() {
+        check_known_vectors(compress_blocks_scalar);
+    }
+
+    #[test]
+    fn sha256_known_vectors_sha_ni() {
+        if let Some(kernel) = sha_ni_or_skip("sha256_known_vectors_sha_ni") {
+            check_known_vectors(kernel);
+        }
+    }
+
+    #[test]
+    fn sha256_million_a_scalar() {
+        check_million_a(compress_blocks_scalar);
+    }
+
+    #[test]
+    fn sha256_million_a_sha_ni() {
+        if let Some(kernel) = sha_ni_or_skip("sha256_million_a_sha_ni") {
+            check_million_a(kernel);
+        }
+    }
+
+    /// What `Sha256::new()` runs on here, printed for the CI log, and the
+    /// public path pinned to a FIPS vector whichever kernel that is.
+    #[test]
+    fn sha256_selected_kernel_is_reported() {
+        let (name, kernel) = selected_kernel();
+        eprintln!("sha256 kernel selected on this host: {name}");
+        assert_eq!(name == "sha-ni", sha_ni_kernel().is_some());
+        assert_eq!(digest_with(kernel, b"abc"), Sha256::digest(b"abc"));
+        assert_eq!(
+            to_hex(&Sha256::digest(b"abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+    }
+
+    #[test]
+    fn sha_ni_matches_scalar_on_multi_mib_buffers() {
+        let Some(sha_ni) = sha_ni_or_skip("sha_ni_matches_scalar_on_multi_mib_buffers") else {
+            return;
+        };
+        for (len, start) in [(1 << 20, 0), ((3 << 20) + 17, 1), ((5 << 20) + 63, 7)] {
+            let buffer = noise(start + len, len as u64);
+            let data = &buffer[start..];
+            let expected = digest_with(compress_blocks_scalar, data);
+            assert_eq!(digest_with(sha_ni, data), expected, "len={len}");
+            // the same bytes in three uneven updates
+            let mut h = Sha256::with_kernel(sha_ni);
+            let (head, rest) = data.split_at(65);
+            let (middle, tail) = rest.split_at(rest.len() / 2 + 1);
+            for piece in [head, middle, tail] {
+                h.update(piece);
+            }
+            assert_eq!(h.finalize(), expected, "len={len} in three updates");
+        }
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `update` piece lengths: the block-boundary sizes by name, and
+        /// anything up to a few blocks.
+        fn arb_piece() -> impl Strategy<Value = usize> {
+            prop_oneof![
+                Just(0usize),
+                Just(1usize),
+                Just(63usize),
+                Just(64usize),
+                Just(65usize),
+                0usize..300,
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            // The two kernels themselves: any state, any run of blocks,
+            // any start alignment.
+            #[test]
+            fn kernels_agree_block_for_block(
+                state in prop::collection::vec(any::<u32>(), 8),
+                bytes in prop::collection::vec(any::<u8>(), 16 + 64 * 9),
+                start in 0usize..16,
+                blocks in 0usize..=9,
+            ) {
+                let Some(sha_ni) = sha_ni_or_skip("kernels_agree_block_for_block") else {
+                    return Ok(());
+                };
+                let state: [u32; 8] = state.try_into().unwrap();
+                let input = &bytes[start..start + 64 * blocks];
+                let (mut scalar_state, mut sha_ni_state) = (state, state);
+                compress_blocks_scalar(&mut scalar_state, input);
+                sha_ni(&mut sha_ni_state, input);
+                prop_assert_eq!(scalar_state, sha_ni_state);
+            }
+
+            // Whole digests: random lengths 0..=4096, random `update`
+            // split points, unaligned slice starts.
+            #[test]
+            fn digests_agree_under_any_split(
+                bytes in prop::collection::vec(any::<u8>(), 0..=4096 + 15),
+                start in 0usize..16,
+                pieces in prop::collection::vec(arb_piece(), 0..12),
+            ) {
+                let Some(sha_ni) = sha_ni_or_skip("digests_agree_under_any_split") else {
+                    return Ok(());
+                };
+                let data = &bytes[start.min(bytes.len())..];
+                let expected = digest_with(compress_blocks_scalar, data);
+                prop_assert_eq!(digest_with(sha_ni, data), expected);
+                for kernel in [compress_blocks_scalar, sha_ni] {
+                    let mut h = Sha256::with_kernel(kernel);
+                    let mut rest = data;
+                    for &piece in &pieces {
+                        let (head, tail) = rest.split_at(piece.min(rest.len()));
+                        h.update(head);
+                        rest = tail;
+                    }
+                    h.update(rest);
+                    prop_assert_eq!(h.finalize(), expected);
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// one exception: the SHA-NI kernel module, `hash::sha_ni`
+#![deny(unsafe_code)]
 
 pub mod chunking;
 pub mod compressor;

@@ -45,6 +45,16 @@ impl RahmanScheme {
     }
 }
 
+/// The finite value range the relative bound divides by, floored away
+/// from zero (0 for a buffer with no finite value). Recomputed here, not
+/// read from the agnostic stats, so the stage stays self-contained — but
+/// in the one pass that yields min and max, not a whole `summarize`.
+fn value_range(values: &[f64]) -> f64 {
+    let (count, _sum, min, max, _zeros) = pressio_stats::lanes::sum_min_max_zeros(values);
+    let range = if count == 0 { 0.0 } else { max - min };
+    range.max(1e-300)
+}
+
 impl Scheme for RahmanScheme {
     fn info(&self) -> SchemeInfo {
         SchemeInfo {
@@ -78,17 +88,12 @@ impl Scheme for RahmanScheme {
         compressor: &dyn Compressor,
     ) -> Result<Options> {
         let abs = compressor.get_options().get_f64("pressio:abs")?;
-        // relative bound = abs / value range (needs the agnostic stats to
-        // already be merged at predict time; recompute range cheaply here
-        // to stay self-contained)
-        let range = {
-            let v = data.to_f64_vec();
-            let s = pressio_stats::summarize(&v);
-            (s.max - s.min).max(1e-300)
-        };
         Ok(Options::new()
             .with("rahman:log_abs", abs.max(1e-300).log10())
-            .with("rahman:log_rel_bound", (abs / range).max(1e-300).log10()))
+            .with(
+                "rahman:log_rel_bound",
+                (abs / value_range(&data.to_f64_vec())).max(1e-300).log10(),
+            ))
     }
 
     fn make_predictor(&self) -> Box<dyn Predictor> {
@@ -192,6 +197,42 @@ mod tests {
         let f = scheme.error_dependent_features(&d, &sz).unwrap();
         assert!((f.get_f64("rahman:log_abs").unwrap() - (-3.0)).abs() < 1e-9);
         assert!(f.get_f64("rahman:log_rel_bound").unwrap() < 0.0);
+    }
+
+    /// `rahman:log_rel_bound` came from `summarize` (two passes) before it
+    /// came from `sum_min_max_zeros` alone: bit for bit the same feature.
+    #[test]
+    fn log_rel_bound_matches_the_summarize_expression() {
+        let dense: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.37).sin() * 12.5).collect();
+        let mut with_non_finite = dense.clone();
+        with_non_finite[3] = f32::NAN;
+        with_non_finite[500] = f32::INFINITY;
+        with_non_finite[999] = f32::NEG_INFINITY;
+        let buffers = [
+            dense,
+            vec![0.0; 257],
+            vec![-3.25; 64],
+            with_non_finite,
+            vec![f32::NAN; 9],
+            vec![1e-30, -1e-30],
+        ];
+        let scheme = RahmanScheme::default();
+        for values in buffers {
+            for abs in [1e-6, 1e-3, 2.5] {
+                let mut sz = SzCompressor::new();
+                sz.set_options(&Opts::new().with("pressio:abs", abs))
+                    .unwrap();
+                let data = Data::from_f32(vec![values.len()], values.clone());
+                let s = pressio_stats::summarize(&data.to_f64_vec());
+                let old = (abs / (s.max - s.min).max(1e-300)).max(1e-300).log10();
+                let new = scheme
+                    .error_dependent_features(&data, &sz)
+                    .unwrap()
+                    .get_f64("rahman:log_rel_bound")
+                    .unwrap();
+                assert_eq!(new.to_bits(), old.to_bits(), "abs={abs} {values:?}");
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Aggregate statistics across all shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -35,9 +35,11 @@ pub struct CacheStats {
 struct Shard<V> {
     /// key → (recency tick, value). The tick doubles as the index into
     /// `order`, so the pair of maps stays consistent under the shard lock.
-    entries: HashMap<String, (u64, V)>,
+    /// Keys are two content hashes long (~150 bytes) and both maps need
+    /// them, so an entry holds its key once and the maps share it.
+    entries: HashMap<Arc<str>, (u64, V)>,
     /// recency tick → key, oldest first.
-    order: BTreeMap<u64, String>,
+    order: BTreeMap<u64, Arc<str>>,
     tick: u64,
 }
 
@@ -53,11 +55,10 @@ impl<V> Shard<V> {
     fn touch(&mut self, key: &str) {
         self.tick += 1;
         let tick = self.tick;
-        if let Some((old, _)) = self.entries.get(key) {
-            let old = *old;
-            self.order.remove(&old);
-            self.order.insert(tick, key.to_string());
-            self.entries.get_mut(key).unwrap().0 = tick;
+        if let Some((at, _)) = self.entries.get_mut(key) {
+            let key = self.order.remove(at).expect("index consistent");
+            self.order.insert(tick, key);
+            *at = tick;
         }
     }
 }
@@ -125,13 +126,13 @@ impl<V: Clone> ShardedLru<V> {
     /// Insert (or refresh) `key`, evicting the shard's least-recently-used
     /// entry if the shard is at capacity.
     pub fn insert(&self, key: impl Into<String>, value: V) {
-        let key = key.into();
+        let key: Arc<str> = key.into().into();
         let mut evicted = 0u64;
         {
             let mut shard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
-            if shard.entries.contains_key(&key) {
+            if shard.entries.contains_key(&*key) {
                 shard.touch(&key);
-                shard.entries.get_mut(&key).unwrap().1 = value;
+                shard.entries.get_mut(&*key).unwrap().1 = value;
             } else {
                 while shard.entries.len() >= self.per_shard_capacity {
                     // oldest tick = least recently used
@@ -139,7 +140,7 @@ impl<V: Clone> ShardedLru<V> {
                         break;
                     };
                     let victim = shard.order.remove(&old_tick).expect("index consistent");
-                    shard.entries.remove(&victim);
+                    shard.entries.remove(&*victim);
                     evicted += 1;
                 }
                 shard.tick += 1;
@@ -163,7 +164,7 @@ impl<V: Clone> ShardedLru<V> {
         let mut removed = 0usize;
         for shard in self.shards.iter() {
             let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            let victims: Vec<(u64, String)> = shard
+            let victims: Vec<(u64, Arc<str>)> = shard
                 .entries
                 .iter()
                 .filter(|(k, _)| predicate(k))

@@ -6,9 +6,9 @@
 //! to fit (`train`) resolves who answers through [`resolve_target`],
 //! builds its compressor through [`compressor`] and extracts through
 //! [`with_dependent`]. The batch handler runs three stages: a serial
-//! **prepare** (decode, hash, cache probes — prediction-cache hits answer
-//! here), a coalesced parallel **extract** over the misses, and a serial
-//! **finalize** (merge, predict, reply).
+//! **prepare** (hash, prediction-cache probe — hits answer here — then
+//! decode and feature-cache probes), a coalesced parallel **extract** over
+//! the misses, and a serial **finalize** (merge, predict, reply).
 
 use crate::pipeline::WorkItem;
 use crate::protocol::{self, code};
@@ -173,19 +173,22 @@ pub(crate) fn handle_predict_batch(state: &ServerState, batch: Vec<WorkItem>) {
     }
 }
 
-/// Decode, hash and probe the caches for one request. A prediction-cache
-/// hit (or a malformed request) is answered here and never reaches
-/// feature extraction.
-fn prepare(state: &ServerState, target: &LoadedModel, item: WorkItem) -> Option<Prep> {
+/// Check, hash, probe the caches and decode one request. A
+/// prediction-cache hit is answered here from the content hash alone — it
+/// never pays the copy of its payload into a [`Data`] — and so is a
+/// malformed request; neither reaches feature extraction.
+fn prepare(state: &ServerState, target: &LoadedModel, mut item: WorkItem) -> Option<Prep> {
     let request = &item.request;
-    let decoded = (|| {
-        let data = protocol::data_from_request(request)?;
+    let keyed = (|| {
+        // first, so that a request that would not decode answers `bad
+        // request` ahead of every other error and of any cached answer
+        protocol::check_data(request)?;
         let data_sha = protocol::data_content_hash(request)?;
         let comp = compressor(compressor_id(request)?, &[request])?;
-        Ok((data, data_sha, comp))
+        Ok((data_sha, comp))
     })();
-    let (data, data_sha, comp) = match decoded {
-        Ok(decoded) => decoded,
+    let (data_sha, comp) = match keyed {
+        Ok(keyed) => keyed,
         Err(e) => {
             item.respond(respond(Err(e)));
             return None;
@@ -205,6 +208,16 @@ fn prepare(state: &ServerState, target: &LoadedModel, item: WorkItem) -> Option<
         ));
         return None;
     }
+    // only a miss pays the decode, and from here on it holds the buffer
+    // once: the wire copy would sit beside `data` through the extraction
+    let data = match protocol::data_from_request(request) {
+        Ok(data) => data,
+        Err(e) => {
+            item.respond(respond(Err(e)));
+            return None;
+        }
+    };
+    item.request.remove("data:bytes");
     let agnostic_key = format!("a:{scheme_name}:{data_sha}");
     let dependent_key = format!("d:{scheme_name}:{settings_key}:{data_sha}");
     Some(Prep {

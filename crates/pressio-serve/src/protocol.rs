@@ -348,8 +348,10 @@ pub fn data_content_hash(req: &Options) -> Result<String> {
     Ok(to_hex(&h.finalize()))
 }
 
-/// Reconstruct the data buffer embedded in a request.
-pub fn data_from_request(req: &Options) -> Result<pressio_core::Data> {
+/// The embedded buffer's dtype, dims and payload, checked to agree (a
+/// known dtype; dims × element size = payload length) — everything that
+/// can be wrong with it, found without copying it.
+fn data_parts(req: &Options) -> Result<(pressio_core::Dtype, Vec<usize>, &[u8])> {
     let bytes = req.get_bytes("data:bytes")?;
     let dims: Vec<usize> = req
         .get_u64_slice("data:dims")?
@@ -357,6 +359,20 @@ pub fn data_from_request(req: &Options) -> Result<pressio_core::Data> {
         .map(|&d| d as usize)
         .collect();
     let dtype = pressio_core::Dtype::parse(req.get_str("data:dtype")?)?;
+    pressio_core::Data::check_le_len(dtype, &dims, bytes.len())?;
+    Ok((dtype, dims, bytes))
+}
+
+/// Fail exactly when [`data_from_request`] would, at no cost in the
+/// payload's size: what a handler that may answer from the content hash
+/// alone runs first, so a cached answer never stands in for `bad request`.
+pub(crate) fn check_data(req: &Options) -> Result<()> {
+    data_parts(req).map(drop)
+}
+
+/// Reconstruct the data buffer embedded in a request.
+pub fn data_from_request(req: &Options) -> Result<pressio_core::Data> {
+    let (dtype, dims, bytes) = data_parts(req)?;
     pressio_core::Data::from_le_bytes(dtype, dims, bytes)
 }
 

@@ -147,6 +147,75 @@ fn calculation_scheme_predicts_without_a_model() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A prediction-cache hit is answered from the content hash alone, before
+/// the payload is decoded — and must never stand in for the error a
+/// malformed request gets. Two malformed twins of a cached request: one
+/// whose `data:dims` no longer match `data:bytes` (dims are in the hash,
+/// so it cannot even find the entry), and one built to *share* the cached
+/// request's hash (the last dim moved to the front of the payload), which
+/// only the check ahead of the probe turns away.
+#[test]
+fn a_prediction_cache_hit_never_masks_a_malformed_request() {
+    let dir = temp_dir("hit_vs_malformed");
+    let handle = Server::start(local_config(&dir)).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let mut good = Options::new()
+        .with("serve:op", op::PREDICT)
+        .with("serve:scheme", "khan2023")
+        .with("pressio:abs", 1e-3);
+    protocol::data_into_request(&mut good, &sample_data(0));
+    let good_sha = protocol::data_content_hash(&good).unwrap();
+
+    let stale_dims = good.clone().with("data:dims", vec![8u64, 8, 3]);
+    assert_ne!(protocol::data_content_hash(&stale_dims).unwrap(), good_sha);
+    let mut shifted_bytes = 4u64.to_le_bytes().to_vec();
+    shifted_bytes.extend_from_slice(good.get_bytes("data:bytes").unwrap());
+    let same_hash = good
+        .clone()
+        .with("data:dims", vec![8u64, 8])
+        .with("data:bytes", shifted_bytes);
+    assert_eq!(protocol::data_content_hash(&same_hash).unwrap(), good_sha);
+    let mut no_dtype = good.clone();
+    no_dtype.remove("data:dtype");
+    let malformed = [stale_dims, same_hash, no_dtype];
+
+    // what each gets from a daemon that has nothing cached
+    let rejected_cold: Vec<Options> = malformed
+        .iter()
+        .map(|req| client.call(req).unwrap())
+        .collect();
+    for resp in &rejected_cold {
+        assert_eq!(resp.get_str("serve:type").unwrap(), "error", "{resp}");
+    }
+    assert!(
+        protocol::is_error(&rejected_cold[2], code::BAD_REQUEST),
+        "{}",
+        rejected_cold[2]
+    );
+
+    let cold = client.call(&good).unwrap();
+    assert_eq!(cold.get_str("serve:type").unwrap(), "prediction", "{cold}");
+    let warm = client.call(&good).unwrap();
+    assert!(warm.get_bool("serve:cached").unwrap(), "{warm}");
+
+    // the same answers, code and message, now that the entry is hot
+    for (req, cold_answer) in malformed.iter().zip(&rejected_cold) {
+        let mut resp = client.call(req).unwrap();
+        resp.remove("serve:elapsed_ms");
+        let mut cold_answer = cold_answer.clone();
+        cold_answer.remove("serve:elapsed_ms");
+        assert_eq!(resp, cold_answer);
+    }
+    assert!(client
+        .call(&good)
+        .unwrap()
+        .get_bool("serve:cached")
+        .unwrap());
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// One wire byte per data byte: a 32 MiB buffer — about 112 MiB spelled
 /// as a JSON integer array, past every ceiling this protocol has had —
 /// crosses in a single frame. `tao2019` samples a fixed number of blocks,
