@@ -63,6 +63,40 @@ enum Storage {
     U8(Vec<u8>),
 }
 
+/// A buffer's elements as the typed slice they are stored as: what the
+/// dtype-generic kernels borrow instead of an `f64` copy of the buffer.
+/// [`with_elements!`](crate::with_elements) runs one generic expression on
+/// whichever slice it holds.
+#[derive(Debug, Clone, Copy)]
+pub enum Elements<'a> {
+    /// `f32` storage.
+    F32(&'a [f32]),
+    /// `f64` storage.
+    F64(&'a [f64]),
+    /// `i32` storage.
+    I32(&'a [i32]),
+    /// `i64` storage.
+    I64(&'a [i64]),
+    /// `u8` storage.
+    U8(&'a [u8]),
+}
+
+/// Evaluate `$body` with `$slice` bound to the typed slice inside an
+/// [`Elements`](crate::Elements) — `&[f32]`, `&[f64]`, `&[i32]`, `&[i64]`
+/// or `&[u8]` — so `$body` is one expression generic over the element type.
+#[macro_export]
+macro_rules! with_elements {
+    ($elements:expr, $slice:ident => $body:expr) => {
+        match $elements {
+            $crate::Elements::F32($slice) => $body,
+            $crate::Elements::F64($slice) => $body,
+            $crate::Elements::I32($slice) => $body,
+            $crate::Elements::I64($slice) => $body,
+            $crate::Elements::U8($slice) => $body,
+        }
+    };
+}
+
 /// An n-dimensional typed buffer.
 ///
 /// Dimensions follow LibPressio's convention: `dims[0]` is the **fastest**
@@ -163,6 +197,17 @@ impl Data {
         self.num_elements() * self.dtype().size()
     }
 
+    /// The elements as the typed slice they are stored as, in storage order.
+    pub fn elements(&self) -> Elements<'_> {
+        match &self.storage {
+            Storage::F32(v) => Elements::F32(v),
+            Storage::F64(v) => Elements::F64(v),
+            Storage::I32(v) => Elements::I32(v),
+            Storage::I64(v) => Elements::I64(v),
+            Storage::U8(v) => Elements::U8(v),
+        }
+    }
+
     /// Typed view as `f32`; errors for other dtypes.
     pub fn as_f32(&self) -> Result<&[f32]> {
         match &self.storage {
@@ -198,16 +243,12 @@ impl Data {
 
     /// Every element widened to `f64`, in storage order.
     ///
-    /// Allocates; use the typed views in hot paths. Prediction metrics use
-    /// this for dtype-generic feature extraction.
+    /// Allocates; hot paths read [`Data::elements`] through
+    /// [`Widen`](crate::lanes::Widen) instead, which is this conversion
+    /// applied in-register.
     pub fn to_f64_vec(&self) -> Vec<f64> {
-        match &self.storage {
-            Storage::F32(v) => v.iter().map(|&x| x as f64).collect(),
-            Storage::F64(v) => v.clone(),
-            Storage::I32(v) => v.iter().map(|&x| x as f64).collect(),
-            Storage::I64(v) => v.iter().map(|&x| x as f64).collect(),
-            Storage::U8(v) => v.iter().map(|&x| x as f64).collect(),
-        }
+        use crate::lanes::Widen;
+        crate::with_elements!(self.elements(), v => v.iter().map(|&x| x.widen()).collect())
     }
 
     /// Raw little-endian byte image of the buffer (for file I/O).

@@ -18,6 +18,12 @@
 //!   tree, so parity tests can assert *exact* equality between a lane
 //!   kernel and its scalar reference.
 //!
+//! - [`Widen`] is how a kernel reads a typed buffer: each element is
+//!   widened to `f64` in-register, so a reduction over `&[f32]` needs no
+//!   `f64` copy of the buffer. The widening is the same function an
+//!   up-front copy would apply, so the lane order alone still fixes the
+//!   bits.
+//!
 //! Element-wise kernels (quantization, negabinary, bit-plane moves) have
 //! no accumulation order and are bit-identical to their scalar references
 //! by construction; only reductions need this discipline.
@@ -40,11 +46,38 @@ pub fn fold(acc: [f64; LANES]) -> f64 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
 }
 
+/// An element type the lane kernels read: widened to `f64` in-register,
+/// by the conversion [`crate::Data::to_f64_vec`] applies (exact for all but
+/// `i64` beyond 2^53, which rounds the same way there).
+pub trait Widen: Copy + Send + Sync {
+    /// This element as an `f64`.
+    fn widen(self) -> f64;
+}
+
+macro_rules! widen {
+    ($($t:ty),*) => {$(
+        impl Widen for $t {
+            #[inline(always)]
+            fn widen(self) -> f64 {
+                self as f64
+            }
+        }
+    )*};
+}
+widen!(f32, f64, i32, i64, u8);
+
+/// `v.is_finite()`, written as the one ordered compare that vectorizes to
+/// a single instruction on every target (NaN and ±inf both fail it).
+#[inline(always)]
+pub fn finite(v: f64) -> bool {
+    v.abs() <= f64::MAX
+}
+
 /// Branchless "keep finite values, zero the rest" select used by the
 /// reduction kernels so NaN/inf payloads cannot poison partial sums.
-#[inline]
+#[inline(always)]
 pub fn finite_or_zero(v: f64) -> f64 {
-    if v.is_finite() {
+    if finite(v) {
         v
     } else {
         0.0
@@ -63,6 +96,34 @@ mod tests {
         // catastrophic inputs; spot-check with a cancellation-heavy case
         let acc = [1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0];
         assert_eq!(fold(acc), ((1e16 + 1.0) + (-1e16 + 1.0)) + 4.0);
+    }
+
+    #[test]
+    fn finite_is_is_finite() {
+        for v in [
+            0.0,
+            -0.0,
+            1.5,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE / 2.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(finite(v), v.is_finite(), "{v}");
+        }
+    }
+
+    #[test]
+    fn widening_is_the_to_f64_vec_conversion() {
+        assert_eq!(0.1f32.widen().to_bits(), (0.1f32 as f64).to_bits());
+        assert_eq!((-0.0f32).widen().to_bits(), (-0.0f64).to_bits());
+        assert!(f32::NAN.widen().is_nan());
+        assert_eq!(i64::MAX.widen(), i64::MAX as f64);
+        assert_eq!((-7i32).widen(), -7.0);
+        assert_eq!(255u8.widen(), 255.0);
     }
 
     #[test]

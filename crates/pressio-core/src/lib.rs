@@ -44,7 +44,7 @@ pub mod timing;
 pub mod value;
 
 pub use compressor::{Compressor, InstrumentedCompressor};
-pub use data::{Data, Dtype};
+pub use data::{Data, Dtype, Elements};
 pub use error::{Error, Result};
 pub use metrics::MetricsPlugin;
 pub use options::Options;

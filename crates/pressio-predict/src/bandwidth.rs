@@ -7,7 +7,7 @@
 //! nondeterministic run to run, so the model is trained per machine on
 //! observed timings and its predictions carry that caveat.
 
-use crate::features::{feature_vector, global_stats};
+use crate::features::{feature_vector, global_stats, FeaturePass};
 use pressio_core::error::{Error, Result};
 use pressio_core::{Data, Options};
 use pressio_stats::{ForestParams, RandomForest};
@@ -27,7 +27,7 @@ fn keys() -> Vec<String> {
 
 /// Extract the bandwidth-model features for one dataset + error bound.
 pub fn bandwidth_features(data: &Data, abs: f64) -> Options {
-    let mut f = global_stats(data);
+    let mut f = global_stats(&FeaturePass::new(data));
     f.set("bw:log_bytes", (data.size_in_bytes().max(1) as f64).log2());
     f.set("bw:log_abs", abs.max(1e-300).log10());
     f

@@ -11,6 +11,7 @@
 //! performance-only knob does not. Explicit invalidation (Figure 4's
 //! `invs` list) handles runtime/nondeterministic metrics.
 
+use crate::features::FeaturePass;
 use crate::scheme::Scheme;
 use pressio_core::error::Result;
 use pressio_core::hash::hash_options_hex;
@@ -95,6 +96,9 @@ impl CachedEvaluator {
         compressor: &dyn Compressor,
     ) -> Result<(Options, FeatureTimes)> {
         let mut times = FeatureTimes::default();
+        // one pass for both stages: a dependent miss reuses what the
+        // agnostic miss before it read, and costs nothing when both hit
+        let pass = FeaturePass::new(data);
         let agnostic = match self.agnostic.get(data_key) {
             Some(cached) => {
                 self.counters.agnostic_hits += 1;
@@ -102,7 +106,7 @@ impl CachedEvaluator {
                 cached.clone()
             }
             None => {
-                let (result, ms) = time_ms(|| self.scheme.error_agnostic_features(data));
+                let (result, ms) = time_ms(|| self.scheme.error_agnostic_from(&pass));
                 let features = result?;
                 times.error_agnostic_ms = Some(ms);
                 self.counters.agnostic_misses += 1;
@@ -120,8 +124,7 @@ impl CachedEvaluator {
                 cached.clone()
             }
             None => {
-                let (result, ms) =
-                    time_ms(|| self.scheme.error_dependent_features(data, compressor));
+                let (result, ms) = time_ms(|| self.scheme.error_dependent_from(&pass, compressor));
                 let features = result?;
                 times.error_dependent_ms = Some(ms);
                 self.counters.dependent_misses += 1;

@@ -7,45 +7,185 @@
 //! `pressio:abs` bound). The evaluator in [`crate::evaluator`] caches each
 //! class separately.
 
-use pressio_core::{Data, Options};
+use pressio_core::lanes::{finite_or_zero, Widen};
+use pressio_core::{with_elements, Data, Options};
 use pressio_lossless::entropy::{quantized_entropy, shannon_entropy_symbols};
-use pressio_stats::{summarize, svd_truncation_fraction, variogram_score, Matrix};
+use pressio_stats::lanes::{self, Sweep};
+use pressio_stats::{summarize, svd_truncation_fraction, variogram_score, Matrix, Summary};
 use pressio_sz::{predict_and_quantize, Predictor as SzPredictor};
+use std::sync::OnceLock;
+
+/// One buffer's feature pass: what every feature group reads the buffer
+/// through, so that all groups of all stages of a request share one walk.
+///
+/// The statistics come straight from the typed elements (`&[f32]` is
+/// widened in-register, never copied to `f64`): one sweep for
+/// sum/min/max/zeros/count and the first differences, a second for the
+/// centred second moment, and the Lorenzo residual over a ring of widened
+/// rows. The groups that need an `&[f64]` — the variogram, the SVD, the
+/// quantized entropy, SZ's predict-and-quantize — share one widened copy.
+/// Everything is computed on first use and kept, so an error-dependent
+/// stage that needs only the value range costs the first sweep, or nothing
+/// when the error-agnostic stage of the same pass has run. `Sync`: the
+/// stages may run on different threads, the later one waiting for a result
+/// rather than recomputing it.
+pub struct FeaturePass<'a> {
+    data: &'a Data,
+    sweep: OnceLock<Sweep>,
+    summary: OnceLock<Summary>,
+    lorenzo_mae: OnceLock<f64>,
+    widened: OnceLock<Vec<f64>>,
+}
+
+impl<'a> FeaturePass<'a> {
+    /// A pass over `data`; nothing is read until a feature asks.
+    pub fn new(data: &'a Data) -> FeaturePass<'a> {
+        FeaturePass {
+            data,
+            sweep: OnceLock::new(),
+            summary: OnceLock::new(),
+            lorenzo_mae: OnceLock::new(),
+            widened: OnceLock::new(),
+        }
+    }
+
+    /// The buffer this pass reads.
+    pub fn data(&self) -> &'a Data {
+        self.data
+    }
+
+    fn sweep(&self) -> &Sweep {
+        self.sweep.get_or_init(|| {
+            let _span = pressio_obs::span("features:pass");
+            with_elements!(self.data.elements(), v => lanes::sweep(v))
+        })
+    }
+
+    /// [`pressio_stats::summarize`] of the buffer.
+    pub fn summary(&self) -> &Summary {
+        self.summary.get_or_init(|| {
+            let s = self.sweep();
+            Summary::from_passes((s.count, s.sum, s.min, s.max, s.zeros), |mean| {
+                let _span = pressio_obs::span("features:pass.moment");
+                with_elements!(self.data.elements(), v => lanes::sum_sq_dev(v, mean))
+            })
+        })
+    }
+
+    /// `max − min` over the finite values, 0 when there are none — from the
+    /// first sweep alone.
+    pub fn value_range(&self) -> f64 {
+        let s = self.sweep();
+        if s.count == 0 {
+            0.0
+        } else {
+            s.max - s.min
+        }
+    }
+
+    /// Mean absolute first difference (cheap smoothness proxy, 1-d walk)
+    /// over the finite consecutive pairs.
+    pub fn mean_abs_diff(&self) -> f64 {
+        let s = self.sweep();
+        if s.pairs > 0 {
+            s.abs_diff / s.pairs as f64
+        } else {
+            0.0
+        }
+    }
+
+    /// Lorenzo-residual estimate: the cheap predictor-fit proxy SZ-family
+    /// schemes key on.
+    pub fn lorenzo_mae(&self) -> f64 {
+        *self.lorenzo_mae.get_or_init(|| {
+            let _span = pressio_obs::span("features:pass.lorenzo");
+            with_elements!(self.data.elements(), v => {
+                pressio_sz::lorenzo::estimate_mean_abs_residual(v, self.data.dims())
+            })
+        })
+    }
+
+    /// Every element as `f64`, in storage order: the buffer itself when it
+    /// is `f64`, else one copy made on first use. `features:widened_bytes`
+    /// counts what this and [`FeaturePass::sample`] allocate, so a trace
+    /// shows which scheme still pays for a widened copy.
+    pub fn widened(&self) -> &[f64] {
+        match self.data.as_f64() {
+            Ok(values) => values,
+            Err(_) => self.widened.get_or_init(|| {
+                count_widened(self.data.num_elements());
+                self.data.to_f64_vec()
+            }),
+        }
+    }
+
+    /// The lattice `origin + step · k`, `k < shape`, of the buffer viewed
+    /// with shape `dims` (its own, or a collapse of them), widened into one
+    /// output-sized vector in the lattice's storage order: a sampled block
+    /// (`step` 1) or a stride decimation (`origin` 0).
+    pub fn sample(
+        &self,
+        dims: &[usize],
+        origin: &[usize],
+        shape: &[usize],
+        step: usize,
+    ) -> Vec<f64> {
+        let mut strides = vec![1usize; dims.len()];
+        for d in 1..dims.len() {
+            strides[d] = strides[d - 1] * dims[d - 1];
+        }
+        let n: usize = shape.iter().product();
+        count_widened(n);
+        let mut out = Vec::with_capacity(n);
+        let mut coord = vec![0usize; shape.len()];
+        if n > 0 {
+            with_elements!(self.data.elements(), values => 'outer: loop {
+                let index: usize = (0..coord.len())
+                    .map(|d| (origin[d] + coord[d] * step) * strides[d])
+                    .sum();
+                out.push(values[index].widen());
+                for d in 0..coord.len() {
+                    coord[d] += 1;
+                    if coord[d] < shape[d] {
+                        continue 'outer;
+                    }
+                    coord[d] = 0;
+                }
+                break;
+            });
+        }
+        out
+    }
+}
+
+fn count_widened(elements: usize) {
+    pressio_obs::add_counter(
+        "features:widened_bytes",
+        (elements * std::mem::size_of::<f64>()) as i64,
+    );
+}
 
 /// Error-agnostic global statistics (`stat:*`): the FXRZ feature family.
 ///
-/// All are O(n) single-pass quantities — this is what keeps Rahman's
+/// All come from the pass's typed sweeps — this is what keeps Rahman's
 /// error-agnostic stage two orders of magnitude below compression time.
-pub fn global_stats(data: &Data) -> Options {
-    let values = data.to_f64_vec();
-    let s = summarize(&values);
-    let std = s.variance.sqrt();
-    // mean absolute first difference (cheap smoothness proxy, 1-d walk),
-    // lane-strided reduction
-    let (grad_sum, grad_n) = pressio_stats::lanes::sum_abs_diff(&values);
-    let grad = if grad_n > 0 {
-        grad_sum / grad_n as f64
-    } else {
-        0.0
-    };
-    // Lorenzo-residual estimate: the cheap predictor-fit proxy SZ-family
-    // schemes key on
-    let lorenzo_mae = pressio_sz::lorenzo::estimate_mean_abs_residual(&values, data.dims());
+pub fn global_stats(pass: &FeaturePass<'_>) -> Options {
+    let s = pass.summary();
     Options::new()
         .with("stat:mean", s.mean)
-        .with("stat:std", std)
-        .with("stat:value_range", s.max - s.min)
+        .with("stat:std", s.variance.sqrt())
+        .with("stat:value_range", pass.value_range())
         .with("stat:zero_fraction", s.zero_fraction)
-        .with("stat:mean_abs_diff", grad)
-        .with("stat:lorenzo_mae", lorenzo_mae)
+        .with("stat:mean_abs_diff", pass.mean_abs_diff())
+        .with("stat:lorenzo_mae", pass.lorenzo_mae())
         .with("stat:n_elements", s.count as u64)
 }
 
 /// Error-agnostic spatial-correlation feature (`variogram:score`),
 /// Krasowska's second regressor.
-pub fn variogram_features(data: &Data) -> Options {
-    let values = data.to_f64_vec();
-    Options::new().with("variogram:score", variogram_score(&values, data.dims()))
+pub fn variogram_features(pass: &FeaturePass<'_>) -> Options {
+    let score = variogram_score(pass.widened(), pass.data().dims());
+    Options::new().with("variogram:score", score)
 }
 
 /// Error-agnostic SVD-truncation feature (`svd:truncation`), the Underwood
@@ -53,22 +193,25 @@ pub fn variogram_features(data: &Data) -> Options {
 /// error-agnostic metric (the paper's §6 measures it at ~771 ms vs <43 ms
 /// for the error-dependent stage): it runs a Jacobi SVD over several 2-D
 /// slices of the volume and averages the truncation fractions.
-pub fn svd_features(data: &Data) -> Options {
-    let dims = data.dims();
-    let values = data.to_f64_vec();
+pub fn svd_features(pass: &FeaturePass<'_>) -> Options {
+    let dims = pass.data().dims();
+    let values = pass.widened();
     let (nx, ny, nz) = match dims.len() {
         0 => (0usize, 1usize, 1usize),
         1 => (dims[0], 1, 1),
         2 => (dims[0], dims[1], 1),
         _ => (dims[0], dims[1], dims[2..].iter().product()),
     };
+    // non-finite entries are zeroed throughout: the SVD's value sort cannot
+    // order a NaN
     if nx < 2 || ny < 2 {
         // degenerate: treat the vector as a square-ish matrix
         let side = (values.len() as f64).sqrt().floor().max(1.0) as usize;
         if side < 2 {
             return Options::new().with("svd:truncation", 1.0);
         }
-        let m = Matrix::from_rows(side, side, values[..side * side].to_vec());
+        let square = values[..side * side].iter().copied().map(finite_or_zero);
+        let m = Matrix::from_rows(side, side, square.collect());
         return Options::new().with("svd:truncation", svd_truncation_fraction(&m, 0.99));
     }
     // average over up to 4 evenly spaced z-slices; slices are independent,
@@ -81,8 +224,7 @@ pub fn svd_features(data: &Data) -> Options {
         let mut m = Matrix::zeros(ny, nx);
         for y in 0..ny {
             for x in 0..nx {
-                let v = values[(z * ny + y) * nx + x];
-                m.set(y, x, if v.is_finite() { v } else { 0.0 });
+                m.set(y, x, finite_or_zero(values[(z * ny + y) * nx + x]));
             }
         }
         svd_truncation_fraction(&m, 0.99)
@@ -92,14 +234,17 @@ pub fn svd_features(data: &Data) -> Options {
 }
 
 /// All three error-agnostic feature groups ([`global_stats`],
-/// [`variogram_features`], [`svd_features`]) computed concurrently and
-/// merged into one [`Options`]. Each group's values are identical to its
-/// standalone call; only wall-clock changes with the thread count.
+/// [`variogram_features`], [`svd_features`]) computed concurrently over one
+/// shared pass and merged into one [`Options`]. Each group's values are
+/// identical to its standalone call; only wall-clock changes with the
+/// thread count.
 pub fn error_agnostic_all(data: &Data) -> Options {
+    let pass = FeaturePass::new(data);
     let nthreads = pressio_core::threads::resolve(None);
-    let groups: [fn(&Data) -> Options; 3] = [global_stats, variogram_features, svd_features];
+    let groups: [fn(&FeaturePass<'_>) -> Options; 3] =
+        [global_stats, variogram_features, svd_features];
     let results =
-        pressio_core::threads::par_map_indexed(nthreads, groups.len(), |i| groups[i](data));
+        pressio_core::threads::par_map_indexed(nthreads, groups.len(), |i| groups[i](&pass));
     let mut merged = Options::new();
     for r in &results {
         merged.merge_from(r);
@@ -114,9 +259,8 @@ pub fn error_agnostic_all(data: &Data) -> Options {
 /// `cur` is the current chunk. When `cur` spans several outer slices the
 /// statistics are computed against its first slice-sized prefix — the
 /// boundary the chained streaming delta actually codes against.
-pub fn temporal_delta_features(prev: &Data, cur: &Data) -> Options {
-    let prev_values = prev.to_f64_vec();
-    let cur_values = cur.to_f64_vec();
+pub fn temporal_delta_features(prev: &FeaturePass<'_>, cur: &FeaturePass<'_>) -> Options {
+    let (prev_values, cur_values) = (prev.widened(), cur.widened());
     let n = prev_values.len().min(cur_values.len());
     if n == 0 {
         return Options::new();
@@ -134,21 +278,18 @@ pub fn temporal_delta_features(prev: &Data, cur: &Data) -> Options {
 /// Error-dependent quantized entropy (`qent:entropy`), Krasowska's first
 /// regressor: the Shannon entropy of the data after bucketing at the
 /// current absolute error bound.
-pub fn quantized_entropy_features(data: &Data, abs_bound: f64) -> Options {
-    let values = data.to_f64_vec();
-    Options::new().with("qent:entropy", quantized_entropy(&values, abs_bound))
+pub fn quantized_entropy_features(pass: &FeaturePass<'_>, abs_bound: f64) -> Options {
+    Options::new().with("qent:entropy", quantized_entropy(pass.widened(), abs_bound))
 }
 
 /// Error-agnostic Ganguli (2023) feature family (`spatial:*`): spatial
 /// correlation, spatial diversity, spatial smoothness, and coding gain.
-pub fn spatial_features(data: &Data) -> Options {
-    let values = data.to_f64_vec();
-    let dims = data.dims();
-    let s = summarize(&values);
-    let var = s.variance.max(1e-300);
+pub fn spatial_features(pass: &FeaturePass<'_>) -> Options {
+    let values = pass.widened();
+    let var = pass.summary().variance.max(1e-300);
 
     // spatial correlation: 1 − normalized lag-1 semivariance
-    let correlation = (1.0 - variogram_score(&values, dims)).clamp(-1.0, 1.0);
+    let correlation = (1.0 - variogram_score(values, pass.data().dims())).clamp(-1.0, 1.0);
 
     // spatial diversity: coefficient of variation of coarse-block means
     let block = 8usize;
@@ -166,13 +307,11 @@ pub fn spatial_features(data: &Data) -> Options {
         bm.variance.sqrt().min(100.0)
     };
 
-    // spatial smoothness: 1 / (1 + mean |Δ| / sd), lane-strided reduction
-    let (grad_sum, n) = pressio_stats::lanes::sum_abs_diff(&values);
-    let grad = if n > 0 { grad_sum / n as f64 } else { 0.0 };
-    let smoothness = 1.0 / (1.0 + grad / var.sqrt());
+    // spatial smoothness: 1 / (1 + mean |Δ| / sd)
+    let smoothness = 1.0 / (1.0 + pass.mean_abs_diff() / var.sqrt());
 
     // coding gain: variance ratio of the signal to its lag-1 residual
-    let (resid_sum, rn) = pressio_stats::lanes::sum_sq_diff(&values);
+    let (resid_sum, rn) = lanes::sum_sq_diff(values);
     let resid_var = if rn > 0 { resid_sum / rn as f64 } else { 0.0 };
     let coding_gain = if resid_var > 0.0 {
         (var / resid_var).log2().clamp(-10.0, 30.0)
@@ -189,22 +328,23 @@ pub fn spatial_features(data: &Data) -> Options {
 
 /// Error-dependent SZ quantization profile (`quant:*`): runs the cheap
 /// prediction + quantization stages (not the encoder) and summarizes the
-/// symbol stream — the raw material of both the Jin and Khan models.
-pub fn sz_quantization_profile(data: &Data, abs_bound: f64, sample_stride: usize) -> Options {
-    let values = data.to_f64_vec();
-    let dims: Vec<usize>;
-    let sampled: Vec<f64>;
-    let (vals, dims_ref): (&[f64], &[usize]) = if sample_stride > 1 {
-        // stride-decimate to bound the cost (Khan's tightly coupled sampling)
-        let d = Data::from_f64(data.dims().to_vec(), values.clone());
-        let s = pressio_dataset_stride(&d, sample_stride);
-        dims = s.dims().to_vec();
-        sampled = s.to_f64_vec();
-        (&sampled, &dims)
+/// symbol stream — the raw material of both the Jin and Khan models. A
+/// `sample_stride` above 1 stride-decimates first to bound the cost (Khan's
+/// tightly coupled sampling), straight from the typed elements.
+pub fn sz_quantization_profile(
+    pass: &FeaturePass<'_>,
+    abs_bound: f64,
+    sample_stride: usize,
+) -> Options {
+    let dims = pass.data().dims();
+    let qs = if sample_stride > 1 {
+        let kept: Vec<usize> = dims.iter().map(|&d| d.div_ceil(sample_stride)).collect();
+        let sampled = pass.sample(dims, &vec![0; dims.len()], &kept, sample_stride);
+        predict_and_quantize(&sampled, &kept, abs_bound, SzPredictor::Lorenzo, 6, false)
     } else {
-        (&values, data.dims())
+        let values = pass.widened();
+        predict_and_quantize(values, dims, abs_bound, SzPredictor::Lorenzo, 6, false)
     };
-    let qs = predict_and_quantize(vals, dims_ref, abs_bound, SzPredictor::Lorenzo, 6, false);
     let n = qs.symbols.len().max(1);
     let entropy = shannon_entropy_symbols(&qs.symbols);
     let unpred = qs.unpredictable.len() as f64 / n as f64;
@@ -215,37 +355,6 @@ pub fn sz_quantization_profile(data: &Data, abs_bound: f64, sample_stride: usize
         .with("quant:unpredictable_fraction", unpred)
         .with("quant:zero_code_fraction", hit)
         .with("quant:n", n as u64)
-}
-
-// small local stride sampler (avoids a dependency cycle with
-// pressio-dataset, which depends on nothing here but keeps layering clean)
-fn pressio_dataset_stride(data: &Data, stride: usize) -> Data {
-    let s = stride.max(1);
-    let dims = data.dims();
-    let out_dims: Vec<usize> = dims.iter().map(|&d| d.div_ceil(s)).collect();
-    let vals = data.to_f64_vec();
-    let mut strides = vec![1usize; dims.len()];
-    for d in 1..dims.len() {
-        strides[d] = strides[d - 1] * dims[d - 1];
-    }
-    let n: usize = out_dims.iter().product();
-    let mut out = Vec::with_capacity(n);
-    let mut coord = vec![0usize; dims.len()];
-    if n > 0 {
-        'outer: loop {
-            let idx: usize = coord.iter().zip(&strides).map(|(&c, &st)| c * s * st).sum();
-            out.push(vals[idx]);
-            for d in 0..coord.len() {
-                coord[d] += 1;
-                if coord[d] < out_dims[d] {
-                    continue 'outer;
-                }
-                coord[d] = 0;
-            }
-            break;
-        }
-    }
-    Data::from_f64(out_dims, out)
 }
 
 /// Extract a named feature vector from a merged feature [`Options`]
@@ -286,7 +395,7 @@ mod tests {
     #[test]
     fn global_stats_basics() {
         let data = Data::from_f32(vec![4], vec![0.0, 0.0, 2.0, 4.0]);
-        let f = global_stats(&data);
+        let f = global_stats(&FeaturePass::new(&data));
         assert_eq!(f.get_f64("stat:mean").unwrap(), 1.5);
         assert_eq!(f.get_f64("stat:zero_fraction").unwrap(), 0.5);
         assert_eq!(f.get_f64("stat:value_range").unwrap(), 4.0);
@@ -295,8 +404,8 @@ mod tests {
 
     #[test]
     fn smooth_data_scores_compressible_everywhere() {
-        let smooth = smooth_3d(24);
-        let noisy = noise_3d(24);
+        let (smooth, noisy) = (smooth_3d(24), noise_3d(24));
+        let (smooth, noisy) = (FeaturePass::new(&smooth), FeaturePass::new(&noisy));
         let vs = variogram_features(&smooth)
             .get_f64("variogram:score")
             .unwrap();
@@ -315,6 +424,7 @@ mod tests {
     #[test]
     fn quantized_entropy_depends_on_bound() {
         let data = smooth_3d(16);
+        let data = FeaturePass::new(&data);
         let tight = quantized_entropy_features(&data, 1e-6)
             .get_f64("qent:entropy")
             .unwrap();
@@ -326,8 +436,8 @@ mod tests {
 
     #[test]
     fn spatial_features_distinguish_structure() {
-        let smooth = spatial_features(&smooth_3d(24));
-        let noisy = spatial_features(&noise_3d(24));
+        let smooth = spatial_features(&FeaturePass::new(&smooth_3d(24)));
+        let noisy = spatial_features(&FeaturePass::new(&noise_3d(24)));
         assert!(
             smooth.get_f64("spatial:correlation").unwrap()
                 > noisy.get_f64("spatial:correlation").unwrap()
@@ -345,6 +455,7 @@ mod tests {
     #[test]
     fn quant_profile_tracks_bound() {
         let data = smooth_3d(16);
+        let data = FeaturePass::new(&data);
         let tight = sz_quantization_profile(&data, 1e-6, 1);
         let loose = sz_quantization_profile(&data, 1e-2, 1);
         assert!(
@@ -360,6 +471,7 @@ mod tests {
     #[test]
     fn quant_profile_sampling_reduces_n() {
         let data = smooth_3d(16);
+        let data = FeaturePass::new(&data);
         let full = sz_quantization_profile(&data, 1e-4, 1);
         let sampled = sz_quantization_profile(&data, 1e-4, 4);
         let nf = full.get_u64("quant:n").unwrap();
@@ -378,7 +490,7 @@ mod tests {
         let data = smooth_3d(16);
         let merged = error_agnostic_all(&data);
         for group in [global_stats, variogram_features, svd_features] {
-            let standalone = group(&data);
+            let standalone = group(&FeaturePass::new(&data));
             for key in standalone.keys() {
                 assert_eq!(
                     merged.get_f64(key).ok(),
@@ -387,6 +499,78 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A rank-1 buffer goes through the square-matrix path, which used to
+    /// hand its NaN to the singular-value sort and panic there.
+    #[test]
+    fn svd_masks_non_finite_on_the_degenerate_path() {
+        let mut values: Vec<f32> = (0..64).map(|i| (i as f32 * 0.3).sin()).collect();
+        let clean = Data::from_f32(vec![64], values.clone());
+        values[1] = f32::NAN;
+        values[40] = f32::NEG_INFINITY;
+        let dirty = Data::from_f32(vec![64], values.clone());
+        values[1] = 0.0;
+        values[40] = 0.0;
+        let zeroed = Data::from_f32(vec![64], values);
+        let svd = |d: &Data| svd_features(&FeaturePass::new(d)).get_f64("svd:truncation");
+        assert_eq!(svd(&dirty).unwrap(), svd(&zeroed).unwrap());
+        assert!(svd(&clean).unwrap().is_finite());
+    }
+
+    /// `sample` is `slice_block` then widen for a block, and every
+    /// `step`-th element per axis for a decimation.
+    #[test]
+    fn sample_gathers_blocks_and_lattices_from_the_typed_elements() {
+        let dims = vec![7usize, 5, 3, 2];
+        let n: usize = dims.iter().product();
+        let data = Data::from_i32(dims.clone(), (0..n as i32).map(|i| i * 3 - 50).collect());
+        let pass = FeaturePass::new(&data);
+        let (origin, shape) = ([2usize, 1, 0, 1], [4usize, 3, 3, 1]);
+        assert_eq!(
+            pass.sample(&dims, &origin, &shape, 1),
+            data.slice_block(&origin, &shape).unwrap().to_f64_vec()
+        );
+        // the same buffer seen collapsed to three dimensions
+        let collapsed = [7usize, 5, 6];
+        let whole = Data::from_f64(collapsed.to_vec(), data.to_f64_vec());
+        assert_eq!(
+            pass.sample(&collapsed, &[1, 2, 3], &[4, 2, 3], 1),
+            whole
+                .slice_block(&[1, 2, 3], &[4, 2, 3])
+                .unwrap()
+                .to_f64_vec()
+        );
+        let kept = [3usize, 2, 1, 1];
+        let mut lattice = Vec::new();
+        for y in 0..kept[1] {
+            for x in 0..kept[0] {
+                lattice.push(data.to_f64_vec()[3 * x + 3 * y * dims[0]]);
+            }
+        }
+        assert_eq!(pass.sample(&dims, &[0; 4], &kept, 3), lattice);
+        assert!(pass.sample(&[0], &[0], &[0], 1).is_empty());
+    }
+
+    /// Both stages of a scheme on one pass read the buffer once: the sweep,
+    /// the second moment and the widened copy are each made a single time,
+    /// and an `f64` buffer is never copied at all.
+    #[test]
+    fn a_pass_computes_each_statistic_once_and_shares_one_widened_copy() {
+        let data = smooth_3d(8);
+        let pass = FeaturePass::new(&data);
+        let first = pass.widened().as_ptr();
+        variogram_features(&pass);
+        quantized_entropy_features(&pass, 1e-3);
+        assert_eq!(pass.widened().as_ptr(), first);
+        assert!(std::ptr::eq(pass.summary(), pass.summary()));
+        let s = pass.summary();
+        assert_eq!(*s, summarize(&data.to_f64_vec()));
+        assert_eq!(pass.value_range(), s.max - s.min);
+
+        let wide = Data::from_f64(vec![4], vec![1.0, 2.0, 4.0, 8.0]);
+        let pass = FeaturePass::new(&wide);
+        assert_eq!(pass.widened().as_ptr(), wide.as_f64().unwrap().as_ptr());
     }
 
     #[test]
@@ -400,6 +584,7 @@ mod tests {
     #[test]
     fn degenerate_inputs_do_not_panic() {
         let tiny = Data::from_f32(vec![1], vec![3.0]);
+        let tiny = FeaturePass::new(&tiny);
         let _ = global_stats(&tiny);
         let _ = variogram_features(&tiny);
         let _ = svd_features(&tiny);
@@ -411,6 +596,7 @@ mod tests {
     #[test]
     fn temporal_features_track_correlation() {
         let prev = Data::from_f32(vec![16], (0..16).map(|i| (i as f32 * 0.3).sin()).collect());
+        let prev = FeaturePass::new(&prev);
         let same = temporal_delta_features(&prev, &prev);
         assert_eq!(same.get_f64("temporal:mean_abs_delta").unwrap(), 0.0);
         assert!((same.get_f64("temporal:correlation").unwrap() - 1.0).abs() < 1e-9);
@@ -420,7 +606,7 @@ mod tests {
             vec![16, 2],
             (0..32).map(|i| (i as f32 * 0.3).sin() + 0.5).collect(),
         );
-        let shifted = temporal_delta_features(&prev, &chunk);
+        let shifted = temporal_delta_features(&prev, &FeaturePass::new(&chunk));
         assert!((shifted.get_f64("temporal:mean_abs_delta").unwrap() - 0.5).abs() < 1e-6);
         assert!((shifted.get_f64("temporal:delta_range").unwrap()).abs() < 1e-6);
     }

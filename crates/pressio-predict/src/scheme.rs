@@ -3,6 +3,7 @@
 //! factory for the matching predictor — so applications can switch methods
 //! without knowing their internals (Figure 4).
 
+use crate::features::FeaturePass;
 use crate::predictor::Predictor;
 use pressio_core::error::Result;
 use pressio_core::{Compressor, Data, Options};
@@ -58,14 +59,36 @@ pub trait Scheme: Send {
     /// Table 2 is N/A).
     fn supports(&self, compressor_id: &str) -> bool;
 
-    /// Compute the error-agnostic features (depend only on the data).
-    /// Schemes without any return an empty structure.
-    fn error_agnostic_features(&self, data: &Data) -> Result<Options>;
+    /// Compute the error-agnostic features (depend only on the data) from
+    /// a buffer's feature pass. Schemes without any return an empty
+    /// structure.
+    fn error_agnostic_from(&self, pass: &FeaturePass<'_>) -> Result<Options>;
 
     /// Compute the error-dependent features (depend on error-affecting
-    /// compressor settings, notably `pressio:abs`).
-    fn error_dependent_features(&self, data: &Data, compressor: &dyn Compressor)
-        -> Result<Options>;
+    /// compressor settings, notably `pressio:abs`) from a buffer's feature
+    /// pass. Handed the pass the error-agnostic stage ran on, it re-reads
+    /// nothing that stage already worked out.
+    fn error_dependent_from(
+        &self,
+        pass: &FeaturePass<'_>,
+        compressor: &dyn Compressor,
+    ) -> Result<Options>;
+
+    /// [`Scheme::error_agnostic_from`] on a pass of its own, for a caller
+    /// that runs this stage alone.
+    fn error_agnostic_features(&self, data: &Data) -> Result<Options> {
+        self.error_agnostic_from(&FeaturePass::new(data))
+    }
+
+    /// [`Scheme::error_dependent_from`] on a pass of its own, for a caller
+    /// that runs this stage alone.
+    fn error_dependent_features(
+        &self,
+        data: &Data,
+        compressor: &dyn Compressor,
+    ) -> Result<Options> {
+        self.error_dependent_from(&FeaturePass::new(data), compressor)
+    }
 
     /// Collect the training-only observation for one dataset — by default
     /// the ground truth: run the compressor and return the actual ratio.
@@ -137,12 +160,12 @@ mod tests {
         fn supports(&self, id: &str) -> bool {
             id == "sz3"
         }
-        fn error_agnostic_features(&self, _data: &Data) -> Result<Options> {
+        fn error_agnostic_from(&self, _pass: &FeaturePass<'_>) -> Result<Options> {
             Ok(Options::new())
         }
-        fn error_dependent_features(
+        fn error_dependent_from(
             &self,
-            _data: &Data,
+            _pass: &FeaturePass<'_>,
             _compressor: &dyn Compressor,
         ) -> Result<Options> {
             Ok(Options::new().with("dummy:ratio", 2.0))

@@ -5,11 +5,11 @@
 //! on the estimate — the "bounded" feature of Table 1 that makes it suited
 //! to the HDF5 parallel-write use case (§2.1).
 
-use crate::features::{quantized_entropy_features, spatial_features};
+use crate::features::{quantized_entropy_features, spatial_features, FeaturePass};
 use crate::predictor::{ConformalForestPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use pressio_core::error::Result;
-use pressio_core::{Compressor, Data, Options};
+use pressio_core::{Compressor, Options};
 
 /// The Ganguli (2023) bounded-estimation scheme.
 #[derive(Default)]
@@ -34,18 +34,18 @@ impl Scheme for GanguliScheme {
         true
     }
 
-    fn error_agnostic_features(&self, data: &Data) -> Result<Options> {
-        Ok(spatial_features(data))
+    fn error_agnostic_from(&self, pass: &FeaturePass<'_>) -> Result<Options> {
+        Ok(spatial_features(pass))
     }
 
-    fn error_dependent_features(
+    fn error_dependent_from(
         &self,
-        data: &Data,
+        pass: &FeaturePass<'_>,
         compressor: &dyn Compressor,
     ) -> Result<Options> {
         // "general distortion" term: entropy after quantization at the bound
         let abs = compressor.get_options().get_f64("pressio:abs")?;
-        Ok(quantized_entropy_features(data, abs))
+        Ok(quantized_entropy_features(pass, abs))
     }
 
     fn make_predictor(&self) -> Box<dyn Predictor> {
@@ -66,6 +66,7 @@ impl Scheme for GanguliScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pressio_core::Data;
     use pressio_core::Options as Opts;
     use pressio_sz::SzCompressor;
 

@@ -5,11 +5,12 @@
 //! expensive encoder. SZ-specific by construction — its ZFP cell in
 //! Table 2 is N/A.
 
+use crate::features::FeaturePass;
 use crate::predictor::{IdentityPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use crate::schemes::szmodel::estimate_sz_size_bytes;
 use pressio_core::error::Result;
-use pressio_core::{Compressor, Data, Options};
+use pressio_core::{Compressor, Options};
 use pressio_sz::{predict_and_quantize, Predictor as SzPredictor};
 
 /// The Jin (2022) calculation-based scheme.
@@ -38,9 +39,10 @@ impl JinScheme {
     /// match tokens, with a capped-match correction for very long runs.
     /// The smaller of the Huffman and dictionary estimates is used, so the
     /// correction only engages where repetition actually helps.
-    fn predicted_ratio(&self, data: &Data, abs_bound: f64) -> f64 {
-        let values = data.to_f64_vec();
-        let qs = predict_and_quantize(&values, data.dims(), abs_bound, self.sz_predictor, 6, false);
+    fn predicted_ratio(&self, pass: &FeaturePass<'_>, abs_bound: f64) -> f64 {
+        let data = pass.data();
+        let values = pass.widened();
+        let qs = predict_and_quantize(values, data.dims(), abs_bound, self.sz_predictor, 6, false);
         let n = qs.symbols.len().max(1);
         let unpred_frac = qs.unpredictable.len() as f64 / n as f64;
         let size = estimate_sz_size_bytes(&qs.symbols, n, unpred_frac, data.dtype().size());
@@ -71,13 +73,13 @@ impl Scheme for JinScheme {
         compressor_id == "sz3"
     }
 
-    fn error_agnostic_features(&self, _data: &Data) -> Result<Options> {
+    fn error_agnostic_from(&self, _pass: &FeaturePass<'_>) -> Result<Options> {
         Ok(Options::new())
     }
 
-    fn error_dependent_features(
+    fn error_dependent_from(
         &self,
-        data: &Data,
+        pass: &FeaturePass<'_>,
         compressor: &dyn Compressor,
     ) -> Result<Options> {
         if !self.supports(compressor.id()) {
@@ -87,7 +89,7 @@ impl Scheme for JinScheme {
             )));
         }
         let abs = compressor.get_options().get_f64("pressio:abs")?;
-        Ok(Options::new().with("jin:predicted_ratio", self.predicted_ratio(data, abs)))
+        Ok(Options::new().with("jin:predicted_ratio", self.predicted_ratio(pass, abs)))
     }
 
     fn make_predictor(&self) -> Box<dyn Predictor> {
@@ -102,6 +104,7 @@ impl Scheme for JinScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pressio_core::Data;
     use pressio_core::Options as Opts;
     use pressio_sz::SzCompressor;
     use pressio_zfp::ZfpCompressor;

@@ -4,10 +4,11 @@
 //! costs a few percent of a real compression (Table 2: ~5 ms vs 322 ms).
 //! Gray-box: uses compressor internals for both SZ and ZFP.
 
+use crate::features::FeaturePass;
 use crate::predictor::{IdentityPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use pressio_core::error::Result;
-use pressio_core::{Compressor, Data, Options};
+use pressio_core::{Compressor, Options};
 use pressio_lossless::huffman::{histogram, Codebook};
 use pressio_lossless::BitWriter;
 use pressio_sz::{predict_and_quantize, Predictor as SzPredictor};
@@ -62,7 +63,8 @@ impl KhanScheme {
 
     /// SZ surrogate: quantize sampled blocks (stage 1–2), model the encoder
     /// (stage 3) by Huffman expected code length of the pooled histogram.
-    fn estimate_sz(&self, data: &Data, abs: f64) -> Result<f64> {
+    fn estimate_sz(&self, pass: &FeaturePass<'_>, abs: f64) -> f64 {
+        let data = pass.data();
         let dims = data.dims();
         let shape: Vec<usize> = dims.iter().map(|&d| d.min(self.block_edge)).collect();
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -70,10 +72,8 @@ impl KhanScheme {
         let mut unpred = 0usize;
         let mut total = 0usize;
         for origin in self.sample_origins(dims, &shape, 1, &mut rng) {
-            let block = data.slice_block(&origin, &shape)?;
-            let values = block.to_f64_vec();
-            let qs =
-                predict_and_quantize(&values, block.dims(), abs, SzPredictor::Lorenzo, 6, false);
+            let values = pass.sample(dims, &origin, &shape, 1);
+            let qs = predict_and_quantize(&values, &shape, abs, SzPredictor::Lorenzo, 6, false);
             unpred += qs.unpredictable.len();
             total += qs.symbols.len();
             symbols.extend(qs.symbols);
@@ -87,12 +87,13 @@ impl KhanScheme {
             + n * unpred_frac * data.dtype().size() as f64
             + freqs.len() as f64 * 38.0 / 8.0
             + 76.0;
-        Ok(data.size_in_bytes() as f64 / size.max(1.0))
+        data.size_in_bytes() as f64 / size.max(1.0)
     }
 
     /// ZFP surrogate: run the real per-block coder on a sample of aligned
     /// 4^d blocks and extrapolate bits/value to the whole volume.
-    fn estimate_zfp(&self, data: &Data, abs: f64) -> Result<f64> {
+    fn estimate_zfp(&self, pass: &FeaturePass<'_>, abs: f64) -> f64 {
+        let data = pass.data();
         let dims = data.dims();
         let d = dims.len().clamp(1, 3);
         let shape: Vec<usize> = dims.iter().take(3).map(|&v| v.min(4)).collect();
@@ -106,13 +107,11 @@ impl KhanScheme {
                 v
             }
         };
-        let full = Data::from_f64(nd.clone(), data.to_f64_vec());
         let mut bits = 0usize;
         let mut samples = 0usize;
         for origin in self.sample_origins(&nd, &shape, 4, &mut rng) {
-            let block = full.slice_block(&origin, &shape)?;
             // pad to a full 4^d block by edge replication, as the codec does
-            let padded = pad_block(&block.to_f64_vec(), block.dims(), d);
+            let padded = pad_block(&pass.sample(&nd, &origin, &shape, 1), &shape, d);
             let mut w = BitWriter::new();
             encode_block(&padded, d, Mode::Accuracy(abs), &mut w);
             bits += w.len_bits();
@@ -122,7 +121,7 @@ impl KhanScheme {
         let bits_per_value = bits as f64 / (samples * block_elems).max(1) as f64;
         let n = data.num_elements() as f64;
         let size = n * bits_per_value / 8.0 + 96.0;
-        Ok(data.size_in_bytes() as f64 / size.max(1.0))
+        data.size_in_bytes() as f64 / size.max(1.0)
     }
 }
 
@@ -166,19 +165,19 @@ impl Scheme for KhanScheme {
         matches!(compressor_id, "sz3" | "zfp")
     }
 
-    fn error_agnostic_features(&self, _data: &Data) -> Result<Options> {
+    fn error_agnostic_from(&self, _pass: &FeaturePass<'_>) -> Result<Options> {
         Ok(Options::new())
     }
 
-    fn error_dependent_features(
+    fn error_dependent_from(
         &self,
-        data: &Data,
+        pass: &FeaturePass<'_>,
         compressor: &dyn Compressor,
     ) -> Result<Options> {
         let abs = compressor.get_options().get_f64("pressio:abs")?;
         let ratio = match compressor.id() {
-            "sz3" => self.estimate_sz(data, abs)?,
-            "zfp" => self.estimate_zfp(data, abs)?,
+            "sz3" => self.estimate_sz(pass, abs),
+            "zfp" => self.estimate_zfp(pass, abs),
             other => {
                 return Err(pressio_core::Error::Unsupported(format!(
                     "khan2023 models sz3/zfp, not '{other}'"
@@ -200,6 +199,7 @@ impl Scheme for KhanScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pressio_core::Data;
     use pressio_core::Options as Opts;
     use pressio_sz::SzCompressor;
     use pressio_zfp::ZfpCompressor;

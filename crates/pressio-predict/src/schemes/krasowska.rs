@@ -2,11 +2,11 @@
 //! (Krasowska 2021, DRBSD-7): the first fully black-box predictor, using no
 //! compressor internals beyond the notion of an absolute error bound.
 
-use crate::features::{quantized_entropy_features, variogram_features};
+use crate::features::{quantized_entropy_features, variogram_features, FeaturePass};
 use crate::predictor::{LinearPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use pressio_core::error::Result;
-use pressio_core::{Compressor, Data, Options};
+use pressio_core::{Compressor, Options};
 
 /// The Krasowska (2021) black-box regression scheme.
 #[derive(Default)]
@@ -31,17 +31,17 @@ impl Scheme for KrasowskaScheme {
         true // fully black-box
     }
 
-    fn error_agnostic_features(&self, data: &Data) -> Result<Options> {
-        Ok(variogram_features(data))
+    fn error_agnostic_from(&self, pass: &FeaturePass<'_>) -> Result<Options> {
+        Ok(variogram_features(pass))
     }
 
-    fn error_dependent_features(
+    fn error_dependent_from(
         &self,
-        data: &Data,
+        pass: &FeaturePass<'_>,
         compressor: &dyn Compressor,
     ) -> Result<Options> {
         let abs = compressor.get_options().get_f64("pressio:abs")?;
-        Ok(quantized_entropy_features(data, abs))
+        Ok(quantized_entropy_features(pass, abs))
     }
 
     fn make_predictor(&self) -> Box<dyn Predictor> {
@@ -56,6 +56,7 @@ impl Scheme for KrasowskaScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pressio_core::Data;
     use pressio_core::Options as Opts;
     use pressio_sz::SzCompressor;
 

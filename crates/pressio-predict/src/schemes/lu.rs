@@ -3,11 +3,11 @@
 //! trained per compressor (Table 1: training + sampling, not black-box,
 //! accurate).
 
-use crate::features::{global_stats, sz_quantization_profile};
+use crate::features::{global_stats, sz_quantization_profile, FeaturePass};
 use crate::predictor::{GpPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use pressio_core::error::Result;
-use pressio_core::{Compressor, Data, Options};
+use pressio_core::{Compressor, Options};
 
 /// The Lu (2018) Gaussian-process scheme.
 pub struct LuScheme {
@@ -40,18 +40,18 @@ impl Scheme for LuScheme {
         matches!(compressor_id, "sz3" | "zfp")
     }
 
-    fn error_agnostic_features(&self, data: &Data) -> Result<Options> {
-        Ok(global_stats(data))
+    fn error_agnostic_from(&self, pass: &FeaturePass<'_>) -> Result<Options> {
+        Ok(global_stats(pass))
     }
 
-    fn error_dependent_features(
+    fn error_dependent_from(
         &self,
-        data: &Data,
+        pass: &FeaturePass<'_>,
         compressor: &dyn Compressor,
     ) -> Result<Options> {
         let abs = compressor.get_options().get_f64("pressio:abs")?;
         // internals-derived features: the sampled quantization profile
-        let mut f = sz_quantization_profile(data, abs, self.sample_stride);
+        let mut f = sz_quantization_profile(pass, abs, self.sample_stride);
         f.set("lu:log_abs", abs.max(1e-300).log10());
         Ok(f)
     }
@@ -75,6 +75,7 @@ impl Scheme for LuScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pressio_core::Data;
     use pressio_core::Options as Opts;
     use pressio_sz::SzCompressor;
 

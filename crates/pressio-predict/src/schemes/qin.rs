@@ -3,11 +3,11 @@
 //! Lu (2018) fed to a small MLP (Table 1: deep learning, accurate,
 //! training + sampling, not black-box).
 
-use crate::features::{global_stats, sz_quantization_profile};
+use crate::features::{global_stats, sz_quantization_profile, FeaturePass};
 use crate::predictor::{MlpPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use pressio_core::error::Result;
-use pressio_core::{Compressor, Data, Options};
+use pressio_core::{Compressor, Options};
 
 /// The Qin (2020) deep-learning scheme.
 pub struct QinScheme {
@@ -40,17 +40,17 @@ impl Scheme for QinScheme {
         matches!(compressor_id, "sz3" | "zfp")
     }
 
-    fn error_agnostic_features(&self, data: &Data) -> Result<Options> {
-        Ok(global_stats(data))
+    fn error_agnostic_from(&self, pass: &FeaturePass<'_>) -> Result<Options> {
+        Ok(global_stats(pass))
     }
 
-    fn error_dependent_features(
+    fn error_dependent_from(
         &self,
-        data: &Data,
+        pass: &FeaturePass<'_>,
         compressor: &dyn Compressor,
     ) -> Result<Options> {
         let abs = compressor.get_options().get_f64("pressio:abs")?;
-        let mut f = sz_quantization_profile(data, abs, self.sample_stride);
+        let mut f = sz_quantization_profile(pass, abs, self.sample_stride);
         f.set("qin:log_abs", abs.max(1e-300).log10());
         Ok(f)
     }
@@ -75,6 +75,7 @@ impl Scheme for QinScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pressio_core::Data;
     use pressio_core::Options as Opts;
     use pressio_sz::SzCompressor;
 

@@ -5,11 +5,11 @@
 //! on Hurricane (§6); here that is the `stat:zero_fraction` feature family,
 //! which the ablation bench can disable.
 
-use crate::features::global_stats;
+use crate::features::{global_stats, FeaturePass};
 use crate::predictor::{ForestPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use pressio_core::error::Result;
-use pressio_core::{Compressor, Data, Options};
+use pressio_core::{Compressor, Options};
 
 /// The Rahman (2023) FXRZ scheme.
 pub struct RahmanScheme {
@@ -45,16 +45,6 @@ impl RahmanScheme {
     }
 }
 
-/// The finite value range the relative bound divides by, floored away
-/// from zero (0 for a buffer with no finite value). Recomputed here, not
-/// read from the agnostic stats, so the stage stays self-contained — but
-/// in the one pass that yields min and max, not a whole `summarize`.
-fn value_range(values: &[f64]) -> f64 {
-    let (count, _sum, min, max, _zeros) = pressio_stats::lanes::sum_min_max_zeros(values);
-    let range = if count == 0 { 0.0 } else { max - min };
-    range.max(1e-300)
-}
-
 impl Scheme for RahmanScheme {
     fn info(&self) -> SchemeInfo {
         SchemeInfo {
@@ -75,16 +65,17 @@ impl Scheme for RahmanScheme {
         matches!(compressor_id, "sz3" | "zfp")
     }
 
-    fn error_agnostic_features(&self, data: &Data) -> Result<Options> {
-        Ok(global_stats(data))
+    fn error_agnostic_from(&self, pass: &FeaturePass<'_>) -> Result<Options> {
+        Ok(global_stats(pass))
     }
 
     /// The "error-dependent" inputs cost nothing: they come from the
-    /// requested settings, not from re-touching the data — which is why the
+    /// requested settings and the value range the pass's first sweep has
+    /// already found, not from re-touching the data — which is why the
     /// paper's Table 2 lists FXRZ's error-dependent stage as N/A.
-    fn error_dependent_features(
+    fn error_dependent_from(
         &self,
-        data: &Data,
+        pass: &FeaturePass<'_>,
         compressor: &dyn Compressor,
     ) -> Result<Options> {
         let abs = compressor.get_options().get_f64("pressio:abs")?;
@@ -92,7 +83,8 @@ impl Scheme for RahmanScheme {
             .with("rahman:log_abs", abs.max(1e-300).log10())
             .with(
                 "rahman:log_rel_bound",
-                (abs / value_range(&data.to_f64_vec())).max(1e-300).log10(),
+                // the range floored away from zero (0 with no finite value)
+                (abs / pass.value_range().max(1e-300)).max(1e-300).log10(),
             ))
     }
 
@@ -110,6 +102,7 @@ impl Scheme for RahmanScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pressio_core::Data;
     use pressio_core::Options as Opts;
     use pressio_sz::SzCompressor;
 
@@ -199,8 +192,10 @@ mod tests {
         assert!(f.get_f64("rahman:log_rel_bound").unwrap() < 0.0);
     }
 
-    /// `rahman:log_rel_bound` came from `summarize` (two passes) before it
-    /// came from `sum_min_max_zeros` alone: bit for bit the same feature.
+    /// `rahman:log_rel_bound` came from `summarize` of a widened copy before
+    /// it came from the pass's first sweep of the typed buffer: bit for bit
+    /// the same feature, on a pass of its own or on the one the
+    /// error-agnostic stage has already run on.
     #[test]
     fn log_rel_bound_matches_the_summarize_expression() {
         let dense: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.37).sin() * 12.5).collect();
@@ -215,6 +210,8 @@ mod tests {
             with_non_finite,
             vec![f32::NAN; 9],
             vec![1e-30, -1e-30],
+            vec![-0.0; 33],
+            vec![0.0, -0.0, 0.0, f32::NAN, -0.0, 0.0, 0.0, 0.0, -0.0, 0.0],
         ];
         let scheme = RahmanScheme::default();
         for values in buffers {
@@ -231,6 +228,15 @@ mod tests {
                     .get_f64("rahman:log_rel_bound")
                     .unwrap();
                 assert_eq!(new.to_bits(), old.to_bits(), "abs={abs} {values:?}");
+                let pass = FeaturePass::new(&data);
+                let agnostic = scheme.error_agnostic_from(&pass).unwrap();
+                assert_eq!(agnostic, scheme.error_agnostic_features(&data).unwrap());
+                let shared = scheme.error_dependent_from(&pass, &sz).unwrap();
+                assert_eq!(
+                    shared.get_f64("rahman:log_rel_bound").unwrap().to_bits(),
+                    old.to_bits(),
+                    "shared pass, abs={abs} {values:?}"
+                );
             }
         }
     }

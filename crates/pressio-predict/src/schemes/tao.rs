@@ -3,10 +3,11 @@
 //! compressor and report the average ratio. No training, not very accurate,
 //! but only needs to preserve the ranking between compressors (§2.2).
 
+use crate::features::FeaturePass;
 use crate::predictor::{IdentityPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use pressio_core::error::Result;
-use pressio_core::{Compressor, Data, Options};
+use pressio_core::{Compressor, Options};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,15 +54,16 @@ impl Scheme for TaoScheme {
         true // trial-based: works with any compressor
     }
 
-    fn error_agnostic_features(&self, _data: &Data) -> Result<Options> {
+    fn error_agnostic_from(&self, _pass: &FeaturePass<'_>) -> Result<Options> {
         Ok(Options::new())
     }
 
-    fn error_dependent_features(
+    fn error_dependent_from(
         &self,
-        data: &Data,
+        pass: &FeaturePass<'_>,
         compressor: &dyn Compressor,
     ) -> Result<Options> {
+        let data = pass.data();
         let dims = data.dims();
         let shape: Vec<usize> = dims.iter().map(|&d| d.min(self.block_edge)).collect();
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -100,6 +102,7 @@ impl Scheme for TaoScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pressio_core::Data;
     use pressio_sz::SzCompressor;
 
     fn smooth(n: usize) -> Data {

@@ -5,11 +5,11 @@
 //! ~771 ms vs <43 ms error-dependent), so it pays off when many predictions
 //! reuse the same data — the invalidation-reuse case the paper highlights.
 
-use crate::features::{quantized_entropy_features, svd_features};
+use crate::features::{quantized_entropy_features, svd_features, FeaturePass};
 use crate::predictor::{Predictor, SplinePredictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use pressio_core::error::Result;
-use pressio_core::{Compressor, Data, Options};
+use pressio_core::{Compressor, Options};
 
 /// The Underwood (2023) SVD + spline scheme.
 #[derive(Default)]
@@ -34,17 +34,17 @@ impl Scheme for UnderwoodScheme {
         true
     }
 
-    fn error_agnostic_features(&self, data: &Data) -> Result<Options> {
-        Ok(svd_features(data))
+    fn error_agnostic_from(&self, pass: &FeaturePass<'_>) -> Result<Options> {
+        Ok(svd_features(pass))
     }
 
-    fn error_dependent_features(
+    fn error_dependent_from(
         &self,
-        data: &Data,
+        pass: &FeaturePass<'_>,
         compressor: &dyn Compressor,
     ) -> Result<Options> {
         let abs = compressor.get_options().get_f64("pressio:abs")?;
-        Ok(quantized_entropy_features(data, abs))
+        Ok(quantized_entropy_features(pass, abs))
     }
 
     fn make_predictor(&self) -> Box<dyn Predictor> {
@@ -63,6 +63,7 @@ impl Scheme for UnderwoodScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pressio_core::Data;
     use pressio_core::Options as Opts;
     use pressio_sz::SzCompressor;
     use std::time::Instant;

@@ -6,6 +6,7 @@
 //! "what would SZ achieve with an interpolation predictor on this data?" —
 //! letting compressor designers discard unfruitful designs early (§2.1).
 
+use crate::features::FeaturePass;
 use crate::predictor::{IdentityPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use crate::schemes::szmodel::estimate_sz_size_bytes;
@@ -46,6 +47,7 @@ impl WangScheme {
     /// Estimate the ratio an SZ pipeline with `design` as its prediction
     /// stage would achieve — without running that pipeline end to end.
     pub fn estimate_design(&self, data: &Data, abs: f64, design: SzPredictor) -> Result<f64> {
+        let pass = FeaturePass::new(data);
         let dims = data.dims();
         let shape: Vec<usize> = dims.iter().map(|&d| d.min(self.block_edge)).collect();
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -64,9 +66,8 @@ impl WangScheme {
                     }
                 })
                 .collect();
-            let block = data.slice_block(&origin, &shape)?;
-            let values = block.to_f64_vec();
-            let qs = predict_and_quantize(&values, block.dims(), abs, design, 6, false);
+            let values = pass.sample(dims, &origin, &shape, 1);
+            let qs = predict_and_quantize(&values, &shape, abs, design, 6, false);
             unpred += qs.unpredictable.len();
             total += qs.symbols.len();
             symbols.extend(qs.symbols);
@@ -103,16 +104,16 @@ impl Scheme for WangScheme {
         compressor_id == "sz3"
     }
 
-    fn error_agnostic_features(&self, _data: &Data) -> Result<Options> {
+    fn error_agnostic_from(&self, _pass: &FeaturePass<'_>) -> Result<Options> {
         Ok(Options::new())
     }
 
     /// Evaluates *all* prediction-stage designs: `wang:predicted_ratio` is
     /// the estimate for the compressor's configured design, and
     /// `wang:predicted_ratio_<design>` are the counterfactuals.
-    fn error_dependent_features(
+    fn error_dependent_from(
         &self,
-        data: &Data,
+        pass: &FeaturePass<'_>,
         compressor: &dyn Compressor,
     ) -> Result<Options> {
         if !self.supports(compressor.id()) {
@@ -128,7 +129,7 @@ impl Scheme for WangScheme {
         let mut best = f64::MIN;
         let mut configured_ratio = None;
         for design in DESIGNS {
-            let ratio = self.estimate_design(data, abs, design)?;
+            let ratio = self.estimate_design(pass.data(), abs, design)?;
             out.set(format!("wang:predicted_ratio_{}", design.name()), ratio);
             best = best.max(ratio);
             if design.name() == configured {

@@ -5,7 +5,8 @@
 //! Every op that predicts (`predict`, `stream.chunk`) or collects samples
 //! to fit (`train`) resolves who answers through [`resolve_target`],
 //! builds its compressor through [`compressor`] and extracts through
-//! [`with_dependent`]. The batch handler runs three stages: a serial
+//! [`with_dependent`], both stages of a buffer on one
+//! [`FeaturePass`]. The batch handler runs three stages: a serial
 //! **prepare** (hash, prediction-cache probe — hits answer here — then
 //! decode and feature-cache probes), a coalesced parallel **extract** over
 //! the misses, and a serial **finalize** (merge, predict, reply).
@@ -16,6 +17,7 @@ use crate::server::{respond, LoadedModel, ServerState, Stat};
 use pressio_core::error::{Error, Result};
 use pressio_core::{threads, Compressor, Data, Options};
 use pressio_predict::evaluator::CachedEvaluator;
+use pressio_predict::features::FeaturePass;
 use pressio_predict::{standard_compressors, standard_schemes, Scheme};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -89,16 +91,17 @@ pub(crate) fn scheme_for(scheme_name: &str, comp_id: &str) -> Result<Box<dyn Sch
 }
 
 /// Fig. 4's second stage over its first: `comp`'s error-dependent
-/// features for `data` merged onto the error-agnostic ones — the vector a
-/// predictor consumes. Callers hold the agnostic half across compressor
-/// settings (a training sweep over bounds).
+/// features merged onto the error-agnostic ones of the same `pass` — the
+/// vector a predictor consumes. Callers hold the agnostic half, and the
+/// pass it was read through, across compressor settings (a training sweep
+/// over bounds).
 pub(crate) fn with_dependent(
     scheme: &dyn Scheme,
     mut agnostic: Options,
-    data: &Data,
+    pass: &FeaturePass<'_>,
     comp: &dyn Compressor,
 ) -> Result<Options> {
-    agnostic.merge_from(&scheme.error_dependent_features(data, comp)?);
+    agnostic.merge_from(&scheme.error_dependent_from(pass, comp)?);
     Ok(agnostic)
 }
 
@@ -129,6 +132,8 @@ struct Prep {
     item: WorkItem,
     data: Data,
     comp: Box<dyn Compressor>,
+    /// Content hash of `data`: requests with the same one share a pass.
+    data_sha: String,
     pred_key: String,
     agnostic_key: String,
     dependent_key: String,
@@ -226,6 +231,7 @@ fn prepare(state: &ServerState, target: &LoadedModel, mut item: WorkItem) -> Opt
         item,
         data,
         comp,
+        data_sha,
         pred_key,
         agnostic_key,
         dependent_key,
@@ -235,21 +241,27 @@ fn prepare(state: &ServerState, target: &LoadedModel, mut item: WorkItem) -> Opt
 /// Coalesced parallel extraction: identical buffers submitted by
 /// different connections in the same batch share a cache key, so each
 /// unique (key → extraction) job runs exactly once regardless of how many
-/// requests need it. The first prep needing a key owns the job.
+/// requests need it. The first prep needing a key owns the job. Every job
+/// on a buffer — both stages, and the dependent stage at each distinct
+/// bound — reads it through that buffer's one [`FeaturePass`].
 fn extract(state: &ServerState, scheme_name: &str, preps: &[Prep]) -> Extracted {
-    // (cache key, owning prep, whether it is the error-dependent stage)
-    let mut jobs: Vec<(&str, &Prep, bool)> = Vec::new();
+    let mut passes: HashMap<&str, FeaturePass<'_>> = HashMap::new();
+    // (cache key, buffer, the compressor when it is the error-dependent stage)
+    let mut jobs: Vec<(&str, &str, Option<&dyn Compressor>)> = Vec::new();
     let mut needed = 0u64;
     let mut claimed: HashSet<&str> = HashSet::new();
     for p in preps {
-        for (cached, key, dependent) in [
-            (&p.agnostic, &p.agnostic_key, false),
-            (&p.dependent, &p.dependent_key, true),
+        for (cached, key, comp) in [
+            (&p.agnostic, &p.agnostic_key, None),
+            (&p.dependent, &p.dependent_key, Some(p.comp.as_ref())),
         ] {
             if cached.is_none() {
                 needed += 1;
                 if claimed.insert(key) {
-                    jobs.push((key, p, dependent));
+                    passes
+                        .entry(&p.data_sha)
+                        .or_insert_with(|| FeaturePass::new(&p.data));
+                    jobs.push((key, &p.data_sha, comp));
                 }
             }
         }
@@ -262,12 +274,11 @@ fn extract(state: &ServerState, scheme_name: &str, preps: &[Prep]) -> Extracted 
     // construction; schemes are not `Sync`) so the closure stays `Sync`.
     let nthreads = threads::resolve(None).min(jobs.len().max(1));
     let results: Vec<Result<Options>> = threads::par_map_indexed(nthreads, jobs.len(), |j| {
-        let (_, p, dependent) = jobs[j];
+        let (_, data_sha, comp) = jobs[j];
         let scheme = standard_schemes().build(scheme_name)?;
-        if dependent {
-            scheme.error_dependent_features(&p.data, p.comp.as_ref())
-        } else {
-            scheme.error_agnostic_features(&p.data)
+        match comp {
+            Some(comp) => scheme.error_dependent_from(&passes[data_sha], comp),
+            None => scheme.error_agnostic_from(&passes[data_sha]),
         }
     });
     let mut extracted = Extracted::new();

@@ -27,6 +27,7 @@ use pressio_core::error::{Error, Result};
 use pressio_core::timing::time_ms;
 use pressio_core::{threads, Options};
 use pressio_dataset::DatasetPlugin;
+use pressio_predict::features::FeaturePass;
 use pressio_predict::{standard_schemes, Predictor, Scheme};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -663,7 +664,8 @@ fn handle_train(state: &ServerState, request: &Options) -> Result<Options> {
     let mut targets = Vec::new();
     for i in 0..hurricane.len() {
         let data = hurricane.load_data(i)?;
-        let agnostic = scheme.error_agnostic_features(&data)?;
+        let pass = FeaturePass::new(&data);
+        let agnostic = scheme.error_agnostic_from(&pass)?;
         for &abs in &bounds {
             // compressor knobs pass through from the request
             let bound = Options::new().with("pressio:abs", abs);
@@ -671,7 +673,7 @@ fn handle_train(state: &ServerState, request: &Options) -> Result<Options> {
             features.push(predict::with_dependent(
                 scheme.as_ref(),
                 agnostic.clone(),
-                &data,
+                &pass,
                 comp.as_ref(),
             )?);
             targets.push(scheme.training_observation(&data, comp.as_ref())?);

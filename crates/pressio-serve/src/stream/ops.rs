@@ -9,6 +9,7 @@ use crate::protocol::{self, code};
 use crate::server::{ServerState, Stat};
 use pressio_core::error::{Error, Result};
 use pressio_core::Options;
+use pressio_predict::features::{temporal_delta_features, FeaturePass};
 use pressio_predict::standard_schemes;
 use std::time::{Duration, Instant};
 
@@ -195,16 +196,15 @@ pub(crate) fn handle_chunk(state: &ServerState, request: &Options) -> Result<Opt
     let scheme = standard_schemes().build(&session.scheme_name)?;
     // the begin request's knobs, then per-chunk overrides
     let comp = predict::compressor(&session.comp_id, &[&session.codec_options, request])?;
+    let pass = FeaturePass::new(&data);
     let mut features = predict::with_dependent(
         scheme.as_ref(),
-        scheme.error_agnostic_features(&data)?,
-        &data,
+        scheme.error_agnostic_from(&pass)?,
+        &pass,
         comp.as_ref(),
     )?;
     if let Some(prev) = &session.prev_last {
-        features.merge_from(&pressio_predict::features::temporal_delta_features(
-            prev, &data,
-        ));
+        features.merge_from(&temporal_delta_features(&FeaturePass::new(prev), &pass));
     }
     state.count(Stat::FeaturesComputed, 2);
     let target = match resolve_target(

@@ -121,6 +121,93 @@ fn train_persist_load_predict_roundtrip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A buffer is read through one feature pass however its stages are split
+/// over requests: both extracted for one request; the error-agnostic half a
+/// feature-cache hit and only the error-dependent half extracted; two bounds
+/// on one buffer coalesced into a batch, sharing the error-agnostic job and
+/// the pass. Every split answers the same bits.
+#[test]
+fn every_split_of_a_buffers_stages_answers_the_same_bits() {
+    let dir = temp_dir("stage_splits");
+    let config = || {
+        let mut config = local_config(&dir);
+        config.workers = 1;
+        config.batch_max = 8;
+        config.queue_capacity = 16;
+        config
+    };
+    let bound = |abs: f64| Options::new().with("pressio:abs", abs);
+    let value = |resp: &Options| {
+        assert_eq!(resp.get_str("serve:type").unwrap(), "prediction", "{resp}");
+        assert!(!resp.get_bool("serve:cached").unwrap(), "{resp}");
+        resp.get_f64("serve:prediction").unwrap().to_bits()
+    };
+    let counter = |client: &mut Client, key: &str| client.stats().unwrap().get_u64(key).unwrap();
+    let (first, second) = (sample_data(1), sample_data(2));
+
+    // one at a time: each buffer's second bound finds the error-agnostic
+    // features cached and extracts the error-dependent ones alone
+    let handle = Server::start(config()).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    client.call(&train_request("m", "rahman2023")).unwrap();
+    let mut sequential = Vec::new();
+    for data in [&first, &second] {
+        for abs in [1e-4, 1e-3] {
+            sequential.push(value(&client.predict("m", data, &bound(abs)).unwrap()));
+        }
+    }
+    assert_eq!(counter(&mut client, "serve:features.computed"), 6);
+    assert_eq!(counter(&mut client, "serve:feature_cache.hits"), 2);
+    assert_ne!(sequential[0], sequential[1], "the bound is a feature");
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+
+    // a fresh daemon over the same model: nothing is cached
+    let handle = Server::start(config()).unwrap();
+    let endpoint = handle.endpoint().clone();
+    let mut client = Client::connect(&endpoint).unwrap();
+    client.load("m").unwrap();
+    // both stages of the looser bound extracted together
+    let together = client.predict("m", &first, &bound(1e-3)).unwrap();
+    assert_eq!(value(&together), sequential[1]);
+    assert_eq!(counter(&mut client, "serve:features.computed"), 2);
+
+    // both bounds of the other buffer in one batch: occupy the single
+    // worker so the two requests pile up behind it
+    let blocker = {
+        let endpoint = endpoint.clone();
+        std::thread::spawn(move || {
+            let sleep = Options::new()
+                .with("serve:op", op::SLEEP)
+                .with("serve:ms", 400u64);
+            Client::connect(&endpoint).unwrap().call(&sleep).unwrap()
+        })
+    };
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let batched: Vec<_> = [1e-4, 1e-3]
+        .into_iter()
+        .map(|abs| {
+            let (endpoint, data, extra) = (endpoint.clone(), second.clone(), bound(abs));
+            std::thread::spawn(move || {
+                let mut client = Client::connect(&endpoint).unwrap();
+                client.predict("m", &data, &extra).unwrap()
+            })
+        })
+        .collect();
+    let batched: Vec<u64> = batched
+        .into_iter()
+        .map(|request| value(&request.join().unwrap()))
+        .collect();
+    blocker.join().unwrap();
+    assert_eq!(batched, sequential[2..]);
+    // one error-agnostic job for the two requests, one dependent job each
+    assert_eq!(counter(&mut client, "serve:features.computed"), 2 + 3);
+    assert_eq!(counter(&mut client, "serve:coalesced"), 1);
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn calculation_scheme_predicts_without_a_model() {
     let dir = temp_dir("schemeless");

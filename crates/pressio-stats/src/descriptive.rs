@@ -21,6 +21,38 @@ pub struct Summary {
     pub zero_fraction: f64,
 }
 
+impl Summary {
+    /// Assemble the summary from the two lane-strided passes: `first` is
+    /// what [`crate::lanes::sum_min_max_zeros`] (or the leading fields of a
+    /// [`crate::lanes::Sweep`]) reported, and `sq_dev` runs
+    /// [`crate::lanes::sum_sq_dev`] about the mean it is handed — skipped
+    /// for a sample with no finite value, whose summary is all zeros.
+    pub fn from_passes(
+        (count, sum, min, max, zeros): (usize, f64, f64, f64, usize),
+        sq_dev: impl FnOnce(f64) -> f64,
+    ) -> Summary {
+        if count == 0 {
+            return Summary {
+                count: 0,
+                mean: 0.0,
+                variance: 0.0,
+                min: 0.0,
+                max: 0.0,
+                zero_fraction: 0.0,
+            };
+        }
+        let mean = sum / count as f64;
+        Summary {
+            count,
+            mean,
+            variance: sq_dev(mean) / count as f64,
+            min,
+            max,
+            zero_fraction: zeros as f64 / count as f64,
+        }
+    }
+}
+
 /// Compute [`Summary`] over `values`, ignoring non-finite entries.
 ///
 /// Two lane-strided passes (sum/min/max/zeros, then squared deviations)
@@ -28,27 +60,9 @@ pub struct Summary {
 /// autovectorize, and two-pass variance is at least as accurate as the
 /// single-pass update on the feature-extraction inputs here.
 pub fn summarize(values: &[f64]) -> Summary {
-    let (count, sum, min, max, zeros) = crate::lanes::sum_min_max_zeros(values);
-    if count == 0 {
-        return Summary {
-            count: 0,
-            mean: 0.0,
-            variance: 0.0,
-            min: 0.0,
-            max: 0.0,
-            zero_fraction: 0.0,
-        };
-    }
-    let mean = sum / count as f64;
-    let m2 = crate::lanes::sum_sq_dev(values, mean);
-    Summary {
-        count,
-        mean,
-        variance: m2 / count as f64,
-        min,
-        max,
-        zero_fraction: zeros as f64 / count as f64,
-    }
+    Summary::from_passes(crate::lanes::sum_min_max_zeros(values), |mean| {
+        crate::lanes::sum_sq_dev(values, mean)
+    })
 }
 
 /// `p`-quantile (0 ≤ p ≤ 1) with linear interpolation; ignores non-finite

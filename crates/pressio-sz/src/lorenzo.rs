@@ -8,7 +8,7 @@
 //! degrades gracefully, matching SZ's behaviour on high-rank data).
 
 use crate::quantizer::{decode_symbol, DequantError, Dequantizer, Quantizer};
-use pressio_core::lanes::{fold, LANES};
+use pressio_core::lanes::{finite, fold, Widen, LANES};
 
 /// Normalize dims to exactly 3 entries (fastest first), collapsing extras.
 pub(crate) fn normalize_dims(dims: &[usize]) -> [usize; 3] {
@@ -207,116 +207,126 @@ pub fn decode_par(
     Ok(recon)
 }
 
-/// One point of the estimation stencil, on *original* values. The term
-/// order matches [`predict`]; `x == 0` contributes literal zeros for the
-/// `x-1` neighbors, like `at` does.
-#[inline]
-fn point_abs_residual(cur: &[f64], a: &[f64], b: &[f64], c: &[f64], x: usize) -> f64 {
-    let (pm, am, bm, cm) = if x == 0 {
-        (0.0, 0.0, 0.0, 0.0)
-    } else {
-        (cur[x - 1], a[x - 1], b[x - 1], c[x - 1])
-    };
-    let pred = pm + a[x] + b[x] - am - bm - c[x] + cm;
-    let v = cur[x];
-    if v.is_finite() && pred.is_finite() {
-        (v - pred).abs()
-    } else {
-        0.0
+/// Σ|v − pred| over one row of the estimation stencil, on *original*
+/// values, lane-strided: element `x` lands in lane `x % LANES`. Rows are
+/// laid out `[0.0 | values | NaN pad]` with the values padded to whole
+/// chunks: the leading zero is the out-of-bounds `x-1` neighbor, and a
+/// padding lane fails the finiteness mask and adds `+0.0`, an exact no-op
+/// on sums that are never `-0.0`. `a`/`b`/`c` are the `y-1`, `z-1` and
+/// `y-1,z-1` neighbor rows (all-zero rows at the boundary); the term order
+/// matches [`predict`].
+///
+/// Two loops, each of a shape the vectorizer takes whole: the masked
+/// residuals element-wise into `residuals`, then the lane-strided sum of
+/// that (L1-resident) buffer. Fused, the seven overlapping loads defeat it.
+fn row_abs_residual(cur: &[f64], a: &[f64], b: &[f64], c: &[f64], residuals: &mut [f64]) -> f64 {
+    let n = residuals.len();
+    let (cur_m, cur) = (&cur[..n], &cur[1..=n]);
+    let (a_m, a) = (&a[..n], &a[1..=n]);
+    let (b_m, b) = (&b[..n], &b[1..=n]);
+    let (c_m, c) = (&c[..n], &c[1..=n]);
+    for x in 0..n {
+        let pred = cur_m[x] + a[x] + b[x] - a_m[x] - b_m[x] - c[x] + c_m[x];
+        let d = (cur[x] - pred).abs();
+        residuals[x] = if finite(cur[x]) & finite(pred) {
+            d
+        } else {
+            0.0
+        };
     }
+    let mut acc = [0.0f64; LANES];
+    for chunk in residuals.chunks_exact(LANES) {
+        let chunk: &[f64; LANES] = chunk.try_into().unwrap();
+        for l in 0..LANES {
+            acc[l] += chunk[l];
+        }
+    }
+    // opaque, so the fold tree cannot reshuffle the loop's lane order
+    fold(std::hint::black_box(acc))
 }
 
-/// Lane-kernel Σ|v − pred| over one row. `a`/`b`/`c` are the `y-1`, `z-1`
-/// and `y-1,z-1` neighbor rows (all-zero slices at the boundary).
-/// Accumulation is lane-strided — element `x` lands in lane `x % LANES` —
-/// so [`estimate_mean_abs_residual_scalar`] reproduces it exactly.
-// constant-index lane loop: `acc[l]` with `l` a compile-time-unrollable
-// index is required for SROA + vectorization (see pressio-stats/lanes.rs)
-#[allow(clippy::needless_range_loop)]
-fn row_abs_residual(cur: &[f64], a: &[f64], b: &[f64], c: &[f64]) -> f64 {
-    let n = cur.len();
+/// Exact-order scalar reference for [`row_abs_residual`].
+fn row_abs_residual_scalar(
+    cur: &[f64],
+    a: &[f64],
+    b: &[f64],
+    c: &[f64],
+    residuals: &mut [f64],
+) -> f64 {
     let mut acc = [0.0f64; LANES];
-    for x in 0..n.min(LANES) {
-        acc[x % LANES] += point_abs_residual(cur, a, b, c, x);
-    }
-    let mut x0 = LANES;
-    while x0 + LANES <= n {
-        for l in 0..LANES {
-            let x = x0 + l;
-            let pred = cur[x - 1] + a[x] + b[x] - a[x - 1] - b[x - 1] - c[x] + c[x - 1];
-            let v = cur[x];
-            let d = (v - pred).abs();
-            acc[l] += if v.is_finite() && pred.is_finite() {
-                d
-            } else {
-                0.0
-            };
+    for x in 1..=residuals.len() {
+        let pred = cur[x - 1] + a[x] + b[x] - a[x - 1] - b[x - 1] - c[x] + c[x - 1];
+        if cur[x].is_finite() && pred.is_finite() {
+            acc[(x - 1) % LANES] += (cur[x] - pred).abs();
         }
-        x0 += LANES;
-    }
-    for x in x0..n {
-        acc[x % LANES] += point_abs_residual(cur, a, b, c, x);
     }
     fold(acc)
 }
 
 /// Row decomposition shared by the lane kernel and its scalar reference.
-fn estimate_rows(
-    values: &[f64],
+/// The stencil reaches back at most one plane and one row, so the rows it
+/// needs are kept widened in a ring of that many — never the whole buffer.
+fn estimate_rows<T: Widen>(
+    values: &[T],
     dims: &[usize],
-    row: impl Fn(&[f64], &[f64], &[f64], &[f64]) -> f64,
+    row: impl Fn(&[f64], &[f64], &[f64], &[f64], &mut [f64]) -> f64,
 ) -> f64 {
     let [nx, ny, nz] = normalize_dims(dims);
     if values.is_empty() {
         return 0.0;
     }
-    let nxy = nx * ny;
-    let zeros = vec![0.0f64; nx];
+    debug_assert_eq!(nx * ny * nz, values.len());
+    let reach = match (ny > 1, nz > 1) {
+        (_, true) => ny + 1,
+        (true, false) => 1,
+        (false, false) => 0,
+    };
+    let slots = reach + 1;
+    let padded = nx.div_ceil(LANES) * LANES;
+    let stride = padded + 1;
+    let mut ring = vec![f64::NAN; slots * stride];
+    for slot in ring.chunks_exact_mut(stride) {
+        slot[0] = 0.0;
+    }
+    let zeros = vec![0.0f64; stride];
+    let mut residuals = vec![0.0f64; padded];
     let mut sum = 0.0f64;
-    for z in 0..nz {
-        for y in 0..ny {
-            let base = z * nxy + y * nx;
-            let cur = &values[base..base + nx];
-            let a = if y > 0 {
-                &values[base - nx..base]
-            } else {
-                &zeros[..]
-            };
-            let b = if z > 0 {
-                &values[base - nxy..base - nxy + nx]
-            } else {
-                &zeros[..]
-            };
-            let c = if y > 0 && z > 0 {
-                &values[base - nxy - nx..base - nxy]
-            } else {
-                &zeros[..]
-            };
-            sum += row(cur, a, b, c);
+    for (r, src) in values.chunks_exact(nx).enumerate() {
+        let (y, z) = (r % ny, r / ny);
+        let slot = |back: usize| {
+            let start = (r + slots - back) % slots * stride;
+            start..start + stride
+        };
+        for (dst, v) in ring[slot(0)][1..].iter_mut().zip(src) {
+            *dst = v.widen();
         }
+        let cur = &ring[slot(0)];
+        let a = if y > 0 { &ring[slot(1)] } else { &zeros[..] };
+        let b = if z > 0 { &ring[slot(ny)] } else { &zeros[..] };
+        let c = if y > 0 && z > 0 {
+            &ring[slot(ny + 1)]
+        } else {
+            &zeros[..]
+        };
+        sum += row(cur, a, b, c, &mut residuals);
     }
     sum / values.len() as f64
 }
 
 /// Estimate the mean absolute Lorenzo residual using *original* (not
 /// reconstructed) neighbors — the cheap proxy SZ3 uses for predictor
-/// selection without a full compression pass. Lane kernel; exactly equal
-/// to [`estimate_mean_abs_residual_scalar`] (pinned by proptests).
-pub fn estimate_mean_abs_residual(values: &[f64], dims: &[usize]) -> f64 {
+/// selection without a full compression pass. Reads the typed buffer,
+/// widening a row at a time. Lane kernel; exactly equal to
+/// [`estimate_mean_abs_residual_scalar`] (pinned by proptests).
+pub fn estimate_mean_abs_residual<T: Widen>(values: &[T], dims: &[usize]) -> f64 {
     estimate_rows(values, dims, row_abs_residual)
 }
 
 /// Scalar reference for [`estimate_mean_abs_residual`]: the same
 /// row decomposition and lane-strided accumulation order, one element at
 /// a time. Kept public for parity tests and the kernel benchmarks.
-pub fn estimate_mean_abs_residual_scalar(values: &[f64], dims: &[usize]) -> f64 {
-    estimate_rows(values, dims, |cur, a, b, c| {
-        let mut acc = [0.0f64; LANES];
-        for x in 0..cur.len() {
-            acc[x % LANES] += point_abs_residual(cur, a, b, c, x);
-        }
-        fold(acc)
-    })
+pub fn estimate_mean_abs_residual_scalar<T: Widen>(values: &[T], dims: &[usize]) -> f64 {
+    estimate_rows(values, dims, row_abs_residual_scalar)
 }
 
 #[cfg(test)]
@@ -426,7 +436,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert_eq!(estimate_mean_abs_residual(&[], &[0]), 0.0);
+        assert_eq!(estimate_mean_abs_residual::<f64>(&[], &[0]), 0.0);
         let mut q = Quantizer::new(1e-3, 32768, false, 0);
         assert!(encode(&[], &[0], &mut q).is_empty());
     }
@@ -437,16 +447,57 @@ mod tests {
             .collect()
     }
 
+    /// The estimate as it was before the ring: every element through the
+    /// stencil of [`predict`] on a whole widened copy, row by row.
+    fn estimate_by_the_stencil(values: &[f64], dims: &[usize]) -> f64 {
+        let [nx, ny, nz] = normalize_dims(dims);
+        let nxy = nx * ny;
+        let mut sum = 0.0;
+        for z in 0..nz {
+            for y in 0..ny {
+                let mut acc = [0.0f64; LANES];
+                for x in 0..nx {
+                    let pred = predict(values, nx, nxy, x, y, z);
+                    let v = values[z * nxy + y * nx + x];
+                    if v.is_finite() && pred.is_finite() {
+                        acc[x % LANES] += (v - pred).abs();
+                    }
+                }
+                sum += fold(acc);
+            }
+        }
+        sum / values.len() as f64
+    }
+
     #[test]
     fn estimate_lane_matches_scalar_reference() {
-        for dims in [vec![101usize], vec![13, 9], vec![33, 21], vec![7, 5, 3]] {
+        for dims in [
+            vec![101usize],
+            vec![8],
+            vec![13, 9],
+            vec![33, 21],
+            vec![16, 1, 3],
+            vec![7, 5, 3],
+            vec![9, 4, 3, 2],
+        ] {
             let n: usize = dims.iter().product();
             let mut values = synth(n, 3.0);
             values[n / 2] = f64::NAN;
             values[n / 3] = f64::INFINITY;
+            values[n - 1] = -0.0;
+            let want = estimate_by_the_stencil(&values, &dims).to_bits();
             let lane = estimate_mean_abs_residual(&values, &dims);
             let scalar = estimate_mean_abs_residual_scalar(&values, &dims);
-            assert_eq!(lane.to_bits(), scalar.to_bits(), "dims={dims:?}");
+            assert_eq!(lane.to_bits(), want, "dims={dims:?}");
+            assert_eq!(scalar.to_bits(), want, "scalar dims={dims:?}");
+            // the typed view widens to the same rows
+            let narrow: Vec<f32> = values.iter().map(|&v| v as f32).collect();
+            let widened: Vec<f64> = narrow.iter().map(|&v| v as f64).collect();
+            assert_eq!(
+                estimate_mean_abs_residual(&narrow, &dims).to_bits(),
+                estimate_by_the_stencil(&widened, &dims).to_bits(),
+                "f32 dims={dims:?}"
+            );
         }
     }
 
