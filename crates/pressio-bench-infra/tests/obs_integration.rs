@@ -104,6 +104,45 @@ fn trace_aggregates_agree_exactly_with_table2() {
     assert!(report.gauges.contains_key("queue:pool.wall_ms"));
 }
 
+/// The SZ lossless stage in the trace: a `sz3:huffman` and a `sz3:lzss` span
+/// under every `sz3:compress`, and one counter per stream saying what the
+/// dictionary stage did with it.
+#[test]
+fn sz_lossless_stage_says_what_the_dictionary_stage_did() {
+    use pressio_core::Compressor;
+    let _guard = exclusive();
+    let collector = Arc::new(pressio_obs::Collector::new());
+    pressio_obs::install(collector.clone());
+    let mut sz = pressio_sz::SzCompressor::new();
+    // a fixed predictor: `auto` would add its four sample-block trials
+    sz.set_options(&Options::new().with("sz3:predictor", "lorenzo"))
+        .unwrap();
+    for (field, [nx, ny, nz]) in [
+        // a sparse field: LZSS halves its coded symbols — kept
+        ("QCLOUD", [16, 16, 8]),
+        // a small dense field: tried whole, came out larger — discarded
+        ("U", [16, 16, 8]),
+        // a dense field past the trial threshold: sampled, never run — skipped
+        ("P", [64, 64, 32]),
+    ] {
+        let data = Hurricane::with_dims(nx, ny, nz, 1).generate(field, 0);
+        sz.compress(&data).unwrap();
+    }
+    pressio_obs::uninstall();
+    let report = collector.report();
+    for stage in ["sz3:huffman", "sz3:lzss"] {
+        assert_eq!(report.spans[stage].count(), 3, "{stage}");
+        assert_eq!(report.span_parents[stage], "sz3:compress", "{stage}");
+    }
+    for outcome in ["kept", "discarded", "skipped"] {
+        assert_eq!(
+            report.counters[&format!("sz3:lzss.{outcome}")],
+            1,
+            "{outcome}"
+        );
+    }
+}
+
 /// Fault-tolerance: a task that dies on worker k is retried on a different
 /// worker under DataAffinity, and the observability counters tell the same
 /// story as the returned `TaskOutcome`s / `PoolStats`.

@@ -21,11 +21,12 @@ use std::time::Instant;
 type Result = std::io::Result<()>;
 
 /// Every ablation reachable through [`run`], in help-text order.
-pub const NAMES: [&str; 6] = [
+pub const NAMES: [&str; 7] = [
     "bandwidth",
     "datasets",
     "insample",
     "invalidation",
+    "lossless",
     "rahman",
     "tao_sweep",
 ];
@@ -38,6 +39,7 @@ pub fn run(name: &str, args: &BenchArgs, out: &mut dyn Write) -> Result {
         "datasets" => datasets(args, out),
         "insample" => insample(args, out),
         "invalidation" => invalidation(args, out),
+        "lossless" => lossless(args, out),
         "rahman" => rahman(args, out),
         "tao_sweep" => tao_sweep(args, out),
         other => Err(std::io::Error::new(
@@ -370,6 +372,91 @@ pub fn invalidation(args: &BenchArgs, out: &mut dyn Write) -> Result {
         out,
         "\nshape check: the SVD is computed once per dataset instead of once per (dataset, bound)"
     )
+}
+
+/// What SZ's dictionary stage buys, and whether the trial in
+/// `codec::assemble_par` calls it right: for every Hurricane field at each
+/// (size, bound) the compressor's own quantized symbols go through the
+/// Huffman coder, through LZSS in full, and through the trial, each timed
+/// once (sizes are what the table is for; the milliseconds are a guide).
+/// `--dims` is not used: the sizes are the table's rows. Quick mode stops
+/// at 64×64×16.
+pub fn lossless(args: &BenchArgs, out: &mut dyn Write) -> Result {
+    use pressio_lossless::{huffman, lzss};
+    let mut configs = vec![
+        ([16, 16, 8], 1e-4),
+        ([32, 32, 16], 1e-6),
+        ([32, 32, 16], 1e-4),
+        ([64, 64, 16], 1e-4),
+    ];
+    if !args.quick {
+        configs.extend([
+            ([64, 64, 64], 1e-4),
+            ([64, 64, 64], 1e-2),
+            ([128, 128, 64], 1e-4),
+        ]);
+    }
+    writeln!(
+        out,
+        "# Ablation: what LZSS buys after Huffman (sz3, predictor auto)\n"
+    )?;
+    writeln!(
+        out,
+        "| field | dims | abs | Huffman (B) | ms | LZSS (B) | gain % | ms | trial | ms | exhaustive |"
+    )?;
+    writeln!(out, "|---|---|---|---|---|---|---|---|---|---|---|")?;
+    let (mut kept, mut discarded, mut skipped, mut disagreements) = (0, 0, 0, 0);
+    let (mut full_ms, mut gated_ms, mut forgone) = (0.0, 0.0, 0usize);
+    for ([nx, ny, nz], abs) in configs {
+        let mut sz = SzCompressor::new();
+        sz.set_options(&Options::new().with("pressio:abs", abs))
+            .unwrap();
+        for field in pressio_dataset::hurricane::FIELDS {
+            let data = Hurricane::with_dims(nx, ny, nz, 1).generate(field, 0);
+            let symbols = pressio_sz::codec::parse(&sz.compress(&data).unwrap())
+                .unwrap()
+                .symbols;
+            let (huff, huff_ms) = time_ms(|| huffman::compress_symbols_sharded(&symbols, 1));
+            let (dict, lzss_ms) = time_ms(|| lzss::compress(&huff));
+            let (tried, trial_ms) = time_ms(|| pressio_sz::codec::lzss_trial_shrinks(&huff));
+            let wins = dict.len() < huff.len();
+            let (decision, tally) = match (tried, wins) {
+                (true, true) => ("kept", &mut kept),
+                (true, false) => ("discarded", &mut discarded),
+                (false, _) => ("skipped", &mut skipped),
+            };
+            *tally += 1;
+            if !tried && wins {
+                disagreements += 1;
+                forgone += huff.len() - dict.len();
+            }
+            full_ms += lzss_ms;
+            // a payload that is tried whole is its own trial
+            gated_ms += match (tried, huff.len() <= pressio_sz::codec::TRIAL_WHOLE) {
+                (true, true) => lzss_ms,
+                (true, false) => trial_ms + lzss_ms,
+                (false, _) => trial_ms,
+            };
+            writeln!(
+                out,
+                "| {field} | {nx}×{ny}×{nz} | {abs:e} | {} | {huff_ms:.3} | {} | {:+.1} | {lzss_ms:.3} | {decision} | {trial_ms:.3} | {} |",
+                huff.len(),
+                dict.len(),
+                (1.0 - dict.len() as f64 / huff.len() as f64) * 100.0,
+                if wins { "keep" } else { "drop" },
+            )?;
+        }
+    }
+    writeln!(
+        out,
+        "\n{kept} kept, {discarded} discarded (ran, lost), {skipped} skipped (trial said no); \
+         {disagreements} where the trial skipped a pass that would have won ({forgone} B forgone)"
+    )?;
+    writeln!(
+        out,
+        "dictionary stage: {full_ms:.1} ms always running LZSS in full, {gated_ms:.1} ms behind the trial"
+    )?;
+    writeln!(out, "shape check: gain is bimodal — sparse fields shrink by half or more in well under a millisecond, large dense payloads grow by up to the 9-bit literal's 12.5 % after the slowest pass of the pipeline")
 }
 
 /// Ablation: FXRZ design choices (paper §6 credits the **sparsity

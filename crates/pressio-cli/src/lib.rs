@@ -15,7 +15,7 @@
 //! pressio bench --ablation affinity --dims 16,16,8    # scheduling ablation
 //! pressio bench --ablation checkpoint --dims 16,16,8  # restart-speedup ablation
 //! pressio bench --ablation tao_sweep --dims 16,16,8 --timesteps 1   # also:
-//!     # bandwidth, datasets, insample, invalidation, rahman
+//!     # bandwidth, datasets, insample, invalidation, lossless, rahman
 //! pressio bench --faults 'store:put.io=err,times=1'   # fault injection (pressio-faults)
 //! pressio serve --socket /tmp/pressio.sock --models /tmp/models
 //! pressio query --socket /tmp/pressio.sock --op ping
@@ -1660,6 +1660,31 @@ mod tests {
         assert!(events.iter().any(|e| e.name() == "queue:task"));
         assert!(events.iter().any(|e| e.name() == "table2:sz3:compress_ms"));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bench_lossless_ablation_prints_the_payoff_table() {
+        let mut buf = Vec::new();
+        run(
+            Command::Bench {
+                dims: (12, 12, 6),
+                timesteps: 1,
+                workers: 1,
+                trace: None,
+                ablation: Some("lossless".into()),
+            },
+            &mut buf,
+        )
+        .unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        // 13 fields at each of the four quick (size, bound) pairs
+        assert_eq!(
+            text.lines().filter(|l| l.contains("×")).count(),
+            52,
+            "{text}"
+        );
+        assert!(text.contains("| PRECIP | 16×16×8 | 1e-4 |"), "{text}");
+        assert!(text.contains(" 0 where the trial skipped a pass that would have won"));
     }
 
     #[test]

@@ -5,12 +5,16 @@
 //! little-endian within each byte (bit 0 of byte 0 is the first bit written),
 //! matching the convention of the ZFP reference bitstream.
 
-/// Accumulating bit writer.
+/// Accumulating bit writer. Bits gather in a 64-bit word that is appended
+/// to the byte buffer each time it fills, so a write is a shift and an OR
+/// whatever its width.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Number of valid bits in the final byte (0 means byte-aligned).
-    bit_pos: u32,
+    /// Bits not yet in `bytes`, first-written lowest; zero above `nbits`.
+    acc: u64,
+    /// Number of pending bits in `acc`, always below 64.
+    nbits: u32,
 }
 
 impl BitWriter {
@@ -23,30 +27,19 @@ impl BitWriter {
     pub fn with_capacity(bytes: usize) -> Self {
         BitWriter {
             bytes: Vec::with_capacity(bytes),
-            bit_pos: 0,
+            ..Self::default()
         }
     }
 
     /// Total bits written so far.
     pub fn len_bits(&self) -> usize {
-        if self.bit_pos == 0 {
-            self.bytes.len() * 8
-        } else {
-            (self.bytes.len() - 1) * 8 + self.bit_pos as usize
-        }
+        self.bytes.len() * 8 + self.nbits as usize
     }
 
     /// Append a single bit.
     #[inline]
     pub fn write_bit(&mut self, bit: bool) {
-        if self.bit_pos == 0 {
-            self.bytes.push(0);
-        }
-        if bit {
-            let last = self.bytes.last_mut().unwrap();
-            *last |= 1 << self.bit_pos;
-        }
-        self.bit_pos = (self.bit_pos + 1) & 7;
+        self.write_bits(bit as u64, 1);
     }
 
     /// Append the low `n` bits of `value`, least-significant bit first.
@@ -54,33 +47,26 @@ impl BitWriter {
     #[inline]
     pub fn write_bits(&mut self, value: u64, n: u32) {
         debug_assert!(n <= 64);
-        let mut v = value;
-        let mut remaining = n;
-        while remaining > 0 {
-            if self.bit_pos == 0 {
-                self.bytes.push(0);
-            }
-            let space = 8 - self.bit_pos;
-            let take = space.min(remaining);
-            let mask = if take == 64 {
-                u64::MAX
-            } else {
-                (1u64 << take) - 1
-            };
-            let chunk = (v & mask) as u8;
-            let last = self.bytes.last_mut().unwrap();
-            *last |= chunk << self.bit_pos;
-            self.bit_pos = (self.bit_pos + take) & 7;
-            v >>= take;
-            remaining -= take;
+        if n == 0 {
+            return;
         }
+        let v = value & (u64::MAX >> (64 - n));
+        self.acc |= v << self.nbits;
+        let filled = self.nbits + n;
+        if filled < 64 {
+            self.nbits = filled;
+            return;
+        }
+        self.bytes.extend_from_slice(&self.acc.to_le_bytes());
+        // what of `v` did not fit; nothing when the word was empty (n = 64)
+        self.acc = v.checked_shr(64 - self.nbits).unwrap_or(0);
+        self.nbits = filled - 64;
     }
 
     /// Append the low `len` bits of `code` most-significant bit first, as a
     /// single bulk [`BitWriter::write_bits`] of the bit-reversed value.
     /// Byte-identical to writing the bits one at a time from bit `len-1`
-    /// down to bit `0`, but without the per-bit loop — this is the Huffman
-    /// encoder's hot path.
+    /// down to bit `0`.
     #[inline]
     pub fn write_code_msb(&mut self, code: u64, len: u32) {
         if len == 0 {
@@ -91,18 +77,29 @@ impl BitWriter {
 
     /// Append a whole byte slice (first aligns to a byte boundary).
     pub fn write_bytes_aligned(&mut self, data: &[u8]) {
-        self.align();
+        self.flush_pending();
         self.bytes.extend_from_slice(data);
     }
 
     /// Pad with zero bits to the next byte boundary.
     pub fn align(&mut self) {
-        self.bit_pos = 0;
+        self.write_bits(0, self.nbits.wrapping_neg() & 7);
     }
 
     /// Finish, returning the packed bytes (final partial byte zero-padded).
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.flush_pending();
         self.bytes
+    }
+
+    /// Align, then move the pending whole bytes out of the accumulator.
+    fn flush_pending(&mut self) {
+        self.align();
+        let pending = (self.nbits / 8) as usize;
+        self.bytes
+            .extend_from_slice(&self.acc.to_le_bytes()[..pending]);
+        self.acc = 0;
+        self.nbits = 0;
     }
 }
 
@@ -166,6 +163,27 @@ impl<'a> BitReader<'a> {
             self.pos += take as usize;
         }
         Some(out)
+    }
+
+    /// The stream's next bits without consuming them, as `(word, valid)`:
+    /// the low `valid` bits of `word` (57 to 64 of them) are the next
+    /// `valid` bits of the stream, the rest are zero. `None` when fewer
+    /// than 8 bytes remain from the cursor's byte on — the table decoders
+    /// hand the tail of a stream to their bit-at-a-time path.
+    #[inline]
+    pub fn peek_word(&self) -> Option<(u64, u32)> {
+        let start = self.pos >> 3;
+        let word = self.bytes.get(start..start + 8)?;
+        let offset = (self.pos & 7) as u32;
+        let word = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
+        Some((word >> offset, 64 - offset))
+    }
+
+    /// Consume `n` bits a [`BitReader::peek_word`] returned.
+    #[inline]
+    pub fn skip_bits(&mut self, n: u32) {
+        debug_assert!(n as usize <= self.remaining_bits());
+        self.pos += n as usize;
     }
 
     /// Skip to the next byte boundary.
@@ -275,6 +293,90 @@ mod tests {
                 assert_eq!(ra.read_bit(), rb.read_bit());
             }
         }
+    }
+
+    /// The writer this module had before the accumulator, one byte at a
+    /// time: the reference the word-packed writer is held to.
+    #[derive(Default)]
+    struct ByteWriter {
+        bytes: Vec<u8>,
+        bit_pos: u32,
+    }
+
+    impl ByteWriter {
+        fn write_bits(&mut self, value: u64, n: u32) {
+            let mut v = value;
+            let mut remaining = n;
+            while remaining > 0 {
+                if self.bit_pos == 0 {
+                    self.bytes.push(0);
+                }
+                let take = (8 - self.bit_pos).min(remaining);
+                let chunk = (v & ((1u64 << take) - 1)) as u8;
+                *self.bytes.last_mut().unwrap() |= chunk << self.bit_pos;
+                self.bit_pos = (self.bit_pos + take) & 7;
+                v >>= take;
+                remaining -= take;
+            }
+        }
+
+        fn len_bits(&self) -> usize {
+            self.bytes.len() * 8 - ((8 - self.bit_pos) & 7) as usize
+        }
+    }
+
+    #[test]
+    fn accumulator_matches_the_byte_at_a_time_writer() {
+        let mut xorshift = crate::xorshift(0x9e37_79b9_7f4a_7c15);
+        for round in 0..200 {
+            let mut word = BitWriter::new();
+            let mut byte = ByteWriter::default();
+            for _ in 0..round {
+                match xorshift() % 8 {
+                    0 => {
+                        word.align();
+                        byte.bit_pos = 0;
+                    }
+                    1 => {
+                        let blob: Vec<u8> = (0..xorshift() % 20).map(|i| i as u8 ^ 0xA5).collect();
+                        word.write_bytes_aligned(&blob);
+                        byte.bit_pos = 0;
+                        byte.bytes.extend_from_slice(&blob);
+                    }
+                    2 => {
+                        let bit = xorshift() & 1 == 1;
+                        word.write_bit(bit);
+                        byte.write_bits(bit as u64, 1);
+                    }
+                    _ => {
+                        // any width, with junk above it that must be ignored
+                        let (value, n) = (xorshift(), (xorshift() % 65) as u32);
+                        word.write_bits(value, n);
+                        byte.write_bits(value, n);
+                    }
+                }
+                assert_eq!(word.len_bits(), byte.len_bits());
+            }
+            assert_eq!(word.into_bytes(), byte.bytes);
+        }
+    }
+
+    #[test]
+    fn peek_word_shows_the_bits_read_bits_returns() {
+        let bytes: Vec<u8> = (0..23u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        let mut r = BitReader::new(&bytes);
+        let mut widths = [1u32, 7, 3, 11, 13, 2, 29, 5].iter().cycle();
+        while let Some((word, valid)) = r.peek_word() {
+            assert!((57..=64).contains(&valid));
+            assert_eq!(valid, 64 - (r.bit_position() & 7) as u32);
+            assert_eq!(r.clone().read_bits(valid), Some(word));
+            let n = *widths.next().unwrap();
+            assert_eq!(r.clone().read_bits(n), Some(word & ((1 << n) - 1)));
+            r.skip_bits(n);
+        }
+        // the last 8 bytes are left to the bit-at-a-time readers
+        assert!(r.remaining_bits() <= 64);
+        assert_eq!(BitReader::new(&bytes[..7]).peek_word(), None);
     }
 
     #[test]

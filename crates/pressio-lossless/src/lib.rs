@@ -5,10 +5,11 @@
 //! LZSS dictionary compression ([`lzss`]), run-length encoding ([`rle`]),
 //! and entropy estimators ([`entropy`]).
 //!
-//! The SZ-like compressor chains these (`Huffman → LZSS` with an RLE fast
-//! path for sparse fields), and the prediction schemes of
-//! `pressio-predict` reuse the entropy and expected-code-length machinery
-//! to *model* the encoder without running it.
+//! The SZ-like compressor chains `Huffman → LZSS` (the dictionary stage
+//! only where a trial says it pays; [`rle`] stands alone, no pipeline calls
+//! it), and the prediction schemes of `pressio-predict` reuse the entropy
+//! and expected-code-length machinery to *model* the encoder without
+//! running it.
 
 #![warn(missing_docs)]
 
@@ -19,4 +20,16 @@ pub mod lzss;
 pub mod rle;
 
 pub use bitstream::{BitReader, BitWriter};
-pub use huffman::{compress_symbols, decompress_symbols, Codebook, HuffmanError};
+pub use huffman::{Codebook, HuffmanError};
+
+/// Deterministic noise for the modules' differential tests.
+#[cfg(test)]
+pub(crate) fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}

@@ -2,7 +2,7 @@
 //! exactly, and the bitstream must honor its packing contract.
 
 use pressio_lossless::bitstream::{BitReader, BitWriter};
-use pressio_lossless::{compress_symbols, decompress_symbols};
+use pressio_lossless::huffman::{compress_symbols_sharded, decompress_symbols_sharded};
 use proptest::prelude::*;
 
 proptest! {
@@ -24,14 +24,52 @@ proptest! {
     }
 
     #[test]
-    fn huffman_round_trips_any_symbols(symbols in prop::collection::vec(0u32..100_000, 0..2000)) {
-        let bytes = compress_symbols(&symbols);
-        prop_assert_eq!(decompress_symbols(&bytes).unwrap(), symbols);
+    fn huffman_round_trips_any_symbols(
+        symbols in prop::collection::vec(0u32..100_000, 0..2000),
+        threads in 1usize..4,
+    ) {
+        let bytes = compress_symbols_sharded(&symbols, threads);
+        prop_assert_eq!(&compress_symbols_sharded(&symbols, 1), &bytes);
+        prop_assert_eq!(decompress_symbols_sharded(&bytes, threads).unwrap(), symbols);
+    }
+
+    #[test]
+    fn huffman_round_trips_banded_symbols(
+        // the SZ shape: a band around the quantizer's radius plus the escape symbol
+        offsets in prop::collection::vec(0u32..600, 0..3000),
+        escapes in prop::collection::vec(0usize..3000, 0..8),
+    ) {
+        let mut symbols: Vec<u32> = offsets.iter().map(|o| 32_768 - 300 + o).collect();
+        for at in escapes {
+            if let Some(s) = symbols.get_mut(at) {
+                *s = 0;
+            }
+        }
+        let bytes = compress_symbols_sharded(&symbols, 2);
+        prop_assert_eq!(decompress_symbols_sharded(&bytes, 2).unwrap(), symbols);
     }
 
     #[test]
     fn huffman_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..500)) {
-        let _ = decompress_symbols(&bytes); // errors allowed; panics are not
+        // errors allowed; panics are not — and the verdict is the same at any thread count
+        let sequential = decompress_symbols_sharded(&bytes, 1);
+        prop_assert_eq!(decompress_symbols_sharded(&bytes, 3), sequential);
+    }
+
+    #[test]
+    fn huffman_never_panics_on_a_mutated_stream(
+        symbols in prop::collection::vec(32_700u32..32_800, 1..400),
+        flips in prop::collection::vec((0usize..4096, 0u8..8), 1..4),
+    ) {
+        // garbage rarely gets past the table; a valid stream with a few bits
+        // flipped reaches the shard table and the decoder
+        let mut bytes = compress_symbols_sharded(&symbols, 1);
+        for (at, bit) in flips {
+            let at = at % bytes.len();
+            bytes[at] ^= 1 << bit;
+        }
+        let sequential = decompress_symbols_sharded(&bytes, 1);
+        prop_assert_eq!(decompress_symbols_sharded(&bytes, 3), sequential);
     }
 
     #[test]

@@ -170,8 +170,9 @@ pub fn assemble(
     assemble_par(dtype, dims, eb, predictor, block, stream, 1)
 }
 
-/// [`assemble`] with a thread count for the Huffman histogram build
-/// (sharded counts merged at the end — identical output at any count).
+/// [`assemble`] with a thread count for the Huffman histogram and the
+/// per-shard encode (counts are summed, shard boundaries are a format
+/// constant — identical output at any count).
 pub fn assemble_par(
     dtype: Dtype,
     dims: &[usize],
@@ -213,19 +214,50 @@ pub fn assemble_par(
     push_u64(&mut out, stream.block_modes.len() as u64);
     out.extend_from_slice(&stream.block_modes);
     // entropy-coded symbols (sharded layout so both encode and decode can
-    // fan out per shard), then the dictionary backend if it helps
-    let huff = huffman::compress_symbols_sharded(&stream.symbols, nthreads);
-    let dict = lzss::compress(&huff);
-    if dict.len() < huff.len() {
-        out.push(3);
-        push_u64(&mut out, dict.len() as u64);
-        out.extend_from_slice(&dict);
-    } else {
-        out.push(2);
-        push_u64(&mut out, huff.len() as u64);
-        out.extend_from_slice(&huff);
-    }
+    // fan out per shard), then the dictionary backend where it helps
+    let huff = {
+        let _span = pressio_obs::span("sz3:huffman");
+        huffman::compress_symbols_sharded(&stream.symbols, nthreads)
+    };
+    let dict = {
+        let _span = pressio_obs::span("sz3:lzss");
+        lzss_trial_shrinks(&huff).then(|| lzss::compress(&huff))
+    };
+    // the trial decides whether to try; the result itself has the last word
+    let (outcome, backend, payload) = match &dict {
+        None => ("sz3:lzss.skipped", 2, &huff),
+        Some(dict) if dict.len() < huff.len() => ("sz3:lzss.kept", 3, dict),
+        Some(_) => ("sz3:lzss.discarded", 2, &huff),
+    };
+    pressio_obs::add_counter(outcome, 1);
+    out.push(backend);
+    push_u64(&mut out, payload.len() as u64);
+    out.extend_from_slice(payload);
     out
+}
+
+/// Huffman payloads up to this size go through LZSS whole: the run is its
+/// own trial, and it is cheap.
+pub const TRIAL_WHOLE: usize = 64 << 10;
+/// Larger payloads are judged on this many evenly spaced blocks…
+pub const TRIAL_BLOCKS: usize = 8;
+/// …of this many bytes each.
+pub const TRIAL_BLOCK: usize = 8 << 10;
+
+/// Whether LZSS is worth running over the whole Huffman payload. Its payoff
+/// is bimodal: the coded symbols of a sparse field (long runs of one short
+/// code) shrink by half or more, those of a dense field are noise that
+/// *grows* by the 9-bit literal — after the slowest pass of the pipeline.
+/// A sample tells the two apart.
+pub fn lzss_trial_shrinks(huff: &[u8]) -> bool {
+    if huff.len() <= TRIAL_WHOLE {
+        return true;
+    }
+    let stride = (huff.len() - TRIAL_BLOCK) / (TRIAL_BLOCKS - 1);
+    let packed: usize = (0..TRIAL_BLOCKS)
+        .map(|k| lzss::compress(&huff[k * stride..][..TRIAL_BLOCK]).len())
+        .sum();
+    packed < TRIAL_BLOCKS * TRIAL_BLOCK
 }
 
 /// Parsed header + payload of a compressed stream.
@@ -351,17 +383,19 @@ pub fn parse_par(bytes: &[u8], nthreads: usize) -> Result<ParsedStream> {
     let payload = bytes
         .get(pos..pos + payload_len)
         .ok_or_else(|| Error::CorruptStream("truncated payload".into()))?;
-    // backends 0/1 are the legacy single-stream layout, 2/3 the sharded one
+    // 2 = the sharded Huffman stream, 3 = LZSS over it
+    let unpacked;
     let huff = match backend {
-        0 | 2 => payload.to_vec(),
-        1 | 3 => lzss::decompress(payload).map_err(|e| Error::CorruptStream(e.to_string()))?,
+        2 => payload,
+        3 => {
+            unpacked =
+                lzss::decompress(payload).map_err(|e| Error::CorruptStream(e.to_string()))?;
+            &unpacked
+        }
         _ => return Err(Error::CorruptStream("unknown backend".into())),
     };
-    let symbols = match backend {
-        0 | 1 => huffman::decompress_symbols(&huff),
-        _ => huffman::decompress_symbols_sharded(&huff, nthreads),
-    }
-    .map_err(|e| Error::CorruptStream(e.to_string()))?;
+    let symbols = huffman::decompress_symbols_sharded(huff, nthreads)
+        .map_err(|e| Error::CorruptStream(e.to_string()))?;
     if symbols.len() != n {
         return Err(Error::CorruptStream(format!(
             "symbol count {} != element count {n}",
@@ -500,6 +534,55 @@ mod tests {
         let mut bad = bytes.clone();
         bad[4] = 99;
         assert!(parse(&bad).is_err());
+    }
+
+    #[test]
+    fn retired_backends_are_rejected() {
+        // 0 and 1 were the single-stream Huffman layout; nothing has written
+        // them since the sharded one, and nothing reads them any more
+        let dims = vec![16usize, 16];
+        let qs = predict_and_quantize(&wavefield(256), &dims, 1e-3, Predictor::Lorenzo, 6, false);
+        let bytes = assemble(Dtype::F64, &dims, 1e-3, Predictor::Lorenzo, 6, &qs);
+        let huff = huffman::compress_symbols_sharded(&qs.symbols, 1);
+        let payload = if bytes.ends_with(&huff) {
+            huff.len()
+        } else {
+            lzss::compress(&huff).len()
+        };
+        let backend_at = bytes.len() - payload - 9;
+        assert!(matches!(bytes[backend_at], 2 | 3));
+        for retired in [0, 1, 4] {
+            let mut bad = bytes.clone();
+            bad[backend_at] = retired;
+            match parse(&bad) {
+                Err(Error::CorruptStream(message)) => assert_eq!(message, "unknown backend"),
+                other => panic!("backend {retired}: {:?}", other.map(|p| p.symbols.len())),
+            }
+        }
+    }
+
+    #[test]
+    fn the_trial_tells_runs_from_noise() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut noise = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state as u8
+                })
+                .collect()
+        };
+        // up to the threshold there is no sampling: the whole run is the trial
+        assert!(lzss_trial_shrinks(&noise(TRIAL_WHOLE)));
+        assert!(!lzss_trial_shrinks(&noise(TRIAL_WHOLE + 1)));
+        assert!(!lzss_trial_shrinks(&noise(1 << 20)));
+        assert!(lzss_trial_shrinks(&vec![0; TRIAL_WHOLE + 1]));
+        // mostly noise with compressible stretches the samples land in
+        let mut mixed = noise(1 << 20);
+        mixed[..1 << 19].fill(7);
+        assert!(lzss_trial_shrinks(&mixed));
     }
 
     #[test]
