@@ -143,6 +143,44 @@ fn sz_lossless_stage_says_what_the_dictionary_stage_did() {
     }
 }
 
+/// The SZ stages in a production trace, as the benchmark's replay shows
+/// them: `sz3:predict` under `sz3:compress`, `sz3:parse` and
+/// `sz3:reconstruct` under `sz3:decompress`; and how much of the field the
+/// quantizer gave up on, as `sz3:escapes` of `sz3:elements`.
+#[test]
+fn sz_stages_and_escapes_are_in_the_trace() {
+    use pressio_core::Compressor;
+    let _guard = exclusive();
+    let collector = Arc::new(pressio_obs::Collector::new());
+    pressio_obs::install(collector.clone());
+    let (mut elements, mut escapes) = (0, 0);
+    for predictor in ["lorenzo", "interp"] {
+        let mut sz = pressio_sz::SzCompressor::new();
+        sz.set_options(&Options::new().with("sz3:predictor", predictor))
+            .unwrap();
+        // pressure at 1e-4: a share of its values is stored verbatim
+        let data = Hurricane::with_dims(24, 20, 6, 1).generate("P", 0);
+        let bytes = sz.compress(&data).unwrap();
+        sz.decompress(&bytes, data.dtype(), data.dims()).unwrap();
+        let parsed = pressio_sz::codec::parse(&bytes).unwrap();
+        elements += parsed.symbols.len() as i64;
+        escapes += parsed.unpredictable.len() as i64;
+    }
+    pressio_obs::uninstall();
+    let report = collector.report();
+    for (stage, parent) in [
+        ("sz3:predict", "sz3:compress"),
+        ("sz3:parse", "sz3:decompress"),
+        ("sz3:reconstruct", "sz3:decompress"),
+    ] {
+        assert_eq!(report.spans[stage].count(), 2, "{stage}");
+        assert_eq!(report.span_parents[stage], parent, "{stage}");
+    }
+    assert!(escapes > 0 && escapes < elements);
+    assert_eq!(report.counters["sz3:elements"], elements);
+    assert_eq!(report.counters["sz3:escapes"], escapes);
+}
+
 /// Fault-tolerance: a task that dies on worker k is retried on a different
 /// worker under DataAffinity, and the observability counters tell the same
 /// story as the returned `TaskOutcome`s / `PoolStats`.

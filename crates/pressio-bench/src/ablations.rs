@@ -21,11 +21,12 @@ use std::time::Instant;
 type Result = std::io::Result<()>;
 
 /// Every ablation reachable through [`run`], in help-text order.
-pub const NAMES: [&str; 7] = [
+pub const NAMES: [&str; 8] = [
     "bandwidth",
     "datasets",
     "insample",
     "invalidation",
+    "lorenzo",
     "lossless",
     "rahman",
     "tao_sweep",
@@ -39,6 +40,7 @@ pub fn run(name: &str, args: &BenchArgs, out: &mut dyn Write) -> Result {
         "datasets" => datasets(args, out),
         "insample" => insample(args, out),
         "invalidation" => invalidation(args, out),
+        "lorenzo" => lorenzo(args, out),
         "lossless" => lossless(args, out),
         "rahman" => rahman(args, out),
         "tao_sweep" => tao_sweep(args, out),
@@ -372,6 +374,93 @@ pub fn invalidation(args: &BenchArgs, out: &mut dyn Write) -> Result {
         out,
         "\nshape check: the SVD is computed once per dataset instead of once per (dataset, bound)"
     )
+}
+
+/// What the skewed band sweep buys over one row at a time, and what writing
+/// the band step out in `std::arch` buys over leaving the lane arrays to the
+/// autovectorizer: Lorenzo predict+quantize and reconstruct of Hurricane
+/// fields (f32, `abs = 1e-4`) in nanoseconds per element, fastest of enough
+/// repetitions to cover two million elements, through each form of the step.
+/// Every form must produce the same streams. `--dims` is not used: the
+/// shapes are the table's rows. Quick mode is one field.
+pub fn lorenzo(args: &BenchArgs, out: &mut dyn Write) -> Result {
+    use pressio_sz::lorenzo::Kernel;
+    const SHAPES: [[usize; 3]; 4] = [[16, 16, 8], [32, 32, 16], [64, 64, 16], [128, 128, 64]];
+    let fields: &[&str] = if args.quick {
+        &["P"]
+    } else {
+        &["P", "PRECIP", "QCLOUD", "U"]
+    };
+    let selected = Kernel::selected();
+    let forms = [Kernel::one_row(), Kernel::portable(), selected];
+    let bound = (1e-4, pressio_sz::RADIUS, true);
+    writeln!(
+        out,
+        "# Ablation: Lorenzo one row at a time vs the band sweep (kernel selected: {})\n",
+        selected.name()
+    )?;
+    writeln!(
+        out,
+        "| field | dims | escapes % | encode ns/el: one-row | portable | {0} | decode ns/el: one-row | portable | {0} | streams |",
+        selected.name()
+    )?;
+    writeln!(out, "|---|---|---|---|---|---|---|---|---|---|")?;
+    let mut all_equal = true;
+    for field in fields {
+        for [nx, ny, nz] in SHAPES {
+            let data = Hurricane::with_dims(nx, ny, nz, 1).generate(field, 0);
+            let (values, dims) = (data.as_f32().unwrap(), data.dims());
+            let n = values.len();
+            let reps = (2_000_000 / n).max(3);
+            let ns_per_element = |run: &mut dyn FnMut()| {
+                let best = (0..reps)
+                    .map(|_| time_ms(&mut *run).1)
+                    .fold(f64::INFINITY, f64::min);
+                best * 1e6 / n as f64
+            };
+            let reference = forms[0].encode(values, dims, bound, false);
+            let decoded = forms[0]
+                .decode::<f32>(dims, bound, &reference.symbols, &reference.unpredictable)
+                .unwrap();
+            let (mut encode_ns, mut decode_ns, mut equal) = (Vec::new(), Vec::new(), true);
+            for kernel in forms {
+                let coded = kernel.encode(values, dims, bound, false);
+                let (symbols, verbatim) = (&coded.symbols, &coded.unpredictable);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                equal &= *symbols == reference.symbols
+                    && bits(verbatim) == bits(&reference.unpredictable)
+                    && kernel
+                        .decode::<f32>(dims, bound, symbols, verbatim)
+                        .unwrap()
+                        == decoded;
+                encode_ns.push(ns_per_element(&mut || {
+                    std::hint::black_box(kernel.encode(values, dims, bound, false));
+                }));
+                decode_ns.push(ns_per_element(&mut || {
+                    std::hint::black_box(kernel.decode::<f32>(dims, bound, symbols, verbatim).ok());
+                }));
+            }
+            all_equal &= equal;
+            writeln!(
+                out,
+                "| {field} | {nx}×{ny}×{nz} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {} |",
+                reference.unpredictable.len() as f64 * 100.0 / n as f64,
+                encode_ns[0],
+                encode_ns[1],
+                encode_ns[2],
+                decode_ns[0],
+                decode_ns[1],
+                decode_ns[2],
+                if equal { "equal" } else { "DIFFER" },
+            )?;
+        }
+    }
+    if !all_equal {
+        return Err(std::io::Error::other(
+            "the forms of the Lorenzo step produced different streams",
+        ));
+    }
+    writeln!(out, "\nshape check: the one-row form waits on one dependency chain per element; eight rows in flight hide it, and the explicit form keeps the chain in registers where the lane arrays go through the stack")
 }
 
 /// What SZ's dictionary stage buys, and whether the trial in

@@ -606,6 +606,14 @@ fn stats_response(state: &ServerState, pipeline: &Pipeline) -> Options {
     for ((key, _), value) in STATS.iter().zip(&state.stats) {
         resp.set(*key, value.load(Ordering::Relaxed));
     }
+    // of a traced daemon: how much of what sz3 compressed here (training
+    // truth, streamed chunks) the quantizer gave up on and stored verbatim
+    if let Some(collector) = pressio_obs::global() {
+        let counters = collector.report().counters;
+        for key in ["sz3:elements", "sz3:escapes"] {
+            resp.set(key, counters.get(key).copied().unwrap_or(0) as u64);
+        }
+    }
     resp
 }
 

@@ -37,6 +37,12 @@ fn sharded_client_redials_a_restarted_shard_without_failing_over() {
         )
         .unwrap();
     assert_eq!(trained.get_str("serve:type").unwrap(), "trained");
+    // a traced daemon's stats say how much of the training truth sz3 had to
+    // store verbatim
+    let stats = Client::connect(handle.endpoint()).unwrap().stats().unwrap();
+    let elements = stats.get_u64("sz3:elements").unwrap();
+    assert!(elements >= 8 * 8 * 4, "{stats}");
+    assert!(stats.get_u64("sz3:escapes").unwrap() < elements, "{stats}");
 
     // a standalone server is a one-shard topology; the first call leaves a
     // connection to it in the client's cache

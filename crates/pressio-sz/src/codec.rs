@@ -1,9 +1,10 @@
 //! Stream assembly for the SZ-like compressor: header, predictor side
 //! streams, Huffman-coded symbols, and the lossless backend stage.
 
-use crate::quantizer::{Dequantizer, Quantizer};
+use crate::quantizer::{DequantError, Dequantizer, Quantizer};
 use crate::{interp, lorenzo, regression};
 use pressio_core::error::{Error, Result};
+use pressio_core::lanes::Widen;
 use pressio_core::{Data, Dtype};
 use pressio_lossless::{huffman, lzss};
 
@@ -100,6 +101,27 @@ pub fn predict_and_quantize(
     predict_and_quantize_par(values, dims, eb, predictor, block, round_f32, 1)
 }
 
+/// Lorenzo prediction + quantization straight off the typed elements.
+/// [`QuantizedStream::reconstruction`] is `n` more `f64` and is filled only
+/// when asked for: the compressor does not, the stage functions do.
+pub(crate) fn lorenzo_quantize<T: Widen>(
+    values: &[T],
+    dims: &[usize],
+    eb: f64,
+    round_f32: bool,
+    keep_reconstruction: bool,
+) -> QuantizedStream {
+    let bound = (eb, RADIUS, round_f32);
+    let coded = lorenzo::Kernel::selected().encode(values, dims, bound, keep_reconstruction);
+    QuantizedStream {
+        symbols: coded.symbols,
+        unpredictable: coded.unpredictable,
+        coefficients: Vec::new(),
+        block_modes: Vec::new(),
+        reconstruction: coded.reconstruction,
+    }
+}
+
 /// [`predict_and_quantize`] with a thread count. Only the regression
 /// predictor parallelizes (its blocks are independent); Lorenzo, interp,
 /// and hybrid carry reconstruction feedback between elements and stay
@@ -116,11 +138,7 @@ pub fn predict_and_quantize_par(
 ) -> QuantizedStream {
     let mut q = Quantizer::new(eb, RADIUS, round_f32, values.len());
     let (reconstruction, coefficients, block_modes) = match predictor {
-        Predictor::Lorenzo => (
-            lorenzo::encode(values, dims, &mut q),
-            Vec::new(),
-            Vec::new(),
-        ),
+        Predictor::Lorenzo => return lorenzo_quantize(values, dims, eb, round_f32, true),
         Predictor::Regression => {
             let (r, c) = regression::encode_par(values, dims, block, &mut q, nthreads);
             (r, c, Vec::new())
@@ -420,22 +438,31 @@ pub fn reconstruct(p: &ParsedStream) -> Result<Data> {
     reconstruct_par(p, 1)
 }
 
-/// [`reconstruct`] with a thread count. Lorenzo decodes by wavefront over
-/// anti-diagonal tiles and interp by independent chunks within each
-/// interpolation pass; regression and hybrid stay sequential. All paths
-/// are bit-identical to the sequential decoder at any thread count.
+/// The Lorenzo sweep, written as the element type the stream holds.
+fn lorenzo_reconstruct(p: &ParsedStream) -> std::result::Result<Data, DequantError> {
+    let kernel = lorenzo::Kernel::selected();
+    let (symbols, verbatim) = (&p.symbols[..], &p.unpredictable[..]);
+    Ok(match p.dtype {
+        Dtype::F32 => Data::from_f32(
+            p.dims.clone(),
+            kernel.decode(&p.dims, (p.eb, RADIUS, true), symbols, verbatim)?,
+        ),
+        _ => Data::from_f64(
+            p.dims.clone(),
+            kernel.decode(&p.dims, (p.eb, RADIUS, false), symbols, verbatim)?,
+        ),
+    })
+}
+
+/// [`reconstruct`] with a thread count. Interp decodes by independent
+/// chunks within each interpolation pass; Lorenzo (one sweep, narrowed a
+/// plane at a time into the buffer it returns), regression and hybrid stay
+/// sequential. All paths are bit-identical at any thread count.
 pub fn reconstruct_par(p: &ParsedStream, nthreads: usize) -> Result<Data> {
     let round_f32 = p.dtype == Dtype::F32;
+    let corrupt = |e: DequantError| Error::CorruptStream(e.to_string());
     let recon = match p.predictor {
-        Predictor::Lorenzo => lorenzo::decode_par(
-            &p.dims,
-            p.eb,
-            RADIUS,
-            round_f32,
-            &p.symbols,
-            &p.unpredictable,
-            nthreads,
-        ),
+        Predictor::Lorenzo => return lorenzo_reconstruct(p).map_err(corrupt),
         Predictor::Interp => interp::decode_par(
             &p.dims,
             p.eb,
@@ -454,7 +481,7 @@ pub fn reconstruct_par(p: &ParsedStream, nthreads: usize) -> Result<Data> {
             crate::hybrid::decode(&p.dims, p.block, &p.coefficients, &p.block_modes, &mut dq)
         }
     }
-    .map_err(|e| Error::CorruptStream(e.to_string()))?;
+    .map_err(corrupt)?;
     Ok(match p.dtype {
         Dtype::F32 => Data::from_f32(p.dims.clone(), recon.iter().map(|&v| v as f32).collect()),
         _ => Data::from_f64(p.dims.clone(), recon),

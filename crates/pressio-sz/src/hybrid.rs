@@ -9,29 +9,8 @@
 //! reconstructed neighbors — matching the reference implementation's
 //! traversal (block-by-block, row-major within a block).
 
-use crate::lorenzo::normalize_dims;
+use crate::lorenzo::{normalize_dims, predict as lorenzo_predict};
 use crate::quantizer::{DequantError, Dequantizer, Quantizer};
-
-#[inline]
-fn at(recon: &[f64], nx: usize, nxy: usize, x: isize, y: isize, z: isize) -> f64 {
-    if x < 0 || y < 0 || z < 0 {
-        0.0
-    } else {
-        recon[z as usize * nxy + y as usize * nx + x as usize]
-    }
-}
-
-#[inline]
-fn lorenzo_predict(recon: &[f64], nx: usize, nxy: usize, x: usize, y: usize, z: usize) -> f64 {
-    let (xi, yi, zi) = (x as isize, y as isize, z as isize);
-    at(recon, nx, nxy, xi - 1, yi, zi)
-        + at(recon, nx, nxy, xi, yi - 1, zi)
-        + at(recon, nx, nxy, xi, yi, zi - 1)
-        - at(recon, nx, nxy, xi - 1, yi - 1, zi)
-        - at(recon, nx, nxy, xi - 1, yi, zi - 1)
-        - at(recon, nx, nxy, xi, yi - 1, zi - 1)
-        + at(recon, nx, nxy, xi - 1, yi - 1, zi - 1)
-}
 
 /// Fit `v ≈ c0 + c1·x + c2·y + c3·z` on one block of original values and
 /// return `(coefficients, mean |residual|)`.

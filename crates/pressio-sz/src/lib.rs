@@ -32,6 +32,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// one exception: `lorenzo::avx2`, the `std::arch` form of the band step
+#![deny(unsafe_code)]
 
 pub mod codec;
 pub mod hybrid;
@@ -45,8 +47,9 @@ pub use codec::{
 };
 
 use pressio_core::error::{Error, Result};
+use pressio_core::lanes::Widen;
 use pressio_core::metrics::invalidations;
-use pressio_core::{Compressor, Data, Dtype, Options};
+use pressio_core::{Compressor, Data, Dtype, Elements, Options};
 
 /// The SZ3-like compressor plugin (`id = "sz3"`).
 ///
@@ -113,11 +116,11 @@ impl SzCompressor {
     }
 
     /// Effective absolute bound for a buffer (resolves `pressio:rel`).
-    fn effective_abs(&self, values: &[f64]) -> f64 {
+    fn effective_abs<T: Widen>(&self, values: &[T]) -> f64 {
         match self.rel {
             Some(rel) => {
                 let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                for &v in values {
+                for v in values.iter().map(|v| v.widen()) {
                     if v.is_finite() {
                         lo = lo.min(v);
                         hi = hi.max(v);
@@ -134,12 +137,49 @@ impl SzCompressor {
         }
     }
 
+    /// [`Compressor::compress`] on the typed elements of `input`. Lorenzo
+    /// reads them as they are; the other predictors work on an `f64` copy,
+    /// made only once one of them is chosen.
+    fn compress_elements<T: Widen>(&self, input: &Data, values: &[T]) -> Result<Vec<u8>> {
+        let (dtype, dims) = (input.dtype(), input.dims());
+        let round_f32 = dtype == Dtype::F32;
+        let abs = self.effective_abs(values);
+        let predictor = match self.predictor.as_str() {
+            "auto" => self.select_predictor(values, dims, abs, round_f32),
+            other => Predictor::parse(other)?,
+        };
+        let nthreads = pressio_core::threads::resolve(self.nthreads);
+        let qs = {
+            let _span = pressio_obs::span("sz3:predict");
+            match predictor {
+                Predictor::Lorenzo => codec::lorenzo_quantize(values, dims, abs, round_f32, false),
+                _ => codec::predict_and_quantize_par(
+                    &input.to_f64_vec(),
+                    dims,
+                    abs,
+                    predictor,
+                    self.block,
+                    round_f32,
+                    nthreads,
+                ),
+            }
+        };
+        let out = codec::assemble_par(dtype, dims, abs, predictor, self.block, &qs, nthreads);
+        if pressio_obs::is_enabled() {
+            pressio_obs::add_counter("sz3:compress.bytes_in", input.size_in_bytes() as i64);
+            pressio_obs::add_counter("sz3:compress.bytes_out", out.len() as i64);
+            pressio_obs::add_counter("sz3:elements", qs.symbols.len() as i64);
+            pressio_obs::add_counter("sz3:escapes", qs.unpredictable.len() as i64);
+        }
+        Ok(out)
+    }
+
     /// Pick a predictor by trial-compressing a centered sample block with
     /// each candidate and keeping the smallest output (the `"auto"` mode;
     /// SZ3 performs an analogous sampled selection).
-    fn select_predictor(
+    fn select_predictor<T: Widen>(
         &self,
-        values: &[f64],
+        values: &[T],
         dims: &[usize],
         abs: f64,
         round_f32: bool,
@@ -185,8 +225,13 @@ impl SzCompressor {
     }
 }
 
-/// Extract a hyper-rectangle from a flat fastest-first array.
-fn extract_block(values: &[f64], dims: &[usize], origin: &[usize], shape: &[usize]) -> Vec<f64> {
+/// Extract a hyper-rectangle from a flat fastest-first array, widened.
+fn extract_block<T: Widen>(
+    values: &[T],
+    dims: &[usize],
+    origin: &[usize],
+    shape: &[usize],
+) -> Vec<f64> {
     let mut strides = vec![1usize; dims.len()];
     for d in 1..dims.len() {
         strides[d] = strides[d - 1] * dims[d - 1];
@@ -202,7 +247,7 @@ fn extract_block(values: &[f64], dims: &[usize], origin: &[usize], shape: &[usiz
         for d in 0..shape.len() {
             idx += (origin[d] + coord[d]) * strides[d];
         }
-        out.push(values[idx]);
+        out.push(values[idx].widen());
         for d in 0..shape.len() {
             coord[d] += 1;
             if coord[d] < shape[d] {
@@ -295,31 +340,14 @@ impl Compressor for SzCompressor {
 
     fn compress(&self, input: &Data) -> Result<Vec<u8>> {
         let _span = pressio_obs::span("sz3:compress");
-        let dtype = input.dtype();
-        if !matches!(dtype, Dtype::F32 | Dtype::F64) {
-            return Err(Error::UnsupportedData(format!(
+        match input.elements() {
+            Elements::F32(values) => self.compress_elements(input, values),
+            Elements::F64(values) => self.compress_elements(input, values),
+            _ => Err(Error::UnsupportedData(format!(
                 "sz3 supports f32/f64, got {}",
-                dtype.name()
-            )));
+                input.dtype().name()
+            ))),
         }
-        let values = input.to_f64_vec();
-        let dims = input.dims().to_vec();
-        let round_f32 = dtype == Dtype::F32;
-        let abs = self.effective_abs(&values);
-        let predictor = match self.predictor.as_str() {
-            "auto" => self.select_predictor(&values, &dims, abs, round_f32),
-            other => Predictor::parse(other)?,
-        };
-        let nthreads = pressio_core::threads::resolve(self.nthreads);
-        let qs = codec::predict_and_quantize_par(
-            &values, &dims, abs, predictor, self.block, round_f32, nthreads,
-        );
-        let out = codec::assemble_par(dtype, &dims, abs, predictor, self.block, &qs, nthreads);
-        if pressio_obs::is_enabled() {
-            pressio_obs::add_counter("sz3:compress.bytes_in", input.size_in_bytes() as i64);
-            pressio_obs::add_counter("sz3:compress.bytes_out", out.len() as i64);
-        }
-        Ok(out)
     }
 
     fn decompress(&self, compressed: &[u8], dtype: Dtype, dims: &[usize]) -> Result<Data> {
@@ -328,7 +356,10 @@ impl Compressor for SzCompressor {
             pressio_obs::add_counter("sz3:decompress.bytes_in", compressed.len() as i64);
         }
         let nthreads = pressio_core::threads::resolve(self.nthreads);
-        let parsed = codec::parse_par(compressed, nthreads)?;
+        let parsed = {
+            let _span = pressio_obs::span("sz3:parse");
+            codec::parse_par(compressed, nthreads)?
+        };
         if parsed.dtype != dtype {
             return Err(Error::UnsupportedData(format!(
                 "stream holds {}, caller asked for {}",
@@ -342,6 +373,7 @@ impl Compressor for SzCompressor {
                 parsed.dims, dims
             )));
         }
+        let _span = pressio_obs::span("sz3:reconstruct");
         codec::reconstruct_par(&parsed, nthreads)
     }
 

@@ -7,7 +7,14 @@
 //! collapsing the slowest dimensions into the third (the prediction quality
 //! degrades gracefully, matching SZ's behaviour on high-rank data).
 
-use crate::quantizer::{decode_symbol, DequantError, Dequantizer, Quantizer};
+#[cfg(target_arch = "x86_64")]
+mod avx2;
+mod sweep;
+#[cfg(test)]
+mod twin;
+
+pub use sweep::{Element, Encoded, Kernel};
+
 use pressio_core::lanes::{finite, fold, Widen, LANES};
 
 /// Normalize dims to exactly 3 entries (fastest first), collapsing extras.
@@ -20,6 +27,7 @@ pub(crate) fn normalize_dims(dims: &[usize]) -> [usize; 3] {
     }
 }
 
+/// The reconstruction at `(x, y, z)`, a literal `0.0` outside the volume.
 #[inline]
 fn at(recon: &[f64], nx: usize, nxy: usize, x: isize, y: isize, z: isize) -> f64 {
     if x < 0 || y < 0 || z < 0 {
@@ -29,8 +37,10 @@ fn at(recon: &[f64], nx: usize, nxy: usize, x: isize, y: isize, z: isize) -> f64
     }
 }
 
+/// The stencil, one element at a time: what [`crate::hybrid`] calls per
+/// block, and the term order the sweep keeps.
 #[inline]
-fn predict(recon: &[f64], nx: usize, nxy: usize, x: usize, y: usize, z: usize) -> f64 {
+pub(crate) fn predict(recon: &[f64], nx: usize, nxy: usize, x: usize, y: usize, z: usize) -> f64 {
     let (xi, yi, zi) = (x as isize, y as isize, z as isize);
     at(recon, nx, nxy, xi - 1, yi, zi)
         + at(recon, nx, nxy, xi, yi - 1, zi)
@@ -39,172 +49,6 @@ fn predict(recon: &[f64], nx: usize, nxy: usize, x: usize, y: usize, z: usize) -
         - at(recon, nx, nxy, xi - 1, yi, zi - 1)
         - at(recon, nx, nxy, xi, yi - 1, zi - 1)
         + at(recon, nx, nxy, xi - 1, yi - 1, zi - 1)
-}
-
-/// Quantize `values` under Lorenzo prediction, returning the reconstruction.
-pub fn encode(values: &[f64], dims: &[usize], q: &mut Quantizer) -> Vec<f64> {
-    let [nx, ny, nz] = normalize_dims(dims);
-    debug_assert_eq!(nx * ny * nz, values.len());
-    let nxy = nx * ny;
-    let mut recon = vec![0.0f64; values.len()];
-    let mut idx = 0usize;
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                let pred = predict(&recon, nx, nxy, x, y, z);
-                recon[idx] = q.quantize(pred, values[idx]);
-                idx += 1;
-            }
-        }
-    }
-    recon
-}
-
-/// Reconstruct a Lorenzo-coded buffer.
-pub fn decode(dims: &[usize], dq: &mut Dequantizer) -> Result<Vec<f64>, DequantError> {
-    let [nx, ny, nz] = normalize_dims(dims);
-    let nxy = nx * ny;
-    let mut recon = vec![0.0f64; nx * ny * nz];
-    let mut idx = 0usize;
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                let pred = predict(&recon, nx, nxy, x, y, z);
-                recon[idx] = dq.recover(pred)?;
-                idx += 1;
-            }
-        }
-    }
-    Ok(recon)
-}
-
-/// Wavefront-parallel [`decode`].
-///
-/// The Lorenzo decode loop carries a serial dependency (every point needs
-/// its already-reconstructed neighbors), but tiles of an x-row only
-/// depend on tiles with a strictly smaller anti-diagonal index
-/// `t + y + z`, so all tiles on one anti-diagonal decode concurrently.
-/// Each point's arithmetic — prediction term order, symbol decode, and
-/// unpredictable-stream position (recovered from per-tile zero-symbol
-/// prefix sums) — is identical to the sequential path, so the output is
-/// bit-for-bit the same at any thread count (pinned by the
-/// parallel-parity proptests). Tile length only affects scheduling, never
-/// the result. 1-D inputs (a single dependency chain) and `nthreads <= 1`
-/// fall back to [`decode`].
-pub fn decode_par(
-    dims: &[usize],
-    eb: f64,
-    radius: i64,
-    round_f32: bool,
-    symbols: &[u32],
-    unpredictable: &[f64],
-    nthreads: usize,
-) -> Result<Vec<f64>, DequantError> {
-    let [nx, ny, nz] = normalize_dims(dims);
-    let n = nx * ny * nz;
-    if nthreads <= 1 || n == 0 || (ny <= 1 && nz <= 1) {
-        let mut dq = Dequantizer::new(eb, radius, round_f32, symbols, unpredictable);
-        return decode(dims, &mut dq);
-    }
-    if symbols.len() < n {
-        return Err(DequantError("symbol stream exhausted"));
-    }
-    let nxy = nx * ny;
-    // tile length is scheduling-only: rows split finer when the y/z plane
-    // alone cannot feed every thread
-    let tile_len = if nz > 1 {
-        nx
-    } else {
-        nx.div_ceil(4 * nthreads).max(32).min(nx)
-    };
-    let tpr = nx.div_ceil(tile_len);
-    let (ny1, nz1) = (ny.max(1), nz.max(1));
-    let ntiles = tpr * ny1 * nz1;
-    // per-tile start offsets into the unpredictable stream, from
-    // zero-symbol counts in symbol (= tile raster) order
-    let tile_bounds = |t: usize| {
-        let x0 = t * tile_len;
-        (x0, (x0 + tile_len).min(nx))
-    };
-    let zero_counts = pressio_core::threads::par_map_indexed(nthreads, ntiles, |i| {
-        let (t, rest) = (i % tpr, i / tpr);
-        let (y, z) = (rest % ny1, rest / ny1);
-        let (x0, x1) = tile_bounds(t);
-        let base = z * nxy + y * nx + x0;
-        symbols[base..base + (x1 - x0)]
-            .iter()
-            .filter(|&&s| s == 0)
-            .count()
-    });
-    let mut unpred_base = vec![0usize; ntiles];
-    let mut acc = 0usize;
-    for (i, &c) in zero_counts.iter().enumerate() {
-        unpred_base[i] = acc;
-        acc += c;
-    }
-    if acc > unpredictable.len() {
-        return Err(DequantError("unpredictable stream exhausted"));
-    }
-    let mut recon = vec![0.0f64; n];
-    let mut wave: Vec<(usize, usize, usize)> = Vec::new();
-    for d in 0..=(tpr - 1) + (ny1 - 1) + (nz1 - 1) {
-        wave.clear();
-        for z in 0..nz1.min(d + 1) {
-            for y in 0..ny1.min(d - z + 1) {
-                let t = d - z - y;
-                if t < tpr {
-                    wave.push((t, y, z));
-                }
-            }
-        }
-        let results = pressio_core::threads::par_map_indexed(nthreads, wave.len(), |i| {
-            let (t, y, z) = wave[i];
-            let (x0, x1) = tile_bounds(t);
-            let row_base = z * nxy + y * nx;
-            let tile_id = (z * ny1 + y) * tpr + t;
-            let mut up = unpred_base[tile_id];
-            let mut out = Vec::with_capacity(x1 - x0);
-            let (yi, zi) = (y as isize, z as isize);
-            for x in x0..x1 {
-                let xi = x as isize;
-                // same term order as `predict`; the x-1 in-row term comes
-                // from this tile's local output (identical value)
-                let prev = if x == 0 {
-                    0.0
-                } else if x == x0 {
-                    recon[row_base + x - 1]
-                } else {
-                    out[x - x0 - 1]
-                };
-                let pred = prev
-                    + at(&recon, nx, nxy, xi, yi - 1, zi)
-                    + at(&recon, nx, nxy, xi, yi, zi - 1)
-                    - at(&recon, nx, nxy, xi - 1, yi - 1, zi)
-                    - at(&recon, nx, nxy, xi - 1, yi, zi - 1)
-                    - at(&recon, nx, nxy, xi, yi - 1, zi - 1)
-                    + at(&recon, nx, nxy, xi - 1, yi - 1, zi - 1);
-                let v = match decode_symbol(eb, radius, round_f32, symbols[row_base + x], pred)? {
-                    Some(v) => v,
-                    None => {
-                        let v = *unpredictable
-                            .get(up)
-                            .ok_or(DequantError("unpredictable stream exhausted"))?;
-                        up += 1;
-                        v
-                    }
-                };
-                out.push(v);
-            }
-            Ok::<Vec<f64>, DequantError>(out)
-        });
-        for (&(t, y, z), res) in wave.iter().zip(results) {
-            let vals = res?;
-            let (x0, _) = tile_bounds(t);
-            let base = z * nxy + y * nx + x0;
-            recon[base..base + vals.len()].copy_from_slice(&vals);
-        }
-    }
-    Ok(recon)
 }
 
 /// Σ|v − pred| over one row of the estimation stencil, on *original*
@@ -334,12 +178,16 @@ mod tests {
     use super::*;
 
     fn round_trip(values: &[f64], dims: &[usize], eb: f64) -> Vec<f64> {
-        let mut q = Quantizer::new(eb, 32768, false, values.len());
-        let recon_c = encode(values, dims, &mut q);
-        let mut dq = Dequantizer::new(eb, 32768, false, &q.symbols, &q.unpredictable);
-        let recon_d = decode(dims, &mut dq).unwrap();
-        assert_eq!(recon_c, recon_d, "encode/decode reconstruction mismatch");
-        recon_d
+        let (kernel, bound) = (Kernel::selected(), (eb, 32768, false));
+        let coded = kernel.encode(values, dims, bound, true);
+        let decoded: Vec<f64> = kernel
+            .decode(dims, bound, &coded.symbols, &coded.unpredictable)
+            .unwrap();
+        assert_eq!(
+            coded.reconstruction, decoded,
+            "encode/decode reconstruction mismatch"
+        );
+        decoded
     }
 
     #[test]
@@ -406,10 +254,9 @@ mod tests {
         let values: Vec<f64> = (0..nx * ny)
             .map(|i| (i % nx) as f64 * 2.0 + (i / nx) as f64 * 3.0)
             .collect();
-        let mut q = Quantizer::new(1e-6, 32768, false, values.len());
-        encode(&values, &[nx, ny], &mut q);
+        let coded = Kernel::selected().encode(&values, &[nx, ny], (1e-6, 32768, false), false);
         let zero_code = 32768u32; // code 0 + radius
-        let interior_zero = q
+        let interior_zero = coded
             .symbols
             .iter()
             .enumerate()
@@ -437,8 +284,11 @@ mod tests {
     #[test]
     fn empty_input() {
         assert_eq!(estimate_mean_abs_residual::<f64>(&[], &[0]), 0.0);
-        let mut q = Quantizer::new(1e-3, 32768, false, 0);
-        assert!(encode(&[], &[0], &mut q).is_empty());
+        let kernel = Kernel::selected();
+        let coded = kernel.encode::<f64>(&[], &[0], (1e-3, 32768, false), true);
+        assert!(coded.symbols.is_empty() && coded.reconstruction.is_empty());
+        let decoded = kernel.decode::<f32>(&[0], (1e-3, 32768, true), &[], &[]);
+        assert!(decoded.unwrap().is_empty());
     }
 
     fn synth(n: usize, scale: f64) -> Vec<f64> {
@@ -499,67 +349,5 @@ mod tests {
                 "f32 dims={dims:?}"
             );
         }
-    }
-
-    #[test]
-    fn wavefront_decode_matches_sequential() {
-        for dims in [vec![33usize, 21], vec![12, 10, 8], vec![7, 5, 3, 2]] {
-            let n: usize = dims.iter().product();
-            let mut values = synth(n, 2.0);
-            values[1] = 1e30; // force an unpredictable point
-            values[n / 2] = f64::NAN;
-            for round_f32 in [false, true] {
-                let mut q = Quantizer::new(1e-3, 32768, round_f32, n);
-                let recon_c = encode(&values, &dims, &mut q);
-                let mut dq = Dequantizer::new(1e-3, 32768, round_f32, &q.symbols, &q.unpredictable);
-                let seq = decode(&dims, &mut dq).unwrap();
-                assert_eq!(
-                    seq.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    recon_c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                );
-                for threads in [2usize, 3, 5] {
-                    let par = decode_par(
-                        &dims,
-                        1e-3,
-                        32768,
-                        round_f32,
-                        &q.symbols,
-                        &q.unpredictable,
-                        threads,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        par.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        seq.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        "dims={dims:?} threads={threads} round_f32={round_f32}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wavefront_decode_propagates_truncation_errors() {
-        let values = synth(16 * 12, 1.0);
-        let mut q = Quantizer::new(1e-3, 32768, false, values.len());
-        encode(&values, &[16, 12], &mut q);
-        // truncated symbols
-        assert!(decode_par(
-            &[16, 12],
-            1e-3,
-            32768,
-            false,
-            &q.symbols[..10],
-            &q.unpredictable,
-            3
-        )
-        .is_err());
-        // missing unpredictable values
-        let mut vals2 = values.clone();
-        vals2[5] = 1e40;
-        let mut q2 = Quantizer::new(1e-3, 32768, false, vals2.len());
-        encode(&vals2, &[16, 12], &mut q2);
-        assert!(!q2.unpredictable.is_empty());
-        assert!(decode_par(&[16, 12], 1e-3, 32768, false, &q2.symbols, &[], 3).is_err());
     }
 }

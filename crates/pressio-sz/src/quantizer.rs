@@ -9,6 +9,89 @@
 //! `code + radius`, keeping the common near-zero residuals in a dense,
 //! low-entropy band for the Huffman stage.
 
+use pressio_core::lanes::{finite, LANES};
+
+/// A quantizer's constants as the branch-free kernels read them, and the one
+/// branch-free statement of [`Quantizer::quantize`] and of
+/// [`decode_symbol`]: an escape is a select, never a branch. The lane body
+/// of [`Quantizer::quantize_slice`] and the portable Lorenzo sweep both
+/// call these two functions; the AVX2 sweep is their only transliteration.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Formula {
+    pub(crate) eb: f64,
+    /// `2·eb`, the width of one quantization bin.
+    pub(crate) two_eb: f64,
+    /// `radius − 1`: a code is representable strictly inside `±limit`.
+    pub(crate) limit: f64,
+    pub(crate) radius: f64,
+    pub(crate) round_f32: bool,
+}
+
+impl Formula {
+    pub(crate) fn new(eb: f64, radius: i64, round_f32: bool) -> Formula {
+        assert!(eb > 0.0, "error bound must be positive");
+        // a symbol `code + radius` must fit the i32 the vector convert yields
+        assert!(radius > 1 && radius <= 1 << 30);
+        Formula {
+            eb,
+            two_eb: 2.0 * eb,
+            limit: (radius - 1) as f64,
+            radius: radius as f64,
+            round_f32,
+        }
+    }
+
+    #[inline(always)]
+    fn round_target(&self, v: f64) -> f64 {
+        if self.round_f32 {
+            v as f32 as f64
+        } else {
+            v
+        }
+    }
+
+    /// `(reconstruction, symbol)` of `value` against `prediction`; symbol 0
+    /// is the escape, whose reconstruction is the value to store verbatim.
+    ///
+    /// All-`f64` arithmetic: where `ok` holds `code` is integral and inside
+    /// `±limit`, so it is the scalar path's `i64` round trip bit for bit —
+    /// but for its sign when zero: the round trip yields `+0.0` where
+    /// `round` keeps `−0.0`, which shows only when `prediction` is `−0.0`
+    /// too, so the prediction is added to `+0.0` first (a no-op on any other
+    /// value, and off the dependency chain). `&`, not `&&`, keeps the
+    /// predicate chain free of branches.
+    #[inline(always)]
+    pub(crate) fn quantize(&self, prediction: f64, value: f64) -> (f64, u32) {
+        let code = ((value - prediction) / self.two_eb).round();
+        let recon = self.round_target((prediction + 0.0) + self.two_eb * code);
+        let ok = finite(value)
+            & finite(prediction)
+            & (code.abs() < self.limit)
+            & ((recon - value).abs() <= self.eb);
+        // select in f64, convert once: an escape's huge or NaN code never
+        // reaches the cast
+        let (recon, symbol) = if ok {
+            (recon, code + self.radius)
+        } else {
+            (self.round_target(value), 0.0)
+        };
+        (recon, symbol as i32 as u32)
+    }
+
+    /// The value a valid `symbol` decodes to against `prediction`;
+    /// `verbatim` is what the escape symbol 0 stands for at this point.
+    #[inline(always)]
+    pub(crate) fn recover(&self, prediction: f64, symbol: u32, verbatim: f64) -> f64 {
+        let code = symbol as f64 - self.radius;
+        let coded = self.round_target(prediction + self.two_eb * code);
+        if symbol == 0 {
+            verbatim
+        } else {
+            coded
+        }
+    }
+}
+
 /// Streaming quantizer used during compression.
 #[derive(Debug)]
 pub struct Quantizer {
@@ -77,55 +160,29 @@ impl Quantizer {
     /// symbols/escapes exactly as per-element [`Quantizer::quantize`] calls
     /// would — the two paths are byte-identical (pinned by proptests).
     ///
-    /// Chunks of [`pressio_core::lanes::LANES`] elements are evaluated
-    /// branchlessly (division, round, and the error-bound check all
-    /// vectorize); a chunk whose lanes all stay on the fast path commits
-    /// its eight symbols with one bulk push, and any chunk containing an
-    /// escape or non-finite lane falls back to the scalar method so the
-    /// symbol/unpredictable interleaving is preserved bit-for-bit.
+    /// Chunks of [`LANES`] elements go through the branch-free
+    /// [`Formula::quantize`] (division, round, and the error-bound check all
+    /// vectorize) and commit their eight symbols with one bulk push; an
+    /// escape's reconstruction is the value stored verbatim, so the escapes
+    /// of a chunk are read back off its symbols, in order.
     pub fn quantize_slice(&mut self, predictions: &[f64], values: &[f64], recon: &mut [f64]) {
-        use pressio_core::lanes::LANES;
         assert_eq!(predictions.len(), values.len());
         assert_eq!(values.len(), recon.len());
-        let eb = self.eb;
-        let two_eb = 2.0 * eb;
-        let limit = (self.radius - 1) as f64;
-        let round_f32 = self.round_f32;
+        let formula = Formula::new(self.eb, self.radius, self.round_f32);
         let mut i = 0usize;
         while i + LANES <= values.len() {
             let vs: &[f64; LANES] = values[i..i + LANES].try_into().unwrap();
             let ps: &[f64; LANES] = predictions[i..i + LANES].try_into().unwrap();
-            let mut codes = [0.0f64; LANES];
+            let mut syms = [0u32; LANES];
             let mut recs = [0.0f64; LANES];
-            let mut all_ok = true;
             for l in 0..LANES {
-                let (v, p) = (vs[l], ps[l]);
-                // all-f64 arithmetic: when `ok` holds, `code_f` is integral
-                // and within ±(radius-1), so it equals the scalar path's i64
-                // round-trip bit-for-bit; the cast itself is deferred to the
-                // commit loop because packed f64→i64 doesn't exist pre-AVX-512
-                // and would force this loop scalar. `&` (not `&&`) keeps the
-                // predicate chain branch-free.
-                let code_f = ((v - p) / two_eb).round();
-                let t = p + two_eb * code_f;
-                let r = if round_f32 { t as f32 as f64 } else { t };
-                let ok =
-                    v.is_finite() & p.is_finite() & (code_f.abs() < limit) & ((r - v).abs() <= eb);
-                codes[l] = code_f;
-                recs[l] = r;
-                all_ok &= ok;
+                (recs[l], syms[l]) = formula.quantize(ps[l], vs[l]);
             }
-            if all_ok {
-                let mut syms = [0u32; LANES];
-                for l in 0..LANES {
-                    syms[l] = (codes[l] as i64 + self.radius) as u32;
-                }
-                self.symbols.extend_from_slice(&syms);
-                recon[i..i + LANES].copy_from_slice(&recs);
-            } else {
-                for l in 0..LANES {
-                    recon[i + l] = self.quantize(predictions[i + l], values[i + l]);
-                }
+            self.symbols.extend_from_slice(&syms);
+            recon[i..i + LANES].copy_from_slice(&recs);
+            if syms.contains(&0) {
+                let escapes = syms.iter().zip(recs).filter(|(&s, _)| s == 0);
+                self.unpredictable.extend(escapes.map(|(_, r)| r));
             }
             i += LANES;
         }
@@ -183,10 +240,10 @@ impl std::fmt::Display for DequantError {
 impl std::error::Error for DequantError {}
 
 /// Stateless single-symbol decode shared by [`Dequantizer::recover`] and
-/// the wavefront decoders: `Ok(Some(v))` recovers a coded value,
-/// `Ok(None)` means "take the next unpredictable value verbatim", and
-/// `Err` flags an out-of-range symbol. Keeping the arithmetic in one
-/// place guarantees the sequential and wavefront decode paths can never
+/// the pass-parallel interpolation decoder: `Ok(Some(v))` recovers a coded
+/// value, `Ok(None)` means "take the next unpredictable value verbatim",
+/// and `Err` flags an out-of-range symbol. Keeping the arithmetic in one
+/// place guarantees the sequential and parallel decode paths can never
 /// diverge by an ulp.
 #[inline]
 pub(crate) fn decode_symbol(

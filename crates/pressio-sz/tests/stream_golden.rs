@@ -6,6 +6,11 @@
 //! 1–4, both dtypes, buffers salted with NaN/±inf, Huffman payloads on both
 //! sides of the trial's 64 KiB threshold, and at any thread count.
 //!
+//! The `band` group was taken one commit later, before the Lorenzo loops
+//! became a sweep over eight rows at a time: shapes whose rows are one
+//! short of, exactly, and one past a band's width, with no whole band, one
+//! or two with leftover rows, with and without a plane below.
+//!
 //! A digest is FNV-1a over one line per case (`case len fnv huff backend`);
 //! on a mismatch the test prints the digest it computed, and
 //! `STREAM_GOLDEN_DUMP=1` prints the lines themselves.
@@ -142,7 +147,43 @@ fn large_lines() -> String {
     out
 }
 
-const GOLDEN: [(&str, u64); 7] = [
+/// Lorenzo on shapes that straddle the sweep's band: `nx` around its width,
+/// `ny` around its height (17 = two bands and a leftover row), ranks 2 and
+/// 3, both dtypes, dense and sparse, clean and salted.
+fn band_lines() -> String {
+    let mut out = String::new();
+    for name in ["P", "PRECIP"] {
+        for nx in [7, 8, 9] {
+            for ny in [7, 8, 9, 17] {
+                let mut values = field(name, [nx, ny, 3]);
+                for salted in [false, true] {
+                    if salted {
+                        salt(&mut values);
+                    }
+                    for (dims, f64_input) in [
+                        (&[nx, ny, 3][..], false),
+                        (&[nx, ny, 3][..], true),
+                        (&[nx, ny * 3][..], false),
+                        (&[nx, ny * 3][..], true),
+                    ] {
+                        let data = shaped(&values, dims, f64_input);
+                        let case = format!(
+                            "{name}{dims:?}{}{}",
+                            if f64_input { "f64" } else { "f32" },
+                            if salted { "+nonfinite" } else { "" }
+                        );
+                        for predictor in ["lorenzo", "auto"] {
+                            out.push_str(&line(&case, &data, predictor, 1e-4));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+const GOLDEN: [(&str, u64); 8] = [
     ("auto", 0x8ea6be9d1e4421e8),
     ("lorenzo", 0x6e7ca710a0e39850),
     ("regression", 0xf6cd72dd30e652ce),
@@ -150,6 +191,7 @@ const GOLDEN: [(&str, u64); 7] = [
     ("hybrid", 0x944be684224f1584),
     ("nonfinite", 0x79a9bc925c5743c5),
     ("large", 0x596732a763bf7534),
+    ("band", 0x89a4175194318a26),
 ];
 
 #[test]
@@ -160,6 +202,7 @@ fn every_stream_matches_the_digest_taken_at_the_parent_commit() {
         let lines = match name {
             "nonfinite" => nonfinite_lines(),
             "large" => large_lines(),
+            "band" => band_lines(),
             predictor => predictor_lines(predictor),
         };
         if std::env::var_os("STREAM_GOLDEN_DUMP").is_some() {
