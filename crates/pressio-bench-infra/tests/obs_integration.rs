@@ -181,6 +181,63 @@ fn sz_stages_and_escapes_are_in_the_trace() {
     assert_eq!(report.counters["sz3:escapes"], escapes);
 }
 
+/// How sparse a field was to ZFP and what a block cost it, as the four
+/// `zfp:` counters: checked against a count made from the input — a slab
+/// of zeros, a NaN, and pressure everywhere else.
+#[test]
+fn zfp_block_counters_match_a_count_made_from_the_input() {
+    use pressio_core::Compressor;
+    let _guard = exclusive();
+    let (nx, ny, nz) = (24, 20, 11);
+    let mut values = Hurricane::with_dims(nx, ny, nz, 1)
+        .generate("P", 0)
+        .as_f32()
+        .unwrap()
+        .to_vec();
+    values[..nx * ny * 4].fill(0.0); // the first layer of blocks
+    values[nx * ny * 5 + 7] = f32::NAN;
+    let data = pressio_core::Data::from_f32(vec![nx, ny, nz], values.clone());
+
+    // block by block, from the input alone (edge blocks replicate values
+    // that are in the volume, so padding changes no classification)
+    let (mut blocks, mut zero, mut raw) = (0, 0, 0);
+    for (bz, by, bx) in (0..nz.div_ceil(4))
+        .flat_map(|bz| (0..ny / 4).flat_map(move |by| (0..nx / 4).map(move |bx| (bz, by, bx))))
+    {
+        let block: Vec<f32> = (bz * 4..(bz * 4 + 4).min(nz))
+            .flat_map(|z| (by * 4..by * 4 + 4).map(move |y| (z * ny + y) * nx + bx * 4))
+            .flat_map(|row| values[row..row + 4].iter().copied())
+            .collect();
+        blocks += 1;
+        raw += block.iter().any(|v| !v.is_finite()) as i64;
+        zero += block.iter().all(|&v| v == 0.0) as i64;
+    }
+    assert!(zero == 30 && raw == 1 && blocks == 90);
+
+    let collector = Arc::new(pressio_obs::Collector::new());
+    pressio_obs::install(collector.clone());
+    let zfp = pressio_zfp::ZfpCompressor::new();
+    let bytes = zfp.compress(&data).unwrap();
+    let after_compress = collector.report().counters;
+    zfp.decompress(&bytes, data.dtype(), data.dims()).unwrap();
+    pressio_obs::uninstall();
+    let counters = collector.report().counters;
+
+    assert_eq!(after_compress["zfp:blocks"], blocks);
+    assert_eq!(after_compress["zfp:blocks.zero"], zero);
+    assert_eq!(after_compress["zfp:blocks.raw"], raw);
+    // a coded block of pressure at 1e-4 costs some planes and not all 58
+    let planes = after_compress["zfp:planes"];
+    let coded = blocks - zero - raw;
+    assert!(planes > 10 * coded && planes < 58 * coded, "{planes}");
+    // the decoder meets the same blocks and enters the same planes
+    for (key, value) in &after_compress {
+        if key.starts_with("zfp:blocks") || key == "zfp:planes" {
+            assert_eq!(counters[key], 2 * value, "{key}");
+        }
+    }
+}
+
 /// Fault-tolerance: a task that dies on worker k is retried on a different
 /// worker under DataAffinity, and the observability counters tell the same
 /// story as the returned `TaskOutcome`s / `PoolStats`.

@@ -24,6 +24,10 @@
 //!   up-front copy would apply, so the lane order alone still fixes the
 //!   bits.
 //!
+//! - [`Element`] is how a decoder writes one: `f32` and `f64`, narrowed
+//!   from the `f64` a codec computes in as each value is produced, so
+//!   decoding to `f32` needs no `f64` copy of the output either.
+//!
 //! Element-wise kernels (quantization, negabinary, bit-plane moves) have
 //! no accumulation order and are bit-identical to their scalar references
 //! by construction; only reductions need this discipline.
@@ -65,6 +69,27 @@ macro_rules! widen {
     )*};
 }
 widen!(f32, f64, i32, i64, u8);
+
+/// An element type a decoder writes: [`Widen`]'s way back, the narrowing a
+/// whole-buffer `as f32` pass would apply, done as each value is produced.
+pub trait Element: Widen + Default {
+    /// `v` as this type.
+    fn narrow(v: f64) -> Self;
+}
+
+impl Element for f32 {
+    #[inline(always)]
+    fn narrow(v: f64) -> f32 {
+        v as f32
+    }
+}
+
+impl Element for f64 {
+    #[inline(always)]
+    fn narrow(v: f64) -> f64 {
+        v
+    }
+}
 
 /// `v.is_finite()`, written as the one ordered compare that vectorizes to
 /// a single instruction on every target (NaN and ±inf both fail it).
@@ -124,6 +149,15 @@ mod tests {
         assert_eq!(i64::MAX.widen(), i64::MAX as f64);
         assert_eq!((-7i32).widen(), -7.0);
         assert_eq!(255u8.widen(), 255.0);
+    }
+
+    #[test]
+    fn narrowing_is_the_as_cast() {
+        for v in [0.1f64, -0.0, 1e300, -1e300, 1e-50, f64::INFINITY] {
+            assert_eq!(f32::narrow(v).to_bits(), (v as f32).to_bits());
+            assert_eq!(f64::narrow(v).to_bits(), v.to_bits());
+        }
+        assert!(f32::narrow(f64::NAN).is_nan());
     }
 
     #[test]

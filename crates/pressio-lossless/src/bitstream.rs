@@ -139,10 +139,31 @@ impl<'a> BitReader<'a> {
         Some(bit == 1)
     }
 
-    /// Read `n` bits (≤ 64), LSB first; `None` if fewer remain.
+    /// Read `n` bits (≤ 64), LSB first; `None` if fewer remain. Answered
+    /// from one [`BitReader::peek_word`] — and, for a read wider than the
+    /// word's valid bits, the byte after it — wherever a word can be
+    /// peeked; the last 8 bytes of a stream are read a byte at a time.
     #[inline]
     pub fn read_bits(&mut self, n: u32) -> Option<u64> {
         debug_assert!(n <= 64);
+        let Some((word, valid)) = self.peek_word() else {
+            return self.read_bits_by_byte(n);
+        };
+        let value = if n <= valid {
+            // n = 0 shifts by 64: nothing of the word is kept
+            word & u64::MAX.checked_shr(64 - n).unwrap_or(0)
+        } else {
+            // at most 7 bits short; no next byte means fewer than n remain
+            let next = *self.bytes.get((self.pos >> 3) + 8)? as u64;
+            word | (next & ((1 << (n - valid)) - 1)) << valid
+        };
+        self.pos += n as usize;
+        Some(value)
+    }
+
+    /// [`BitReader::read_bits`] a byte at a time: the end of the stream and
+    /// every `None` are decided here.
+    fn read_bits_by_byte(&mut self, n: u32) -> Option<u64> {
         if self.remaining_bits() < n as usize {
             return None;
         }
@@ -377,6 +398,36 @@ mod tests {
         // the last 8 bytes are left to the bit-at-a-time readers
         assert!(r.remaining_bits() <= 64);
         assert_eq!(BitReader::new(&bytes[..7]).peek_word(), None);
+    }
+
+    /// `read_bits` against the byte loop it used to be: every width at
+    /// every start offset, over buffers short enough that the hand-over to
+    /// the byte loop in the last 8 bytes and every `None` are hit.
+    #[test]
+    fn word_reads_match_the_byte_at_a_time_reader() {
+        let mut xorshift = crate::xorshift(0x243f_6a88_85a3_08d3);
+        for len in 0..=24usize {
+            let bytes: Vec<u8> = (0..len).map(|_| xorshift() as u8).collect();
+            for start in 0..64usize {
+                for n in 0..=64u32 {
+                    let mut word = BitReader::new(&bytes);
+                    if start > word.remaining_bits() {
+                        continue;
+                    }
+                    word.skip_bits(start as u32);
+                    let mut byte = word.clone();
+                    assert_eq!(
+                        word.read_bits(n),
+                        byte.read_bits_by_byte(n),
+                        "{len} bytes, {n} bits at {start}"
+                    );
+                    assert_eq!(word.bit_position(), byte.bit_position());
+                    // and the read after it starts from the same place
+                    assert_eq!(word.read_bits(7), byte.read_bits_by_byte(7));
+                    assert_eq!(word.bit_position(), byte.bit_position());
+                }
+            }
+        }
     }
 
     #[test]

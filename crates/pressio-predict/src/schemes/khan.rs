@@ -12,7 +12,7 @@ use pressio_core::{Compressor, Options};
 use pressio_lossless::huffman::{histogram, Codebook};
 use pressio_lossless::BitWriter;
 use pressio_sz::{predict_and_quantize, Predictor as SzPredictor};
-use pressio_zfp::block::{encode_block, Mode};
+use pressio_zfp::block::{Mode, Plan, MAX_BLOCK};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -107,16 +107,19 @@ impl KhanScheme {
                 v
             }
         };
-        let mut bits = 0usize;
+        // one plan, one stack block and one writer for every sample: what
+        // the blocks cost is the writer's final length
+        let plan = Plan::new(Mode::Accuracy(abs), d);
+        let mut block = [0.0; MAX_BLOCK];
+        let mut w = BitWriter::new();
         let mut samples = 0usize;
         for origin in self.sample_origins(&nd, &shape, 4, &mut rng) {
             // pad to a full 4^d block by edge replication, as the codec does
-            let padded = pad_block(&pass.sample(&nd, &origin, &shape, 1), &shape, d);
-            let mut w = BitWriter::new();
-            encode_block(&padded, d, Mode::Accuracy(abs), &mut w);
-            bits += w.len_bits();
+            pad_block(&pass.sample(&nd, &origin, &shape, 1), &shape, d, &mut block);
+            plan.encode(&block, &mut w);
             samples += 1;
         }
+        let bits = w.len_bits();
         let block_elems = 1usize << (2 * d);
         let bits_per_value = bits as f64 / (samples * block_elems).max(1) as f64;
         let n = data.num_elements() as f64;
@@ -125,25 +128,15 @@ impl KhanScheme {
     }
 }
 
-/// Replicate-pad a (possibly partial) block to 4^d.
-fn pad_block(values: &[f64], dims: &[usize], d: usize) -> Vec<f64> {
+/// Replicate-pad a (possibly partial) block to 4^d, into the front of `out`.
+fn pad_block(values: &[f64], dims: &[usize], d: usize, out: &mut [f64; MAX_BLOCK]) {
     let nx = dims.first().copied().unwrap_or(1).max(1);
     let ny = dims.get(1).copied().unwrap_or(1).max(1);
     let nz = dims.get(2).copied().unwrap_or(1).max(1);
-    let zr = if d >= 3 { 4 } else { 1 };
-    let yr = if d >= 2 { 4 } else { 1 };
-    let mut out = Vec::with_capacity(1 << (2 * d));
-    for z in 0..zr {
-        let zc = z.min(nz - 1);
-        for y in 0..yr {
-            let yc = y.min(ny - 1);
-            for x in 0..4 {
-                let xc = x.min(nx - 1);
-                out.push(values[(zc * ny + yc) * nx + xc]);
-            }
-        }
+    for (i, o) in out.iter_mut().take(1 << (2 * d)).enumerate() {
+        let (x, y, z) = (i & 3, (i >> 2) & 3, i >> 4);
+        *o = values[(z.min(nz - 1) * ny + y.min(ny - 1)) * nx + x.min(nx - 1)];
     }
-    out
 }
 
 impl Scheme for KhanScheme {

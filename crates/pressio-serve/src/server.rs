@@ -607,10 +607,18 @@ fn stats_response(state: &ServerState, pipeline: &Pipeline) -> Options {
         resp.set(*key, value.load(Ordering::Relaxed));
     }
     // of a traced daemon: how much of what sz3 compressed here (training
-    // truth, streamed chunks) the quantizer gave up on and stored verbatim
+    // truth, streamed chunks) the quantizer gave up on and stored verbatim,
+    // and how sparse the same was to zfp and what a block cost it in planes
     if let Some(collector) = pressio_obs::global() {
         let counters = collector.report().counters;
-        for key in ["sz3:elements", "sz3:escapes"] {
+        for key in [
+            "sz3:elements",
+            "sz3:escapes",
+            "zfp:blocks",
+            "zfp:blocks.zero",
+            "zfp:blocks.raw",
+            "zfp:planes",
+        ] {
             resp.set(key, counters.get(key).copied().unwrap_or(0) as u64);
         }
     }

@@ -13,7 +13,7 @@ mod sweep;
 #[cfg(test)]
 mod twin;
 
-pub use sweep::{Element, Encoded, Kernel};
+pub use sweep::{Encoded, Kernel};
 
 use pressio_core::lanes::{finite, fold, Widen, LANES};
 

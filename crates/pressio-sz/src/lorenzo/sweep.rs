@@ -23,29 +23,8 @@
 
 use super::normalize_dims;
 use crate::quantizer::{DequantError, Formula};
-use pressio_core::lanes::{Widen, LANES};
+use pressio_core::lanes::{Element, Widen, LANES};
 use std::sync::OnceLock;
-
-/// An element type the decoder writes: the narrowing the whole-buffer
-/// `as f32` pass applied, a plane at a time.
-pub trait Element: Widen + Default {
-    /// `v` as this type.
-    fn narrow(v: f64) -> Self;
-}
-
-impl Element for f32 {
-    #[inline(always)]
-    fn narrow(v: f64) -> f32 {
-        v as f32
-    }
-}
-
-impl Element for f64 {
-    #[inline(always)]
-    fn narrow(v: f64) -> f64 {
-        v
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Form {

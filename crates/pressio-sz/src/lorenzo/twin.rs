@@ -2,11 +2,11 @@
 //! every form of the sweep — one row, portable bands, AVX2 bands — is held
 //! to these bit for bit, on what they accept and on what they reject.
 
-use super::sweep::{Element, Kernel};
+use super::sweep::Kernel;
 use super::{normalize_dims, predict};
 use crate::quantizer::{DequantError, Dequantizer, Formula, Quantizer};
 use pressio_core::fuzz::Rng;
-use pressio_core::lanes::Widen;
+use pressio_core::lanes::{Element, Widen};
 use pressio_dataset::hurricane::Hurricane;
 use proptest::prelude::*;
 

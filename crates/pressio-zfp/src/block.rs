@@ -2,10 +2,14 @@
 //! negabinary mapping, and embedded bit-plane coding with group testing —
 //! the ZFP pipeline, supporting fixed-accuracy, fixed-precision, and
 //! fixed-rate modes.
+//!
+//! A [`Plan`] holds what (mode, rank) fix for every block of a call; its
+//! [`Plan::encode`] and [`Plan::decode`] are the one encoder and the one
+//! decoder, on stack arrays. [`encode_block`] and [`decode_block`] wrap
+//! them for callers with a slice and a `Vec`.
 
 use crate::transform::{
-    bitplanes, degree_order, fwd_xform, inv_xform, negabinary_slice, negabinary_to_int_slice,
-    transpose64,
+    degree_table, fwd_xform, int_to_negabinary, inv_xform, negabinary_to_int, transpose64,
 };
 use pressio_lossless::{BitReader, BitWriter};
 
@@ -14,12 +18,15 @@ use pressio_lossless::{BitReader, BitWriter};
 /// the inverse transform's right-shift rounding (tens of fixed-point ULPs
 /// in the worst case) cannot breach the accuracy guarantee; the i64 budget
 /// is 52 fraction + ~2 transform growth + 1 negabinary + guard < 63.
-const P: i64 = 52;
+pub(crate) const P: i64 = 52;
 /// Bit planes carried through the embedded coder (fraction bits + transform
 /// growth + negabinary headroom).
 pub const INTPREC: u32 = 58;
 /// Exponent bias for the 12-bit block exponent field.
-const E_BIAS: i64 = 2048;
+pub(crate) const E_BIAS: i64 = 2048;
+/// Values in the largest block (4³): the length of the stack arrays a
+/// [`Plan`] codes from and into, whatever the rank.
+pub const MAX_BLOCK: usize = 64;
 
 /// Compression mode for the ZFP-like codec.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,36 +52,6 @@ impl std::fmt::Display for BlockError {
 
 impl std::error::Error for BlockError {}
 
-fn block_exponent(values: &[f64]) -> i64 {
-    let max = values.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-    if max == 0.0 {
-        return i64::MIN;
-    }
-    // smallest e with max < 2^e
-    let mut e = max.log2().floor() as i64 + 1;
-    // guard against rounding at exact powers of two
-    while max >= (2.0f64).powi(e as i32) {
-        e += 1;
-    }
-    e
-}
-
-/// Lowest encoded bit plane for a mode, given the block exponent and block
-/// dimensionality. Deterministic on both sides of the stream.
-fn plane_cutoff(mode: Mode, e_max: i64, d: usize) -> u32 {
-    match mode {
-        Mode::Accuracy(tol) => {
-            // dropping planes below k leaves per-coefficient error < 2^k in
-            // fixed point = 2^(e_max - P + k) absolute; the inverse
-            // transform can amplify by ~2^d, plus rounding slack
-            let k = (tol.log2().floor() as i64) + P - e_max - d as i64 - 2;
-            k.clamp(0, INTPREC as i64) as u32
-        }
-        Mode::Precision(p) => INTPREC.saturating_sub(p),
-        Mode::Rate(_) => 0,
-    }
-}
-
 /// Budget in bits for one block under `mode` (None = unbounded).
 pub fn block_bit_budget(mode: Mode, d: usize) -> Option<usize> {
     match mode {
@@ -83,253 +60,435 @@ pub fn block_bit_budget(mode: Mode, d: usize) -> Option<usize> {
     }
 }
 
-/// Encode one 4^d block of `values` (length `4^d`). Bits are appended to
-/// `w`; in rate mode the block is zero-padded to exactly the budget.
-pub fn encode_block(values: &[f64], d: usize, mode: Mode, w: &mut BitWriter) {
-    let size = 1usize << (2 * d);
-    debug_assert_eq!(values.len(), size);
-    let start_bits = w.len_bits();
-    let mut budget = block_bit_budget(mode, d);
-    if values.iter().any(|v| !v.is_finite()) {
-        // raw escape: 2-bit tag 0b10, then 64-bit images
-        write_budgeted(w, 0b01, 2, &mut budget); // LSB-first: tag bits 1,0
-        for &v in values {
-            write_budgeted(w, v.to_bits(), 64, &mut budget);
-        }
-        pad_to_budget(w, start_bits, mode, d);
-        return;
-    }
-    let e_max = block_exponent(values);
-    if e_max == i64::MIN {
-        // all-zero block: tag 0b00
-        write_budgeted(w, 0b00, 2, &mut budget);
-        pad_to_budget(w, start_bits, mode, d);
-        return;
-    }
-    // coded block: tag 0b11? keep tags: 0=zero, 1=raw, 2=coded
-    write_budgeted(w, 0b10, 2, &mut budget); // value 2 LSB-first
-    write_budgeted(w, (e_max + E_BIAS) as u64, 12, &mut budget);
-    // fixed point
-    let scale = (2.0f64).powi((P - e_max) as i32);
-    let mut ints: Vec<i64> = values.iter().map(|&v| (v * scale).round() as i64).collect();
-    fwd_xform(&mut ints, d);
-    let order = degree_order(d);
-    // negabinary-map all coefficients lane-wise, then permute into
-    // total-degree order (same integer results as mapping after the gather)
-    let mut neg = vec![0u64; size];
-    negabinary_slice(&ints, &mut neg);
-    let coeffs: Vec<u64> = order.iter().map(|&i| neg[i]).collect();
-    let k_stop = plane_cutoff(mode, e_max, d);
-    encode_planes(&coeffs, k_stop, w, &mut budget);
-    pad_to_budget(w, start_bits, mode, d);
+/// What a block was coded as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Block {
+    /// Every value zero: the two-bit tag alone.
+    Zero,
+    /// A NaN or infinity among the values: their 64-bit images, verbatim.
+    Raw,
+    /// Transformed and coded down to the mode's cutoff (or as far as its
+    /// budget reached): `planes` bit planes.
+    Coded {
+        /// Bit planes the embedded coder entered.
+        planes: u32,
+    },
 }
 
-fn write_budgeted(w: &mut BitWriter, v: u64, n: u32, budget: &mut Option<usize>) {
-    match budget {
-        None => w.write_bits(v, n),
-        Some(b) => {
-            let take = (n as usize).min(*b) as u32;
-            w.write_bits(v & mask(take), take);
-            *b -= take as usize;
+/// Lowest coded bit plane as a function of the block exponent.
+#[derive(Debug, Clone, Copy)]
+enum Cutoff {
+    /// Fixed accuracy: `⌊log2 tol⌋ + P − d − 2`, less the block exponent.
+    /// Dropping planes below `k` leaves per-coefficient error < 2^k in
+    /// fixed point = 2^(e_max − P + k) absolute; the inverse transform can
+    /// amplify by ~2^d, plus rounding slack.
+    Accuracy(i64),
+    /// Fixed precision and fixed rate: the same plane for every block.
+    Plane(u32),
+}
+
+/// What (mode, rank) fix for every block of a call, worked out once: the
+/// block size, the coefficient order, the plane cutoff and the bit budget.
+#[derive(Debug, Clone)]
+pub struct Plan {
+    d: usize,
+    size: usize,
+    /// Coefficient `order[pos]` is coded at position `pos`.
+    order: &'static [u8],
+    cutoff: Cutoff,
+    /// Bits each block gets; `usize::MAX` = no budget, so one coder serves
+    /// all three modes. (A rate is at most 64 bits a value — the option and
+    /// the container header both check — so no real budget comes near it.)
+    budget: usize,
+}
+
+const NO_BUDGET: usize = usize::MAX;
+const ABS_BITS: u64 = !(1 << 63);
+/// The exponent field of an `f64`: a magnitude at or above it is inf or NaN.
+const NON_FINITE: u64 = 0x7ff << 52;
+
+impl Plan {
+    /// The plan for blocks of rank `d` (1, 2 or 3) under `mode`.
+    pub fn new(mode: Mode, d: usize) -> Plan {
+        let cutoff = match mode {
+            Mode::Accuracy(tol) => {
+                Cutoff::Accuracy((tol.log2().floor() as i64).saturating_add(P - d as i64 - 2))
+            }
+            Mode::Precision(p) => Cutoff::Plane(INTPREC.saturating_sub(p)),
+            Mode::Rate(_) => Cutoff::Plane(0),
+        };
+        Plan {
+            d,
+            size: 1 << (2 * d),
+            order: degree_table(d),
+            cutoff,
+            budget: block_bit_budget(mode, d).unwrap_or(NO_BUDGET),
         }
+    }
+
+    /// Values in one block: `4^d`.
+    pub fn block_len(&self) -> usize {
+        self.size
+    }
+
+    /// Lowest coded bit plane of a block with exponent `e_max`.
+    /// Deterministic on both sides of the stream.
+    fn plane_cutoff(&self, e_max: i64) -> u32 {
+        match self.cutoff {
+            Cutoff::Accuracy(base) => base.saturating_sub(e_max).clamp(0, INTPREC as i64) as u32,
+            Cutoff::Plane(k) => k,
+        }
+    }
+
+    /// Encode the first [`Plan::block_len`] of `values` as one block. Bits
+    /// are appended to `w`; in rate mode the block is zero-padded to
+    /// exactly the budget.
+    pub fn encode(&self, values: &[f64; MAX_BLOCK], w: &mut BitWriter) -> Block {
+        let mut budget = self.budget;
+        let block = match self.classify(values) {
+            Class::Zero => {
+                put(w, 0b00, 2, &mut budget);
+                Block::Zero
+            }
+            Class::Raw => {
+                // tag value 1, then the 64-bit images
+                put(w, 0b01, 2, &mut budget);
+                for v in &values[..self.size] {
+                    put(w, v.to_bits(), 64, &mut budget);
+                }
+                Block::Raw
+            }
+            Class::Coded { e_max } => {
+                // tag value 2 under the 12-bit biased exponent: 14 bits,
+                // inside the smallest budget (16)
+                put(w, 0b10 | ((e_max + E_BIAS) as u64) << 2, 14, &mut budget);
+                let mut planes = [0u64; MAX_BLOCK];
+                self.coefficients(values, e_max, &mut planes);
+                // one bit-matrix transpose yields every plane at once:
+                // `planes[k]` bit `i` = coefficient `i` bit `k`
+                transpose64(&mut planes);
+                let k_stop = self.plane_cutoff(e_max);
+                let planes = encode_planes(&planes, self.size, k_stop, w, &mut budget);
+                Block::Coded { planes }
+            }
+        };
+        if self.budget != NO_BUDGET {
+            // what is left of the budget is exactly the padding
+            while budget > 0 {
+                put(w, 0, 64, &mut budget);
+            }
+        }
+        block
+    }
+
+    /// What the block's largest magnitude says it is — read as bits: for
+    /// non-negative floats the bit pattern orders as the value does (and as
+    /// a signed integer, the comparison every vector unit has), inf and NaN
+    /// sort last, and both zeros are 0.
+    #[inline]
+    pub(crate) fn classify(&self, values: &[f64; MAX_BLOCK]) -> Class {
+        let max = values[..self.size]
+            .iter()
+            .fold(0i64, |m, v| m.max((v.to_bits() & ABS_BITS) as i64)) as u64;
+        if max >= NON_FINITE {
+            Class::Raw
+        } else if max == 0 {
+            Class::Zero
+        } else {
+            Class::Coded {
+                e_max: block_exponent(max),
+            }
+        }
+    }
+
+    /// Fixed point → lift → negabinary in coded order, one coefficient a
+    /// row of `rows` (whose rows past the block are left as they arrive:
+    /// zero).
+    #[inline]
+    pub(crate) fn coefficients(
+        &self,
+        values: &[f64; MAX_BLOCK],
+        e_max: i64,
+        rows: &mut [u64; MAX_BLOCK],
+    ) {
+        let scale = pow2(P - e_max);
+        let mut ints = [0i64; MAX_BLOCK];
+        for (q, &v) in ints.iter_mut().zip(&values[..self.size]) {
+            *q = (v * scale).round() as i64;
+        }
+        fwd_xform(&mut ints[..self.size], self.d);
+        // negabinary and the total-degree permutation in one pass (the same
+        // integers as mapping first and gathering after)
+        for (row, &i) in rows.iter_mut().zip(self.order) {
+            *row = int_to_negabinary(ints[i as usize]);
+        }
+    }
+
+    /// Decode one block previously written by [`Plan::encode`] into the
+    /// first [`Plan::block_len`] of `out`. A [`Block::Zero`] leaves `out`
+    /// as it was: a caller whose output starts zeroed has nothing to copy.
+    pub fn decode(
+        &self,
+        r: &mut BitReader,
+        out: &mut [f64; MAX_BLOCK],
+    ) -> Result<Block, BlockError> {
+        let mut budget = self.budget;
+        let tag = take(r, 2, &mut budget).ok_or(BlockError("truncated tag"))?;
+        let block = match tag {
+            0b00 => Block::Zero,
+            0b01 => {
+                for o in &mut out[..self.size] {
+                    let bits = take(r, 64, &mut budget).ok_or(BlockError("truncated raw block"))?;
+                    *o = f64::from_bits(bits);
+                }
+                Block::Raw
+            }
+            0b10 => {
+                let e_biased = take(r, 12, &mut budget).ok_or(BlockError("truncated exponent"))?;
+                let e_max = e_biased as i64 - E_BIAS;
+                if !(-1100..=1100).contains(&e_max) {
+                    return Err(BlockError("implausible block exponent"));
+                }
+                let k_stop = self.plane_cutoff(e_max);
+                let mut planes = [0u64; MAX_BLOCK];
+                let coded = decode_planes(&mut planes, self.size, k_stop, r, &mut budget)?;
+                // a single transpose scatters every received plane back
+                // into per-coefficient values
+                transpose64(&mut planes);
+                // undo the total-degree permutation and the negabinary map
+                let mut ints = [0i64; MAX_BLOCK];
+                for (&c, &i) in planes.iter().zip(self.order) {
+                    ints[i as usize] = negabinary_to_int(c);
+                }
+                inv_xform(&mut ints[..self.size], self.d);
+                let scale = pow2(e_max - P);
+                for (o, &q) in out.iter_mut().zip(&ints[..self.size]) {
+                    *o = q as f64 * scale;
+                }
+                Block::Coded { planes: coded }
+            }
+            _ => return Err(BlockError("unknown block tag")),
+        };
+        // skip rate-mode padding so the next block starts on budget
+        if self.budget != NO_BUDGET {
+            let padding = u32::try_from(budget)
+                .ok()
+                .filter(|&bits| bits as usize <= r.remaining_bits())
+                .ok_or(BlockError("truncated padding"))?;
+            r.skip_bits(padding);
+        }
+        Ok(block)
     }
 }
 
+/// [`Plan::classify`]'s answer.
+pub(crate) enum Class {
+    Zero,
+    Raw,
+    Coded { e_max: i64 },
+}
+
+/// Smallest `e` with `max < 2^e`, for the finite nonzero magnitude whose
+/// bits are `max` — as `⌊log2 max⌋ + 1`, corrected upward, finds it. That
+/// is the exponent field plus one, except where `log2` of a value just
+/// under a power of two rounds up to the integer and the formula answers
+/// one more than the smallest: the answer is in the stream's exponent
+/// field, so there (the top 20 mantissa bits all ones — far wider than
+/// `log2`'s rounding reaches) and for subnormals, which have no exponent
+/// field to read, the formula itself is asked.
 #[inline]
-fn mask(n: u32) -> u64 {
-    if n >= 64 {
-        u64::MAX
+fn block_exponent(max: u64) -> i64 {
+    let biased = (max >> 52) as i64;
+    if biased == 0 || (max >> 32) & 0xf_ffff == 0xf_ffff {
+        return exponent_by_log2(f64::from_bits(max));
+    }
+    biased - 1022
+}
+
+#[cold]
+fn exponent_by_log2(max: f64) -> i64 {
+    let mut e = max.log2().floor() as i64 + 1;
+    // guard against rounding at exact powers of two
+    while max >= (2.0f64).powi(e as i32) {
+        e += 1;
+    }
+    e
+}
+
+/// `2f64.powi(n)`: built from the exponent field where 2^n is a normal
+/// number (repeated squaring is exact there), else left to `powi`, whose 0
+/// and inf past the ends of the range are part of what the stream means.
+#[inline]
+fn pow2(n: i64) -> f64 {
+    if (-1022..=1023).contains(&n) {
+        f64::from_bits(((n + 1023) as u64) << 52)
     } else {
-        (1u64 << n) - 1
+        powi_past_the_normals(n)
     }
 }
 
-fn pad_to_budget(w: &mut BitWriter, start_bits: usize, mode: Mode, d: usize) {
-    if let Some(total) = block_bit_budget(mode, d) {
-        let written = w.len_bits() - start_bits;
-        for _ in written..total {
-            w.write_bit(false);
-        }
-    }
+/// Out of line, or the optimiser hoists the call above the test and every
+/// block pays for it.
+#[cold]
+#[inline(never)]
+fn powi_past_the_normals(n: i64) -> f64 {
+    (2.0f64).powi(n as i32)
+}
+
+/// Write the low `n` bits of `v`, cut to what is left of the budget.
+#[inline]
+fn put(w: &mut BitWriter, v: u64, n: u32, budget: &mut usize) {
+    let n = (n as usize).min(*budget);
+    w.write_bits(v, n as u32);
+    *budget -= n;
+}
+
+/// Read `n` bits, cut to what is left of the budget: a short read returns
+/// what fits, zero-extended (mirrors [`put`]).
+#[inline]
+fn take(r: &mut BitReader, n: u32, budget: &mut usize) -> Option<u64> {
+    let n = (n as usize).min(*budget);
+    *budget -= n;
+    r.read_bits(n as u32)
 }
 
 /// Embedded bit-plane encoder (ZFP's `encode_ints`): per plane, the bits of
 /// already-significant coefficients are sent verbatim, then the remaining
-/// positions are sent with group testing + unary run-length coding.
-fn encode_planes(coeffs: &[u64], k_stop: u32, w: &mut BitWriter, budget: &mut Option<usize>) {
-    let size = coeffs.len();
-    // one bit-matrix transpose yields every plane at once; `planes[k]`
-    // bit `i` = `coeffs[i]` bit `k`, exactly what the old per-plane
-    // gather produced (pinned by `bitplanes_matches_scalar_reference`)
-    let planes = bitplanes(coeffs);
+/// positions are sent with group testing + unary run-length coding. Returns
+/// the number of planes entered.
+///
+/// A group test is written whole: the `1` that says a coefficient is left,
+/// a `0` for each position before it, and the `1` that ends the run —
+/// unless the run reached the block's last position, whose `1` is implied.
+/// Bit for bit what testing and writing one position at a time sends; a
+/// budget that ends inside the group cuts it where it would have stopped
+/// the loop.
+pub(crate) fn encode_planes(
+    planes: &[u64; MAX_BLOCK],
+    size: usize,
+    k_stop: u32,
+    w: &mut BitWriter,
+    budget: &mut usize,
+) -> u32 {
     let mut n = 0usize; // number of significant coefficients so far
-    let mut k = INTPREC;
-    while k > k_stop {
-        k -= 1;
-        if matches!(budget, Some(0)) {
+    let mut entered = 0;
+    for k in (k_stop..INTPREC).rev() {
+        if *budget == 0 {
             break;
         }
+        entered += 1;
         let mut x = planes[k as usize];
-        // step 2: verbatim bits for significant coefficients
-        let m = match budget {
-            None => n,
-            Some(b) => n.min(*b),
-        };
-        w.write_bits(x & mask(m as u32), m as u32);
-        if let Some(b) = budget {
-            *b -= m;
-        }
-        x = if m >= 64 { 0 } else { x >> m };
-        // step 3: group testing for the rest
-        loop {
-            if n >= size || !consume(budget) {
+        // verbatim bits for significant coefficients
+        let m = n.min(*budget);
+        w.write_bits(x, m as u32);
+        *budget -= m;
+        x = x.checked_shr(m as u32).unwrap_or(0);
+        // group testing for the rest
+        while n < size && *budget > 0 {
+            if x == 0 {
+                w.write_bit(false);
+                *budget -= 1;
                 break;
             }
-            let more = x != 0;
-            w.write_bit(more);
-            if !more {
-                break;
-            }
-            // unary scan: emit zeros up to the next 1 bit; the 1 itself (or
-            // the implied 1 at the final position) is consumed by the
-            // increment below, mirroring the decoder exactly
-            while n < size - 1 && consume(budget) {
-                let bit = x & 1 == 1;
-                w.write_bit(bit);
-                if bit {
-                    break;
-                }
-                x >>= 1;
-                n += 1;
-            }
-            x >>= 1;
-            n += 1;
+            // `x` has no bit at or above `size − n`, so `zeros ≤ size − 1 − n`
+            let zeros = x.trailing_zeros() as usize;
+            let (group, len) = if n + zeros == size - 1 {
+                (1, zeros + 1)
+            } else {
+                (1 | 1 << (zeros + 1), zeros + 2)
+            };
+            put(w, group, len as u32, budget);
+            // in two steps: `zeros + 1` is 64 for a lone bit at position 63
+            x = (x >> zeros) >> 1;
+            n += zeros + 1;
         }
     }
+    entered
 }
 
-#[inline]
-fn consume(budget: &mut Option<usize>) -> bool {
-    match budget {
-        None => true,
-        Some(0) => false,
-        Some(b) => {
-            *b -= 1;
-            true
-        }
-    }
-}
-
-/// Decode one block previously written by [`encode_block`].
-pub fn decode_block(r: &mut BitReader, d: usize, mode: Mode) -> Result<Vec<f64>, BlockError> {
-    let size = 1usize << (2 * d);
-    let start_pos = r.bit_position();
-    let mut budget = block_bit_budget(mode, d);
-    let tag = read_budgeted(r, 2, &mut budget).ok_or(BlockError("truncated tag"))?;
-    let out = match tag {
-        0b00 => Ok(vec![0.0; size]),
-        0b01 => {
-            let mut vals = Vec::with_capacity(size);
-            for _ in 0..size {
-                let bits =
-                    read_budgeted(r, 64, &mut budget).ok_or(BlockError("truncated raw block"))?;
-                vals.push(f64::from_bits(bits));
-            }
-            Ok(vals)
-        }
-        0b10 => {
-            let e_biased =
-                read_budgeted(r, 12, &mut budget).ok_or(BlockError("truncated exponent"))?;
-            let e_max = e_biased as i64 - E_BIAS;
-            if !(-1100..=1100).contains(&e_max) {
-                return Err(BlockError("implausible block exponent"));
-            }
-            let k_stop = plane_cutoff(mode, e_max, d);
-            let coeffs = decode_planes(size, k_stop, r, &mut budget)?;
-            let order = degree_order(d);
-            // undo the total-degree permutation, then negabinary-unmap the
-            // whole block lane-wise (same integer results as per-element)
-            let mut neg = vec![0u64; size];
-            for (pos, &i) in order.iter().enumerate() {
-                neg[i] = coeffs[pos];
-            }
-            let mut ints = vec![0i64; size];
-            negabinary_to_int_slice(&neg, &mut ints);
-            inv_xform(&mut ints, d);
-            let scale = (2.0f64).powi((e_max - P) as i32);
-            Ok(ints.iter().map(|&q| q as f64 * scale).collect())
-        }
-        _ => Err(BlockError("unknown block tag")),
-    }?;
-    // skip rate-mode padding so the next block starts on budget
-    if let Some(total) = block_bit_budget(mode, d) {
-        let consumed = r.bit_position() - start_pos;
-        for _ in consumed..total {
-            r.read_bit().ok_or(BlockError("truncated padding"))?;
-        }
-    }
-    Ok(out)
-}
-
-fn read_budgeted(r: &mut BitReader, n: u32, budget: &mut Option<usize>) -> Option<u64> {
-    match budget {
-        None => r.read_bits(n),
-        Some(b) => {
-            let take = (n as usize).min(*b) as u32;
-            *b -= take as usize;
-            // short reads return what fits, zero-extended (mirrors encoder)
-            r.read_bits(take)
-        }
-    }
-}
-
-/// Mirror of [`encode_planes`].
-fn decode_planes(
+/// Mirror of [`encode_planes`]: fills `planes[k]` for each plane received
+/// and returns how many were entered.
+///
+/// Each group test takes the *fast step* when one peeked word shows all of
+/// it — inside the stream and inside the budget — and otherwise the *tail
+/// step*, a bit at a time: the last bytes of a stream, a budget that may
+/// end inside the run, and every malformed stream end there, so each
+/// truncation is reported where reading bit by bit meets it.
+pub(crate) fn decode_planes(
+    planes: &mut [u64; MAX_BLOCK],
     size: usize,
     k_stop: u32,
     r: &mut BitReader,
-    budget: &mut Option<usize>,
-) -> Result<Vec<u64>, BlockError> {
-    let mut planes = [0u64; 64];
+    budget: &mut usize,
+) -> Result<u32, BlockError> {
     let mut n = 0usize;
-    let mut k = INTPREC;
-    while k > k_stop {
-        k -= 1;
-        if matches!(budget, Some(0)) {
+    let mut entered = 0;
+    for k in (k_stop..INTPREC).rev() {
+        if *budget == 0 {
             break;
         }
-        let m = match budget {
-            None => n,
-            Some(b) => n.min(*b),
-        };
-        let mut x_full = r.read_bits(m as u32).ok_or(BlockError("truncated plane"))?;
-        if let Some(b) = budget {
-            *b -= m;
-        }
-        loop {
-            if n >= size || !consume(budget) {
-                break;
+        entered += 1;
+        let m = n.min(*budget);
+        let mut x = r.read_bits(m as u32).ok_or(BlockError("truncated plane"))?;
+        *budget -= m;
+        while n < size && *budget > 0 {
+            if let Some((word, valid)) = r.peek_word() {
+                if word & 1 == 0 {
+                    r.skip_bits(1);
+                    *budget -= 1;
+                    break;
+                }
+                // zeros up to the run's `1`, or to the last position,
+                // whose `1` is not in the stream
+                let room = size - 1 - n;
+                let zeros = ((word >> 1).trailing_zeros() as usize).min(room);
+                let len = zeros + 1 + (zeros < room) as usize;
+                if len <= valid as usize && len <= *budget {
+                    r.skip_bits(len as u32);
+                    *budget -= len;
+                    n += zeros;
+                    x |= 1 << n;
+                    n += 1;
+                    continue;
+                }
             }
+            *budget -= 1;
             let more = r.read_bit().ok_or(BlockError("truncated group bit"))?;
             if !more {
                 break;
             }
-            while n < size - 1 && consume(budget) {
+            while n < size - 1 && *budget > 0 {
+                *budget -= 1;
                 let bit = r.read_bit().ok_or(BlockError("truncated run"))?;
                 if bit {
                     break;
                 }
                 n += 1;
             }
-            x_full |= 1u64 << n;
+            x |= 1u64 << n;
             n += 1;
         }
-        planes[k as usize] = x_full;
+        planes[k as usize] = x;
     }
-    // a single transpose scatters every received plane back into
-    // per-coefficient values (replaces the old per-plane bit deposit)
-    transpose64(&mut planes);
-    Ok(planes[..size].to_vec())
+    Ok(entered)
+}
+
+/// Encode one 4^d block of `values` (length `4^d`). Bits are appended to
+/// `w`; in rate mode the block is zero-padded to exactly the budget.
+pub fn encode_block(values: &[f64], d: usize, mode: Mode, w: &mut BitWriter) {
+    let plan = Plan::new(mode, d);
+    debug_assert_eq!(values.len(), plan.size);
+    let mut block = [0.0; MAX_BLOCK];
+    block[..plan.size].copy_from_slice(values);
+    plan.encode(&block, w);
+}
+
+/// Decode one block previously written by [`encode_block`].
+pub fn decode_block(r: &mut BitReader, d: usize, mode: Mode) -> Result<Vec<f64>, BlockError> {
+    let plan = Plan::new(mode, d);
+    let mut block = [0.0; MAX_BLOCK];
+    plan.decode(r, &mut block)?;
+    Ok(block[..plan.size].to_vec())
 }
 
 #[cfg(test)]

@@ -30,12 +30,16 @@
 
 pub mod block;
 pub mod transform;
+#[cfg(test)]
+mod twin;
 
 pub use block::Mode;
 
+use block::{Block, Plan, MAX_BLOCK};
 use pressio_core::error::{Error, Result};
+use pressio_core::lanes::{Element, Widen};
 use pressio_core::metrics::invalidations;
-use pressio_core::{Compressor, Data, Dtype, Options};
+use pressio_core::{Compressor, Data, Dtype, Elements, Options};
 use pressio_lossless::{BitReader, BitWriter};
 
 const MAGIC: &[u8; 4] = b"ZFRS";
@@ -46,6 +50,13 @@ const VERSION: u8 = 2;
 /// chunk boundaries never depend on the thread count, which is what makes
 /// parallel and sequential encodes byte-identical.
 pub const CHUNK_BLOCKS: usize = 256;
+
+/// Units of work handed to the pool per thread: `compress` cuts its chunks
+/// into this many runs a thread, `decompress` decodes this many chunks a
+/// thread before it scatters them. Enough that one slow run does not idle
+/// the other threads, few enough that a wave's decoded blocks (128 KiB a
+/// chunk) are still in cache when they are scattered.
+const WAVE_PER_THREAD: usize = 4;
 
 /// The ZFP-like compressor plugin (`id = "zfp"`).
 ///
@@ -107,7 +118,7 @@ impl ZfpCompressor {
         pressio_core::chunking::decode_chunk_stateful(self, compressed, dtype, dims, carried)
     }
 
-    fn effective_mode(&self, values: &[f64]) -> Mode {
+    fn effective_mode<T: Widen>(&self, values: &[T]) -> Mode {
         match self.mode.as_str() {
             "precision" => Mode::Precision(self.precision),
             "rate" => Mode::Rate(self.rate),
@@ -115,7 +126,7 @@ impl ZfpCompressor {
                 let abs = match self.rel {
                     Some(rel) => {
                         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                        for &v in values {
+                        for v in values.iter().map(|v| v.widen()) {
                             if v.is_finite() {
                                 lo = lo.min(v);
                                 hi = hi.max(v);
@@ -150,65 +161,148 @@ fn collapse_dims(dims: &[usize]) -> Vec<usize> {
     }
 }
 
-/// Gather one 4^d block at block coordinates `(bx, by, bz)`, replicating
-/// edge values into the padding of partial blocks (ZFP's strategy keeps the
-/// transform well-behaved at boundaries).
-fn gather_block(
-    values: &[f64],
-    nd: &[usize],
+/// A collapsed shape and its tiling into 4^d blocks, in canonical linear
+/// block order (x fastest).
+struct Grid {
+    /// Rank of the blocks: 1, 2 or 3.
     d: usize,
-    bx: usize,
-    by: usize,
-    bz: usize,
-) -> Vec<f64> {
-    let size = 1usize << (2 * d);
-    let nx = nd[0];
-    let ny = *nd.get(1).unwrap_or(&1);
-    let nz = *nd.get(2).unwrap_or(&1);
-    let mut out = Vec::with_capacity(size);
-    let zr = if d >= 3 { 4 } else { 1 };
-    let yr = if d >= 2 { 4 } else { 1 };
-    for dz in 0..zr {
-        let z = (bz * 4 + dz).min(nz - 1);
-        for dy in 0..yr {
-            let y = (by * 4 + dy).min(ny - 1);
-            for dx in 0..4 {
-                let x = (bx * 4 + dx).min(nx - 1);
-                out.push(values[(z * ny + y) * nx + x]);
+    /// Elements along x, y, z (1 beyond the rank).
+    n: [usize; 3],
+    /// Blocks along x, y, z.
+    blocks: [usize; 3],
+}
+
+impl Grid {
+    fn new(nd: &[usize]) -> Grid {
+        let n = [nd[0], *nd.get(1).unwrap_or(&1), *nd.get(2).unwrap_or(&1)];
+        Grid {
+            d: nd.len().clamp(1, 3),
+            n,
+            blocks: n.map(|n| n.div_ceil(4)),
+        }
+    }
+
+    fn total_blocks(&self) -> usize {
+        if self.n.contains(&0) {
+            0
+        } else {
+            self.blocks.iter().product()
+        }
+    }
+
+    /// Element coordinates of the first value of each block in `lo..hi`.
+    /// One division to start, then a step per block.
+    fn origins(&self, lo: usize, hi: usize) -> impl Iterator<Item = [usize; 3]> + '_ {
+        let [bx_n, by_n, _] = self.blocks;
+        let mut at = [lo % bx_n, (lo / bx_n) % by_n, lo / (bx_n * by_n)];
+        (lo..hi).map(move |_| {
+            let origin = at.map(|b| b * 4);
+            at[0] += 1;
+            if at[0] == bx_n {
+                at[0] = 0;
+                at[1] += 1;
+                if at[1] == by_n {
+                    at[1] = 0;
+                    at[2] += 1;
+                }
+            }
+            origin
+        })
+    }
+
+    /// Rows of four values in a block, and whether the block at `origin`
+    /// lies wholly inside the volume.
+    fn rows_and_interior(&self, [x, y, z]: [usize; 3]) -> (usize, bool) {
+        let (yr, zr) = (
+            if self.d >= 2 { 4 } else { 1 },
+            if self.d >= 3 { 4 } else { 1 },
+        );
+        let [nx, ny, nz] = self.n;
+        (yr * zr, x + 4 <= nx && y + yr <= ny && z + zr <= nz)
+    }
+
+    /// Gather the block at `origin` straight from the typed elements,
+    /// replicating edge values into the padding of partial blocks (ZFP's
+    /// strategy keeps the transform well-behaved at boundaries). An
+    /// interior block is a row copy per four values.
+    fn gather<T: Widen>(&self, values: &[T], origin: [usize; 3], out: &mut [f64; MAX_BLOCK]) {
+        let [nx, ny, nz] = self.n;
+        let [x, y, z] = origin;
+        let (rows, interior) = self.rows_and_interior(origin);
+        for (row, out) in out.chunks_exact_mut(4).take(rows).enumerate() {
+            let (dy, dz) = (row & 3, row >> 2);
+            if interior {
+                let from = &values[((z + dz) * ny + y + dy) * nx + x..][..4];
+                for (o, v) in out.iter_mut().zip(from) {
+                    *o = v.widen();
+                }
+            } else {
+                let start = ((z + dz).min(nz - 1) * ny + (y + dy).min(ny - 1)) * nx;
+                for (dx, o) in out.iter_mut().enumerate() {
+                    *o = values[start + (x + dx).min(nx - 1)].widen();
+                }
             }
         }
     }
-    out
-}
 
-/// Scatter a decoded block back, skipping padded lanes.
-fn scatter_block(
-    block: &[f64],
-    out: &mut [f64],
-    nd: &[usize],
-    d: usize,
-    bx: usize,
-    by: usize,
-    bz: usize,
-) {
-    let nx = nd[0];
-    let ny = *nd.get(1).unwrap_or(&1);
-    let nz = *nd.get(2).unwrap_or(&1);
-    let zr = if d >= 3 { 4 } else { 1 };
-    let yr = if d >= 2 { 4 } else { 1 };
-    let mut i = 0usize;
-    for dz in 0..zr {
-        let z = bz * 4 + dz;
-        for dy in 0..yr {
-            let y = by * 4 + dy;
-            for dx in 0..4 {
-                let x = bx * 4 + dx;
-                if x < nx && y < ny && z < nz {
-                    out[(z * ny + y) * nx + x] = block[i];
+    /// Scatter a decoded block back into the typed output, narrowing as it
+    /// goes and skipping padded lanes.
+    fn scatter<T: Element>(&self, block: &[f64], out: &mut [T], origin: [usize; 3]) {
+        let [nx, ny, nz] = self.n;
+        let [x, y, z] = origin;
+        let (rows, interior) = self.rows_and_interior(origin);
+        for (row, block) in block.chunks_exact(4).take(rows).enumerate() {
+            let (y, z) = (y + (row & 3), z + (row >> 2));
+            if interior {
+                let to = &mut out[(z * ny + y) * nx + x..][..4];
+                for (o, &v) in to.iter_mut().zip(block) {
+                    *o = T::narrow(v);
                 }
-                i += 1;
+            } else if y < ny && z < nz {
+                let start = (z * ny + y) * nx;
+                for (dx, &v) in block.iter().enumerate().take(nx - x) {
+                    out[start + x + dx] = T::narrow(v);
+                }
             }
         }
+    }
+}
+
+/// What the blocks of a call turned out to be: the `zfp:blocks*` and
+/// `zfp:planes` counters, summed in locals and recorded once.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Tally {
+    blocks: i64,
+    zero: i64,
+    raw: i64,
+    planes: i64,
+}
+
+impl Tally {
+    fn count(&mut self, block: Block) {
+        self.blocks += 1;
+        match block {
+            Block::Zero => self.zero += 1,
+            Block::Raw => self.raw += 1,
+            Block::Coded { planes } => self.planes += planes as i64,
+        }
+    }
+
+    fn merge(mut self, other: Tally) -> Tally {
+        self.blocks += other.blocks;
+        self.zero += other.zero;
+        self.raw += other.raw;
+        self.planes += other.planes;
+        self
+    }
+
+    /// How sparse the field was to ZFP, and what a block cost: call under
+    /// `pressio_obs::is_enabled()`.
+    fn record(&self) {
+        pressio_obs::add_counter("zfp:blocks", self.blocks);
+        pressio_obs::add_counter("zfp:blocks.zero", self.zero);
+        pressio_obs::add_counter("zfp:blocks.raw", self.raw);
+        pressio_obs::add_counter("zfp:planes", self.planes);
     }
 }
 
@@ -218,15 +312,6 @@ fn mode_tag(mode: &str) -> u8 {
         "rate" => 2,
         _ => 0,
     }
-}
-
-/// Number of 4^d blocks along each collapsed axis.
-fn block_grid(nd: &[usize]) -> (usize, usize, usize) {
-    (
-        nd[0].div_ceil(4),
-        nd.get(1).map_or(1, |&n| n.div_ceil(4)),
-        nd.get(2).map_or(1, |&n| n.div_ceil(4)),
-    )
 }
 
 impl ZfpCompressor {
@@ -243,6 +328,163 @@ impl ZfpCompressor {
         out.extend_from_slice(&header_abs.to_le_bytes());
         out.extend_from_slice(&(self.precision as u64).to_le_bytes());
         out.extend_from_slice(&self.rate.to_le_bytes());
+    }
+
+    /// `compress` on the typed elements of `input`.
+    fn compress_elements<T: Widen>(&self, input: &Data, values: &[T]) -> Vec<u8> {
+        let grid = Grid::new(&collapse_dims(input.dims()));
+        let mode = self.effective_mode(values);
+        // the header must carry the *effective* tolerance so the decoder
+        // derives the identical plane cutoff (rel is resolved at encode time)
+        let header_abs = match mode {
+            Mode::Accuracy(a) => a,
+            _ => self.abs,
+        };
+        let plan = Plan::new(mode, grid.d);
+
+        // v2 chunked layout: blocks in canonical linear order are grouped
+        // into fixed-size chunks, each encoded into its own byte-aligned
+        // bitstream. Chunk boundaries are format constants, so the stream
+        // is identical at any thread count: a thread takes a run of whole
+        // chunks and writes them, each aligned, into one writer.
+        let total_blocks = grid.total_blocks();
+        let n_chunks = total_blocks.div_ceil(CHUNK_BLOCKS);
+        let nthreads = pressio_core::threads::resolve(self.nthreads);
+        let n_runs = if nthreads <= 1 {
+            n_chunks.min(1)
+        } else {
+            n_chunks.min(WAVE_PER_THREAD * nthreads)
+        };
+        let runs = pressio_core::threads::par_map_indexed(nthreads, n_runs, |run| {
+            let chunks = run * n_chunks / n_runs..(run + 1) * n_chunks / n_runs;
+            // sized from the data: half the raw bytes is past what most
+            // fields need (untouched, it costs nothing) and one doubling
+            // short of what none exceeds
+            let raw = chunks.len() * CHUNK_BLOCKS * plan.block_len() * std::mem::size_of::<T>();
+            let mut w = BitWriter::with_capacity(raw / 2);
+            let mut lens = Vec::with_capacity(chunks.len());
+            let mut tally = Tally::default();
+            let mut block = [0.0; MAX_BLOCK];
+            for c in chunks {
+                let start = w.len_bits();
+                let hi = ((c + 1) * CHUNK_BLOCKS).min(total_blocks);
+                for origin in grid.origins(c * CHUNK_BLOCKS, hi) {
+                    grid.gather(values, origin, &mut block);
+                    tally.count(plan.encode(&block, &mut w));
+                }
+                w.align();
+                lens.push((w.len_bits() - start) as u64 / 8);
+            }
+            (w.into_bytes(), lens, tally)
+        });
+
+        let payload: usize = runs.iter().map(|(bytes, ..)| bytes.len()).sum();
+        let mut out = Vec::with_capacity(64 + 8 * input.dims().len() + 8 * n_chunks + payload);
+        self.write_header(&mut out, input, header_abs);
+        out.extend_from_slice(&(CHUNK_BLOCKS as u64).to_le_bytes());
+        out.extend_from_slice(&(n_chunks as u64).to_le_bytes());
+        for len in runs.iter().flat_map(|(_, lens, _)| lens) {
+            out.extend_from_slice(&len.to_le_bytes());
+        }
+        for (bytes, ..) in &runs {
+            out.extend_from_slice(bytes);
+        }
+        if pressio_obs::is_enabled() {
+            pressio_obs::add_counter("zfp:compress.bytes_in", input.size_in_bytes() as i64);
+            pressio_obs::add_counter("zfp:compress.bytes_out", out.len() as i64);
+            runs.iter()
+                .fold(Tally::default(), |sum, (.., tally)| sum.merge(*tally))
+                .record();
+        }
+        out
+    }
+}
+
+/// The chunked payload of a parsed container.
+struct Chunks<'a> {
+    plan: Plan,
+    /// Blocks per chunk, as the stream declares it.
+    chunk_blocks: usize,
+    /// Chunk `c` is `payload[offsets[c]..offsets[c + 1]]`: per-chunk
+    /// lengths let every chunk decode independently (and so in parallel).
+    offsets: Vec<usize>,
+    payload: &'a [u8],
+}
+
+/// One decoded chunk: the values of its blocks that are not all zero, one
+/// after another, and which blocks those are.
+struct DecodedChunk {
+    values: Vec<f64>,
+    zero: Vec<bool>,
+    tally: Tally,
+}
+
+impl Chunks<'_> {
+    fn decode_chunk(&self, c: usize, total_blocks: usize) -> Result<DecodedChunk> {
+        let lo = c * self.chunk_blocks;
+        let blocks = self.chunk_blocks.min(total_blocks - lo);
+        let size = self.plan.block_len();
+        let mut r = BitReader::new(&self.payload[self.offsets[c]..self.offsets[c + 1]]);
+        let mut chunk = DecodedChunk {
+            values: Vec::new(),
+            zero: Vec::with_capacity(blocks),
+            tally: Tally::default(),
+        };
+        let mut block = [0.0; MAX_BLOCK];
+        for b in 0..blocks {
+            let kind = self
+                .plan
+                .decode(&mut r, &mut block)
+                .map_err(|e| Error::CorruptStream(e.to_string()))?;
+            chunk.tally.count(kind);
+            chunk.zero.push(kind == Block::Zero);
+            if kind != Block::Zero {
+                if chunk.values.capacity() == 0 {
+                    // room for the rest of the chunk, once it has anything
+                    // in it: an all-zero chunk allocates nothing
+                    chunk.values.reserve_exact((blocks - b) * size);
+                }
+                chunk.values.extend_from_slice(&block[..size]);
+            }
+        }
+        Ok(chunk)
+    }
+
+    /// Decode every chunk into a zeroed `Vec<T>`, a wave of chunks at a
+    /// time: the wave decodes on the pool into flat per-chunk buffers, then
+    /// its blocks are scattered and narrowed into the output before the
+    /// next wave starts. All-zero blocks are not scattered at all.
+    fn decode<T: Element>(
+        &self,
+        grid: &Grid,
+        n: usize,
+        nthreads: usize,
+    ) -> Result<(Vec<T>, Tally)> {
+        let mut out = vec![T::default(); n];
+        let mut tally = Tally::default();
+        let total_blocks = grid.total_blocks();
+        let n_chunks = self.offsets.len() - 1;
+        let size = self.plan.block_len();
+        let wave = WAVE_PER_THREAD * nthreads.max(1);
+        for first in (0..n_chunks).step_by(wave) {
+            let decoded =
+                pressio_core::threads::par_map_indexed(nthreads, wave.min(n_chunks - first), |k| {
+                    self.decode_chunk(first + k, total_blocks)
+                });
+            for (k, chunk) in decoded.into_iter().enumerate() {
+                let chunk = chunk?;
+                tally = tally.merge(chunk.tally);
+                let lo = (first + k) * self.chunk_blocks;
+                let mut blocks = chunk.values.chunks_exact(size);
+                for (origin, &zero) in grid.origins(lo, lo + chunk.zero.len()).zip(&chunk.zero) {
+                    if !zero {
+                        let block = blocks.next().expect("a block per nonzero flag");
+                        grid.scatter(block, &mut out, origin);
+                    }
+                }
+            }
+        }
+        Ok((out, tally))
     }
 }
 
@@ -339,66 +581,14 @@ impl Compressor for ZfpCompressor {
 
     fn compress(&self, input: &Data) -> Result<Vec<u8>> {
         let _span = pressio_obs::span("zfp:compress");
-        let dtype = input.dtype();
-        if !matches!(dtype, Dtype::F32 | Dtype::F64) {
-            return Err(Error::UnsupportedData(format!(
+        match input.elements() {
+            Elements::F32(values) => Ok(self.compress_elements(input, values)),
+            Elements::F64(values) => Ok(self.compress_elements(input, values)),
+            _ => Err(Error::UnsupportedData(format!(
                 "zfp supports f32/f64, got {}",
-                dtype.name()
-            )));
+                input.dtype().name()
+            ))),
         }
-        let values = input.to_f64_vec();
-        let nd = collapse_dims(input.dims());
-        let d = nd.len().clamp(1, 3);
-        let mode = self.effective_mode(&values);
-        // the header must carry the *effective* tolerance so the decoder
-        // derives the identical plane cutoff (rel is resolved at encode time)
-        let header_abs = match mode {
-            Mode::Accuracy(a) => a,
-            _ => self.abs,
-        };
-
-        let mut out = Vec::new();
-        self.write_header(&mut out, input, header_abs);
-
-        // v2 chunked layout: blocks in canonical linear order are grouped
-        // into fixed-size chunks, each encoded into its own byte-aligned
-        // bitstream. Chunk boundaries are format constants, so the stream
-        // is identical at any thread count.
-        let (bx_n, by_n, bz_n) = block_grid(&nd);
-        let total_blocks = if values.is_empty() {
-            0
-        } else {
-            bx_n * by_n * bz_n
-        };
-        let n_chunks = total_blocks.div_ceil(CHUNK_BLOCKS);
-        let nthreads = pressio_core::threads::resolve(self.nthreads);
-        let chunks: Vec<Vec<u8>> =
-            pressio_core::threads::par_map_indexed(nthreads, n_chunks, |c| {
-                let lo = c * CHUNK_BLOCKS;
-                let hi = ((c + 1) * CHUNK_BLOCKS).min(total_blocks);
-                let mut w = BitWriter::with_capacity(hi - lo);
-                for i in lo..hi {
-                    let bx = i % bx_n;
-                    let by = (i / bx_n) % by_n;
-                    let bz = i / (bx_n * by_n);
-                    let blk = gather_block(&values, &nd, d, bx, by, bz);
-                    block::encode_block(&blk, d, mode, &mut w);
-                }
-                w.into_bytes()
-            });
-        out.extend_from_slice(&(CHUNK_BLOCKS as u64).to_le_bytes());
-        out.extend_from_slice(&(n_chunks as u64).to_le_bytes());
-        for c in &chunks {
-            out.extend_from_slice(&(c.len() as u64).to_le_bytes());
-        }
-        for c in &chunks {
-            out.extend_from_slice(c);
-        }
-        if pressio_obs::is_enabled() {
-            pressio_obs::add_counter("zfp:compress.bytes_in", input.size_in_bytes() as i64);
-            pressio_obs::add_counter("zfp:compress.bytes_out", out.len() as i64);
-        }
-        Ok(out)
     }
 
     fn decompress(&self, compressed: &[u8], dtype: Dtype, dims: &[usize]) -> Result<Data> {
@@ -448,11 +638,22 @@ impl Compressor for ZfpCompressor {
             )));
         }
         let abs = f64::from_le_bytes(get(&mut pos, 8)?.try_into().unwrap());
-        let precision = u64::from_le_bytes(get(&mut pos, 8)?.try_into().unwrap()) as u32;
+        let precision = u64::from_le_bytes(get(&mut pos, 8)?.try_into().unwrap());
         let rate = f64::from_le_bytes(get(&mut pos, 8)?.try_into().unwrap());
+        // each mode's parameter, held to what `set_options` accepts
         let mode = match mode_tag {
-            1 => Mode::Precision(precision),
-            2 => Mode::Rate(rate),
+            1 => {
+                if !(1..=block::INTPREC as u64).contains(&precision) {
+                    return Err(Error::CorruptStream("invalid precision".into()));
+                }
+                Mode::Precision(precision as u32)
+            }
+            2 => {
+                if !(rate > 0.0 && rate <= 64.0) {
+                    return Err(Error::CorruptStream("invalid rate".into()));
+                }
+                Mode::Rate(rate)
+            }
             _ => {
                 if !(abs.is_finite() && abs > 0.0) {
                     return Err(Error::CorruptStream("invalid tolerance".into()));
@@ -460,60 +661,48 @@ impl Compressor for ZfpCompressor {
                 Mode::Accuracy(abs)
             }
         };
-        let nd = collapse_dims(dims);
-        let d = nd.len().clamp(1, 3);
+        let grid = Grid::new(&collapse_dims(dims));
         let n: usize = dims.iter().product();
-        let mut values = vec![0.0f64; n];
-        let (bx_n, by_n, bz_n) = block_grid(&nd);
-        // per-chunk payload lengths let every chunk decode independently
-        // (and therefore in parallel)
         let chunk_blocks = u64::from_le_bytes(get(&mut pos, 8)?.try_into().unwrap()) as usize;
         let n_chunks = u64::from_le_bytes(get(&mut pos, 8)?.try_into().unwrap()) as usize;
-        let total_blocks = if n == 0 { 0 } else { bx_n * by_n * bz_n };
-        if chunk_blocks == 0 || n_chunks != total_blocks.div_ceil(chunk_blocks) {
+        if chunk_blocks == 0 || n_chunks != grid.total_blocks().div_ceil(chunk_blocks) {
             return Err(Error::CorruptStream("bad zfp chunk table".into()));
         }
+        let overflow = || Error::CorruptStream("zfp chunk table overflow".into());
         let mut offsets = Vec::with_capacity(n_chunks + 1);
         offsets.push(0usize);
         for _ in 0..n_chunks {
             let len = u64::from_le_bytes(get(&mut pos, 8)?.try_into().unwrap()) as usize;
-            let next = offsets
-                .last()
-                .unwrap()
+            let next = offsets[offsets.len() - 1]
                 .checked_add(len)
-                .ok_or_else(|| Error::CorruptStream("zfp chunk table overflow".into()))?;
+                .ok_or_else(overflow)?;
             offsets.push(next);
         }
+        let end = pos.checked_add(offsets[n_chunks]).ok_or_else(overflow)?;
         let payload = compressed
-            .get(pos..pos + offsets[n_chunks])
+            .get(pos..end)
             .ok_or_else(|| Error::CorruptStream("truncated zfp payload".into()))?;
+        let chunks = Chunks {
+            plan: Plan::new(mode, grid.d),
+            chunk_blocks,
+            offsets,
+            payload,
+        };
         let nthreads = pressio_core::threads::resolve(self.nthreads);
-        let decoded: Vec<Result<Vec<Vec<f64>>>> =
-            pressio_core::threads::par_map_indexed(nthreads, n_chunks, |c| {
-                let lo = c * chunk_blocks;
-                let hi = ((c + 1) * chunk_blocks).min(total_blocks);
-                let mut r = BitReader::new(&payload[offsets[c]..offsets[c + 1]]);
-                (lo..hi)
-                    .map(|_| {
-                        block::decode_block(&mut r, d, mode)
-                            .map_err(|e| Error::CorruptStream(e.to_string()))
-                    })
-                    .collect()
-            });
-        for (c, chunk) in decoded.into_iter().enumerate() {
-            let lo = c * chunk_blocks;
-            for (k, blk) in chunk?.into_iter().enumerate() {
-                let i = lo + k;
-                let bx = i % bx_n;
-                let by = (i / bx_n) % by_n;
-                let bz = i / (bx_n * by_n);
-                scatter_block(&blk, &mut values, &nd, d, bx, by, bz);
+        let (data, tally) = match dtype {
+            Dtype::F32 => {
+                let (values, tally) = chunks.decode::<f32>(&grid, n, nthreads)?;
+                (Data::from_f32(dims.to_vec(), values), tally)
             }
+            _ => {
+                let (values, tally) = chunks.decode::<f64>(&grid, n, nthreads)?;
+                (Data::from_f64(dims.to_vec(), values), tally)
+            }
+        };
+        if pressio_obs::is_enabled() {
+            tally.record();
         }
-        Ok(match dtype {
-            Dtype::F32 => Data::from_f32(dims.to_vec(), values.iter().map(|&v| v as f32).collect()),
-            _ => Data::from_f64(dims.to_vec(), values),
-        })
+        Ok(data)
     }
 
     fn clone_box(&self) -> Box<dyn Compressor> {
@@ -735,6 +924,67 @@ mod tests {
         let chunk_off = 4 + 1 + 1 + 1 + 1 + 3 * 8 + 8 + 8 + 8;
         c[chunk_off..chunk_off + 8].copy_from_slice(&0u64.to_le_bytes());
         assert!(zfp.decompress(&c, Dtype::F32, data.dims()).is_err());
+    }
+
+    /// `field(8, 8, 4)` compressed under `opts`, with the 8 header bytes
+    /// `back` fields before the first chunk length replaced: 1 = chunk
+    /// count, 2 = blocks per chunk, 3 = rate, 4 = precision, 5 = tolerance;
+    /// 0 = the first chunk length itself.
+    fn patched(opts: &Options, back: usize, bytes: [u8; 8]) -> Result<Data> {
+        let data = field(8, 8, 4);
+        let mut zfp = ZfpCompressor::new();
+        zfp.set_options(opts).unwrap();
+        let mut c = zfp.compress(&data).unwrap();
+        let first_len = 4 + 4 + 3 * 8 + 5 * 8;
+        c[first_len - 8 * back..][..8].copy_from_slice(&bytes);
+        zfp.decompress(&c, Dtype::F32, data.dims())
+    }
+
+    fn corrupt_reason(result: Result<Data>) -> String {
+        match result {
+            Err(Error::CorruptStream(why)) => why,
+            other => panic!("expected a corrupt-stream error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn chunk_length_that_overflows_the_cursor_is_a_typed_error() {
+        // the one chunk claims u64::MAX - 10 bytes: offset + cursor wraps
+        let huge = (u64::MAX - 10).to_le_bytes();
+        assert_eq!(
+            corrupt_reason(patched(&Options::new(), 0, huge)),
+            "zfp chunk table overflow"
+        );
+    }
+
+    #[test]
+    fn header_rate_is_held_to_the_option_range() {
+        let rate_mode = Options::new().with("zfp:mode", "rate");
+        for bad in [f64::NAN, 1e300, f64::INFINITY, 0.0, -1.0, 64.5] {
+            assert_eq!(
+                corrupt_reason(patched(&rate_mode, 3, bad.to_le_bytes())),
+                "invalid rate",
+                "rate {bad}"
+            );
+        }
+        // the top of the range is a rate, written and read
+        let top = rate_mode.with("zfp:rate", 64.0);
+        assert!(patched(&top, 3, 64f64.to_le_bytes()).is_ok());
+    }
+
+    #[test]
+    fn header_precision_is_held_to_the_option_range() {
+        let precision_mode = Options::new().with("zfp:mode", "precision");
+        // the last would truncate to a valid 12 as a u32
+        for bad in [0u64, 59, u64::MAX, (1 << 32) | 12] {
+            assert_eq!(
+                corrupt_reason(patched(&precision_mode, 4, bad.to_le_bytes())),
+                "invalid precision",
+                "precision {bad}"
+            );
+        }
+        let top = precision_mode.with("zfp:precision", 58u64);
+        assert!(patched(&top, 4, 58u64.to_le_bytes()).is_ok());
     }
 
     #[test]

@@ -8,83 +8,105 @@
 //! reconstruction differs by a handful of fixed-point ULPs, which the codec
 //! absorbs in its guard-bit budget (exactly as ZFP does).
 
-/// Forward lift of 4 elements at stride `s` within `p`.
+/// Forward lift of 4 elements at stride `s` within `p`: one lane of
+/// [`fwd_lift_lanes`].
 #[inline]
 pub fn fwd_lift(p: &mut [i64], base: usize, s: usize) {
-    let (mut x, mut y, mut z, mut w) = (p[base], p[base + s], p[base + 2 * s], p[base + 3 * s]);
-    // non-orthogonal transform: (x,y,z,w) -> decorrelated coefficients
-    x += w;
-    x >>= 1;
-    w -= x;
-    z += y;
-    z >>= 1;
-    y -= z;
-    x += z;
-    x >>= 1;
-    z -= x;
-    w += y;
-    w >>= 1;
-    y -= w;
-    w += y >> 1;
-    y -= w >> 1;
-    p[base] = x;
-    p[base + s] = y;
-    p[base + 2 * s] = z;
-    p[base + 3 * s] = w;
+    fwd_lift_lanes::<1>(p, base, s);
 }
 
 /// Exact inverse of [`fwd_lift`].
 #[inline]
 pub fn inv_lift(p: &mut [i64], base: usize, s: usize) {
-    let (mut x, mut y, mut z, mut w) = (p[base], p[base + s], p[base + 2 * s], p[base + 3 * s]);
-    y += w >> 1;
-    w -= y >> 1;
-    y += w;
-    w <<= 1;
-    w -= y;
-    z += x;
-    x <<= 1;
-    x -= z;
-    y += z;
-    z <<= 1;
-    z -= y;
-    w += x;
-    x <<= 1;
-    x -= w;
-    p[base] = x;
-    p[base + s] = y;
-    p[base + 2 * s] = z;
-    p[base + 3 * s] = w;
+    inv_lift_lanes::<1>(p, base, s);
 }
 
-/// Forward transform of a 4^d block (d = 1, 2, or 3), in place.
+/// The forward lift on `L` adjacent lanes at once: lane `i` lifts the four
+/// elements `base + i + {0, s, 2s, 3s}`, each lane on its own, so side by
+/// side they are plain vector adds, subtracts and shifts. Sums wrap: a
+/// block whose fixed-point image saturated (values under 2^-971, where the
+/// scale is infinite) or a hostile stream's coefficients must not panic a
+/// debug build, and release arithmetic wrapped already.
+#[inline(always)]
+fn fwd_lift_lanes<const L: usize>(p: &mut [i64], base: usize, s: usize) {
+    let mut v = [[0i64; L]; 4];
+    for (j, row) in v.iter_mut().enumerate() {
+        row.copy_from_slice(&p[base + j * s..base + j * s + L]);
+    }
+    let [mut x, mut y, mut z, mut w] = v;
+    // non-orthogonal transform: (x,y,z,w) -> decorrelated coefficients
+    for i in 0..L {
+        x[i] = x[i].wrapping_add(w[i]);
+        x[i] >>= 1;
+        w[i] = w[i].wrapping_sub(x[i]);
+        z[i] = z[i].wrapping_add(y[i]);
+        z[i] >>= 1;
+        y[i] = y[i].wrapping_sub(z[i]);
+        x[i] = x[i].wrapping_add(z[i]);
+        x[i] >>= 1;
+        z[i] = z[i].wrapping_sub(x[i]);
+        w[i] = w[i].wrapping_add(y[i]);
+        w[i] >>= 1;
+        y[i] = y[i].wrapping_sub(w[i]);
+        w[i] = w[i].wrapping_add(y[i] >> 1);
+        y[i] = y[i].wrapping_sub(w[i] >> 1);
+    }
+    for (j, row) in [x, y, z, w].iter().enumerate() {
+        p[base + j * s..base + j * s + L].copy_from_slice(row);
+    }
+}
+
+/// The inverse lift on `L` adjacent lanes at once.
+#[inline(always)]
+fn inv_lift_lanes<const L: usize>(p: &mut [i64], base: usize, s: usize) {
+    let mut v = [[0i64; L]; 4];
+    for (j, row) in v.iter_mut().enumerate() {
+        row.copy_from_slice(&p[base + j * s..base + j * s + L]);
+    }
+    let [mut x, mut y, mut z, mut w] = v;
+    for i in 0..L {
+        y[i] = y[i].wrapping_add(w[i] >> 1);
+        w[i] = w[i].wrapping_sub(y[i] >> 1);
+        y[i] = y[i].wrapping_add(w[i]);
+        w[i] <<= 1;
+        w[i] = w[i].wrapping_sub(y[i]);
+        z[i] = z[i].wrapping_add(x[i]);
+        x[i] <<= 1;
+        x[i] = x[i].wrapping_sub(z[i]);
+        y[i] = y[i].wrapping_add(z[i]);
+        z[i] <<= 1;
+        z[i] = z[i].wrapping_sub(y[i]);
+        w[i] = w[i].wrapping_add(x[i]);
+        x[i] <<= 1;
+        x[i] = x[i].wrapping_sub(w[i]);
+    }
+    for (j, row) in [x, y, z, w].iter().enumerate() {
+        p[base + j * s..base + j * s + L].copy_from_slice(row);
+    }
+}
+
+/// Forward transform of a 4^d block (d = 1, 2, or 3), in place: the lift
+/// along x row by row, then along y four lanes (the row) at a time, then
+/// along z sixteen lanes (the plane) at a time.
 pub fn fwd_xform(block: &mut [i64], d: usize) {
     match d {
         1 => fwd_lift(block, 0, 1),
         2 => {
+            let block = &mut block[..16];
             for y in 0..4 {
                 fwd_lift(block, 4 * y, 1);
             }
-            for x in 0..4 {
-                fwd_lift(block, x, 4);
-            }
+            fwd_lift_lanes::<4>(block, 0, 4);
         }
         3 => {
-            for z in 0..4 {
-                for y in 0..4 {
-                    fwd_lift(block, 16 * z + 4 * y, 1);
-                }
+            let block = &mut block[..64];
+            for row in 0..16 {
+                fwd_lift(block, 4 * row, 1);
             }
             for z in 0..4 {
-                for x in 0..4 {
-                    fwd_lift(block, 16 * z + x, 4);
-                }
+                fwd_lift_lanes::<4>(block, 16 * z, 4);
             }
-            for y in 0..4 {
-                for x in 0..4 {
-                    fwd_lift(block, 4 * y + x, 16);
-                }
-            }
+            fwd_lift_lanes::<16>(block, 0, 16);
         }
         _ => panic!("unsupported block dimensionality {d}"),
     }
@@ -95,28 +117,20 @@ pub fn inv_xform(block: &mut [i64], d: usize) {
     match d {
         1 => inv_lift(block, 0, 1),
         2 => {
-            for x in 0..4 {
-                inv_lift(block, x, 4);
-            }
+            let block = &mut block[..16];
+            inv_lift_lanes::<4>(block, 0, 4);
             for y in 0..4 {
                 inv_lift(block, 4 * y, 1);
             }
         }
         3 => {
-            for y in 0..4 {
-                for x in 0..4 {
-                    inv_lift(block, 4 * y + x, 16);
-                }
-            }
+            let block = &mut block[..64];
+            inv_lift_lanes::<16>(block, 0, 16);
             for z in 0..4 {
-                for x in 0..4 {
-                    inv_lift(block, 16 * z + x, 4);
-                }
+                inv_lift_lanes::<4>(block, 16 * z, 4);
             }
-            for z in 0..4 {
-                for y in 0..4 {
-                    inv_lift(block, 16 * z + 4 * y, 1);
-                }
+            for row in 0..16 {
+                inv_lift(block, 4 * row, 1);
             }
         }
         _ => panic!("unsupported block dimensionality {d}"),
@@ -125,7 +139,8 @@ pub fn inv_xform(block: &mut [i64], d: usize) {
 
 /// Total-degree coefficient ordering for a 4^d block: low-frequency
 /// coefficients (small coordinate sum) first, ties broken by linear index.
-/// Deterministically generated, so encoder and decoder always agree.
+/// Deterministically generated, so encoder and decoder always agree. The
+/// codec reads [`degree_table`], which this sort is the specification of.
 pub fn degree_order(d: usize) -> Vec<usize> {
     let n = 1usize << (2 * d);
     let mut idx: Vec<usize> = (0..n).collect();
@@ -136,6 +151,41 @@ pub fn degree_order(d: usize) -> Vec<usize> {
         (x + y + z, i)
     });
     idx
+}
+
+/// [`degree_order`] by counting instead of sorting, so it can run at
+/// compile time: one pass over the indices per total degree, in index
+/// order. Entries past `4^d` are unused.
+const fn degree_table_for(d: usize) -> [u8; 64] {
+    let n = 1usize << (2 * d);
+    let mut table = [0u8; 64];
+    let mut filled = 0;
+    let mut degree = 0;
+    while degree <= 9 {
+        let mut i = 0;
+        while i < n {
+            if (i & 3) + ((i >> 2) & 3) + ((i >> 4) & 3) == degree {
+                table[filled] = i as u8;
+                filled += 1;
+            }
+            i += 1;
+        }
+        degree += 1;
+    }
+    table
+}
+
+static DEGREE_TABLES: [[u8; 64]; 3] = [
+    degree_table_for(1),
+    degree_table_for(2),
+    degree_table_for(3),
+];
+
+/// [`degree_order`]`(d)` as a table built at compile time: position `pos`
+/// of the coded order holds coefficient `table[pos]` of the block.
+pub fn degree_table(d: usize) -> &'static [u8] {
+    assert!((1..=3).contains(&d), "unsupported block dimensionality {d}");
+    &DEGREE_TABLES[d - 1][..1 << (2 * d)]
 }
 
 /// Map a signed integer to its negabinary (sign-free) representation.
@@ -152,22 +202,6 @@ pub fn int_to_negabinary(x: i64) -> u64 {
 pub fn negabinary_to_int(u: u64) -> i64 {
     const MASK: u64 = 0xaaaa_aaaa_aaaa_aaaa;
     (u ^ MASK).wrapping_sub(MASK) as i64
-}
-
-/// Lane map of [`int_to_negabinary`] over a slice (wrapping add + xor —
-/// pure element-wise integer ops, so results are identical to the scalar
-/// calls and the loop autovectorizes).
-pub fn negabinary_slice(ints: &[i64], out: &mut [u64]) {
-    for (o, &x) in out.iter_mut().zip(ints) {
-        *o = int_to_negabinary(x);
-    }
-}
-
-/// Lane map of [`negabinary_to_int`] over a slice.
-pub fn negabinary_to_int_slice(neg: &[u64], out: &mut [i64]) {
-    for (o, &u) in out.iter_mut().zip(neg) {
-        *o = negabinary_to_int(u);
-    }
 }
 
 /// In-place 64×64 bit-matrix transpose: bit `c` of row `r` swaps with bit
@@ -223,6 +257,7 @@ pub fn bitplanes_scalar(coeffs: &[u64]) -> [u64; 64] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::twin::{negabinary_slice, negabinary_to_int_slice};
 
     fn xorshift(state: &mut u64) -> u64 {
         *state ^= *state << 13;
@@ -288,6 +323,44 @@ mod tests {
             assert_eq!(o.len(), n);
             o.sort_unstable();
             assert_eq!(o, (0..n).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn compile_time_tables_are_the_sort() {
+        for d in 1..=3usize {
+            let table: Vec<usize> = degree_table(d).iter().map(|&i| i as usize).collect();
+            assert_eq!(table, degree_order(d), "d={d}");
+        }
+    }
+
+    /// The lifts four and sixteen lanes at a time against the lift applied
+    /// one at a time, as `fwd_xform` / `inv_xform` were written before the
+    /// lanes (the arithmetic is one body; its bits are pinned by the stream
+    /// digests).
+    #[test]
+    fn lane_lifts_are_the_scalar_lifts() {
+        let mut state = 0xabcd_ef01u64;
+        for d in 1..=3usize {
+            let n = 1usize << (2 * d);
+            for _ in 0..200 {
+                let original: Vec<i64> =
+                    (0..n).map(|_| (xorshift(&mut state) as i64) >> 9).collect();
+                let strides: Vec<usize> = (0..d).map(|axis| 1 << (2 * axis)).collect();
+                let lifts_along = |s: usize| (0..n).filter(move |i| (i / s).is_multiple_of(4));
+                let mut by_lift = original.clone();
+                for &s in &strides {
+                    lifts_along(s).for_each(|base| fwd_lift(&mut by_lift, base, s));
+                }
+                let mut lanes = original.clone();
+                fwd_xform(&mut lanes, d);
+                assert_eq!(lanes, by_lift, "forward d={d}");
+                for &s in strides.iter().rev() {
+                    lifts_along(s).for_each(|base| inv_lift(&mut by_lift, base, s));
+                }
+                inv_xform(&mut lanes, d);
+                assert_eq!(lanes, by_lift, "inverse d={d}");
+            }
         }
     }
 

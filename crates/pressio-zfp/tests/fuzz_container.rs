@@ -42,7 +42,7 @@ fn field(dims: &[usize], f32_input: bool) -> (Data, Dtype) {
 
 /// Valid containers across all modes, dtypes, and ranks, so mutations
 /// reach the mode-specific header fields (precision planes, rate budget).
-fn corpus() -> Vec<Vec<u8>> {
+fn valid_streams() -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     for dims in DIMS {
         for f32_input in [false, true] {
@@ -67,6 +67,45 @@ fn corpus() -> Vec<Vec<u8>> {
     out
 }
 
+/// What the mutator starts from: the valid streams and the crafted headers.
+fn corpus() -> Vec<Vec<u8>> {
+    let mut corpus = valid_streams();
+    corpus.extend(hostile_headers(&corpus));
+    corpus
+}
+
+/// Headers crafted to reach what mutation rarely does: each 8-byte field
+/// between the dims and the chunk payloads — tolerance, precision, rate,
+/// blocks per chunk, chunk count, first chunk length — set to values that
+/// overflow a cursor, saturate a cast or are not numbers at all, in a
+/// stream of each mode.
+fn hostile_headers(valid: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let values = [
+        u64::MAX - 10,
+        u64::MAX,
+        0,
+        (1 << 32) | 12,
+        f64::NAN.to_bits(),
+        1e300f64.to_bits(),
+        (-1f64).to_bits(),
+        f64::INFINITY.to_bits(),
+    ];
+    let mut out = Vec::new();
+    // the 3-D f64 streams, one per mode: dtype at byte 5, rank at byte 7,
+    // the fields after the dims
+    for stream in valid.iter().filter(|s| s[5] == 1 && s[7] == 3) {
+        let fields = 8 + 8 * stream[7] as usize;
+        for field in 0..6 {
+            for value in values {
+                let mut crafted = stream.clone();
+                crafted[fields + 8 * field..][..8].copy_from_slice(&value.to_le_bytes());
+                out.push(crafted);
+            }
+        }
+    }
+    out
+}
+
 #[test]
 fn decompress_never_panics_on_mutated_containers() {
     let corpus = corpus();
@@ -81,6 +120,21 @@ fn decompress_never_panics_on_mutated_containers() {
             }
         }
     });
+}
+
+#[test]
+fn crafted_headers_never_panic_unmutated() {
+    let zfp = ZfpCompressor::new();
+    let hostile = hostile_headers(&valid_streams());
+    // three modes x six fields x eight values
+    assert_eq!(hostile.len(), 3 * 6 * 8);
+    for case in hostile {
+        for dims in DIMS {
+            for dtype in [Dtype::F32, Dtype::F64] {
+                let _ = zfp.decompress(&case, dtype, dims);
+            }
+        }
+    }
 }
 
 #[test]
