@@ -37,7 +37,7 @@ fn assert_agrees(report: &pressio_obs::Report, name: &str, printed: &MeanStd) {
     assert_eq!(traced.std(), printed.std(), "{name}: std");
 }
 
-/// The tentpole acceptance criterion: every timing the Table 2 driver
+/// The tentpole acceptance check: every timing the Table 2 driver
 /// prints is also present in the trace aggregates with identical
 /// mean/std/count, because both are fed the same measured values.
 #[test]

@@ -8,8 +8,7 @@
 //! | `--bin table1` | Table 1 (method taxonomy, from live registry metadata) |
 //! | `--bin table2` | Table 2 (Hurricane stage timings + MedAPE, 10-fold CV) |
 //! | `--bin fig2_pipeline` | Figure 2 (dataset-loader pipeline: cold vs cached vs sampled) |
-//! | `pressio bench --ablation <name>` | the nine ablations ([`ablations::NAMES`] plus `affinity` and `checkpoint`) |
-//! | `cargo bench` | Criterion microbenches (compressor baselines, metric costs, scheme estimate costs) |
+//! | `pressio bench --ablation <name>` | the ten ablations ([`ablations::NAMES`] plus `affinity` and `checkpoint`) |
 //!
 //! Binaries accept `--quick` for a reduced problem size and
 //! `--timesteps N` / `--dims NX,NY,NZ` to re-scale the synthetic Hurricane.

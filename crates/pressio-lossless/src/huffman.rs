@@ -276,6 +276,7 @@ impl Codebook {
 
     /// Canonical `(code, length)` for `symbol`, if coded. The code value is
     /// MSB-first, as [`Codebook::decode`] consumes it.
+    #[cfg(test)]
     pub fn code(&self, symbol: u32) -> Option<(u64, u32)> {
         let len = self.code_length(symbol)?;
         let slot = self.index().slot(symbol);

@@ -2,14 +2,13 @@
 //!
 //! Lossless coding substrate for the LibPressio-Predict reproduction:
 //! bit-level streams ([`bitstream`]), canonical Huffman coding ([`huffman`]),
-//! LZSS dictionary compression ([`lzss`]), run-length encoding ([`rle`]),
-//! and entropy estimators ([`entropy`]).
+//! LZSS dictionary compression ([`lzss`]), and entropy estimators
+//! ([`entropy`]).
 //!
 //! The SZ-like compressor chains `Huffman → LZSS` (the dictionary stage
-//! only where a trial says it pays; [`rle`] stands alone, no pipeline calls
-//! it), and the prediction schemes of `pressio-predict` reuse the entropy
-//! and expected-code-length machinery to *model* the encoder without
-//! running it.
+//! only where a trial says it pays), and the prediction schemes of
+//! `pressio-predict` reuse the entropy and expected-code-length machinery
+//! to *model* the encoder without running it.
 
 #![warn(missing_docs)]
 
@@ -17,7 +16,6 @@ pub mod bitstream;
 pub mod entropy;
 pub mod huffman;
 pub mod lzss;
-pub mod rle;
 
 pub use bitstream::{BitReader, BitWriter};
 pub use huffman::{Codebook, HuffmanError};

@@ -84,27 +84,6 @@ proptest! {
     }
 
     #[test]
-    fn rle_round_trips_any_bytes(data in prop::collection::vec(any::<u8>(), 0..4000)) {
-        let c = pressio_lossless::rle::compress(&data);
-        prop_assert_eq!(pressio_lossless::rle::decompress(&c).unwrap(), data);
-    }
-
-    #[test]
-    fn rle_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..500)) {
-        let _ = pressio_lossless::rle::decompress(&bytes);
-    }
-
-    #[test]
-    fn rle_round_trips_runs(runs in prop::collection::vec((any::<u8>(), 1usize..600), 0..20)) {
-        let data: Vec<u8> = runs
-            .iter()
-            .flat_map(|&(b, n)| std::iter::repeat_n(b, n))
-            .collect();
-        let c = pressio_lossless::rle::compress(&data);
-        prop_assert_eq!(pressio_lossless::rle::decompress(&c).unwrap(), data);
-    }
-
-    #[test]
     fn entropy_is_bounded(symbols in prop::collection::vec(0u32..64, 1..3000)) {
         let h = pressio_lossless::entropy::shannon_entropy_symbols(&symbols);
         prop_assert!(h >= 0.0);

@@ -1,11 +1,12 @@
-//! End-to-end selection tests: determinism of the trial path, and the full
-//! remote-consult loop against a live `pressio-serve` daemon (train one
-//! model per codec → consult → selected container → header-driven
-//! decompression).
+//! End-to-end selection tests: determinism of the trial path, regret
+//! against the both-codec oracle, and the full remote-consult loop against
+//! a live `pressio-serve` daemon (train one model per codec → consult →
+//! selected container → header-driven decompression).
 
 use pressio_core::{Compressor, Data, Dtype, Options};
 use pressio_dataset::{DatasetPlugin, Hurricane};
-use pressio_select::{decode_header, SelectCodec};
+use pressio_predict::standard_compressors;
+use pressio_select::{decode_header, value_range, Policy, SelectCodec, CODECS};
 use pressio_serve::{Client, Endpoint, ServeConfig, Server};
 use std::path::PathBuf;
 
@@ -52,6 +53,45 @@ fn different_fields_can_pick_different_winners() {
         decisions.len() > 1,
         "selector answered identically for every field: {decisions:?}"
     );
+}
+
+#[test]
+fn regret_against_the_both_codec_oracle_is_bounded() {
+    // the oracle compresses each field with every (codec, bound) the policy
+    // admits and keeps the best ratio; the selector chooses from the same
+    // grid, so regret is the ranking error of the trial consult alone
+    let mut hurricane = Hurricane::with_dims(16, 16, 8, 1);
+    let (policy, select) = (Policy::default(), SelectCodec::new());
+    let mut regrets = Vec::new();
+    for i in 0..hurricane.len() {
+        let data = hurricane.load_data(i).unwrap();
+        let raw = data.size_in_bytes() as f64;
+        let bounds = policy.feasible_bounds(value_range(&data));
+        let mut oracle = f64::NEG_INFINITY;
+        for codec in CODECS {
+            for &abs in &bounds {
+                let mut comp = standard_compressors().build(codec).unwrap();
+                comp.set_options(&Options::new().with("pressio:abs", abs))
+                    .unwrap();
+                oracle = oracle.max(raw / comp.compress(&data).unwrap().len() as f64);
+            }
+        }
+        // what follows the decision-record header is the winner's stream
+        let container = select.compress(&data).unwrap();
+        let (record, offset) = decode_header(&container).unwrap();
+        let selected = raw / (container.len() - offset) as f64;
+        let regret = ((oracle - selected) / oracle * 100.0).max(0.0);
+        assert!(
+            regret <= 25.0,
+            "field {i}: {}@{:e} gives {selected:.2}, the oracle {oracle:.2} ({regret:.2} %)",
+            record.codec,
+            record.abs
+        );
+        regrets.push(regret);
+    }
+    assert_eq!(regrets.len(), 13);
+    let mean = regrets.iter().sum::<f64>() / regrets.len() as f64;
+    assert!(mean <= 5.0, "mean regret {mean:.2} %: {regrets:?}");
 }
 
 #[test]

@@ -232,7 +232,7 @@ pub trait ShardHandle: Send {
 }
 
 /// Starts shard servers. The supervisor is spawner-agnostic so the CLI can
-/// back it with real child processes while tests and benches use
+/// back it with real child processes while tests use
 /// [`InProcessSpawner`] threads — same routing, same topology file, same
 /// restart logic.
 pub trait ShardSpawner: Send + Sync {
@@ -243,7 +243,7 @@ pub trait ShardSpawner: Send + Sync {
 
 /// Runs each shard as an in-process [`Server`] (threads, not processes).
 /// Process isolation is lost, but routing/failover/restart behave the
-/// same, which is what the tests and the scaling bench need.
+/// same, which is what the tests need.
 pub struct InProcessSpawner;
 
 struct InProcessShard {

@@ -108,11 +108,26 @@ fn stream_session_lifecycle_with_temporal_features() {
 
 #[test]
 fn online_mode_refits_and_bumps_model_version() {
-    let dir = temp_dir("online");
+    online_stream((8, 8, 4), 12, 32, 4);
+    // a longer stream under a window short enough that the last rolling
+    // error is the refined model's, not the cold model's early misses
+    online_stream((16, 16, 8), 48, 16, 6);
+}
+
+/// `steps` single-timestep chunks of `TC` on an `nx × ny × nz` grid through
+/// an `--online` daemon that refits every `refit_every` chunks over the last
+/// `window`.
+fn online_stream(
+    (nx, ny, nz): (usize, usize, usize),
+    steps: usize,
+    window: usize,
+    refit_every: usize,
+) {
+    let dir = temp_dir(&format!("online_{steps}"));
     let mut config = local_config(&dir);
     config.online = true;
-    config.online_window = 32;
-    config.online_refit_every = 4;
+    config.online_window = window;
+    config.online_refit_every = refit_every;
     let handle = Server::start(config).unwrap();
     let mut client = Client::connect(handle.endpoint()).unwrap();
 
@@ -130,21 +145,21 @@ fn online_mode_refits_and_bumps_model_version() {
     let begun = client.stream_begin("s-online", &extra).unwrap();
     assert!(begun.get_bool("stream:online").unwrap(), "{begun}");
 
-    // stream 12 timesteps; each chunk reports the *real* achieved ratio
-    // from the frame encoder's chunk record as stream:actual
-    let mut source = timesteps(12);
+    // each chunk reports the *real* achieved ratio from the frame
+    // encoder's chunk record as stream:actual
+    let mut source = Hurricane::with_dims(nx, ny, nz, steps).with_fields(&["TC"]);
     let header = StreamHeader {
         codec: "sz3".into(),
         dtype: Dtype::F32,
-        inner_dims: vec![8, 8],
-        chunk_outer: 4,
+        inner_dims: vec![nx, ny],
+        chunk_outer: nz,
         chained: false,
         codec_options: Options::new().with("pressio:abs", 1e-4),
     };
     let mut encoder = StreamEncoder::new(Vec::new(), header).unwrap();
-    let mut saw_error = false;
+    let mut errors = Vec::new();
     let mut max_version = 0u64;
-    for t in 0..12 {
+    for t in 0..steps {
         let chunk = source.load_data(t).unwrap();
         let record = encoder.write_chunk(&chunk).unwrap();
         let actual = record.raw_len as f64 / record.comp_len as f64;
@@ -161,14 +176,21 @@ fn online_mode_refits_and_bumps_model_version() {
             "{resp}"
         );
         if let Ok(Some(err)) = resp.get_f64_opt("stream:online.error") {
-            saw_error = true;
             assert!(err.is_finite() && err >= 0.0);
+            errors.push(err);
         }
         if let Ok(Some(v)) = resp.get_u64_opt("stream:online.version") {
             max_version = max_version.max(v);
         }
     }
-    assert!(saw_error, "online responses never reported a rolling error");
+    assert!(
+        !errors.is_empty(),
+        "online responses never reported a rolling error"
+    );
+    assert!(
+        errors.last() <= errors.first(),
+        "the rolling error rose over the stream: {errors:?}"
+    );
     assert!(max_version >= 2, "no online refit bumped the model version");
 
     // refits went through the versioned store: new versions are listed,

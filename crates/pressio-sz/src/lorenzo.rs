@@ -168,7 +168,7 @@ pub fn estimate_mean_abs_residual<T: Widen>(values: &[T], dims: &[usize]) -> f64
 
 /// Scalar reference for [`estimate_mean_abs_residual`]: the same
 /// row decomposition and lane-strided accumulation order, one element at
-/// a time. Kept public for parity tests and the kernel benchmarks.
+/// a time. Kept public for parity tests.
 pub fn estimate_mean_abs_residual_scalar<T: Widen>(values: &[T], dims: &[usize]) -> f64 {
     estimate_rows(values, dims, row_abs_residual_scalar)
 }

@@ -230,7 +230,9 @@ pub fn transpose64(a: &mut [u64; 64]) {
 /// Bit-plane extraction via [`transpose64`]: returns `planes` with
 /// `planes[k]` bit `i` = `coeffs[i]` bit `k` for every plane at once.
 /// Identical to [`bitplanes_scalar`] (exact integer ops), but one
-/// transpose instead of `INTPREC` per-coefficient gathers.
+/// transpose instead of `INTPREC` per-coefficient gathers. The kernel
+/// transposes in place; this copy-in form is what the twin calls.
+#[cfg(test)]
 pub fn bitplanes(coeffs: &[u64]) -> [u64; 64] {
     debug_assert!(coeffs.len() <= 64);
     let mut m = [0u64; 64];
@@ -240,8 +242,8 @@ pub fn bitplanes(coeffs: &[u64]) -> [u64; 64] {
 }
 
 /// Scalar reference for [`bitplanes`]: the per-plane gather loop the
-/// embedded coder originally ran once per transmitted plane. Kept public
-/// for parity tests and the kernel benchmarks.
+/// embedded coder originally ran once per transmitted plane.
+#[cfg(test)]
 pub fn bitplanes_scalar(coeffs: &[u64]) -> [u64; 64] {
     let mut planes = [0u64; 64];
     for (k, p) in planes.iter_mut().enumerate() {

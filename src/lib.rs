@@ -9,7 +9,7 @@
 //!
 //! - [`core`] — options, data buffers, compressor/metrics plugin traits,
 //!   deterministic option hashing.
-//! - [`lossless`] — bitstreams, Huffman, LZSS, RLE, entropy tools.
+//! - [`lossless`] — bitstreams, Huffman, LZSS, entropy tools.
 //! - [`sz`] / [`zfp`] — pure-Rust SZ3-like and ZFP-like error-bounded
 //!   compressors.
 //! - [`dataset`] — stackable dataset-loading pipeline + the synthetic
