@@ -7,6 +7,8 @@
 //! the daemon prints on startup (which is how port-0 TCP binds resolve
 //! across the process boundary).
 
+use crate::args::{Verb, FLAGS};
+use crate::serve::Serve;
 use pressio_core::error::{Error, Result};
 use pressio_serve::shard::{ShardHandle, ShardSpawner};
 use pressio_serve::{Client, Endpoint, ServeConfig};
@@ -61,11 +63,30 @@ impl Drop for ProcessShard {
     }
 }
 
-fn endpoint_args(endpoint: &Endpoint) -> Vec<String> {
-    match endpoint {
-        #[cfg(unix)]
-        Endpoint::Unix(path) => vec!["--socket".into(), path.display().to_string()],
-        Endpoint::Tcp(addr) => vec!["--tcp".into(), addr.clone()],
+impl ProcessSpawner {
+    /// The command line that makes a child `pressio` serve `config`: the
+    /// flag table walked backwards, so a shard inherits every option the
+    /// table can set and this file names none of them.
+    pub fn child_argv(&self, config: ServeConfig) -> Vec<String> {
+        let index = config.shard_index.unwrap_or(0);
+        let child = Serve {
+            config,
+            shards: 0,
+            trace: self
+                .trace
+                .as_ref()
+                .map(|trace| format!("{}.s{index}", trace.display()).into()),
+        };
+        let mut argv = vec![Verb::Serve.name().to_string()];
+        for flag in &FLAGS {
+            if let Some(value) = flag.show.and_then(|show| show(&child)) {
+                argv.push(flag.names[0].to_string());
+                if !flag.needs.is_empty() {
+                    argv.push(value);
+                }
+            }
+        }
+        argv
     }
 }
 
@@ -73,37 +94,10 @@ impl ShardSpawner for ProcessSpawner {
     fn spawn(&self, config: ServeConfig) -> Result<Box<dyn ShardHandle>> {
         let index = config.shard_index.unwrap_or(0);
         let mut cmd = Command::new(&self.exe);
-        cmd.arg("serve")
-            .args(endpoint_args(&config.listen))
-            .arg("--models")
-            .arg(&config.model_dir)
-            .args(["--workers", &config.workers.to_string()])
-            .args(["--queue", &config.queue_capacity.to_string()])
-            .args(["--batch", &config.batch_max.to_string()])
-            .args(["--cache", &config.cache_entries.to_string()])
-            .args(["--deadline", &config.default_deadline_ms.to_string()])
-            .args(["--shard-index", &index.to_string()])
-            .args(["--stream-idle-secs", &config.stream_idle_secs.to_string()])
+        cmd.args(self.child_argv(config))
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit());
-        if config.online {
-            cmd.arg("--online")
-                .args(["--online-window", &config.online_window.to_string()])
-                .args(["--refit-every", &config.online_refit_every.to_string()]);
-        }
-        if !config.stream_journal {
-            cmd.arg("--no-stream-journal");
-        }
-        for extra in &config.extra_listeners {
-            if let (Endpoint::Tcp(addr), true) = (&extra.endpoint, extra.reuseport) {
-                cmd.args(["--shared-tcp", addr]);
-            }
-        }
-        if let Some(trace) = &self.trace {
-            cmd.arg("--trace")
-                .arg(format!("{}.s{index}", trace.display()));
-        }
         let mut child = cmd
             .spawn()
             .map_err(|e| Error::Io(format!("spawning shard {index}: {e}")))?;
@@ -131,5 +125,65 @@ impl ShardSpawner for ProcessSpawner {
             endpoint,
             _stdout: Some(reader),
         }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{parse_args, Command};
+
+    /// A shard inherits every option: a config with each flag-backed field
+    /// off its default survives the trip through a child's command line.
+    #[test]
+    fn child_argv_round_trips_every_serve_option() {
+        let config = ServeConfig {
+            workers: 7,
+            queue_capacity: 11,
+            batch_max: 3,
+            default_deadline_ms: 1234,
+            cache_entries: 99,
+            shard_index: Some(2),
+            max_frame: 4 << 20,
+            online: true,
+            online_window: 16,
+            online_refit_every: 2,
+            stream_idle_secs: 7,
+            ..ServeConfig::new(Endpoint::Tcp("127.0.0.1:9001".into()), "/tmp/models")
+        };
+        let spawner = ProcessSpawner {
+            exe: "pressio".into(),
+            trace: Some("/tmp/t.jsonl".into()),
+        };
+        let argv = spawner.child_argv(config.clone());
+        let Command::Serve(child) = parse_args(argv).unwrap() else {
+            panic!("not a serve");
+        };
+        assert_eq!(child.config, config);
+        assert_eq!(
+            (child.shards, child.trace),
+            (0, Some("/tmp/t.jsonl.s2".into()))
+        );
+        // the other transport, with every option at its default
+        #[cfg(unix)]
+        {
+            let config = ServeConfig::new(Endpoint::Unix("/tmp/s.sock.s0".into()), "/tmp/models");
+            let spawner = ProcessSpawner {
+                trace: None,
+                ..spawner
+            };
+            let serve = Serve {
+                config: config.clone(),
+                shards: 0,
+                trace: None,
+            };
+            let argv = spawner.child_argv(config);
+            assert_eq!(parse_args(argv).unwrap(), Command::Serve(serve));
+        }
+        // and no serve row can be added without its way back
+        for flag in FLAGS.iter().filter(|flag| flag.read_by(Verb::Serve)) {
+            let process_wide = flag.read_by(Verb::Schemes);
+            assert!(flag.show.is_some() || process_wide, "{}", flag.names[0]);
+        }
     }
 }

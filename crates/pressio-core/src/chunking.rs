@@ -221,8 +221,8 @@ pub fn delta_reconstruct(residual: &Data, prev_last: &Data) -> Result<Data> {
 /// slice. Returns `(compressed, decoded)` where `decoded` is the chunk as a
 /// decoder will reconstruct it — the encoder decompresses its own output so
 /// both sides agree bit-for-bit on checksums and carried state.
-pub fn encode_chunk_stateful(
-    codec: &dyn Compressor,
+pub fn encode_chunk_stateful<C: Compressor + ?Sized>(
+    codec: &C,
     chunk: &Data,
     carried: Option<&Data>,
 ) -> Result<(Vec<u8>, Data)> {
@@ -241,8 +241,8 @@ pub fn encode_chunk_stateful(
 
 /// Decode one chunk, optionally chained on the previous chunk's last decoded
 /// slice (mirror of [`encode_chunk_stateful`]).
-pub fn decode_chunk_stateful(
-    codec: &dyn Compressor,
+pub fn decode_chunk_stateful<C: Compressor + ?Sized>(
+    codec: &C,
     compressed: &[u8],
     dtype: Dtype,
     dims: &[usize],

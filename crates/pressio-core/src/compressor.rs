@@ -1,5 +1,6 @@
 //! The compressor plugin abstraction, mirroring `libpressio_compressor_plugin`.
 
+use crate::chunking;
 use crate::data::{Data, Dtype};
 use crate::error::Result;
 use crate::metrics::MetricsPlugin;
@@ -45,6 +46,25 @@ pub trait Compressor: Send + Sync {
 
     /// Clone into a boxed trait object (object-safe `Clone`).
     fn clone_box(&self) -> Box<dyn Compressor>;
+
+    /// Streaming entry point: encode one outer-axis chunk, optionally
+    /// chained on the previous chunk's last *decoded* slice. Returns the
+    /// compressed bytes plus the decoded reconstruction — the frame layer
+    /// checksums it and carries its last slice into the next chunk.
+    fn encode_chunk(&self, chunk: &Data, carried: Option<&Data>) -> Result<(Vec<u8>, Data)> {
+        chunking::encode_chunk_stateful(self, chunk, carried)
+    }
+
+    /// Streaming decode mirror of [`Compressor::encode_chunk`].
+    fn decode_chunk(
+        &self,
+        compressed: &[u8],
+        dtype: Dtype,
+        dims: &[usize],
+        carried: Option<&Data>,
+    ) -> Result<Data> {
+        chunking::decode_chunk_stateful(self, compressed, dtype, dims, carried)
+    }
 }
 
 impl Clone for Box<dyn Compressor> {

@@ -33,6 +33,7 @@
 //! - the blocking clients → [`client`]; the reconnecting, resuming stream
 //!   client → [`sender`]
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // keeps handlers a reader can hold in their head (default limit: 100 lines)
 #![warn(clippy::too_many_lines)]
@@ -60,7 +61,7 @@ pub use client::{Client, RetryPolicy, ShardedClient};
 pub use journal::SessionJournal;
 pub use net::Endpoint;
 pub use sender::ResilientStreamSender;
-pub use server::{serve, ExtraListener, ServeConfig, Server, ServerHandle};
+pub use server::{serve, ServeConfig, Server, ServerHandle};
 pub use shard::{InProcessSpawner, ShardSpawner, Supervisor, SupervisorConfig, Topology};
 pub use store::{ModelArtifact, ModelStore};
 pub use stream::OnlineLearner;

@@ -15,18 +15,18 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Shutdown coordination: a flag plus a self-connect per listener to
-/// unblock every blocked `accept`.
+/// Shutdown coordination: a flag plus a self-connect to unblock the
+/// blocked `accept`.
 pub(crate) struct StopSignal {
     flag: AtomicBool,
-    listeners: Vec<Endpoint>,
+    listener: Endpoint,
 }
 
 impl StopSignal {
-    pub(crate) fn new(listeners: Vec<Endpoint>) -> StopSignal {
+    pub(crate) fn new(listener: Endpoint) -> StopSignal {
         StopSignal {
             flag: AtomicBool::new(false),
-            listeners,
+            listener,
         }
     }
 
@@ -34,15 +34,13 @@ impl StopSignal {
         self.flag.load(Ordering::Acquire)
     }
 
-    /// Raise the flag and wake each accept loop (the accepted no-op
-    /// connections close immediately when the loops break). True for the
+    /// Raise the flag and wake the accept loop (the accepted no-op
+    /// connection closes immediately when the loop breaks). True for the
     /// one call that raised it.
     fn raise(&self) -> bool {
         let first = !self.flag.swap(true, Ordering::AcqRel);
         if first {
-            for endpoint in &self.listeners {
-                let _ = endpoint.connect();
-            }
+            let _ = self.listener.connect();
         }
         first
     }

@@ -79,29 +79,6 @@ impl Endpoint {
         }
     }
 
-    /// Bind a TCP listener with `SO_REUSEPORT` set, so several shard
-    /// processes can accept on the *same* address and the kernel spreads
-    /// incoming connections across them. Linux-only (the option predates
-    /// portability); Unix-socket endpoints and other platforms report
-    /// [`Error::Unsupported`] so callers can fall back to the
-    /// per-shard-endpoint pool.
-    pub fn bind_reuseport(&self) -> Result<Listener> {
-        match self {
-            #[cfg(unix)]
-            Endpoint::Unix(path) => Err(Error::Unsupported(format!(
-                "SO_REUSEPORT applies to TCP, not unix socket {}",
-                path.display()
-            ))),
-            Endpoint::Tcp(addr) => reuseport::bind(addr).map(Listener::Tcp),
-        }
-    }
-
-    /// Whether [`bind_reuseport`](Self::bind_reuseport) can work here at
-    /// all (TCP endpoint on Linux).
-    pub fn supports_reuseport(&self) -> bool {
-        matches!(self, Endpoint::Tcp(_)) && cfg!(target_os = "linux")
-    }
-
     /// Connect a client stream.
     pub fn connect(&self) -> Result<Conn> {
         match self {
@@ -117,124 +94,6 @@ impl Endpoint {
                 Ok(Conn::Tcp(stream))
             }
         }
-    }
-}
-
-/// `SO_REUSEPORT` binding. std's `TcpListener::bind` offers no hook to set
-/// socket options between `socket()` and `bind()`, and the workspace has no
-/// libc crate, so this talks to the C library (which std already links)
-/// directly: `socket` → `setsockopt(SO_REUSEPORT)` → `bind` → `listen`,
-/// then hands the fd to `TcpListener::from_raw_fd`. IPv4 only — the serve
-/// endpoints in this repo are `127.0.0.1`/`0.0.0.0` style.
-#[cfg(target_os = "linux")]
-mod reuseport {
-    use pressio_core::error::{Error, Result};
-    use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-    use std::os::fd::FromRawFd;
-
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
-        #[link_name = "bind"]
-        fn c_bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-
-    const AF_INET: i32 = 2;
-    const SOCK_STREAM: i32 = 1;
-    const SOCK_CLOEXEC: i32 = 0o2000000;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-    const SO_REUSEPORT: i32 = 15;
-
-    /// `struct sockaddr_in` (all fields big-endian where the ABI says so).
-    #[repr(C)]
-    struct SockaddrIn {
-        family: u16,
-        port_be: u16,
-        addr_be: u32,
-        zero: [u8; 8],
-    }
-
-    fn io_err(what: &str, addr: &str) -> Error {
-        Error::Io(format!(
-            "{what} for SO_REUSEPORT bind {addr}: {}",
-            std::io::Error::last_os_error()
-        ))
-    }
-
-    pub fn bind(addr: &str) -> Result<TcpListener> {
-        let sock_addr = addr
-            .to_socket_addrs()
-            .map_err(|e| Error::Io(format!("resolving {addr}: {e}")))?
-            .find(|a| matches!(a, SocketAddr::V4(_)));
-        let SocketAddr::V4(v4) = sock_addr.ok_or_else(|| {
-            Error::Unsupported(format!(
-                "SO_REUSEPORT bind needs an IPv4 address, got {addr}"
-            ))
-        })?
-        else {
-            unreachable!("filtered to V4 above");
-        };
-        let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0) };
-        if fd < 0 {
-            return Err(io_err("socket()", addr));
-        }
-        let guard = scopeguard(fd);
-        let one: i32 = 1;
-        for opt in [SO_REUSEADDR, SO_REUSEPORT] {
-            let rc = unsafe {
-                setsockopt(
-                    fd,
-                    SOL_SOCKET,
-                    opt,
-                    (&one as *const i32).cast(),
-                    std::mem::size_of::<i32>() as u32,
-                )
-            };
-            if rc != 0 {
-                return Err(io_err("setsockopt()", addr));
-            }
-        }
-        let sa = SockaddrIn {
-            family: AF_INET as u16,
-            port_be: v4.port().to_be(),
-            addr_be: u32::from(*v4.ip()).to_be(),
-            zero: [0; 8],
-        };
-        if unsafe { c_bind(fd, &sa, std::mem::size_of::<SockaddrIn>() as u32) } != 0 {
-            return Err(io_err("bind()", addr));
-        }
-        if unsafe { listen(fd, 128) } != 0 {
-            return Err(io_err("listen()", addr));
-        }
-        std::mem::forget(guard);
-        // SAFETY: fd is a freshly bound, listening TCP socket we own.
-        Ok(unsafe { TcpListener::from_raw_fd(fd) })
-    }
-
-    /// Close `fd` on early error return.
-    fn scopeguard(fd: i32) -> impl Drop {
-        struct G(i32);
-        impl Drop for G {
-            fn drop(&mut self) {
-                unsafe { close(self.0) };
-            }
-        }
-        G(fd)
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod reuseport {
-    use pressio_core::error::{Error, Result};
-    use std::net::TcpListener;
-
-    pub fn bind(addr: &str) -> Result<TcpListener> {
-        Err(Error::Unsupported(format!(
-            "SO_REUSEPORT bind ({addr}) is only implemented on Linux"
-        )))
     }
 }
 
@@ -351,24 +210,6 @@ mod tests {
         }
         assert!(Endpoint::parse("tcp:").is_err());
         assert!(Endpoint::parse("").is_err());
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn reuseport_allows_two_listeners_on_one_port() {
-        let a = Endpoint::Tcp("127.0.0.1:0".into())
-            .bind_reuseport()
-            .unwrap();
-        let ep = a.local_endpoint().unwrap();
-        // a second listener on the *same* concrete port must succeed
-        let b = ep.bind_reuseport().unwrap();
-        assert_eq!(b.local_endpoint().unwrap(), ep);
-        // and the shared port accepts a connection (landing on either)
-        let _conn = ep.connect().unwrap();
-        #[cfg(unix)]
-        assert!(Endpoint::Unix(PathBuf::from("/tmp/x.sock"))
-            .bind_reuseport()
-            .is_err());
     }
 
     #[cfg(unix)]

@@ -46,7 +46,7 @@ pub const DEFAULT_CACHE_ENTRIES: usize = 16384;
 const CACHE_SHARDS: usize = 16;
 
 /// Server tunables.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Where to listen.
     pub listen: Endpoint,
@@ -68,11 +68,6 @@ pub struct ServeConfig {
     pub breaker_threshold: u32,
     /// How long the breaker stays open before probing with one request.
     pub breaker_cooldown_ms: u64,
-    /// Additional endpoints to accept on, all feeding the same pipeline.
-    /// Used by shard processes to bind the shared `SO_REUSEPORT` data
-    /// port next to their private routed endpoint; `reuseport: true`
-    /// entries bind with `SO_REUSEPORT` set.
-    pub extra_listeners: Vec<ExtraListener>,
     /// Which shard this server is in a multi-shard deployment (stamped
     /// into stats and prediction responses so routing is observable).
     pub shard_index: Option<usize>,
@@ -98,23 +93,9 @@ pub struct ServeConfig {
     pub online_window: usize,
     /// Refit the model every this many online observations.
     pub online_refit_every: usize,
-    /// Journal streaming sessions to `<model_dir>/sessions/` (append +
-    /// fsync per chunk) so `stream.resume` can rehydrate them after a
-    /// disconnect, crash, or shard respawn. On by default; turn off only
-    /// when stream durability is worth trading for per-chunk fsync cost.
-    pub stream_journal: bool,
     /// Streaming sessions idle longer than this many seconds are reaped
     /// by the sweep that runs on every stream op.
     pub stream_idle_secs: u64,
-}
-
-/// One extra accept endpoint (see [`ServeConfig::extra_listeners`]).
-#[derive(Debug, Clone)]
-pub struct ExtraListener {
-    /// Where to listen.
-    pub endpoint: Endpoint,
-    /// Bind with `SO_REUSEPORT` (shared data port across shards).
-    pub reuseport: bool,
 }
 
 impl ServeConfig {
@@ -130,14 +111,12 @@ impl ServeConfig {
             cache_entries: DEFAULT_CACHE_ENTRIES,
             breaker_threshold: 16,
             breaker_cooldown_ms: 1_000,
-            extra_listeners: Vec::new(),
             shard_index: None,
             latest_ttl_ms: 2_000,
             max_frame: protocol::MAX_FRAME,
             online: false,
             online_window: 64,
             online_refit_every: 8,
-            stream_journal: true,
             stream_idle_secs: 300,
         }
     }
@@ -214,8 +193,10 @@ pub(crate) struct ServerState {
     pub(crate) breaker: CircuitBreaker,
     /// Open streaming sessions.
     pub(crate) streams: stream::SessionMap,
-    /// Durable per-session stream journals (`None` when disabled).
-    pub(crate) journal: Option<crate::journal::SessionJournal>,
+    /// Durable per-session stream journals under `<model_dir>/sessions/`
+    /// (append + fsync per chunk): what `stream.resume` rehydrates from
+    /// after a disconnect, crash, or shard respawn.
+    pub(crate) journal: crate::journal::SessionJournal,
     /// Indexed by [`Stat`].
     stats: [AtomicU64; STATS.len()],
 }
@@ -223,10 +204,7 @@ pub(crate) struct ServerState {
 impl ServerState {
     fn new(config: ServeConfig, endpoint: Endpoint) -> Result<ServerState> {
         let store = ModelStore::open(&config.model_dir)?;
-        let journal = config
-            .stream_journal
-            .then(|| crate::journal::SessionJournal::open(&config.model_dir))
-            .transpose()?;
+        let journal = crate::journal::SessionJournal::open(&config.model_dir)?;
         let idle = Duration::from_secs(config.stream_idle_secs);
         Ok(ServerState {
             feature_cache: ShardedLru::new(
@@ -253,8 +231,7 @@ impl ServerState {
 
     /// Reap idle sessions; runs on every stream op so abandoned sessions
     /// are collected even on an otherwise-quiet daemon. The durable
-    /// journal (when enabled) outlives the reap, so a reaped-but-journaled
-    /// session is still resumable.
+    /// journal outlives the reap, so a reaped session is still resumable.
     pub(crate) fn sweep_sessions(&self) {
         let reaped = self.streams.sweep();
         if reaped > 0 {
@@ -465,24 +442,11 @@ pub fn serve(config: ServeConfig) -> Result<()> {
 pub struct Server;
 
 impl Server {
-    /// Bind every listener, spawn the accept loops, and return
-    /// immediately. All listeners feed one pipeline and share one cache,
-    /// so a shard reached over its private routed endpoint and over the
-    /// shared `SO_REUSEPORT` data port answers identically.
+    /// Bind the endpoint, spawn the accept loop, and return immediately.
     pub fn start(config: ServeConfig) -> Result<ServerHandle> {
-        let mut listeners = vec![config.listen.bind()?];
-        for extra in &config.extra_listeners {
-            listeners.push(if extra.reuseport {
-                extra.endpoint.bind_reuseport()?
-            } else {
-                extra.endpoint.bind()?
-            });
-        }
-        let endpoints = listeners
-            .iter()
-            .map(|l| l.local_endpoint())
-            .collect::<Result<Vec<Endpoint>>>()?;
-        let state = Arc::new(ServerState::new(config, endpoints[0].clone())?);
+        let listener = config.listen.bind()?;
+        let endpoint = listener.local_endpoint()?;
+        let state = Arc::new(ServerState::new(config, endpoint.clone())?);
         let worker_state = state.clone();
         let pipeline = Pipeline::start(
             state.config.queue_capacity,
@@ -493,26 +457,18 @@ impl Server {
         let daemon = Arc::new(Daemon {
             state,
             pipeline,
-            stop: StopSignal::new(endpoints),
+            stop: StopSignal::new(endpoint),
             seq: AtomicU64::new(0),
         });
-        let mut accept_threads = Vec::new();
-        for (i, listener) in listeners.into_iter().enumerate() {
-            accept_threads.push(listen::spawn_accept_loop(
-                listener,
-                daemon.clone(),
-                format!("pressio-serve-{i}"),
-            )?);
-        }
-        // coordinator: join every accept loop, then drain the shared
-        // pipeline exactly once
+        let accept_loop =
+            listen::spawn_accept_loop(listener, daemon.clone(), "pressio-serve-0".into())?;
+        // coordinator: join the accept loop, then drain the pipeline
+        // exactly once
         let coordinated = daemon.clone();
         let accept = std::thread::Builder::new()
             .name("pressio-serve-coord".into())
             .spawn(move || {
-                for t in accept_threads {
-                    let _ = t.join();
-                }
+                let _ = accept_loop.join();
                 coordinated.pipeline.shutdown();
                 pressio_obs::flush();
             })

@@ -5,12 +5,12 @@
 //! request's *content hash* ([`crate::protocol::data_content_hash`]), the
 //! same hash the per-shard LRUs are keyed by. Every buffer therefore has
 //! exactly one home shard whose caches stay hot for it: hit rates are
-//! additive across shards instead of diluted by the kernel's arbitrary
-//! `SO_REUSEPORT` connection spreading. Rendezvous hashing also gives the
-//! two properties the tests pin down: growing from N to N+1 shards moves
-//! only ~1/(N+1) of the keys (each key moves only if the new shard wins
-//! its weight contest), and the per-key weight ranking doubles as a
-//! deterministic failover order when a shard dies.
+//! additive across shards instead of diluted by spreading connections
+//! arbitrarily. Rendezvous hashing also gives the two properties the
+//! tests pin down: growing from N to N+1 shards moves only ~1/(N+1) of
+//! the keys (each key moves only if the new shard wins its weight
+//! contest), and the per-key weight ranking doubles as a deterministic
+//! failover order when a shard dies.
 //!
 //! The [`Supervisor`] owns the *base* endpoint as control plane and
 //! routing proxy — topology-unaware clients keep talking to the same
@@ -117,8 +117,6 @@ pub struct Topology {
     pub generation: u64,
     /// The supervisor's control-plane / proxy endpoint.
     pub base: Endpoint,
-    /// The shared `SO_REUSEPORT` data port, when bound.
-    pub shared: Option<Endpoint>,
     /// Private routed endpoint of each shard, indexed by shard number.
     pub shards: Vec<Endpoint>,
 }
@@ -129,7 +127,6 @@ impl Topology {
         Topology {
             generation: 0,
             base: endpoint.clone(),
-            shared: None,
             shards: vec![endpoint],
         }
     }
@@ -164,7 +161,7 @@ impl Topology {
 
     /// The wire/JSON form (a `topology` response).
     pub fn to_options(&self) -> Options {
-        let mut resp = Options::new()
+        Options::new()
             .with("serve:type", "topology")
             .with("topology:generation", self.generation)
             .with("topology:base", self.base.to_string())
@@ -174,11 +171,7 @@ impl Topology {
                     .iter()
                     .map(|e| e.to_string())
                     .collect::<Vec<String>>(),
-            );
-        if let Some(shared) = &self.shared {
-            resp = resp.with("topology:shared", shared.to_string());
-        }
-        resp
+            )
     }
 
     /// Parse the wire/JSON form back.
@@ -196,10 +189,6 @@ impl Topology {
         Ok(Topology {
             generation: msg.get_u64_opt("topology:generation")?.unwrap_or(0),
             base: Endpoint::parse(msg.get_str("topology:base")?)?,
-            shared: match msg.get_str_opt("topology:shared")? {
-                Some(s) => Some(Endpoint::parse(s)?),
-                None => None,
-            },
             shards,
         })
     }
@@ -236,8 +225,8 @@ pub trait ShardHandle: Send {
 /// [`InProcessSpawner`] threads — same routing, same topology file, same
 /// restart logic.
 pub trait ShardSpawner: Send + Sync {
-    /// Start a shard with this fully-prepared config (`listen`,
-    /// `shard_index`, and `extra_listeners` already set).
+    /// Start a shard with this fully-prepared config (`listen` and
+    /// `shard_index` already set).
     fn spawn(&self, config: ServeConfig) -> Result<Box<dyn ShardHandle>>;
 }
 
@@ -286,25 +275,20 @@ pub struct SupervisorConfig {
     pub listen: Endpoint,
     /// How many shard servers to run.
     pub shards: usize,
-    /// Bind every shard to this shared TCP address with `SO_REUSEPORT`
-    /// (Linux only; must carry a concrete port). Topology-unaware clients
-    /// can connect here and let the kernel pick a shard.
-    pub shared_data_addr: Option<String>,
     /// Restarts allowed per shard slot before it is left dead (requests
     /// then fail over to the surviving shards).
     pub restart_max: u32,
-    /// Template for each shard's [`ServeConfig`] (`listen`, `shard_index`,
-    /// and `extra_listeners` are overridden per shard).
+    /// Template for each shard's [`ServeConfig`] (`listen` and
+    /// `shard_index` are overridden per shard).
     pub template: ServeConfig,
 }
 
 impl SupervisorConfig {
-    /// Defaults: `shards` shard servers, no shared data port, 3 restarts.
+    /// Defaults: `shards` shard servers, 3 restarts.
     pub fn new(listen: Endpoint, template: ServeConfig, shards: usize) -> SupervisorConfig {
         SupervisorConfig {
             listen,
             shards: shards.max(1),
-            shared_data_addr: None,
             restart_max: 3,
             template,
         }
@@ -322,7 +306,6 @@ struct SupervisorState {
     slots: Mutex<Vec<ShardSlot>>,
     generation: AtomicU64,
     base: Endpoint,
-    shared: Option<Endpoint>,
     stop: StopSignal,
     routed: AtomicU64,
     failovers: AtomicU64,
@@ -337,13 +320,6 @@ impl SupervisorState {
         let mut config = self.config.template.clone();
         config.listen = shard_endpoint(&self.config.listen, index);
         config.shard_index = Some(index);
-        config.extra_listeners = match &self.config.shared_data_addr {
-            Some(addr) => vec![crate::server::ExtraListener {
-                endpoint: Endpoint::Tcp(addr.clone()),
-                reuseport: true,
-            }],
-            None => Vec::new(),
-        };
         config
     }
 
@@ -352,7 +328,6 @@ impl SupervisorState {
         Topology {
             generation: self.generation.load(Ordering::Acquire),
             base: self.base.clone(),
-            shared: self.shared.clone(),
             shards: slots.iter().map(|s| s.handle.endpoint()).collect(),
         }
     }
@@ -459,31 +434,13 @@ impl Supervisor {
         config: SupervisorConfig,
         spawner: Arc<dyn ShardSpawner>,
     ) -> Result<SupervisorHandle> {
-        if let Some(addr) = &config.shared_data_addr {
-            if addr.ends_with(":0") {
-                return Err(Error::InvalidValue {
-                    key: "serve:shared_data_addr".into(),
-                    reason: "shared SO_REUSEPORT port must be concrete, not 0".into(),
-                });
-            }
-            if !Endpoint::Tcp(addr.clone()).supports_reuseport() {
-                return Err(Error::Unsupported(format!(
-                    "shared data port {addr} needs SO_REUSEPORT (Linux TCP only)"
-                )));
-            }
-        }
         let listener = config.listen.bind()?;
         let base = listener.local_endpoint()?;
-        let shared = config
-            .shared_data_addr
-            .as_ref()
-            .map(|a| Endpoint::Tcp(a.clone()));
         let state = Arc::new(SupervisorState {
             slots: Mutex::new(Vec::new()),
             generation: AtomicU64::new(0),
             base: base.clone(),
-            shared,
-            stop: StopSignal::new(vec![base.clone()]),
+            stop: StopSignal::new(base.clone()),
             routed: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
             restarts_total: AtomicU64::new(0),
@@ -831,7 +788,6 @@ mod tests {
         let topo = Topology {
             generation: 7,
             base: Endpoint::Tcp("127.0.0.1:9000".into()),
-            shared: Some(Endpoint::Tcp("127.0.0.1:9100".into())),
             shards: vec![
                 Endpoint::Tcp("127.0.0.1:9001".into()),
                 Endpoint::Tcp("127.0.0.1:9002".into()),

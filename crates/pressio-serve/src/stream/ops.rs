@@ -82,10 +82,7 @@ pub(crate) fn handle_begin(state: &ServerState, request: &Options) -> Result<Opt
     if !target.tag.is_empty() {
         resp.set("serve:model", target.tag.as_str());
     }
-    let begin_record = state
-        .journal
-        .as_ref()
-        .map(|journal| (journal, session.begin_record(offline_shape(state))));
+    let begin_record = session.begin_record(offline_shape(state));
     match state.streams.begin(session) {
         Ok(()) => {}
         Err(BeginError::Duplicate) => {
@@ -98,13 +95,12 @@ pub(crate) fn handle_begin(state: &ServerState, request: &Options) -> Result<Opt
     }
     // a fresh begin invalidates any stale journal for a reused id, then
     // durably records the session configuration for `stream.resume`
-    if let Some((journal, begin_record)) = begin_record {
-        let written = journal
-            .reset(&id)
-            .and_then(|()| journal.append(&id, &begin_record));
-        if !state.journaled(written) {
-            pressio_obs::add_counter("serve:journal.begin_failed", 1);
-        }
+    let written = state
+        .journal
+        .reset(&id)
+        .and_then(|()| state.journal.append(&id, &begin_record));
+    if !state.journaled(written) {
+        pressio_obs::add_counter("serve:journal.begin_failed", 1);
     }
     pressio_obs::add_counter("serve:stream.begin", 1);
     Ok(resp)
@@ -238,9 +234,7 @@ pub(crate) fn handle_chunk(state: &ServerState, request: &Options) -> Result<Opt
     };
     // journal before acking so an acked chunk is always rehydratable;
     // a failed append degrades durability, not availability
-    if let Some(journal) = &state.journal {
-        state.journaled(journal.append(&session.id, &chunk.to_options()));
-    }
+    state.journaled(state.journal.append(&session.id, &chunk.to_options()));
     let seq = chunk.seq;
     session.commit(chunk);
     let mut resp = session
@@ -266,9 +260,7 @@ fn observe(
     let learner = session.learner.as_mut()?;
     // the (features, actual) pair fed to the learner is also journaled so
     // rehydration can replay the observation stream exactly once
-    if state.journal.is_some() {
-        chunk.observation = features.to_json().ok().map(|json| (json, actual));
-    }
+    chunk.observation = features.to_json().ok().map(|json| (json, actual));
     let rolling = learner.observe(features, chunk.outcome.prediction, actual);
     chunk.outcome.online_error = Some(rolling);
     chunk.outcome.online_observations = Some(learner.observations() as u64);
@@ -324,9 +316,7 @@ pub(crate) fn handle_end(state: &ServerState, request: &Options) -> Result<Optio
     state.sweep_sessions();
     let id = request.get_str("stream:id")?;
     let entry = state.streams.end(id).ok_or_else(|| unknown_stream(id))?;
-    if let Some(journal) = &state.journal {
-        state.journaled(journal.remove(id));
-    }
+    state.journaled(state.journal.remove(id));
     let session = entry.lock().unwrap_or_else(|e| e.into_inner());
     let mut resp = Options::new()
         .with("serve:type", "stream.ended")
@@ -365,10 +355,7 @@ pub(crate) fn handle_resume(state: &ServerState, request: &Options) -> Result<Op
     let entry = match state.streams.get(id) {
         Some(entry) => entry,
         None => {
-            let records = match &state.journal {
-                Some(journal) => journal.load(id)?.unwrap_or_default(),
-                None => Vec::new(),
-            };
+            let records = state.journal.load(id)?.unwrap_or_default();
             let session = StreamSession::from_records(id, &records, offline_shape(state))?
                 .ok_or_else(|| unknown_stream(id))?;
             pressio_obs::add_counter("serve:stream.rehydrated", 1);

@@ -5,9 +5,8 @@ use std::io::Read;
 use pressio_core::chunking::last_outer_slice;
 use pressio_core::error::{Error, Result};
 use pressio_core::hash::{fnv1a64, Fnv1a64};
-use pressio_core::Data;
+use pressio_core::{Compressor, Data};
 
-use crate::codec::ChunkCodec;
 use crate::frame::{ChunkRecord, EndMarker, StreamHeader, CHUNK_PREFIX_LEN, HEADER_PREFIX_LEN};
 
 fn corrupt(why: &str) -> Error {
@@ -36,7 +35,7 @@ fn read_exact_or_corrupt<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> Resu
 pub struct StreamDecoder<R: Read> {
     reader: R,
     header: StreamHeader,
-    codec: ChunkCodec,
+    codec: Box<dyn Compressor>,
     carried: Option<Data>,
     running: Fnv1a64,
     chunks_seen: u32,
@@ -53,7 +52,7 @@ impl<R: Read> StreamDecoder<R> {
         let mut payload = vec![0u8; payload_len];
         read_exact_or_corrupt(&mut reader, &mut payload, "header payload")?;
         let header = StreamHeader::parse_payload(&prefix, flags, &payload)?;
-        let codec = ChunkCodec::new(&header.codec, &header.codec_options)?;
+        let codec = header.build_codec()?;
         Ok(StreamDecoder {
             reader,
             header,

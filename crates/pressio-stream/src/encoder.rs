@@ -5,9 +5,8 @@ use std::io::Write;
 use pressio_core::chunking::{last_outer_slice, split_dims};
 use pressio_core::error::{Error, Result};
 use pressio_core::hash::{fnv1a64, Fnv1a64};
-use pressio_core::Data;
+use pressio_core::{Compressor, Data};
 
-use crate::codec::ChunkCodec;
 use crate::frame::{ChunkRecord, EndMarker, StreamHeader, MAX_CHUNK_BYTES};
 
 /// Incremental PSTF writer.
@@ -20,7 +19,7 @@ use crate::frame::{ChunkRecord, EndMarker, StreamHeader, MAX_CHUNK_BYTES};
 pub struct StreamEncoder<W: Write> {
     writer: W,
     header: StreamHeader,
-    codec: ChunkCodec,
+    codec: Box<dyn Compressor>,
     carried: Option<Data>,
     running: Fnv1a64,
     chunks: u32,
@@ -30,7 +29,7 @@ pub struct StreamEncoder<W: Write> {
 impl<W: Write> StreamEncoder<W> {
     /// Validate the header, write it, and return the ready encoder.
     pub fn new(mut writer: W, header: StreamHeader) -> Result<StreamEncoder<W>> {
-        let codec = ChunkCodec::new(&header.codec, &header.codec_options)?;
+        let codec = header.build_codec()?;
         let bytes = header.encode()?;
         writer.write_all(&bytes)?;
         Ok(StreamEncoder {

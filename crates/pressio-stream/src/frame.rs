@@ -29,7 +29,7 @@
 
 use pressio_core::error::{Error, Result};
 use pressio_core::hash::fnv1a64;
-use pressio_core::{Dtype, Options};
+use pressio_core::{Compressor, Dtype, Options};
 
 /// Frame magic, first four bytes of every stream.
 pub const MAGIC: [u8; 4] = *b"PSTF";
@@ -56,10 +56,21 @@ fn corrupt(why: &str) -> Error {
     Error::CorruptStream(format!("pstf frame: {why}"))
 }
 
+/// A default-configured codec for `id`: the one place a stream's codec id
+/// is resolved, so the ids a header may declare and the ids an encoder or
+/// decoder can run are the same set.
+fn codec_by_id(id: &str) -> Option<Box<dyn Compressor>> {
+    match id {
+        "sz3" => Some(Box::new(pressio_sz::SzCompressor::new())),
+        "zfp" => Some(Box::new(pressio_zfp::ZfpCompressor::new())),
+        _ => None,
+    }
+}
+
 /// Everything the header declares about a stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamHeader {
-    /// Codec id (`"sz3"` or `"zfp"`).
+    /// Codec id (a compressor's `id()`: SZ or ZFP).
     pub codec: String,
     /// Element type of every chunk.
     pub dtype: Dtype,
@@ -88,9 +99,19 @@ impl StreamHeader {
             .ok_or_else(|| corrupt("slice byte size overflows"))
     }
 
+    /// The declared codec with the header's passthrough options applied.
+    pub(crate) fn build_codec(&self) -> Result<Box<dyn Compressor>> {
+        let mut codec = codec_by_id(&self.codec).ok_or_else(|| Error::UnknownPlugin {
+            kind: "stream codec",
+            name: self.codec.clone(),
+        })?;
+        codec.set_options(&self.codec_options)?;
+        Ok(codec)
+    }
+
     /// Validate invariants shared by the encode and decode paths.
     fn validate(&self) -> Result<()> {
-        if self.codec != "sz3" && self.codec != "zfp" {
+        if codec_by_id(&self.codec).is_none() {
             return Err(corrupt(&format!("unknown codec '{}'", self.codec)));
         }
         if self.chunk_outer == 0 || self.chunk_outer > MAX_OUTER_PER_CHUNK {

@@ -24,12 +24,10 @@
 
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod decoder;
 pub mod encoder;
 pub mod frame;
 
-pub use codec::ChunkCodec;
 pub use decoder::{scan_info, StreamDecoder, StreamSummary};
 pub use encoder::StreamEncoder;
 pub use frame::{ChunkRecord, EndMarker, StreamHeader, FLAG_CHAINED, MAGIC, VERSION};

@@ -11,6 +11,7 @@
 
 use crate::lorenzo::{normalize_dims, predict as lorenzo_predict};
 use crate::quantizer::{DequantError, Dequantizer, Quantizer};
+use crate::regression::solve4;
 
 /// Fit `v ≈ c0 + c1·x + c2·y + c3·z` on one block of original values and
 /// return `(coefficients, mean |residual|)`.
@@ -95,38 +96,6 @@ fn lorenzo_score(
         }
     }
     err / n.max(1) as f64
-}
-
-fn solve4(a: &mut [[f64; 5]; 4]) -> Option<[f64; 4]> {
-    for col in 0..4 {
-        let mut best = col;
-        for row in col + 1..4 {
-            if a[row][col].abs() > a[best][col].abs() {
-                best = row;
-            }
-        }
-        if a[best][col].abs() < 1e-12 {
-            return None;
-        }
-        a.swap(col, best);
-        let pivot = a[col][col];
-        let acol = a[col];
-        for arow in a.iter_mut().skip(col + 1) {
-            let factor = arow[col] / pivot;
-            for (k, &ack) in acol.iter().enumerate().skip(col) {
-                arow[k] -= factor * ack;
-            }
-        }
-    }
-    let mut c = [0.0f64; 4];
-    for row in (0..4).rev() {
-        let mut sum = a[row][4];
-        for k in row + 1..4 {
-            sum -= a[row][k] * c[k];
-        }
-        c[row] = sum / a[row][row];
-    }
-    Some(c)
 }
 
 /// Iterate blocks and elements in the canonical order shared by encode and

@@ -96,25 +96,6 @@ impl SzCompressor {
         self.abs
     }
 
-    /// Streaming entry point: encode one outer-axis chunk, optionally
-    /// chained on the previous chunk's last *decoded* slice. Returns the
-    /// compressed bytes plus the decoded reconstruction — the frame layer
-    /// checksums it and carries its last slice into the next chunk.
-    pub fn encode_chunk(&self, chunk: &Data, carried: Option<&Data>) -> Result<(Vec<u8>, Data)> {
-        pressio_core::chunking::encode_chunk_stateful(self, chunk, carried)
-    }
-
-    /// Streaming decode mirror of [`SzCompressor::encode_chunk`].
-    pub fn decode_chunk(
-        &self,
-        compressed: &[u8],
-        dtype: Dtype,
-        dims: &[usize],
-        carried: Option<&Data>,
-    ) -> Result<Data> {
-        pressio_core::chunking::decode_chunk_stateful(self, compressed, dtype, dims, carried)
-    }
-
     /// Effective absolute bound for a buffer (resolves `pressio:rel`).
     fn effective_abs<T: Widen>(&self, values: &[T]) -> f64 {
         match self.rel {

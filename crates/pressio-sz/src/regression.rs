@@ -14,7 +14,7 @@ pub const DEFAULT_BLOCK: usize = 6;
 
 /// Solve the 4×4 normal equations `A c = b` by Gaussian elimination with
 /// partial pivoting; returns `None` when singular (degenerate block).
-fn solve4(a: &mut [[f64; 5]; 4]) -> Option<[f64; 4]> {
+pub(crate) fn solve4(a: &mut [[f64; 5]; 4]) -> Option<[f64; 4]> {
     for col in 0..4 {
         // pivot
         let mut best = col;

@@ -1,10 +1,26 @@
-//! Streaming chunk entry points: independent chunks are byte-identical to
-//! whole-buffer compression of the same chunk, and chained (temporal-delta)
-//! mode preserves the absolute error bound across carried state.
+//! Streaming chunk entry points (`Compressor::{encode,decode}_chunk`), over
+//! both codecs: independent chunks are byte-identical to whole-buffer
+//! compression of the same chunk, and chained (temporal-delta) mode
+//! preserves the absolute error bound across carried state.
 
 use pressio_core::chunking::{concat_outer, last_outer_slice, slice_outer, OuterChunks};
 use pressio_core::{Compressor, Data, Options};
 use pressio_sz::SzCompressor;
+use pressio_zfp::ZfpCompressor;
+
+/// Both codecs at `abs`.
+fn codecs(abs: f64) -> [Box<dyn Compressor>; 2] {
+    let mut codecs: [Box<dyn Compressor>; 2] = [
+        Box::new(SzCompressor::new()),
+        Box::new(ZfpCompressor::new()),
+    ];
+    for codec in &mut codecs {
+        codec
+            .set_options(&Options::new().with("pressio:abs", abs))
+            .unwrap();
+    }
+    codecs
+}
 
 /// Correlated multi-timestep field: smooth base + slow temporal drift.
 fn correlated_field(nx: usize, ny: usize, timesteps: usize) -> Data {
@@ -27,26 +43,31 @@ fn correlated_field(nx: usize, ny: usize, timesteps: usize) -> Data {
 #[test]
 fn independent_chunk_encode_matches_whole_buffer_compress() {
     let abs = 1e-4;
-    let mut codec = SzCompressor::new();
-    codec
-        .set_options(&Options::new().with("pressio:abs", abs))
-        .unwrap();
     let data = correlated_field(12, 10, 7);
-    for (start, count) in OuterChunks::new(7, 3).unwrap() {
-        let chunk = slice_outer(&data, start, count).unwrap();
-        let (streamed, _) = codec.encode_chunk(&chunk, None).unwrap();
-        let whole = codec.compress(&chunk).unwrap();
-        assert_eq!(streamed, whole, "chunk at {start} diverged from one-shot");
-        let dec = codec
-            .decode_chunk(&streamed, chunk.dtype(), chunk.dims(), None)
-            .unwrap();
-        for (a, b) in chunk
-            .as_f64()
-            .unwrap()
-            .iter()
-            .zip(dec.as_f64().unwrap().iter())
-        {
-            assert!((a - b).abs() <= abs, "bound violated: |{a} - {b}| > {abs}");
+    for codec in codecs(abs) {
+        let id = codec.id();
+        for (start, count) in OuterChunks::new(7, 3).unwrap() {
+            let chunk = slice_outer(&data, start, count).unwrap();
+            let (streamed, _) = codec.encode_chunk(&chunk, None).unwrap();
+            let whole = codec.compress(&chunk).unwrap();
+            assert_eq!(
+                streamed, whole,
+                "{id}: chunk at {start} diverged from one-shot"
+            );
+            let dec = codec
+                .decode_chunk(&streamed, chunk.dtype(), chunk.dims(), None)
+                .unwrap();
+            for (a, b) in chunk
+                .as_f64()
+                .unwrap()
+                .iter()
+                .zip(dec.as_f64().unwrap().iter())
+            {
+                assert!(
+                    (a - b).abs() <= abs,
+                    "{id}: bound violated: |{a} - {b}| > {abs}"
+                );
+            }
         }
     }
 }
@@ -54,38 +75,37 @@ fn independent_chunk_encode_matches_whole_buffer_compress() {
 #[test]
 fn chained_mode_preserves_abs_bound_and_state_parity() {
     let abs = 1e-3;
-    let mut codec = SzCompressor::new();
-    codec
-        .set_options(&Options::new().with("pressio:abs", abs))
-        .unwrap();
     let data = correlated_field(10, 8, 9);
     // residual + carried-slice addition can each round once
     let slack = abs * 1.01 + 1e-12;
 
-    let mut enc_carried: Option<Data> = None;
-    let mut dec_carried: Option<Data> = None;
-    let mut decoded_chunks = Vec::new();
-    for (start, count) in OuterChunks::new(9, 4).unwrap() {
-        let chunk = slice_outer(&data, start, count).unwrap();
-        let (comp, enc_decoded) = codec.encode_chunk(&chunk, enc_carried.as_ref()).unwrap();
-        let dec = codec
-            .decode_chunk(&comp, chunk.dtype(), chunk.dims(), dec_carried.as_ref())
-            .unwrap();
-        // encoder and decoder reconstruct bit-identical state
-        assert_eq!(enc_decoded.to_le_bytes(), dec.to_le_bytes());
-        enc_carried = Some(last_outer_slice(&enc_decoded).unwrap());
-        dec_carried = Some(last_outer_slice(&dec).unwrap());
-        decoded_chunks.push(dec);
+    for codec in codecs(abs) {
+        let id = codec.id();
+        let mut enc_carried: Option<Data> = None;
+        let mut dec_carried: Option<Data> = None;
+        let mut decoded_chunks = Vec::new();
+        for (start, count) in OuterChunks::new(9, 4).unwrap() {
+            let chunk = slice_outer(&data, start, count).unwrap();
+            let (comp, enc_decoded) = codec.encode_chunk(&chunk, enc_carried.as_ref()).unwrap();
+            let dec = codec
+                .decode_chunk(&comp, chunk.dtype(), chunk.dims(), dec_carried.as_ref())
+                .unwrap();
+            // encoder and decoder reconstruct bit-identical state
+            assert_eq!(enc_decoded.to_le_bytes(), dec.to_le_bytes(), "{id}");
+            enc_carried = Some(last_outer_slice(&enc_decoded).unwrap());
+            dec_carried = Some(last_outer_slice(&dec).unwrap());
+            decoded_chunks.push(dec);
+        }
+        let reconstructed = concat_outer(&decoded_chunks).unwrap();
+        let orig = data.to_f64_vec();
+        let dec = reconstructed.to_f64_vec();
+        let mut worst = 0.0f64;
+        for (a, b) in orig.iter().zip(dec.iter()) {
+            worst = worst.max((a - b).abs());
+        }
+        assert!(
+            worst <= slack,
+            "{id}: chained abs bound violated: {worst} > {slack}"
+        );
     }
-    let reconstructed = concat_outer(&decoded_chunks).unwrap();
-    let orig = data.to_f64_vec();
-    let dec = reconstructed.to_f64_vec();
-    let mut worst = 0.0f64;
-    for (a, b) in orig.iter().zip(dec.iter()) {
-        worst = worst.max((a - b).abs());
-    }
-    assert!(
-        worst <= slack,
-        "chained abs bound violated: {worst} > {slack}"
-    );
 }

@@ -99,25 +99,6 @@ impl ZfpCompressor {
         Self::default()
     }
 
-    /// Streaming entry point: encode one outer-axis chunk, optionally
-    /// chained on the previous chunk's last *decoded* slice. Returns the
-    /// compressed bytes plus the decoded reconstruction — the frame layer
-    /// checksums it and carries its last slice into the next chunk.
-    pub fn encode_chunk(&self, chunk: &Data, carried: Option<&Data>) -> Result<(Vec<u8>, Data)> {
-        pressio_core::chunking::encode_chunk_stateful(self, chunk, carried)
-    }
-
-    /// Streaming decode mirror of [`ZfpCompressor::encode_chunk`].
-    pub fn decode_chunk(
-        &self,
-        compressed: &[u8],
-        dtype: Dtype,
-        dims: &[usize],
-        carried: Option<&Data>,
-    ) -> Result<Data> {
-        pressio_core::chunking::decode_chunk_stateful(self, compressed, dtype, dims, carried)
-    }
-
     fn effective_mode<T: Widen>(&self, values: &[T]) -> Mode {
         match self.mode.as_str() {
             "precision" => Mode::Precision(self.precision),
