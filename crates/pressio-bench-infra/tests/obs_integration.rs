@@ -114,7 +114,7 @@ fn sz_lossless_stage_says_what_the_dictionary_stage_did() {
     let collector = Arc::new(pressio_obs::Collector::new());
     pressio_obs::install(collector.clone());
     let mut sz = pressio_sz::SzCompressor::new();
-    // a fixed predictor: `auto` would add its four sample-block trials
+    // a fixed predictor: the outcomes below are those of Lorenzo's symbols
     sz.set_options(&Options::new().with("sz3:predictor", "lorenzo"))
         .unwrap();
     for (field, [nx, ny, nz]) in [
@@ -144,9 +144,11 @@ fn sz_lossless_stage_says_what_the_dictionary_stage_did() {
 }
 
 /// The SZ stages in a production trace, as the benchmark's replay shows
-/// them: `sz3:predict` under `sz3:compress`, `sz3:parse` and
-/// `sz3:reconstruct` under `sz3:decompress`; and how much of the field the
-/// quantizer gave up on, as `sz3:escapes` of `sz3:elements`.
+/// them: `sz3:predict` under `sz3:compress`, and `sz3:select` beside it when
+/// the predictor is `auto`'s to choose (with one `sz3:auto.<predictor>`
+/// counter per choice); `sz3:parse` and `sz3:reconstruct` under
+/// `sz3:decompress`; and how much of the field the quantizer gave up on, as
+/// `sz3:escapes` of `sz3:elements`.
 #[test]
 fn sz_stages_and_escapes_are_in_the_trace() {
     use pressio_core::Compressor;
@@ -154,7 +156,8 @@ fn sz_stages_and_escapes_are_in_the_trace() {
     let collector = Arc::new(pressio_obs::Collector::new());
     pressio_obs::install(collector.clone());
     let (mut elements, mut escapes) = (0, 0);
-    for predictor in ["lorenzo", "interp"] {
+    let mut chosen = String::new();
+    for predictor in ["lorenzo", "interp", "auto"] {
         let mut sz = pressio_sz::SzCompressor::new();
         sz.set_options(&Options::new().with("sz3:predictor", predictor))
             .unwrap();
@@ -165,17 +168,26 @@ fn sz_stages_and_escapes_are_in_the_trace() {
         let parsed = pressio_sz::codec::parse(&bytes).unwrap();
         elements += parsed.symbols.len() as i64;
         escapes += parsed.unpredictable.len() as i64;
+        if predictor == "auto" {
+            chosen = format!("sz3:auto.{}", parsed.predictor.name());
+        }
     }
     pressio_obs::uninstall();
     let report = collector.report();
-    for (stage, parent) in [
-        ("sz3:predict", "sz3:compress"),
-        ("sz3:parse", "sz3:decompress"),
-        ("sz3:reconstruct", "sz3:decompress"),
+    for (stage, parent, count) in [
+        ("sz3:select", "sz3:compress", 1),
+        ("sz3:predict", "sz3:compress", 3),
+        ("sz3:parse", "sz3:decompress", 3),
+        ("sz3:reconstruct", "sz3:decompress", 3),
     ] {
-        assert_eq!(report.spans[stage].count(), 2, "{stage}");
+        assert_eq!(report.spans[stage].count(), count, "{stage}");
         assert_eq!(report.span_parents[stage], parent, "{stage}");
     }
+    let choices = report
+        .counters
+        .iter()
+        .filter(|c| c.0.starts_with("sz3:auto."));
+    assert_eq!(choices.collect::<Vec<_>>(), [(&chosen, &1)]);
     assert!(escapes > 0 && escapes < elements);
     assert_eq!(report.counters["sz3:elements"], elements);
     assert_eq!(report.counters["sz3:escapes"], escapes);

@@ -418,13 +418,13 @@ pub fn lorenzo(args: &BenchArgs, out: &mut dyn Write) -> Result {
                     .fold(f64::INFINITY, f64::min);
                 best * 1e6 / n as f64
             };
-            let reference = forms[0].encode(values, dims, bound, false);
+            let reference = forms[0].encode(values, dims, bound, false, Vec::new());
             let decoded = forms[0]
                 .decode::<f32>(dims, bound, &reference.symbols, &reference.unpredictable)
                 .unwrap();
             let (mut encode_ns, mut decode_ns, mut equal) = (Vec::new(), Vec::new(), true);
             for kernel in forms {
-                let coded = kernel.encode(values, dims, bound, false);
+                let coded = kernel.encode(values, dims, bound, false, Vec::new());
                 let (symbols, verbatim) = (&coded.symbols, &coded.unpredictable);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 equal &= *symbols == reference.symbols
@@ -434,7 +434,7 @@ pub fn lorenzo(args: &BenchArgs, out: &mut dyn Write) -> Result {
                         .unwrap()
                         == decoded;
                 encode_ns.push(ns_per_element(&mut || {
-                    std::hint::black_box(kernel.encode(values, dims, bound, false));
+                    std::hint::black_box(kernel.encode(values, dims, bound, false, Vec::new()));
                 }));
                 decode_ns.push(ns_per_element(&mut || {
                     std::hint::black_box(kernel.decode::<f32>(dims, bound, symbols, verbatim).ok());

@@ -39,12 +39,13 @@ impl Default for KhanScheme {
 impl KhanScheme {
     fn sample_origins(
         &self,
+        count: usize,
         dims: &[usize],
         shape: &[usize],
         align: usize,
         rng: &mut StdRng,
     ) -> Vec<Vec<usize>> {
-        (0..self.block_count.max(1))
+        (0..count.max(1))
             .map(|_| {
                 dims.iter()
                     .zip(shape)
@@ -66,12 +67,18 @@ impl KhanScheme {
     fn estimate_sz(&self, pass: &FeaturePass<'_>, abs: f64) -> f64 {
         let data = pass.data();
         let dims = data.dims();
-        let shape: Vec<usize> = dims.iter().map(|&d| d.min(self.block_edge)).collect();
+        let mut shape: Vec<usize> = dims.iter().map(|&d| d.min(self.block_edge)).collect();
+        let mut count = self.block_count;
+        // a field the blocks would cover is its own sample, read once: twelve
+        // 12³ blocks of a 24×24×12 field quantized it three times over
+        if count * shape.iter().product::<usize>() >= data.num_elements() {
+            (shape, count) = (dims.to_vec(), 1);
+        }
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut symbols = Vec::new();
         let mut unpred = 0usize;
         let mut total = 0usize;
-        for origin in self.sample_origins(dims, &shape, 1, &mut rng) {
+        for origin in self.sample_origins(count, dims, &shape, 1, &mut rng) {
             let values = pass.sample(dims, &origin, &shape, 1);
             let qs = predict_and_quantize(&values, &shape, abs, SzPredictor::Lorenzo, 6, false);
             unpred += qs.unpredictable.len();
@@ -113,7 +120,7 @@ impl KhanScheme {
         let mut block = [0.0; MAX_BLOCK];
         let mut w = BitWriter::new();
         let mut samples = 0usize;
-        for origin in self.sample_origins(&nd, &shape, 4, &mut rng) {
+        for origin in self.sample_origins(self.block_count, &nd, &shape, 4, &mut rng) {
             // pad to a full 4^d block by edge replication, as the codec does
             pad_block(&pass.sample(&nd, &origin, &shape, 1), &shape, d, &mut block);
             plan.encode(&block, &mut w);
@@ -268,6 +275,27 @@ mod tests {
             est.as_secs_f64() < comp.as_secs_f64() / 2.0,
             "estimate {est:?} not ≪ compress {comp:?}"
         );
+    }
+
+    /// A field its twelve blocks would cover is quantized once, whole, and
+    /// not three times over in offset windows.
+    #[test]
+    fn a_field_smaller_than_the_sample_is_read_once() {
+        let sz = SzCompressor::new();
+        let ratio = |scheme: &KhanScheme, data: &Data| {
+            let features = scheme.error_dependent_features(data, &sz).unwrap();
+            features.get_f64("khan:predicted_ratio").unwrap()
+        };
+        let whole = KhanScheme {
+            block_count: 1,
+            block_edge: usize::MAX,
+            ..KhanScheme::default()
+        };
+        let small = smooth(24, 12);
+        assert_eq!(ratio(&KhanScheme::default(), &small), ratio(&whole, &small));
+        // and a field larger than the sample is still sampled
+        let large = smooth(48, 24);
+        assert_ne!(ratio(&KhanScheme::default(), &large), ratio(&whole, &large));
     }
 
     #[test]

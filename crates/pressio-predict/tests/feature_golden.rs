@@ -5,6 +5,22 @@
 //! reproduce each feature bit for bit, on every dtype, rank and bound, with
 //! and without non-finite values.
 //!
+//! `tao2019` was taken again when SZ's `auto` began to choose its predictor
+//! from an estimate: the scheme's one feature is a real `sz3` trial compress,
+//! and two of its 48 lines moved with the choice (`tao:sampled_ratio` of
+//! `[9, 7, 5, 3]` at 1e-4, now Lorenzo's: f32 0.6912 → 0.6779, f64 1.3798
+//! → 1.3546).
+//!
+//! `khan2023` was taken again in the same change, when its SZ surrogate
+//! stopped sampling more than the buffer: a case that twelve 12ⁿ blocks
+//! would cover is now quantized once, whole. 20 of its 60 lines moved — the
+//! `sz3` lines of `[33, 21]`, `[19, 13, 9]`, `[17, 11, 7]`, `[64]` and
+//! `[15, 9, 4]`, whose blocks were offset windows, each with an unpredicted
+//! first row, column and plane of its own (`f32[19, 13, 9]` at 1e-4: 0.356 →
+//! 0.667). `[9, 7, 5, 3]` was the whole buffer twelve times and reads the
+//! same once; `[257]` and `u8[300]` are larger than their blocks; no `zfp`
+//! line moved.
+//!
 //! A digest is FNV-1a over one `case key=bits` line per feature; on a
 //! mismatch the test prints the digest it computed, and
 //! `FEATURE_GOLDEN_DUMP=1` prints the lines themselves.
@@ -169,11 +185,11 @@ fn group_lines() -> String {
 }
 
 const GOLDEN: [(&str, u64); 11] = [
-    ("tao2019", 0xccec4f9962b2af36),
+    ("tao2019", 0x62fc34ef54bbebd4),
     ("krasowska2021", 0x356f0e25c4e9a9c4),
     ("underwood2023", 0x73d850721f41c210),
     ("jin2022", 0x0accac012c63e7fd),
-    ("khan2023", 0xca62778280a49a29),
+    ("khan2023", 0x3ac7c5a6232ac9a6),
     ("rahman2023", 0xadc1a91c3625a44c),
     ("ganguli2023", 0x049f4c1381a055c4),
     ("lu2018", 0xc608d8e8609c1ddc),

@@ -6,7 +6,7 @@ use crate::{interp, lorenzo, regression};
 use pressio_core::error::{Error, Result};
 use pressio_core::lanes::Widen;
 use pressio_core::{Data, Dtype};
-use pressio_lossless::{huffman, lzss};
+use pressio_lossless::{entropy, huffman, lzss};
 
 const MAGIC: &[u8; 4] = b"SZRS";
 const VERSION: u8 = 1;
@@ -89,6 +89,25 @@ pub struct QuantizedStream {
     pub reconstruction: Vec<f64>,
 }
 
+impl QuantizedStream {
+    /// What [`assemble`] would make of this stream, in bytes, without
+    /// encoding it (the estimate of Jin et al.'s ratio-quality model), in two
+    /// parts: the symbols at their entropy, and what no coder shrinks — the
+    /// 38-bit code-length table entry [`huffman::Codebook::write_table`]
+    /// emits per distinct symbol and the side streams as they are stored.
+    /// The header, which every predictor shares, is left out.
+    pub(crate) fn estimated_bytes(&self, dtype: Dtype) -> (f64, f64) {
+        let counts = huffman::histogram(&self.symbols);
+        let n = self.symbols.len() as u64;
+        let bits = entropy::entropy_from_counts(counts.iter().map(|c| c.1), n);
+        let side = self.unpredictable.len() * dtype.size()
+            + self.coefficients.len() * 4
+            + self.block_modes.len();
+        let table = counts.len() as f64 * 4.75;
+        (bits * n as f64 / 8.0, table + side as f64)
+    }
+}
+
 /// Run prediction + quantization only (stages 1–2 of the SZ pipeline).
 pub fn predict_and_quantize(
     values: &[f64],
@@ -104,15 +123,18 @@ pub fn predict_and_quantize(
 /// Lorenzo prediction + quantization straight off the typed elements.
 /// [`QuantizedStream::reconstruction`] is `n` more `f64` and is filled only
 /// when asked for: the compressor does not, the stage functions do.
+/// `symbols` is a block to put the symbols in, empty to allocate one.
 pub(crate) fn lorenzo_quantize<T: Widen>(
     values: &[T],
     dims: &[usize],
     eb: f64,
     round_f32: bool,
     keep_reconstruction: bool,
+    symbols: Vec<u32>,
 ) -> QuantizedStream {
     let bound = (eb, RADIUS, round_f32);
-    let coded = lorenzo::Kernel::selected().encode(values, dims, bound, keep_reconstruction);
+    let kernel = lorenzo::Kernel::selected();
+    let coded = kernel.encode(values, dims, bound, keep_reconstruction, symbols);
     QuantizedStream {
         symbols: coded.symbols,
         unpredictable: coded.unpredictable,
@@ -138,7 +160,9 @@ pub fn predict_and_quantize_par(
 ) -> QuantizedStream {
     let mut q = Quantizer::new(eb, RADIUS, round_f32, values.len());
     let (reconstruction, coefficients, block_modes) = match predictor {
-        Predictor::Lorenzo => return lorenzo_quantize(values, dims, eb, round_f32, true),
+        Predictor::Lorenzo => {
+            return lorenzo_quantize(values, dims, eb, round_f32, true, Vec::new())
+        }
         Predictor::Regression => {
             let (r, c) = regression::encode_par(values, dims, block, &mut q, nthreads);
             (r, c, Vec::new())

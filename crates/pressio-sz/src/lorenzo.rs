@@ -179,7 +179,7 @@ mod tests {
 
     fn round_trip(values: &[f64], dims: &[usize], eb: f64) -> Vec<f64> {
         let (kernel, bound) = (Kernel::selected(), (eb, 32768, false));
-        let coded = kernel.encode(values, dims, bound, true);
+        let coded = kernel.encode(values, dims, bound, true, Vec::new());
         let decoded: Vec<f64> = kernel
             .decode(dims, bound, &coded.symbols, &coded.unpredictable)
             .unwrap();
@@ -254,7 +254,8 @@ mod tests {
         let values: Vec<f64> = (0..nx * ny)
             .map(|i| (i % nx) as f64 * 2.0 + (i / nx) as f64 * 3.0)
             .collect();
-        let coded = Kernel::selected().encode(&values, &[nx, ny], (1e-6, 32768, false), false);
+        let coded =
+            Kernel::selected().encode(&values, &[nx, ny], (1e-6, 32768, false), false, Vec::new());
         let zero_code = 32768u32; // code 0 + radius
         let interior_zero = coded
             .symbols
@@ -285,7 +286,7 @@ mod tests {
     fn empty_input() {
         assert_eq!(estimate_mean_abs_residual::<f64>(&[], &[0]), 0.0);
         let kernel = Kernel::selected();
-        let coded = kernel.encode::<f64>(&[], &[0], (1e-3, 32768, false), true);
+        let coded = kernel.encode::<f64>(&[], &[0], (1e-3, 32768, false), true, Vec::new());
         assert!(coded.symbols.is_empty() && coded.reconstruction.is_empty());
         let decoded = kernel.decode::<f32>(&[0], (1e-3, 32768, true), &[], &[]);
         assert!(decoded.unwrap().is_empty());

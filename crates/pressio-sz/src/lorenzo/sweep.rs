@@ -329,20 +329,24 @@ fn place_escapes<'a>(
 impl Kernel {
     /// Quantize `values` under Lorenzo prediction: symbols `code + radius`
     /// within `eb`, escapes verbatim, reconstructions rounded through `f32`
-    /// when the decoder will write `f32`.
+    /// when the decoder will write `f32`. The symbols go into `symbols`,
+    /// whose block is reused where it is large enough (its contents are not).
     pub fn encode<T: Widen>(
         self,
         values: &[T],
         dims: &[usize],
         (eb, radius, round_f32): (f64, i64, bool),
         keep_reconstruction: bool,
+        mut symbols: Vec<u32>,
     ) -> Encoded {
         let formula = Formula::new(eb, radius, round_f32);
         let [nx, ny, nz] = normalize_dims(dims);
         let n = nx * ny * nz;
         debug_assert_eq!(n, values.len());
+        symbols.clear();
+        symbols.resize(n, 0);
         let mut out = Encoded {
-            symbols: vec![0; n],
+            symbols,
             unpredictable: Vec::new(),
             reconstruction: Vec::with_capacity(if keep_reconstruction { n } else { 0 }),
         };

@@ -136,7 +136,7 @@ fn check<T: Widen>(
     let (symbol_cuts, escape_cuts, flips) = (places(n), places(escapes), places(n));
     for kernel in kernels() {
         let context = format!("{} {dims:?} eb={eb:e} round_f32={round_f32}", kernel.name());
-        let coded = kernel.encode(values, dims, bound, true);
+        let coded = kernel.encode(values, dims, bound, true, Vec::new());
         assert_eq!(coded.symbols, q.symbols, "{context}");
         assert_eq!(
             bits(&coded.unpredictable),
@@ -144,7 +144,7 @@ fn check<T: Widen>(
             "{context}"
         );
         assert_eq!(bits(&coded.reconstruction), bits(&recon), "{context}");
-        let lean = kernel.encode(values, dims, bound, false);
+        let lean = kernel.encode(values, dims, bound, false, Vec::new());
         assert!(lean.reconstruction.is_empty() && lean.symbols == coded.symbols);
 
         check_decode(kernel, dims, bound, &q.symbols, &q.unpredictable, "intact");

@@ -563,6 +563,10 @@ impl Compressor for ZfpCompressor {
     fn compress(&self, input: &Data) -> Result<Vec<u8>> {
         let _span = pressio_obs::span("zfp:compress");
         match input.elements() {
+            // one element and no axis to cut blocks along: it would be dropped
+            _ if input.dims().is_empty() => Err(Error::UnsupportedData(
+                "zfp needs at least one dimension, got a rank-0 buffer".into(),
+            )),
             Elements::F32(values) => Ok(self.compress_elements(input, values)),
             Elements::F64(values) => Ok(self.compress_elements(input, values)),
             _ => Err(Error::UnsupportedData(format!(
