@@ -6,7 +6,7 @@
 use crate::queue::{run_tasks, PoolConfig, Task};
 use crate::store::CheckpointStore;
 use pressio_core::error::{Error, Result};
-use pressio_core::hash::hash_options_hex;
+use pressio_core::hash::{hash_options_hex, to_hex, Sha256};
 use pressio_core::timing::{time_ms, MeanStd};
 use pressio_core::{Compressor, Data, Options};
 use pressio_dataset::DatasetPlugin;
@@ -108,14 +108,28 @@ struct Truth {
     decompress_ms: f64,
 }
 
-fn truth_key(compressor: &str, dataset_name: &str, abs: f64) -> String {
-    hash_options_hex(
-        &Options::new()
-            .with("task", "truth")
-            .with("compressor", compressor)
-            .with("dataset", dataset_name)
-            .with("pressio:abs", abs),
-    )
+/// What a truth is keyed by besides its compressor and bound: the dataset's
+/// name and its content — dtype, dims, and a SHA-256 of its bytes — so a
+/// checkpoint written at one grid size is never read back at another. The
+/// dims are an entry of their own, not bytes ahead of the payload, so
+/// `[8, 8]` + `le64(4)‖B` and `[8, 8, 4]` + `B` cannot meet.
+fn dataset_key(name: &str, data: &Data) -> Options {
+    let mut sha = Sha256::new();
+    sha.update(&data.to_le_bytes());
+    let dims: Vec<u64> = data.dims().iter().map(|&d| d as u64).collect();
+    Options::new()
+        .with("dataset", name)
+        .with("data:dtype", data.dtype().name())
+        .with("data:dims", dims)
+        .with("data:sha256", to_hex(&sha.finalize()))
+}
+
+fn truth_key(compressor: &str, dataset: &Options, abs: f64) -> String {
+    let mut key = dataset.clone();
+    key.set("task", "truth");
+    key.set("compressor", compressor);
+    key.set("pressio:abs", abs);
+    hash_options_hex(&key)
 }
 
 fn configured(compressor_name: &str, abs: f64) -> Result<Box<dyn Compressor>> {
@@ -129,6 +143,7 @@ fn configured(compressor_name: &str, abs: f64) -> Result<Box<dyn Compressor>> {
 fn collect_truth(
     compressor_name: &str,
     datasets: &Arc<Vec<(String, Data)>>,
+    dataset_keys: &[Options],
     cfg: &Table2Config,
     store: &mut Option<CheckpointStore>,
     hits: &mut usize,
@@ -137,9 +152,9 @@ fn collect_truth(
     let _span = pressio_obs::span(format!("table2:{compressor_name}:truth"));
     let mut truths = Vec::new();
     let mut tasks = Vec::new();
-    for (di, (name, _)) in datasets.iter().enumerate() {
+    for (di, dataset) in dataset_keys.iter().enumerate() {
         for &abs in &cfg.abs_bounds {
-            let key = truth_key(compressor_name, name, abs);
+            let key = truth_key(compressor_name, dataset, abs);
             if let Some(store) = store.as_ref() {
                 if let Some(v) = store.get(&key) {
                     *hits += 1;
@@ -294,11 +309,16 @@ pub fn run_table2(dataset: &mut dyn DatasetPlugin, cfg: &Table2Config) -> Result
 
     let schemes_registry = standard_schemes();
     let mut out = Table2::default();
+    let dataset_keys: Vec<Options> = datasets
+        .iter()
+        .map(|(name, data)| dataset_key(name, data))
+        .collect();
 
     for compressor_name in &cfg.compressors {
         let truths = collect_truth(
             compressor_name,
             &datasets,
+            &dataset_keys,
             cfg,
             &mut store,
             &mut hits,
@@ -601,6 +621,30 @@ mod tests {
         let m1 = first.methods[0].medape.unwrap();
         let m2 = second.methods[0].medape.unwrap();
         assert!((m1 - m2).abs() < 1e-9);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checkpoint's truths belong to the buffers they were measured on:
+    /// the same field names at another grid size miss, and that size's own
+    /// rerun hits every one.
+    #[test]
+    fn checkpointed_truths_are_not_reused_across_grid_sizes() {
+        let dir = std::env::temp_dir().join("pressio_table2_ckpt_sizes");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = Table2Config {
+            schemes: vec!["khan2023".into()],
+            compressors: vec!["sz3".into()],
+            workers: 2,
+            checkpoint: Some(dir.join("truth.jsonl")),
+            ..Table2Config::default()
+        };
+        let run = |nx, ny, nz| run_table2(&mut Hurricane::with_dims(nx, ny, nz, 1), &cfg).unwrap();
+        let small = run(16, 16, 8);
+        assert_eq!((small.checkpoint_hits, small.checkpoint_misses), (0, 26));
+        let large = run(24, 24, 12);
+        assert_eq!((large.checkpoint_hits, large.checkpoint_misses), (0, 26));
+        let again = run(24, 24, 12);
+        assert_eq!((again.checkpoint_hits, again.checkpoint_misses), (26, 0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -11,8 +11,10 @@
 //!   single-node analog of the LibDistributed MPI queue).
 //! - [`experiment`] — the k-fold cross-validated Table 2 driver with
 //!   per-stage timing and checkpointed ground-truth collection.
-//! - [`affinity`] — the data-affinity vs round-robin scheduling ablation
-//!   behind `pressio bench --ablation affinity`.
+//!
+//! The paper's experiments run on these through one command, `pressio
+//! bench` in `pressio-cli`: Table 2 itself, and with `--ablation <name>`
+//! the studies beside it (the scheduling and restart ablations among them).
 //!
 //! ```no_run
 //! use pressio_bench_infra::experiment::{format_table2, run_table2, Table2Config};
@@ -25,17 +27,13 @@
 
 #![warn(missing_docs)]
 
-pub mod affinity;
 pub mod experiment;
 pub mod queue;
-pub mod restart;
 pub mod store;
 
-pub use affinity::{format_affinity, run_affinity_ablation, AffinityConfig, AffinityReport};
 pub use experiment::{format_table2, run_table2, BaselineRow, MethodRow, Table2, Table2Config};
 pub use queue::{
     run_tasks, run_tasks_dynamic, DynamicOutcome, DynamicWorkerFn, PoolConfig, PoolStats,
     Scheduling, Task, TaskOutcome, WorkerFn,
 };
-pub use restart::{format_checkpoint, run_checkpoint_ablation, RestartConfig, RestartReport};
 pub use store::CheckpointStore;

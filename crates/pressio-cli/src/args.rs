@@ -271,7 +271,7 @@ pub(crate) static FLAGS: [Flag; 41] = [
     flag(&["-i", "--input"], READS_INPUT, PATH, |a, v| some(&mut a.input, v)),
     flag(&["-o", "--output", "--out"], WRITES_OUTPUT, PATH, |a, v| some(&mut a.output, v)),
     flag(&["-c", "--compressor", "--codec"], NAMES_CODEC, NAME, |a, v| to(&mut a.compressor, v)),
-    flag(&["--scheme"], &[Predict, Query, Stream], NAME, |a, v| some(&mut a.scheme, v)),
+    flag(&["--scheme"], &[Predict, Bench, Query, Stream], NAME, |a, v| some(&mut a.scheme, v)),
     flag(&["--state"], &[Predict], PATH, |a, v| some(&mut a.state, v)),
     flag(&["--verify"], &[Predict, Select], "", |a, _| on(&mut a.verify)),
     flag(&["--abs"], TUNES_CODEC, NUM, |a, v| option(a, "pressio:abs", real(v))),

@@ -1,27 +1,24 @@
-//! `pressio bench`: the Table-2 pipeline on a synthetic hurricane, or one
-//! of the named ablations.
+//! `pressio bench`: Table 2 of the paper on a synthetic hurricane, or one
+//! of the [`studies`](crate::studies) by name.
 
 use crate::args::{usage_error, Args};
-use pressio_bench_infra::{affinity, experiment, restart};
+use crate::studies::{self, Study};
+use pressio_bench_infra::experiment::{format_table2, run_table2, Table2Config};
 use pressio_core::error::Result;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Run the Table-2 benchmark pipeline, or an ablation.
+/// Run Table 2, or a study.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Bench {
-    /// Grid dims.
-    pub dims: (usize, usize, usize),
-    /// Timesteps.
-    pub timesteps: usize,
-    /// Worker threads for ground-truth collection.
-    pub workers: usize,
+    /// The problem size.
+    pub study: Study,
+    /// Table 2's schemes (`--scheme`: a comma list, or `all`).
+    pub schemes: Vec<String>,
     /// Observability trace output path.
     pub trace: Option<PathBuf>,
-    /// Named ablation to run instead of the Table-2 pipeline
-    /// (`affinity`, `checkpoint`, or any of
-    /// `pressio_bench::ablations::NAMES`).
+    /// The study to run instead of Table 2 (one of [`studies::NAMES`]).
     pub ablation: Option<String>,
 }
 
@@ -37,84 +34,45 @@ pub(crate) fn install_trace(path: Option<&Path>) -> Result<Option<Arc<pressio_ob
     Ok(Some(collector))
 }
 
+/// The paper's three schemes unless `--scheme` names others.
+fn schemes(named: Option<&str>) -> Result<Vec<String>> {
+    let registry = pressio_predict::standard_schemes();
+    let known = registry.names();
+    let schemes: Vec<String> = match named {
+        None => return Ok(Table2Config::default().schemes),
+        Some("all") => known.iter().map(|name| name.to_string()).collect(),
+        Some(list) => list.split(',').map(String::from).collect(),
+    };
+    match schemes.iter().find(|name| !known.contains(&name.as_str())) {
+        Some(unknown) => Err(usage_error(&format!(
+            "unknown scheme '{unknown}' (available: all, {})",
+            known.join(", ")
+        ))),
+        None => Ok(schemes),
+    }
+}
+
 impl Bench {
-    pub(crate) fn from_args(a: Args) -> Bench {
-        Bench {
-            dims: a.dims,
-            timesteps: a.timesteps,
-            workers: a.workers,
+    pub(crate) fn from_args(a: Args) -> Result<Bench> {
+        Ok(Bench {
+            study: Study::from_args(&a),
+            schemes: schemes(a.scheme.as_deref())?,
             trace: a.trace,
             ablation: a.ablation,
-        }
+        })
     }
 
     pub(crate) fn run(self, out: &mut impl Write) -> Result<()> {
-        match &self.ablation {
-            Some(name) => self.run_ablation(name, out),
-            None => self.run_table2(out),
-        }
-    }
-
-    /// The CLI's `--timesteps 1` default maps to each ablation's quick mode.
-    fn run_ablation(&self, name: &str, out: &mut impl Write) -> Result<()> {
-        let (dims, workers, quick) = (self.dims, self.workers, self.timesteps <= 1);
-        match name {
-            "affinity" => {
-                let config = affinity::AffinityConfig {
-                    dims,
-                    workers,
-                    quick,
-                };
-                let report = affinity::run_affinity_ablation(&config)?;
-                write!(out, "{}", affinity::format_affinity(&report))?;
-            }
-            "checkpoint" => {
-                let config = restart::RestartConfig {
-                    dims,
-                    workers,
-                    quick,
-                    checkpoint: None,
-                };
-                let report = restart::run_checkpoint_ablation(&config)?;
-                write!(out, "{}", restart::format_checkpoint(&report))?;
-            }
-            // the remaining ablations live in pressio-bench's library
-            name if pressio_bench::ablations::NAMES.contains(&name) => {
-                let bench_args = pressio_bench::BenchArgs {
-                    dims,
-                    timesteps: self.timesteps,
-                    quick,
-                    workers,
-                    ..Default::default()
-                };
-                pressio_bench::ablations::run(name, &bench_args, out)?;
-            }
-            other => {
-                return Err(usage_error(&format!(
-                    "unknown ablation '{other}' (available: affinity, checkpoint, {})",
-                    pressio_bench::ablations::NAMES.join(", ")
-                )))
-            }
-        }
-        Ok(())
-    }
-
-    fn run_table2(&self, out: &mut impl Write) -> Result<()> {
         let collector = install_trace(self.trace.as_deref())?;
-        let (nx, ny, nz) = self.dims;
-        let mut hurricane = pressio_dataset::Hurricane::with_dims(nx, ny, nz, self.timesteps);
-        let cfg = experiment::Table2Config {
-            workers: self.workers,
-            checkpoint: None,
-            ..Default::default()
+        let result = match &self.ablation {
+            Some(name) => studies::run(name, &self.study, out),
+            None => self.run_table2(out),
         };
-        let result = experiment::run_table2(&mut hurricane, &cfg);
         // always tear down the global collector, even on error
         if collector.is_some() {
             let _ = pressio_obs::uninstall();
         }
-        let table = result?;
-        write!(out, "{}", experiment::format_table2(&table))?;
+        result?;
         if let Some(c) = collector {
             c.flush();
             writeln!(out, "\n## Observability report\n")?;
@@ -123,6 +81,23 @@ impl Bench {
                 writeln!(out, "\ntrace written to {}", path.display())?;
             }
         }
+        Ok(())
+    }
+
+    fn run_table2(&self, out: &mut impl Write) -> Result<()> {
+        let (nx, ny, nz) = self.study.dims;
+        let mut hurricane = pressio_dataset::Hurricane::with_dims(nx, ny, nz, self.study.timesteps);
+        let cfg = Table2Config {
+            schemes: self.schemes.clone(),
+            workers: self.study.workers,
+            ..Default::default()
+        };
+        let table = run_table2(&mut hurricane, &cfg)?;
+        writeln!(
+            out,
+            "# Table 2: Hurricane Performance Results using 10-Fold Cross-Validation\n"
+        )?;
+        write!(out, "{}", format_table2(&table))?;
         Ok(())
     }
 }

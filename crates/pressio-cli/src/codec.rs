@@ -5,7 +5,7 @@ use crate::args::{usage_error, Args};
 use pressio_core::error::{Error, Result};
 use pressio_core::{Compressor, Options};
 use pressio_dataset::io::{parse_filename, read_raw};
-use pressio_predict::{standard_compressors, standard_schemes};
+use pressio_predict::{format_table1, standard_compressors, standard_schemes, Scheme};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -20,21 +20,21 @@ pub(crate) fn required(what: &str, flag: &str, path: Option<PathBuf>) -> Result<
     path.ok_or_else(|| usage_error(&format!("{what} requires --{flag}")))
 }
 
-/// `pressio schemes`.
+/// `pressio schemes`: Table 1 of the paper, from the registry's own
+/// metadata (the introspection §4.2 provides for exactly this).
 pub(crate) fn list_schemes(out: &mut impl Write) -> Result<()> {
     let registry = standard_schemes();
-    for name in registry.names() {
-        let s = registry.build(name)?;
-        let i = s.info();
-        writeln!(
-            out,
-            "{name:16} {:9} training={} sampling={} approach={}",
-            i.goal,
-            if i.training { "yes" } else { "no " },
-            if i.sampling { "yes" } else { "no " },
-            i.approach
-        )?;
-    }
+    let schemes: Vec<_> = registry
+        .names()
+        .into_iter()
+        .map(|name| registry.build(name))
+        .collect::<Result<_>>()?;
+    let schemes: Vec<&dyn Scheme> = schemes.iter().map(|s| s.as_ref()).collect();
+    writeln!(
+        out,
+        "# Table 1: Estimation Methods (from live registry metadata)\n"
+    )?;
+    write!(out, "{}", format_table1(&schemes))?;
     Ok(())
 }
 

@@ -5,17 +5,18 @@
 //! downstream user can drive without writing Rust:
 //!
 //! ```text
-//! pressio schemes                                   # list prediction schemes
+//! pressio schemes                                   # Table 1: the schemes' taxonomy
 //! pressio compressors                               # list compressors
 //! pressio generate --out dir [--dims 64,64,32] [--timesteps 2]
 //! pressio compress -i U_64x64x32.f32 -o U.szr -c sz3 --abs 1e-4
 //! pressio decompress -i U.szr -o restored_64x64x32.f32 -c sz3
 //! pressio predict -i U_64x64x32.f32 -c sz3 --scheme khan2023 --abs 1e-4
-//! pressio bench --dims 32,32,16 --timesteps 2 --trace /tmp/bench.jsonl
-//! pressio bench --ablation affinity --dims 16,16,8    # scheduling ablation
+//! pressio bench --dims 32,32,16 --timesteps 6 --trace /tmp/bench.jsonl   # Table 2
+//! pressio bench --scheme all --dims 16,16,8         # Table 2 with every scheme
+//! pressio bench --ablation fig2 --dims 16,16,8      # Figure 2: the loader pipeline
 //! pressio bench --ablation checkpoint --dims 16,16,8  # restart-speedup ablation
-//! pressio bench --ablation tao_sweep --dims 16,16,8 --timesteps 1   # also:
-//!     # bandwidth, datasets, insample, invalidation, lossless, rahman
+//! pressio bench --ablation tao_sweep --dims 16,16,8 --timesteps 1   # also: affinity,
+//!     # bandwidth, datasets, insample, invalidation, lorenzo, lossless, rahman
 //! pressio bench --faults 'store:put.io=err,times=1'   # fault injection (pressio-faults)
 //! pressio serve --socket /tmp/pressio.sock --models /tmp/models
 //! pressio query --socket /tmp/pressio.sock --op ping
@@ -27,8 +28,9 @@
 //! Layout: `args` holds the one flag table (a row per flag: spellings,
 //! value, the verbs that read it, where it lands) and the walk over it;
 //! each verb's module — [`codec`] (compress / decompress / predict and the
-//! two listings), [`generate`], [`bench`], [`serve`], [`query`],
-//! [`select`], [`stream`] — holds the constructor that turns the walked
+//! two listings), [`generate`], [`bench`] (with [`studies`], the paper's
+//! experiments beside Table 2), [`serve`], [`query`], [`select`],
+//! [`stream`] — holds the constructor that turns the walked
 //! arguments into its [`Command`] and the function that runs it; [`spawn`]
 //! turns a shard's configuration back into a command line through the same
 //! table. This file is [`Command`], [`parse_args`] and the [`run`]
@@ -48,6 +50,7 @@ pub mod select;
 pub mod serve;
 pub mod spawn;
 pub mod stream;
+pub mod studies;
 #[cfg(test)]
 mod tests;
 
@@ -60,7 +63,7 @@ pub use stream::StreamAction;
 /// constructor made of the flags.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// List registered prediction schemes (with Table 1 metadata).
+    /// Print Table 1 of the paper from the registered schemes' metadata.
     Schemes,
     /// List registered compressors.
     Compressors,
@@ -72,9 +75,9 @@ pub enum Command {
     Decompress(codec::Decompress),
     /// Predict the compression ratio without compressing.
     Predict(codec::Predict),
-    /// Run the Table-2 benchmark pipeline on a synthetic hurricane,
-    /// optionally writing a structured JSONL trace — or one of the
-    /// ablations via `--ablation`.
+    /// Run Table 2 of the paper on a synthetic hurricane, or one of the
+    /// paper's other studies via `--ablation`, optionally writing a
+    /// structured JSONL trace.
     Bench(bench::Bench),
     /// Run the online prediction daemon (single process, or a sharded
     /// supervisor with `--shards N`).
@@ -110,7 +113,7 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Command> {
         Verb::Compress => Command::Compress(codec::Compress::from_args(args)?),
         Verb::Decompress => Command::Decompress(codec::Decompress::from_args(args)?),
         Verb::Predict => Command::Predict(codec::Predict::from_args(args)?),
-        Verb::Bench => Command::Bench(bench::Bench::from_args(args)),
+        Verb::Bench => Command::Bench(bench::Bench::from_args(args)?),
         Verb::Serve => Command::Serve(serve::Serve::from_args(args)?),
         Verb::Query => Command::Query(query::Query::from_args(args)?),
         Verb::Select => Command::Select(select::Select::from_args(args)?),

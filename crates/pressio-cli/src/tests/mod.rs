@@ -150,7 +150,7 @@ fn every_documented_command_line_parses() {
         pressio_faults::clear();
         seen += 1;
     }
-    assert_eq!(seen, 13, "the doc block's command lines");
+    assert_eq!(seen, 14, "the doc block's command lines");
 }
 
 // ---- compress / decompress / predict ---------------------------------------
@@ -206,7 +206,17 @@ fn end_to_end_generate_compress_decompress_predict() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-// ---- bench -----------------------------------------------------------------
+// ---- bench ----------------------------------------------------------------
+
+/// The trace collector is process-wide; the tests that install it take turns.
+static TRACE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn bench(line: &str) -> bench::Bench {
+    match parse(line).unwrap() {
+        Command::Bench(cmd) => cmd,
+        other => panic!("not a bench: {other:?}"),
+    }
+}
 
 #[test]
 fn parses_bench_with_trace() {
@@ -214,9 +224,13 @@ fn parses_bench_with_trace() {
     assert_eq!(
         cmd,
         Command::Bench(bench::Bench {
-            dims: (8, 8, 4),
-            timesteps: 2,
-            workers: 3,
+            study: studies::Study {
+                dims: (8, 8, 4),
+                timesteps: 2,
+                workers: 3,
+                quick: false,
+            },
+            schemes: vec!["khan2023".into(), "jin2022".into(), "rahman2023".into()],
             trace: Some(PathBuf::from("/tmp/t.jsonl")),
             ablation: None,
         })
@@ -224,7 +238,39 @@ fn parses_bench_with_trace() {
 }
 
 #[test]
+fn dims_and_timesteps_parse() {
+    let study = bench("bench --dims 10,20,30 --timesteps 5 --workers 2").study;
+    assert_eq!(
+        (study.dims, study.timesteps, study.workers),
+        ((10, 20, 30), 5, 2)
+    );
+    assert!(!study.quick);
+    // `--timesteps 1`, the default, is each study's quick preset
+    assert!(bench("bench --dims 10,20,30").study.quick);
+    // a word that is not a number is refused, not dropped
+    assert!(parse("bench --dims 8,x,4").is_err());
+    assert!(parse("bench --dims 8,4").is_err());
+}
+
+#[test]
+fn all_schemes_expands_list() {
+    let registry = pressio_predict::standard_schemes();
+    assert_eq!(bench("bench --scheme all").schemes, registry.names());
+    assert_eq!(
+        bench("bench --scheme khan2023,rahman2023").schemes,
+        ["khan2023", "rahman2023"]
+    );
+    assert_eq!(
+        bench("bench").schemes,
+        ["khan2023", "jin2022", "rahman2023"]
+    );
+    let err = parse("bench --scheme khan2023,nope").unwrap_err();
+    assert!(err.to_string().contains("unknown scheme 'nope'"), "{err}");
+}
+
+#[test]
 fn bench_emits_table_and_trace() {
+    let _turn = TRACE.lock().unwrap_or_else(|e| e.into_inner());
     let dir = scratch("pressio_cli_bench");
     let trace = dir.join("bench.jsonl");
     let text = run_line(&format!(
@@ -240,6 +286,95 @@ fn bench_emits_table_and_trace() {
     assert!(events.iter().any(|e| e.name() == "queue:task"));
     assert!(events.iter().any(|e| e.name() == "table2:sz3:compress_ms"));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A study's run is traced and reported as Table 2's is.
+#[test]
+fn trace_flag_parses_and_round_trips() {
+    let _turn = TRACE.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = scratch("pressio_cli_study_trace");
+    let trace = dir.join("study.jsonl");
+    let line = format!(
+        "bench --ablation checkpoint --dims 8,8,4 --workers 1 --trace {}",
+        trace.display()
+    );
+    assert_eq!(bench(&line).trace.as_deref(), Some(trace.as_path()));
+    let text = run_line(&line).unwrap();
+    assert!(
+        text.starts_with("# Ablation: checkpointed restart"),
+        "{text}"
+    );
+    assert!(text.contains("## Observability report"), "{text}");
+    assert!(text.contains("table2:checkpoint.hit"), "{text}");
+    let (events, skipped) = pressio_obs::read_trace(&trace).unwrap();
+    assert_eq!(skipped, 0, "trace must be valid JSONL");
+    assert!(events.iter().any(|e| e.name() == "table2:checkpoint.hit"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn no_trace_flag_disables_tracing() {
+    let cmd = bench("bench --ablation affinity --dims 8,8,4");
+    assert!(cmd.trace.is_none());
+    assert!(bench::install_trace(None).unwrap().is_none());
+    let mut buf = Vec::new();
+    run(Command::Bench(cmd), &mut buf).unwrap();
+    let text = String::from_utf8(buf).unwrap();
+    assert!(text.starts_with("# Ablation: data-affinity"), "{text}");
+    assert!(!text.contains("## Observability report"), "{text}");
+}
+
+/// Every study runs through `bench --ablation` at the smallest size and
+/// prints its heading; an unknown name is answered with all of them.
+/// `lorenzo` and `lossless` ignore `--dims` (their shapes are their rows)
+/// and take 14 s and 3.5 s in a debug build, so they run in release only
+/// (`lossless` also has its own test below).
+#[test]
+fn every_study_runs_and_prints_its_heading() {
+    const HEADINGS: [(&str, &str); 11] = [
+        (
+            "affinity",
+            "# Ablation: data-affinity vs round-robin scheduling",
+        ),
+        ("bandwidth", "# Bandwidth prediction (sz3 @1e-4"),
+        (
+            "checkpoint",
+            "# Ablation: checkpointed restart vs recompute-all",
+        ),
+        ("datasets", "# Non-weather dataset study"),
+        (
+            "fig2",
+            "# Figure 2 pipeline: folder_loader -> local_cache -> sampler",
+        ),
+        ("insample", "# In-sample (best case) vs out-of-sample"),
+        ("invalidation", "# Ablation: error-agnostic metric reuse"),
+        (
+            "lorenzo",
+            "# Ablation: Lorenzo one row at a time vs the band sweep",
+        ),
+        ("lossless", "# Ablation: what LZSS buys after Huffman"),
+        (
+            "rahman",
+            "# Ablation: rahman2023 sparsity correction x data augmentation",
+        ),
+        (
+            "tao_sweep",
+            "# Ablation: tao2019 block-size / block-count sweep",
+        ),
+    ];
+    let names = studies::NAMES.map(|(name, _)| name);
+    assert_eq!(names, HEADINGS.map(|(name, _)| name));
+    for (name, heading) in HEADINGS {
+        if cfg!(debug_assertions) && matches!(name, "lorenzo" | "lossless") {
+            continue;
+        }
+        let line = format!("bench --ablation {name} --dims 8,8,4 --timesteps 1 --workers 1");
+        let text = run_line(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+        assert!(text.starts_with(heading), "`{line}`:\n{text}");
+    }
+    let err = run_line("bench --ablation nope").unwrap_err().to_string();
+    assert!(err.contains("unknown ablation 'nope'"), "{err}");
+    assert!(names.iter().all(|name| err.contains(name)), "{err}");
 }
 
 #[test]
@@ -259,16 +394,12 @@ fn bench_lossless_ablation_prints_the_payoff_table() {
 
 #[test]
 fn parses_bench_ablation_and_serve_and_query() {
-    let Command::Bench(cmd) = parse("bench --ablation affinity --workers 4").unwrap() else {
-        panic!("not a bench");
-    };
+    let cmd = bench("bench --ablation affinity --workers 4");
     assert_eq!(
-        (cmd.ablation.as_deref(), cmd.workers),
+        (cmd.ablation.as_deref(), cmd.study.workers),
         (Some("affinity"), 4)
     );
-    let Command::Bench(cmd) = parse("bench --ablation checkpoint").unwrap() else {
-        panic!("not a bench");
-    };
+    let cmd = bench("bench --ablation checkpoint");
     assert_eq!(cmd.ablation.as_deref(), Some("checkpoint"));
     let Command::Serve(cmd) = parse("serve --tcp 127.0.0.1:0 --models /tmp/m --queue 16").unwrap()
     else {

@@ -52,8 +52,8 @@ impl LocalCache {
         ))
     }
 
-    /// (hits, misses) observed so far — the cache-effectiveness metric the
-    /// `fig2_pipeline` bench reports.
+    /// (hits, misses) observed so far — the cache's effectiveness, which
+    /// `pressio bench --ablation fig2` shows as cold against warm loads.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }

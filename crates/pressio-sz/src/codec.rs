@@ -91,12 +91,14 @@ pub struct QuantizedStream {
 
 impl QuantizedStream {
     /// What [`assemble`] would make of this stream, in bytes, without
-    /// encoding it (the estimate of Jin et al.'s ratio-quality model), in two
-    /// parts: the symbols at their entropy, and what no coder shrinks — the
-    /// 38-bit code-length table entry [`huffman::Codebook::write_table`]
-    /// emits per distinct symbol and the side streams as they are stored.
-    /// The header, which every predictor shares, is left out.
-    pub(crate) fn estimated_bytes(&self, dtype: Dtype) -> (f64, f64) {
+    /// encoding it (the estimate of Jin et al.'s ratio-quality model), in
+    /// three parts: the symbols at their entropy; the side streams as they
+    /// are stored (escapes, regression coefficients, hybrid mode bytes); and
+    /// the code-length table, the 38-bit entry
+    /// [`huffman::Codebook::write_table`] emits per distinct symbol. The
+    /// first two grow with the stream, the table does not. The header,
+    /// which every predictor shares, is left out.
+    pub(crate) fn estimated_bytes(&self, dtype: Dtype) -> (f64, f64, f64) {
         let counts = huffman::histogram(&self.symbols);
         let n = self.symbols.len() as u64;
         let bits = entropy::entropy_from_counts(counts.iter().map(|c| c.1), n);
@@ -104,7 +106,7 @@ impl QuantizedStream {
             + self.coefficients.len() * 4
             + self.block_modes.len();
         let table = counts.len() as f64 * 4.75;
-        (bits * n as f64 / 8.0, table + side as f64)
+        (bits * n as f64 / 8.0, side as f64, table)
     }
 }
 

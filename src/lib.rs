@@ -24,8 +24,9 @@
 //!   JSONL event traces, aggregate reports.
 //!
 //! See `examples/quickstart.rs` for the Figure-4 flow end to end, and the
-//! `pressio-bench` crate for the binaries that regenerate every table and
-//! figure of the paper.
+//! `pressio` tool of the `pressio-cli` crate for the commands that
+//! regenerate every table and figure of the paper (`pressio schemes`,
+//! `pressio bench [--ablation <name>]`).
 
 pub use pressio_bench_infra as bench_infra;
 pub use pressio_core as core;
