@@ -119,7 +119,8 @@ pub fn concat_outer(chunks: &[Data]) -> Result<Data> {
 }
 
 /// The last outer slice of `data`, with the outer axis dropped
-/// (dims = inner shape). This is the carried state for chained streaming.
+/// (dims = inner shape). This is the carried state for chained streaming:
+/// the storage's contiguous tail, copied once.
 pub fn last_outer_slice(data: &Data) -> Result<Data> {
     let (inner, outer) = split_dims(data.dims())?;
     if outer == 0 {
@@ -127,8 +128,8 @@ pub fn last_outer_slice(data: &Data) -> Result<Data> {
             "empty outer extent has no last slice".into(),
         ));
     }
-    let slice = slice_outer(data, outer - 1, 1)?;
-    Data::from_le_bytes(data.dtype(), inner, &slice.to_le_bytes())
+    let stride = inner_elems(&inner);
+    Ok(data.tail((outer - 1) * stride, inner))
 }
 
 fn check_delta_shapes(chunk: &Data, prev_last: &Data) -> Result<(usize, usize)> {
@@ -218,29 +219,26 @@ pub fn delta_reconstruct(residual: &Data, prev_last: &Data) -> Result<Data> {
 }
 
 /// Encode one chunk, optionally chained on the previous chunk's last decoded
-/// slice. Returns `(compressed, decoded)` where `decoded` is the chunk as a
-/// decoder will reconstruct it — the encoder decompresses its own output so
-/// both sides agree bit-for-bit on checksums and carried state.
-pub fn encode_chunk_stateful<C: Compressor + ?Sized>(
-    codec: &C,
+/// slice. `encode` compresses the payload (the chunk, or its residuals
+/// against `carried`) and returns its bytes with the payload as a decoder
+/// will rebuild it; the result is `(compressed, decoded chunk)`, so both
+/// sides agree bit for bit on checksums and carried state. A codec that
+/// keeps its own reconstruction hands that back; any other decompresses
+/// what it wrote ([`Compressor::encode_chunk`]).
+pub fn encode_chunk_with(
     chunk: &Data,
     carried: Option<&Data>,
+    encode: impl FnOnce(&Data) -> Result<(Vec<u8>, Data)>,
 ) -> Result<(Vec<u8>, Data)> {
-    let payload = match carried {
-        Some(prev) => delta_forward(chunk, prev)?,
-        None => chunk.clone(),
+    let Some(prev) = carried else {
+        return encode(chunk);
     };
-    let compressed = codec.compress(&payload)?;
-    let decoded_payload = codec.decompress(&compressed, chunk.dtype(), chunk.dims())?;
-    let decoded = match carried {
-        Some(prev) => delta_reconstruct(&decoded_payload, prev)?,
-        None => decoded_payload,
-    };
-    Ok((compressed, decoded))
+    let (compressed, decoded_payload) = encode(&delta_forward(chunk, prev)?)?;
+    Ok((compressed, delta_reconstruct(&decoded_payload, prev)?))
 }
 
 /// Decode one chunk, optionally chained on the previous chunk's last decoded
-/// slice (mirror of [`encode_chunk_stateful`]).
+/// slice (mirror of [`encode_chunk_with`]).
 pub fn decode_chunk_stateful<C: Compressor + ?Sized>(
     codec: &C,
     compressed: &[u8],
@@ -359,8 +357,7 @@ mod tests {
             let mut decoded_chunks = Vec::new();
             for (s, c) in OuterChunks::new(9, 4).unwrap() {
                 let chunk = slice_outer(&data, s, c).unwrap();
-                let (comp, enc_decoded) =
-                    encode_chunk_stateful(&codec, &chunk, carried.as_ref()).unwrap();
+                let (comp, enc_decoded) = codec.encode_chunk(&chunk, carried.as_ref()).unwrap();
                 let dec = decode_chunk_stateful(
                     &codec,
                     &comp,

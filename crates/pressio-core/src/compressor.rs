@@ -51,8 +51,16 @@ pub trait Compressor: Send + Sync {
     /// chained on the previous chunk's last *decoded* slice. Returns the
     /// compressed bytes plus the decoded reconstruction — the frame layer
     /// checksums it and carries its last slice into the next chunk.
+    ///
+    /// Provided as compress then decompress. A codec that already holds
+    /// the decoder's reconstruction when it has compressed overrides this
+    /// to hand that back through [`chunking::encode_chunk_with`] instead.
     fn encode_chunk(&self, chunk: &Data, carried: Option<&Data>) -> Result<(Vec<u8>, Data)> {
-        chunking::encode_chunk_stateful(self, chunk, carried)
+        chunking::encode_chunk_with(chunk, carried, |payload| {
+            let compressed = self.compress(payload)?;
+            let decoded = self.decompress(&compressed, payload.dtype(), payload.dims())?;
+            Ok((compressed, decoded))
+        })
     }
 
     /// Streaming decode mirror of [`Compressor::encode_chunk`].

@@ -364,6 +364,19 @@ impl Data {
             storage,
         })
     }
+
+    /// The elements from `start` on, in storage order, as a buffer of shape
+    /// `dims` (whose product must be their count): one copy.
+    pub(crate) fn tail(&self, start: usize, dims: Vec<usize>) -> Data {
+        let storage = match &self.storage {
+            Storage::F32(v) => Storage::F32(v[start..].to_vec()),
+            Storage::F64(v) => Storage::F64(v[start..].to_vec()),
+            Storage::I32(v) => Storage::I32(v[start..].to_vec()),
+            Storage::I64(v) => Storage::I64(v[start..].to_vec()),
+            Storage::U8(v) => Storage::U8(v[start..].to_vec()),
+        };
+        Data { dims, storage }
+    }
 }
 
 fn dtype_of(s: &Storage) -> Dtype {

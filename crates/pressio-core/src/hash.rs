@@ -15,6 +15,7 @@
 //! else. The portable loop is also the scalar twin: the tests drive both
 //! kernels directly and hold every digest of the fast one to it.
 
+use crate::data::{Data, Elements};
 use crate::options::Options;
 use crate::value::Value;
 
@@ -207,8 +208,41 @@ impl Fnv1a64 {
     /// Absorb bytes; chunk boundaries do not affect the result.
     pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
+            self.step(b);
+        }
+    }
+
+    #[inline(always)]
+    fn step(&mut self, byte: u8) {
+        self.state ^= byte as u64;
+        self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    /// Absorb the little-endian image of `data` ([`Data::to_le_bytes`])
+    /// into `self` and `other` at once, without materialising the image.
+    ///
+    /// Each byte is one multiply that waits on the last, so a hasher runs
+    /// at the multiplier's latency; two independent chains in one pass cost
+    /// about what one does.
+    pub fn update_le_pair(&mut self, other: &mut Fnv1a64, data: &Data) {
+        fn words<const N: usize>(
+            a: &mut Fnv1a64,
+            b: &mut Fnv1a64,
+            words: impl Iterator<Item = [u8; N]>,
+        ) {
+            for word in words {
+                for byte in word {
+                    a.step(byte);
+                    b.step(byte);
+                }
+            }
+        }
+        match data.elements() {
+            Elements::F32(v) => words(self, other, v.iter().map(|x| x.to_le_bytes())),
+            Elements::F64(v) => words(self, other, v.iter().map(|x| x.to_le_bytes())),
+            Elements::I32(v) => words(self, other, v.iter().map(|x| x.to_le_bytes())),
+            Elements::I64(v) => words(self, other, v.iter().map(|x| x.to_le_bytes())),
+            Elements::U8(v) => words(self, other, v.iter().map(|&x| [x])),
         }
     }
 
@@ -588,5 +622,29 @@ mod tests {
         }
         assert_eq!(h.finish(), fnv1a64(&payload));
         assert_eq!(Fnv1a64::default().finish(), fnv1a64(b""));
+    }
+
+    #[test]
+    fn the_pair_update_hashes_the_le_image_into_both() {
+        let n = 37;
+        let buffers = [
+            Data::from_f32(vec![n], (0..n).map(|i| i as f32 * -0.37).collect()),
+            Data::from_f64(vec![n], (0..n).map(|i| i as f64 * 1e-300).collect()),
+            Data::from_i32(vec![n], (0..n).map(|i| i as i32 - 18).collect()),
+            Data::from_i64(vec![n], (0..n).map(|i| (i as i64) << 40).collect()),
+            Data::from_bytes((0..n).map(|i| i as u8 * 7).collect()),
+            Data::from_f32(vec![0], Vec::new()),
+        ];
+        for data in buffers {
+            let image = data.to_le_bytes();
+            // a fresh hasher and one part-way through a stream
+            let (mut fresh, mut running) = (Fnv1a64::new(), Fnv1a64::new());
+            running.update(b"earlier chunks");
+            let mut want = running;
+            want.update(&image);
+            fresh.update_le_pair(&mut running, &data);
+            assert_eq!(fresh.finish(), fnv1a64(&image), "{:?}", data.dtype());
+            assert_eq!(running, want, "{:?}", data.dtype());
+        }
     }
 }

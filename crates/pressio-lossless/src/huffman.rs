@@ -8,7 +8,6 @@
 //! header, and both encoder and decoder derive identical codebooks from it.
 
 use crate::bitstream::{BitReader, BitWriter};
-use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 /// Errors from Huffman coding.
@@ -184,11 +183,7 @@ impl Codebook {
                 // Rare pathological distributions can exceed MAX_CODE_LEN;
                 // dampen by flattening frequencies logarithmically and rebuild.
                 if lengths.iter().any(|&(_, l)| l > MAX_CODE_LEN) {
-                    let dampened: Vec<(u32, u64)> = active
-                        .iter()
-                        .map(|&(s, f)| (s, (f as f64).log2().max(0.0) as u64 + 1))
-                        .collect();
-                    lengths = huffman_lengths(&dampened);
+                    lengths = huffman_lengths(&dampened(&active));
                 }
                 lengths
             }
@@ -428,58 +423,68 @@ impl Codebook {
     }
 }
 
-/// Compute Huffman code lengths for the given (sorted, positive) histogram
-/// using the standard two-queue/heap algorithm.
+/// Huffman code lengths for the given (sorted by symbol, positive)
+/// histogram, in its order.
+///
+/// The tree is the one a min-heap ordered by `(frequency, id)` builds —
+/// leaves are ids `0..n` in input order, internal nodes `n..` in the order
+/// they are made — merged from two queues instead: the leaves sorted by
+/// `(frequency, id)`, and the internal nodes in a FIFO, which they enter in
+/// order of frequency (each sums the two least nodes left) and of id. So
+/// either queue's head is its least node, a tie between the heads goes to
+/// the leaf (its id is lower) as the heap's order has it, and the merge
+/// pops what the heap would. Depths are then set from the root down: a
+/// node's parent always has the higher id.
 fn huffman_lengths(freqs: &[(u32, u64)]) -> Vec<(u32, u32)> {
-    #[derive(PartialEq, Eq)]
-    struct Node {
-        freq: u64,
-        id: usize,
-    }
-    impl Ord for Node {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // min-heap by frequency, ties by id for determinism
-            other.freq.cmp(&self.freq).then(other.id.cmp(&self.id))
-        }
-    }
-    impl PartialOrd for Node {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
     let n = freqs.len();
     debug_assert!(n >= 2);
-    // parent links for internal nodes; leaves are ids 0..n
-    let mut parent = vec![usize::MAX; 2 * n];
-    let mut heap: BinaryHeap<Node> = freqs
+    let mut leaves: Vec<(u64, usize)> = freqs.iter().enumerate().map(|(id, f)| (f.1, id)).collect();
+    leaves.sort_unstable();
+    let mut leaves = leaves.into_iter().peekable();
+    // internal node `n + k` sums to `internal[k]`
+    let mut internal: Vec<u64> = Vec::with_capacity(n - 1);
+    let mut parent = vec![0usize; 2 * n - 1];
+    let mut next_internal = 0;
+    for id in n..2 * n - 1 {
+        let mut least = || {
+            let queued = internal.get(next_internal).map(|&f| (f, n + next_internal));
+            match (leaves.peek(), queued) {
+                (Some(&leaf), Some(node)) if node < leaf => {
+                    next_internal += 1;
+                    node
+                }
+                (Some(_), _) => leaves.next().expect("the head just peeked"),
+                (None, node) => {
+                    next_internal += 1;
+                    node.expect("n − 1 merges take 2n − 2 nodes")
+                }
+            }
+        };
+        let (a, b) = (least(), least());
+        (parent[a.1], parent[b.1]) = (id, id);
+        internal.push(a.0 + b.0);
+    }
+    // each node's parent link becomes its depth, the root's (`2n − 2`) 0:
+    // the links above a node are depths by the time it is reached
+    let depth = &mut parent;
+    depth[2 * n - 2] = 0;
+    for id in (0..2 * n - 2).rev() {
+        depth[id] = depth[depth[id]] + 1;
+    }
+    freqs
         .iter()
-        .enumerate()
-        .map(|(id, &(_, f))| Node { freq: f, id })
-        .collect();
-    let mut next_id = n;
-    while heap.len() > 1 {
-        let a = heap.pop().unwrap();
-        let b = heap.pop().unwrap();
-        parent[a.id] = next_id;
-        parent[b.id] = next_id;
-        heap.push(Node {
-            freq: a.freq + b.freq,
-            id: next_id,
-        });
-        next_id += 1;
-    }
-    let mut lengths = Vec::with_capacity(n);
-    for (leaf, &(sym, _)) in freqs.iter().enumerate() {
-        let mut depth = 0u32;
-        let mut node = leaf;
-        while parent[node] != usize::MAX {
-            node = parent[node];
-            depth += 1;
-        }
-        lengths.push((sym, depth.max(1)));
-    }
-    lengths
+        .zip(depth.iter())
+        .map(|(&(sym, _), &d)| (sym, d as u32))
+        .collect()
+}
+
+/// A histogram flattened logarithmically, for a rebuild whose longest code
+/// fits [`MAX_CODE_LEN`].
+fn dampened(freqs: &[(u32, u64)]) -> Vec<(u32, u64)> {
+    freqs
+        .iter()
+        .map(|&(s, f)| (s, (f as f64).log2().max(0.0) as u64 + 1))
+        .collect()
 }
 
 /// Symbols per encode shard in the sharded stream layout. This is a
@@ -732,6 +737,61 @@ mod tests {
         }
     }
 
+    /// The tree builder before the two queues: a `BinaryHeap` of
+    /// `(frequency, id)` and a walk up the parent links from every leaf. The
+    /// reference [`huffman_lengths`] is held to.
+    fn huffman_lengths_by_heap(freqs: &[(u32, u64)]) -> Vec<(u32, u32)> {
+        #[derive(PartialEq, Eq)]
+        struct Node {
+            freq: u64,
+            id: usize,
+        }
+        impl Ord for Node {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                // min-heap by frequency, ties by id for determinism
+                other.freq.cmp(&self.freq).then(other.id.cmp(&self.id))
+            }
+        }
+        impl PartialOrd for Node {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        let n = freqs.len();
+        debug_assert!(n >= 2);
+        // parent links for internal nodes; leaves are ids 0..n
+        let mut parent = vec![usize::MAX; 2 * n];
+        let mut heap: std::collections::BinaryHeap<Node> = freqs
+            .iter()
+            .enumerate()
+            .map(|(id, &(_, f))| Node { freq: f, id })
+            .collect();
+        let mut next_id = n;
+        while heap.len() > 1 {
+            let a = heap.pop().unwrap();
+            let b = heap.pop().unwrap();
+            parent[a.id] = next_id;
+            parent[b.id] = next_id;
+            heap.push(Node {
+                freq: a.freq + b.freq,
+                id: next_id,
+            });
+            next_id += 1;
+        }
+        let mut lengths = Vec::with_capacity(n);
+        for (leaf, &(sym, _)) in freqs.iter().enumerate() {
+            let mut depth = 0u32;
+            let mut node = leaf;
+            while parent[node] != usize::MAX {
+                node = parent[node];
+                depth += 1;
+            }
+            lengths.push((sym, depth.max(1)));
+        }
+        lengths
+    }
+
     /// Symbol streams over the alphabets the coder meets: one symbol, two,
     /// a sparse field's 13, a dense field's 1 173 around the radius with
     /// the escape symbol 0 among them, the full 65 535, and a sparse
@@ -837,6 +897,33 @@ mod tests {
                     "{name} at bit {offset}"
                 );
             }
+        }
+    }
+
+    /// The two queues against the heap on every alphabet above, on a
+    /// histogram of nothing but ties, and on Fibonacci trees of 41 to 70
+    /// symbols as built and as dampened (from 60 symbols on the longest code
+    /// is too long and `from_frequencies` rebuilds from the dampened form).
+    #[test]
+    fn two_queues_build_the_heaps_tree() {
+        let mut cases: Vec<(String, Vec<(u32, u64)>)> = alphabets()
+            .into_iter()
+            .map(|(name, symbols)| (name.to_string(), histogram(&symbols)))
+            .collect();
+        cases.push((
+            "ties".into(),
+            (0..257).map(|s| (s, 1 + s as u64 % 3)).collect(),
+        ));
+        for n in 41..=70 {
+            cases.push((format!("fibonacci({n})"), fibonacci(n)));
+            cases.push((format!("fibonacci({n}) dampened"), dampened(&fibonacci(n))));
+        }
+        for (name, freqs) in cases.into_iter().filter(|(_, f)| f.len() >= 2) {
+            assert_eq!(
+                huffman_lengths(&freqs),
+                huffman_lengths_by_heap(&freqs),
+                "{name}"
+            );
         }
     }
 

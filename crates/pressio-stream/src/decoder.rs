@@ -4,7 +4,7 @@ use std::io::Read;
 
 use pressio_core::chunking::last_outer_slice;
 use pressio_core::error::{Error, Result};
-use pressio_core::hash::{fnv1a64, Fnv1a64};
+use pressio_core::hash::Fnv1a64;
 use pressio_core::{Compressor, Data};
 
 use crate::frame::{ChunkRecord, EndMarker, StreamHeader, CHUNK_PREFIX_LEN, HEADER_PREFIX_LEN};
@@ -129,14 +129,17 @@ impl<R: Read> StreamDecoder<R> {
         let decoded = self
             .codec
             .decode_chunk(&compressed, self.header.dtype, &dims, carried)?;
-        let decoded_bytes = decoded.to_le_bytes();
-        if fnv1a64(&decoded_bytes) != record.checksum {
+        // the chunk's checksum and the stream's in one pass; the stream's is
+        // committed only once the chunk's verifies
+        let (mut checksum, mut running) = (Fnv1a64::new(), self.running);
+        checksum.update_le_pair(&mut running, &decoded);
+        if checksum.finish() != record.checksum {
             return Err(corrupt(&format!(
                 "chunk {} content checksum mismatch",
                 self.chunks_seen
             )));
         }
-        self.running.update(&decoded_bytes);
+        self.running = running;
         if self.header.chained {
             self.carried = Some(last_outer_slice(&decoded)?);
         }
@@ -206,5 +209,79 @@ pub fn scan_info<R: Read>(mut reader: R) -> Result<StreamSummary> {
         raw_bytes += record.raw_len as u64;
         outer_total += record.outer as u64;
         chunks.push(record);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compress_stream;
+    use pressio_core::{Dtype, Options};
+
+    /// A chunk whose payload took a flipped bit in transit is refused — by
+    /// the codec, or by its checksum once the codec decoded something else —
+    /// and the decoder's state is what the last good chunk left: running
+    /// checksum, carried slice and counts. A flip the decode does not see
+    /// (a byte the predictor ignores) must give back the chunk unchanged.
+    #[test]
+    fn a_flipped_payload_byte_errors_and_leaves_the_running_checksum_alone() {
+        let (inner, outer) = ([16usize, 6], 3);
+        let values = (0..16 * 6 * outer)
+            .map(|i| (i as f32 * 0.37).sin() * 4.0 + (i / 96) as f32 * 0.01)
+            .collect();
+        let data = Data::from_f32(vec![inner[0], inner[1], outer], values);
+        let header = StreamHeader {
+            codec: "sz3".into(),
+            dtype: Dtype::F32,
+            inner_dims: inner.to_vec(),
+            chunk_outer: 1,
+            chained: true,
+            codec_options: Options::new()
+                .with("pressio:abs", 1e-3)
+                .with("sz3:predictor", "lorenzo"),
+        };
+        let framed = compress_stream(&data, header).unwrap();
+        let chunks = scan_info(&framed[..]).unwrap().chunks;
+        let records: usize = chunks
+            .iter()
+            .map(|c| CHUNK_PREFIX_LEN + c.comp_len as usize)
+            .sum();
+        let header_len = framed.len() - records - CHUNK_PREFIX_LEN;
+        // the second chunk's payload: a carried slice is already in play
+        let start = header_len + CHUNK_PREFIX_LEN * 2 + chunks[0].comp_len as usize;
+        let good = {
+            let mut decoder = StreamDecoder::new(&framed[..]).unwrap();
+            decoder.next_chunk().unwrap();
+            decoder.next_chunk().unwrap().unwrap().to_le_bytes()
+        };
+
+        let mut refused_by_checksum = 0;
+        for at in start..start + chunks[1].comp_len as usize {
+            let mut bad = framed.clone();
+            bad[at] ^= 0x01;
+            let mut decoder = StreamDecoder::new(&bad[..]).unwrap();
+            decoder.next_chunk().unwrap().unwrap();
+            let before = (
+                decoder.running,
+                decoder.carried.clone(),
+                decoder.chunks_seen,
+                decoder.outer_seen,
+            );
+            match decoder.next_chunk() {
+                Ok(Some(chunk)) => assert!(chunk.to_le_bytes() == good, "byte {at}"),
+                Ok(None) => panic!("byte {at}: a chunk record read as the end"),
+                Err(e) => {
+                    let after = (
+                        decoder.running,
+                        decoder.carried.clone(),
+                        decoder.chunks_seen,
+                        decoder.outer_seen,
+                    );
+                    assert!(after == before, "byte {at}: {e} moved the decoder's state");
+                    refused_by_checksum += e.to_string().contains("checksum mismatch") as usize;
+                }
+            }
+        }
+        assert!(refused_by_checksum > 0, "no flip reached the checksum");
     }
 }

@@ -4,7 +4,7 @@ use std::io::Write;
 
 use pressio_core::chunking::{last_outer_slice, split_dims};
 use pressio_core::error::{Error, Result};
-use pressio_core::hash::{fnv1a64, Fnv1a64};
+use pressio_core::hash::Fnv1a64;
 use pressio_core::{Compressor, Data};
 
 use crate::frame::{ChunkRecord, EndMarker, StreamHeader, MAX_CHUNK_BYTES};
@@ -13,9 +13,10 @@ use crate::frame::{ChunkRecord, EndMarker, StreamHeader, MAX_CHUNK_BYTES};
 ///
 /// Memory use is bounded by the largest single chunk (raw + compressed)
 /// plus one carried slice in chained mode — independent of how many chunks
-/// the stream ends up holding. The encoder decompresses its own output per
-/// chunk so the per-chunk checksum and the carried state match what any
-/// decoder will reconstruct.
+/// the stream ends up holding. Per chunk the codec hands back the chunk as
+/// any decoder will reconstruct it (its own reconstruction where it keeps
+/// one, a decode of its output otherwise), so the checksums and the carried
+/// state match the decoder's.
 pub struct StreamEncoder<W: Write> {
     writer: W,
     header: StreamHeader,
@@ -89,12 +90,14 @@ impl<W: Write> StreamEncoder<W> {
                 compressed.len()
             )));
         }
-        let decoded_bytes = decoded.to_le_bytes();
+        // the chunk's checksum and the stream's in one pass
+        let (mut checksum, mut running) = (Fnv1a64::new(), self.running);
+        checksum.update_le_pair(&mut running, &decoded);
         let record = ChunkRecord {
             outer: outer as u32,
-            raw_len: decoded_bytes.len() as u32,
+            raw_len: decoded.size_in_bytes() as u32,
             comp_len: compressed.len() as u32,
-            checksum: fnv1a64(&decoded_bytes),
+            checksum: checksum.finish(),
         };
 
         // Mid-stream failpoints model a lossy transport: a corrupted or
@@ -112,7 +115,7 @@ impl<W: Write> StreamEncoder<W> {
 
         // State advances as if the chunk were delivered — the failure is
         // the transport's, not the encoder's.
-        self.running.update(&decoded_bytes);
+        self.running = running;
         if self.header.chained {
             self.carried = Some(last_outer_slice(&decoded)?);
         }

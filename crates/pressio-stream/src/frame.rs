@@ -4,8 +4,9 @@
 //! header is a PSEL-style checksummed canonical-JSON block carrying the
 //! codec configuration, and every chunk record carries both lengths plus a
 //! checksum of the *decoded* bytes — the only content an encoder and a
-//! decoder of a lossy stream can ever agree on (the encoder decompresses
-//! its own output to compute it, which it needs anyway for chained state).
+//! decoder of a lossy stream can ever agree on (the encoder learns them from
+//! the codec, which it needs anyway for chained state:
+//! [`Compressor::encode_chunk`] returns them with the compressed bytes).
 //!
 //! ```text
 //! +----------+---------+---------+-------------+------------+-----------------+

@@ -508,10 +508,16 @@ pub fn reconstruct_par(p: &ParsedStream, nthreads: usize) -> Result<Data> {
         }
     }
     .map_err(corrupt)?;
-    Ok(match p.dtype {
-        Dtype::F32 => Data::from_f32(p.dims.clone(), recon.iter().map(|&v| v as f32).collect()),
-        _ => Data::from_f64(p.dims.clone(), recon),
-    })
+    Ok(decoded_buffer(p.dtype, &p.dims, recon))
+}
+
+/// A reconstruction as the buffer a `dtype` stream decodes to: narrowed to
+/// `f32` where the stream holds `f32`, as the Lorenzo sweep narrows it.
+pub(crate) fn decoded_buffer(dtype: Dtype, dims: &[usize], recon: Vec<f64>) -> Data {
+    match dtype {
+        Dtype::F32 => Data::from_f32(dims.to_vec(), recon.iter().map(|&v| v as f32).collect()),
+        _ => Data::from_f64(dims.to_vec(), recon),
+    }
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ pub use codec::{
 use pressio_core::error::{Error, Result};
 use pressio_core::lanes::Widen;
 use pressio_core::metrics::invalidations;
-use pressio_core::{Compressor, Data, Dtype, Elements, Options};
+use pressio_core::{chunking, Compressor, Data, Dtype, Elements, Options};
 
 /// The SZ3-like compressor plugin (`id = "sz3"`).
 ///
@@ -120,10 +120,36 @@ impl SzCompressor {
         }
     }
 
-    /// [`Compressor::compress`] on the typed elements of `input`. Lorenzo
+    /// [`Compressor::compress`] of `input`, with the reconstruction its
+    /// predictor fed back as it quantized: the values a decoder rebuilds
+    /// from the bytes, before they are narrowed to the input's type. Lorenzo
+    /// fills it only when `keep_reconstruction` asks (it is `n` more `f64`);
+    /// the other predictors always build it.
+    fn encode(&self, input: &Data, keep_reconstruction: bool) -> Result<(Vec<u8>, Vec<f64>)> {
+        let _span = pressio_obs::span("sz3:compress");
+        match input.elements() {
+            // one element and no axis to predict along: it would get no symbol
+            _ if input.dims().is_empty() => Err(Error::UnsupportedData(
+                "sz3 needs at least one dimension, got a rank-0 buffer".into(),
+            )),
+            Elements::F32(values) => self.compress_elements(input, values, keep_reconstruction),
+            Elements::F64(values) => self.compress_elements(input, values, keep_reconstruction),
+            _ => Err(Error::UnsupportedData(format!(
+                "sz3 supports f32/f64, got {}",
+                input.dtype().name()
+            ))),
+        }
+    }
+
+    /// [`SzCompressor::encode`] on the typed elements of `input`. Lorenzo
     /// reads them as they are; the other predictors work on an `f64` copy,
     /// made only once one of them is chosen.
-    fn compress_elements<T: Widen>(&self, input: &Data, values: &[T]) -> Result<Vec<u8>> {
+    fn compress_elements<T: Widen>(
+        &self,
+        input: &Data,
+        values: &[T],
+        keep_reconstruction: bool,
+    ) -> Result<(Vec<u8>, Vec<f64>)> {
         let (dtype, dims) = (input.dtype(), input.dims());
         let round_f32 = dtype == Dtype::F32;
         let abs = self.effective_abs(values);
@@ -143,7 +169,7 @@ impl SzCompressor {
         let qs = {
             let _span = pressio_obs::span("sz3:predict");
             if predictor == Predictor::Lorenzo {
-                codec::lorenzo_quantize(values, dims, abs, round_f32, false, symbols)
+                codec::lorenzo_quantize(values, dims, abs, round_f32, keep_reconstruction, symbols)
             } else {
                 drop(symbols);
                 let values = input.to_f64_vec();
@@ -159,7 +185,7 @@ impl SzCompressor {
             pressio_obs::add_counter("sz3:elements", qs.symbols.len() as i64);
             pressio_obs::add_counter("sz3:escapes", qs.unpredictable.len() as i64);
         }
-        Ok(out)
+        Ok((out, qs.reconstruction))
     }
 
     /// Pick a predictor (the `"auto"` mode) as SZ3 picks among its modules:
@@ -336,19 +362,19 @@ impl Compressor for SzCompressor {
     }
 
     fn compress(&self, input: &Data) -> Result<Vec<u8>> {
-        let _span = pressio_obs::span("sz3:compress");
-        match input.elements() {
-            // one element and no axis to predict along: it would get no symbol
-            _ if input.dims().is_empty() => Err(Error::UnsupportedData(
-                "sz3 needs at least one dimension, got a rank-0 buffer".into(),
-            )),
-            Elements::F32(values) => self.compress_elements(input, values),
-            Elements::F64(values) => self.compress_elements(input, values),
-            _ => Err(Error::UnsupportedData(format!(
-                "sz3 supports f32/f64, got {}",
-                input.dtype().name()
-            ))),
-        }
+        self.encode(input, false).map(|(bytes, _)| bytes)
+    }
+
+    /// The provided method's result without its decode: the decoded chunk
+    /// is the reconstruction the quantizer already holds, narrowed as the
+    /// decoder narrows it — bit for bit what `decompress` of the bytes
+    /// returns.
+    fn encode_chunk(&self, chunk: &Data, carried: Option<&Data>) -> Result<(Vec<u8>, Data)> {
+        chunking::encode_chunk_with(chunk, carried, |payload| {
+            let (bytes, reconstruction) = self.encode(payload, true)?;
+            let decoded = codec::decoded_buffer(payload.dtype(), payload.dims(), reconstruction);
+            Ok((bytes, decoded))
+        })
     }
 
     fn decompress(&self, compressed: &[u8], dtype: Dtype, dims: &[usize]) -> Result<Data> {

@@ -1,12 +1,17 @@
 //! Streaming chunk entry points (`Compressor::{encode,decode}_chunk`), over
 //! both codecs: independent chunks are byte-identical to whole-buffer
-//! compression of the same chunk, and chained (temporal-delta) mode
-//! preserves the absolute error bound across carried state.
+//! compression of the same chunk, chained (temporal-delta) mode preserves
+//! the absolute error bound across carried state, and SZ's own encode hands
+//! back exactly what decoding its bytes would.
 
-use pressio_core::chunking::{concat_outer, last_outer_slice, slice_outer, OuterChunks};
+use pressio_core::chunking::{
+    concat_outer, encode_chunk_with, last_outer_slice, slice_outer, OuterChunks,
+};
 use pressio_core::{Compressor, Data, Options};
+use pressio_dataset::hurricane::{Hurricane, FIELDS};
 use pressio_sz::SzCompressor;
 use pressio_zfp::ZfpCompressor;
+use proptest::prelude::*;
 
 /// Both codecs at `abs`.
 fn codecs(abs: f64) -> [Box<dyn Compressor>; 2] {
@@ -106,6 +111,89 @@ fn chained_mode_preserves_abs_bound_and_state_parity() {
         assert!(
             worst <= slack,
             "{id}: chained abs bound violated: {worst} > {slack}"
+        );
+    }
+}
+
+/// `encode_chunk` as `Compressor` provides it: compress, then decompress.
+fn encode_then_decode(
+    codec: &SzCompressor,
+    chunk: &Data,
+    carried: Option<&Data>,
+) -> pressio_core::Result<(Vec<u8>, Data)> {
+    encode_chunk_with(chunk, carried, |payload| {
+        let compressed = codec.compress(payload)?;
+        let decoded = codec.decompress(&compressed, payload.dtype(), payload.dims())?;
+        Ok((compressed, decoded))
+    })
+}
+
+// SZ hands back the reconstruction it quantized against instead of decoding
+// its own bytes. For every predictor name that must be, bit for bit, what
+// the decode returns: NaN payloads, −0.0 and every escape included.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn sz_encode_chunk_returns_what_decoding_its_bytes_returns(
+        field_pick in 0usize..FIELDS.len(),
+        (nx, ny, a, b) in (2usize..24, 1usize..10, 1usize..5, 1usize..4),
+        rank in 1usize..5,
+        f64_input in any::<bool>(),
+        salted in any::<bool>(),
+        chained in any::<bool>(),
+        predictor in 0usize..5,
+        abs_pick in 0usize..3,
+    ) {
+        let predictor = ["auto", "lorenzo", "regression", "interp", "hybrid"][predictor];
+        let abs = [1e-6, 1e-4, 1e-2][abs_pick];
+        let mut codec = SzCompressor::new();
+        codec
+            .set_options(
+                &Options::new()
+                    .with("sz3:predictor", predictor)
+                    .with("pressio:abs", abs),
+            )
+            .unwrap();
+        // two timesteps of one field: the second is the chunk, the first
+        // (through the provided path) what a chained chunk is carried on
+        let source = Hurricane::with_dims(nx, ny, a * b, 2);
+        let dims = match rank {
+            1 => vec![nx * ny * a * b],
+            2 => vec![nx, ny * a * b],
+            3 => vec![nx, ny, a * b],
+            _ => vec![nx, ny, a, b],
+        };
+        let timestep = |t: usize| {
+            let mut values = source.generate(FIELDS[field_pick], t).as_f32().unwrap().to_vec();
+            if salted && values.len() >= 4 {
+                let n = values.len();
+                values[1] = f32::NAN;
+                values[n / 3] = f32::INFINITY;
+                values[n / 2] = f32::NEG_INFINITY;
+                values[n - 1] = -0.0;
+            }
+            if f64_input {
+                let wide = values.iter().map(|&v| v as f64 * (1.0 + 1e-9)).collect();
+                Data::from_f64(dims.clone(), wide)
+            } else {
+                Data::from_f32(dims.clone(), values)
+            }
+        };
+        let carried = chained.then(|| {
+            let (_, before) = encode_then_decode(&codec, &timestep(0), None).unwrap();
+            last_outer_slice(&before).unwrap()
+        });
+        let chunk = timestep(1);
+        let (bytes, decoded) = codec.encode_chunk(&chunk, carried.as_ref()).unwrap();
+        let (want_bytes, want) = encode_then_decode(&codec, &chunk, carried.as_ref()).unwrap();
+        prop_assert!(bytes == want_bytes, "{predictor} {dims:?}: the bytes differ");
+        prop_assert_eq!(decoded.dtype(), want.dtype());
+        prop_assert_eq!(decoded.dims(), want.dims());
+        prop_assert!(
+            decoded.to_le_bytes() == want.to_le_bytes(),
+            "{} {:?} {:e} chained={}: the decoded chunk differs from the decode",
+            predictor, dims, abs, chained
         );
     }
 }
