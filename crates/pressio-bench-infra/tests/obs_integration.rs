@@ -165,7 +165,7 @@ fn sz_stages_and_escapes_are_in_the_trace() {
         let data = Hurricane::with_dims(24, 20, 6, 1).generate("P", 0);
         let bytes = sz.compress(&data).unwrap();
         sz.decompress(&bytes, data.dtype(), data.dims()).unwrap();
-        let parsed = pressio_sz::codec::parse(&bytes).unwrap();
+        let parsed = pressio_sz::codec::parse_par(&bytes, 1).unwrap();
         elements += parsed.symbols.len() as i64;
         escapes += parsed.unpredictable.len() as i64;
         if predictor == "auto" {

@@ -14,7 +14,7 @@ use pressio_dataset::{FolderLoader, LocalCache, Sampler, Strategy};
 use pressio_predict::bandwidth::{bandwidth_features, BandwidthModel};
 use pressio_predict::evaluator::CachedEvaluator;
 use pressio_predict::registry::standard_schemes;
-use pressio_predict::schemes::RahmanScheme;
+use pressio_predict::schemes::{RahmanScheme, TaoScheme};
 use pressio_predict::Scheme;
 use pressio_stats::{k_folds, medape};
 use pressio_sz::SzCompressor;
@@ -161,7 +161,7 @@ pub(crate) fn run_affinity_ablation(study: &Study) -> Result<AffinityReport> {
                     .or_insert_with(|| ds[di].clone())
                     .clone();
                 // the compute: a khan-style fast estimate
-                let scheme = pressio_predict::schemes::KhanScheme::default();
+                let scheme = pressio_predict::schemes::KhanScheme;
                 let mut sz = SzCompressor::new();
                 sz.set_options(&Options::new().with("pressio:abs", abs))?;
                 scheme.error_dependent_features(&data, &sz)
@@ -846,7 +846,7 @@ fn lossless(study: &Study, out: &mut dyn Write) -> Result<()> {
             .unwrap();
         for field in pressio_dataset::hurricane::FIELDS {
             let data = Hurricane::with_dims(nx, ny, nz, 1).generate(field, 0);
-            let symbols = pressio_sz::codec::parse(&sz.compress(&data).unwrap())
+            let symbols = pressio_sz::codec::parse_par(&sz.compress(&data).unwrap(), 1)
                 .unwrap()
                 .symbols;
             let (huff, huff_ms) = time_ms(|| huffman::compress_symbols_sharded(&symbols, 1));
@@ -1011,17 +1011,17 @@ fn tao_sweep(study: &Study, out: &mut dyn Write) -> Result<()> {
     writeln!(out, "|---|---|---|---|")?;
     for edge in [4usize, 8, 16, 24] {
         for count in [2usize, 8, 24] {
-            let params = pressio_select::TrialParams {
+            let scheme = TaoScheme {
                 block_edge: edge,
                 block_count: count,
-                seed: 0x7A0,
+                ..TaoScheme::default()
             };
             let mut t = MeanStd::new();
             let mut preds = Vec::new();
             for comp in &compressors {
                 for d in &datasets {
                     let (ratio, ms) = time_ms(|| {
-                        pressio_select::trial_sampled_ratio(d, comp.as_ref(), &params).unwrap()
+                        pressio_select::trial_sampled_ratio(d, comp.as_ref(), &scheme).unwrap()
                     });
                     t.push(ms);
                     preds.push(ratio);

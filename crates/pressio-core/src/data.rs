@@ -313,7 +313,7 @@ impl Data {
     /// Extract the hyper-rectangle starting at `origin` with shape `shape`.
     ///
     /// Both are in the same fastest-first order as [`Data::dims`]. Used by
-    /// sampling-based estimators (Tao 2019, SECRE) to pull trial blocks.
+    /// the trial-based estimator (Tao 2019) to pull the blocks it compresses.
     pub fn slice_block(&self, origin: &[usize], shape: &[usize]) -> Result<Data> {
         if origin.len() != self.dims.len() || shape.len() != self.dims.len() {
             return Err(Error::UnsupportedData(
@@ -336,7 +336,8 @@ impl Data {
         for d in 1..self.dims.len() {
             strides[d] = strides[d - 1] * self.dims[d - 1];
         }
-        'outer: loop {
+        // one index per element: none for a block with an empty axis
+        for _ in 0..n {
             let mut idx = 0usize;
             for d in 0..shape.len() {
                 idx += (origin[d] + coord[d]) * strides[d];
@@ -346,11 +347,10 @@ impl Data {
             for d in 0..shape.len() {
                 coord[d] += 1;
                 if coord[d] < shape[d] {
-                    continue 'outer;
+                    break;
                 }
                 coord[d] = 0;
             }
-            break;
         }
         let storage = match &self.storage {
             Storage::F32(v) => Storage::F32(indices.iter().map(|&i| v[i]).collect()),
@@ -458,6 +458,15 @@ mod tests {
         let d = Data::from_f32(vec![4], (0..4).map(|i| i as f32).collect());
         assert!(d.slice_block(&[3], &[2]).is_err());
         assert!(d.slice_block(&[0, 0], &[1, 1]).is_err());
+    }
+
+    #[test]
+    fn slice_block_with_an_empty_axis_is_empty() {
+        let d = Data::from_f32(vec![4, 0], vec![]);
+        let b = d.slice_block(&[0, 0], &[4, 0]).unwrap();
+        assert_eq!((b.dims(), b.num_elements()), (&[4, 0][..], 0));
+        let scalar = Data::from_f64(vec![], vec![2.5]);
+        assert_eq!(scalar.slice_block(&[], &[]).unwrap(), scalar);
     }
 
     #[test]

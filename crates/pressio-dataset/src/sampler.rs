@@ -114,8 +114,9 @@ impl DatasetPlugin for Sampler {
     }
 }
 
-/// Apply a strategy to an in-memory buffer (also used directly by the
-/// sampling-based prediction schemes).
+/// Apply a strategy to an in-memory buffer: what a [`Sampler`] does to each
+/// buffer its loader hands it. The prediction schemes do not come through
+/// here; they draw their blocks from the buffer's own feature pass.
 pub fn sample(data: &Data, strategy: &Strategy) -> Result<Data> {
     match strategy {
         Strategy::RandomBlocks { shape, count, seed } => {

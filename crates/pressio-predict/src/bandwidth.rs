@@ -100,13 +100,6 @@ impl BandwidthModel {
         Ok(forest.predict(&x).exp2())
     }
 
-    /// Predicted compression bandwidth in MB/s for a payload of
-    /// `bytes`.
-    pub fn predict_bandwidth_mbps(&self, features: &Options, bytes: usize) -> Result<f64> {
-        let ms = self.predict_time_ms(features)?;
-        Ok(bytes as f64 / 1e6 / (ms / 1e3).max(1e-9))
-    }
-
     /// Serialize trained state.
     pub fn to_json(&self) -> Result<String> {
         serde_json::to_string(self).map_err(|e| Error::Serialization(e.to_string()))
@@ -159,16 +152,6 @@ mod tests {
             .collect();
         let med = pressio_stats::medape(&times, &preds).unwrap();
         assert!(med < 25.0, "bandwidth MedAPE {med}%");
-    }
-
-    #[test]
-    fn bandwidth_is_bytes_over_time() {
-        let (feats, times) = suite();
-        let mut m = BandwidthModel::new();
-        m.fit(&feats, &times).unwrap();
-        let ms = m.predict_time_ms(&feats[0]).unwrap();
-        let bw = m.predict_bandwidth_mbps(&feats[0], 2_000_000).unwrap();
-        assert!((bw - 2.0 / (ms / 1e3)).abs() < 1e-9);
     }
 
     #[test]

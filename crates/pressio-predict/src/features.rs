@@ -12,7 +12,9 @@ use pressio_core::{with_elements, Data, Options};
 use pressio_lossless::entropy::{quantized_entropy, shannon_entropy_symbols};
 use pressio_stats::lanes::{self, Sweep};
 use pressio_stats::{summarize, svd_truncation_fraction, variogram_score, Matrix, Summary};
-use pressio_sz::{predict_and_quantize, Predictor as SzPredictor};
+use pressio_sz::{predict_and_quantize_par, Predictor as SzPredictor};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
 /// One buffer's feature pass: what every feature group reads the buffer
@@ -23,7 +25,8 @@ use std::sync::OnceLock;
 /// sum/min/max/zeros/count and the first differences, a second for the
 /// centred second moment, and the Lorenzo residual over a ring of widened
 /// rows. The groups that need an `&[f64]` — the variogram, the SVD, the
-/// quantized entropy, SZ's predict-and-quantize — share one widened copy.
+/// quantized entropy, the temporal deltas — share one widened copy; SZ's
+/// predict-and-quantize reads the typed elements too.
 /// Everything is computed on first use and kept, so an error-dependent
 /// stage that needs only the value range costs the first sweep, or nothing
 /// when the error-agnostic stage of the same pass has run. `Sync`: the
@@ -158,6 +161,49 @@ impl<'a> FeaturePass<'a> {
     }
 }
 
+/// A seeded draw of sample blocks: `count` blocks (at least one) whose edge
+/// is `edge`, clamped to each axis, and whose origin along each axis is
+/// uniform over the multiples of `align` (ZFP's 4, else 1) that keep the
+/// block inside the buffer. A seed draws the same blocks every time, so a
+/// sampled feature is as deterministic as a whole-buffer one.
+pub(crate) struct Blocks {
+    /// Edge length of a block.
+    pub(crate) edge: usize,
+    /// Number of blocks.
+    pub(crate) count: usize,
+    /// Seed of the draw.
+    pub(crate) seed: u64,
+    /// What every origin is a multiple of.
+    pub(crate) align: usize,
+}
+
+impl Blocks {
+    /// The shape of a block in a buffer of shape `dims`.
+    pub(crate) fn shape(&self, dims: &[usize]) -> Vec<usize> {
+        dims.iter().map(|&d| d.min(self.edge)).collect()
+    }
+
+    /// The origins of the draw's blocks of `shape` in a buffer viewed with
+    /// shape `dims`, in draw order.
+    pub(crate) fn origins(&self, dims: &[usize], shape: &[usize]) -> Vec<Vec<usize>> {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        (0..self.count.max(1))
+            .map(|_| {
+                dims.iter()
+                    .zip(shape)
+                    .map(|(&full, &b)| {
+                        if full > b {
+                            rng.gen_range(0..=(full - b) / self.align) * self.align
+                        } else {
+                            0
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+}
+
 fn count_widened(elements: usize) {
     pressio_obs::add_counter(
         "features:widened_bytes",
@@ -231,25 +277,6 @@ pub fn svd_features(pass: &FeaturePass<'_>) -> Options {
     });
     let acc: f64 = fractions.iter().sum();
     Options::new().with("svd:truncation", acc / slices as f64)
-}
-
-/// All three error-agnostic feature groups ([`global_stats`],
-/// [`variogram_features`], [`svd_features`]) computed concurrently over one
-/// shared pass and merged into one [`Options`]. Each group's values are
-/// identical to its standalone call; only wall-clock changes with the
-/// thread count.
-pub fn error_agnostic_all(data: &Data) -> Options {
-    let pass = FeaturePass::new(data);
-    let nthreads = pressio_core::threads::resolve(None);
-    let groups: [fn(&FeaturePass<'_>) -> Options; 3] =
-        [global_stats, variogram_features, svd_features];
-    let results =
-        pressio_core::threads::par_map_indexed(nthreads, groups.len(), |i| groups[i](&pass));
-    let mut merged = Options::new();
-    for r in &results {
-        merged.merge_from(r);
-    }
-    merged
 }
 
 /// Error-agnostic temporal-delta feature group (`temporal:*`): how the
@@ -326,30 +353,67 @@ pub fn spatial_features(pass: &FeaturePass<'_>) -> Options {
         .with("spatial:coding_gain", coding_gain)
 }
 
+/// SZ's prediction + quantization (stages 1–2 of its pipeline) as the
+/// SZ-modelling schemes run it — no `f32` rounding, regression's default
+/// block, one thread — reduced to what they read of it: the symbols and how
+/// many points escaped. `None` runs it over the whole buffer, read typed; a
+/// draw runs it over each of its blocks on its own and pools them in draw
+/// order.
+pub(crate) fn sz_quantize(
+    pass: &FeaturePass<'_>,
+    blocks: Option<&Blocks>,
+    abs_bound: f64,
+    predictor: SzPredictor,
+) -> (Vec<u32>, usize) {
+    let (data, dims) = (pass.data(), pass.data().dims());
+    let Some(blocks) = blocks else {
+        return with_elements!(data.elements(), v => sz_stage(v, dims, abs_bound, predictor));
+    };
+    let shape = blocks.shape(dims);
+    let (mut symbols, mut escapes) = (Vec::new(), 0);
+    for origin in blocks.origins(dims, &shape) {
+        let block = pass.sample(dims, &origin, &shape, 1);
+        let (block_symbols, block_escapes) = sz_stage(&block, &shape, abs_bound, predictor);
+        symbols.extend(block_symbols);
+        escapes += block_escapes;
+    }
+    (symbols, escapes)
+}
+
+fn sz_stage<T: Widen>(
+    values: &[T],
+    dims: &[usize],
+    abs_bound: f64,
+    predictor: SzPredictor,
+) -> (Vec<u32>, usize) {
+    let block = pressio_sz::regression::DEFAULT_BLOCK;
+    let qs = predict_and_quantize_par(values, dims, abs_bound, predictor, block, false, 1);
+    (qs.symbols, qs.unpredictable.len())
+}
+
 /// Error-dependent SZ quantization profile (`quant:*`): runs the cheap
 /// prediction + quantization stages (not the encoder) and summarizes the
 /// symbol stream — the raw material of both the Jin and Khan models. A
 /// `sample_stride` above 1 stride-decimates first to bound the cost (Khan's
-/// tightly coupled sampling), straight from the typed elements.
+/// tightly coupled sampling); either way the elements are read typed.
 pub fn sz_quantization_profile(
     pass: &FeaturePass<'_>,
     abs_bound: f64,
     sample_stride: usize,
 ) -> Options {
     let dims = pass.data().dims();
-    let qs = if sample_stride > 1 {
+    let (symbols, escapes) = if sample_stride > 1 {
         let kept: Vec<usize> = dims.iter().map(|&d| d.div_ceil(sample_stride)).collect();
         let sampled = pass.sample(dims, &vec![0; dims.len()], &kept, sample_stride);
-        predict_and_quantize(&sampled, &kept, abs_bound, SzPredictor::Lorenzo, 6, false)
+        sz_stage(&sampled, &kept, abs_bound, SzPredictor::Lorenzo)
     } else {
-        let values = pass.widened();
-        predict_and_quantize(values, dims, abs_bound, SzPredictor::Lorenzo, 6, false)
+        sz_quantize(pass, None, abs_bound, SzPredictor::Lorenzo)
     };
-    let n = qs.symbols.len().max(1);
-    let entropy = shannon_entropy_symbols(&qs.symbols);
-    let unpred = qs.unpredictable.len() as f64 / n as f64;
+    let n = symbols.len().max(1);
+    let entropy = shannon_entropy_symbols(&symbols);
+    let unpred = escapes as f64 / n as f64;
     let zero_code = (pressio_sz::RADIUS) as u32;
-    let hit = qs.symbols.iter().filter(|&&s| s == zero_code).count() as f64 / n as f64;
+    let hit = symbols.iter().filter(|&&s| s == zero_code).count() as f64 / n as f64;
     Options::new()
         .with("quant:code_entropy", entropy)
         .with("quant:unpredictable_fraction", unpred)
@@ -483,22 +547,6 @@ mod tests {
         let ef = full.get_f64("quant:code_entropy").unwrap();
         let es = sampled.get_f64("quant:code_entropy").unwrap();
         assert!(es >= ef * 0.5 && es <= ef * 4.0 + 1.0, "{ef} vs {es}");
-    }
-
-    #[test]
-    fn error_agnostic_all_matches_standalone_groups() {
-        let data = smooth_3d(16);
-        let merged = error_agnostic_all(&data);
-        for group in [global_stats, variogram_features, svd_features] {
-            let standalone = group(&FeaturePass::new(&data));
-            for key in standalone.keys() {
-                assert_eq!(
-                    merged.get_f64(key).ok(),
-                    standalone.get_f64(key).ok(),
-                    "{key}"
-                );
-            }
-        }
     }
 
     /// A rank-1 buffer goes through the square-matrix path, which used to

@@ -16,13 +16,13 @@ pub fn standard_schemes() -> Registry<dyn Scheme> {
     r.register("tao2019", || Box::new(TaoScheme::default()));
     r.register("krasowska2021", || Box::new(KrasowskaScheme));
     r.register("underwood2023", || Box::new(UnderwoodScheme));
-    r.register("jin2022", || Box::new(JinScheme::default()));
-    r.register("khan2023", || Box::new(KhanScheme::default()));
+    r.register("jin2022", || Box::new(JinScheme));
+    r.register("khan2023", || Box::new(KhanScheme));
     r.register("rahman2023", || Box::new(RahmanScheme::default()));
     r.register("ganguli2023", || Box::new(GanguliScheme));
-    r.register("lu2018", || Box::new(LuScheme::default()));
-    r.register("qin2020", || Box::new(QinScheme::default()));
-    r.register("wang2023", || Box::new(WangScheme::default()));
+    r.register("lu2018", || Box::new(LuScheme));
+    r.register("qin2020", || Box::new(QinScheme));
+    r.register("wang2023", || Box::new(WangScheme));
     r
 }
 

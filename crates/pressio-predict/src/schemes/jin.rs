@@ -5,27 +5,17 @@
 //! expensive encoder. SZ-specific by construction — its ZFP cell in
 //! Table 2 is N/A.
 
-use crate::features::FeaturePass;
+use crate::features::{sz_quantize, FeaturePass};
 use crate::predictor::{IdentityPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use crate::schemes::szmodel::estimate_sz_size_bytes;
 use pressio_core::error::Result;
 use pressio_core::{Compressor, Options};
-use pressio_sz::{predict_and_quantize, Predictor as SzPredictor};
+use pressio_sz::Predictor as SzPredictor;
 
-/// The Jin (2022) calculation-based scheme.
-pub struct JinScheme {
-    /// Which SZ predictor stage to model (must match the compressor's).
-    pub sz_predictor: SzPredictor,
-}
-
-impl Default for JinScheme {
-    fn default() -> Self {
-        JinScheme {
-            sz_predictor: SzPredictor::Lorenzo,
-        }
-    }
-}
+/// The Jin (2022) calculation-based scheme. It models SZ's Lorenzo stage.
+#[derive(Default)]
+pub struct JinScheme;
 
 impl JinScheme {
     /// Analytic size model, following Jin (2022)'s decomposition:
@@ -41,11 +31,10 @@ impl JinScheme {
     /// correction only engages where repetition actually helps.
     fn predicted_ratio(&self, pass: &FeaturePass<'_>, abs_bound: f64) -> f64 {
         let data = pass.data();
-        let values = pass.widened();
-        let qs = predict_and_quantize(values, data.dims(), abs_bound, self.sz_predictor, 6, false);
-        let n = qs.symbols.len().max(1);
-        let unpred_frac = qs.unpredictable.len() as f64 / n as f64;
-        let size = estimate_sz_size_bytes(&qs.symbols, n, unpred_frac, data.dtype().size());
+        let (symbols, escapes) = sz_quantize(pass, None, abs_bound, SzPredictor::Lorenzo);
+        let n = symbols.len().max(1);
+        let unpred_frac = escapes as f64 / n as f64;
+        let size = estimate_sz_size_bytes(&symbols, n, unpred_frac, data.dtype().size());
         data.size_in_bytes() as f64 / size
     }
 }
@@ -133,7 +122,7 @@ mod tests {
     fn prediction_is_close_on_dense_smooth_data() {
         let data = smooth(48);
         let sz = sz_with(1e-4);
-        let scheme = JinScheme::default();
+        let scheme = JinScheme;
         let f = scheme.error_dependent_features(&data, &sz).unwrap();
         let predicted = f.get_f64("jin:predicted_ratio").unwrap();
         let truth = data.size_in_bytes() as f64 / sz.compress(&data).unwrap().len() as f64;
@@ -155,7 +144,7 @@ mod tests {
             .collect();
         let data = Data::from_f32(vec![n, n], values);
         let sz = sz_with(1e-6);
-        let scheme = JinScheme::default();
+        let scheme = JinScheme;
         let predicted = scheme
             .error_dependent_features(&data, &sz)
             .unwrap()
@@ -167,7 +156,7 @@ mod tests {
 
     #[test]
     fn rejects_zfp() {
-        let scheme = JinScheme::default();
+        let scheme = JinScheme;
         assert!(!scheme.supports("zfp"));
         let zfp = ZfpCompressor::new();
         assert!(scheme.error_dependent_features(&smooth(8), &zfp).is_err());
@@ -176,7 +165,7 @@ mod tests {
     #[test]
     fn prediction_tracks_error_bound() {
         let data = smooth(32);
-        let scheme = JinScheme::default();
+        let scheme = JinScheme;
         let tight = scheme
             .error_dependent_features(&data, &sz_with(1e-6))
             .unwrap()

@@ -4,97 +4,45 @@
 //! costs a few percent of a real compression (Table 2: ~5 ms vs 322 ms).
 //! Gray-box: uses compressor internals for both SZ and ZFP.
 
-use crate::features::FeaturePass;
+use crate::features::{sz_quantize, Blocks, FeaturePass};
 use crate::predictor::{IdentityPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use pressio_core::error::Result;
 use pressio_core::{Compressor, Options};
 use pressio_lossless::huffman::{histogram, Codebook};
 use pressio_lossless::BitWriter;
-use pressio_sz::{predict_and_quantize, Predictor as SzPredictor};
+use pressio_sz::Predictor as SzPredictor;
 use pressio_zfp::block::{Mode, Plan, MAX_BLOCK};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// The Khan (2023) SECRE scheme.
-pub struct KhanScheme {
-    /// Number of sampled blocks.
-    pub block_count: usize,
-    /// Edge of each sampled block (SZ path; ZFP uses native 4^d blocks).
-    pub block_edge: usize,
-    /// Sampling seed.
-    pub seed: u64,
-}
+#[derive(Default)]
+pub struct KhanScheme;
 
-impl Default for KhanScheme {
-    fn default() -> Self {
-        KhanScheme {
-            block_count: 12,
-            block_edge: 12,
-            seed: 0x5EC2E,
-        }
-    }
-}
+/// The SZ surrogate's blocks.
+const SZ_BLOCKS: Blocks = Blocks {
+    edge: 12,
+    count: 12,
+    seed: 0x5EC2E,
+    align: 1,
+};
+
+/// The ZFP surrogate's: the codec's own aligned 4^d blocks.
+const ZFP_BLOCKS: Blocks = Blocks {
+    edge: 4,
+    align: 4,
+    ..SZ_BLOCKS
+};
 
 impl KhanScheme {
-    fn sample_origins(
-        &self,
-        count: usize,
-        dims: &[usize],
-        shape: &[usize],
-        align: usize,
-        rng: &mut StdRng,
-    ) -> Vec<Vec<usize>> {
-        (0..count.max(1))
-            .map(|_| {
-                dims.iter()
-                    .zip(shape)
-                    .map(|(&full, &b)| {
-                        if full > b {
-                            let max_o = (full - b) / align;
-                            rng.gen_range(0..=max_o) * align
-                        } else {
-                            0
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
     /// SZ surrogate: quantize sampled blocks (stage 1–2), model the encoder
     /// (stage 3) by Huffman expected code length of the pooled histogram.
     fn estimate_sz(&self, pass: &FeaturePass<'_>, abs: f64) -> f64 {
         let data = pass.data();
-        let dims = data.dims();
-        let mut shape: Vec<usize> = dims.iter().map(|&d| d.min(self.block_edge)).collect();
-        let mut count = self.block_count;
+        let sampled: usize = SZ_BLOCKS.shape(data.dims()).iter().product();
         // a field the blocks would cover is its own sample, read once: twelve
         // 12³ blocks of a 24×24×12 field quantized it three times over
-        if count * shape.iter().product::<usize>() >= data.num_elements() {
-            (shape, count) = (dims.to_vec(), 1);
-        }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut symbols = Vec::new();
-        let mut unpred = 0usize;
-        let mut total = 0usize;
-        for origin in self.sample_origins(count, dims, &shape, 1, &mut rng) {
-            let values = pass.sample(dims, &origin, &shape, 1);
-            let qs = predict_and_quantize(&values, &shape, abs, SzPredictor::Lorenzo, 6, false);
-            unpred += qs.unpredictable.len();
-            total += qs.symbols.len();
-            symbols.extend(qs.symbols);
-        }
-        let freqs = histogram(&symbols);
-        let book = Codebook::from_frequencies(&freqs);
-        let bits_per_symbol = book.expected_code_length(&freqs);
-        let n = data.num_elements() as f64;
-        let unpred_frac = unpred as f64 / total.max(1) as f64;
-        let size = n * bits_per_symbol / 8.0
-            + n * unpred_frac * data.dtype().size() as f64
-            + freqs.len() as f64 * 38.0 / 8.0
-            + 76.0;
-        data.size_in_bytes() as f64 / size.max(1.0)
+        let blocks = (SZ_BLOCKS.count * sampled < data.num_elements()).then_some(&SZ_BLOCKS);
+        sz_ratio(pass, blocks, abs)
     }
 
     /// ZFP surrogate: run the real per-block coder on a sample of aligned
@@ -103,8 +51,7 @@ impl KhanScheme {
         let data = pass.data();
         let dims = data.dims();
         let d = dims.len().clamp(1, 3);
-        let shape: Vec<usize> = dims.iter().take(3).map(|&v| v.min(4)).collect();
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let shape = ZFP_BLOCKS.shape(&dims[..dims.len().min(3)]);
         // collapse >3-d like the codec does
         let nd: Vec<usize> = match dims.len() {
             0..=3 => dims.to_vec(),
@@ -120,7 +67,7 @@ impl KhanScheme {
         let mut block = [0.0; MAX_BLOCK];
         let mut w = BitWriter::new();
         let mut samples = 0usize;
-        for origin in self.sample_origins(self.block_count, &nd, &shape, 4, &mut rng) {
+        for origin in ZFP_BLOCKS.origins(&nd, &shape) {
             // pad to a full 4^d block by edge replication, as the codec does
             pad_block(&pass.sample(&nd, &origin, &shape, 1), &shape, d, &mut block);
             plan.encode(&block, &mut w);
@@ -135,8 +82,30 @@ impl KhanScheme {
     }
 }
 
+/// The SZ surrogate's ratio from the stage run over `blocks`, or over the
+/// whole buffer for `None`.
+fn sz_ratio(pass: &FeaturePass<'_>, blocks: Option<&Blocks>, abs: f64) -> f64 {
+    let data = pass.data();
+    let (symbols, escapes) = sz_quantize(pass, blocks, abs, SzPredictor::Lorenzo);
+    let freqs = histogram(&symbols);
+    let book = Codebook::from_frequencies(&freqs);
+    let bits_per_symbol = book.expected_code_length(&freqs);
+    let n = data.num_elements() as f64;
+    let unpred_frac = escapes as f64 / symbols.len().max(1) as f64;
+    let size = n * bits_per_symbol / 8.0
+        + n * unpred_frac * data.dtype().size() as f64
+        + freqs.len() as f64 * 38.0 / 8.0
+        + 76.0;
+    data.size_in_bytes() as f64 / size.max(1.0)
+}
+
 /// Replicate-pad a (possibly partial) block to 4^d, into the front of `out`.
+/// A block of an empty field has nothing to replicate and codes as zeros.
 fn pad_block(values: &[f64], dims: &[usize], d: usize, out: &mut [f64; MAX_BLOCK]) {
+    if values.is_empty() {
+        out.fill(0.0);
+        return;
+    }
     let nx = dims.first().copied().unwrap_or(1).max(1);
     let ny = dims.get(1).copied().unwrap_or(1).max(1);
     let nz = dims.get(2).copied().unwrap_or(1).max(1);
@@ -228,7 +197,7 @@ mod tests {
                 .with("sz3:predictor", "lorenzo"),
         )
         .unwrap();
-        let scheme = KhanScheme::default();
+        let scheme = KhanScheme;
         let pred = scheme
             .error_dependent_features(&data, &sz)
             .unwrap()
@@ -247,7 +216,7 @@ mod tests {
         let mut zfp = ZfpCompressor::new();
         zfp.set_options(&Opts::new().with("pressio:abs", 1e-4))
             .unwrap();
-        let scheme = KhanScheme::default();
+        let scheme = KhanScheme;
         let pred = scheme
             .error_dependent_features(&data, &zfp)
             .unwrap()
@@ -264,7 +233,7 @@ mod tests {
     fn estimation_is_much_faster_than_compression() {
         let data = smooth(96, 32);
         let sz = SzCompressor::new();
-        let scheme = KhanScheme::default();
+        let scheme = KhanScheme;
         let t0 = Instant::now();
         let _ = scheme.error_dependent_features(&data, &sz).unwrap();
         let est = t0.elapsed();
@@ -282,20 +251,16 @@ mod tests {
     #[test]
     fn a_field_smaller_than_the_sample_is_read_once() {
         let sz = SzCompressor::new();
-        let ratio = |scheme: &KhanScheme, data: &Data| {
-            let features = scheme.error_dependent_features(data, &sz).unwrap();
-            features.get_f64("khan:predicted_ratio").unwrap()
+        let ratio = |data: &Data| {
+            let features = KhanScheme.error_dependent_features(data, &sz).unwrap();
+            let whole = sz_ratio(&FeaturePass::new(data), None, sz.abs_bound());
+            (features.get_f64("khan:predicted_ratio").unwrap(), whole)
         };
-        let whole = KhanScheme {
-            block_count: 1,
-            block_edge: usize::MAX,
-            ..KhanScheme::default()
-        };
-        let small = smooth(24, 12);
-        assert_eq!(ratio(&KhanScheme::default(), &small), ratio(&whole, &small));
+        let (sampled, whole) = ratio(&smooth(24, 12));
+        assert_eq!(sampled, whole);
         // and a field larger than the sample is still sampled
-        let large = smooth(48, 24);
-        assert_ne!(ratio(&KhanScheme::default(), &large), ratio(&whole, &large));
+        let (sampled, whole) = ratio(&smooth(48, 24));
+        assert_ne!(sampled, whole);
     }
 
     #[test]
@@ -324,7 +289,7 @@ mod tests {
                 Box::new(Fake)
             }
         }
-        let scheme = KhanScheme::default();
+        let scheme = KhanScheme;
         assert!(!scheme.supports("fake"));
         assert!(scheme
             .error_dependent_features(&smooth(8, 4), &Fake)
@@ -336,7 +301,7 @@ mod tests {
         let data = Data::from_f32(vec![3, 2], vec![1.0; 6]);
         let sz = SzCompressor::new();
         let zfp = ZfpCompressor::new();
-        let scheme = KhanScheme::default();
+        let scheme = KhanScheme;
         assert!(scheme.error_dependent_features(&data, &sz).is_ok());
         assert!(scheme.error_dependent_features(&data, &zfp).is_ok());
     }

@@ -10,16 +10,11 @@ use pressio_core::error::Result;
 use pressio_core::{Compressor, Options};
 
 /// The Lu (2018) Gaussian-process scheme.
-pub struct LuScheme {
-    /// Stride used to sample the data for the quantization profile.
-    pub sample_stride: usize,
-}
+#[derive(Default)]
+pub struct LuScheme;
 
-impl Default for LuScheme {
-    fn default() -> Self {
-        LuScheme { sample_stride: 4 }
-    }
-}
+/// The quantization profile reads every fourth element along each axis.
+const SAMPLE_STRIDE: usize = 4;
 
 impl Scheme for LuScheme {
     fn info(&self) -> SchemeInfo {
@@ -51,7 +46,7 @@ impl Scheme for LuScheme {
     ) -> Result<Options> {
         let abs = compressor.get_options().get_f64("pressio:abs")?;
         // internals-derived features: the sampled quantization profile
-        let mut f = sz_quantization_profile(pass, abs, self.sample_stride);
+        let mut f = sz_quantization_profile(pass, abs, SAMPLE_STRIDE);
         f.set("lu:log_abs", abs.max(1e-300).log10());
         Ok(f)
     }
@@ -81,7 +76,7 @@ mod tests {
 
     #[test]
     fn gp_scheme_fits_and_predicts() {
-        let scheme = LuScheme::default();
+        let scheme = LuScheme;
         let mut sz = SzCompressor::new();
         sz.set_options(&Opts::new().with("pressio:abs", 1e-4))
             .unwrap();

@@ -10,16 +10,11 @@ use pressio_core::error::Result;
 use pressio_core::{Compressor, Options};
 
 /// The Qin (2020) deep-learning scheme.
-pub struct QinScheme {
-    /// Stride used to sample the data for the quantization profile.
-    pub sample_stride: usize,
-}
+#[derive(Default)]
+pub struct QinScheme;
 
-impl Default for QinScheme {
-    fn default() -> Self {
-        QinScheme { sample_stride: 4 }
-    }
-}
+/// The quantization profile reads every fourth element along each axis.
+const SAMPLE_STRIDE: usize = 4;
 
 impl Scheme for QinScheme {
     fn info(&self) -> SchemeInfo {
@@ -50,7 +45,7 @@ impl Scheme for QinScheme {
         compressor: &dyn Compressor,
     ) -> Result<Options> {
         let abs = compressor.get_options().get_f64("pressio:abs")?;
-        let mut f = sz_quantization_profile(pass, abs, self.sample_stride);
+        let mut f = sz_quantization_profile(pass, abs, SAMPLE_STRIDE);
         f.set("qin:log_abs", abs.max(1e-300).log10());
         Ok(f)
     }
@@ -81,7 +76,7 @@ mod tests {
 
     #[test]
     fn mlp_scheme_fits_and_predicts() {
-        let scheme = QinScheme::default();
+        let scheme = QinScheme;
         let mut sz = SzCompressor::new();
         sz.set_options(&Opts::new().with("pressio:abs", 1e-4))
             .unwrap();

@@ -3,15 +3,14 @@
 //! compressor and report the average ratio. No training, not very accurate,
 //! but only needs to preserve the ranking between compressors (§2.2).
 
-use crate::features::FeaturePass;
+use crate::features::{Blocks, FeaturePass};
 use crate::predictor::{IdentityPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use pressio_core::error::Result;
 use pressio_core::{Compressor, Options};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// The Tao (2019) trial-based sampling scheme.
+#[derive(Debug, Clone)]
 pub struct TaoScheme {
     /// Edge length of each sampled block.
     pub block_edge: usize,
@@ -64,23 +63,16 @@ impl Scheme for TaoScheme {
         compressor: &dyn Compressor,
     ) -> Result<Options> {
         let data = pass.data();
-        let dims = data.dims();
-        let shape: Vec<usize> = dims.iter().map(|&d| d.min(self.block_edge)).collect();
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let blocks = Blocks {
+            edge: self.block_edge,
+            count: self.block_count,
+            seed: self.seed,
+            align: 1,
+        };
+        let shape = blocks.shape(data.dims());
         let mut uncompressed = 0usize;
         let mut compressed = 0usize;
-        for _ in 0..self.block_count.max(1) {
-            let origin: Vec<usize> = dims
-                .iter()
-                .zip(&shape)
-                .map(|(&full, &b)| {
-                    if full > b {
-                        rng.gen_range(0..=full - b)
-                    } else {
-                        0
-                    }
-                })
-                .collect();
+        for origin in blocks.origins(data.dims(), &shape) {
             let block = data.slice_block(&origin, &shape)?;
             let bytes = compressor.compress(&block)?;
             uncompressed += block.size_in_bytes();

@@ -6,35 +6,25 @@
 //! "what would SZ achieve with an interpolation predictor on this data?" —
 //! letting compressor designers discard unfruitful designs early (§2.1).
 
-use crate::features::FeaturePass;
+use crate::features::{sz_quantize, Blocks, FeaturePass};
 use crate::predictor::{IdentityPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use crate::schemes::szmodel::estimate_sz_size_bytes;
 use pressio_core::error::Result;
 use pressio_core::{Compressor, Data, Options};
-use pressio_sz::{predict_and_quantize, Predictor as SzPredictor};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pressio_sz::Predictor as SzPredictor;
 
 /// The Wang (2023) counterfactual stage-model scheme.
-pub struct WangScheme {
-    /// Number of sampled blocks per stage evaluation.
-    pub block_count: usize,
-    /// Edge of each sampled block.
-    pub block_edge: usize,
-    /// Sampling seed.
-    pub seed: u64,
-}
+#[derive(Default)]
+pub struct WangScheme;
 
-impl Default for WangScheme {
-    fn default() -> Self {
-        WangScheme {
-            block_count: 10,
-            block_edge: 14,
-            seed: 0x3A6,
-        }
-    }
-}
+/// The blocks each stage evaluation samples.
+const BLOCKS: Blocks = Blocks {
+    edge: 14,
+    count: 10,
+    seed: 0x3A6,
+    align: 1,
+};
 
 /// The prediction-stage designs the model can evaluate counterfactually.
 pub const DESIGNS: [SzPredictor; 3] = [
@@ -48,36 +38,14 @@ impl WangScheme {
     /// stage would achieve — without running that pipeline end to end.
     pub fn estimate_design(&self, data: &Data, abs: f64, design: SzPredictor) -> Result<f64> {
         let pass = FeaturePass::new(data);
-        let dims = data.dims();
-        let shape: Vec<usize> = dims.iter().map(|&d| d.min(self.block_edge)).collect();
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut symbols = Vec::new();
-        let mut unpred = 0usize;
-        let mut total = 0usize;
-        for _ in 0..self.block_count.max(1) {
-            let origin: Vec<usize> = dims
-                .iter()
-                .zip(&shape)
-                .map(|(&full, &b)| {
-                    if full > b {
-                        rng.gen_range(0..=full - b)
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            let values = pass.sample(dims, &origin, &shape, 1);
-            let qs = predict_and_quantize(&values, &shape, abs, design, 6, false);
-            unpred += qs.unpredictable.len();
-            total += qs.symbols.len();
-            symbols.extend(qs.symbols);
-        }
+        let (symbols, escapes) = sz_quantize(&pass, Some(&BLOCKS), abs, design);
         let n = data.num_elements();
-        let unpred_frac = unpred as f64 / total.max(1) as f64;
+        let unpred_frac = escapes as f64 / symbols.len().max(1) as f64;
         let mut size = estimate_sz_size_bytes(&symbols, n, unpred_frac, data.dtype().size());
         // stage-specific side streams: regression ships 4 f32 per block
         if design == SzPredictor::Regression {
-            size += pressio_sz::regression::block_count(dims, 6) as f64 * 16.0;
+            let block = pressio_sz::regression::DEFAULT_BLOCK;
+            size += pressio_sz::regression::block_count(data.dims(), block) as f64 * 16.0;
         }
         Ok(data.size_in_bytes() as f64 / size)
     }
@@ -188,7 +156,7 @@ mod tests {
 
     #[test]
     fn counterfactual_features_present_for_all_designs() {
-        let scheme = WangScheme::default();
+        let scheme = WangScheme;
         let f = scheme
             .error_dependent_features(&smooth(40), &sz(1e-4, "auto"))
             .unwrap();
@@ -209,7 +177,7 @@ mod tests {
         // when each variant is really run — the "discard unfruitful
         // designs early" use case
         let data = smooth(40);
-        let scheme = WangScheme::default();
+        let scheme = WangScheme;
         let abs = 1e-4;
         let mut predicted = Vec::new();
         let mut actual = Vec::new();
@@ -237,7 +205,7 @@ mod tests {
     #[test]
     fn configured_predictor_selects_matching_estimate() {
         let data = smooth(24);
-        let scheme = WangScheme::default();
+        let scheme = WangScheme;
         let f = scheme
             .error_dependent_features(&data, &sz(1e-4, "interp"))
             .unwrap();
@@ -249,7 +217,7 @@ mod tests {
 
     #[test]
     fn rejects_non_sz() {
-        let scheme = WangScheme::default();
+        let scheme = WangScheme;
         assert!(!scheme.supports("zfp"));
         let zfp = pressio_zfp::ZfpCompressor::new();
         assert!(scheme.error_dependent_features(&smooth(8), &zfp).is_err());

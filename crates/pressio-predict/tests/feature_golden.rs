@@ -27,7 +27,9 @@
 
 use pressio_core::hash::fnv1a64;
 use pressio_core::{Compressor, Data, Options, Value};
-use pressio_predict::features::{error_agnostic_all, temporal_delta_features, FeaturePass};
+use pressio_predict::features::{
+    global_stats, svd_features, temporal_delta_features, variogram_features, FeaturePass,
+};
 use pressio_predict::{bandwidth_features, standard_compressors, standard_schemes};
 use std::fmt::Write;
 
@@ -159,11 +161,13 @@ fn group_lines() -> String {
     let all = cases();
     for (case, data) in &all {
         if !svd_panicked_at_parent(case) {
-            dump(
-                &mut out,
-                &format!("{case} all"),
-                &Ok(error_agnostic_all(data)),
-            );
+            // the three error-agnostic groups, merged off one pass
+            let pass = FeaturePass::new(data);
+            let mut all = Options::new();
+            for group in [global_stats, variogram_features, svd_features] {
+                all.merge_from(&group(&pass));
+            }
+            dump(&mut out, &format!("{case} all"), &Ok(all));
         }
         dump(
             &mut out,

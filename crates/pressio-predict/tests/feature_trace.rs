@@ -49,6 +49,8 @@ fn a_trace_shows_one_pass_per_buffer_and_who_pays_for_a_widened_copy() {
     assert_eq!(traced("krasowska2021", &narrow), (0, copy));
     // spatial features read the statistics and the copy, entropy the copy
     assert_eq!(traced("ganguli2023", &narrow), (1, copy));
+    // SZ's stage reads the typed buffer: Jin widens nothing
+    assert_eq!(traced("jin2022", &narrow), (0, 0));
     // stride 4 keeps 6 × 4 × 2 elements and never widens the rest
     assert_eq!(traced("lu2018", &narrow), (1, 6 * 4 * 2 * 8));
     // an f64 buffer is its own widened view

@@ -15,7 +15,8 @@ use pressio_predict::standard_compressors;
 use pressio_serve::{Endpoint, ShardedClient};
 
 use crate::engine::{
-    pick_winner, remote_estimates, static_decision, trial_estimates, Consult, Decision, TrialParams,
+    pick_winner, remote_estimates, static_decision, trial_estimates, trial_scheme, Consult,
+    Decision,
 };
 use crate::header::{self, DecisionRecord};
 use crate::policy::{value_range, Policy};
@@ -45,16 +46,7 @@ impl SelectCodec {
     pub fn new() -> SelectCodec {
         SelectCodec {
             policy: Policy::default(),
-            consult: Consult::Trial(TrialParams::default()),
-            client: Mutex::new(None),
-        }
-    }
-
-    /// Build with an explicit policy and consult mode.
-    pub fn with_consult(policy: Policy, consult: Consult) -> SelectCodec {
-        SelectCodec {
-            policy,
-            consult,
+            consult: Consult::Trial(trial_scheme()),
             client: Mutex::new(None),
         }
     }
@@ -77,8 +69,8 @@ impl SelectCodec {
             pressio_faults::inject(FP_CONSULT_UNAVAILABLE)?;
             match &self.consult {
                 Consult::Static => Ok(static_decision(&self.policy, range, false)),
-                Consult::Trial(params) => {
-                    let estimates = trial_estimates(data, &feasible, params)?;
+                Consult::Trial(scheme) => {
+                    let estimates = trial_estimates(data, &feasible, scheme)?;
                     let w = pick_winner(&estimates)?;
                     Ok(Decision {
                         codec: w.codec.to_string(),
@@ -167,13 +159,10 @@ impl Compressor for SelectCodec {
         }
         if let Some(mode) = opts.get_str_opt("select:consult")? {
             self.consult = match mode {
-                "trial" => {
-                    let params = match &self.consult {
-                        Consult::Trial(p) => p.clone(),
-                        _ => TrialParams::default(),
-                    };
-                    Consult::Trial(params)
-                }
+                "trial" => match &self.consult {
+                    Consult::Trial(scheme) => Consult::Trial(scheme.clone()),
+                    _ => Consult::Trial(trial_scheme()),
+                },
                 "static" => Consult::Static,
                 "remote" => {
                     let spec = opts.get_str("select:endpoint").map_err(|_| {
@@ -218,15 +207,15 @@ impl Compressor for SelectCodec {
                 *min_model_version = Some(v);
             }
         }
-        if let Consult::Trial(params) = &mut self.consult {
+        if let Consult::Trial(scheme) = &mut self.consult {
             if let Some(edge) = opts.get_u64_opt("select:block-edge")? {
-                params.block_edge = (edge as usize).max(1);
+                scheme.block_edge = (edge as usize).max(1);
             }
             if let Some(count) = opts.get_u64_opt("select:block-count")? {
-                params.block_count = (count as usize).max(1);
+                scheme.block_count = (count as usize).max(1);
             }
             if let Some(seed) = opts.get_u64_opt("select:seed")? {
-                params.seed = seed;
+                scheme.seed = seed;
             }
         }
         Ok(())
@@ -238,10 +227,10 @@ impl Compressor for SelectCodec {
             .with("select:bounds", self.policy.bounds.clone())
             .with("select:consult", self.consult.label());
         match &self.consult {
-            Consult::Trial(p) => {
-                out.set("select:block-edge", p.block_edge as u64);
-                out.set("select:block-count", p.block_count as u64);
-                out.set("select:seed", p.seed);
+            Consult::Trial(scheme) => {
+                out.set("select:block-edge", scheme.block_edge as u64);
+                out.set("select:block-count", scheme.block_count as u64);
+                out.set("select:seed", scheme.seed);
             }
             Consult::Remote {
                 endpoint,

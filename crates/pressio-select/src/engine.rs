@@ -27,40 +27,19 @@ use crate::policy::Policy;
 /// The codecs the selector chooses between, in deterministic consult order.
 pub const CODECS: [&str; 2] = ["sz3", "zfp"];
 
-/// Block-sampling parameters for the trial consult path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrialParams {
-    /// Edge length of each sampled block.
-    pub block_edge: usize,
-    /// Number of sampled blocks.
-    pub block_count: usize,
-    /// Sampling seed; fixed so selection is deterministic.
-    pub seed: u64,
-}
-
-impl Default for TrialParams {
-    fn default() -> Self {
-        TrialParams {
-            block_edge: 16,
-            block_count: 8,
-            seed: 0x5E1,
-        }
+/// The trial consult's sampler: Tao's blocks under the selector's own
+/// seed, fixed so selection is deterministic.
+pub(crate) fn trial_scheme() -> TaoScheme {
+    TaoScheme {
+        seed: 0x5E1,
+        ..TaoScheme::default()
     }
 }
 
 /// Estimate the compression ratio of `comp` on `data` by trial-compressing
 /// sampled blocks (Tao 2019). The single entry point shared by the
 /// `SelectCodec` trial consult and the `tao_sweep` ablation.
-pub fn trial_sampled_ratio(
-    data: &Data,
-    comp: &dyn Compressor,
-    params: &TrialParams,
-) -> Result<f64> {
-    let scheme = TaoScheme {
-        block_edge: params.block_edge,
-        block_count: params.block_count,
-        seed: params.seed,
-    };
+pub fn trial_sampled_ratio(data: &Data, comp: &dyn Compressor, scheme: &TaoScheme) -> Result<f64> {
     scheme
         .error_dependent_features(data, comp)?
         .get_f64("tao:sampled_ratio")
@@ -70,7 +49,7 @@ pub fn trial_sampled_ratio(
 #[derive(Debug, Clone)]
 pub enum Consult {
     /// In-process block-sampling trial compression.
-    Trial(TrialParams),
+    Trial(TaoScheme),
     /// Query a running `pressio-serve` daemon.
     Remote {
         /// Base endpoint (supervisor or standalone server).
@@ -144,7 +123,7 @@ pub fn pick_winner(estimates: &[CandidateEstimate]) -> Result<&CandidateEstimate
 pub fn trial_estimates(
     data: &Data,
     feasible: &[f64],
-    params: &TrialParams,
+    scheme: &TaoScheme,
 ) -> Result<Vec<CandidateEstimate>> {
     let registry = standard_compressors();
     let mut out = Vec::with_capacity(CODECS.len() * feasible.len());
@@ -155,7 +134,7 @@ pub fn trial_estimates(
             out.push(CandidateEstimate {
                 codec,
                 abs,
-                ratio: trial_sampled_ratio(data, comp.as_ref(), params)?,
+                ratio: trial_sampled_ratio(data, comp.as_ref(), scheme)?,
                 model: "-".into(),
             });
         }
@@ -266,9 +245,9 @@ mod tests {
                 .map(|i| ((i % 24) as f32 * 0.2).sin())
                 .collect(),
         );
-        let params = TrialParams::default();
-        let a = trial_estimates(&data, &[1e-4, 1e-3], &params).unwrap();
-        let b = trial_estimates(&data, &[1e-4, 1e-3], &params).unwrap();
+        let scheme = trial_scheme();
+        let a = trial_estimates(&data, &[1e-4, 1e-3], &scheme).unwrap();
+        let b = trial_estimates(&data, &[1e-4, 1e-3], &scheme).unwrap();
         assert_eq!(a.len(), 4);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!((x.codec, x.abs, x.ratio), (y.codec, y.abs, y.ratio));

@@ -36,6 +36,6 @@ pub mod header;
 pub mod policy;
 
 pub use codec::{SelectCodec, FP_CONSULT_UNAVAILABLE, FP_MODEL_STALE};
-pub use engine::{trial_sampled_ratio, Consult, Decision, TrialParams, CODECS};
+pub use engine::{trial_sampled_ratio, Consult, Decision, CODECS};
 pub use header::{decode as decode_header, DecisionRecord};
 pub use policy::{value_range, Policy};

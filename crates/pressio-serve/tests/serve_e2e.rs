@@ -440,3 +440,33 @@ fn unknown_op_is_bad_request_and_connection_survives() {
     handle.wait().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The wire lets in a buffer with an empty axis, and `tao2019` needs no
+/// model to extract from it. Extraction runs on the pipeline's one worker
+/// here, so the prediction that follows on the same connection is answered
+/// only if that worker survived the first.
+#[test]
+fn an_empty_buffer_is_answered_and_the_next_request_too() {
+    let dir = temp_dir("empty_buffer");
+    let mut config = local_config(&dir);
+    config.workers = 1;
+    let handle = Server::start(config).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let tao = |data: &pressio_core::Data| {
+        let mut req = Options::new()
+            .with("serve:op", op::PREDICT)
+            .with("serve:scheme", "tao2019")
+            .with("pressio:abs", 1e-3);
+        protocol::data_into_request(&mut req, data);
+        req
+    };
+    let empty = pressio_core::Data::from_f32(vec![0], vec![]);
+    let resp = client.call(&tao(&empty)).unwrap();
+    let answer = resp.get_str("serve:type").unwrap();
+    assert!(matches!(answer, "prediction" | "error"), "{resp}");
+    let resp = client.call(&tao(&sample_data(0))).unwrap();
+    assert_eq!(resp.get_str("serve:type").unwrap(), "prediction", "{resp}");
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -86,11 +86,6 @@ impl RandomForest {
         xs.iter().map(|x| self.predict(x)).collect()
     }
 
-    /// Per-tree predictions (for uncertainty diagnostics).
-    pub fn predict_per_tree(&self, x: &[f64]) -> Vec<f64> {
-        self.trees.iter().map(|t| t.predict(x)).collect()
-    }
-
     /// Number of trees.
     pub fn num_trees(&self) -> usize {
         self.trees.len()

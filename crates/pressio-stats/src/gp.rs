@@ -132,11 +132,6 @@ impl GaussianProcess {
         }
         Ok(mean)
     }
-
-    /// Number of training points retained.
-    pub fn num_train(&self) -> usize {
-        self.train_x.len()
-    }
 }
 
 #[cfg(test)]

@@ -74,13 +74,6 @@ pub fn sum_min_max_zeros<T: Widen>(values: &[T]) -> (usize, f64, f64, f64, usize
     stats.finish()
 }
 
-/// [`Sweep::abs_diff`] and [`Sweep::pairs`] alone.
-pub fn sum_abs_diff<T: Widen>(values: &[T]) -> (f64, usize) {
-    let mut pairs = Pairs::new();
-    pairs.feed(values, f64::abs);
-    pairs.finish()
-}
-
 /// Sum of `(v[i+1] - v[i])²` over finite consecutive pairs, plus the pair
 /// count — the lag-1 residual-variance numerator (coding gain).
 pub fn sum_sq_diff<T: Widen>(values: &[T]) -> (f64, usize) {
@@ -312,7 +305,7 @@ pub fn sweep_scalar<T: Widen>(values: &[T]) -> Sweep {
             max = mx[l];
         }
     }
-    let (abs_diff, pairs) = sum_abs_diff_scalar(values);
+    let (abs_diff, pairs) = pair_reduce_scalar(values, f64::abs);
     Sweep {
         count,
         sum: fold(sum),
@@ -334,11 +327,6 @@ pub fn sum_sq_dev_scalar<T: Widen>(values: &[T], mean: f64) -> f64 {
         }
     }
     fold(acc)
-}
-
-/// Exact-order scalar reference for [`sum_abs_diff`].
-pub fn sum_abs_diff_scalar<T: Widen>(values: &[T]) -> (f64, usize) {
-    pair_reduce_scalar(values, |d| d.abs())
 }
 
 /// Exact-order scalar reference for [`sum_sq_diff`].
@@ -419,8 +407,6 @@ mod tests {
                 (want.0, want.1, want.2, want.3, want.4),
                 "stats n={n}"
             );
-            let (a, ca) = sum_abs_diff(&v);
-            assert_eq!((a.to_bits(), ca), (want.5, want.6), "abs n={n}");
             let (a, ca) = sum_sq_diff(&v);
             let (b, cb) = sum_sq_diff_scalar(&v);
             assert_eq!((a.to_bits(), ca), (b.to_bits(), cb), "sq n={n}");
@@ -433,7 +419,8 @@ mod tests {
     fn pair_kernels_skip_non_finite_pairs() {
         let v = [1.0, f64::NAN, 2.0, 5.0];
         // only the (2.0, 5.0) pair is fully finite
-        assert_eq!(sum_abs_diff(&v), (3.0, 1));
+        let s = sweep(&v);
+        assert_eq!((s.abs_diff, s.pairs), (3.0, 1));
         assert_eq!(sum_sq_diff(&v), (9.0, 1));
     }
 
@@ -488,14 +475,9 @@ mod tests {
             min_ms(|| sum_min_max_zeros(&wide))
         );
         println!(
-            "abs_diff f64       {:.3} ms",
-            min_ms(|| sum_abs_diff(&wide))
-        );
-        println!(
             "sq_dev f64         {:.3} ms",
             min_ms(|| sum_sq_dev(&wide, 0.1))
         );
-        println!("abs_diff f32       {:.3} ms", min_ms(|| sum_abs_diff(&v)));
         println!(
             "sq_dev f32         {:.3} ms",
             min_ms(|| sum_sq_dev(&v, 0.1))

@@ -78,20 +78,6 @@ impl Matrix {
         }
         out
     }
-
-    /// `self · v` for a vector of length `cols`.
-    pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols);
-        let mut out = vec![0.0; self.rows];
-        for (r, o) in out.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for (c, &vc) in v.iter().enumerate() {
-                s += self.get(r, c) * vc;
-            }
-            *o = s;
-        }
-        out
-    }
 }
 
 /// Solve the symmetric positive-definite system `A x = b` by Cholesky
@@ -255,7 +241,6 @@ mod tests {
         assert_eq!(g.get(0, 1), 1.0);
         assert_eq!(g.get(1, 1), 2.0);
         assert_eq!(a.t_mul_vec(&[1.0, 2.0, 3.0]), vec![4.0, 5.0]);
-        assert_eq!(a.mul_vec(&[2.0, 5.0]), vec![2.0, 5.0, 7.0]);
     }
 
     #[test]

@@ -176,11 +176,6 @@ impl RegressionTree {
         }
     }
 
-    /// Number of nodes (size diagnostic).
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Feature dimension the tree was trained on.
     pub fn num_features(&self) -> usize {
         self.num_features
@@ -222,7 +217,7 @@ mod tests {
         let t = RegressionTree::fit(&xs, &ys, &params, 1);
         let mean = ys.iter().sum::<f64>() / ys.len() as f64;
         assert!((t.predict(&xs[0]) - mean).abs() < 1e-12);
-        assert_eq!(t.num_nodes(), 1);
+        assert_eq!(t.nodes.len(), 1);
     }
 
     #[test]
@@ -230,7 +225,7 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let ys = vec![3.5; 20];
         let t = RegressionTree::fit(&xs, &ys, &TreeParams::default(), 7);
-        assert_eq!(t.num_nodes(), 1);
+        assert_eq!(t.nodes.len(), 1);
         assert_eq!(t.predict(&[100.0]), 3.5);
     }
 

@@ -85,12 +85,13 @@ pub struct QuantizedStream {
     /// Hybrid per-block mode bitmap (bit set = regression block; empty for
     /// non-hybrid predictors).
     pub block_modes: Vec<u8>,
-    /// The reconstruction the decoder will produce (for in-loop metrics).
+    /// The reconstruction the decoder will produce, as the predictor fed it
+    /// back; Lorenzo's is empty unless a chunk encoder asks for it.
     pub reconstruction: Vec<f64>,
 }
 
 impl QuantizedStream {
-    /// What [`assemble`] would make of this stream, in bytes, without
+    /// What [`assemble_par`] would make of this stream, in bytes, without
     /// encoding it (the estimate of Jin et al.'s ratio-quality model), in
     /// three parts: the symbols at their entropy; the side streams as they
     /// are stored (escapes, regression coefficients, hybrid mode bytes); and
@@ -110,21 +111,9 @@ impl QuantizedStream {
     }
 }
 
-/// Run prediction + quantization only (stages 1–2 of the SZ pipeline).
-pub fn predict_and_quantize(
-    values: &[f64],
-    dims: &[usize],
-    eb: f64,
-    predictor: Predictor,
-    block: usize,
-    round_f32: bool,
-) -> QuantizedStream {
-    predict_and_quantize_par(values, dims, eb, predictor, block, round_f32, 1)
-}
-
 /// Lorenzo prediction + quantization straight off the typed elements.
 /// [`QuantizedStream::reconstruction`] is `n` more `f64` and is filled only
-/// when asked for: the compressor does not, the stage functions do.
+/// when asked for: a chunk encoder does, the stage functions do not.
 /// `symbols` is a block to put the symbols in, empty to allocate one.
 pub(crate) fn lorenzo_quantize<T: Widen>(
     values: &[T],
@@ -146,12 +135,34 @@ pub(crate) fn lorenzo_quantize<T: Widen>(
     }
 }
 
-/// [`predict_and_quantize`] with a thread count. Only the regression
-/// predictor parallelizes (its blocks are independent); Lorenzo, interp,
-/// and hybrid carry reconstruction feedback between elements and stay
-/// sequential. Output is byte-identical at any thread count.
+/// Prediction + quantization only (stages 1–2 of the SZ pipeline), on the
+/// typed elements. Lorenzo reads them as they are and keeps no
+/// reconstruction, as `compress` does; the other predictors widen a copy
+/// and build theirs as they go. Output is byte-identical at any thread
+/// count.
 #[allow(clippy::too_many_arguments)]
-pub fn predict_and_quantize_par(
+pub fn predict_and_quantize_par<T: Widen>(
+    values: &[T],
+    dims: &[usize],
+    eb: f64,
+    predictor: Predictor,
+    block: usize,
+    round_f32: bool,
+    nthreads: usize,
+) -> QuantizedStream {
+    if predictor == Predictor::Lorenzo {
+        return lorenzo_quantize(values, dims, eb, round_f32, false, Vec::new());
+    }
+    let values: Vec<f64> = values.iter().map(|v| v.widen()).collect();
+    quantize_widened(&values, dims, eb, predictor, block, round_f32, nthreads)
+}
+
+/// [`predict_and_quantize_par`] of values that are `f64` already, which the
+/// other predictors then read with no copy. Only regression parallelizes
+/// (its blocks are independent); Lorenzo, interp, and hybrid carry
+/// reconstruction feedback between elements and stay sequential.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn quantize_widened(
     values: &[f64],
     dims: &[usize],
     eb: f64,
@@ -163,7 +174,7 @@ pub fn predict_and_quantize_par(
     let mut q = Quantizer::new(eb, RADIUS, round_f32, values.len());
     let (reconstruction, coefficients, block_modes) = match predictor {
         Predictor::Lorenzo => {
-            return lorenzo_quantize(values, dims, eb, round_f32, true, Vec::new())
+            return lorenzo_quantize(values, dims, eb, round_f32, false, Vec::new())
         }
         Predictor::Regression => {
             let (r, c) = regression::encode_par(values, dims, block, &mut q, nthreads);
@@ -202,21 +213,10 @@ fn read_u8(bytes: &[u8], pos: &mut usize) -> Result<u8> {
     Ok(b)
 }
 
-/// Assemble the full compressed stream for pre-quantized data.
-pub fn assemble(
-    dtype: Dtype,
-    dims: &[usize],
-    eb: f64,
-    predictor: Predictor,
-    block: usize,
-    stream: &QuantizedStream,
-) -> Vec<u8> {
-    assemble_par(dtype, dims, eb, predictor, block, stream, 1)
-}
-
-/// [`assemble`] with a thread count for the Huffman histogram and the
-/// per-shard encode (counts are summed, shard boundaries are a format
-/// constant — identical output at any count).
+/// Assemble the full compressed stream for pre-quantized data, with a
+/// thread count for the Huffman histogram and the per-shard encode (counts
+/// are summed, shard boundaries are a format constant — identical output at
+/// any count).
 pub fn assemble_par(
     dtype: Dtype,
     dims: &[usize],
@@ -326,13 +326,9 @@ pub struct ParsedStream {
     pub block_modes: Vec<u8>,
 }
 
-/// Parse and entropy-decode a stream produced by [`assemble`].
-pub fn parse(bytes: &[u8]) -> Result<ParsedStream> {
-    parse_par(bytes, 1)
-}
-
-/// [`parse`] with a thread count: the sharded Huffman backend decodes its
-/// shards in parallel. Results are identical at any thread count.
+/// Parse and entropy-decode a stream produced by [`assemble_par`], with a
+/// thread count: the sharded Huffman backend decodes its shards in
+/// parallel. Results are identical at any thread count.
 pub fn parse_par(bytes: &[u8], nthreads: usize) -> Result<ParsedStream> {
     let mut pos = 0usize;
     if bytes.len() < 8 || &bytes[..4] != MAGIC {
@@ -459,11 +455,6 @@ pub fn parse_par(bytes: &[u8], nthreads: usize) -> Result<ParsedStream> {
     })
 }
 
-/// Reconstruct the data described by a parsed stream.
-pub fn reconstruct(p: &ParsedStream) -> Result<Data> {
-    reconstruct_par(p, 1)
-}
-
 /// The Lorenzo sweep, written as the element type the stream holds.
 fn lorenzo_reconstruct(p: &ParsedStream) -> std::result::Result<Data, DequantError> {
     let kernel = lorenzo::Kernel::selected();
@@ -480,7 +471,8 @@ fn lorenzo_reconstruct(p: &ParsedStream) -> std::result::Result<Data, DequantErr
     })
 }
 
-/// [`reconstruct`] with a thread count. Interp decodes by independent
+/// Reconstruct the data described by a parsed stream, with a thread count.
+/// Interp decodes by independent
 /// chunks within each interpolation pass; Lorenzo (one sweep, narrowed a
 /// plane at a time into the buffer it returns), regression and hybrid stay
 /// sequential. All paths are bit-identical at any thread count.
@@ -540,16 +532,23 @@ mod tests {
             Predictor::Interp,
             Predictor::Hybrid,
         ] {
-            let qs = predict_and_quantize(&values, &dims, eb, pred, 6, false);
-            let bytes = assemble(Dtype::F64, &dims, eb, pred, 6, &qs);
-            let parsed = parse(&bytes).unwrap();
-            let out = reconstruct(&parsed).unwrap();
+            let qs = predict_and_quantize_par(&values, &dims, eb, pred, 6, false, 1);
+            let bytes = assemble_par(Dtype::F64, &dims, eb, pred, 6, &qs, 1);
+            let parsed = parse_par(&bytes, 1).unwrap();
+            let out = reconstruct_par(&parsed, 1).unwrap();
             let out = out.as_f64().unwrap();
             for (v, r) in values.iter().zip(out) {
                 assert!((v - r).abs() <= eb, "{pred:?}");
             }
-            // decoder reconstruction must match the in-loop reconstruction
-            assert_eq!(out, &qs.reconstruction[..], "{pred:?}");
+            // decoder reconstruction must match the in-loop reconstruction,
+            // which Lorenzo keeps only when asked
+            let kept = match pred {
+                Predictor::Lorenzo => {
+                    lorenzo_quantize(&values, &dims, eb, false, true, Vec::new()).reconstruction
+                }
+                _ => qs.reconstruction,
+            };
+            assert_eq!(out, &kept[..], "{pred:?}");
         }
     }
 
@@ -560,9 +559,9 @@ mod tests {
         let values_f32: Vec<f32> = (0..n).map(|i| (i as f32 * 0.1).cos() * 10.0).collect();
         let values: Vec<f64> = values_f32.iter().map(|&v| v as f64).collect();
         let eb = 1e-3;
-        let qs = predict_and_quantize(&values, &dims, eb, Predictor::Lorenzo, 6, true);
-        let bytes = assemble(Dtype::F32, &dims, eb, Predictor::Lorenzo, 6, &qs);
-        let out = reconstruct(&parse(&bytes).unwrap()).unwrap();
+        let qs = predict_and_quantize_par(&values, &dims, eb, Predictor::Lorenzo, 6, true, 1);
+        let bytes = assemble_par(Dtype::F32, &dims, eb, Predictor::Lorenzo, 6, &qs, 1);
+        let out = reconstruct_par(&parse_par(&bytes, 1).unwrap(), 1).unwrap();
         for (v, r) in values_f32.iter().zip(out.as_f32().unwrap()) {
             assert!((v - r).abs() as f64 <= eb);
         }
@@ -572,27 +571,27 @@ mod tests {
     fn smooth_data_compresses_well() {
         let dims = vec![64usize, 64];
         let values = wavefield(64 * 64);
-        let qs = predict_and_quantize(&values, &dims, 1e-3, Predictor::Lorenzo, 6, false);
-        let bytes = assemble(Dtype::F64, &dims, 1e-3, Predictor::Lorenzo, 6, &qs);
+        let qs = predict_and_quantize_par(&values, &dims, 1e-3, Predictor::Lorenzo, 6, false, 1);
+        let bytes = assemble_par(Dtype::F64, &dims, 1e-3, Predictor::Lorenzo, 6, &qs, 1);
         let ratio = (values.len() * 8) as f64 / bytes.len() as f64;
         assert!(ratio > 8.0, "compression ratio only {ratio:.2}");
     }
 
     #[test]
     fn corrupt_inputs_error_not_panic() {
-        assert!(parse(b"").is_err());
-        assert!(parse(b"NOPE00000000").is_err());
+        assert!(parse_par(b"", 1).is_err());
+        assert!(parse_par(b"NOPE00000000", 1).is_err());
         let dims = vec![16usize, 16];
         let values = wavefield(256);
-        let qs = predict_and_quantize(&values, &dims, 1e-3, Predictor::Lorenzo, 6, false);
-        let bytes = assemble(Dtype::F64, &dims, 1e-3, Predictor::Lorenzo, 6, &qs);
+        let qs = predict_and_quantize_par(&values, &dims, 1e-3, Predictor::Lorenzo, 6, false, 1);
+        let bytes = assemble_par(Dtype::F64, &dims, 1e-3, Predictor::Lorenzo, 6, &qs, 1);
         for cut in [5, 10, 20, bytes.len() - 3] {
-            assert!(parse(&bytes[..cut]).is_err(), "cut={cut}");
+            assert!(parse_par(&bytes[..cut], 1).is_err(), "cut={cut}");
         }
         // flip a header byte (version)
         let mut bad = bytes.clone();
         bad[4] = 99;
-        assert!(parse(&bad).is_err());
+        assert!(parse_par(&bad, 1).is_err());
     }
 
     #[test]
@@ -600,8 +599,16 @@ mod tests {
         // 0 and 1 were the single-stream Huffman layout; nothing has written
         // them since the sharded one, and nothing reads them any more
         let dims = vec![16usize, 16];
-        let qs = predict_and_quantize(&wavefield(256), &dims, 1e-3, Predictor::Lorenzo, 6, false);
-        let bytes = assemble(Dtype::F64, &dims, 1e-3, Predictor::Lorenzo, 6, &qs);
+        let qs = predict_and_quantize_par(
+            &wavefield(256),
+            &dims,
+            1e-3,
+            Predictor::Lorenzo,
+            6,
+            false,
+            1,
+        );
+        let bytes = assemble_par(Dtype::F64, &dims, 1e-3, Predictor::Lorenzo, 6, &qs, 1);
         let huff = huffman::compress_symbols_sharded(&qs.symbols, 1);
         let payload = if bytes.ends_with(&huff) {
             huff.len()
@@ -613,7 +620,7 @@ mod tests {
         for retired in [0, 1, 4] {
             let mut bad = bytes.clone();
             bad[backend_at] = retired;
-            match parse(&bad) {
+            match parse_par(&bad, 1) {
                 Err(Error::CorruptStream(message)) => assert_eq!(message, "unknown backend"),
                 other => panic!("backend {retired}: {:?}", other.map(|p| p.symbols.len())),
             }

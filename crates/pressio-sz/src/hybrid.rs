@@ -307,7 +307,7 @@ mod tests {
         // amplifies iid noise by √7 (≈1.4 extra bits/point on the noisy
         // half) while a 6³ block amortizes its 16 coefficient bytes down to
         // ~0.6 bits/point — so per-block selection wins over both pure modes
-        use crate::codec::{assemble, predict_and_quantize, Predictor};
+        use crate::codec::{assemble_par, predict_and_quantize_par, Predictor};
         use pressio_core::Dtype;
         let (nx, ny, nz) = (24usize, 24, 24);
         let mut state = 0xF1E1Du64;
@@ -332,8 +332,8 @@ mod tests {
         let dims = vec![nx, ny, nz];
         let eb = 1e-4;
         let size_of = |p: Predictor| {
-            let qs = predict_and_quantize(&values, &dims, eb, p, 6, false);
-            assemble(Dtype::F64, &dims, eb, p, 6, &qs).len()
+            let qs = predict_and_quantize_par(&values, &dims, eb, p, 6, false, 1);
+            assemble_par(Dtype::F64, &dims, eb, p, 6, &qs, 1).len()
         };
         let hybrid = size_of(Predictor::Hybrid);
         let lorenzo = size_of(Predictor::Lorenzo);

@@ -14,6 +14,12 @@
 //! 3. **Encoding** — canonical Huffman over the quantization symbols,
 //!    followed by an LZSS dictionary stage when it helps ([`codec`]).
 //!
+//! Each stage is public on its own, with a thread count: stages 1–2 are
+//! [`predict_and_quantize_par`], which reads the typed elements of any
+//! [`Widen`] type (what the SZ-modelling prediction schemes call); stage 3
+//! and its inverse are [`codec::assemble_par`], [`codec::parse_par`] and
+//! [`codec::reconstruct_par`]. `compress` is these stages back to back.
+//!
 //! The compressor guarantees the `pressio:abs` point-wise absolute error
 //! bound on every finite value (non-finite values round-trip verbatim).
 //!
@@ -43,9 +49,7 @@ pub mod lorenzo;
 pub mod quantizer;
 pub mod regression;
 
-pub use codec::{
-    predict_and_quantize, predict_and_quantize_par, Predictor, QuantizedStream, RADIUS,
-};
+pub use codec::{predict_and_quantize_par, Predictor, QuantizedStream, RADIUS};
 
 use pressio_core::error::{Error, Result};
 use pressio_core::lanes::Widen;
@@ -128,7 +132,7 @@ impl SzCompressor {
     fn encode(&self, input: &Data, keep_reconstruction: bool) -> Result<(Vec<u8>, Vec<f64>)> {
         let _span = pressio_obs::span("sz3:compress");
         match input.elements() {
-            // one element and no axis to predict along: it would get no symbol
+            // one element and no axis to predict along
             _ if input.dims().is_empty() => Err(Error::UnsupportedData(
                 "sz3 needs at least one dimension, got a rank-0 buffer".into(),
             )),
@@ -172,9 +176,8 @@ impl SzCompressor {
                 codec::lorenzo_quantize(values, dims, abs, round_f32, keep_reconstruction, symbols)
             } else {
                 drop(symbols);
-                let values = input.to_f64_vec();
                 codec::predict_and_quantize_par(
-                    &values, dims, abs, predictor, self.block, round_f32, nthreads,
+                    values, dims, abs, predictor, self.block, round_f32, nthreads,
                 )
             }
         };
@@ -226,8 +229,7 @@ impl SzCompressor {
         // under the floor no challenger can score lower: Lorenzo's after one pass
         if to_beat > floor * scale {
             for p in [Predictor::Regression, Predictor::Interp, Predictor::Hybrid] {
-                let qs =
-                    codec::predict_and_quantize(&sample, &shape, abs, p, self.block, round_f32);
+                let qs = codec::quantize_widened(&sample, &shape, abs, p, self.block, round_f32, 1);
                 let bytes = whole(qs.estimated_bytes(dtype), floor);
                 if bytes < to_beat {
                     (best, to_beat) = (p, bytes);
@@ -431,8 +433,9 @@ mod tests {
         let block = regression::DEFAULT_BLOCK;
         let (sample, dims) = center_sample(values, dims);
         let encoded = |predictor| {
-            let qs = codec::predict_and_quantize(&sample, &dims, abs, predictor, block, true);
-            codec::assemble(Dtype::F32, &dims, abs, predictor, block, &qs).len()
+            let qs =
+                codec::predict_and_quantize_par(&sample, &dims, abs, predictor, block, true, 1);
+            codec::assemble_par(Dtype::F32, &dims, abs, predictor, block, &qs, 1).len()
         };
         // `min_by_key` keeps the first of equals, as the parent's `<` did
         [

@@ -18,9 +18,10 @@ pub use sweep::{Encoded, Kernel};
 use pressio_core::lanes::{finite, fold, Widen, LANES};
 
 /// Normalize dims to exactly 3 entries (fastest first), collapsing extras.
+/// Rank 0 holds one element, so it is one row of one.
 pub(crate) fn normalize_dims(dims: &[usize]) -> [usize; 3] {
     match dims.len() {
-        0 => [0, 1, 1],
+        0 => [1, 1, 1],
         1 => [dims[0], 1, 1],
         2 => [dims[0], dims[1], 1],
         _ => [dims[0], dims[1], dims[2..].iter().product()],

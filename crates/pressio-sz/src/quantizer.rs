@@ -205,15 +205,6 @@ impl Quantizer {
         self.symbols.extend_from_slice(&other.symbols);
         self.unpredictable.extend_from_slice(&other.unpredictable);
     }
-
-    /// Fraction of points that escaped quantization.
-    pub fn unpredictable_ratio(&self) -> f64 {
-        if self.symbols.is_empty() {
-            0.0
-        } else {
-            self.unpredictable.len() as f64 / self.symbols.len() as f64
-        }
-    }
 }
 
 /// Streaming dequantizer used during decompression; mirrors [`Quantizer`].
@@ -393,7 +384,7 @@ mod tests {
         // after the first sample, every residual is zero -> same symbol
         let s1 = q.symbols[1];
         assert!(q.symbols[1..].iter().all(|&s| s == s1));
-        assert_eq!(q.unpredictable_ratio(), 0.0);
+        assert!(q.unpredictable.is_empty());
     }
 
     #[test]

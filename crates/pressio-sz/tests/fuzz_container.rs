@@ -67,9 +67,9 @@ fn parse_and_reconstruct_never_panic_on_mutated_containers() {
     Fuzzer::from_env(600).run(&corpus, |case| {
         // Ok or Err are both fine; what matters is that a corrupt stream
         // can never take the process down or trigger a huge allocation
-        if let Ok(parsed) = pressio_sz::codec::parse(case) {
+        if let Ok(parsed) = pressio_sz::codec::parse_par(case, 1) {
             if parsed.dims.iter().product::<usize>() <= RECONSTRUCT_CAP {
-                let _ = pressio_sz::codec::reconstruct(&parsed);
+                let _ = pressio_sz::codec::reconstruct_par(&parsed, 1);
             }
         }
     });
@@ -81,7 +81,7 @@ fn parallel_parse_agrees_with_sequential_on_mutated_containers() {
     Fuzzer::from_env(300).run(&corpus, |case| {
         // the sharded-Huffman decode path must accept/reject exactly the
         // same streams at any thread count, with identical symbols
-        let seq = pressio_sz::codec::parse(case);
+        let seq = pressio_sz::codec::parse_par(case, 1);
         let par = pressio_sz::codec::parse_par(case, 3);
         match (seq, par) {
             (Ok(s), Ok(p)) => {
@@ -103,8 +103,9 @@ fn unmutated_corpus_round_trips() {
     // sanity for the corpus itself: every seed stream is a valid
     // container whose reconstruction matches its header shape
     for bytes in corpus() {
-        let parsed = pressio_sz::codec::parse(&bytes).expect("corpus stream parses");
-        let data = pressio_sz::codec::reconstruct(&parsed).expect("corpus stream reconstructs");
+        let parsed = pressio_sz::codec::parse_par(&bytes, 1).expect("corpus stream parses");
+        let data =
+            pressio_sz::codec::reconstruct_par(&parsed, 1).expect("corpus stream reconstructs");
         assert_eq!(data.dims(), parsed.dims.as_slice());
     }
 }

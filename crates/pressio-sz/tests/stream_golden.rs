@@ -81,7 +81,7 @@ fn salt(values: &mut [f32]) {
 /// Where a stream's lossless stage ended up: the length of its Huffman
 /// payload and the backend byte (2 = Huffman only, 3 = LZSS over it).
 fn lossless_stage(bytes: &[u8]) -> (usize, u8) {
-    let parsed = codec::parse(bytes).expect("a stream the compressor wrote parses");
+    let parsed = codec::parse_par(bytes, 1).expect("a stream the compressor wrote parses");
     let huff = huffman::compress_symbols_sharded(&parsed.symbols, 1);
     let backend = if bytes.ends_with(&huff) { 2 } else { 3 };
     (huff.len(), backend)
@@ -278,7 +278,7 @@ fn the_lzss_trial_agrees_with_running_both_and_keeping_the_smaller() {
         for name in FIELDS {
             let data = shaped(&field(name, dims), &dims, false);
             let bytes = sz("auto", abs, 1).compress(&data).unwrap();
-            let parsed = codec::parse(&bytes).unwrap();
+            let parsed = codec::parse_par(&bytes, 1).unwrap();
             let huff = huffman::compress_symbols_sharded(&parsed.symbols, 1);
             let dict = lzss::compress(&huff);
             let exhaustive = dict.len() < huff.len();
@@ -341,8 +341,8 @@ fn a_wrong_trial_costs_a_wasted_pass_or_a_few_percent() {
     let outcome = |qs: &codec::QuantizedStream| {
         let dims = [qs.symbols.len()];
         let predictor = codec::Predictor::Lorenzo;
-        let bytes = codec::assemble(pressio_core::Dtype::F32, &dims, 1e-4, predictor, 6, qs);
-        assert!(codec::parse(&bytes).unwrap().symbols == qs.symbols);
+        let bytes = codec::assemble_par(pressio_core::Dtype::F32, &dims, 1e-4, predictor, 6, qs, 1);
+        assert!(codec::parse_par(&bytes, 1).unwrap().symbols == qs.symbols);
         let huff = huffman::compress_symbols_sharded(&qs.symbols, 1);
         (
             !bytes.ends_with(&huff),
@@ -398,7 +398,7 @@ proptest! {
         let data = shaped(&values, &dims, f64_input);
         let abs = BOUNDS[abs_pick];
         let bytes = sz("auto", abs, 1).compress(&data).unwrap();
-        let chosen = codec::parse(&bytes).unwrap().predictor.name();
+        let chosen = codec::parse_par(&bytes, 1).unwrap().predictor.name();
         prop_assert!(
             sz(chosen, abs, 1).compress(&data).unwrap() == bytes,
             "{}{dims:?} {abs:e}: auto chose {chosen} and returned other bytes",

@@ -22,7 +22,7 @@ fn main() {
     let mut hurricane =
         Hurricane::with_dims(48, 48, 16, 1).with_fields(&["P", "TC", "U", "QVAPOR", "QRAIN"]);
     let abs = 1e-4;
-    let scheme = WangScheme::default();
+    let scheme = WangScheme;
 
     println!("counterfactual design study: which SZ prediction stage suits each field?\n");
     println!("| field | design | predicted CR | actual CR (built afterwards) |");
