@@ -120,7 +120,7 @@ pub fn concat_outer(chunks: &[Data]) -> Result<Data> {
 
 /// The last outer slice of `data`, with the outer axis dropped
 /// (dims = inner shape). This is the carried state for chained streaming:
-/// the storage's contiguous tail, copied once.
+/// the storage's contiguous tail, copied once as one x-run.
 pub fn last_outer_slice(data: &Data) -> Result<Data> {
     let (inner, outer) = split_dims(data.dims())?;
     if outer == 0 {
@@ -128,8 +128,8 @@ pub fn last_outer_slice(data: &Data) -> Result<Data> {
             "empty outer extent has no last slice".into(),
         ));
     }
-    let stride = inner_elems(&inner);
-    Ok(data.tail((outer - 1) * stride, inner))
+    let (n, start) = (data.num_elements(), (outer - 1) * inner_elems(&inner));
+    Ok(data.gather(&[n], &[[start]], &[n - start], 1, inner))
 }
 
 fn check_delta_shapes(chunk: &Data, prev_last: &Data) -> Result<(usize, usize)> {

@@ -1,6 +1,7 @@
 //! N-dimensional typed data buffers, mirroring `pressio_data`.
 
 use crate::error::{Error, Result};
+use crate::lattice::gather;
 use serde::{Deserialize, Serialize};
 
 /// Element type of a buffer.
@@ -312,8 +313,9 @@ impl Data {
 
     /// Extract the hyper-rectangle starting at `origin` with shape `shape`.
     ///
-    /// Both are in the same fastest-first order as [`Data::dims`]. Used by
-    /// the trial-based estimator (Tao 2019) to pull the blocks it compresses.
+    /// Both are in the same fastest-first order as [`Data::dims`]: a checked
+    /// [`Data::gather`]. Used by the trial-based estimator (Tao 2019) to pull
+    /// the blocks it compresses, and by streaming to cut outer slices.
     pub fn slice_block(&self, origin: &[usize], shape: &[usize]) -> Result<Data> {
         if origin.len() != self.dims.len() || shape.len() != self.dims.len() {
             return Err(Error::UnsupportedData(
@@ -328,52 +330,45 @@ impl Data {
                 )));
             }
         }
-        let n: usize = shape.iter().product();
-        let mut indices = Vec::with_capacity(n);
-        let mut coord = vec![0usize; shape.len()];
-        // strides of the source array, fastest dimension first
-        let mut strides = vec![1usize; self.dims.len()];
-        for d in 1..self.dims.len() {
-            strides[d] = strides[d - 1] * self.dims[d - 1];
-        }
-        // one index per element: none for a block with an empty axis
-        for _ in 0..n {
-            let mut idx = 0usize;
-            for d in 0..shape.len() {
-                idx += (origin[d] + coord[d]) * strides[d];
-            }
-            indices.push(idx);
-            // odometer increment
-            for d in 0..shape.len() {
-                coord[d] += 1;
-                if coord[d] < shape[d] {
-                    break;
-                }
-                coord[d] = 0;
-            }
-        }
-        let storage = match &self.storage {
-            Storage::F32(v) => Storage::F32(indices.iter().map(|&i| v[i]).collect()),
-            Storage::F64(v) => Storage::F64(indices.iter().map(|&i| v[i]).collect()),
-            Storage::I32(v) => Storage::I32(indices.iter().map(|&i| v[i]).collect()),
-            Storage::I64(v) => Storage::I64(indices.iter().map(|&i| v[i]).collect()),
-            Storage::U8(v) => Storage::U8(indices.iter().map(|&i| v[i]).collect()),
-        };
-        Ok(Data {
-            dims: shape.to_vec(),
-            storage,
-        })
+        Ok(self.gather(&self.dims, &[origin], shape, 1, shape.to_vec()))
     }
 
-    /// The elements from `start` on, in storage order, as a buffer of shape
-    /// `dims` (whose product must be their count): one copy.
-    pub(crate) fn tail(&self, start: usize, dims: Vec<usize>) -> Data {
+    /// [`gather`] of this buffer at each of `origins` in turn, as one buffer
+    /// of this dtype with shape `dims` (a block's own, or the blocks stacked
+    /// along a new slowest axis). Panics if `dims` does not hold exactly the
+    /// gathered elements or a lattice leaves the buffer.
+    pub fn gather(
+        &self,
+        view: &[usize],
+        origins: &[impl AsRef<[usize]>],
+        shape: &[usize],
+        step: usize,
+        dims: Vec<usize>,
+    ) -> Data {
+        assert_eq!(
+            dims.iter().product::<usize>(),
+            origins.len() * shape.iter().product::<usize>(),
+            "dims do not match the gathered count"
+        );
+        fn each<T: Copy>(
+            values: &[T],
+            view: &[usize],
+            origins: &[impl AsRef<[usize]>],
+            shape: &[usize],
+            step: usize,
+        ) -> Vec<T> {
+            let mut out = Vec::new();
+            for origin in origins {
+                gather(values, view, origin.as_ref(), shape, step, |v| v, &mut out);
+            }
+            out
+        }
         let storage = match &self.storage {
-            Storage::F32(v) => Storage::F32(v[start..].to_vec()),
-            Storage::F64(v) => Storage::F64(v[start..].to_vec()),
-            Storage::I32(v) => Storage::I32(v[start..].to_vec()),
-            Storage::I64(v) => Storage::I64(v[start..].to_vec()),
-            Storage::U8(v) => Storage::U8(v[start..].to_vec()),
+            Storage::F32(v) => Storage::F32(each(v, view, origins, shape, step)),
+            Storage::F64(v) => Storage::F64(each(v, view, origins, shape, step)),
+            Storage::I32(v) => Storage::I32(each(v, view, origins, shape, step)),
+            Storage::I64(v) => Storage::I64(each(v, view, origins, shape, step)),
+            Storage::U8(v) => Storage::U8(each(v, view, origins, shape, step)),
         };
         Data { dims, storage }
     }

@@ -4,7 +4,8 @@
 //! configuration ([`options::Options`]), n-dimensional data buffers
 //! ([`data::Data`]), the compressor and metrics plugin traits
 //! ([`compressor::Compressor`], [`metrics::MetricsPlugin`]), plugin
-//! registries, deterministic option hashing ([`hash`]), and timing helpers.
+//! registries, deterministic option hashing ([`hash`]), the n-d gather and
+//! block draw every sampler reads through ([`lattice`]), and timing helpers.
 //!
 //! These mirror the roles of `pressio_options`, `pressio_data`,
 //! `libpressio_compressor_plugin`, and `libpressio_metrics_plugin` in the C++
@@ -36,6 +37,7 @@ pub mod external;
 pub mod fuzz;
 pub mod hash;
 pub mod lanes;
+pub mod lattice;
 pub mod metrics;
 pub mod options;
 pub mod registry;
@@ -46,6 +48,7 @@ pub mod value;
 pub use compressor::{Compressor, InstrumentedCompressor};
 pub use data::{Data, Dtype, Elements};
 pub use error::{Error, Result};
+pub use lattice::{gather, Blocks};
 pub use metrics::MetricsPlugin;
 pub use options::Options;
 pub use registry::Registry;

@@ -5,19 +5,22 @@
 //! (the wrapped loader is only asked for data when a sample is actually
 //! materialized). Two strategies are provided: random block extraction
 //! (what Tao 2019 / SECRE-style estimators consume) and strided
-//! decimation.
+//! decimation, both read through `pressio_core::lattice`: random blocks
+//! come from its [`Blocks`] draw, which the block-sampling prediction
+//! schemes draw from too, and every sample is copied out by its gather.
 
 use crate::plugin::{index_error, DatasetMeta, DatasetPlugin};
 use pressio_core::error::{Error, Result};
-use pressio_core::{Data, Options};
+use pressio_core::{Blocks, Data, Options};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Sampling strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Strategy {
-    /// Extract `count` random blocks of `shape` (clamped to the data) and
-    /// concatenate them along a new slowest axis.
+    /// Extract `count` random blocks of `shape` (clamped to the data; an
+    /// axis past the end of `shape` is taken whole) and concatenate them
+    /// along a new slowest axis.
     RandomBlocks {
         /// Edge lengths of each block (fastest dim first; clamped).
         shape: Vec<usize>,
@@ -31,6 +34,36 @@ pub enum Strategy {
     Stride(usize),
 }
 
+impl Strategy {
+    /// The shape of what this strategy makes of a buffer of shape `dims`:
+    /// what [`Sampler::load_metadata`] reports and [`sample`] returns.
+    fn sampled_dims(&self, dims: &[usize]) -> Vec<usize> {
+        match self {
+            Strategy::RandomBlocks { shape, count, seed } => {
+                let mut d = draw(&whole_past_the_end(shape), *count, *seed).block(dims);
+                d.push(*count);
+                d
+            }
+            Strategy::Stride(s) => dims.iter().map(|&d| d.div_ceil((*s).max(1))).collect(),
+        }
+    }
+}
+
+/// A random-block strategy's edges as a [`Blocks`] reads them.
+fn whole_past_the_end(shape: &[usize]) -> Vec<usize> {
+    shape.iter().copied().chain([usize::MAX]).collect()
+}
+
+/// A random-block strategy's draw.
+fn draw(edges: &[usize], count: usize, seed: u64) -> Blocks<'_> {
+    Blocks {
+        shape: edges,
+        count,
+        seed,
+        align: 1,
+    }
+}
+
 /// Sampling wrapper around another [`DatasetPlugin`].
 pub struct Sampler {
     inner: Box<dyn DatasetPlugin>,
@@ -41,21 +74,6 @@ impl Sampler {
     /// Wrap `inner` with the given strategy.
     pub fn new(inner: Box<dyn DatasetPlugin>, strategy: Strategy) -> Sampler {
         Sampler { inner, strategy }
-    }
-
-    fn sampled_dims(&self, dims: &[usize]) -> Vec<usize> {
-        match &self.strategy {
-            Strategy::RandomBlocks { shape, count, .. } => {
-                let mut d: Vec<usize> = dims
-                    .iter()
-                    .zip(shape.iter().chain(std::iter::repeat(&usize::MAX)))
-                    .map(|(&full, &want)| full.min(want))
-                    .collect();
-                d.push(*count);
-                d
-            }
-            Strategy::Stride(s) => dims.iter().map(|&d| d.div_ceil((*s).max(1))).collect(),
-        }
     }
 }
 
@@ -70,7 +88,7 @@ impl DatasetPlugin for Sampler {
 
     fn load_metadata(&mut self, index: usize) -> Result<DatasetMeta> {
         let mut meta = self.inner.load_metadata(index)?;
-        meta.dims = self.sampled_dims(&meta.dims);
+        meta.dims = self.strategy.sampled_dims(&meta.dims);
         meta.attributes.set(
             "sampler:strategy",
             match self.strategy {
@@ -115,81 +133,25 @@ impl DatasetPlugin for Sampler {
 }
 
 /// Apply a strategy to an in-memory buffer: what a [`Sampler`] does to each
-/// buffer its loader hands it. The prediction schemes do not come through
-/// here; they draw their blocks from the buffer's own feature pass.
+/// buffer its loader hands it, in the buffer's own dtype.
 pub fn sample(data: &Data, strategy: &Strategy) -> Result<Data> {
+    let dims = data.dims();
+    let out_dims = strategy.sampled_dims(dims);
     match strategy {
+        Strategy::RandomBlocks { count: 0, .. } => Err(Error::InvalidValue {
+            key: "sampler:count".into(),
+            reason: "need at least one block".into(),
+        }),
         Strategy::RandomBlocks { shape, count, seed } => {
-            let dims = data.dims();
-            let block: Vec<usize> = dims
-                .iter()
-                .zip(shape.iter().chain(std::iter::repeat(&usize::MAX)))
-                .map(|(&full, &want)| full.min(want).max(1))
-                .collect();
-            if *count == 0 {
-                return Err(Error::InvalidValue {
-                    key: "sampler:count".into(),
-                    reason: "need at least one block".into(),
-                });
-            }
-            let mut rng = StdRng::seed_from_u64(*seed);
-            let mut out: Vec<f64> = Vec::new();
-            for _ in 0..*count {
-                let origin: Vec<usize> = dims
-                    .iter()
-                    .zip(&block)
-                    .map(|(&full, &b)| {
-                        if full > b {
-                            rng.gen_range(0..=full - b)
-                        } else {
-                            0
-                        }
-                    })
-                    .collect();
-                let blk = data.slice_block(&origin, &block)?;
-                out.extend(blk.to_f64_vec());
-            }
-            let mut out_dims = block;
-            out_dims.push(*count);
-            Ok(match data.dtype() {
-                pressio_core::Dtype::F32 => {
-                    Data::from_f32(out_dims, out.iter().map(|&v| v as f32).collect())
-                }
-                _ => Data::from_f64(out_dims, out),
-            })
+            let block = &out_dims[..dims.len()];
+            let (edges, mut rng) = (whole_past_the_end(shape), StdRng::seed_from_u64(*seed));
+            let origins =
+                draw(&edges, *count, *seed).origins(dims, block, |k| rng.gen_range(0..=k));
+            Ok(data.gather(dims, &origins, block, 1, out_dims.clone()))
         }
         Strategy::Stride(s) => {
-            let s = (*s).max(1);
-            let dims = data.dims();
-            let out_dims: Vec<usize> = dims.iter().map(|&d| d.div_ceil(s)).collect();
-            let vals = data.to_f64_vec();
-            let mut strides = vec![1usize; dims.len()];
-            for d in 1..dims.len() {
-                strides[d] = strides[d - 1] * dims[d - 1];
-            }
-            let n_out: usize = out_dims.iter().product();
-            let mut out = Vec::with_capacity(n_out);
-            let mut coord = vec![0usize; dims.len()];
-            if n_out > 0 {
-                'outer: loop {
-                    let idx: usize = coord.iter().zip(&strides).map(|(&c, &st)| c * s * st).sum();
-                    out.push(vals[idx]);
-                    for d in 0..coord.len() {
-                        coord[d] += 1;
-                        if coord[d] < out_dims[d] {
-                            continue 'outer;
-                        }
-                        coord[d] = 0;
-                    }
-                    break;
-                }
-            }
-            Ok(match data.dtype() {
-                pressio_core::Dtype::F32 => {
-                    Data::from_f32(out_dims, out.iter().map(|&v| v as f32).collect())
-                }
-                _ => Data::from_f64(out_dims, out),
-            })
+            let origin = [vec![0; dims.len()]];
+            Ok(data.gather(dims, &origin, &out_dims, (*s).max(1), out_dims.clone()))
         }
     }
 }
@@ -283,6 +245,38 @@ mod tests {
             meta.attributes.get_str("sampler:strategy").unwrap(),
             "random_blocks"
         );
+    }
+
+    /// What the metadata promises is what the data holds: an integer buffer
+    /// stays integer, and an empty axis stays empty instead of failing the
+    /// load.
+    #[test]
+    fn metadata_matches_the_sample_in_dims_and_dtype() {
+        let ints = Data::from_i32(vec![6, 5], (0..30).collect());
+        let empty = Data::from_i32(vec![4, 0, 3], vec![]);
+        for strategy in [
+            Strategy::RandomBlocks {
+                shape: vec![3, 3, 3],
+                count: 2,
+                seed: 5,
+            },
+            Strategy::Stride(2),
+        ] {
+            let inner = MemoryDataset::new(vec![
+                ("i".into(), ints.clone()),
+                ("e".into(), empty.clone()),
+            ]);
+            let mut s = Sampler::new(Box::new(inner), strategy.clone());
+            for i in 0..s.len() {
+                let meta = s.load_metadata(i).unwrap();
+                let data = s.load_data(i).unwrap();
+                assert_eq!(
+                    (meta.dims.as_slice(), meta.dtype),
+                    (data.dims(), data.dtype()),
+                    "{strategy:?} {i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! class separately.
 
 use pressio_core::lanes::{finite_or_zero, Widen};
-use pressio_core::{with_elements, Data, Options};
+use pressio_core::{gather, with_elements, Blocks, Data, Options};
 use pressio_lossless::entropy::{quantized_entropy, shannon_entropy_symbols};
 use pressio_stats::lanes::{self, Sweep};
 use pressio_stats::{summarize, svd_truncation_fraction, variogram_score, Matrix, Summary};
@@ -133,75 +133,21 @@ impl<'a> FeaturePass<'a> {
         shape: &[usize],
         step: usize,
     ) -> Vec<f64> {
-        let mut strides = vec![1usize; dims.len()];
-        for d in 1..dims.len() {
-            strides[d] = strides[d - 1] * dims[d - 1];
-        }
-        let n: usize = shape.iter().product();
-        count_widened(n);
-        let mut out = Vec::with_capacity(n);
-        let mut coord = vec![0usize; shape.len()];
-        if n > 0 {
-            with_elements!(self.data.elements(), values => 'outer: loop {
-                let index: usize = (0..coord.len())
-                    .map(|d| (origin[d] + coord[d] * step) * strides[d])
-                    .sum();
-                out.push(values[index].widen());
-                for d in 0..coord.len() {
-                    coord[d] += 1;
-                    if coord[d] < shape[d] {
-                        continue 'outer;
-                    }
-                    coord[d] = 0;
-                }
-                break;
-            });
-        }
+        count_widened(shape.iter().product());
+        let mut out = Vec::new();
+        with_elements!(self.data.elements(), values => {
+            gather(values, dims, origin, shape, step, Widen::widen, &mut out)
+        });
         out
     }
 }
 
-/// A seeded draw of sample blocks: `count` blocks (at least one) whose edge
-/// is `edge`, clamped to each axis, and whose origin along each axis is
-/// uniform over the multiples of `align` (ZFP's 4, else 1) that keep the
-/// block inside the buffer. A seed draws the same blocks every time, so a
-/// sampled feature is as deterministic as a whole-buffer one.
-pub(crate) struct Blocks {
-    /// Edge length of a block.
-    pub(crate) edge: usize,
-    /// Number of blocks.
-    pub(crate) count: usize,
-    /// Seed of the draw.
-    pub(crate) seed: u64,
-    /// What every origin is a multiple of.
-    pub(crate) align: usize,
-}
-
-impl Blocks {
-    /// The shape of a block in a buffer of shape `dims`.
-    pub(crate) fn shape(&self, dims: &[usize]) -> Vec<usize> {
-        dims.iter().map(|&d| d.min(self.edge)).collect()
-    }
-
-    /// The origins of the draw's blocks of `shape` in a buffer viewed with
-    /// shape `dims`, in draw order.
-    pub(crate) fn origins(&self, dims: &[usize], shape: &[usize]) -> Vec<Vec<usize>> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        (0..self.count.max(1))
-            .map(|_| {
-                dims.iter()
-                    .zip(shape)
-                    .map(|(&full, &b)| {
-                        if full > b {
-                            rng.gen_range(0..=(full - b) / self.align) * self.align
-                        } else {
-                            0
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
+/// The origins of `blocks`' draw of blocks of shape `block` in a buffer
+/// viewed with shape `dims`: [`Blocks::origins`] on the generator every
+/// block draw uses, seeded with the draw's seed.
+pub(crate) fn origins(blocks: &Blocks<'_>, dims: &[usize], block: &[usize]) -> Vec<Vec<usize>> {
+    let mut rng = StdRng::seed_from_u64(blocks.seed);
+    blocks.origins(dims, block, |k| rng.gen_range(0..=k))
 }
 
 fn count_widened(elements: usize) {
@@ -266,13 +212,8 @@ pub fn svd_features(pass: &FeaturePass<'_>) -> Options {
     let slices = nz.min(4);
     let nthreads = pressio_core::threads::resolve(None);
     let fractions = pressio_core::threads::par_map_indexed(nthreads, slices, |s| {
-        let z = s * nz / slices;
-        let mut m = Matrix::zeros(ny, nx);
-        for y in 0..ny {
-            for x in 0..nx {
-                m.set(y, x, finite_or_zero(values[(z * ny + y) * nx + x]));
-            }
-        }
+        let plane = &values[s * nz / slices * nx * ny..][..nx * ny];
+        let m = Matrix::from_rows(ny, nx, plane.iter().copied().map(finite_or_zero).collect());
         svd_truncation_fraction(&m, 0.99)
     });
     let acc: f64 = fractions.iter().sum();
@@ -361,7 +302,7 @@ pub fn spatial_features(pass: &FeaturePass<'_>) -> Options {
 /// order.
 pub(crate) fn sz_quantize(
     pass: &FeaturePass<'_>,
-    blocks: Option<&Blocks>,
+    blocks: Option<&Blocks<'_>>,
     abs_bound: f64,
     predictor: SzPredictor,
 ) -> (Vec<u32>, usize) {
@@ -369,9 +310,9 @@ pub(crate) fn sz_quantize(
     let Some(blocks) = blocks else {
         return with_elements!(data.elements(), v => sz_stage(v, dims, abs_bound, predictor));
     };
-    let shape = blocks.shape(dims);
+    let shape = blocks.block(dims);
     let (mut symbols, mut escapes) = (Vec::new(), 0);
-    for origin in blocks.origins(dims, &shape) {
+    for origin in origins(blocks, dims, &shape) {
         let block = pass.sample(dims, &origin, &shape, 1);
         let (block_symbols, block_escapes) = sz_stage(&block, &shape, abs_bound, predictor);
         symbols.extend(block_symbols);

@@ -4,31 +4,32 @@
 //! costs a few percent of a real compression (Table 2: ~5 ms vs 322 ms).
 //! Gray-box: uses compressor internals for both SZ and ZFP.
 
-use crate::features::{sz_quantize, Blocks, FeaturePass};
+use crate::features::{origins, sz_quantize, FeaturePass};
 use crate::predictor::{IdentityPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use pressio_core::error::Result;
-use pressio_core::{Compressor, Options};
+use pressio_core::{with_elements, Blocks, Compressor, Options};
 use pressio_lossless::huffman::{histogram, Codebook};
 use pressio_lossless::BitWriter;
 use pressio_sz::Predictor as SzPredictor;
 use pressio_zfp::block::{Mode, Plan, MAX_BLOCK};
+use pressio_zfp::{collapse_dims, read_block};
 
 /// The Khan (2023) SECRE scheme.
 #[derive(Default)]
 pub struct KhanScheme;
 
 /// The SZ surrogate's blocks.
-const SZ_BLOCKS: Blocks = Blocks {
-    edge: 12,
+const SZ_BLOCKS: Blocks<'static> = Blocks {
+    shape: &[12],
     count: 12,
     seed: 0x5EC2E,
     align: 1,
 };
 
 /// The ZFP surrogate's: the codec's own aligned 4^d blocks.
-const ZFP_BLOCKS: Blocks = Blocks {
-    edge: 4,
+const ZFP_BLOCKS: Blocks<'static> = Blocks {
+    shape: &[4],
     align: 4,
     ..SZ_BLOCKS
 };
@@ -38,7 +39,7 @@ impl KhanScheme {
     /// (stage 3) by Huffman expected code length of the pooled histogram.
     fn estimate_sz(&self, pass: &FeaturePass<'_>, abs: f64) -> f64 {
         let data = pass.data();
-        let sampled: usize = SZ_BLOCKS.shape(data.dims()).iter().product();
+        let sampled: usize = SZ_BLOCKS.block(data.dims()).iter().product();
         // a field the blocks would cover is its own sample, read once: twelve
         // 12³ blocks of a 24×24×12 field quantized it three times over
         let blocks = (SZ_BLOCKS.count * sampled < data.num_elements()).then_some(&SZ_BLOCKS);
@@ -46,36 +47,27 @@ impl KhanScheme {
     }
 
     /// ZFP surrogate: run the real per-block coder on a sample of aligned
-    /// 4^d blocks and extrapolate bits/value to the whole volume.
+    /// 4^d blocks, read as the codec reads them, and extrapolate bits/value
+    /// to the whole volume.
     fn estimate_zfp(&self, pass: &FeaturePass<'_>, abs: f64) -> f64 {
         let data = pass.data();
-        let dims = data.dims();
-        let d = dims.len().clamp(1, 3);
-        let shape = ZFP_BLOCKS.shape(&dims[..dims.len().min(3)]);
-        // collapse >3-d like the codec does
-        let nd: Vec<usize> = match dims.len() {
-            0..=3 => dims.to_vec(),
-            _ => {
-                let mut v = dims[..2].to_vec();
-                v.push(dims[2..].iter().product());
-                v
-            }
-        };
+        let nd = collapse_dims(data.dims());
+        let d = nd.len();
+        // each block fits inside the collapsed volume (an axis under 4 is
+        // taken whole), so the codec's edge replication pads only past it
+        let origins = origins(&ZFP_BLOCKS, &nd, &ZFP_BLOCKS.block(&nd));
         // one plan, one stack block and one writer for every sample: what
         // the blocks cost is the writer's final length
         let plan = Plan::new(Mode::Accuracy(abs), d);
         let mut block = [0.0; MAX_BLOCK];
         let mut w = BitWriter::new();
-        let mut samples = 0usize;
-        for origin in ZFP_BLOCKS.origins(&nd, &shape) {
-            // pad to a full 4^d block by edge replication, as the codec does
-            pad_block(&pass.sample(&nd, &origin, &shape, 1), &shape, d, &mut block);
+        for origin in &origins {
+            with_elements!(data.elements(), v => read_block(v, data.dims(), origin, &mut block));
             plan.encode(&block, &mut w);
-            samples += 1;
         }
         let bits = w.len_bits();
         let block_elems = 1usize << (2 * d);
-        let bits_per_value = bits as f64 / (samples * block_elems).max(1) as f64;
+        let bits_per_value = bits as f64 / (origins.len() * block_elems).max(1) as f64;
         let n = data.num_elements() as f64;
         let size = n * bits_per_value / 8.0 + 96.0;
         data.size_in_bytes() as f64 / size.max(1.0)
@@ -84,7 +76,7 @@ impl KhanScheme {
 
 /// The SZ surrogate's ratio from the stage run over `blocks`, or over the
 /// whole buffer for `None`.
-fn sz_ratio(pass: &FeaturePass<'_>, blocks: Option<&Blocks>, abs: f64) -> f64 {
+fn sz_ratio(pass: &FeaturePass<'_>, blocks: Option<&Blocks<'_>>, abs: f64) -> f64 {
     let data = pass.data();
     let (symbols, escapes) = sz_quantize(pass, blocks, abs, SzPredictor::Lorenzo);
     let freqs = histogram(&symbols);
@@ -97,22 +89,6 @@ fn sz_ratio(pass: &FeaturePass<'_>, blocks: Option<&Blocks>, abs: f64) -> f64 {
         + freqs.len() as f64 * 38.0 / 8.0
         + 76.0;
     data.size_in_bytes() as f64 / size.max(1.0)
-}
-
-/// Replicate-pad a (possibly partial) block to 4^d, into the front of `out`.
-/// A block of an empty field has nothing to replicate and codes as zeros.
-fn pad_block(values: &[f64], dims: &[usize], d: usize, out: &mut [f64; MAX_BLOCK]) {
-    if values.is_empty() {
-        out.fill(0.0);
-        return;
-    }
-    let nx = dims.first().copied().unwrap_or(1).max(1);
-    let ny = dims.get(1).copied().unwrap_or(1).max(1);
-    let nz = dims.get(2).copied().unwrap_or(1).max(1);
-    for (i, o) in out.iter_mut().take(1 << (2 * d)).enumerate() {
-        let (x, y, z) = (i & 3, (i >> 2) & 3, i >> 4);
-        *o = values[(z.min(nz - 1) * ny + y.min(ny - 1)) * nx + x.min(nx - 1)];
-    }
 }
 
 impl Scheme for KhanScheme {

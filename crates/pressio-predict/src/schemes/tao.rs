@@ -3,11 +3,11 @@
 //! compressor and report the average ratio. No training, not very accurate,
 //! but only needs to preserve the ranking between compressors (§2.2).
 
-use crate::features::{Blocks, FeaturePass};
+use crate::features::{origins, FeaturePass};
 use crate::predictor::{IdentityPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use pressio_core::error::Result;
-use pressio_core::{Compressor, Options};
+use pressio_core::{Blocks, Compressor, Options};
 
 /// The Tao (2019) trial-based sampling scheme.
 #[derive(Debug, Clone)]
@@ -64,15 +64,15 @@ impl Scheme for TaoScheme {
     ) -> Result<Options> {
         let data = pass.data();
         let blocks = Blocks {
-            edge: self.block_edge,
+            shape: &[self.block_edge],
             count: self.block_count,
             seed: self.seed,
             align: 1,
         };
-        let shape = blocks.shape(data.dims());
+        let shape = blocks.block(data.dims());
         let mut uncompressed = 0usize;
         let mut compressed = 0usize;
-        for origin in blocks.origins(data.dims(), &shape) {
+        for origin in origins(&blocks, data.dims(), &shape) {
             let block = data.slice_block(&origin, &shape)?;
             let bytes = compressor.compress(&block)?;
             uncompressed += block.size_in_bytes();

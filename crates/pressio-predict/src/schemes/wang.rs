@@ -6,12 +6,12 @@
 //! "what would SZ achieve with an interpolation predictor on this data?" —
 //! letting compressor designers discard unfruitful designs early (§2.1).
 
-use crate::features::{sz_quantize, Blocks, FeaturePass};
+use crate::features::{sz_quantize, FeaturePass};
 use crate::predictor::{IdentityPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use crate::schemes::szmodel::estimate_sz_size_bytes;
 use pressio_core::error::Result;
-use pressio_core::{Compressor, Data, Options};
+use pressio_core::{Blocks, Compressor, Data, Options};
 use pressio_sz::Predictor as SzPredictor;
 
 /// The Wang (2023) counterfactual stage-model scheme.
@@ -19,8 +19,8 @@ use pressio_sz::Predictor as SzPredictor;
 pub struct WangScheme;
 
 /// The blocks each stage evaluation samples.
-const BLOCKS: Blocks = Blocks {
-    edge: 14,
+const BLOCKS: Blocks<'static> = Blocks {
+    shape: &[14],
     count: 10,
     seed: 0x3A6,
     align: 1,

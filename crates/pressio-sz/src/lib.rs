@@ -54,7 +54,7 @@ pub use codec::{predict_and_quantize_par, Predictor, QuantizedStream, RADIUS};
 use pressio_core::error::{Error, Result};
 use pressio_core::lanes::Widen;
 use pressio_core::metrics::invalidations;
-use pressio_core::{chunking, Compressor, Data, Dtype, Elements, Options};
+use pressio_core::{chunking, gather, Compressor, Data, Dtype, Elements, Options};
 
 /// The SZ3-like compressor plugin (`id = "sz3"`).
 ///
@@ -216,7 +216,12 @@ impl SzCompressor {
         dtype: Dtype,
     ) -> Predictor {
         let _span = pressio_obs::span("sz3:select");
-        let (sample, shape) = center_sample(values, dims);
+        // the centre of the volume (edges are unrepresentative), at most 32
+        // along each axis
+        let shape: Vec<usize> = dims.iter().map(|&d| d.min(32)).collect();
+        let origin: Vec<usize> = dims.iter().zip(&shape).map(|(d, s)| (d - s) / 2).collect();
+        let mut sample = Vec::new();
+        gather(values, dims, &origin, &shape, 1, T::widen, &mut sample);
         let round_f32 = dtype == Dtype::F32;
         let scale = values.len() as f64 / sample.len() as f64;
         let whole = |(symbols, side, table): (f64, f64, f64), at_least: f64| {
@@ -249,41 +254,6 @@ impl SzCompressor {
 /// (benchmark seed 6) `hybrid` was 9 bytes ahead on the sample, 67 097 to
 /// 67 106, and the whole buffer came out 167 bytes *larger* and 5.8× slower.
 const CHALLENGER_MARGIN: f64 = 0.02;
-
-/// The centre of the volume (edges are unrepresentative), at most 32 along
-/// each axis, widened row by row, and its shape.
-fn center_sample<T: Widen>(values: &[T], dims: &[usize]) -> (Vec<f64>, Vec<usize>) {
-    debug_assert!(!dims.is_empty(), "`compress` refuses rank 0");
-    let shape: Vec<usize> = dims.iter().map(|&d| d.min(32)).collect();
-    let mut strides = vec![1usize; dims.len()];
-    for d in 1..dims.len() {
-        strides[d] = strides[d - 1] * dims[d - 1];
-    }
-    let first: usize = (0..dims.len())
-        .map(|d| (dims[d] - shape[d]) / 2 * strides[d])
-        .sum();
-    let n: usize = shape.iter().product();
-    let mut out = Vec::with_capacity(n);
-    let mut coord = vec![0usize; dims.len()];
-    // one step of the odometer over the axes above x per row copied
-    for _ in 0..n.checked_div(shape[0]).unwrap_or(0) {
-        let at = first
-            + coord
-                .iter()
-                .zip(&strides)
-                .map(|(c, s)| c * s)
-                .sum::<usize>();
-        out.extend(values[at..at + shape[0]].iter().map(|v| v.widen()));
-        for d in 1..dims.len() {
-            coord[d] += 1;
-            if coord[d] < shape[d] {
-                break;
-            }
-            coord[d] = 0;
-        }
-    }
-    (out, shape)
-}
 
 impl Compressor for SzCompressor {
     fn id(&self) -> &'static str {
@@ -431,7 +401,11 @@ mod tests {
     /// the sample with each candidate and keep the smallest stream.
     fn select_by_trial(values: &[f32], dims: &[usize], abs: f64) -> Predictor {
         let block = regression::DEFAULT_BLOCK;
-        let (sample, dims) = center_sample(values, dims);
+        let shape: Vec<usize> = dims.iter().map(|&d| d.min(32)).collect();
+        let origin: Vec<usize> = dims.iter().zip(&shape).map(|(d, s)| (d - s) / 2).collect();
+        let mut sample = Vec::new();
+        gather(values, dims, &origin, &shape, 1, |v| v as f64, &mut sample);
+        let dims = shape;
         let encoded = |predictor| {
             let qs =
                 codec::predict_and_quantize_par(&sample, &dims, abs, predictor, block, true, 1);

@@ -130,7 +130,8 @@ impl ZfpCompressor {
 
 /// Collapse an arbitrary-rank shape to at most 3 dims (fastest first),
 /// multiplying the excess into the last — same convention as `pressio-sz`.
-fn collapse_dims(dims: &[usize]) -> Vec<usize> {
+/// The shape the codec tiles into 4^d blocks.
+pub fn collapse_dims(dims: &[usize]) -> Vec<usize> {
     match dims.len() {
         0 => vec![0],
         1..=3 => dims.to_vec(),
@@ -247,6 +248,26 @@ impl Grid {
             }
         }
     }
+}
+
+/// The 4^d block at `origin` of `values` (shape `dims`, any rank) as the
+/// codec reads it: `dims` collapsed by [`collapse_dims`], `origin` a
+/// multiple of 4 along each collapsed axis, and edge values replicated into
+/// the padding of a partial block. The block fills `out[..4^d]`, `d` the
+/// collapsed rank; a block of an empty buffer reads as zeros.
+pub fn read_block<T: Widen>(
+    values: &[T],
+    dims: &[usize],
+    origin: &[usize],
+    out: &mut [f64; MAX_BLOCK],
+) {
+    let grid = Grid::new(&collapse_dims(dims));
+    if grid.total_blocks() == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let at = |axis: usize| origin.get(axis).copied().unwrap_or(0);
+    grid.gather(values, [at(0), at(1), at(2)], out);
 }
 
 /// What the blocks of a call turned out to be: the `zfp:blocks*` and
