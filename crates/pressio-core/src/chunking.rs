@@ -13,7 +13,11 @@
 //! slice* (a previous-timestep hold predictor, LFZip-style). Because the
 //! reference slice is the decoded one, encoder and decoder reconstruct the
 //! exact same state, and an absolute error bound on the residual stream
-//! carries over to the reconstruction up to one float rounding step.
+//! carries over to the reconstruction up to one float rounding step. What
+//! an encoding stream carries between chunks is one [`Carry`]: that slice,
+//! and a memo the codec keeps for itself.
+
+use std::any::Any;
 
 use crate::compressor::Compressor;
 use crate::data::{Data, Dtype};
@@ -218,22 +222,48 @@ pub fn delta_reconstruct(residual: &Data, prev_last: &Data) -> Result<Data> {
     }
 }
 
-/// Encode one chunk, optionally chained on the previous chunk's last decoded
-/// slice. `encode` compresses the payload (the chunk, or its residuals
-/// against `carried`) and returns its bytes with the payload as a decoder
-/// will rebuild it; the result is `(compressed, decoded chunk)`, so both
-/// sides agree bit for bit on checksums and carried state. A codec that
-/// keeps its own reconstruction hands that back; any other decompresses
-/// what it wrote ([`Compressor::encode_chunk`]).
+/// A codec's own state across a chained stream's residual chunks, opaque
+/// to the stream that holds it (SZ keeps the predictor `auto` chose there).
+pub type Memo = Option<Box<dyn Any + Send + Sync>>;
+
+/// What a chained stream carries from one chunk to the next. The stream
+/// owns it, never the codec, so one codec can serve any number of streams
+/// without their state mixing.
+#[derive(Default)]
+pub struct Carry {
+    /// The previous chunk's last decoded slice, which the next chunk is
+    /// taken as residuals against; `None` before the first chunk. The
+    /// stream advances it ([`last_outer_slice`] of each decoded chunk).
+    pub slice: Option<Data>,
+    /// The codec's memo, which only the codec reads and writes.
+    pub memo: Memo,
+}
+
+/// Encode one chunk, alone (`carry` is `None`) or as part of a chained
+/// stream. `encode` compresses the payload and returns its bytes with the
+/// payload as a decoder will rebuild it; the result is `(compressed,
+/// decoded chunk)`, so both sides agree bit for bit on checksums and
+/// carried state. A codec that keeps its own reconstruction hands that
+/// back; any other decompresses what it wrote ([`Compressor::encode_chunk`]).
+///
+/// The payload is the chunk itself unless the carry holds a slice; then it
+/// is the chunk's residuals against that slice, and only then is `encode`
+/// handed the carry's memo. An independent chunk and a stream's raw first
+/// chunk are coded as whole-buffer `compress` codes them, and nothing the
+/// codec learns from a raw chunk is kept for the residuals after it.
 pub fn encode_chunk_with(
     chunk: &Data,
-    carried: Option<&Data>,
-    encode: impl FnOnce(&Data) -> Result<(Vec<u8>, Data)>,
+    carry: Option<&mut Carry>,
+    encode: impl FnOnce(&Data, Option<&mut Memo>) -> Result<(Vec<u8>, Data)>,
 ) -> Result<(Vec<u8>, Data)> {
-    let Some(prev) = carried else {
-        return encode(chunk);
+    let Some(Carry {
+        slice: Some(prev),
+        memo,
+    }) = carry
+    else {
+        return encode(chunk, None);
     };
-    let (compressed, decoded_payload) = encode(&delta_forward(chunk, prev)?)?;
+    let (compressed, decoded_payload) = encode(&delta_forward(chunk, prev)?, Some(memo))?;
     Ok((compressed, delta_reconstruct(&decoded_payload, prev)?))
 }
 
@@ -353,23 +383,19 @@ mod tests {
         let codec = IdentityCodec;
         let data = field(8, 9);
         for carried_mode in [false, true] {
-            let mut carried: Option<Data> = None;
+            let mut carry = carried_mode.then(Carry::default);
             let mut decoded_chunks = Vec::new();
             for (s, c) in OuterChunks::new(9, 4).unwrap() {
                 let chunk = slice_outer(&data, s, c).unwrap();
-                let (comp, enc_decoded) = codec.encode_chunk(&chunk, carried.as_ref()).unwrap();
-                let dec = decode_chunk_stateful(
-                    &codec,
-                    &comp,
-                    chunk.dtype(),
-                    chunk.dims(),
-                    carried.as_ref(),
-                )
-                .unwrap();
+                let (comp, enc_decoded) = codec.encode_chunk(&chunk, carry.as_mut()).unwrap();
+                let carried = carry.as_ref().and_then(|c| c.slice.as_ref());
+                let dec =
+                    decode_chunk_stateful(&codec, &comp, chunk.dtype(), chunk.dims(), carried)
+                        .unwrap();
                 // encoder-side and decoder-side reconstructions agree
                 assert_eq!(enc_decoded.to_le_bytes(), dec.to_le_bytes());
-                if carried_mode {
-                    carried = Some(last_outer_slice(&dec).unwrap());
+                if let Some(carry) = &mut carry {
+                    carry.slice = Some(last_outer_slice(&dec).unwrap());
                 }
                 decoded_chunks.push(dec);
             }

@@ -47,16 +47,23 @@ pub trait Compressor: Send + Sync {
     /// Clone into a boxed trait object (object-safe `Clone`).
     fn clone_box(&self) -> Box<dyn Compressor>;
 
-    /// Streaming entry point: encode one outer-axis chunk, optionally
-    /// chained on the previous chunk's last *decoded* slice. Returns the
-    /// compressed bytes plus the decoded reconstruction — the frame layer
-    /// checksums it and carries its last slice into the next chunk.
+    /// Streaming entry point: encode one outer-axis chunk, alone (`carry` is
+    /// `None`) or as the next chunk of a chained stream, whose
+    /// [`chunking::Carry`] holds the previous chunk's last *decoded* slice
+    /// and the codec's memo. Returns the compressed bytes plus the decoded
+    /// reconstruction — the frame layer checksums it and carries its last
+    /// slice into the next chunk.
     ///
-    /// Provided as compress then decompress. A codec that already holds
-    /// the decoder's reconstruction when it has compressed overrides this
-    /// to hand that back through [`chunking::encode_chunk_with`] instead.
-    fn encode_chunk(&self, chunk: &Data, carried: Option<&Data>) -> Result<(Vec<u8>, Data)> {
-        chunking::encode_chunk_with(chunk, carried, |payload| {
+    /// Provided as compress then decompress, with no memo. A codec that
+    /// already holds the decoder's reconstruction when it has compressed,
+    /// or that remembers something across a stream's chunks, overrides this
+    /// through [`chunking::encode_chunk_with`].
+    fn encode_chunk(
+        &self,
+        chunk: &Data,
+        carry: Option<&mut chunking::Carry>,
+    ) -> Result<(Vec<u8>, Data)> {
+        chunking::encode_chunk_with(chunk, carry, |payload, _| {
             let compressed = self.compress(payload)?;
             let decoded = self.decompress(&compressed, payload.dtype(), payload.dims())?;
             Ok((compressed, decoded))

@@ -2,7 +2,7 @@
 
 use std::io::Write;
 
-use pressio_core::chunking::{last_outer_slice, split_dims};
+use pressio_core::chunking::{last_outer_slice, split_dims, Carry};
 use pressio_core::error::{Error, Result};
 use pressio_core::hash::Fnv1a64;
 use pressio_core::{Compressor, Data};
@@ -12,16 +12,18 @@ use crate::frame::{ChunkRecord, EndMarker, StreamHeader, MAX_CHUNK_BYTES};
 /// Incremental PSTF writer.
 ///
 /// Memory use is bounded by the largest single chunk (raw + compressed)
-/// plus one carried slice in chained mode — independent of how many chunks
-/// the stream ends up holding. Per chunk the codec hands back the chunk as
-/// any decoder will reconstruct it (its own reconstruction where it keeps
-/// one, a decode of its output otherwise), so the checksums and the carried
-/// state match the decoder's.
+/// plus, in chained mode, one [`Carry`]: a slice and the codec's memo —
+/// independent of how many chunks the stream ends up holding. Per chunk the
+/// codec hands back the chunk as any decoder will reconstruct it (its own
+/// reconstruction where it keeps one, a decode of its output otherwise), so
+/// the checksums and the carried slice match the decoder's. The memo is the
+/// codec's alone (SZ's `auto` choice) and never reaches the frame.
 pub struct StreamEncoder<W: Write> {
     writer: W,
     header: StreamHeader,
     codec: Box<dyn Compressor>,
-    carried: Option<Data>,
+    /// `Some` in chained mode.
+    carry: Option<Carry>,
     running: Fnv1a64,
     chunks: u32,
     total_outer: u64,
@@ -35,9 +37,9 @@ impl<W: Write> StreamEncoder<W> {
         writer.write_all(&bytes)?;
         Ok(StreamEncoder {
             writer,
+            carry: header.chained.then(Carry::default),
             header,
             codec,
-            carried: None,
             running: Fnv1a64::new(),
             chunks: 0,
             total_outer: 0,
@@ -78,12 +80,7 @@ impl<W: Write> StreamEncoder<W> {
             )));
         }
 
-        let carried = if self.header.chained {
-            self.carried.as_ref()
-        } else {
-            None
-        };
-        let (mut compressed, decoded) = self.codec.encode_chunk(chunk, carried)?;
+        let (mut compressed, decoded) = self.codec.encode_chunk(chunk, self.carry.as_mut())?;
         if compressed.is_empty() || compressed.len() > MAX_CHUNK_BYTES {
             return Err(Error::CorruptStream(format!(
                 "codec produced a {}-byte chunk outside frame limits",
@@ -116,8 +113,8 @@ impl<W: Write> StreamEncoder<W> {
         // State advances as if the chunk were delivered — the failure is
         // the transport's, not the encoder's.
         self.running = running;
-        if self.header.chained {
-            self.carried = Some(last_outer_slice(&decoded)?);
+        if let Some(carry) = &mut self.carry {
+            carry.slice = Some(last_outer_slice(&decoded)?);
         }
         self.chunks = self.chunks.checked_add(1).ok_or_else(|| {
             Error::UnsupportedData("chunk count overflows the frame format".into())

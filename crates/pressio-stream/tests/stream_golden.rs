@@ -123,8 +123,14 @@ fn codec_lines(codec: &str, predictor: Option<&str>) -> String {
     out
 }
 
+/// `sz3/auto` was re-taken once a chained stream carried `auto`'s choice
+/// across its residual chunks. Two chained lines of the 32 moved, both
+/// 720-element `U` chunks at 1e-4 (per-chunk tags before → after):
+/// f32 `chunk_outer=3` R R L → R R R (+29 B), f64 `chunk_outer=1`
+/// L I L L I I L → L I L L L I L (+111 B). The other 382 lines, every
+/// independent stream among them, are as they were.
 const GOLDEN: [(&str, u64); 6] = [
-    ("sz3/auto", 0x311e19571a5ddfee),
+    ("sz3/auto", 0xffd2e48aef728047),
     ("sz3/lorenzo", 0x45bcb6ca333a6565),
     ("sz3/regression", 0xd15bcb0c8cafd40a),
     ("sz3/interp", 0x81132db8f3692e61),
