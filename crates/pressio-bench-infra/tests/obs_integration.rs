@@ -144,9 +144,9 @@ fn sz_lossless_stage_says_what_the_dictionary_stage_did() {
 }
 
 /// The SZ stages in a production trace, as the benchmark's replay shows
-/// them: `sz3:predict` under `sz3:compress`, and `sz3:select` beside it when
-/// the predictor is `auto`'s to choose (with one `sz3:auto.<predictor>`
-/// counter per choice); `sz3:parse` and `sz3:reconstruct` under
+/// them: `sz3:predict` under `sz3:compress`, and `sz3:estimate` and
+/// `sz3:select` beside it when the predictor is `auto`'s to choose (with one
+/// `sz3:auto.<predictor>` counter per choice); `sz3:parse` and `sz3:reconstruct` under
 /// `sz3:decompress`; and how much of the field the quantizer gave up on, as
 /// `sz3:escapes` of `sz3:elements`.
 #[test]
@@ -175,6 +175,7 @@ fn sz_stages_and_escapes_are_in_the_trace() {
     pressio_obs::uninstall();
     let report = collector.report();
     for (stage, parent, count) in [
+        ("sz3:estimate", "sz3:compress", 1),
         ("sz3:select", "sz3:compress", 1),
         ("sz3:predict", "sz3:compress", 3),
         ("sz3:parse", "sz3:decompress", 3),
