@@ -648,6 +648,34 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every MedAPE bit of a tiny Table 2 with Ganguli's conformal forest
+    /// added, against a digest taken before the forest fit moved onto
+    /// presorted columns: the rahman and ganguli rows fit forests, and the
+    /// rest show that nothing else moved.
+    #[test]
+    fn medapes_match_the_digest_taken_before_presorting() {
+        let mut cfg = tiny_config();
+        cfg.schemes.push("ganguli2023".into());
+        let t = run_table2(&mut tiny_hurricane(), &cfg).unwrap();
+        let lines: String = t
+            .methods
+            .iter()
+            .map(|m| {
+                format!(
+                    "{} {} {:?}\n",
+                    m.compressor,
+                    m.scheme,
+                    m.medape.map(f64::to_bits)
+                )
+            })
+            .collect();
+        let digest = pressio_core::hash::fnv1a64(lines.as_bytes());
+        assert_eq!(
+            digest, 0xeb5100dd2db55ffd,
+            "MedAPEs moved: digest {digest:#018x}\n{lines}"
+        );
+    }
+
     #[test]
     fn empty_dataset_errors() {
         let mut data = pressio_dataset::MemoryDataset::new(vec![]);

@@ -626,6 +626,25 @@ mod tests {
         assert!(med < 25.0, "forest MedAPE {med}%");
     }
 
+    /// A NaN feature, and a forest over no features at all, fit and answer
+    /// finite predictions.
+    #[test]
+    fn forest_fits_a_nan_feature_and_no_features() {
+        let (mut features, targets) = training_set(141);
+        for f in features.iter_mut().step_by(5) {
+            f.set("variogram:score", f64::NAN);
+        }
+        let keys = ["qent:entropy", "variogram:score"]
+            .map(String::from)
+            .to_vec();
+        let mut p = ForestPredictor::new(keys);
+        p.fit(&features, &targets).unwrap();
+        assert!(features.iter().all(|f| p.predict(f).unwrap().is_finite()));
+        let mut none = ForestPredictor::new(vec![]);
+        none.fit(&features, &targets).unwrap();
+        assert!(none.predict(&features[0]).unwrap().is_finite());
+    }
+
     #[test]
     fn negative_targets_rejected() {
         let f = vec![Options::new().with("x", 1.0); 4];

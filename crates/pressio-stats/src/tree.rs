@@ -2,6 +2,7 @@
 //! the Rahman (2023) FXRZ scheme.
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A node in the flattened tree.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
@@ -43,6 +44,84 @@ impl Default for TreeParams {
     }
 }
 
+/// A tree's rows by column, ranked once per forest (equal values and ±0.0
+/// share a rank, NaN ranks last) and reused for every tree's bootstrap. A
+/// node is a range of each feature's positions in value order (`sorted`,
+/// `d × n`) and of `pos`, the ascending positions its mean and SSE sum.
+#[derive(Default)]
+pub(crate) struct Sample {
+    d: usize,
+    ranks: Vec<u32>,
+    cols: Vec<f64>,
+    ys: Vec<f64>,
+    sorted: Vec<u32>,
+    pos: Vec<u32>,
+    spill: Vec<u32>,
+}
+
+impl Sample {
+    /// Rank every feature column of `xs` once.
+    pub(crate) fn rank(xs: &[Vec<f64>]) -> Sample {
+        let (src_n, d) = (xs.len(), xs[0].len());
+        let cmp = |a: f64, b: f64| a.partial_cmp(&b).unwrap_or(a.is_nan().cmp(&b.is_nan()));
+        let mut ranks = vec![0u32; d * src_n];
+        let mut by_value: Vec<usize> = (0..src_n).collect();
+        for (f, ranks) in ranks.chunks_exact_mut(src_n).enumerate() {
+            by_value.sort_unstable_by(|&a, &b| cmp(xs[a][f], xs[b][f]));
+            for w in by_value.windows(2) {
+                ranks[w[1]] = ranks[w[0]] + cmp(xs[w[0]][f], xs[w[1]][f]).is_ne() as u32;
+            }
+        }
+        Sample {
+            d,
+            ranks,
+            ..Sample::default()
+        }
+    }
+
+    /// Take source row `rows[p]` as position `p`, and counting-sort each
+    /// feature by rank: value order with ties in position order, as a
+    /// stable sort of the positions by value leaves them.
+    pub(crate) fn draw(&mut self, xs: &[Vec<f64>], ys: &[f64], rows: &[usize]) {
+        let (n, src_n) = (rows.len(), xs.len());
+        self.ys = rows.iter().map(|&i| ys[i]).collect();
+        self.cols.clear();
+        self.sorted.resize(self.d * n, 0);
+        let ranks = self.ranks.chunks_exact(src_n);
+        for (f, (rank, sorted)) in ranks.zip(self.sorted.chunks_exact_mut(n)).enumerate() {
+            self.cols.extend(rows.iter().map(|&i| xs[i][f]));
+            // next[r] becomes the first slot of rank r
+            let mut next = vec![0u32; src_n + 1];
+            rows.iter().for_each(|&i| next[rank[i] as usize + 1] += 1);
+            (1..=src_n).for_each(|r| next[r] += next[r - 1]);
+            for (p, &i) in rows.iter().enumerate() {
+                sorted[next[rank[i] as usize] as usize] = p as u32;
+                next[rank[i] as usize] += 1;
+            }
+        }
+        self.pos = (0..n as u32).collect();
+        self.spill.resize(n, 0);
+    }
+}
+
+/// Stable, branch-free partition of `list` by `left(i)`, in place: the
+/// entries that go left first, in their old order; returns how many.
+fn partition(list: &mut [u32], left: impl Fn(u32) -> bool, spill: &mut [u32]) -> usize {
+    let spill = &mut spill[..list.len()];
+    let (mut l, mut r) = (0, 0);
+    for k in 0..list.len() {
+        let i = list[k];
+        // `l, r <= k` always; the `min`s let the compiler see it
+        list[l.min(k)] = i;
+        spill[r.min(k)] = i;
+        let go = left(i);
+        l += go as usize;
+        r += !go as usize;
+    }
+    list[l..].copy_from_slice(&spill[..r]);
+    l
+}
+
 /// A fitted regression tree (arena representation, node 0 is the root).
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct RegressionTree {
@@ -51,40 +130,48 @@ pub struct RegressionTree {
 }
 
 impl RegressionTree {
-    /// Grow a tree on `(xs, ys)`. `feature_order` is a permutation-seed used
-    /// to pick the feature subset at each split (pass different values per
-    /// tree for forest decorrelation).
+    /// Grow a tree on `(xs, ys)`, each row once. `seed` drives the feature
+    /// subset drawn at each split (vary it per tree to decorrelate a forest).
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], params: &TreeParams, seed: u64) -> RegressionTree {
         assert_eq!(xs.len(), ys.len());
         assert!(!xs.is_empty(), "cannot fit a tree on zero samples");
-        let d = xs[0].len();
+        let mut sample = Sample::rank(xs);
+        sample.draw(xs, ys, &(0..xs.len()).collect::<Vec<_>>());
+        RegressionTree::grow_on(&mut sample, params, seed)
+    }
+
+    /// Grow a tree on the rows `sample` last drew.
+    pub(crate) fn grow_on(sample: &mut Sample, params: &TreeParams, seed: u64) -> RegressionTree {
         let mut tree = RegressionTree {
             nodes: Vec::new(),
-            num_features: d,
+            num_features: sample.d,
         };
-        let idx: Vec<usize> = (0..xs.len()).collect();
-        let mut rng = seed | 1;
-        tree.grow(xs, ys, idx, params, 0, &mut rng);
+        tree.grow(sample, 0..sample.pos.len(), params, 0, &mut (seed | 1));
         tree
     }
 
+    /// Grow the node over `range` of every list in `s`. Every sum, product
+    /// and quotient is the one a per-node sort of the positions would
+    /// compute, in the same order, so the tree is bit for bit that one.
     fn grow(
         &mut self,
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        idx: Vec<usize>,
+        s: &mut Sample,
+        range: Range<usize>,
         params: &TreeParams,
         depth: usize,
         rng: &mut u64,
     ) -> usize {
-        let mean = idx.iter().map(|&i| ys[i]).sum::<f64>() / idx.len() as f64;
-        let sse: f64 = idx.iter().map(|&i| (ys[i] - mean) * (ys[i] - mean)).sum();
+        let (n, d) = (s.pos.len(), s.d);
+        let idx = &s.pos[range.clone()];
+        let y = |i: u32| s.ys[i as usize];
+        let mean = idx.iter().map(|&i| y(i)).sum::<f64>() / idx.len() as f64;
+        let sse: f64 = idx.iter().map(|&i| (y(i) - mean) * (y(i) - mean)).sum();
         if depth >= params.max_depth || idx.len() < params.min_samples_split || sse <= 1e-24 {
             self.nodes.push(Node::Leaf(mean));
             return self.nodes.len() - 1;
         }
-        let d = self.num_features;
-        let mtry = params.max_features.unwrap_or(d).clamp(1, d);
+        // a tree over no features is a single leaf
+        let mtry = params.max_features.unwrap_or(d).clamp(1, d.max(1));
         // pseudo-random feature subset (xorshift)
         let mut features: Vec<usize> = (0..d).collect();
         for i in (1..features.len()).rev() {
@@ -98,53 +185,47 @@ impl RegressionTree {
 
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
         for &f in &features {
-            // sort indices by this feature
-            let mut order = idx.clone();
-            order.sort_by(|&a, &b| {
-                xs[a][f]
-                    .partial_cmp(&xs[b][f])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            // prefix sums for O(n) split scan
-            let n = order.len();
-            let mut prefix_sum = vec![0.0f64; n + 1];
-            let mut prefix_sq = vec![0.0f64; n + 1];
-            for (k, &i) in order.iter().enumerate() {
-                prefix_sum[k + 1] = prefix_sum[k] + ys[i];
-                prefix_sq[k + 1] = prefix_sq[k] + ys[i] * ys[i];
+            let order = &s.sorted[f * n..][range.clone()];
+            let col = &s.cols[f * n..][..n];
+            // a prefix-sum array's last entries, summed in the same order...
+            let (mut total, mut total_sq) = (0.0f64, 0.0f64);
+            for &i in order {
+                total += y(i);
+                total_sq += y(i) * y(i);
             }
-            for k in 1..n {
-                // no split between equal feature values
-                if xs[order[k - 1]][f] >= xs[order[k]][f] {
-                    continue;
-                }
-                let (nl, nr) = (k as f64, (n - k) as f64);
-                let sl = prefix_sum[k];
-                let sr = prefix_sum[n] - sl;
-                let ql = prefix_sq[k];
-                let qr = prefix_sq[n] - ql;
+            // ... and its other entries as running sums, one per split
+            let (mut sl, mut ql) = (0.0f64, 0.0f64);
+            for (k, pair) in (1..).zip(order.windows(2)) {
+                sl += y(pair[0]);
+                ql += y(pair[0]) * y(pair[0]);
+                let (a, b) = (col[pair[0] as usize], col[pair[1] as usize]);
+                let (nl, nr) = (k as f64, (order.len() - k) as f64);
+                let sr = total - sl;
+                let qr = total_sq - ql;
                 let sse_split = (ql - sl * sl / nl) + (qr - sr * sr / nr);
-                if best.is_none_or(|(_, _, b)| sse_split < b) {
-                    let thr = 0.5 * (xs[order[k - 1]][f] + xs[order[k]][f]);
-                    best = Some((f, thr, sse_split));
+                // no split between equal feature values, nor before a NaN
+                if (a < b) & best.is_none_or(|(_, _, b)| sse_split < b) {
+                    best = Some((f, 0.5 * (a + b), sse_split));
                 }
             }
         }
-        let Some((feature, threshold, best_sse)) = best else {
+        // no split, or none that beats the node's own SSE: a leaf
+        let Some((feature, threshold, _)) = best.filter(|&(_, _, b)| !b.ge(&sse)) else {
             self.nodes.push(Node::Leaf(mean));
             return self.nodes.len() - 1;
         };
-        if best_sse >= sse {
-            self.nodes.push(Node::Leaf(mean));
-            return self.nodes.len() - 1;
+        // every list splits the same way; NaN is never `<= threshold`
+        let col = &s.cols[feature * n..][..n];
+        let left = |i: u32| col[i as usize] <= threshold;
+        let mid = range.start + partition(&mut s.pos[range.clone()], left, &mut s.spill);
+        for list in s.sorted.chunks_exact_mut(n) {
+            partition(&mut list[range.clone()], left, &mut s.spill);
         }
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-            idx.iter().partition(|&&i| xs[i][feature] <= threshold);
         // reserve this node's slot before recursing
         let me = self.nodes.len();
         self.nodes.push(Node::Leaf(mean)); // placeholder
-        let left = self.grow(xs, ys, left_idx, params, depth + 1, rng);
-        let right = self.grow(xs, ys, right_idx, params, depth + 1, rng);
+        let left = self.grow(s, range.start..mid, params, depth + 1, rng);
+        let right = self.grow(s, mid..range.end, params, depth + 1, rng);
         self.nodes[me] = Node::Split {
             feature,
             threshold,
@@ -261,5 +342,29 @@ mod tests {
         let json = serde_json::to_string(&t).unwrap();
         let back: RegressionTree = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);
+    }
+
+    #[test]
+    fn nan_ranks_last_and_goes_right() {
+        // y = 1 from x = 5 up, and on every NaN row
+        let mut xs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
+        xs.extend([vec![f64::NAN], vec![f64::NAN]]);
+        let ys: Vec<f64> = (0..12).map(|i| if i >= 5 { 1.0 } else { 0.0 }).collect();
+        let t = RegressionTree::fit(&xs, &ys, &TreeParams::default(), 3);
+        assert_eq!(t.nodes.len(), 3, "{t:?}");
+        assert_eq!(t.predict(&[f64::NAN]), 1.0);
+        assert_eq!(t.predict(&[4.0]), 0.0);
+        assert_eq!(t.predict(&[5.0]), 1.0);
+    }
+
+    #[test]
+    fn no_features_is_a_leaf_at_the_mean() {
+        let t = RegressionTree::fit(
+            &[vec![], vec![], vec![]],
+            &[1.0, 2.0, 6.0],
+            &TreeParams::default(),
+            9,
+        );
+        assert_eq!(t.nodes, vec![Node::Leaf(3.0)]);
     }
 }
