@@ -10,6 +10,7 @@ use pressio_core::hash::{hash_options_hex, to_hex, Sha256};
 use pressio_core::timing::{time_ms, MeanStd};
 use pressio_core::{Compressor, Data, Options};
 use pressio_dataset::DatasetPlugin;
+use pressio_predict::evaluator::cross_validate;
 use pressio_predict::registry::{standard_compressors, standard_schemes};
 use pressio_stats::{k_folds, medape};
 use std::path::PathBuf;
@@ -324,6 +325,8 @@ pub fn run_table2(dataset: &mut dyn DatasetPlugin, cfg: &Table2Config) -> Result
             &mut hits,
             &mut misses,
         )?;
+        let ratios: Vec<f64> = truths.iter().map(|t| t.ratio).collect();
+        let obs_dataset: Vec<usize> = truths.iter().map(|t| t.dataset).collect();
 
         // baseline row — each observation is also fed to the trace under
         // the same name, so the trace aggregates equal the printed MeanStds
@@ -374,12 +377,12 @@ pub fn run_table2(dataset: &mut dyn DatasetPlugin, cfg: &Table2Config) -> Result
             }
 
             // 2. features per observation; agnostic computed once per
-            //    dataset (the invalidation-reuse the framework enables)
+            //    dataset (the invalidation-reuse the framework enables),
+            //    each stage timed on its own
             let mut agnostic_time = MeanStd::new();
             let mut dependent_time = MeanStd::new();
             let mut agnostic_feats: Vec<Option<Options>> = vec![None; n_data];
-            let mut observations: Vec<(Options, f64)> = Vec::with_capacity(truths.len());
-            let mut obs_dataset: Vec<usize> = Vec::with_capacity(truths.len());
+            let mut features = Vec::with_capacity(truths.len());
             let mut has_agnostic = false;
             let mut has_dependent = false;
             for t in &truths {
@@ -406,54 +409,26 @@ pub fn run_table2(dataset: &mut dyn DatasetPlugin, cfg: &Table2Config) -> Result
                 }
                 let mut merged = agnostic_feats[t.dataset].clone().unwrap();
                 merged.merge_from(&dep);
-                observations.push((merged, t.ratio));
-                obs_dataset.push(t.dataset);
+                features.push(merged);
             }
 
-            // 3. evaluate
-            let predictor_template = scheme.make_predictor();
-            let trainable = predictor_template.requires_training();
-            let mut fit_time = MeanStd::new();
-            let mut inference_time = MeanStd::new();
-            let mut actual = Vec::new();
-            let mut predicted = Vec::new();
+            // 3. evaluate, folding over datasets so validation fields are
+            //    out-of-sample; each fold trains in ascending dataset order
+            let trainable = scheme.make_predictor().requires_training();
+            let mut folds = Vec::new();
             if trainable {
-                // fold over datasets so validation fields are out-of-sample
-                let folds = cfg.folds.clamp(2, n_data);
-                for fold in k_folds(n_data, folds, cfg.seed) {
-                    let train_set: std::collections::HashSet<usize> =
-                        fold.train.iter().copied().collect();
-                    let mut train_f = Vec::new();
-                    let mut train_t = Vec::new();
-                    let mut val_idx = Vec::new();
-                    for (i, (f, t)) in observations.iter().enumerate() {
-                        if train_set.contains(&obs_dataset[i]) {
-                            train_f.push(f.clone());
-                            train_t.push(*t);
-                        } else {
-                            val_idx.push(i);
-                        }
-                    }
-                    let mut predictor = scheme.make_predictor();
-                    let (fit_result, ms) = time_ms(|| predictor.fit(&train_f, &train_t));
-                    fit_result?;
-                    fit_time.push(ms);
-                    pressio_obs::record_ms(&stage("fit"), ms);
-                    for i in val_idx {
-                        let (p, ms) = time_ms(|| predictor.predict(&observations[i].0));
-                        inference_time.push(ms);
-                        pressio_obs::record_ms(&stage("inference"), ms);
-                        predicted.push(p?);
-                        actual.push(observations[i].1);
-                    }
+                if n_data < 2 {
+                    return Err(Error::InvalidValue {
+                        key: "dataset".into(),
+                        reason: format!(
+                            "cross-validating {scheme_name} needs at least 2 datasets, got {n_data}"
+                        ),
+                    });
                 }
-            } else {
-                for (f, t) in &observations {
-                    let p = predictor_template.predict(f)?;
-                    predicted.push(p);
-                    actual.push(*t);
-                }
+                folds = k_folds(n_data, cfg.folds.clamp(2, n_data), cfg.seed);
+                folds.iter_mut().for_each(|fold| fold.train.sort_unstable());
             }
+            let cv = cross_validate(scheme.as_ref(), &features, &ratios, &obs_dataset, &folds)?;
 
             out.methods.push(MethodRow {
                 scheme: scheme_name.clone(),
@@ -462,23 +437,29 @@ pub fn run_table2(dataset: &mut dyn DatasetPlugin, cfg: &Table2Config) -> Result
                 error_dependent_ms: has_dependent.then_some(dependent_time),
                 error_agnostic_ms: has_agnostic.then_some(agnostic_time),
                 // training = collecting ground truth = running the compressor
-                training_ms: trainable.then(|| {
-                    let mut acc = MeanStd::new();
-                    for t in &truths {
-                        acc.push(t.compress_ms);
-                        pressio_obs::record_ms(&stage("training"), t.compress_ms);
-                    }
-                    acc
-                }),
-                fit_ms: trainable.then_some(fit_time),
-                inference_ms: trainable.then_some(inference_time),
-                medape: medape(&actual, &predicted),
+                training_ms: trainable
+                    .then(|| traced(&stage("training"), truths.iter().map(|t| t.compress_ms))),
+                fit_ms: trainable.then(|| traced(&stage("fit"), cv.fit_ms.iter().copied())),
+                inference_ms: trainable
+                    .then(|| traced(&stage("inference"), cv.inference_ms.iter().copied())),
+                medape: medape(&ratios, &cv.predictions),
             });
         }
     }
     out.checkpoint_hits = hits;
     out.checkpoint_misses = misses;
     Ok(out)
+}
+
+/// `values` in one [`MeanStd`], each also fed to the trace as `name`, so
+/// the trace aggregates equal the printed row.
+fn traced(name: &str, values: impl Iterator<Item = f64>) -> MeanStd {
+    let mut acc = MeanStd::new();
+    for ms in values {
+        acc.push(ms);
+        pressio_obs::record_ms(name, ms);
+    }
+    acc
 }
 
 fn fmt_opt(v: &Option<MeanStd>, precision: usize) -> String {

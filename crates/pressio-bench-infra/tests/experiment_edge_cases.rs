@@ -46,6 +46,24 @@ fn folds_clamp_to_dataset_count() {
 }
 
 #[test]
+fn one_dataset_cannot_cross_validate_a_trained_scheme() {
+    let mut one = MemoryDataset::new(vec![(
+        "P".into(),
+        Data::from_f32(
+            vec![8, 8, 4],
+            (0..256).map(|i| (i as f32 * 0.1).sin()).collect(),
+        ),
+    )]);
+    let mut cfg = base_cfg();
+    cfg.schemes = vec!["rahman2023".into()];
+    let err = run_table2(&mut one, &cfg).unwrap_err().to_string();
+    assert!(err.contains("needs at least 2 datasets, got 1"), "{err}");
+    // a scheme without training has nothing to cross-validate
+    let t = run_table2(&mut one, &base_cfg()).unwrap();
+    assert!(t.methods[0].medape.is_some());
+}
+
+#[test]
 fn single_worker_single_bound() {
     let cfg = base_cfg();
     let t = run_table2(&mut tiny(), &cfg).unwrap();

@@ -165,8 +165,7 @@ impl Predict {
                 "scheme '{scheme}' does not support compressor '{compressor}'"
             )));
         }
-        let mut features = sch.error_agnostic_features(&data)?;
-        features.merge_from(&sch.error_dependent_features(&data, comp.as_ref())?);
+        let features = sch.features(&data, comp.as_ref())?;
         let mut predictor = sch.make_predictor();
         if let Some(path) = &self.state {
             predictor.load_state(&std::fs::read(path)?)?;

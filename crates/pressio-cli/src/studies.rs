@@ -12,7 +12,7 @@ use pressio_core::{Compressor, Data, Options};
 use pressio_dataset::{synthetic::FAMILIES, DatasetPlugin, Hurricane, SyntheticSuite};
 use pressio_dataset::{FolderLoader, LocalCache, Sampler, Strategy};
 use pressio_predict::bandwidth::{bandwidth_features, BandwidthModel};
-use pressio_predict::evaluator::CachedEvaluator;
+use pressio_predict::evaluator::{cross_validate, CachedEvaluator};
 use pressio_predict::registry::standard_schemes;
 use pressio_predict::schemes::{RahmanScheme, TaoScheme};
 use pressio_predict::Scheme;
@@ -408,6 +408,24 @@ fn checkpoint(study: &Study, out: &mut dyn Write) -> Result<()> {
     Ok(out.write_all(text.as_bytes())?)
 }
 
+/// 5-fold out-of-sample predictions of `scheme` for each of `datasets`,
+/// one observation each, its folds shuffled by `seed`.
+fn out_of_sample(
+    scheme: &dyn Scheme,
+    datasets: &[Data],
+    sz: &SzCompressor,
+    truths: &[f64],
+    seed: u64,
+) -> Result<Vec<f64>> {
+    let feats = datasets
+        .iter()
+        .map(|d| scheme.features(d, sz))
+        .collect::<Result<Vec<_>>>()?;
+    let groups: Vec<usize> = (0..datasets.len()).collect();
+    let folds = k_folds(datasets.len(), 5, seed);
+    Ok(cross_validate(scheme, &feats, truths, &groups, &folds)?.predictions)
+}
+
 /// Future-work item 2 of the paper (§7): extend the evaluation beyond
 /// weather data. Runs the out-of-sample prediction comparison on four
 /// structurally distinct synthetic families (turbulence, shocks, wave
@@ -454,32 +472,7 @@ fn datasets(study: &Study, out: &mut dyn Write) -> Result<()> {
     writeln!(out, "---|")?;
     for name in ["khan2023", "jin2022", "rahman2023", "krasowska2021"] {
         let scheme = registry.build(name).unwrap();
-        let trainable = scheme.make_predictor().requires_training();
-        let feats: Vec<Options> = datasets
-            .iter()
-            .map(|d| {
-                let mut f = scheme.error_agnostic_features(d).unwrap();
-                f.merge_from(&scheme.error_dependent_features(d, &sz).unwrap());
-                f
-            })
-            .collect();
-        let mut preds = vec![0.0f64; n];
-        if trainable {
-            for fold in k_folds(n, 5, 17) {
-                let train_f: Vec<Options> = fold.train.iter().map(|&i| feats[i].clone()).collect();
-                let train_t: Vec<f64> = fold.train.iter().map(|&i| truths[i]).collect();
-                let mut p = scheme.make_predictor();
-                p.fit(&train_f, &train_t).unwrap();
-                for &i in &fold.validate {
-                    preds[i] = p.predict(&feats[i]).unwrap();
-                }
-            }
-        } else {
-            let p = scheme.make_predictor();
-            for i in 0..n {
-                preds[i] = p.predict(&feats[i]).unwrap();
-            }
-        }
+        let preds = out_of_sample(scheme.as_ref(), &datasets, &sz, &truths, 17)?;
         write!(out, "| {name} |")?;
         for family in FAMILIES {
             let (t, p): (Vec<f64>, Vec<f64>) = truths
@@ -612,31 +605,20 @@ fn insample(study: &Study, out: &mut dyn Write) -> Result<()> {
         "ganguli2023",
     ] {
         let scheme = registry.build(name).unwrap();
-        let feats: Vec<Options> = datasets
+        let feats = datasets
             .iter()
-            .map(|d| {
-                let mut f = scheme.error_agnostic_features(d).unwrap();
-                f.merge_from(&scheme.error_dependent_features(d, &sz).unwrap());
-                f
-            })
-            .collect();
+            .map(|d| scheme.features(d, &sz))
+            .collect::<Result<Vec<_>>>()?;
         // in-sample: fit on everything, predict everything
         let mut p = scheme.make_predictor();
         p.fit(&feats, &truths).unwrap();
         let preds_in: Vec<f64> = feats.iter().map(|f| p.predict(f).unwrap()).collect();
         let in_sample = medape(&truths, &preds_in).unwrap();
         // out-of-sample: 5-fold CV
-        let mut preds_out = vec![0.0f64; n];
-        for fold in k_folds(n, 5, 42) {
-            let train_f: Vec<Options> = fold.train.iter().map(|&i| feats[i].clone()).collect();
-            let train_t: Vec<f64> = fold.train.iter().map(|&i| truths[i]).collect();
-            let mut p = scheme.make_predictor();
-            p.fit(&train_f, &train_t).unwrap();
-            for &i in &fold.validate {
-                preds_out[i] = p.predict(&feats[i]).unwrap();
-            }
-        }
-        let out_sample = medape(&truths, &preds_out).unwrap();
+        let groups: Vec<usize> = (0..n).collect();
+        let folds = k_folds(n, 5, 42);
+        let cv = cross_validate(scheme.as_ref(), &feats, &truths, &groups, &folds)?;
+        let out_sample = medape(&truths, &cv.predictions).unwrap();
         writeln!(
             out,
             "| {name} | {in_sample:.1} | {out_sample:.1} | {:.1}x |",
@@ -928,25 +910,7 @@ fn rahman(study: &Study, out: &mut dyn Write) -> Result<()> {
                 sparsity_correction: sparsity,
                 augmentation,
             };
-            let feats: Vec<Options> = datasets
-                .iter()
-                .map(|d| {
-                    let mut f = scheme.error_agnostic_features(d).unwrap();
-                    f.merge_from(&scheme.error_dependent_features(d, &sz).unwrap());
-                    f
-                })
-                .collect();
-            // out-of-sample via 5 folds
-            let mut pred = vec![0.0f64; n];
-            for fold in k_folds(n, 5, 99) {
-                let train_f: Vec<Options> = fold.train.iter().map(|&i| feats[i].clone()).collect();
-                let train_t: Vec<f64> = fold.train.iter().map(|&i| truths[i]).collect();
-                let mut p = scheme.make_predictor();
-                p.fit(&train_f, &train_t).unwrap();
-                for &i in &fold.validate {
-                    pred[i] = p.predict(&feats[i]).unwrap();
-                }
-            }
+            let pred = out_of_sample(&scheme, &datasets, &sz, &truths, 99)?;
             let all = medape(&truths, &pred).unwrap();
             let (mut st, mut sp, mut dt, mut dp) = (vec![], vec![], vec![], vec![]);
             for i in 0..n {

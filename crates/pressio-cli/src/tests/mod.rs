@@ -377,6 +377,30 @@ fn every_study_runs_and_prints_its_heading() {
     assert!(names.iter().all(|name| err.contains(name)), "{err}");
 }
 
+/// Every number the cross-validating studies print, against a digest taken
+/// before their fold loops and feature merges moved into `pressio-predict`
+/// (`STUDIES_GOLDEN_DUMP=1` prints the reports).
+#[test]
+fn cross_validated_studies_match_their_digest() {
+    let reports: String = ["datasets", "insample", "rahman"]
+        .iter()
+        .map(|name| {
+            run_line(&format!(
+                "bench --ablation {name} --dims 8,8,4 --timesteps 1 --workers 1"
+            ))
+            .unwrap()
+        })
+        .collect();
+    if std::env::var_os("STUDIES_GOLDEN_DUMP").is_some() {
+        println!("{reports}");
+    }
+    let digest = pressio_core::hash::fnv1a64(reports.as_bytes());
+    assert_eq!(
+        digest, 0xcea12b6261bcbd5f,
+        "study reports moved: digest {digest:#018x}\n{reports}"
+    );
+}
+
 #[test]
 fn bench_lossless_ablation_prints_the_payoff_table() {
     let text = run_line("bench --dims 12,12,6 --workers 1 --ablation lossless").unwrap();

@@ -125,11 +125,6 @@ impl InstrumentedCompressor {
         self.inner.as_ref()
     }
 
-    /// Mutable access (e.g. for `set_options`).
-    pub fn compressor_mut(&mut self) -> &mut Box<dyn Compressor> {
-        &mut self.inner
-    }
-
     /// Forward settings to the compressor **and** every attached metric.
     pub fn set_options(&mut self, opts: &Options) -> Result<()> {
         self.inner.set_options(opts)?;

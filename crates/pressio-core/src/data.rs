@@ -231,17 +231,6 @@ impl Data {
         }
     }
 
-    /// Typed view as bytes; errors for other dtypes.
-    pub fn as_u8(&self) -> Result<&[u8]> {
-        match &self.storage {
-            Storage::U8(v) => Ok(v),
-            other => Err(Error::UnsupportedData(format!(
-                "expected u8 buffer, found {}",
-                dtype_of(other).name()
-            ))),
-        }
-    }
-
     /// Every element widened to `f64`, in storage order.
     ///
     /// Allocates; hot paths read [`Data::elements`] through

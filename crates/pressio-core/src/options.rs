@@ -93,11 +93,6 @@ impl Options {
     }
 
     /// See [`Options::get_f64`].
-    pub fn get_i64(&self, key: &str) -> Result<i64> {
-        self.typed(key, "i64", Value::as_i64)
-    }
-
-    /// See [`Options::get_f64`].
     pub fn get_u64(&self, key: &str) -> Result<u64> {
         self.typed(key, "u64", Value::as_u64)
     }

@@ -13,11 +13,12 @@
 
 use crate::features::FeaturePass;
 use crate::scheme::Scheme;
-use pressio_core::error::Result;
+use pressio_core::error::{Error, Result};
 use pressio_core::hash::hash_options_hex;
 use pressio_core::metrics::invalidations;
 use pressio_core::timing::time_ms;
 use pressio_core::{Compressor, Data, Options};
+use pressio_stats::Fold;
 use std::collections::HashMap;
 
 /// Per-call timing/caching report.
@@ -172,11 +173,86 @@ impl CachedEvaluator {
     }
 }
 
+/// What [`cross_validate`] measured.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CrossValidation {
+    /// The out-of-sample prediction for each observation, by index.
+    pub predictions: Vec<f64>,
+    /// Milliseconds of each fit, in the order the folds ran (empty for a
+    /// scheme without training).
+    pub fit_ms: Vec<f64>,
+    /// Milliseconds of each inference, in the order they ran.
+    pub inference_ms: Vec<f64>,
+}
+
+/// The k-fold protocol of Table 2 (and of the Black-Box paper): predict
+/// every observation with a predictor that never saw its group.
+///
+/// `groups[i]` is the group of observation `i` (Table 2's dataset) and the
+/// folds split group indices. Each fold fits a fresh predictor on the
+/// observations of its training groups — groups in the order the fold lists
+/// them, each group's observations in index order — then predicts the
+/// observations of its validation groups. A scheme without training
+/// predicts every observation once, with no fit.
+pub fn cross_validate(
+    scheme: &dyn Scheme,
+    features: &[Options],
+    truths: &[f64],
+    groups: &[usize],
+    folds: &[Fold],
+) -> Result<CrossValidation> {
+    let mut cv = CrossValidation::default();
+    let untrained = scheme.make_predictor();
+    if !untrained.requires_training() {
+        for f in features {
+            let (p, ms) = time_ms(|| untrained.predict(f));
+            cv.predictions.push(p?);
+            cv.inference_ms.push(ms);
+        }
+        return Ok(cv);
+    }
+    // the observations of some groups: group by group, each in index order
+    let observations = |of: &[usize]| -> Vec<usize> {
+        of.iter()
+            .flat_map(|&g| (0..groups.len()).filter(move |&i| groups[i] == g))
+            .collect()
+    };
+    let mut predictions = vec![None; features.len()];
+    for fold in folds {
+        let train = observations(&fold.train);
+        let train_f: Vec<Options> = train.iter().map(|&i| features[i].clone()).collect();
+        let train_t: Vec<f64> = train.iter().map(|&i| truths[i]).collect();
+        let mut predictor = scheme.make_predictor();
+        let (fitted, ms) = time_ms(|| predictor.fit(&train_f, &train_t));
+        fitted?;
+        cv.fit_ms.push(ms);
+        for i in observations(&fold.validate) {
+            let (p, ms) = time_ms(|| predictor.predict(&features[i]));
+            predictions[i] = Some(p?);
+            cv.inference_ms.push(ms);
+        }
+    }
+    cv.predictions = predictions
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| {
+            p.ok_or_else(|| Error::InvalidValue {
+                key: "folds".into(),
+                reason: format!("observation {i} is in no fold's validation groups"),
+            })
+        })
+        .collect::<Result<_>>()?;
+    Ok(cv)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predictor::{IdentityPredictor, Predictor};
+    use crate::scheme::SchemeInfo;
     use crate::schemes::KrasowskaScheme;
     use pressio_core::Options as Opts;
+    use pressio_stats::k_folds;
     use pressio_sz::SzCompressor;
 
     fn data() -> Data {
@@ -277,6 +353,95 @@ mod tests {
         let (_, t) = ev.features("d0", &d, &c).unwrap();
         assert!(t.error_agnostic_ms.is_some());
         assert!(t.error_dependent_ms.is_some());
+    }
+
+    /// Fit on some groups, it predicts the index of the observation it is
+    /// handed, or −1 for an observation of a group it was fit on.
+    struct Spy {
+        seen: Vec<f64>,
+    }
+
+    impl Predictor for Spy {
+        fn requires_training(&self) -> bool {
+            true
+        }
+        fn fit(&mut self, features: &[Opts], _targets: &[f64]) -> Result<()> {
+            self.seen = features
+                .iter()
+                .map(|f| f.get_f64("group"))
+                .collect::<Result<_>>()?;
+            Ok(())
+        }
+        fn predict(&self, features: &Opts) -> Result<f64> {
+            let own = self.seen.contains(&features.get_f64("group")?);
+            Ok(if own { -1.0 } else { features.get_f64("obs")? })
+        }
+        fn state(&self) -> Result<Vec<u8>> {
+            Ok(Vec::new())
+        }
+        fn load_state(&mut self, _bytes: &[u8]) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `cross_validate` reads nothing of a scheme but its predictor.
+    struct SpyScheme {
+        trained: bool,
+    }
+
+    impl Scheme for SpyScheme {
+        fn info(&self) -> SchemeInfo {
+            unimplemented!()
+        }
+        fn supports(&self, _id: &str) -> bool {
+            unimplemented!()
+        }
+        fn error_agnostic_from(&self, _pass: &FeaturePass<'_>) -> Result<Opts> {
+            unimplemented!()
+        }
+        fn error_dependent_from(&self, _: &FeaturePass<'_>, _: &dyn Compressor) -> Result<Opts> {
+            unimplemented!()
+        }
+        fn make_predictor(&self) -> Box<dyn Predictor> {
+            match self.trained {
+                true => Box::new(Spy { seen: Vec::new() }),
+                false => Box::new(IdentityPredictor::new("obs")),
+            }
+        }
+        fn feature_keys(&self) -> Vec<String> {
+            unimplemented!()
+        }
+    }
+
+    #[test]
+    fn cross_validation_predicts_each_observation_once_out_of_its_group() {
+        // 14 observations in 5 groups, interleaved, two of them alone
+        let groups: Vec<usize> = (0..12).map(|i| i % 3).chain([3, 4]).collect();
+        let features: Vec<Opts> = groups
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| Opts::new().with("obs", i as f64).with("group", g as f64))
+            .collect();
+        let truths = vec![1.0; groups.len()];
+        let everyone: Vec<f64> = (0..groups.len()).map(|i| i as f64).collect();
+        let trained = SpyScheme { trained: true };
+        for k in [2, 3, 5] {
+            let folds = k_folds(5, k, 7);
+            let cv = cross_validate(&trained, &features, &truths, &groups, &folds).unwrap();
+            assert_eq!(cv.predictions, everyone, "k = {k}");
+            assert_eq!(cv.inference_ms.len(), groups.len(), "k = {k}");
+            assert_eq!(cv.fit_ms.len(), k);
+        }
+        let untrained = SpyScheme { trained: false };
+        let cv =
+            cross_validate(&untrained, &features, &truths, &groups, &k_folds(5, 2, 7)).unwrap();
+        assert_eq!(cv.predictions, everyone);
+        assert_eq!(cv.inference_ms.len(), groups.len());
+        assert!(cv.fit_ms.is_empty(), "no fit without training");
+        // a group no fold validates is an error, not a silent gap
+        let mut partial = k_folds(5, 5, 7);
+        partial.pop();
+        assert!(cross_validate(&trained, &features, &truths, &groups, &partial).is_err());
     }
 
     #[test]

@@ -7,13 +7,16 @@
 //! - [`features`] — the metric computations prediction methods consume,
 //!   partitioned into error-agnostic and error-dependent classes (§4.2).
 //! - [`predictor`] — the `predict_plugin` trait (`fit`/`predict`,
-//!   serializable state) and four predictor families: identity ("simple"),
-//!   linear, spline-GAM, random forest, and conformal forest.
+//!   serializable state) and seven predictor families: identity
+//!   ("simple"), linear, spline-GAM, random forest, conformal forest,
+//!   Gaussian process and MLP.
 //! - [`scheme`] / [`schemes`] — the `scheme_plugin` trait with
-//!   self-describing capability metadata (regenerates Table 1) and the
-//!   seven methods from the paper's background section.
+//!   self-describing capability metadata (regenerates Table 1) and the ten
+//!   registered methods. [`Scheme::features`] builds Figure 4's feature
+//!   vector, both stages read through one pass over the buffer.
 //! - [`evaluator`] — invalidation-aware feature caching (Figure 4's `invs`
-//!   flow; the answer to the paper's Q1).
+//!   flow; the answer to the paper's Q1), and [`cross_validate`], the
+//!   k-fold protocol behind Table 2's MedAPE.
 //! - [`registry`] — name-based scheme and compressor registries.
 //!
 //! ## Figure 4, in Rust
@@ -53,10 +56,12 @@ pub mod scheme;
 pub mod schemes;
 
 pub use bandwidth::{bandwidth_features, BandwidthModel};
-pub use evaluator::{CacheCounters, CachedEvaluator, FeatureTimes};
+pub use evaluator::{
+    cross_validate, CacheCounters, CachedEvaluator, CrossValidation, FeatureTimes,
+};
 pub use predictor::{
     ConformalForestPredictor, ForestPredictor, GpPredictor, IdentityPredictor, LinearPredictor,
     MlpPredictor, Predictor, SplinePredictor,
 };
 pub use registry::{standard_compressors, standard_schemes};
-pub use scheme::{format_table1, Scheme, SchemeInfo, StageTimes};
+pub use scheme::{format_table1, Scheme, SchemeInfo};

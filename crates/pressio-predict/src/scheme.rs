@@ -32,22 +32,6 @@ pub struct SchemeInfo {
     pub features: &'static str,
 }
 
-/// Stage timings of one end-to-end prediction (the columns of Table 2).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StageTimes {
-    /// Time computing error-agnostic features, ms (`None` if the scheme has
-    /// none — rendered as "N/A" like the paper).
-    pub error_agnostic_ms: Option<f64>,
-    /// Time computing error-dependent features, ms.
-    pub error_dependent_ms: Option<f64>,
-    /// Time collecting training-only observations, ms.
-    pub training_ms: Option<f64>,
-    /// Model-fitting time, ms.
-    pub fit_ms: Option<f64>,
-    /// Single-prediction inference time, ms.
-    pub inference_ms: Option<f64>,
-}
-
 /// A prediction scheme: feature extraction split by invalidation class,
 /// plus a predictor factory.
 pub trait Scheme: Send {
@@ -88,6 +72,25 @@ pub trait Scheme: Send {
         compressor: &dyn Compressor,
     ) -> Result<Options> {
         self.error_dependent_from(&FeaturePass::new(data), compressor)
+    }
+
+    /// Figure 4's feature vector: the error-agnostic features with the
+    /// error-dependent ones merged over them, both stages read through one
+    /// pass over `data`. This is what a predictor consumes.
+    fn features(&self, data: &Data, compressor: &dyn Compressor) -> Result<Options> {
+        self.features_from(&FeaturePass::new(data), compressor)
+    }
+
+    /// [`Scheme::features`] on a pass the caller holds, for one that reads
+    /// more of the same buffer.
+    fn features_from(
+        &self,
+        pass: &FeaturePass<'_>,
+        compressor: &dyn Compressor,
+    ) -> Result<Options> {
+        let mut features = self.error_agnostic_from(pass)?;
+        features.merge_from(&self.error_dependent_from(pass, compressor)?);
+        Ok(features)
     }
 
     /// Collect the training-only observation for one dataset — by default

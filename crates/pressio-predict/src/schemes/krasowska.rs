@@ -81,9 +81,7 @@ mod tests {
         let mut feats = Vec::new();
         let mut targets = Vec::new();
         for d in &datasets {
-            let mut f = scheme.error_agnostic_features(d).unwrap();
-            f.merge_from(&scheme.error_dependent_features(d, &sz).unwrap());
-            feats.push(f);
+            feats.push(scheme.features(d, &sz).unwrap());
             targets.push(scheme.training_observation(d, &sz).unwrap());
         }
         let mut p = scheme.make_predictor();

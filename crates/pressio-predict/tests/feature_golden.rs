@@ -226,3 +226,33 @@ fn every_feature_matches_the_digest_taken_at_the_parent_commit() {
     }
     assert!(wrong.is_empty(), "features moved: {}", wrong.join(", "));
 }
+
+/// `Scheme::features` reads both stages through one pass; every scheme ×
+/// codec × case × bound must give, bit for bit, the error-agnostic features
+/// with the error-dependent ones merged over them, each stage read on a pass
+/// of its own.
+#[test]
+fn one_pass_features_equal_the_stages_read_apart() {
+    let schemes = standard_schemes();
+    for name in schemes.names() {
+        let scheme = schemes.build(name).unwrap();
+        for (case, data) in cases() {
+            for id in ["sz3", "zfp"] {
+                if !scheme.supports(id) {
+                    continue;
+                }
+                for abs in BOUNDS {
+                    let comp = configured(id, abs);
+                    let apart = scheme.error_agnostic_features(&data).and_then(|mut f| {
+                        f.merge_from(&scheme.error_dependent_features(&data, comp.as_ref())?);
+                        Ok(f)
+                    });
+                    let (mut want, mut got) = (String::new(), String::new());
+                    dump(&mut want, &case, &apart);
+                    dump(&mut got, &case, &scheme.features(&data, comp.as_ref()));
+                    assert_eq!(got, want, "{name} {case} {id}@{abs:e}");
+                }
+            }
+        }
+    }
+}

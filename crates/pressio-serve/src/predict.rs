@@ -4,12 +4,12 @@
 //!
 //! Every op that predicts (`predict`, `stream.chunk`) or collects samples
 //! to fit (`train`) resolves who answers through [`resolve_target`],
-//! builds its compressor through [`compressor`] and extracts through
-//! [`with_dependent`], both stages of a buffer on one
-//! [`FeaturePass`]. The batch handler runs three stages: a serial
-//! **prepare** (hash, prediction-cache probe — hits answer here — then
-//! decode and feature-cache probes), a coalesced parallel **extract** over
-//! the misses, and a serial **finalize** (merge, predict, reply).
+//! builds its compressor through [`compressor`] and reads both feature
+//! stages of a buffer through one [`FeaturePass`]. The batch handler runs
+//! three stages: a serial **prepare** (hash, prediction-cache probe — hits
+//! answer here — then decode and feature-cache probes), a coalesced
+//! parallel **extract** over the misses, and a serial **finalize** (merge,
+//! predict, reply).
 
 use crate::pipeline::WorkItem;
 use crate::protocol::{self, code};
@@ -88,21 +88,6 @@ pub(crate) fn scheme_for(scheme_name: &str, comp_id: &str) -> Result<Box<dyn Sch
         )));
     }
     Ok(scheme)
-}
-
-/// Fig. 4's second stage over its first: `comp`'s error-dependent
-/// features merged onto the error-agnostic ones of the same `pass` — the
-/// vector a predictor consumes. Callers hold the agnostic half, and the
-/// pass it was read through, across compressor settings (a training sweep
-/// over bounds).
-pub(crate) fn with_dependent(
-    scheme: &dyn Scheme,
-    mut agnostic: Options,
-    pass: &FeaturePass<'_>,
-    comp: &dyn Compressor,
-) -> Result<Options> {
-    agnostic.merge_from(&scheme.error_dependent_from(pass, comp)?);
-    Ok(agnostic)
 }
 
 pub(crate) fn prediction_response(

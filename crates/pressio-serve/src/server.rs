@@ -642,12 +642,9 @@ fn handle_train(state: &ServerState, request: &Options) -> Result<Options> {
             // compressor knobs pass through from the request
             let bound = Options::new().with("pressio:abs", abs);
             let comp = predict::compressor(comp_id, &[request, &bound])?;
-            features.push(predict::with_dependent(
-                scheme.as_ref(),
-                agnostic.clone(),
-                &pass,
-                comp.as_ref(),
-            )?);
+            let mut merged = agnostic.clone();
+            merged.merge_from(&scheme.error_dependent_from(&pass, comp.as_ref())?);
+            features.push(merged);
             targets.push(scheme.training_observation(&data, comp.as_ref())?);
         }
     }

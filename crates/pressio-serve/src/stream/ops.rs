@@ -193,12 +193,7 @@ pub(crate) fn handle_chunk(state: &ServerState, request: &Options) -> Result<Opt
     // the begin request's knobs, then per-chunk overrides
     let comp = predict::compressor(&session.comp_id, &[&session.codec_options, request])?;
     let pass = FeaturePass::new(&data);
-    let mut features = predict::with_dependent(
-        scheme.as_ref(),
-        scheme.error_agnostic_from(&pass)?,
-        &pass,
-        comp.as_ref(),
-    )?;
+    let mut features = scheme.features_from(&pass, comp.as_ref())?;
     if let Some(prev) = &session.prev_last {
         features.merge_from(&temporal_delta_features(&FeaturePass::new(prev), &pass));
     }

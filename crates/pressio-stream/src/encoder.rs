@@ -51,11 +51,6 @@ impl<W: Write> StreamEncoder<W> {
         &self.header
     }
 
-    /// Chunks written so far.
-    pub fn chunks_written(&self) -> u32 {
-        self.chunks
-    }
-
     /// Compress and append one chunk. The chunk must carry the declared
     /// dtype and inner shape, with 1..=`chunk_outer` outer slices.
     pub fn write_chunk(&mut self, chunk: &Data) -> Result<ChunkRecord> {

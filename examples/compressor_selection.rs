@@ -36,12 +36,7 @@ fn rank(
     for field in fields {
         let mut predicted = Vec::new();
         for (ci, comp) in compressors.iter().enumerate() {
-            let mut f = scheme.error_agnostic_features(&field.data).unwrap();
-            f.merge_from(
-                &scheme
-                    .error_dependent_features(&field.data, comp.as_ref())
-                    .unwrap(),
-            );
+            let f = scheme.features(&field.data, comp.as_ref()).unwrap();
             predicted.push(predictors[ci].predict(&f).unwrap());
         }
         let pred_best = (predicted[0] < predicted[1]) as usize;
@@ -109,13 +104,7 @@ fn main() {
         let mut feats = Vec::new();
         let mut targets = Vec::new();
         for field in train {
-            let mut f = rahman.error_agnostic_features(&field.data).unwrap();
-            f.merge_from(
-                &rahman
-                    .error_dependent_features(&field.data, comp.as_ref())
-                    .unwrap(),
-            );
-            feats.push(f);
+            feats.push(rahman.features(&field.data, comp.as_ref()).unwrap());
             targets.push(field.truth[ci]);
         }
         let mut p = rahman.make_predictor();

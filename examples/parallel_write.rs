@@ -37,10 +37,8 @@ fn main() {
     let mut feats = Vec::new();
     let mut ratios = Vec::new();
     for (_, data) in &chunks[..half] {
-        let mut f = scheme.error_agnostic_features(data).unwrap();
-        f.merge_from(&scheme.error_dependent_features(data, &sz).unwrap());
+        feats.push(scheme.features(data, &sz).unwrap());
         let c = sz.compress(data).unwrap();
-        feats.push(f);
         ratios.push(data.size_in_bytes() as f64 / c.len() as f64);
     }
     let mut predictor = scheme.make_predictor();
@@ -55,8 +53,7 @@ fn main() {
     let mut allocated_total = 0u64;
     let mut actual_total = 0u64;
     for (name, data) in &chunks[half..] {
-        let mut f = scheme.error_agnostic_features(data).unwrap();
-        f.merge_from(&scheme.error_dependent_features(data, &sz).unwrap());
+        let f = scheme.features(data, &sz).unwrap();
         let point = predictor.predict(&f).unwrap();
         let predicted_bytes = data.size_in_bytes() as f64 / point;
         // safety factor: allocate by the conformal *lower* ratio bound

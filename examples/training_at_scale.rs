@@ -136,9 +136,7 @@ fn main() {
         let rec = store.get(&task.id).expect("complete after restart");
         let i = rec.get_usize("index").unwrap();
         let data = &datasets[i].1;
-        let mut f = scheme.error_agnostic_features(data).unwrap();
-        f.merge_from(&scheme.error_dependent_features(data, &sz).unwrap());
-        feats.push(f);
+        feats.push(scheme.features(data, &sz).unwrap());
         targets.push(rec.get_f64("ratio").unwrap());
     }
     let mut predictor = scheme.make_predictor();

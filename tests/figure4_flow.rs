@@ -85,12 +85,7 @@ fn invalidation_reuse_across_bounds_matches_recompute() {
             .unwrap();
         let (cached, _) = evaluator.features(name, data, comp.as_ref()).unwrap();
         // fresh computation must agree exactly with the cached path
-        let mut fresh = scheme.error_agnostic_features(data).unwrap();
-        fresh.merge_from(
-            &scheme
-                .error_dependent_features(data, comp.as_ref())
-                .unwrap(),
-        );
+        let fresh = scheme.features(data, comp.as_ref()).unwrap();
         assert_eq!(cached, fresh, "abs={abs}");
     }
     let counters = evaluator.counters();
@@ -113,12 +108,7 @@ fn trained_state_transfers_between_sessions() {
         let mut feats = Vec::new();
         let mut targets = Vec::new();
         for (_, data) in &fields {
-            let mut f = scheme.error_agnostic_features(data).unwrap();
-            f.merge_from(
-                &scheme
-                    .error_dependent_features(data, comp.as_ref())
-                    .unwrap(),
-            );
+            let f = scheme.features(data, comp.as_ref()).unwrap();
             let truth = data.size_in_bytes() as f64 / comp.compress(data).unwrap().len() as f64;
             feats.push(f);
             targets.push(truth);
@@ -132,12 +122,7 @@ fn trained_state_transfers_between_sessions() {
     let mut p2 = scheme2.make_predictor();
     p2.load_state(&state).unwrap();
     let (_, data) = &fields[0];
-    let mut f = scheme2.error_agnostic_features(data).unwrap();
-    f.merge_from(
-        &scheme2
-            .error_dependent_features(data, comp.as_ref())
-            .unwrap(),
-    );
+    let f = scheme2.features(data, comp.as_ref()).unwrap();
     let prediction = p2.predict(&f).unwrap();
     assert!(prediction.is_finite() && prediction > 0.0);
 }
