@@ -4,7 +4,8 @@
 use crate::args::{usage_error, Args};
 use crate::codec::{check_output_shape, required};
 use pressio_core::error::Result;
-use pressio_core::{Compressor, Options};
+use pressio_core::metrics::ErrorStatMetrics;
+use pressio_core::{Compressor, MetricsPlugin, Options};
 use pressio_dataset::io::read_raw;
 use pressio_serve::Endpoint;
 use std::io::Write;
@@ -119,20 +120,12 @@ impl Select {
         )?;
         if self.verify {
             let restored = codec.decompress(&container, record.dtype, &[])?;
-            let original = data.to_f64_vec();
-            let decoded = restored.to_f64_vec();
-            let (mut lo, mut hi, mut se) = (f64::INFINITY, f64::NEG_INFINITY, 0.0f64);
-            for (&x, &y) in original.iter().zip(&decoded) {
-                lo = lo.min(x);
-                hi = hi.max(x);
-                se += (x - y) * (x - y);
-            }
-            let mse = se / original.len().max(1) as f64;
-            let psnr = if mse <= 0.0 {
-                f64::INFINITY
-            } else {
-                10.0 * ((hi - lo).powi(2) / mse).log10()
-            };
+            let mut error = ErrorStatMetrics::new();
+            error.begin_compress(&data)?;
+            error.end_decompress(&container, Some(&restored), true)?;
+            // absent where nothing was lost
+            let psnr = error.results().get_f64_opt("error_stat:psnr")?;
+            let psnr = psnr.unwrap_or(f64::INFINITY);
             writeln!(
                 out,
                 "measured psnr: {psnr:.1} dB (policy {})",

@@ -6,14 +6,6 @@ use crate::error::Result;
 use crate::metrics::MetricsPlugin;
 use crate::options::Options;
 
-/// Well-known option keys shared by every compressor.
-pub mod keys {
-    /// Absolute point-wise error bound (`pressio:abs`).
-    pub const ABS: &str = "pressio:abs";
-    /// Compressor-reported lossless flag.
-    pub const LOSSLESS: &str = "pressio:lossless";
-}
-
 /// A lossy (or lossless) compressor plugin.
 ///
 /// Implementations are configured through [`Options`] (`set_options`), expose

@@ -2,7 +2,8 @@
 //!
 //! Core abstractions of the LibPressio-Predict reproduction: typed
 //! configuration ([`options::Options`]), n-dimensional data buffers
-//! ([`data::Data`]), the compressor and metrics plugin traits
+//! ([`data::Data`]), the error bound every codec holds ([`bound`]), the
+//! compressor and metrics plugin traits
 //! ([`compressor::Compressor`], [`metrics::MetricsPlugin`]), plugin
 //! registries, deterministic option hashing ([`hash`]), the n-d gather and
 //! block draw every sampler reads through ([`lattice`]), and timing helpers.
@@ -29,6 +30,7 @@
 // one exception: the SHA-NI kernel module, `hash::sha_ni`
 #![deny(unsafe_code)]
 
+pub mod bound;
 pub mod chunking;
 pub mod compressor;
 pub mod data;

@@ -2,6 +2,7 @@
 //! (`time`, `size`, `error_stat`) that ship with LibPressio and that the
 //! prediction framework builds on.
 
+use crate::bound::{finite_extrema, finite_range};
 use crate::data::Data;
 use crate::error::Result;
 use crate::options::Options;
@@ -229,16 +230,15 @@ impl MetricsPlugin for ErrorStatMetrics {
         "error_stat"
     }
 
+    /// Min, max and range of the finite values, which `pressio:rel` scales.
     fn begin_compress(&mut self, input: &Data) -> Result<()> {
         let vals = input.to_f64_vec();
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &v in &vals {
-            lo = lo.min(v);
-            hi = hi.max(v);
+        if let Some((lo, hi)) = finite_extrema(&vals) {
+            self.results.set("error_stat:value_min", lo);
+            self.results.set("error_stat:value_max", hi);
         }
-        self.results.set("error_stat:value_min", lo);
-        self.results.set("error_stat:value_max", hi);
-        self.results.set("error_stat:value_range", hi - lo);
+        self.results
+            .set("error_stat:value_range", finite_range(&vals));
         self.input = Some(vals);
         Ok(())
     }
@@ -256,15 +256,15 @@ impl MetricsPlugin for ErrorStatMetrics {
         if out.len() != input.len() {
             return Ok(());
         }
-        let n = input.len().max(1) as f64;
-        let mut max_abs = 0.0f64;
-        let mut sse = 0.0f64;
-        for (a, b) in input.iter().zip(&out) {
+        // the codecs store non-finite values exactly
+        let (mut n, mut max_abs, mut sse) = (0usize, 0.0f64, 0.0f64);
+        for (a, b) in input.iter().zip(&out).filter(|(a, _)| a.is_finite()) {
             let d = (a - b).abs();
             max_abs = max_abs.max(d);
             sse += d * d;
+            n += 1;
         }
-        let mse = sse / n;
+        let mse = sse / n.max(1) as f64;
         let range = self
             .results
             .get_f64("error_stat:value_range")
@@ -363,6 +363,39 @@ mod tests {
         assert_eq!(r.get_f64("error_stat:mse").unwrap(), 0.0);
         // psnr undefined (infinite) for exact reconstruction: key absent
         assert!(r.get_f64_opt("error_stat:psnr").unwrap().is_none());
+    }
+
+    /// An infinity, which the codecs store exactly, neither widens the
+    /// range nor enters the error: PSNR is the finite values'.
+    #[test]
+    fn error_stat_leaves_non_finite_originals_out() {
+        let measure = |input: Vec<f64>, output: Vec<f64>| {
+            let mut m = ErrorStatMetrics::new();
+            m.begin_compress(&Data::from_f64(vec![input.len()], input))
+                .unwrap();
+            m.end_decompress(&[], Some(&Data::from_f64(vec![output.len()], output)), true)
+                .unwrap();
+            m.results()
+        };
+        let finite = measure(vec![0.0, 1.0, 2.0, 3.0], vec![0.1, 1.0, 2.0, 2.9]);
+        let salted = measure(
+            vec![0.0, f64::INFINITY, 1.0, f64::NAN, 2.0, 3.0],
+            vec![0.1, f64::INFINITY, 1.0, f64::NAN, 2.0, 2.9],
+        );
+        assert_eq!(salted.get_f64("error_stat:value_range").unwrap(), 3.0);
+        assert_eq!(salted.get_f64("error_stat:value_max").unwrap(), 3.0);
+        for key in ["error_stat:max_error", "error_stat:mse", "error_stat:psnr"] {
+            assert_eq!(
+                salted.get_f64(key).unwrap(),
+                finite.get_f64(key).unwrap(),
+                "{key}"
+            );
+        }
+        // nothing finite: no extrema, range 0, no PSNR
+        let none = measure(vec![f64::NAN, f64::INFINITY], vec![f64::NAN, f64::INFINITY]);
+        assert_eq!(none.get_f64("error_stat:value_range").unwrap(), 0.0);
+        assert!(!none.contains("error_stat:value_min"));
+        assert!(!none.contains("error_stat:psnr"));
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! structure. Features are partitioned by invalidation class (paper §4.2):
 //! **error-agnostic** features depend only on the data; **error-dependent**
 //! features also depend on error-affecting compressor settings (here, the
-//! `pressio:abs` bound). The evaluator in [`crate::evaluator`] caches each
-//! class separately.
+//! bound [`FeaturePass::abs_bound`] resolves). The evaluator in
+//! [`crate::evaluator`] caches each class separately.
 
+use pressio_core::bound::ErrorBound;
+use pressio_core::error::Result;
 use pressio_core::lanes::{finite_or_zero, Widen};
-use pressio_core::{gather, with_elements, Blocks, Data, Options};
+use pressio_core::{gather, with_elements, Blocks, Compressor, Data, Options};
 use pressio_lossless::entropy::{quantized_entropy, shannon_entropy_symbols};
 use pressio_stats::lanes::{self, Sweep};
 use pressio_stats::{summarize, svd_truncation_fraction, variogram_score, Matrix, Summary};
@@ -84,6 +86,13 @@ impl<'a> FeaturePass<'a> {
         } else {
             s.max - s.min
         }
+    }
+
+    /// The absolute bound `compressor` holds on this buffer: its
+    /// [`ErrorBound`] resolved against [`FeaturePass::value_range`], which
+    /// is read only while `pressio:rel` is set.
+    pub fn abs_bound(&self, compressor: &dyn Compressor) -> Result<f64> {
+        Ok(ErrorBound::of(&compressor.get_options())?.resolve(|| self.value_range()))
     }
 
     /// Mean absolute first difference (cheap smoothness proxy, 1-d walk)

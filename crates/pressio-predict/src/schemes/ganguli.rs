@@ -44,7 +44,7 @@ impl Scheme for GanguliScheme {
         compressor: &dyn Compressor,
     ) -> Result<Options> {
         // "general distortion" term: entropy after quantization at the bound
-        let abs = compressor.get_options().get_f64("pressio:abs")?;
+        let abs = pass.abs_bound(compressor)?;
         Ok(quantized_entropy_features(pass, abs))
     }
 

@@ -77,7 +77,7 @@ impl Scheme for JinScheme {
                 compressor.id()
             )));
         }
-        let abs = compressor.get_options().get_f64("pressio:abs")?;
+        let abs = pass.abs_bound(compressor)?;
         Ok(Options::new().with("jin:predicted_ratio", self.predicted_ratio(pass, abs)))
     }
 

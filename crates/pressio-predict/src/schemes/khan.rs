@@ -119,7 +119,7 @@ impl Scheme for KhanScheme {
         pass: &FeaturePass<'_>,
         compressor: &dyn Compressor,
     ) -> Result<Options> {
-        let abs = compressor.get_options().get_f64("pressio:abs")?;
+        let abs = pass.abs_bound(compressor)?;
         let ratio = match compressor.id() {
             "sz3" => self.estimate_sz(pass, abs),
             "zfp" => self.estimate_zfp(pass, abs),
@@ -229,7 +229,8 @@ mod tests {
         let sz = SzCompressor::new();
         let ratio = |data: &Data| {
             let features = KhanScheme.error_dependent_features(data, &sz).unwrap();
-            let whole = sz_ratio(&FeaturePass::new(data), None, sz.abs_bound());
+            let pass = FeaturePass::new(data);
+            let whole = sz_ratio(&pass, None, pass.abs_bound(&sz).unwrap());
             (features.get_f64("khan:predicted_ratio").unwrap(), whole)
         };
         let (sampled, whole) = ratio(&smooth(24, 12));

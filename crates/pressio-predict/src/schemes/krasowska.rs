@@ -40,7 +40,7 @@ impl Scheme for KrasowskaScheme {
         pass: &FeaturePass<'_>,
         compressor: &dyn Compressor,
     ) -> Result<Options> {
-        let abs = compressor.get_options().get_f64("pressio:abs")?;
+        let abs = pass.abs_bound(compressor)?;
         Ok(quantized_entropy_features(pass, abs))
     }
 

@@ -44,7 +44,7 @@ impl Scheme for QinScheme {
         pass: &FeaturePass<'_>,
         compressor: &dyn Compressor,
     ) -> Result<Options> {
-        let abs = compressor.get_options().get_f64("pressio:abs")?;
+        let abs = pass.abs_bound(compressor)?;
         let mut f = sz_quantization_profile(pass, abs, SAMPLE_STRIDE);
         f.set("qin:log_abs", abs.max(1e-300).log10());
         Ok(f)

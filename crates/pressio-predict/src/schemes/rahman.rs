@@ -78,7 +78,7 @@ impl Scheme for RahmanScheme {
         pass: &FeaturePass<'_>,
         compressor: &dyn Compressor,
     ) -> Result<Options> {
-        let abs = compressor.get_options().get_f64("pressio:abs")?;
+        let abs = pass.abs_bound(compressor)?;
         Ok(Options::new()
             .with("rahman:log_abs", abs.max(1e-300).log10())
             .with(

@@ -6,6 +6,7 @@
 use crate::features::{origins, FeaturePass};
 use crate::predictor::{IdentityPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
+use pressio_core::bound::ErrorBound;
 use pressio_core::error::Result;
 use pressio_core::{Blocks, Compressor, Options};
 
@@ -63,6 +64,18 @@ impl Scheme for TaoScheme {
         compressor: &dyn Compressor,
     ) -> Result<Options> {
         let data = pass.data();
+        // a relative bound is the buffer's, not each block's: the blocks are
+        // compressed at the absolute bound it resolves to on the buffer
+        let pinned = match ErrorBound::of(&compressor.get_options()) {
+            Ok(bound) if bound.rel.is_some() => {
+                let abs = bound.resolve(|| pass.value_range());
+                let mut pinned = compressor.clone_box();
+                pinned.set_options(&ErrorBound { abs, rel: None }.options())?;
+                Some(pinned)
+            }
+            _ => None,
+        };
+        let compressor = pinned.as_deref().unwrap_or(compressor);
         let blocks = Blocks {
             shape: &[self.block_edge],
             count: self.block_count,

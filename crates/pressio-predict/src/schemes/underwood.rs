@@ -43,7 +43,7 @@ impl Scheme for UnderwoodScheme {
         pass: &FeaturePass<'_>,
         compressor: &dyn Compressor,
     ) -> Result<Options> {
-        let abs = compressor.get_options().get_f64("pressio:abs")?;
+        let abs = pass.abs_bound(compressor)?;
         Ok(quantized_entropy_features(pass, abs))
     }
 

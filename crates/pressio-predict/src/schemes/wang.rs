@@ -90,8 +90,8 @@ impl Scheme for WangScheme {
                 compressor.id()
             )));
         }
+        let abs = pass.abs_bound(compressor)?;
         let opts = compressor.get_options();
-        let abs = opts.get_f64("pressio:abs")?;
         let configured = opts.get_str_opt("sz3:predictor")?.unwrap_or("auto");
         let mut out = Options::new();
         let mut best = f64::MIN;

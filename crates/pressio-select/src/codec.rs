@@ -8,6 +8,7 @@
 
 use std::sync::Mutex;
 
+use pressio_core::bound::finite_range_of;
 use pressio_core::data::{Data, Dtype};
 use pressio_core::error::{Error, Result};
 use pressio_core::{Compressor, Options};
@@ -19,7 +20,7 @@ use crate::engine::{
     Decision,
 };
 use crate::header::{self, DecisionRecord};
-use crate::policy::{value_range, Policy};
+use crate::policy::Policy;
 
 /// Failpoint: the consult path (predictor) is unreachable.
 pub const FP_CONSULT_UNAVAILABLE: &str = "select:consult.unavailable";
@@ -63,7 +64,7 @@ impl SelectCodec {
     pub fn decide(&self, data: &Data) -> Decision {
         let _span = pressio_obs::span("select:consult");
         pressio_obs::add_counter("select:consult", 1);
-        let range = value_range(data);
+        let range = finite_range_of(data);
         let feasible = self.policy.feasible_bounds(range);
         let consulted: Result<Decision> = (|| {
             pressio_faults::inject(FP_CONSULT_UNAVAILABLE)?;

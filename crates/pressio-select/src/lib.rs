@@ -38,4 +38,4 @@ pub mod policy;
 pub use codec::{SelectCodec, FP_CONSULT_UNAVAILABLE, FP_MODEL_STALE};
 pub use engine::{trial_sampled_ratio, Consult, Decision, CODECS};
 pub use header::{decode as decode_header, DecisionRecord};
-pub use policy::{value_range, Policy};
+pub use policy::Policy;

@@ -9,8 +9,6 @@
 //! ratios inside the admissible set. The same property makes the static
 //! fallback safe: it never needs a prediction to honor the quality target.
 
-use pressio_core::Data;
-
 /// Default PSNR floor in dB.
 pub const DEFAULT_PSNR_FLOOR: f64 = 60.0;
 /// Default candidate absolute error bounds (matching the serve trainer's
@@ -88,35 +86,11 @@ impl Policy {
     }
 }
 
-/// `max - min` over the buffer, in f64 (NaNs skipped like the error-stat
-/// metrics do).
-pub fn value_range(data: &Data) -> f64 {
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut scan = |v: f64| {
-        if v.is_nan() {
-            return;
-        }
-        min = min.min(v);
-        max = max.max(v);
-    };
-    match data.as_f32() {
-        Ok(values) => values.iter().for_each(|&v| scan(v as f64)),
-        Err(_) => match data.as_f64() {
-            Ok(values) => values.iter().for_each(|&v| scan(v)),
-            Err(_) => data.to_f64_vec().into_iter().for_each(scan),
-        },
-    }
-    if min.is_finite() && max.is_finite() && max > min {
-        max - min
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pressio_core::bound::finite_range_of;
+    use pressio_core::{Compressor, Data, Options};
 
     #[test]
     fn analytic_floor_matches_formula() {
@@ -153,8 +127,28 @@ mod tests {
     #[test]
     fn value_range_skips_nans() {
         let d = Data::from_f32(vec![4], vec![1.0, f32::NAN, -2.0, 3.0]);
-        assert_eq!(value_range(&d), 5.0);
+        assert_eq!(finite_range_of(&d), 5.0);
         let flat = Data::from_f32(vec![2], vec![7.0, 7.0]);
-        assert_eq!(value_range(&flat), 0.0);
+        assert_eq!(finite_range_of(&flat), 0.0);
+    }
+
+    /// An infinity is stored exactly and says nothing of the range the
+    /// PSNR floor is held over: a smooth field of range 0.2 is held at
+    /// 1e-4 (66 dB), and one `+inf` in it must not make it look constant
+    /// and send it to 1e-3 (46 dB on its finite values).
+    #[test]
+    fn an_infinity_does_not_loosen_the_bound() {
+        let mut codec = crate::SelectCodec::new();
+        codec
+            .set_options(&Options::new().with("select:consult", "static"))
+            .unwrap();
+        let mut values: Vec<f32> = (0..32 * 32 * 16)
+            .map(|i| 0.1 * (i as f32 * 0.01).sin())
+            .collect();
+        let finite = codec.decide(&Data::from_f32(vec![32, 32, 16], values.clone()));
+        values[100] = f32::INFINITY;
+        let salted = codec.decide(&Data::from_f32(vec![32, 32, 16], values));
+        assert_eq!(finite.abs, 1e-4);
+        assert_eq!(salted.abs, finite.abs);
     }
 }

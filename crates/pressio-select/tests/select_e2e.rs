@@ -3,10 +3,11 @@
 //! a live `pressio-serve` daemon (train one model per codec → consult →
 //! selected container → header-driven decompression).
 
+use pressio_core::bound::finite_range_of;
 use pressio_core::{Compressor, Data, Dtype, Options};
 use pressio_dataset::{DatasetPlugin, Hurricane};
 use pressio_predict::standard_compressors;
-use pressio_select::{decode_header, value_range, Policy, SelectCodec, CODECS};
+use pressio_select::{decode_header, Policy, SelectCodec, CODECS};
 use pressio_serve::{Client, Endpoint, ServeConfig, Server};
 use std::path::PathBuf;
 
@@ -66,7 +67,7 @@ fn regret_against_the_both_codec_oracle_is_bounded() {
     for i in 0..hurricane.len() {
         let data = hurricane.load_data(i).unwrap();
         let raw = data.size_in_bytes() as f64;
-        let bounds = policy.feasible_bounds(value_range(&data));
+        let bounds = policy.feasible_bounds(finite_range_of(&data));
         let mut oracle = f64::NEG_INFINITY;
         for codec in CODECS {
             for &abs in &bounds {

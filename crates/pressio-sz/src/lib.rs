@@ -51,6 +51,7 @@ pub mod regression;
 
 pub use codec::{predict_and_quantize_par, Predictor, QuantizedStream, RADIUS};
 
+use pressio_core::bound::{finite_range, ErrorBound};
 use pressio_core::chunking::{self, Carry, Memo};
 use pressio_core::error::{Error, Result};
 use pressio_core::lanes::Widen;
@@ -60,11 +61,8 @@ use pressio_core::{gather, Compressor, Data, Dtype, Elements, Options};
 /// The SZ3-like compressor plugin (`id = "sz3"`).
 ///
 /// Recognized options:
-/// - `pressio:abs` (`f64`, default `1e-4`) — absolute error bound.
-/// - `pressio:rel` (`f64`, optional) — value-range-relative bound: the
-///   effective absolute bound becomes `rel × (max − min)` per buffer
-///   (the normalization the paper's footnote 6 discusses). Takes
-///   precedence over `pressio:abs` while set; set to 0 to clear.
+/// - `pressio:abs` and `pressio:rel` — the error bound, parsed, reported
+///   and resolved per buffer by [`pressio_core::bound::ErrorBound`].
 /// - `sz3:predictor` (`"auto" | "lorenzo" | "regression" | "interp" | "hybrid"`,
 ///   default `"auto"`: chosen per buffer from a sample's symbol histograms,
 ///   and on a chained stream's residual chunks carried from the last chunk
@@ -75,8 +73,7 @@ use pressio_core::{gather, Compressor, Data, Dtype, Elements, Options};
 ///   `1` forces the sequential path, output is identical either way.
 #[derive(Clone, Debug)]
 pub struct SzCompressor {
-    abs: f64,
-    rel: Option<f64>,
+    bound: ErrorBound,
     predictor: String,
     block: usize,
     nthreads: Option<usize>,
@@ -85,8 +82,7 @@ pub struct SzCompressor {
 impl Default for SzCompressor {
     fn default() -> Self {
         SzCompressor {
-            abs: 1e-4,
-            rel: None,
+            bound: ErrorBound::default(),
             predictor: "auto".to_string(),
             block: regression::DEFAULT_BLOCK,
             nthreads: None,
@@ -98,33 +94,6 @@ impl SzCompressor {
     /// Compressor with default settings (`abs = 1e-4`, auto predictor).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Current absolute error bound.
-    pub fn abs_bound(&self) -> f64 {
-        self.abs
-    }
-
-    /// Effective absolute bound for a buffer (resolves `pressio:rel`).
-    fn effective_abs<T: Widen>(&self, values: &[T]) -> f64 {
-        match self.rel {
-            Some(rel) => {
-                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                for v in values.iter().map(|v| v.widen()) {
-                    if v.is_finite() {
-                        lo = lo.min(v);
-                        hi = hi.max(v);
-                    }
-                }
-                let range = hi - lo;
-                if range.is_finite() && range > 0.0 {
-                    rel * range
-                } else {
-                    self.abs
-                }
-            }
-            None => self.abs,
-        }
     }
 
     /// [`Compressor::compress`] of `input`, with the reconstruction its
@@ -171,7 +140,7 @@ impl SzCompressor {
     ) -> Result<(Vec<u8>, Vec<f64>)> {
         let (dtype, dims) = (input.dtype(), input.dims());
         let round_f32 = dtype == Dtype::F32;
-        let abs = self.effective_abs(values);
+        let abs = self.bound.resolve(|| finite_range(values));
         // The symbols' block is taken before the choice is made: its scratch,
         // freed in chunks of under 1 KiB that glibc keeps uncoalesced, would
         // else pin the block the last call's symbols left, and each n-element
@@ -350,27 +319,7 @@ impl Compressor for SzCompressor {
     }
 
     fn set_options(&mut self, opts: &Options) -> Result<()> {
-        if let Some(abs) = opts.get_f64_opt("pressio:abs")? {
-            if !(abs.is_finite() && abs > 0.0) {
-                return Err(Error::InvalidValue {
-                    key: "pressio:abs".into(),
-                    reason: "error bound must be positive and finite".into(),
-                });
-            }
-            self.abs = abs;
-        }
-        if let Some(rel) = opts.get_f64_opt("pressio:rel")? {
-            if rel == 0.0 {
-                self.rel = None; // explicit clear
-            } else if rel > 0.0 && rel.is_finite() {
-                self.rel = Some(rel);
-            } else {
-                return Err(Error::InvalidValue {
-                    key: "pressio:rel".into(),
-                    reason: "relative bound must be positive and finite (0 clears)".into(),
-                });
-            }
-        }
+        self.bound.set_options(opts)?;
         if let Some(p) = opts.get_str_opt("sz3:predictor")? {
             if p != "auto" {
                 Predictor::parse(p)?; // validate eagerly
@@ -393,9 +342,8 @@ impl Compressor for SzCompressor {
     }
 
     fn get_options(&self) -> Options {
-        Options::new()
-            .with("pressio:abs", self.abs)
-            .with("pressio:rel", self.rel.unwrap_or(0.0))
+        self.bound
+            .options()
             .with("sz3:predictor", self.predictor.as_str())
             .with("sz3:block_size", self.block as u64)
             .with("pressio:nthreads", self.nthreads.unwrap_or(0) as u64)
@@ -410,7 +358,7 @@ impl Compressor for SzCompressor {
             // invalidation tracker in pressio-predict
             .with(
                 "predictors:error_dependent_settings",
-                vec!["pressio:abs".to_string(), "pressio:rel".to_string()],
+                ErrorBound::KEYS.map(String::from).to_vec(),
             )
             .with(
                 "predictors:runtime_settings",

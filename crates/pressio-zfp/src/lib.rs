@@ -36,6 +36,7 @@ mod twin;
 pub use block::Mode;
 
 use block::{Block, Plan, MAX_BLOCK};
+use pressio_core::bound::{finite_range, ErrorBound};
 use pressio_core::error::{Error, Result};
 use pressio_core::lanes::{Element, Widen};
 use pressio_core::metrics::invalidations;
@@ -61,7 +62,9 @@ const WAVE_PER_THREAD: usize = 4;
 /// The ZFP-like compressor plugin (`id = "zfp"`).
 ///
 /// Recognized options:
-/// - `pressio:abs` (`f64`, default `1e-4`) — tolerance for accuracy mode.
+/// - `pressio:abs` and `pressio:rel` — the accuracy mode's tolerance,
+///   parsed, reported and resolved per buffer by
+///   [`pressio_core::bound::ErrorBound`].
 /// - `zfp:mode` (`"accuracy" | "precision" | "rate"`, default `"accuracy"`).
 /// - `zfp:precision` (`u64`, planes, default 24) — precision mode only.
 /// - `zfp:rate` (`f64`, bits/value, default 8.0) — rate mode only.
@@ -69,11 +72,7 @@ const WAVE_PER_THREAD: usize = 4;
 ///   `1` forces the sequential path, output is identical either way.
 #[derive(Clone, Debug)]
 pub struct ZfpCompressor {
-    abs: f64,
-    /// Optional value-range-relative tolerance (`pressio:rel`): the
-    /// effective tolerance becomes `rel × (max − min)` per buffer — the
-    /// normalization the paper's footnote 6 discusses.
-    rel: Option<f64>,
+    bound: ErrorBound,
     mode: String,
     precision: u32,
     rate: f64,
@@ -83,8 +82,7 @@ pub struct ZfpCompressor {
 impl Default for ZfpCompressor {
     fn default() -> Self {
         ZfpCompressor {
-            abs: 1e-4,
-            rel: None,
+            bound: ErrorBound::default(),
             mode: "accuracy".to_string(),
             precision: 24,
             rate: 8.0,
@@ -97,34 +95,6 @@ impl ZfpCompressor {
     /// Compressor with default settings (accuracy mode, `abs = 1e-4`).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn effective_mode<T: Widen>(&self, values: &[T]) -> Mode {
-        match self.mode.as_str() {
-            "precision" => Mode::Precision(self.precision),
-            "rate" => Mode::Rate(self.rate),
-            _ => {
-                let abs = match self.rel {
-                    Some(rel) => {
-                        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                        for v in values.iter().map(|v| v.widen()) {
-                            if v.is_finite() {
-                                lo = lo.min(v);
-                                hi = hi.max(v);
-                            }
-                        }
-                        let range = hi - lo;
-                        if range.is_finite() && range > 0.0 {
-                            rel * range
-                        } else {
-                            self.abs
-                        }
-                    }
-                    None => self.abs,
-                };
-                Mode::Accuracy(abs)
-            }
-        }
     }
 }
 
@@ -335,12 +305,16 @@ impl ZfpCompressor {
     /// `compress` on the typed elements of `input`.
     fn compress_elements<T: Widen>(&self, input: &Data, values: &[T]) -> Vec<u8> {
         let grid = Grid::new(&collapse_dims(input.dims()));
-        let mode = self.effective_mode(values);
-        // the header must carry the *effective* tolerance so the decoder
-        // derives the identical plane cutoff (rel is resolved at encode time)
+        let mode = match self.mode.as_str() {
+            "precision" => Mode::Precision(self.precision),
+            "rate" => Mode::Rate(self.rate),
+            _ => Mode::Accuracy(self.bound.resolve(|| finite_range(values))),
+        };
+        // the header carries the tolerance as resolved on this buffer, so the
+        // decoder derives the identical plane cutoff
         let header_abs = match mode {
-            Mode::Accuracy(a) => a,
-            _ => self.abs,
+            Mode::Accuracy(abs) => abs,
+            _ => self.bound.abs,
         };
         let plan = Plan::new(mode, grid.d);
 
@@ -496,27 +470,7 @@ impl Compressor for ZfpCompressor {
     }
 
     fn set_options(&mut self, opts: &Options) -> Result<()> {
-        if let Some(abs) = opts.get_f64_opt("pressio:abs")? {
-            if !(abs.is_finite() && abs > 0.0) {
-                return Err(Error::InvalidValue {
-                    key: "pressio:abs".into(),
-                    reason: "tolerance must be positive and finite".into(),
-                });
-            }
-            self.abs = abs;
-        }
-        if let Some(rel) = opts.get_f64_opt("pressio:rel")? {
-            if rel == 0.0 {
-                self.rel = None; // explicit clear
-            } else if rel > 0.0 && rel.is_finite() {
-                self.rel = Some(rel);
-            } else {
-                return Err(Error::InvalidValue {
-                    key: "pressio:rel".into(),
-                    reason: "relative bound must be positive and finite (0 clears)".into(),
-                });
-            }
-        }
+        self.bound.set_options(opts)?;
         if let Some(m) = opts.get_str_opt("zfp:mode")? {
             if !["accuracy", "precision", "rate"].contains(&m) {
                 return Err(Error::InvalidValue {
@@ -551,9 +505,8 @@ impl Compressor for ZfpCompressor {
     }
 
     fn get_options(&self) -> Options {
-        Options::new()
-            .with("pressio:abs", self.abs)
-            .with("pressio:rel", self.rel.unwrap_or(0.0))
+        self.bound
+            .options()
             .with("zfp:mode", self.mode.as_str())
             .with("zfp:precision", self.precision as u64)
             .with("zfp:rate", self.rate)
@@ -567,13 +520,14 @@ impl Compressor for ZfpCompressor {
             .with("pressio:dtypes", vec!["f32".to_string(), "f64".to_string()])
             .with(
                 "predictors:error_dependent_settings",
-                vec![
-                    "pressio:abs".to_string(),
-                    "pressio:rel".to_string(),
-                    "zfp:mode".to_string(),
-                    "zfp:precision".to_string(),
-                    "zfp:rate".to_string(),
-                ],
+                [
+                    &ErrorBound::KEYS[..],
+                    &["zfp:mode", "zfp:precision", "zfp:rate"],
+                ]
+                .concat()
+                .into_iter()
+                .map(String::from)
+                .collect::<Vec<_>>(),
             )
             .with(
                 "predictors:invalidate",
