@@ -528,7 +528,9 @@ mod tests {
     }
 
     fn tiny_hurricane() -> Hurricane {
-        Hurricane::with_dims(16, 16, 8, 2).with_fields(&["P", "U", "QRAIN", "QSNOW", "TC", "V"])
+        Hurricane::with_dims(16, 16, 8, 2)
+            .with_fields(&["P", "U", "QRAIN", "QSNOW", "TC", "V"])
+            .unwrap()
     }
 
     #[test]

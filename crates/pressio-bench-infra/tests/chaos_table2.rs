@@ -46,7 +46,9 @@ fn config(checkpoint: Option<PathBuf>) -> Table2Config {
 }
 
 fn run_once(checkpoint: Option<PathBuf>) -> Table2 {
-    let mut hurricane = Hurricane::with_dims(12, 12, 6, 2).with_fields(&["P", "U", "TC"]);
+    let mut hurricane = Hurricane::with_dims(12, 12, 6, 2)
+        .with_fields(&["P", "U", "TC"])
+        .unwrap();
     run_table2(&mut hurricane, &config(checkpoint)).unwrap()
 }
 

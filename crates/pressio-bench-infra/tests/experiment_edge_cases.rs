@@ -6,7 +6,9 @@ use pressio_core::Data;
 use pressio_dataset::{Hurricane, MemoryDataset};
 
 fn tiny() -> Hurricane {
-    Hurricane::with_dims(12, 12, 6, 2).with_fields(&["P", "QRAIN", "U"])
+    Hurricane::with_dims(12, 12, 6, 2)
+        .with_fields(&["P", "QRAIN", "U"])
+        .unwrap()
 }
 
 fn base_cfg() -> Table2Config {

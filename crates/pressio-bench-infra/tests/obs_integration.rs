@@ -45,7 +45,9 @@ fn trace_aggregates_agree_exactly_with_table2() {
     let _guard = exclusive();
     let collector = Arc::new(pressio_obs::Collector::new());
     pressio_obs::install(collector.clone());
-    let mut hurricane = Hurricane::with_dims(16, 16, 8, 2).with_fields(&["P", "U", "QRAIN", "TC"]);
+    let mut hurricane = Hurricane::with_dims(16, 16, 8, 2)
+        .with_fields(&["P", "U", "QRAIN", "TC"])
+        .unwrap();
     let cfg = Table2Config {
         schemes: vec!["khan2023".into(), "jin2022".into(), "rahman2023".into()],
         compressors: vec!["sz3".into(), "zfp".into()],

@@ -2,7 +2,8 @@
 
 use crate::args::{usage_error, Args};
 use pressio_core::error::Result;
-use pressio_dataset::io::write_raw;
+use pressio_core::Dtype;
+use pressio_dataset::io::{write_raw, write_raw_with};
 use pressio_dataset::DatasetPlugin;
 use std::io::Write;
 use std::path::PathBuf;
@@ -41,22 +42,18 @@ impl Generate {
         if self.stack {
             // one 4-D file per field, timesteps stacked along the
             // outer (slowest) axis — the shape `pressio stream`
-            // chunks without ever materializing more than one chunk
+            // chunks — and written a timestep at a time, so only the
+            // file ever holds the whole stack
             let fields: Vec<String> = h.fields().to_vec();
+            let stacked = [dims.0, dims.1, dims.2, timesteps];
             for (f, field) in fields.iter().enumerate() {
-                let mut bytes = Vec::new();
-                let mut dtype = pressio_core::Dtype::F32;
-                for t in 0..timesteps {
-                    let data = h.load_data(t * fields.len() + f)?;
-                    dtype = data.dtype();
-                    bytes.extend_from_slice(&data.to_le_bytes());
-                }
-                let stacked = pressio_core::Data::from_le_bytes(
-                    dtype,
-                    vec![dims.0, dims.1, dims.2, timesteps],
-                    &bytes,
-                )?;
-                let path = write_raw(&self.out, &format!("{field}-stack"), &stacked)?;
+                let name = format!("{field}-stack");
+                let path = write_raw_with(&self.out, &name, Dtype::F32, &stacked, |w| {
+                    for t in 0..timesteps {
+                        w.write_all(&h.load_data(t * fields.len() + f)?.to_le_bytes())?;
+                    }
+                    Ok(())
+                })?;
                 writeln!(out, "wrote {}", path.display())?;
             }
             return Ok(());

@@ -259,7 +259,7 @@ fn bandwidth(study: &Study, out: &mut dyn Write) -> Result<()> {
     let mut tags = Vec::new();
     for scale in [16usize, 24, 32, 48] {
         let mut h = Hurricane::with_dims(scale, scale, scale / 2, 1)
-            .with_fields(&["P", "TC", "U", "QRAIN", "QVAPOR", "W"]);
+            .with_fields(&["P", "TC", "U", "QRAIN", "QVAPOR", "W"])?;
         for i in 0..h.len() {
             let meta = h.load_metadata(i).unwrap();
             let data = h.load_data(i).unwrap();

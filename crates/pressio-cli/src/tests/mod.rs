@@ -593,6 +593,38 @@ fn parses_stream_generate_stack_and_serve_online_flags() {
     assert!(err.is_err(), "--stream-idle-secs must be numeric");
 }
 
+/// `generate --stack` writes each timestep's bytes straight to the file:
+/// every stacked file matches a digest taken when it still gathered the
+/// whole stack in memory first, and no temp file is left behind.
+#[test]
+fn generate_stack_writes_the_bytes_it_wrote_when_it_held_the_stack() {
+    use pressio_core::hash::fnv1a64;
+    use std::fmt::Write;
+    let dir = scratch("pressio_cli_generate_stack");
+    run_line(&format!(
+        "generate --out {} --dims 7,5,3 --timesteps 4 --stack",
+        dir.display()
+    ))
+    .unwrap();
+    let mut lines = String::new();
+    for field in pressio_dataset::FIELDS {
+        let bytes = std::fs::read(dir.join(format!("{field}-stack_7x5x3x4.f32"))).unwrap();
+        writeln!(lines, "{field} {} {:016x}", bytes.len(), fnv1a64(&bytes)).unwrap();
+    }
+    let files = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(
+        files,
+        pressio_dataset::FIELDS.len(),
+        "a temp file was left behind"
+    );
+    let digest = fnv1a64(lines.as_bytes());
+    assert_eq!(
+        digest, 0xddfa5d240c1cb33e,
+        "stacked bytes moved: digest {digest:#018x}\n{lines}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn stream_compress_info_decompress_roundtrip() {
     let dir = scratch("pressio_cli_stream");

@@ -67,7 +67,9 @@ fn train_request(model: &str) -> Options {
 }
 
 fn chunks(n: usize) -> Vec<pressio_core::Data> {
-    let mut source = pressio_dataset::Hurricane::with_dims(8, 8, 4, n).with_fields(&["TC"]);
+    let mut source = pressio_dataset::Hurricane::with_dims(8, 8, 4, n)
+        .with_fields(&["TC"])
+        .unwrap();
     (0..n).map(|t| source.load_data(t).unwrap()).collect()
 }
 

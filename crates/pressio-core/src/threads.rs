@@ -90,6 +90,30 @@ where
     }
 }
 
+/// Run `f` over `items.chunks_mut(chunk_len)`, in parallel when
+/// `nthreads > 1`. `f` receives `(chunk_index, chunk)` and writes its
+/// chunk in place, so a caller fills one output buffer with no second
+/// copy; the chunk boundaries are the same in both modes.
+pub fn par_chunks_mut<T, F>(nthreads: usize, items: &mut [T], chunk_len: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let chunk_len = chunk_len.max(1);
+    if nthreads <= 1 || items.len() <= chunk_len {
+        for (i, chunk) in items.chunks_mut(chunk_len).enumerate() {
+            f(i, chunk);
+        }
+    } else {
+        rayon::scope(|s| {
+            for (i, chunk) in items.chunks_mut(chunk_len).enumerate() {
+                let f = &f;
+                s.spawn(move |_| f(i, chunk));
+            }
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,5 +145,21 @@ mod tests {
         let par = par_chunks(7, &items, 10, |i, c| (i, c.to_vec()));
         assert_eq!(seq, par);
         assert_eq!(seq.len(), 11);
+    }
+
+    #[test]
+    fn par_chunks_mut_fills_each_chunk_in_place() {
+        let fill = |nthreads| {
+            let mut items = vec![0usize; 103];
+            par_chunks_mut(nthreads, &mut items, 10, |i, c| {
+                for (k, v) in c.iter_mut().enumerate() {
+                    *v = i * 1000 + k;
+                }
+            });
+            items
+        };
+        let seq = fill(1);
+        assert_eq!(seq, fill(7));
+        assert_eq!((seq[0], seq[19], seq[102]), (0, 1009, 10002));
     }
 }

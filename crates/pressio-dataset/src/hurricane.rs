@@ -14,9 +14,10 @@
 //! the moisture fields (QCLOUD, QRAIN, QICE, QSNOW, QGRAUP, CLOUD, PRECIP)
 //! are thresholded plumes that are exactly zero over most of the volume.
 
+use crate::noise::Axis;
 use crate::plugin::{index_error, DatasetMeta, DatasetPlugin};
-use pressio_core::error::Result;
-use pressio_core::{Data, Dtype, Options};
+use pressio_core::error::{Error, Result};
+use pressio_core::{threads, Data, Dtype, Options};
 
 /// The 13 Hurricane Isabel field names.
 pub const FIELDS: [&str; 13] = [
@@ -31,48 +32,6 @@ pub const SPARSE_FIELDS: [&str; 7] = [
 
 /// Number of timesteps in the full dataset.
 pub const TIMESTEPS: usize = 48;
-
-/// Deterministic hash-based value noise (smooth, spatially correlated).
-fn hash3(x: i64, y: i64, z: i64, seed: u64) -> f64 {
-    let mut h = seed
-        ^ (x as u64).wrapping_mul(0x9E3779B97F4A7C15)
-        ^ (y as u64).wrapping_mul(0xC2B2AE3D27D4EB4F)
-        ^ (z as u64).wrapping_mul(0x165667B19E3779F9);
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xBF58476D1CE4E5B9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94D049BB133111EB);
-    h ^= h >> 31;
-    (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-}
-
-fn smoothstep(t: f64) -> f64 {
-    t * t * (3.0 - 2.0 * t)
-}
-
-/// Trilinear value noise at continuous coordinates, in `[-1, 1]`.
-fn value_noise(x: f64, y: f64, z: f64, seed: u64) -> f64 {
-    let (xi, yi, zi) = (x.floor() as i64, y.floor() as i64, z.floor() as i64);
-    let (fx, fy, fz) = (
-        smoothstep(x - xi as f64),
-        smoothstep(y - yi as f64),
-        smoothstep(z - zi as f64),
-    );
-    let mut acc = 0.0;
-    for (dz, wz) in [(0i64, 1.0 - fz), (1, fz)] {
-        for (dy, wy) in [(0i64, 1.0 - fy), (1, fy)] {
-            for (dx, wx) in [(0i64, 1.0 - fx), (1, fx)] {
-                acc += wx * wy * wz * hash3(xi + dx, yi + dy, zi + dz, seed);
-            }
-        }
-    }
-    acc
-}
-
-/// Two-octave fractal noise, in roughly `[-1.5, 1.5]`.
-fn turbulence(x: f64, y: f64, z: f64, seed: u64) -> f64 {
-    value_noise(x, y, z, seed) + 0.5 * value_noise(x * 2.0 + 17.0, y * 2.0, z * 2.0, seed ^ 0xABCD)
-}
 
 /// Synthetic hurricane volume generator.
 #[derive(Debug, Clone)]
@@ -109,10 +68,20 @@ impl Hurricane {
         }
     }
 
-    /// Restrict to a subset of fields (names must come from [`FIELDS`]).
-    pub fn with_fields(mut self, fields: &[&str]) -> Hurricane {
+    /// Restrict to a subset of fields. A name outside [`FIELDS`] is an
+    /// `InvalidValue` that lists the 13 names.
+    pub fn with_fields(mut self, fields: &[&str]) -> Result<Hurricane> {
+        if let Some(bad) = fields.iter().find(|f| Kind::parse(f).is_none()) {
+            return Err(Error::InvalidValue {
+                key: "hurricane:fields".into(),
+                reason: format!(
+                    "unknown field {bad:?}; the fields are {}",
+                    FIELDS.join(", ")
+                ),
+            });
+        }
         self.fields = fields.iter().map(|s| s.to_string()).collect();
-        self
+        Ok(self)
     }
 
     /// Change the generator seed (varies the synthetic weather).
@@ -142,7 +111,28 @@ impl Hurricane {
     }
 
     /// Generate one `field` at `timestep` as an `f32` volume.
+    ///
+    /// Each term is computed at the level where it varies: the field's
+    /// kind once per call; each noise octave's lattice cell and weights
+    /// once per `x`; `zf` and the humidity once per z-plane; the radial
+    /// terms once per `(x, y)` column, a row of columns at a time, and the
+    /// noise's corner hashes once per lattice cell a row crosses. Every
+    /// float operation is the one the per-element formula performs, in its
+    /// order, so the output does not depend on this layout or on the
+    /// thread count: z-planes are split over
+    /// [`pressio_core::threads::resolve`]'s threads, each task writing its
+    /// own planes of the one output buffer and computing each row of
+    /// columns once for all of them. Nothing but the output outgrows a
+    /// row: a per-call column table (256 KiB at 128×128) measurably moved
+    /// the allocator's later choices and the benchmark's peak RSS.
+    ///
+    /// # Panics
+    ///
+    /// If `field` is not one of [`FIELDS`].
     pub fn generate(&self, field: &str, timestep: usize) -> Data {
+        let kind = Kind::parse(field).unwrap_or_else(|| {
+            panic!("unknown Hurricane field {field:?}; the fields are {FIELDS:?}")
+        });
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let t = timestep as f64 / self.timesteps.max(1) as f64;
         // eye track: drifts diagonally across the middle of the domain
@@ -151,71 +141,135 @@ impl Hurricane {
         let rm = 0.12 * nx as f64; // radius of maximum wind
         let seed = self.seed ^ (timestep as u64).wrapping_mul(0x9E37);
         let noise_scale = 8.0 / (nx as f64).max(1.0);
-        let mut out = Vec::with_capacity(nx * ny * nz);
-        for z in 0..nz {
-            let zf = z as f64 / nz.max(1) as f64;
-            for y in 0..ny {
-                for x in 0..nx {
-                    let dx = x as f64 - cx;
-                    let dy = y as f64 - cy;
-                    let r = (dx * dx + dy * dy).sqrt().max(1e-9);
-                    // Rankine-style swirl speed, decaying with altitude
-                    let swirl = (r / rm) * (1.0 - r / rm).exp() * (1.0 - 0.6 * zf);
-                    let nval = turbulence(
-                        x as f64 * noise_scale,
-                        y as f64 * noise_scale,
-                        z as f64 * noise_scale * 2.0 + t * 5.0,
-                        seed,
-                    );
-                    let v = match field {
-                        "U" => -dy / r * swirl * 60.0 + 4.0 * nval,
-                        "V" => dx / r * swirl * 60.0 + 4.0 * nval,
-                        "W" => {
-                            // updraft ring at the eyewall
-                            let ring = (-((r - rm) / (0.4 * rm)).powi(2)).exp();
-                            ring * (1.0 - zf) * 8.0 + 0.5 * nval
-                        }
-                        "P" => {
-                            // pressure deficit filling with altitude
-                            let deficit = 60.0 * (-(r / (2.0 * rm)).powi(2)).exp();
-                            1000.0 - 90.0 * zf - deficit * (1.0 - 0.5 * zf) + 0.8 * nval
-                        }
-                        "TC" => {
-                            // lapse rate + warm core
-                            let core = 6.0 * (-(r / rm).powi(2)).exp();
-                            28.0 - 60.0 * zf + core + 0.5 * nval
-                        }
-                        "QVAPOR" => {
-                            let humid = (-(zf * 3.0)).exp();
-                            (0.02 * humid * (1.0 + 0.4 * (-(r / (3.0 * rm)).powi(2)).exp())
-                                + 0.002 * nval)
-                                .max(0.0)
-                        }
-                        // sparse families: thresholded plumes
-                        "QCLOUD" | "CLOUD" => {
-                            let ring = (-((r - rm) / (0.8 * rm)).powi(2)).exp();
-                            sparse_plume(ring * (1.0 - zf), nval, 0.55, 0.004)
-                        }
-                        "QRAIN" | "PRECIP" => {
-                            let ring = (-((r - 0.8 * rm) / (0.6 * rm)).powi(2)).exp();
-                            sparse_plume(ring * (1.0 - zf).powi(2), nval, 0.65, 0.008)
-                        }
-                        "QICE" | "QSNOW" => {
-                            // only aloft
-                            let ring = (-((r - 1.2 * rm) / rm).powi(2)).exp();
-                            sparse_plume(ring * zf, nval, 0.7, 0.003)
-                        }
-                        "QGRAUP" => {
-                            let ring = (-((r - rm) / (0.5 * rm)).powi(2)).exp();
-                            sparse_plume(ring * zf * (1.0 - zf) * 4.0, nval, 0.8, 0.005)
-                        }
-                        _ => nval,
-                    };
-                    out.push(v as f32);
-                }
-            }
+        // two-octave turbulence: the second octave at twice the frequency,
+        // offset in x
+        let coarse = Axis::new((0..nx).map(|x| x as f64 * noise_scale));
+        let fine = Axis::new((0..nx).map(|x| x as f64 * noise_scale * 2.0 + 17.0));
+        let plane = nx * ny;
+        let mut out = vec![0f32; plane * nz];
+        if out.is_empty() {
+            return Data::from_f32(vec![nx, ny, nz], out);
         }
+        let threads = threads::resolve(None);
+        let planes_per_task = nz.div_ceil(threads);
+        threads::par_chunks_mut(
+            threads,
+            &mut out,
+            plane * planes_per_task,
+            |task, planes| {
+                // the task's z-planes: height fraction, humidity, noise z
+                let heights: Vec<(f64, f64, f64)> = (task * planes_per_task..)
+                    .take(planes.len() / plane)
+                    .map(|z| {
+                        let zf = z as f64 / nz.max(1) as f64;
+                        (
+                            zf,
+                            (-(zf * 3.0)).exp(),
+                            z as f64 * noise_scale * 2.0 + t * 5.0,
+                        )
+                    })
+                    .collect();
+                let mut columns = vec![[0.0; 2]; nx];
+                let mut nval = vec![0.0; nx];
+                for y in 0..ny {
+                    // one row of columns serves every plane of the task
+                    for (x, column) in columns.iter_mut().enumerate() {
+                        *column = kind.column(x as f64 - cx, y as f64 - cy, rm);
+                    }
+                    let yc = y as f64 * noise_scale;
+                    for (&(zf, humid, zc), plane) in heights.iter().zip(planes.chunks_mut(plane)) {
+                        coarse.row(yc, zc, seed, |x, v| nval[x] = v);
+                        fine.row(yc * 2.0, zc * 2.0, seed ^ 0xABCD, |x, v| nval[x] += 0.5 * v);
+                        let row = &mut plane[y * nx..(y + 1) * nx];
+                        for ((o, column), &nval) in row.iter_mut().zip(&columns).zip(&nval) {
+                            *o = kind.value(*column, zf, humid, nval) as f32;
+                        }
+                    }
+                }
+            },
+        );
         Data::from_f32(vec![nx, ny, nz], out)
+    }
+}
+
+/// A Hurricane field, parsed from its name once per [`Hurricane::generate`].
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    U,
+    V,
+    W,
+    P,
+    Tc,
+    Qvapor,
+    /// QCLOUD and CLOUD.
+    Cloud,
+    /// QRAIN and PRECIP.
+    Rain,
+    /// QICE and QSNOW.
+    Ice,
+    Graupel,
+}
+
+impl Kind {
+    fn parse(field: &str) -> Option<Kind> {
+        Some(match field {
+            "U" => Kind::U,
+            "V" => Kind::V,
+            "W" => Kind::W,
+            "P" => Kind::P,
+            "TC" => Kind::Tc,
+            "QVAPOR" => Kind::Qvapor,
+            "QCLOUD" | "CLOUD" => Kind::Cloud,
+            "QRAIN" | "PRECIP" => Kind::Rain,
+            "QICE" | "QSNOW" => Kind::Ice,
+            "QGRAUP" => Kind::Graupel,
+            _ => return None,
+        })
+    }
+
+    /// What the field needs of the column at `(dx, dy)` from the eye: the
+    /// wind direction and the Rankine-style swirl factor for U and V, the
+    /// field's radial factor (ring, deficit, core, humidity) otherwise.
+    fn column(self, dx: f64, dy: f64, rm: f64) -> [f64; 2] {
+        let r = (dx * dx + dy * dy).sqrt().max(1e-9);
+        let swirl = || (r / rm) * (1.0 - r / rm).exp();
+        let radial = match self {
+            Kind::U => return [-dy / r, swirl()],
+            Kind::V => return [dx / r, swirl()],
+            // updraft ring at the eyewall
+            Kind::W => (-((r - rm) / (0.4 * rm)).powi(2)).exp(),
+            // pressure deficit
+            Kind::P => 60.0 * (-(r / (2.0 * rm)).powi(2)).exp(),
+            // warm core
+            Kind::Tc => 6.0 * (-(r / rm).powi(2)).exp(),
+            Kind::Qvapor => 1.0 + 0.4 * (-(r / (3.0 * rm)).powi(2)).exp(),
+            Kind::Cloud => (-((r - rm) / (0.8 * rm)).powi(2)).exp(),
+            Kind::Rain => (-((r - 0.8 * rm) / (0.6 * rm)).powi(2)).exp(),
+            Kind::Ice => (-((r - 1.2 * rm) / rm).powi(2)).exp(),
+            Kind::Graupel => (-((r - rm) / (0.5 * rm)).powi(2)).exp(),
+        };
+        [radial, 0.0]
+    }
+
+    /// The field's value at one element: its `column` terms, the plane's
+    /// height fraction `zf` and `humid`, and the turbulence `nval`.
+    fn value(self, [radial, swirl]: [f64; 2], zf: f64, humid: f64, nval: f64) -> f64 {
+        match self {
+            // swirl speed decaying with altitude
+            Kind::U | Kind::V => radial * (swirl * (1.0 - 0.6 * zf)) * 60.0 + 4.0 * nval,
+            Kind::W => radial * (1.0 - zf) * 8.0 + 0.5 * nval,
+            // the deficit fills with altitude
+            Kind::P => 1000.0 - 90.0 * zf - radial * (1.0 - 0.5 * zf) + 0.8 * nval,
+            // lapse rate + warm core
+            Kind::Tc => 28.0 - 60.0 * zf + radial + 0.5 * nval,
+            Kind::Qvapor => (0.02 * humid * radial + 0.002 * nval).max(0.0),
+            // sparse families: thresholded plumes
+            Kind::Cloud => sparse_plume(radial * (1.0 - zf), nval, 0.55, 0.004),
+            Kind::Rain => sparse_plume(radial * (1.0 - zf).powi(2), nval, 0.65, 0.008),
+            // only aloft
+            Kind::Ice => sparse_plume(radial * zf, nval, 0.7, 0.003),
+            Kind::Graupel => sparse_plume(radial * zf * (1.0 - zf) * 4.0, nval, 0.8, 0.005),
+        }
     }
 }
 
@@ -381,7 +435,7 @@ mod tests {
 
     #[test]
     fn field_subset() {
-        let mut h = small().with_fields(&["U", "QRAIN"]);
+        let mut h = small().with_fields(&["U", "QRAIN"]).unwrap();
         assert_eq!(h.len(), 4 * 2);
         assert_eq!(h.load_metadata(1).unwrap().name, "QRAIN@t00");
         let sparse_attr = h
@@ -391,6 +445,50 @@ mod tests {
             .get_bool("hurricane:sparse")
             .unwrap();
         assert!(sparse_attr);
+    }
+
+    #[test]
+    fn unknown_field_names_are_turned_down() {
+        let err = small().with_fields(&["U", "FOO"]).unwrap_err().to_string();
+        assert!(err.contains("\"FOO\""), "{err}");
+        for field in FIELDS {
+            assert!(err.contains(field), "{err} does not list {field}");
+        }
+        assert!(
+            small().with_fields(&["u"]).is_err(),
+            "names are case-sensitive"
+        );
+        let generated = std::panic::catch_unwind(|| small().generate("FOO", 0));
+        assert!(
+            generated.is_err(),
+            "generate must not turn an unknown name into noise"
+        );
+    }
+
+    /// Probe: fastest-of-3 ms to generate the benchmark's 16 MiB `P`
+    /// (128×128×256) and one field at the paper's 500×500×100, at 1 and 2
+    /// threads. `cargo test --release -p pressio-dataset --lib
+    /// generate_costs -- --ignored --nocapture`
+    #[test]
+    #[ignore = "timing probe"]
+    fn generate_costs() {
+        for (nx, ny, nz, reps) in [(128, 128, 256, 3), (500, 500, 100, 1)] {
+            let h = Hurricane::with_dims(nx, ny, nz, TIMESTEPS);
+            for threads in [1, 2] {
+                pressio_core::threads::set_global_threads(threads);
+                let ms = (0..reps)
+                    .map(|_| {
+                        let t = std::time::Instant::now();
+                        std::hint::black_box(h.generate("P", 24));
+                        t.elapsed().as_secs_f64() * 1e3
+                    })
+                    .fold(f64::INFINITY, f64::min);
+                let mib = (nx * ny * nz * 4) as f64 / (1 << 20) as f64;
+                let per_mib = ms / mib;
+                println!("P {nx}x{ny}x{nz} at {threads} threads: {ms:.1} ms ({per_mib:.2} ms/MiB)");
+            }
+        }
+        pressio_core::threads::set_global_threads(0);
     }
 
     #[test]

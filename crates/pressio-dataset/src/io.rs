@@ -59,14 +59,36 @@ pub fn format_filename(name: &str, dims: &[usize], dtype: Dtype) -> String {
 /// Write `data` as raw little-endian under `dir` with the canonical name;
 /// returns the full path.
 pub fn write_raw(dir: &Path, name: &str, data: &Data) -> Result<PathBuf> {
+    write_raw_with(dir, name, data.dtype(), data.dims(), |w| {
+        Ok(w.write_all(&data.to_le_bytes())?)
+    })
+}
+
+/// Write a raw file of `dtype` and `dims` under `dir` with the canonical
+/// name, its little-endian bytes written piece by piece by `fill`, so a
+/// caller never holds the whole buffer; returns the full path. The bytes
+/// written must be exactly what `dims` and `dtype` say.
+pub fn write_raw_with(
+    dir: &Path,
+    name: &str,
+    dtype: Dtype,
+    dims: &[usize],
+    fill: impl FnOnce(&mut dyn Write) -> Result<()>,
+) -> Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let path = dir.join(format_filename(name, data.dims(), data.dtype()));
+    let path = dir.join(format_filename(name, dims, dtype));
     // write-to-temp + rename: a crashed writer never leaves a torn file
     let tmp = path.with_extension("tmp");
-    {
+    let written = (|| {
         let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        f.write_all(&data.to_le_bytes())?;
+        fill(&mut f)?;
         f.flush()?;
+        let len = f.get_ref().metadata()?.len() as usize;
+        Data::check_le_len(dtype, dims, len)
+    })();
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
     }
     std::fs::rename(&tmp, &path)?;
     Ok(path)
@@ -149,6 +171,46 @@ mod tests {
         let path = dir.join("X_10x10.f32");
         std::fs::write(&path, [0u8; 7]).unwrap();
         assert!(read_raw(&path).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_piecewise_write_is_one_file_or_none() {
+        let dir = std::env::temp_dir().join("pressio_io_test_pieces");
+        let _ = std::fs::remove_dir_all(&dir);
+        let parts = [
+            Data::from_f32(vec![3, 2], vec![1.5; 6]),
+            Data::from_f32(vec![3, 2], vec![-2.0; 6]),
+        ];
+        let path = write_raw_with(&dir, "S", Dtype::F32, &[3, 2, 2], |w| {
+            for part in &parts {
+                w.write_all(&part.to_le_bytes())?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let whole: Vec<f32> = parts
+            .iter()
+            .flat_map(|p| p.as_f32().unwrap().to_vec())
+            .collect();
+        assert_eq!(
+            read_raw(&path).unwrap(),
+            Data::from_f32(vec![3, 2, 2], whole)
+        );
+        // a short or failed write leaves neither the file nor its temp
+        let short = write_raw_with(&dir, "T", Dtype::F32, &[3, 2, 2], |w| {
+            Ok(w.write_all(&parts[0].to_le_bytes())?)
+        });
+        assert!(short.is_err());
+        let failed = write_raw_with(&dir, "U", Dtype::F32, &[1], |_| {
+            Err(Error::Io("gone".into()))
+        });
+        assert!(failed.is_err());
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, vec![std::ffi::OsString::from("S_3x2x2.f32")]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

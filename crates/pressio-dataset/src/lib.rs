@@ -14,6 +14,8 @@
 //!   pipeline exactly as Figure 2 sketches.
 //! - [`hurricane`] — deterministic synthetic Hurricane Isabel stand-in
 //!   (13 fields × 48 timesteps, mixed sparse/dense).
+//! - [`noise`] — the value noise both synthetic generators draw on, by
+//!   the point or by the row.
 //!
 //! A Figure-2-style stack:
 //!
@@ -41,6 +43,7 @@ pub mod cache;
 pub mod folder;
 pub mod hurricane;
 pub mod io;
+pub mod noise;
 pub mod plugin;
 pub mod sampler;
 pub mod synthetic;

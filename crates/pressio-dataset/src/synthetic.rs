@@ -8,6 +8,7 @@
 //! plateau/step data (piecewise constant — trivial for dictionaries,
 //! awkward for transforms).
 
+use crate::noise::value_noise;
 use crate::plugin::{index_error, DatasetMeta, DatasetPlugin};
 use pressio_core::error::Result;
 use pressio_core::{Data, Dtype, Options};
@@ -23,41 +24,6 @@ pub struct SyntheticSuite {
     nz: usize,
     realizations: usize,
     seed: u64,
-}
-
-fn hash3(x: i64, y: i64, z: i64, seed: u64) -> f64 {
-    let mut h = seed
-        ^ (x as u64).wrapping_mul(0x9E3779B97F4A7C15)
-        ^ (y as u64).wrapping_mul(0xC2B2AE3D27D4EB4F)
-        ^ (z as u64).wrapping_mul(0x165667B19E3779F9);
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xBF58476D1CE4E5B9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94D049BB133111EB);
-    h ^= h >> 31;
-    (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-}
-
-fn smoothstep(t: f64) -> f64 {
-    t * t * (3.0 - 2.0 * t)
-}
-
-fn value_noise(x: f64, y: f64, z: f64, seed: u64) -> f64 {
-    let (xi, yi, zi) = (x.floor() as i64, y.floor() as i64, z.floor() as i64);
-    let (fx, fy, fz) = (
-        smoothstep(x - xi as f64),
-        smoothstep(y - yi as f64),
-        smoothstep(z - zi as f64),
-    );
-    let mut acc = 0.0;
-    for (dz, wz) in [(0i64, 1.0 - fz), (1, fz)] {
-        for (dy, wy) in [(0i64, 1.0 - fy), (1, fy)] {
-            for (dx, wx) in [(0i64, 1.0 - fx), (1, fx)] {
-                acc += wx * wy * wz * hash3(xi + dx, yi + dy, zi + dz, seed);
-            }
-        }
-    }
-    acc
 }
 
 impl SyntheticSuite {

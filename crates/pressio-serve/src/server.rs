@@ -624,6 +624,16 @@ fn handle_train(state: &ServerState, request: &Options) -> Result<Options> {
         }
         Err(_) => vec![16, 16, 8],
     };
+    // a field larger than the biggest buffer this daemon takes on the wire
+    // is turned down before the generator tries to allocate it
+    let max_frame = state.config.max_frame.min(protocol::MAX_FRAME);
+    let bytes = dims.iter().try_fold(4usize, |n, &d| n.checked_mul(d));
+    if bytes.is_none_or(|b| b > max_frame) {
+        return Err(Error::InvalidValue {
+            key: "serve:dims".into(),
+            reason: format!("{dims:?} f32 is larger than the {max_frame}-byte frame cap"),
+        });
+    }
     let timesteps = request.get_u64_opt("serve:timesteps")?.unwrap_or(2) as usize;
     let bounds: Vec<f64> = match request.get_f64_slice("serve:bounds") {
         Ok(b) if !b.is_empty() => b.to_vec(),

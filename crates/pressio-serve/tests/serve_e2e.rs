@@ -441,6 +441,38 @@ fn unknown_op_is_bad_request_and_connection_survives() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `train` generates its own fields from `serve:dims`; a field the daemon
+/// could not take on the wire (more bytes than its frame cap, or a dims
+/// product that overflows) is a bad request, not an allocation that
+/// aborts the process, and the next request is answered.
+#[test]
+fn train_turns_down_a_field_larger_than_the_frame_cap() {
+    let dir = temp_dir("train_dims");
+    let mut config = local_config(&dir);
+    config.max_frame = 4096;
+    let handle = Server::start(config).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let train = |dims: Vec<u64>| train_request("m", "rahman2023").with("serve:dims", dims);
+    for dims in [
+        vec![1_000_000, 1_000_000, 100],
+        vec![u64::MAX, 2, 1],
+        vec![16, 16, 8],
+    ] {
+        let resp = client.call(&train(dims.clone())).unwrap();
+        assert!(
+            protocol::is_error(&resp, code::BAD_REQUEST),
+            "{dims:?}: {resp}"
+        );
+        assert!(resp.to_string().contains("frame cap"), "{resp}");
+    }
+    // 8x8x4 f32 is 1 KiB: under the cap, and trained on the same connection
+    let resp = client.call(&train(vec![8, 8, 4])).unwrap();
+    assert_eq!(resp.get_str("serve:type").unwrap(), "trained", "{resp}");
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The wire lets in a buffer with an empty axis, and `tao2019` needs no
 /// model to extract from it. Extraction runs on the pipeline's one worker
 /// here, so the prediction that follows on the same connection is answered

@@ -474,7 +474,9 @@ fn mid_stream_shard_kill_resumes_on_failover_shard_byte_identically() {
         .with("serve:model", "m")
         .with("pressio:abs", 1e-4);
 
-    let mut source = Hurricane::with_dims(8, 8, 4, 6).with_fields(&["TC"]);
+    let mut source = Hurricane::with_dims(8, 8, 4, 6)
+        .with_fields(&["TC"])
+        .unwrap();
     let data: Vec<pressio_core::Data> = (0..6).map(|t| source.load_data(t).unwrap()).collect();
 
     // unfailed reference stream, proxied through the supervisor: stream

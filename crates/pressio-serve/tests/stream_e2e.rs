@@ -23,7 +23,9 @@ fn local_config(dir: &std::path::Path) -> ServeConfig {
 
 /// A single-field hurricane time series: `load_data(t)` is timestep `t`.
 fn timesteps(n: usize) -> Hurricane {
-    Hurricane::with_dims(8, 8, 4, n).with_fields(&["TC"])
+    Hurricane::with_dims(8, 8, 4, n)
+        .with_fields(&["TC"])
+        .unwrap()
 }
 
 fn train_request(model: &str) -> Options {
@@ -147,7 +149,9 @@ fn online_stream(
 
     // each chunk reports the *real* achieved ratio from the frame
     // encoder's chunk record as stream:actual
-    let mut source = Hurricane::with_dims(nx, ny, nz, steps).with_fields(&["TC"]);
+    let mut source = Hurricane::with_dims(nx, ny, nz, steps)
+        .with_fields(&["TC"])
+        .unwrap();
     let header = StreamHeader {
         codec: "sz3".into(),
         dtype: Dtype::F32,

@@ -43,7 +43,9 @@ fn train_request(model: &str) -> Options {
 
 /// A single-field hurricane time series: `load_data(t)` is timestep `t`.
 fn chunks(n: usize) -> Vec<pressio_core::Data> {
-    let mut source = Hurricane::with_dims(8, 8, 4, n).with_fields(&["TC"]);
+    let mut source = Hurricane::with_dims(8, 8, 4, n)
+        .with_fields(&["TC"])
+        .unwrap();
     (0..n).map(|t| source.load_data(t).unwrap()).collect()
 }
 

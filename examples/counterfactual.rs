@@ -19,8 +19,9 @@ use libpressio_predict::predict::schemes::wang::{WangScheme, DESIGNS};
 use libpressio_predict::sz::SzCompressor;
 
 fn main() {
-    let mut hurricane =
-        Hurricane::with_dims(48, 48, 16, 1).with_fields(&["P", "TC", "U", "QVAPOR", "QRAIN"]);
+    let mut hurricane = Hurricane::with_dims(48, 48, 16, 1)
+        .with_fields(&["P", "TC", "U", "QVAPOR", "QRAIN"])
+        .unwrap();
     let abs = 1e-4;
     let scheme = WangScheme;
 

@@ -17,7 +17,8 @@ use libpressio_predict::sz::SzCompressor;
 fn main() {
     // 32 chunks (fields x timesteps) that ranks will write concurrently
     let mut hurricane = Hurricane::with_dims(32, 32, 16, 4)
-        .with_fields(&["P", "TC", "U", "V", "QRAIN", "QSNOW", "QVAPOR", "W"]);
+        .with_fields(&["P", "TC", "U", "V", "QRAIN", "QSNOW", "QVAPOR", "W"])
+        .unwrap();
     let chunks: Vec<_> = (0..hurricane.len())
         .map(|i| {
             (

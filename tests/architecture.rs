@@ -12,7 +12,9 @@ use libpressio_predict::predict::{standard_compressors, standard_schemes};
 
 #[test]
 fn library_path_and_bench_path_agree() {
-    let mut hurricane = Hurricane::with_dims(16, 16, 8, 2).with_fields(&["P", "U", "QRAIN"]);
+    let mut hurricane = Hurricane::with_dims(16, 16, 8, 2)
+        .with_fields(&["P", "U", "QRAIN"])
+        .unwrap();
 
     // bench path: drive the scheme through the experiment infrastructure
     let cfg = Table2Config {
@@ -55,7 +57,9 @@ fn figure2_stack_feeds_prediction() {
     let base = std::env::temp_dir().join("pressio_arch_fig2");
     let _ = std::fs::remove_dir_all(&base);
     // materialize two fields as raw files
-    let mut source = Hurricane::with_dims(24, 24, 12, 1).with_fields(&["TC", "QRAIN"]);
+    let mut source = Hurricane::with_dims(24, 24, 12, 1)
+        .with_fields(&["TC", "QRAIN"])
+        .unwrap();
     for i in 0..source.len() {
         let meta = source.load_metadata(i).unwrap();
         let data = source.load_data(i).unwrap();
