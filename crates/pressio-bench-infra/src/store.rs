@@ -7,11 +7,11 @@
 //! line, appends are flushed, and a torn trailing line (the only artifact a
 //! crash can produce) is detected and ignored on open. Corruption *beyond*
 //! a torn tail — a bad line with good records after it, which no crash of
-//! ours produces — quarantines the damaged log (rename to `.quarantined`)
-//! and resumes from the records that survived, so a flaky disk degrades a
-//! campaign instead of aborting it. Records are keyed by the stable
-//! SHA-256 option hash from `pressio-core`, so restarted jobs find their
-//! results across executions.
+//! ours produces — quarantines the damaged log and publishes a clean one
+//! from the records that survived (DESIGN.md, "Durable files"), so a flaky
+//! disk degrades a campaign instead of aborting it. Records are keyed by
+//! the stable SHA-256 option hash from `pressio-core`, so restarted jobs
+//! find their results across executions.
 //!
 //! Failpoints: `store:open.io`, `store:put.io`, `store:put.torn`,
 //! `store:sync.io`, `store:compact.io`, and `store:compact.crash` (dies
@@ -19,6 +19,7 @@
 //! untouched).
 
 use pressio_core::error::{Error, Result};
+use pressio_core::fs::{publish, quarantine};
 use pressio_core::Options;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -48,18 +49,8 @@ struct Record {
     value: Options,
 }
 
-/// Fsync `path`'s parent directory so a rename into it survives power
-/// loss (the rename itself only becomes durable with the directory).
-fn fsync_parent(path: &Path) -> Result<()> {
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::File::open(parent)?.sync_all()?;
-    }
-    Ok(())
-}
-
-/// Serialize `index` (sorted by key, deterministic) into `tmp`, fsynced.
-fn write_records_atomic(tmp: &Path, index: &HashMap<String, Options>) -> Result<()> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(tmp)?);
+/// One line per record of `index`, sorted by key (deterministic).
+fn write_records(w: &mut dyn Write, index: &HashMap<String, Options>) -> Result<()> {
     let mut keys: Vec<&String> = index.keys().collect();
     keys.sort();
     for key in keys {
@@ -68,34 +59,9 @@ fn write_records_atomic(tmp: &Path, index: &HashMap<String, Options>) -> Result<
             value: index[key].clone(),
         };
         let line = serde_json::to_string(&rec).map_err(|e| Error::Serialization(e.to_string()))?;
-        writeln!(f, "{line}")?;
+        writeln!(w, "{line}")?;
     }
-    f.flush()?;
-    f.get_ref().sync_data()?;
     Ok(())
-}
-
-/// Atomically replace `path` with a clean log of `index`.
-fn write_clean_log(path: &Path, index: &HashMap<String, Options>) -> Result<()> {
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("log");
-    let tmp = path.with_file_name(format!(".{name}.rewrite-{}.tmp", std::process::id()));
-    write_records_atomic(&tmp, index)?;
-    std::fs::rename(&tmp, path)?;
-    fsync_parent(path)?;
-    Ok(())
-}
-
-/// First free `<name>.quarantined[.N]` sibling of `path`.
-fn quarantine_destination(path: &Path) -> PathBuf {
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("log");
-    let base = path.with_file_name(format!("{name}.quarantined"));
-    if !base.exists() {
-        return base;
-    }
-    (1u32..)
-        .map(|n| path.with_file_name(format!("{name}.quarantined.{n}")))
-        .find(|p| !p.exists())
-        .expect("some quarantine suffix is free")
 }
 
 impl CheckpointStore {
@@ -138,9 +104,8 @@ impl CheckpointStore {
         if bad_lines > 1 || (bad_lines == 1 && !trailing_bad) {
             // mid-file corruption: preserve the damaged log for forensics
             // and rewrite a clean one from the records that parsed
-            let dest = quarantine_destination(path);
-            std::fs::rename(path, &dest)?;
-            write_clean_log(path, &index)?;
+            let dest = quarantine(path)?;
+            publish(path, |w| write_records(w, &index))?;
             pressio_obs::add_counter("store:quarantined", 1);
             quarantined = Some(dest);
         }
@@ -248,29 +213,17 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Rewrite the log with only the live records. The rewrite goes to a
-    /// uniquely named temp file which is fsynced and renamed over the log,
-    /// and the parent directory is fsynced after the rename — a crash at
-    /// any point leaves either the complete old log or the complete new
-    /// one, never a truncated or missing log.
+    /// Rewrite the log with only the live records, published over the
+    /// old log (DESIGN.md, "Durable files"): a crash at any point leaves
+    /// either the complete old log or the complete new one.
     pub fn compact(&mut self) -> Result<()> {
         pressio_faults::inject("store:compact.io")?;
-        let name = self
-            .path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("log");
-        let tmp = self
-            .path
-            .with_file_name(format!(".{name}.compact-{}.tmp", std::process::id()));
-        write_records_atomic(&tmp, &self.index)?;
-        if pressio_faults::check("store:compact.crash").is_some() {
-            // simulate dying between temp write and rename: the live log
-            // must still be intact, with only the temp file leaked
-            return Err(pressio_faults::injected_error("store:compact.crash"));
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        fsync_parent(&self.path)?;
+        publish(&self.path, |w| {
+            write_records(w, &self.index)?;
+            w.flush()?;
+            // dying between temp write and rename: the log stays whole
+            pressio_faults::inject("store:compact.crash")
+        })?;
         self.file = std::fs::OpenOptions::new().append(true).open(&self.path)?;
         self.unsynced = 0;
         self.tail_dirty = false;

@@ -3,6 +3,7 @@
 
 use crate::args::{usage_error, Args};
 use pressio_core::error::{Error, Result};
+use pressio_core::fs::publish;
 use pressio_core::{Compressor, Options};
 use pressio_dataset::io::{parse_filename, read_raw};
 use pressio_predict::{format_table1, standard_compressors, standard_schemes, Scheme};
@@ -75,7 +76,7 @@ impl Compress {
         let data = read_raw(&self.input)?;
         let comp = build_compressor(&self.compressor, &self.options)?;
         let stream = comp.compress(&data)?;
-        std::fs::write(&self.output, &stream)?;
+        publish(&self.output, |w| Ok(w.write_all(&stream)?))?;
         writeln!(
             out,
             "{} -> {}: {} -> {} bytes (ratio {:.2})",
@@ -114,7 +115,7 @@ impl Decompress {
         let stream = std::fs::read(&self.input)?;
         let comp = build_compressor(&self.compressor, &Options::new())?;
         let data = comp.decompress(&stream, dtype, &dims)?;
-        std::fs::write(&self.output, data.to_le_bytes())?;
+        publish(&self.output, |w| Ok(w.write_all(&data.to_le_bytes())?))?;
         writeln!(
             out,
             "{} -> {} ({} values)",

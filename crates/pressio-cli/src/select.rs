@@ -4,6 +4,7 @@
 use crate::args::{usage_error, Args};
 use crate::codec::{check_output_shape, required};
 use pressio_core::error::Result;
+use pressio_core::fs::publish;
 use pressio_core::metrics::ErrorStatMetrics;
 use pressio_core::{Compressor, MetricsPlugin, Options};
 use pressio_dataset::io::read_raw;
@@ -105,7 +106,7 @@ impl Select {
         }
         codec.set_options(&opts)?;
         let container = codec.compress(&data)?;
-        std::fs::write(self.output(), &container)?;
+        publish(self.output(), |w| Ok(w.write_all(&container)?))?;
         let (record, _) = pressio_select::decode_header(&container)?;
         writeln!(
             out,
@@ -148,7 +149,7 @@ impl Select {
             record.dtype,
             &record.dims,
         )?;
-        std::fs::write(output, data.to_le_bytes())?;
+        publish(output, |w| Ok(w.write_all(&data.to_le_bytes())?))?;
         writeln!(
             out,
             "{} -> {} ({} values, {} @ abs {:e})",

@@ -7,6 +7,7 @@ use crate::codec::{check_output_shape, required};
 use crate::query::server_error;
 use pressio_core::chunking::{slice_outer, OuterChunks};
 use pressio_core::error::{Error, Result};
+use pressio_core::fs::publish;
 use pressio_core::{Data, Options};
 use pressio_dataset::io::read_raw;
 use pressio_serve::{Endpoint, ResilientStreamSender, RetryPolicy};
@@ -126,7 +127,7 @@ impl Stream {
     fn compress(&self, out: &mut impl Write) -> Result<()> {
         let data = read_raw(&self.input)?;
         let bytes = pressio_stream::compress_stream(&data, self.header(&data))?;
-        std::fs::write(self.output(), &bytes)?;
+        publish(self.output(), |w| Ok(w.write_all(&bytes)?))?;
         let outer = data.dims().last().copied().unwrap_or(1);
         writeln!(
             out,
@@ -152,7 +153,7 @@ impl Stream {
         let data = pressio_stream::decompress_stream(&bytes)?;
         let output = self.output();
         check_output_shape(output, "stream:dims", "stream", data.dtype(), data.dims())?;
-        std::fs::write(output, data.to_le_bytes())?;
+        publish(output, |w| Ok(w.write_all(&data.to_le_bytes())?))?;
         writeln!(
             out,
             "{} -> {} ({} values, dims {:?})",

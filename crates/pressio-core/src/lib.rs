@@ -6,7 +6,8 @@
 //! compressor and metrics plugin traits
 //! ([`compressor::Compressor`], [`metrics::MetricsPlugin`]), plugin
 //! registries, deterministic option hashing ([`hash`]), the n-d gather and
-//! block draw every sampler reads through ([`lattice`]), and timing helpers.
+//! block draw every sampler reads through ([`lattice`]), the one way a file
+//! is replaced on disk ([`fs::publish`]), and timing helpers.
 //!
 //! These mirror the roles of `pressio_options`, `pressio_data`,
 //! `libpressio_compressor_plugin`, and `libpressio_metrics_plugin` in the C++
@@ -36,6 +37,7 @@ pub mod compressor;
 pub mod data;
 pub mod error;
 pub mod external;
+pub mod fs;
 pub mod fuzz;
 pub mod hash;
 pub mod lanes;

@@ -77,21 +77,30 @@ pub fn write_raw_with(
 ) -> Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format_filename(name, dims, dtype));
-    // write-to-temp + rename: a crashed writer never leaves a torn file
-    let tmp = path.with_extension("tmp");
-    let written = (|| {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        fill(&mut f)?;
-        f.flush()?;
-        let len = f.get_ref().metadata()?.len() as usize;
-        Data::check_le_len(dtype, dims, len)
-    })();
-    if let Err(e) = written {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    std::fs::rename(&tmp, &path)?;
+    pressio_core::fs::publish(&path, |w| {
+        let mut counted = Counted { inner: w, len: 0 };
+        fill(&mut counted)?;
+        Data::check_le_len(dtype, dims, counted.len)
+    })?;
     Ok(path)
+}
+
+/// A writer that counts the bytes it passes on.
+struct Counted<'a> {
+    inner: &'a mut dyn Write,
+    len: usize,
+}
+
+impl Write for Counted<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.len += n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
 }
 
 /// Read a raw file whose shape/dtype come from its filename.
@@ -211,6 +220,27 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(left, vec![std::ffi::OsString::from("S_3x2x2.f32")]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn two_fields_that_differ_only_in_dtype_write_apart() {
+        let dir = std::env::temp_dir().join("pressio_io_test_dtypes");
+        let _ = std::fs::remove_dir_all(&dir);
+        let single = Data::from_f32(vec![8, 8], (0..64).map(|i| i as f32 * 0.5).collect());
+        let double = Data::from_f64(vec![8, 8], (0..64).map(|i| -(i as f64) / 3.0).collect());
+        // U_8x8.f64 is written while U_8x8.f32 is half written
+        let outer = write_raw_with(&dir, "U", Dtype::F32, &[8, 8], |w| {
+            let bytes = single.to_le_bytes();
+            w.write_all(&bytes[..100])?;
+            write_raw_with(&dir, "U", Dtype::F64, &[8, 8], |w| {
+                Ok(w.write_all(&double.to_le_bytes())?)
+            })?;
+            Ok(w.write_all(&bytes[100..])?)
+        })
+        .unwrap();
+        assert_eq!(read_raw(&outer).unwrap(), single);
+        assert_eq!(read_raw(&dir.join("U_8x8.f64")).unwrap(), double);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

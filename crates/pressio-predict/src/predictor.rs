@@ -39,28 +39,14 @@ pub trait Predictor: Send + Sync {
     /// Restore trained state.
     fn load_state(&mut self, bytes: &[u8]) -> Result<()>;
 
-    /// Persist [`Predictor::state`] to `path` atomically: the bytes are
-    /// written to a sibling temp file, fsynced, and renamed into place, so
-    /// a crash mid-save can never leave a torn file under the target name.
+    /// Publish [`Predictor::state`] at `path`, creating its directory
+    /// (DESIGN.md, "Durable files").
     fn save_to(&self, path: &std::path::Path) -> Result<()> {
         let state = self.state()?;
-        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-        if let Some(dir) = dir {
+        if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(dir)?;
         }
-        let file_name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .ok_or_else(|| Error::Io(format!("bad predictor path {}", path.display())))?;
-        let tmp = path.with_file_name(format!(".{file_name}.tmp-{}", std::process::id()));
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&state)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        pressio_core::fs::publish(path, |w| Ok(w.write_all(&state)?))
     }
 
     /// Restore state saved by [`Predictor::save_to`].

@@ -147,16 +147,12 @@ impl Topology {
         Topology::from_options(&Options::from_json(&text)?).map(Some)
     }
 
-    /// Atomically write the topology file (tmp + rename, so a concurrent
-    /// reader never sees a torn file).
+    /// Publish the topology file, creating `dir` (DESIGN.md, "Durable
+    /// files").
     pub fn save(&self, dir: &Path) -> Result<()> {
-        let path = Topology::path(dir);
         std::fs::create_dir_all(dir)?;
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_options().to_json()?)?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| Error::Io(format!("renaming {}: {e}", tmp.display())))?;
-        Ok(())
+        let json = self.to_options().to_json()?;
+        pressio_core::fs::publish(&Topology::path(dir), |w| Ok(w.write_all(json.as_bytes())?))
     }
 
     /// The wire/JSON form (a `topology` response).
@@ -332,8 +328,13 @@ impl SupervisorState {
         }
     }
 
-    fn write_topology(&self) {
-        let _ = self.topology().save(&self.config.template.model_dir);
+    /// Publish the topology at `generation` before it goes live, so whoever
+    /// sees a generation finds it on disk (start-up, then the monitor only).
+    fn advance_generation(&self, generation: u64) {
+        let mut topology = self.topology();
+        topology.generation = generation;
+        let _ = topology.save(&self.config.template.model_dir);
+        self.generation.store(generation, Ordering::Release);
     }
 
     fn count_reuse(&self, reused: bool) {
@@ -459,8 +460,7 @@ impl Supervisor {
                 });
             }
         }
-        state.generation.store(1, Ordering::Release);
-        state.write_topology();
+        state.advance_generation(1);
         pressio_obs::add_counter("serve:supervisor.started", 1);
 
         let monitor_state = state.clone();
@@ -508,8 +508,7 @@ fn monitor_loop(state: &SupervisorState) {
         }
         drop(slots);
         if changed {
-            state.generation.fetch_add(1, Ordering::AcqRel);
-            state.write_topology();
+            state.advance_generation(state.generation.load(Ordering::Acquire) + 1);
         }
     }
 }

@@ -14,29 +14,26 @@
 //! SHA-256 of the state bytes; the whole-file checksum trailer detects
 //! corruption anywhere, including the header. Any other format version
 //! (format 1 had no trailer; no such artifact was ever deployed) is a
-//! typed `CorruptStream`. Writes
-//! follow the torn-write-tolerant conventions of the bench
-//! `CheckpointStore`: the artifact is written to a dot-prefixed temp file,
-//! fsynced, and renamed into place, so a crash can never leave a partially
-//! written file under a live name; loads verify the magic, length, and
-//! checksums, so a corrupted artifact is a clear error rather than a
-//! silently wrong model. Version listing skips unparseable file names
-//! (including leftover temp files and `.quarantined` artifacts).
+//! typed `CorruptStream`. Artifacts are published (DESIGN.md, "Durable
+//! files"); loads verify the magic, length, and checksums, so a corrupted
+//! artifact is a clear error rather than a silently wrong model. Version
+//! listing skips unparseable file names (including leftover temp files and
+//! `.quarantined` artifacts).
 //!
 //! [`load_resilient`](ModelStore::load_resilient) adds quarantine: a
-//! corrupt artifact is renamed to `<file>.quarantined` (never deleted, so
-//! an operator can inspect it) and, for unpinned references, the previous
-//! version is tried — a corrupted latest model degrades to the last good
-//! one instead of an outage.
+//! corrupt artifact is moved aside (never deleted, so an operator can
+//! inspect it) and, for unpinned references, the previous version is
+//! tried — a corrupted latest model degrades to the last good one instead
+//! of an outage.
 //!
 //! Failpoints (see `pressio-faults`): `serve:store.save` (save IO error),
 //! `serve:store.load` (load IO error), `serve:store.load.corrupt`
 //! (artifact bytes corrupted after read, exercising the checksum path).
 
 use pressio_core::error::{Error, Result};
+use pressio_core::fs::{publish, quarantine};
 use pressio_core::hash::{to_hex, Sha256};
 use serde::{Deserialize, Serialize};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"PSRV";
@@ -120,13 +117,12 @@ impl ModelStore {
         self.root.join(name).join(format!("{version:06}.pmodel"))
     }
 
-    /// Persist `state` as the next version of `name`, returning that
-    /// version. The write is atomic (temp + fsync + rename).
+    /// Publish `state` as the next version of `name`, returning that
+    /// version (DESIGN.md, "Durable files").
     pub fn save(&self, name: &str, scheme: &str, state: &[u8]) -> Result<u64> {
         pressio_faults::inject("serve:store.save")?;
         validate_name(name)?;
-        let dir = self.root.join(name);
-        std::fs::create_dir_all(&dir)?;
+        std::fs::create_dir_all(self.root.join(name))?;
         let version = self.versions(name)?.last().copied().unwrap_or(0) + 1;
         let header = Header {
             name: name.to_string(),
@@ -137,21 +133,16 @@ impl ModelStore {
         };
         let header_json =
             serde_json::to_vec(&header).map_err(|e| Error::Serialization(e.to_string()))?;
-        let tmp = dir.join(format!(".tmp-{version:06}-{}", std::process::id()));
-        {
-            let mut body = Vec::with_capacity(PROLOGUE + header_json.len() + state.len() + TRAILER);
-            body.extend_from_slice(MAGIC);
-            body.push(FORMAT_VERSION);
-            body.extend_from_slice(&(header_json.len() as u32).to_be_bytes());
-            body.extend_from_slice(&header_json);
-            body.extend_from_slice(state);
-            let file_sha = Sha256::digest(&body);
-            body.extend_from_slice(&file_sha);
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&body)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, self.artifact_path(name, version))?;
+        let mut body = Vec::with_capacity(PROLOGUE + header_json.len() + state.len() + TRAILER);
+        body.extend_from_slice(MAGIC);
+        body.push(FORMAT_VERSION);
+        body.extend_from_slice(&(header_json.len() as u32).to_be_bytes());
+        body.extend_from_slice(&header_json);
+        body.extend_from_slice(state);
+        let file_sha = Sha256::digest(&body);
+        body.extend_from_slice(&file_sha);
+        let path = self.artifact_path(name, version);
+        publish(&path, |w| Ok(w.write_all(&body)?))?;
         Ok(version)
     }
 
@@ -216,23 +207,6 @@ impl ModelStore {
         })
     }
 
-    /// Rename the artifact for `name@version` to `<file>.quarantined`
-    /// (suffixing `.1`, `.2`, … if that name is taken), removing it from
-    /// version listings while preserving the bytes for inspection.
-    pub fn quarantine(&self, name: &str, version: u64) -> Result<PathBuf> {
-        validate_name(name)?;
-        let path = self.artifact_path(name, version);
-        let mut dest = path.with_extension("pmodel.quarantined");
-        let mut n = 0;
-        while dest.exists() {
-            n += 1;
-            dest = path.with_extension(format!("pmodel.quarantined.{n}"));
-        }
-        std::fs::rename(&path, &dest)?;
-        pressio_obs::add_counter("serve:model.quarantined", 1);
-        Ok(dest)
-    }
-
     /// Like [`load`](Self::load), but corrupt artifacts are quarantined
     /// instead of left in place. For a pinned `name@version` reference the
     /// corruption is still an error (silently serving a different version
@@ -246,7 +220,8 @@ impl ModelStore {
             };
             match self.load(name, Some(candidate)) {
                 Err(e @ Error::CorruptStream(_)) => {
-                    let dest = self.quarantine(name, candidate)?;
+                    let dest = quarantine(&self.artifact_path(name, candidate))?;
+                    pressio_obs::add_counter("serve:model.quarantined", 1);
                     eprintln!(
                         "warning: quarantined corrupt model '{name}@{candidate}' to {} ({e})",
                         dest.display()
