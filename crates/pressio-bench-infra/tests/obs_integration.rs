@@ -16,10 +16,50 @@ use pressio_core::timing::MeanStd;
 use pressio_core::Options;
 use pressio_dataset::Hurricane;
 use pressio_obs::{TraceEvent, VecSink};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
+
+/// The system allocator, counting what each thread allocates, so a test
+/// reads its own thread's count while the others run beside it.
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; counting touches
+// only a const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 static GLOBAL_TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -378,6 +418,31 @@ fn dynamic_task_graph_is_reconstructible_from_trace() {
     assert!(!edges.contains_key("r1"));
     // the aggregate report carries the same graph
     assert_eq!(collector.report().task_parents, expected);
+}
+
+/// With tracing off, every record entry point allocates nothing: a span
+/// guard, a duration, a counter, a gauge, a task edge and a flush, each a
+/// thousand times, against a counting allocator. (That they take no lock is
+/// `pressio-obs`'s own `untraced_records_never_touch_the_registry_lock`.)
+#[test]
+fn untraced_record_path_allocates_nothing() {
+    let _guard = exclusive();
+    pressio_obs::uninstall();
+    let before = ALLOCATIONS.with(Cell::get);
+    for i in 0..1_000 {
+        let span = pressio_obs::span("obs_untraced:span");
+        pressio_obs::record_ms("obs_untraced:stage", f64::from(i));
+        pressio_obs::add_counter("obs_untraced:counter", 1);
+        pressio_obs::set_gauge("obs_untraced:gauge", f64::from(i));
+        pressio_obs::task_link("obs_untraced:task", "obs_untraced:parent");
+        pressio_obs::flush();
+        assert!(span.name().is_none());
+        assert!(pressio_obs::global().is_none());
+    }
+    assert_eq!(ALLOCATIONS.with(Cell::get) - before, 0);
+    // the allocator does count this thread
+    std::hint::black_box(vec![0u8; 64]);
+    assert_eq!(ALLOCATIONS.with(Cell::get) - before, 1);
 }
 
 /// Overhead budget: running an instrumented workload with the (sharded)

@@ -223,6 +223,30 @@ mod tests {
         flush();
     }
 
+    /// With tracing off every record entry point is one atomic load: each
+    /// completes while another thread holds the registry lock. (That they
+    /// allocate nothing is `obs_integration.rs`'s counting-allocator test.)
+    #[test]
+    fn untraced_records_never_touch_the_registry_lock() {
+        let _guard = exclusive();
+        uninstall();
+        let held = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+        let (done, finished) = std::sync::mpsc::channel();
+        let recorder = std::thread::spawn(move || {
+            drop(span("untraced"));
+            record_ms("untraced", 1.0);
+            add_counter("untraced", 1);
+            set_gauge("untraced", 1.0);
+            task_link("untraced", "parent");
+            flush();
+            let _ = done.send(global().is_none());
+        });
+        let answered = finished.recv_timeout(std::time::Duration::from_secs(30));
+        drop(held);
+        recorder.join().unwrap();
+        assert_eq!(answered, Ok(true), "an untraced record waited on the lock");
+    }
+
     #[test]
     fn spans_nest_and_attribute_parents() {
         let _guard = exclusive();

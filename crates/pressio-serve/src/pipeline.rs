@@ -44,22 +44,23 @@ impl WorkItem {
         Instant::now() > self.deadline
     }
 
-    /// Send the reply unless the deadline passed while it was being
-    /// computed: the client has stopped waiting by contract, so a late
-    /// success is replaced with `deadline_exceeded` (error responses pass
-    /// through — they carry diagnostics worth delivering either way).
+    /// Send the reply through [`checked`] against the item's deadline.
     pub fn respond_checked(&self, response: Options) {
-        let is_error = response.get_str_opt("serve:type").ok().flatten() == Some("error");
-        if self.expired() && !is_error {
-            pressio_obs::add_counter("serve:deadline.exceeded_late", 1);
-            self.respond(protocol::error_response(
-                code::DEADLINE_EXCEEDED,
-                "deadline passed during compute",
-            ));
-            return;
-        }
-        self.respond(response);
+        self.respond(checked(response, self.deadline));
     }
+}
+
+/// `response`, unless `deadline` passed while it was being computed: the
+/// client has stopped waiting by contract, so a late success is replaced
+/// with `deadline_exceeded` (error responses pass through — they carry
+/// diagnostics worth delivering either way).
+pub fn checked(response: Options, deadline: Instant) -> Options {
+    let is_error = response.get_str_opt("serve:type").ok().flatten() == Some("error");
+    if Instant::now() > deadline && !is_error {
+        pressio_obs::add_counter("serve:deadline.exceeded_late", 1);
+        return protocol::error_response(code::DEADLINE_EXCEEDED, "deadline passed during compute");
+    }
+    response
 }
 
 struct Shared {

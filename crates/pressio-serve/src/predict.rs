@@ -5,11 +5,14 @@
 //! Every op that predicts (`predict`, `stream.chunk`) or collects samples
 //! to fit (`train`) resolves who answers through [`resolve_target`],
 //! builds its compressor through [`compressor`] and reads both feature
-//! stages of a buffer through one [`FeaturePass`]. The batch handler runs
-//! three stages: a serial **prepare** (hash, prediction-cache probe — hits
-//! answer here — then decode and feature-cache probes), a coalesced
-//! parallel **extract** over the misses, and a serial **finalize** (merge,
-//! predict, reply).
+//! stages of a buffer through one [`FeaturePass`].
+//!
+//! A `predict` is hashed and looked up once, on the connection thread that
+//! read it: [`probe`] answers a prediction-cache hit there, with no queue
+//! hand-off. A miss goes to the pipeline carrying its content hash, and
+//! the batch handler runs three stages over the misses: a serial
+//! **prepare** (decode, feature-cache probes), a coalesced parallel
+//! **extract**, and a serial **finalize** (merge, predict, cache, reply).
 
 use crate::pipeline::WorkItem;
 use crate::protocol::{self, code};
@@ -112,7 +115,68 @@ pub(crate) fn prediction_response(
     resp
 }
 
-/// A request past the prediction-cache probe, waiting on features.
+/// Where a `predict` that missed the prediction cache carries its content
+/// hash to the worker. [`probe`] strips it from every request first, so no
+/// client can hand the worker a digest of its choosing.
+const PROBED_DIGEST: &str = "serve:probed.digest";
+
+/// Check the buffer, build the compressor the request names and hash the
+/// buffer, unless `digest` already holds its hash. The check comes first, so
+/// a request that would not decode answers `bad request` ahead of every
+/// other error and of any cached answer.
+fn keyed(
+    state: &ServerState,
+    request: &Options,
+    digest: Option<String>,
+) -> Result<(Box<dyn Compressor>, String)> {
+    protocol::check_data(request)?;
+    let comp = compressor(compressor_id(request)?, &[request])?;
+    if digest.is_none() {
+        state.count(Stat::PredictHashes, 1);
+    }
+    let data_sha = digest.map_or_else(|| protocol::data_content_hash(request), Ok)?;
+    Ok((comp, data_sha))
+}
+
+fn prediction_key(target: &LoadedModel, settings_key: &str, data_sha: &str) -> String {
+    let (scheme, tag) = (&target.scheme, &target.tag);
+    format!("p:{scheme}:{tag}:{settings_key}:{data_sha}")
+}
+
+/// A `predict`'s one look at the prediction cache, on the connection thread
+/// ahead of the pipeline: resolve who answers, check and hash the buffer,
+/// probe. A hit is the answer and never pays the copy of its payload into a
+/// [`Data`]. Anything else returns `None` for the pipeline: a miss now
+/// carries its hash, so the worker neither hashes nor probes it again, and
+/// an error is found again and answered there.
+pub(crate) fn probe(state: &ServerState, request: &mut Options) -> Option<Options> {
+    request.remove(PROBED_DIGEST);
+    let target = resolve_target(
+        state,
+        request.get_str_opt("serve:model").ok().flatten(),
+        request.get_str_opt("serve:scheme").ok().flatten(),
+    )
+    .ok()?;
+    let (comp, data_sha) = keyed(state, request, None).ok()?;
+    let Some(value) = state.prediction_cache.get(&prediction_key(
+        &target,
+        &CachedEvaluator::error_settings_key(comp.as_ref()),
+        &data_sha,
+    )) else {
+        request.set(PROBED_DIGEST, data_sha);
+        return None;
+    };
+    state.count(Stat::PredictionsServed, 1);
+    Some(prediction_response(
+        value,
+        true,
+        &target.scheme,
+        &target.tag,
+        state.config.shard_index,
+    ))
+}
+
+/// A request that missed the prediction cache, waiting on features.
 struct Prep {
     item: WorkItem,
     data: Data,
@@ -163,61 +227,37 @@ pub(crate) fn handle_predict_batch(state: &ServerState, batch: Vec<WorkItem>) {
     }
 }
 
-/// Check, hash, probe the caches and decode one request. A
-/// prediction-cache hit is answered here from the content hash alone — it
-/// never pays the copy of its payload into a [`Data`] — and so is a
-/// malformed request; neither reaches feature extraction.
+/// Decode one request that missed the prediction cache and probe the
+/// feature cache for both of its stages. A malformed request is answered
+/// here and never reaches feature extraction.
 fn prepare(state: &ServerState, target: &LoadedModel, mut item: WorkItem) -> Option<Prep> {
+    let digest = item.request.remove(PROBED_DIGEST);
+    let digest = digest.and_then(|sha| sha.as_str().map(str::to_owned));
     let request = &item.request;
-    let keyed = (|| {
-        // first, so that a request that would not decode answers `bad
-        // request` ahead of every other error and of any cached answer
-        protocol::check_data(request)?;
-        let data_sha = protocol::data_content_hash(request)?;
-        let comp = compressor(compressor_id(request)?, &[request])?;
-        Ok((data_sha, comp))
-    })();
-    let (data_sha, comp) = match keyed {
-        Ok(keyed) => keyed,
+    let decoded = keyed(state, request, digest)
+        .and_then(|(comp, data_sha)| Ok((comp, data_sha, protocol::data_from_request(request)?)));
+    let (comp, data_sha, data) = match decoded {
+        Ok(decoded) => decoded,
         Err(e) => {
             item.respond(respond(Err(e)));
             return None;
         }
     };
+    // from here on it holds the buffer once: the wire copy would sit
+    // beside `data` through the extraction
+    item.request.remove("data:bytes");
     let scheme_name = &target.scheme;
     let settings_key = CachedEvaluator::error_settings_key(comp.as_ref());
-    let pred_key = format!("p:{scheme_name}:{}:{settings_key}:{data_sha}", target.tag);
-    if let Some(value) = state.prediction_cache.get(&pred_key) {
-        state.count(Stat::PredictionsServed, 1);
-        item.respond(prediction_response(
-            value,
-            true,
-            scheme_name,
-            &target.tag,
-            state.config.shard_index,
-        ));
-        return None;
-    }
-    // only a miss pays the decode, and from here on it holds the buffer
-    // once: the wire copy would sit beside `data` through the extraction
-    let data = match protocol::data_from_request(request) {
-        Ok(data) => data,
-        Err(e) => {
-            item.respond(respond(Err(e)));
-            return None;
-        }
-    };
-    item.request.remove("data:bytes");
     let agnostic_key = format!("a:{scheme_name}:{data_sha}");
     let dependent_key = format!("d:{scheme_name}:{settings_key}:{data_sha}");
     Some(Prep {
         agnostic: state.feature_cache.get(&agnostic_key),
         dependent: state.feature_cache.get(&dependent_key),
+        pred_key: prediction_key(target, &settings_key, &data_sha),
         item,
         data,
         comp,
         data_sha,
-        pred_key,
         agnostic_key,
         dependent_key,
     })

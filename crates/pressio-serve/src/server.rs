@@ -8,17 +8,18 @@
 //! request, drains the bounded pipeline queue, joins all threads, and
 //! removes the Unix socket file — a graceful drain, never a drop.
 //!
-//! Request flow for `predict`: the connection thread computes only the
-//! batch key and deadline, then submits to the [`Pipeline`]; workers batch
-//! same-model requests and answer them in the `predict` module. `train` and
-//! the `stream.*` ops ([`crate::stream`]) run inline on the connection
-//! thread so long fits never starve the prediction workers.
+//! Request flow for `predict`: the connection thread hashes the buffer and
+//! probes the prediction cache once, answering a hit itself; a miss is
+//! submitted to the [`Pipeline`], whose workers batch same-model requests
+//! and answer them in the `predict` module. `train` and the `stream.*` ops
+//! ([`crate::stream`]) run inline on the connection thread too, so long
+//! fits never starve the prediction workers.
 
 use crate::breaker::CircuitBreaker;
 use crate::cache::ShardedLru;
 use crate::listen::{self, Service, StopSignal};
 use crate::net::Endpoint;
-use crate::pipeline::{Pipeline, WorkItem};
+use crate::pipeline::{self, Pipeline, WorkItem};
 use crate::predict::{self, handle_predict_batch};
 use crate::protocol::{self, code, op};
 use crate::store::{parse_model_ref, ModelStore};
@@ -26,7 +27,7 @@ use crate::stream;
 use pressio_core::error::{Error, Result};
 use pressio_core::timing::time_ms;
 use pressio_core::{threads, Options};
-use pressio_dataset::DatasetPlugin;
+use pressio_dataset::{DatasetPlugin, TIMESTEPS};
 use pressio_predict::features::FeaturePass;
 use pressio_predict::{standard_schemes, Predictor, Scheme};
 use std::collections::HashMap;
@@ -128,6 +129,8 @@ pub(crate) enum Stat {
     /// Feature extractions actually executed (cache hits skip these).
     FeaturesComputed,
     PredictionsServed,
+    /// `predict` buffers hashed: once per request that reached the probe.
+    PredictHashes,
     /// Extractions avoided because an identical buffer was already being
     /// extracted in the same batch (cross-connection coalescing).
     Coalesced,
@@ -152,9 +155,10 @@ pub(crate) enum Stat {
 
 /// Per [`Stat`], in declaration order: its `stats` response key, and the
 /// trace counter bumped along with it when it has one.
-const STATS: [(&str, Option<&str>); 11] = [
+const STATS: [(&str, Option<&str>); 12] = [
     ("serve:features.computed", None),
     ("serve:predictions.served", None),
+    ("serve:predict.hashed", None),
     ("serve:coalesced", Some("serve:coalesced")),
     ("serve:reloads", Some("serve:reload")),
     ("serve:stream.chunks", None),
@@ -614,34 +618,41 @@ fn handle_train(state: &ServerState, request: &Options) -> Result<Options> {
     let scheme_name = request.get_str("serve:scheme")?.to_string();
     let model_name = request.get_str("serve:model")?.to_string();
     let comp_id = predict::compressor_id(request)?;
+    let invalid = |key: &str, reason: String| Error::InvalidValue {
+        key: key.into(),
+        reason,
+    };
     let dims: Vec<usize> = match request.get_u64_slice("serve:dims") {
         Ok(d) if d.len() == 3 => d.iter().map(|&x| x as usize).collect(),
-        Ok(_) => {
-            return Err(Error::InvalidValue {
-                key: "serve:dims".into(),
-                reason: "need exactly 3 dims".into(),
-            })
-        }
+        Ok(_) => return Err(invalid("serve:dims", "need exactly 3 dims".into())),
         Err(_) => vec![16, 16, 8],
     };
-    // a field larger than the biggest buffer this daemon takes on the wire
-    // is turned down before the generator tries to allocate it
+    // the work is one field of `dims` x timesteps x 13 fields x bounds:
+    // each factor is bounded before the first field is generated. A field
+    // larger than the biggest buffer this daemon takes on the wire is
+    // turned down before the generator tries to allocate it
     let max_frame = state.config.max_frame.min(protocol::MAX_FRAME);
     let bytes = dims.iter().try_fold(4usize, |n, &d| n.checked_mul(d));
     if bytes.is_none_or(|b| b > max_frame) {
-        return Err(Error::InvalidValue {
-            key: "serve:dims".into(),
-            reason: format!("{dims:?} f32 is larger than the {max_frame}-byte frame cap"),
-        });
+        let reason = format!("{dims:?} f32 is larger than the {max_frame}-byte frame cap");
+        return Err(invalid("serve:dims", reason));
     }
-    let timesteps = request.get_u64_opt("serve:timesteps")?.unwrap_or(2) as usize;
+    let timesteps = request.get_u64_opt("serve:timesteps")?.unwrap_or(2);
+    if timesteps > TIMESTEPS as u64 {
+        let reason = format!("{timesteps} is more than the dataset's {TIMESTEPS}");
+        return Err(invalid("serve:timesteps", reason));
+    }
     let bounds: Vec<f64> = match request.get_f64_slice("serve:bounds") {
         Ok(b) if !b.is_empty() => b.to_vec(),
         _ => vec![1e-5, 1e-4, 1e-3],
     };
+    if let Some(b) = bounds.iter().find(|b| !(b.is_finite() && **b > 0.0)) {
+        let reason = format!("{b} is not a finite positive error bound");
+        return Err(invalid("serve:bounds", reason));
+    }
     let scheme = predict::scheme_for(&scheme_name, comp_id)?;
-    let mut hurricane =
-        pressio_dataset::Hurricane::with_dims(dims[0], dims[1], dims[2], timesteps.max(1));
+    let timesteps = (timesteps as usize).max(1);
+    let mut hurricane = pressio_dataset::Hurricane::with_dims(dims[0], dims[1], dims[2], timesteps);
     let mut features = Vec::new();
     let mut targets = Vec::new();
     for i in 0..hurricane.len() {
@@ -675,11 +686,13 @@ fn handle_train(state: &ServerState, request: &Options) -> Result<Options> {
         .with("serve:fit_ms", fit_ms))
 }
 
-/// Compute the batch key for a queued op, then submit and wait for the
-/// worker's reply (or answer `overloaded` immediately).
-fn submit_and_wait(daemon: &Daemon, request: Options) -> Options {
+/// Compute the batch key for a queued op and answer it: a prediction-cache
+/// hit here, anything else by submitting it and waiting for the worker's
+/// reply (or answering `overloaded` immediately).
+fn submit_and_wait(daemon: &Daemon, mut request: Options) -> Options {
     let state = &*daemon.state;
-    let batch_key = if protocol::op_name(&request) == op::SLEEP {
+    let predicting = protocol::op_name(&request) == op::PREDICT;
+    let batch_key = if !predicting {
         // sleeps never batch together: each occupies a worker alone
         format!("sleep:{}", daemon.seq.fetch_add(1, Ordering::Relaxed))
     } else if let Ok(Some(model)) = request.get_str_opt("serve:model") {
@@ -697,8 +710,9 @@ fn submit_and_wait(daemon: &Daemon, request: Options) -> Options {
         .ok()
         .flatten()
         .unwrap_or(state.config.default_deadline_ms);
+    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
     // load shedding: while the breaker is open, reject before touching the
-    // queue at all — sustained saturation must not cost queue churn
+    // cache or the queue — sustained saturation must not cost queue churn
     if !state.breaker.allow() {
         pressio_obs::add_counter("serve:breaker.shed", 1);
         return protocol::error_response(
@@ -706,41 +720,42 @@ fn submit_and_wait(daemon: &Daemon, request: Options) -> Options {
             "shedding load (circuit breaker open); retry later",
         );
     }
+    if predicting {
+        let (hit, ms) = time_ms(|| predict::probe(state, &mut request));
+        if let Some(hit) = hit {
+            pressio_obs::record_ms("serve:predict.hit", ms);
+            return settled(state, pipeline::checked(hit, deadline));
+        }
+    }
     let (reply, rx) = sync_channel(1);
     let item = WorkItem {
         batch_key,
         request,
-        deadline: Instant::now() + Duration::from_millis(deadline_ms),
+        deadline,
         reply,
     };
-    match daemon.pipeline.submit(item) {
-        Err(_) => {
-            state.breaker.on_failure();
-            pressio_obs::add_counter("serve:overloaded", 1);
-            protocol::error_response(
-                code::OVERLOADED,
-                format!(
-                    "queue at capacity ({}); retry later",
-                    state.config.queue_capacity
-                ),
-            )
-        }
-        Ok(()) => {
-            let resp = rx
-                .recv_timeout(Duration::from_millis(deadline_ms) + Duration::from_secs(60))
-                .unwrap_or_else(|_| {
-                    protocol::error_response(code::INTERNAL, "worker dropped the request")
-                });
-            // overload-class outcomes feed the breaker; anything else
-            // (success or a request-specific error) counts as capacity
-            if protocol::is_retryable(&resp) {
-                state.breaker.on_failure();
-            } else {
-                state.breaker.on_success();
-            }
-            resp
-        }
+    if daemon.pipeline.submit(item).is_err() {
+        pressio_obs::add_counter("serve:overloaded", 1);
+        let capacity = state.config.queue_capacity;
+        let message = format!("queue at capacity ({capacity}); retry later");
+        return settled(state, protocol::error_response(code::OVERLOADED, message));
     }
+    let resp = rx
+        .recv_timeout(Duration::from_millis(deadline_ms) + Duration::from_secs(60))
+        .unwrap_or_else(|_| protocol::error_response(code::INTERNAL, "worker dropped the request"));
+    settled(state, resp)
+}
+
+/// Feed an answer's outcome to the breaker: overload-class outcomes count
+/// as failures, anything else (success or a request-specific error) as
+/// capacity.
+fn settled(state: &ServerState, resp: Options) -> Options {
+    if protocol::is_retryable(&resp) {
+        state.breaker.on_failure();
+    } else {
+        state.breaker.on_success();
+    }
+    resp
 }
 
 // ---- worker side -----------------------------------------------------------

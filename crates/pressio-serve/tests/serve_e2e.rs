@@ -502,3 +502,144 @@ fn an_empty_buffer_is_answered_and_the_next_request_too() {
     handle.wait().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `train` does timesteps × 13 fields × bounds of work, so each factor is
+/// bounded: more timesteps than the dataset has, and a bound that is not a
+/// positive number, are bad requests (the wire itself turns away NaN and
+/// ±inf). 0 timesteps still means 1, and the same connection trains
+/// afterwards.
+#[test]
+fn train_turns_down_unbounded_timesteps_and_bad_bounds() {
+    let dir = temp_dir("train_work");
+    let handle = Server::start(local_config(&dir)).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let train = || train_request("m", "rahman2023");
+    let too_many = pressio_dataset::TIMESTEPS as u64 + 1;
+    for timesteps in [too_many, 1 << 62, u64::MAX] {
+        let resp = client
+            .call(&train().with("serve:timesteps", timesteps))
+            .unwrap();
+        assert!(
+            protocol::is_error(&resp, code::BAD_REQUEST),
+            "{timesteps}: {resp}"
+        );
+        assert!(resp.to_string().contains("serve:timesteps"), "{resp}");
+    }
+    for bounds in [vec![0.0], vec![-1e-4], vec![1e-4, 1e-3, -0.0]] {
+        let resp = client
+            .call(&train().with("serve:bounds", bounds.clone()))
+            .unwrap();
+        assert!(
+            protocol::is_error(&resp, code::BAD_REQUEST),
+            "{bounds:?}: {resp}"
+        );
+        assert!(resp.to_string().contains("serve:bounds"), "{resp}");
+    }
+    // one timestep of the 13 fields at the one bound
+    let resp = client.call(&train().with("serve:timesteps", 0u64)).unwrap();
+    assert_eq!(resp.get_str("serve:type").unwrap(), "trained", "{resp}");
+    assert_eq!(resp.get_u64("serve:samples").unwrap(), 13);
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A prediction-cache hit is answered on the connection thread that read
+/// it: it does not wait for a worker held by a 2 s `sleep`, while misses
+/// queue behind the sleeper and coalesce there. Every well-formed predict —
+/// cold, warm, coalesced — is hashed and probes the prediction cache
+/// exactly once, wherever it is answered; a malformed one is turned away
+/// before either. A hit keeps the deadline rule and is shed while the
+/// breaker is open.
+#[test]
+fn a_prediction_cache_hit_is_answered_on_its_connection_thread() {
+    let dir = temp_dir("hit_inline");
+    let mut config = local_config(&dir);
+    config.workers = 1;
+    config.breaker_threshold = 2;
+    config.breaker_cooldown_ms = 600_000;
+    let handle = Server::start(config).unwrap();
+    let endpoint = handle.endpoint().clone();
+    let mut client = Client::connect(&endpoint).unwrap();
+    client.call(&train_request("m", "rahman2023")).unwrap();
+    let counter = |client: &mut Client, key: &str| client.stats().unwrap().get_u64(key).unwrap();
+    let cached = |resp: &Options| {
+        assert_eq!(resp.get_str("serve:type").unwrap(), "prediction", "{resp}");
+        resp.get_bool("serve:cached").unwrap()
+    };
+    let bound = Options::new().with("pressio:abs", 1e-4);
+    let (hot, cold) = (sample_data(0), sample_data(1));
+    assert!(!cached(&client.predict("m", &hot, &bound).unwrap()));
+
+    let sleeper = {
+        let endpoint = endpoint.clone();
+        std::thread::spawn(move || {
+            let sleep = Options::new()
+                .with("serve:op", op::SLEEP)
+                .with("serve:ms", 2_000u64);
+            Client::connect(&endpoint).unwrap().call(&sleep).unwrap()
+        })
+    };
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let misses: Vec<_> = (0..2)
+        .map(|_| {
+            let (endpoint, data, bound) = (endpoint.clone(), cold.clone(), bound.clone());
+            std::thread::spawn(move || {
+                let mut client = Client::connect(&endpoint).unwrap();
+                client.predict("m", &data, &bound).unwrap()
+            })
+        })
+        .collect();
+    while counter(&mut client, "serve:queue.depth") < 2 {
+        assert!(!sleeper.is_finished(), "the misses never queued");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert!(cached(&client.predict("m", &hot, &bound).unwrap()));
+    assert!(!sleeper.is_finished(), "the hit waited for the worker");
+    assert!(misses.iter().all(|miss| !miss.is_finished()));
+    let slept = sleeper.join().unwrap();
+    assert_eq!(slept.get_str("serve:type").unwrap(), "slept", "{slept}");
+    for miss in misses {
+        assert!(!cached(&miss.join().unwrap()));
+    }
+    assert_eq!(counter(&mut client, "serve:coalesced"), 2);
+
+    let hot_request = Client::predict_request("m", &hot, &bound);
+    let mut no_dtype = hot_request.clone();
+    no_dtype.remove("data:dtype");
+    for malformed in [
+        hot_request.clone().with("data:dims", vec![8u64, 8, 3]),
+        no_dtype,
+    ] {
+        let resp = client.call(&malformed).unwrap();
+        assert_eq!(resp.get_str("serve:type").unwrap(), "error", "{resp}");
+    }
+    // cold, two coalesced misses and a warm hit; not the malformed two
+    let probed = |client: &mut Client| {
+        let stats = client.stats().unwrap();
+        let hits = stats.get_u64("serve:prediction_cache.hits").unwrap();
+        let misses = stats.get_u64("serve:prediction_cache.misses").unwrap();
+        assert_eq!(
+            stats.get_u64("serve:predict.hashed").unwrap(),
+            hits + misses
+        );
+        (hits, misses)
+    };
+    assert_eq!(probed(&mut client), (1, 3));
+
+    // a hit past its deadline is late like any other answer; two of them
+    // in a row open the breaker, which then sheds a hit before its probe
+    let expired = hot_request.clone().with("serve:deadline_ms", 0u64);
+    for _ in 0..2 {
+        let resp = client.call(&expired).unwrap();
+        assert!(protocol::is_error(&resp, code::DEADLINE_EXCEEDED), "{resp}");
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get_str("serve:breaker.state").unwrap(), "open");
+    let resp = client.call(&hot_request).unwrap();
+    assert!(protocol::is_error(&resp, code::OVERLOADED), "{resp}");
+    assert_eq!(probed(&mut client), (3, 3));
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
