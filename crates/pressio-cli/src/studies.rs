@@ -11,11 +11,11 @@ use pressio_core::timing::{time_ms, MeanStd};
 use pressio_core::{Compressor, Data, Options};
 use pressio_dataset::{synthetic::FAMILIES, DatasetPlugin, Hurricane, SyntheticSuite};
 use pressio_dataset::{FolderLoader, LocalCache, Sampler, Strategy};
-use pressio_predict::bandwidth::{bandwidth_features, BandwidthModel};
+use pressio_predict::bandwidth::{bandwidth_features, bandwidth_model};
 use pressio_predict::evaluator::{cross_validate, CachedEvaluator};
 use pressio_predict::registry::standard_schemes;
 use pressio_predict::schemes::{RahmanScheme, TaoScheme};
-use pressio_predict::Scheme;
+use pressio_predict::{Predictor, Scheme};
 use pressio_stats::{k_folds, medape};
 use pressio_sz::SzCompressor;
 use std::collections::HashMap;
@@ -280,7 +280,7 @@ fn bandwidth(study: &Study, out: &mut dyn Write) -> Result<()> {
             vtag.push(tags[i].clone());
         }
     }
-    let mut model = BandwidthModel::new();
+    let mut model = bandwidth_model();
     model.fit(&tf, &tt).unwrap();
 
     writeln!(
@@ -294,7 +294,7 @@ fn bandwidth(study: &Study, out: &mut dyn Write) -> Result<()> {
     writeln!(out, "|---|---|---|---|---|")?;
     let mut preds = Vec::new();
     for ((f, &t), tag) in vf.iter().zip(&vt).zip(&vtag) {
-        let p = model.predict_time_ms(f).unwrap();
+        let p = model.predict(f).unwrap();
         preds.push(p);
         let bytes = f.get_f64("bw:log_bytes").unwrap().exp2();
         writeln!(

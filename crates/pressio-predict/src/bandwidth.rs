@@ -7,23 +7,9 @@
 //! nondeterministic run to run, so the model is trained per machine on
 //! observed timings and its predictions carry that caveat.
 
-use crate::features::{feature_vector, global_stats, FeaturePass};
-use pressio_core::error::{Error, Result};
+use crate::features::{global_stats, FeaturePass};
+use crate::predictor::ForestPredictor;
 use pressio_core::{Data, Options};
-use pressio_stats::{ForestParams, RandomForest};
-use serde::{Deserialize, Serialize};
-
-/// Feature keys the bandwidth model consumes.
-fn keys() -> Vec<String> {
-    vec![
-        "bw:log_bytes".to_string(),
-        "stat:std".to_string(),
-        "stat:mean_abs_diff".to_string(),
-        "stat:zero_fraction".to_string(),
-        "stat:lorenzo_mae".to_string(),
-        "bw:log_abs".to_string(),
-    ]
-}
 
 /// Extract the bandwidth-model features for one dataset + error bound.
 pub fn bandwidth_features(data: &Data, abs: f64) -> Options {
@@ -33,87 +19,30 @@ pub fn bandwidth_features(data: &Data, abs: f64) -> Options {
     f
 }
 
-/// A trained compression-bandwidth model for one (compressor, machine)
-/// pair.
-#[derive(Serialize, Deserialize)]
-pub struct BandwidthModel {
-    forest: Option<RandomForest>,
-    feature_keys: Vec<String>,
-}
-
-impl Default for BandwidthModel {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BandwidthModel {
-    /// Untrained model.
-    pub fn new() -> BandwidthModel {
-        BandwidthModel {
-            forest: None,
-            feature_keys: keys(),
-        }
-    }
-
-    /// Train on observed `(features, compression time in ms)` pairs
-    /// (features from [`bandwidth_features`]).
-    pub fn fit(&mut self, features: &[Options], times_ms: &[f64]) -> Result<()> {
-        if features.is_empty() || features.len() != times_ms.len() {
-            return Err(Error::NotFitted("no bandwidth observations".into()));
-        }
-        let rows: Vec<Vec<f64>> = features
-            .iter()
-            .map(|f| feature_vector(f, &self.feature_keys))
-            .collect::<Result<_>>()?;
-        let ys: Vec<f64> = times_ms
-            .iter()
-            .map(|&t| {
-                if t > 0.0 && t.is_finite() {
-                    Ok(t.log2())
-                } else {
-                    Err(Error::InvalidValue {
-                        key: "time_ms".into(),
-                        reason: format!("positive time required, got {t}"),
-                    })
-                }
-            })
-            .collect::<Result<_>>()?;
-        self.forest = Some(RandomForest::fit(
-            &rows,
-            &ys,
-            &ForestParams {
-                num_trees: 30,
-                ..Default::default()
-            },
-        ));
-        Ok(())
-    }
-
-    /// Predicted compression time in milliseconds.
-    pub fn predict_time_ms(&self, features: &Options) -> Result<f64> {
-        let forest = self
-            .forest
-            .as_ref()
-            .ok_or_else(|| Error::NotFitted("bandwidth model".into()))?;
-        let x = feature_vector(features, &self.feature_keys)?;
-        Ok(forest.predict(&x).exp2())
-    }
-
-    /// Serialize trained state.
-    pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string(self).map_err(|e| Error::Serialization(e.to_string()))
-    }
-
-    /// Restore from [`BandwidthModel::to_json`].
-    pub fn from_json(s: &str) -> Result<BandwidthModel> {
-        serde_json::from_str(s).map_err(|e| Error::Serialization(e.to_string()))
-    }
+/// An untrained compression-bandwidth model for one (compressor, machine)
+/// pair: the forest predictor over the [`bandwidth_features`], with 30
+/// trees and no augmentation. It is fit on observed compression times in
+/// milliseconds and predicts one.
+pub fn bandwidth_model() -> ForestPredictor {
+    let keys = [
+        "bw:log_bytes",
+        "stat:std",
+        "stat:mean_abs_diff",
+        "stat:zero_fraction",
+        "stat:lorenzo_mae",
+        "bw:log_abs",
+    ];
+    let mut model = ForestPredictor::new(keys.map(String::from).to_vec());
+    model.augmentation = 0.0;
+    model.params.num_trees = 30;
+    model
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predictor::Predictor;
+    use pressio_core::Error;
 
     /// A deterministic "timing law" so the test is robust to machine load:
     /// time grows linearly in bytes and with data roughness.
@@ -144,22 +73,18 @@ mod tests {
     #[test]
     fn learns_timing_law() {
         let (feats, times) = suite();
-        let mut m = BandwidthModel::new();
+        let mut m = bandwidth_model();
         m.fit(&feats, &times).unwrap();
-        let preds: Vec<f64> = feats
-            .iter()
-            .map(|f| m.predict_time_ms(f).unwrap())
-            .collect();
+        let preds: Vec<f64> = feats.iter().map(|f| m.predict(f).unwrap()).collect();
         let med = pressio_stats::medape(&times, &preds).unwrap();
         assert!(med < 25.0, "bandwidth MedAPE {med}%");
     }
 
     #[test]
     fn unfitted_model_errors() {
-        let m = BandwidthModel::new();
         let (feats, _) = suite();
         assert!(matches!(
-            m.predict_time_ms(&feats[0]),
+            bandwidth_model().predict(&feats[0]),
             Err(Error::NotFitted(_))
         ));
     }
@@ -167,20 +92,33 @@ mod tests {
     #[test]
     fn rejects_degenerate_times() {
         let (feats, _) = suite();
-        let mut m = BandwidthModel::new();
+        let mut m = bandwidth_model();
         assert!(m.fit(&feats, &vec![0.0; feats.len()]).is_err());
         assert!(m.fit(&[], &[]).is_err());
     }
 
+    /// The untrained state is the one `tests/predictor_golden.rs` builds the
+    /// bandwidth model from; a trained one loads into any forest predictor.
     #[test]
     fn state_round_trip() {
-        let (feats, times) = suite();
-        let mut m = BandwidthModel::new();
-        m.fit(&feats, &times).unwrap();
-        let restored = BandwidthModel::from_json(&m.to_json().unwrap()).unwrap();
+        let untrained = String::from_utf8(bandwidth_model().state().unwrap()).unwrap();
         assert_eq!(
-            m.predict_time_ms(&feats[3]).unwrap(),
-            restored.predict_time_ms(&feats[3]).unwrap()
+            untrained,
+            concat!(
+                r#"{"keys":["bw:log_bytes","stat:std","stat:mean_abs_diff","#,
+                r#""stat:zero_fraction","stat:lorenzo_mae","bw:log_abs"],"augmentation":0.0,"#,
+                r#""params":{"num_trees":30,"tree":{"max_depth":12,"min_samples_split":4,"#,
+                r#""max_features":null},"mtry":null,"seed":24301},"forest":null}"#
+            )
+        );
+        let (feats, times) = suite();
+        let mut m = bandwidth_model();
+        m.fit(&feats, &times).unwrap();
+        let mut restored = ForestPredictor::new(vec![]);
+        restored.load_state(&m.state().unwrap()).unwrap();
+        assert_eq!(
+            m.predict(&feats[3]).unwrap(),
+            restored.predict(&feats[3]).unwrap()
         );
     }
 }

@@ -373,8 +373,11 @@ pub fn sz_quantization_profile(
 
 /// Extract a named feature vector from a merged feature [`Options`]
 /// structure, in the order of `keys`; missing features error.
-pub fn feature_vector(features: &Options, keys: &[String]) -> pressio_core::Result<Vec<f64>> {
-    keys.iter().map(|k| features.get_f64(k)).collect()
+pub fn feature_vector<'a>(
+    features: &Options,
+    keys: impl IntoIterator<Item = &'a String>,
+) -> pressio_core::Result<Vec<f64>> {
+    keys.into_iter().map(|k| features.get_f64(k)).collect()
 }
 
 #[cfg(test)]

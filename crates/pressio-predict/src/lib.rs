@@ -8,8 +8,11 @@
 //!   partitioned into error-agnostic and error-dependent classes (§4.2).
 //! - [`predictor`] — the `predict_plugin` trait (`fit`/`predict`,
 //!   serializable state) and seven predictor families: identity
-//!   ("simple"), linear, spline-GAM, random forest, conformal forest,
-//!   Gaussian process and MLP.
+//!   ("simple"), and six `LogSpaceModel`s sharing one fit, predict and
+//!   state — linear, spline-GAM, random forest, conformal forest, Gaussian
+//!   process and MLP.
+//! - [`bandwidth`] — compression time, predicted by the random forest over
+//!   its own features.
 //! - [`scheme`] / [`schemes`] — the `scheme_plugin` trait with
 //!   self-describing capability metadata (regenerates Table 1) and the ten
 //!   registered methods. [`Scheme::features`] builds Figure 4's feature
@@ -55,7 +58,7 @@ pub mod registry;
 pub mod scheme;
 pub mod schemes;
 
-pub use bandwidth::{bandwidth_features, BandwidthModel};
+pub use bandwidth::{bandwidth_features, bandwidth_model};
 pub use evaluator::{
     cross_validate, CacheCounters, CachedEvaluator, CrossValidation, FeatureTimes,
 };

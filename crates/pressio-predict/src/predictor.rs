@@ -1,5 +1,10 @@
 //! The `predict_plugin` abstraction (paper §4.2): Scikit-Learn
 //! `BaseEstimator`-inspired `fit`/`predict` with serializable state.
+//!
+//! Every trained model here regresses `log2` of its target over named
+//! features and is a `LogSpaceModel`: it states only its own fit of rows
+//! and its own prediction of one row, and the one [`Predictor`] impl over
+//! them does the rest.
 
 use crate::features::feature_vector;
 use pressio_core::error::{Error, Result};
@@ -27,10 +32,16 @@ pub trait Predictor: Send + Sync {
     /// Predict the target for one feature structure.
     fn predict(&self, features: &Options) -> Result<f64>;
 
-    /// Optional conformal interval around [`Predictor::predict`] (only the
-    /// Ganguli-style predictor provides one).
-    fn predict_interval(&self, _features: &Options, _alpha: f64) -> Option<Interval> {
+    /// Optional conformal interval around a value [`Predictor::predict`]
+    /// answered (only the Ganguli-style predictor provides one). It reads
+    /// nothing but the value, so a cached prediction has the same interval.
+    fn interval(&self, _prediction: f64, _alpha: f64) -> Option<Interval> {
         None
+    }
+
+    /// [`Predictor::interval`] around the prediction for `features`.
+    fn predict_interval(&self, features: &Options, alpha: f64) -> Option<Interval> {
+        self.interval(self.predict(features).ok()?, alpha)
     }
 
     /// Serialize trained state.
@@ -94,32 +105,93 @@ impl Predictor for IdentityPredictor {
     }
 }
 
-fn check_fitted<'a, T>(state: &'a Option<T>, what: &str) -> Result<&'a T> {
-    state
-        .as_ref()
-        .ok_or_else(|| Error::NotFitted(format!("{what}: call fit() or load_state() first")))
+/// A trained model of `log2` of its target over named features: every
+/// model here but the identity. Ratios and times span orders of magnitude,
+/// so rows are fit against `log2` targets and a prediction answers through
+/// `exp2`. The model's state is its own serde struct as JSON, whose field
+/// order is its state bytes.
+pub(crate) trait LogSpaceModel: Serialize + Deserialize + Send + Sync {
+    /// The features a row holds, in column order.
+    fn keys(&self) -> impl Iterator<Item = &String> + Clone;
+
+    /// Fit `log2` targets over rows, as many of each.
+    fn fit_rows(&mut self, rows: Vec<Vec<f64>>, ys: Vec<f64>) -> Result<()>;
+
+    /// The `log2` prediction for one row ([`fitted`] refuses a model that
+    /// was neither fit nor loaded).
+    fn predict_row(&self, x: &[f64]) -> Result<f64>;
+
+    /// An interval in `log2` space around a `log2` prediction.
+    fn log2_interval(&self, _prediction: f64, _alpha: f64) -> Option<Interval> {
+        None
+    }
 }
 
-fn to_rows(features: &[Options], keys: &[String]) -> Result<Vec<Vec<f64>>> {
-    features.iter().map(|f| feature_vector(f, keys)).collect()
-}
+impl<M: LogSpaceModel> Predictor for M {
+    fn requires_training(&self) -> bool {
+        true
+    }
 
-/// Log-space targets: compression ratios span orders of magnitude, and all
-/// trainable predictors here model `log2(CR)` then exponentiate.
-fn log_targets(targets: &[f64]) -> Result<Vec<f64>> {
-    targets
-        .iter()
-        .map(|&t| {
-            if t > 0.0 && t.is_finite() {
-                Ok(t.log2())
-            } else {
-                Err(Error::InvalidValue {
-                    key: "target".into(),
-                    reason: format!("compression ratio must be positive, got {t}"),
-                })
-            }
+    fn fit(&mut self, features: &[Options], targets: &[f64]) -> Result<()> {
+        let invalid = |reason: String| Error::InvalidValue {
+            key: "target".into(),
+            reason,
+        };
+        if features.len() != targets.len() {
+            let (n, m) = (features.len(), targets.len());
+            return Err(invalid(format!("{m} targets for {n} feature rows")));
+        }
+        let rows = features
+            .iter()
+            .map(|f| feature_vector(f, self.keys()))
+            .collect::<Result<_>>()?;
+        let ys = targets
+            .iter()
+            .map(|&t| {
+                if t > 0.0 && t.is_finite() {
+                    Ok(t.log2())
+                } else {
+                    Err(invalid(format!("must be positive and finite, got {t}")))
+                }
+            })
+            .collect::<Result<_>>()?;
+        self.fit_rows(rows, ys)
+    }
+
+    fn predict(&self, features: &Options) -> Result<f64> {
+        Ok(self
+            .predict_row(&feature_vector(features, self.keys())?)?
+            .exp2())
+    }
+
+    fn interval(&self, prediction: f64, alpha: f64) -> Option<Interval> {
+        let iv = self.log2_interval(prediction.log2(), alpha)?;
+        Some(Interval {
+            lo: iv.lo.exp2(),
+            hi: iv.hi.exp2(),
+            coverage: iv.coverage,
         })
-        .collect()
+    }
+
+    fn state(&self) -> Result<Vec<u8>> {
+        serde_json::to_vec(self).map_err(|e| Error::Serialization(e.to_string()))
+    }
+
+    fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
+        *self = serde_json::from_slice(bytes).map_err(|e| Error::Serialization(e.to_string()))?;
+        Ok(())
+    }
+}
+
+/// The fitted model, or the refusal of a model neither fit nor loaded.
+fn fitted<T>(model: &Option<T>) -> Result<&T> {
+    model
+        .as_ref()
+        .ok_or_else(|| Error::NotFitted("call fit() or load_state() first".into()))
+}
+
+fn numerical(e: impl std::fmt::Display) -> Error {
+    Error::Numerical(e.to_string())
 }
 
 /// Linear regression over named features (Krasowska 2021 style).
@@ -136,35 +208,18 @@ impl LinearPredictor {
     }
 }
 
-impl Predictor for LinearPredictor {
-    fn requires_training(&self) -> bool {
-        true
+impl LogSpaceModel for LinearPredictor {
+    fn keys(&self) -> impl Iterator<Item = &String> + Clone {
+        self.keys.iter()
     }
 
-    fn fit(&mut self, features: &[Options], targets: &[f64]) -> Result<()> {
-        let rows = to_rows(features, &self.keys)?;
-        let ys = log_targets(targets)?;
-        self.model =
-            Some(LinearModel::fit(&rows, &ys).map_err(|e| Error::Numerical(e.to_string()))?);
+    fn fit_rows(&mut self, rows: Vec<Vec<f64>>, ys: Vec<f64>) -> Result<()> {
+        self.model = Some(LinearModel::fit(&rows, &ys).map_err(numerical)?);
         Ok(())
     }
 
-    fn predict(&self, features: &Options) -> Result<f64> {
-        let model = check_fitted(&self.model, "linear predictor")?;
-        let x = feature_vector(features, &self.keys)?;
-        let log_cr = model
-            .predict(&x)
-            .map_err(|e| Error::Numerical(e.to_string()))?;
-        Ok(log_cr.exp2())
-    }
-
-    fn state(&self) -> Result<Vec<u8>> {
-        serde_json::to_vec(self).map_err(|e| Error::Serialization(e.to_string()))
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
-        *self = serde_json::from_slice(bytes).map_err(|e| Error::Serialization(e.to_string()))?;
-        Ok(())
+    fn predict_row(&self, x: &[f64]) -> Result<f64> {
+        fitted(&self.model)?.predict(x).map_err(numerical)
     }
 }
 
@@ -173,9 +228,9 @@ impl Predictor for LinearPredictor {
 /// features, fit by backfitting.
 #[derive(Serialize, Deserialize)]
 pub struct SplinePredictor {
-    /// Feature receiving the spline.
+    /// Feature receiving the spline (a row's first column).
     spline_key: String,
-    /// Features entering linearly.
+    /// Features entering linearly (the rest of the row).
     linear_keys: Vec<String>,
     knots: usize,
     spline: Option<NaturalSpline>,
@@ -195,64 +250,40 @@ impl SplinePredictor {
     }
 }
 
-impl Predictor for SplinePredictor {
-    fn requires_training(&self) -> bool {
-        true
+impl LogSpaceModel for SplinePredictor {
+    fn keys(&self) -> impl Iterator<Item = &String> + Clone {
+        std::iter::once(&self.spline_key).chain(&self.linear_keys)
     }
 
-    fn fit(&mut self, features: &[Options], targets: &[f64]) -> Result<()> {
-        let xs: Vec<f64> = features
-            .iter()
-            .map(|f| f.get_f64(&self.spline_key))
-            .collect::<Result<_>>()?;
-        let mut ys = log_targets(targets)?;
-        let lin_rows = to_rows(features, &self.linear_keys)?;
-        let mut spline = NaturalSpline::fit(&xs, &ys, self.knots)
-            .map_err(|e| Error::Numerical(e.to_string()))?;
+    fn fit_rows(&mut self, rows: Vec<Vec<f64>>, ys: Vec<f64>) -> Result<()> {
+        let xs: Vec<f64> = rows.iter().map(|r| r[0]).collect();
+        let lin_rows: Vec<Vec<f64>> = rows.iter().map(|r| r[1..].to_vec()).collect();
+        let mut spline = NaturalSpline::fit(&xs, &ys, self.knots).map_err(numerical)?;
         let mut linear: Option<LinearModel> = None;
         if !self.linear_keys.is_empty() {
-            // 3 backfitting rounds: spline residuals <-> linear residuals
+            // 3 backfitting rounds: spline residuals <-> linear residuals;
+            // the final model is spline(resid2) + linear
             for _ in 0..3 {
                 let spline_pred = spline.predict_batch(&xs);
                 let resid: Vec<f64> = ys.iter().zip(&spline_pred).map(|(y, p)| y - p).collect();
-                let lin = LinearModel::fit(&lin_rows, &resid)
-                    .map_err(|e| Error::Numerical(e.to_string()))?;
-                let lin_pred = lin
-                    .predict_batch(&lin_rows)
-                    .map_err(|e| Error::Numerical(e.to_string()))?;
+                let lin = LinearModel::fit(&lin_rows, &resid).map_err(numerical)?;
+                let lin_pred = lin.predict_batch(&lin_rows).map_err(numerical)?;
                 let resid2: Vec<f64> = ys.iter().zip(&lin_pred).map(|(y, p)| y - p).collect();
-                spline = NaturalSpline::fit(&xs, &resid2, self.knots)
-                    .map_err(|e| Error::Numerical(e.to_string()))?;
+                spline = NaturalSpline::fit(&xs, &resid2, self.knots).map_err(numerical)?;
                 linear = Some(lin);
             }
-            // keep ys for clarity; the final model is spline(resid2) + linear
-            let _ = &mut ys;
         }
         self.spline = Some(spline);
         self.linear = linear;
         Ok(())
     }
 
-    fn predict(&self, features: &Options) -> Result<f64> {
-        let spline = check_fitted(&self.spline, "spline predictor")?;
-        let x = features.get_f64(&self.spline_key)?;
-        let mut log_cr = spline.predict(x);
-        if let Some(lin) = &self.linear {
-            let xs = feature_vector(features, &self.linear_keys)?;
-            log_cr += lin
-                .predict(&xs)
-                .map_err(|e| Error::Numerical(e.to_string()))?;
+    fn predict_row(&self, x: &[f64]) -> Result<f64> {
+        let spline = fitted(&self.spline)?.predict(x[0]);
+        match &self.linear {
+            Some(lin) => Ok(spline + lin.predict(&x[1..]).map_err(numerical)?),
+            None => Ok(spline),
         }
-        Ok(log_cr.exp2())
-    }
-
-    fn state(&self) -> Result<Vec<u8>> {
-        serde_json::to_vec(self).map_err(|e| Error::Serialization(e.to_string()))
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
-        *self = serde_json::from_slice(bytes).map_err(|e| Error::Serialization(e.to_string()))?;
-        Ok(())
     }
 }
 
@@ -262,7 +293,8 @@ pub struct ForestPredictor {
     keys: Vec<String>,
     /// Synthetic-to-real augmentation factor (0 disables).
     pub augmentation: f64,
-    params: ForestParams,
+    /// Forest hyper-parameters.
+    pub params: ForestParams,
     forest: Option<RandomForest>,
 }
 
@@ -281,14 +313,12 @@ impl ForestPredictor {
     }
 }
 
-impl Predictor for ForestPredictor {
-    fn requires_training(&self) -> bool {
-        true
+impl LogSpaceModel for ForestPredictor {
+    fn keys(&self) -> impl Iterator<Item = &String> + Clone {
+        self.keys.iter()
     }
 
-    fn fit(&mut self, features: &[Options], targets: &[f64]) -> Result<()> {
-        let mut rows = to_rows(features, &self.keys)?;
-        let mut ys = log_targets(targets)?;
+    fn fit_rows(&mut self, mut rows: Vec<Vec<f64>>, mut ys: Vec<f64>) -> Result<()> {
         if rows.is_empty() {
             return Err(Error::NotFitted("no training data".into()));
         }
@@ -297,19 +327,8 @@ impl Predictor for ForestPredictor {
         Ok(())
     }
 
-    fn predict(&self, features: &Options) -> Result<f64> {
-        let forest = check_fitted(&self.forest, "forest predictor")?;
-        let x = feature_vector(features, &self.keys)?;
-        Ok(forest.predict(&x).exp2())
-    }
-
-    fn state(&self) -> Result<Vec<u8>> {
-        serde_json::to_vec(self).map_err(|e| Error::Serialization(e.to_string()))
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
-        *self = serde_json::from_slice(bytes).map_err(|e| Error::Serialization(e.to_string()))?;
-        Ok(())
+    fn predict_row(&self, x: &[f64]) -> Result<f64> {
+        Ok(fitted(&self.forest)?.predict(x))
     }
 }
 
@@ -332,66 +351,35 @@ impl ConformalForestPredictor {
     }
 }
 
-impl Predictor for ConformalForestPredictor {
-    fn requires_training(&self) -> bool {
-        true
+impl LogSpaceModel for ConformalForestPredictor {
+    fn keys(&self) -> impl Iterator<Item = &String> + Clone {
+        self.inner.keys()
     }
 
-    fn fit(&mut self, features: &[Options], targets: &[f64]) -> Result<()> {
-        let n = features.len();
-        if n < 5 {
-            // too small to split: fit without calibration
-            self.inner.fit(features, targets)?;
-            self.calibration = None;
-            return Ok(());
-        }
-        // hold out every 4th sample for calibration
-        let mut train_f = Vec::new();
-        let mut train_t = Vec::new();
-        let mut cal_f = Vec::new();
-        let mut cal_t = Vec::new();
-        for i in 0..n {
-            if i % 4 == 3 {
-                cal_f.push(features[i].clone());
-                cal_t.push(targets[i]);
-            } else {
-                train_f.push(features[i].clone());
-                train_t.push(targets[i]);
-            }
-        }
-        self.inner.fit(&train_f, &train_t)?;
-        let mut predicted = Vec::with_capacity(cal_f.len());
-        let mut actual = Vec::with_capacity(cal_f.len());
-        for (f, &t) in cal_f.iter().zip(&cal_t) {
-            predicted.push(self.inner.predict(f)?.log2());
-            actual.push(t.log2());
+    fn fit_rows(&mut self, rows: Vec<Vec<f64>>, ys: Vec<f64>) -> Result<()> {
+        // hold out every 4th sample for calibration, none of a set too
+        // small to split
+        let split = rows.len() >= 5;
+        let (held, train): (Vec<_>, Vec<_>) =
+            (rows.into_iter().zip(ys).enumerate()).partition(|(i, _)| split && i % 4 == 3);
+        let (xs, ys) = train.into_iter().map(|(_, sample)| sample).unzip();
+        self.inner.fit_rows(xs, ys)?;
+        let (mut predicted, mut actual) = (Vec::new(), Vec::new());
+        for (_, (x, y)) in held {
+            // the point `predict` answers, back in log space
+            predicted.push(self.inner.predict_row(&x)?.exp2().log2());
+            actual.push(y);
         }
         self.calibration = ConformalCalibration::calibrate(&predicted, &actual);
         Ok(())
     }
 
-    fn predict(&self, features: &Options) -> Result<f64> {
-        self.inner.predict(features)
+    fn predict_row(&self, x: &[f64]) -> Result<f64> {
+        self.inner.predict_row(x)
     }
 
-    fn predict_interval(&self, features: &Options, alpha: f64) -> Option<Interval> {
-        let cal = self.calibration.as_ref()?;
-        let point = self.inner.predict(features).ok()?;
-        let iv = cal.interval(point.log2(), alpha);
-        Some(Interval {
-            lo: iv.lo.exp2(),
-            hi: iv.hi.exp2(),
-            coverage: iv.coverage,
-        })
-    }
-
-    fn state(&self) -> Result<Vec<u8>> {
-        serde_json::to_vec(self).map_err(|e| Error::Serialization(e.to_string()))
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
-        *self = serde_json::from_slice(bytes).map_err(|e| Error::Serialization(e.to_string()))?;
-        Ok(())
+    fn log2_interval(&self, prediction: f64, alpha: f64) -> Option<Interval> {
+        Some(self.calibration.as_ref()?.interval(prediction, alpha))
     }
 }
 
@@ -416,37 +404,18 @@ impl GpPredictor {
     }
 }
 
-impl Predictor for GpPredictor {
-    fn requires_training(&self) -> bool {
-        true
+impl LogSpaceModel for GpPredictor {
+    fn keys(&self) -> impl Iterator<Item = &String> + Clone {
+        self.keys.iter()
     }
 
-    fn fit(&mut self, features: &[Options], targets: &[f64]) -> Result<()> {
-        let rows = to_rows(features, &self.keys)?;
-        let ys = log_targets(targets)?;
-        self.model = Some(
-            GaussianProcess::fit(&rows, &ys, self.noise)
-                .map_err(|e| Error::Numerical(e.to_string()))?,
-        );
+    fn fit_rows(&mut self, rows: Vec<Vec<f64>>, ys: Vec<f64>) -> Result<()> {
+        self.model = Some(GaussianProcess::fit(&rows, &ys, self.noise).map_err(numerical)?);
         Ok(())
     }
 
-    fn predict(&self, features: &Options) -> Result<f64> {
-        let model = check_fitted(&self.model, "gp predictor")?;
-        let x = feature_vector(features, &self.keys)?;
-        let log_cr = model
-            .predict(&x)
-            .map_err(|e| Error::Numerical(e.to_string()))?;
-        Ok(log_cr.exp2())
-    }
-
-    fn state(&self) -> Result<Vec<u8>> {
-        serde_json::to_vec(self).map_err(|e| Error::Serialization(e.to_string()))
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
-        *self = serde_json::from_slice(bytes).map_err(|e| Error::Serialization(e.to_string()))?;
-        Ok(())
+    fn predict_row(&self, x: &[f64]) -> Result<f64> {
+        fitted(&self.model)?.predict(x).map_err(numerical)
     }
 }
 
@@ -471,37 +440,20 @@ impl MlpPredictor {
     }
 }
 
-impl Predictor for MlpPredictor {
-    fn requires_training(&self) -> bool {
-        true
+impl LogSpaceModel for MlpPredictor {
+    fn keys(&self) -> impl Iterator<Item = &String> + Clone {
+        self.keys.iter()
     }
 
-    fn fit(&mut self, features: &[Options], targets: &[f64]) -> Result<()> {
-        let rows = to_rows(features, &self.keys)?;
-        let ys = log_targets(targets)?;
-        self.model = Some(
-            Mlp::fit(&rows, &ys, &self.params)
-                .ok_or_else(|| Error::Numerical("mlp training failed".into()))?,
-        );
+    fn fit_rows(&mut self, rows: Vec<Vec<f64>>, ys: Vec<f64>) -> Result<()> {
+        let model = Mlp::fit(&rows, &ys, &self.params);
+        self.model = Some(model.ok_or_else(|| Error::Numerical("mlp training failed".into()))?);
         Ok(())
     }
 
-    fn predict(&self, features: &Options) -> Result<f64> {
-        let model = check_fitted(&self.model, "mlp predictor")?;
-        let x = feature_vector(features, &self.keys)?;
-        let log_cr = model
-            .predict(&x)
-            .ok_or_else(|| Error::Numerical("mlp dimension mismatch".into()))?;
-        Ok(log_cr.exp2())
-    }
-
-    fn state(&self) -> Result<Vec<u8>> {
-        serde_json::to_vec(self).map_err(|e| Error::Serialization(e.to_string()))
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
-        *self = serde_json::from_slice(bytes).map_err(|e| Error::Serialization(e.to_string()))?;
-        Ok(())
+    fn predict_row(&self, x: &[f64]) -> Result<f64> {
+        let prediction = fitted(&self.model)?.predict(x);
+        prediction.ok_or_else(|| Error::Numerical("mlp dimension mismatch".into()))
     }
 }
 
@@ -629,6 +581,33 @@ mod tests {
         let mut none = ForestPredictor::new(vec![]);
         none.fit(&features, &targets).unwrap();
         assert!(none.predict(&features[0]).unwrap().is_finite());
+    }
+
+    /// Eight rows and three targets: every trainable predictor turns the
+    /// fit down as an invalid value, and none reads past the targets.
+    #[test]
+    fn fit_refuses_fewer_targets_than_rows() {
+        let (features, targets) = training_set(8);
+        let keys = || {
+            ["qent:entropy", "variogram:score"]
+                .map(String::from)
+                .to_vec()
+        };
+        let predictors: [Box<dyn Predictor>; 6] = [
+            Box::new(LinearPredictor::new(keys())),
+            Box::new(SplinePredictor::new("qent:entropy", keys()[1..].to_vec())),
+            Box::new(ForestPredictor::new(keys())),
+            Box::new(ConformalForestPredictor::new(keys())),
+            Box::new(GpPredictor::new(keys())),
+            Box::new(MlpPredictor::new(keys())),
+        ];
+        for mut p in predictors {
+            let fitted = p.fit(&features, &targets[..3]);
+            assert!(
+                matches!(fitted, Err(Error::InvalidValue { .. })),
+                "{fitted:?}"
+            );
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use pressio_core::error::{Error, Result};
 use pressio_core::{threads, Compressor, Data, Options};
 use pressio_predict::evaluator::CachedEvaluator;
 use pressio_predict::features::FeaturePass;
-use pressio_predict::{standard_compressors, standard_schemes, Scheme};
+use pressio_predict::{standard_compressors, standard_schemes, Predictor, Scheme};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -167,13 +167,38 @@ pub(crate) fn probe(state: &ServerState, request: &mut Options) -> Option<Option
         return None;
     };
     state.count(Stat::PredictionsServed, 1);
-    Some(prediction_response(
+    let resp = prediction_response(
         value,
         true,
         &target.scheme,
         &target.tag,
         state.config.shard_index,
+    );
+    Some(with_interval(
+        resp,
+        target.predictor.as_ref(),
+        value,
+        request,
     ))
+}
+
+/// Add the interval a `serve:alpha` request asks for around `value`, when
+/// the predictor gives one. The interval reads nothing but the value, so a
+/// prediction-cache hit carries the one its miss did.
+fn with_interval(
+    resp: Options,
+    predictor: &dyn Predictor,
+    value: f64,
+    request: &Options,
+) -> Options {
+    let alpha = request.get_f64_opt("serve:alpha").ok().flatten();
+    match alpha.and_then(|alpha| predictor.interval(value, alpha)) {
+        Some(iv) => resp
+            .with("serve:interval.lo", iv.lo)
+            .with("serve:interval.hi", iv.hi)
+            .with("serve:interval.coverage", iv.coverage),
+        None => resp,
+    }
 }
 
 /// A request that missed the prediction cache, waiting on features.
@@ -341,22 +366,14 @@ fn finalize(state: &ServerState, target: &LoadedModel, extracted: &Extracted, pr
         let value = predictor.predict(&features).map_err(|e| respond(Err(e)))?;
         state.prediction_cache.insert(prep.pred_key, value);
         state.count(Stat::PredictionsServed, 1);
-        let mut resp = prediction_response(
+        let resp = prediction_response(
             value,
             false,
             &target.scheme,
             &target.tag,
             state.config.shard_index,
         );
-        if let Ok(Some(alpha)) = prep.item.request.get_f64_opt("serve:alpha") {
-            if let Some(interval) = predictor.predict_interval(&features, alpha) {
-                resp = resp
-                    .with("serve:interval.lo", interval.lo)
-                    .with("serve:interval.hi", interval.hi)
-                    .with("serve:interval.coverage", interval.coverage);
-            }
-        }
-        Ok(resp)
+        Ok(with_interval(resp, predictor, value, &prep.item.request))
     })();
     // deadline re-check after compute: the client stopped waiting at the
     // deadline, so a slow extraction must not pretend to succeed

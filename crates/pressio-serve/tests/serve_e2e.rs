@@ -643,3 +643,41 @@ fn a_prediction_cache_hit_is_answered_on_its_connection_thread() {
     handle.wait().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `serve:alpha` predict carries the same conformal interval, bit for
+/// bit, whether it is computed or answered from the prediction cache; a
+/// predict without `serve:alpha` carries none.
+#[test]
+fn a_cached_prediction_carries_the_interval_it_was_asked_for() {
+    let dir = temp_dir("cached_interval");
+    let handle = Server::start(local_config(&dir)).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let trained = client.call(&train_request("g", "ganguli2023")).unwrap();
+    assert_eq!(
+        trained.get_str("serve:type").unwrap(),
+        "trained",
+        "{trained}"
+    );
+    let data = sample_data(0);
+    let bound = Options::new().with("pressio:abs", 1e-4);
+    let asked = bound.clone().with("serve:alpha", 0.1);
+    let interval = |resp: &Options| {
+        ["lo", "hi", "coverage"].map(|k| {
+            resp.get_f64(&format!("serve:interval.{k}"))
+                .unwrap_or_else(|_| panic!("no serve:interval.{k} in {resp}"))
+                .to_bits()
+        })
+    };
+    let cold = client.predict("g", &data, &asked).unwrap();
+    assert!(!cold.get_bool("serve:cached").unwrap(), "{cold}");
+    let warm = client.predict("g", &data, &asked).unwrap();
+    assert!(warm.get_bool("serve:cached").unwrap(), "{warm}");
+    assert_eq!(interval(&warm), interval(&cold));
+    assert_eq!(f64::from_bits(interval(&cold)[2]), 0.9);
+    let plain = client.predict("g", &data, &bound).unwrap();
+    assert!(plain.get_bool("serve:cached").unwrap(), "{plain}");
+    assert!(plain.get_f64("serve:interval.lo").is_err(), "{plain}");
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
