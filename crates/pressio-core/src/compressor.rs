@@ -30,6 +30,23 @@ pub trait Compressor: Send + Sync {
     /// invalidation metadata (which settings are error-affecting).
     fn get_configuration(&self) -> Options;
 
+    /// The error-dependent settings alone: the entries of `get_options`
+    /// that `get_configuration` lists under
+    /// `predictors:error_dependent_settings` (all of them when it lists
+    /// none). A codec that knows these without building both structures
+    /// overrides this; the result must not change.
+    fn error_settings(&self) -> Options {
+        let options = self.get_options();
+        let configuration = self.get_configuration();
+        match configuration.get_str_slice("predictors:error_dependent_settings") {
+            Ok(keys) => {
+                let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+                options.extract(&keys)
+            }
+            Err(_) => options,
+        }
+    }
+
     /// Compress `input` into a standalone byte stream.
     fn compress(&self, input: &Data) -> Result<Vec<u8>>;
 

@@ -69,20 +69,13 @@ impl CachedEvaluator {
         self.scheme.as_ref()
     }
 
-    /// Stable hash of the compressor's error-affecting settings: the
-    /// error-dependent cache key component.
+    /// Stable hash of the compressor's error-affecting settings
+    /// ([`Compressor::error_settings`]) and its id: the error-dependent
+    /// cache key component.
     pub fn error_settings_key(compressor: &dyn Compressor) -> String {
-        let cfg = compressor.get_configuration();
-        let opts = compressor.get_options();
-        let subset = match cfg.get_str_slice("predictors:error_dependent_settings") {
-            Ok(keys) => {
-                let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-                opts.extract(&refs)
-            }
-            // unknown compressor metadata: be conservative, use everything
-            Err(_) => opts,
-        };
-        let keyed = subset.with("compressor:id", compressor.id());
+        let keyed = compressor
+            .error_settings()
+            .with("compressor:id", compressor.id());
         hash_options_hex(&keyed)
     }
 
@@ -267,6 +260,54 @@ mod tests {
         c.set_options(&Opts::new().with("pressio:abs", abs))
             .unwrap();
         c
+    }
+
+    /// Each codec's own error settings are the subset of its options its
+    /// configuration names, so the key is the digest it was when it was
+    /// read from both structures.
+    #[test]
+    fn error_settings_key_is_read_from_the_error_settings_alone() {
+        let from_both = |c: &dyn Compressor| {
+            let keys = c.get_configuration();
+            let keys = keys
+                .get_str_slice("predictors:error_dependent_settings")
+                .unwrap();
+            let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+            let subset = c.get_options().extract(&keys);
+            hash_options_hex(&subset.with("compressor:id", c.id()))
+        };
+        let settings = [
+            ("sz3", Opts::new()),
+            ("sz3", Opts::new().with("pressio:abs", 1e-3)),
+            (
+                "sz3",
+                Opts::new()
+                    .with("pressio:rel", 1e-2)
+                    .with("sz3:predictor", "lorenzo")
+                    .with("sz3:block_size", 8u64)
+                    .with("pressio:nthreads", 2u64),
+            ),
+            ("zfp", Opts::new()),
+            (
+                "zfp",
+                Opts::new()
+                    .with("zfp:mode", "rate")
+                    .with("zfp:rate", 12.5)
+                    .with("zfp:precision", 20u64),
+            ),
+            (
+                "zfp",
+                Opts::new()
+                    .with("pressio:abs", 1e-6)
+                    .with("pressio:rel", 1e-3),
+            ),
+        ];
+        for (id, settings) in settings {
+            let mut c = crate::standard_compressors().build(id).unwrap();
+            c.set_options(&settings).unwrap();
+            let key = CachedEvaluator::error_settings_key(c.as_ref());
+            assert_eq!(key, from_both(c.as_ref()), "{id} {settings}");
+        }
     }
 
     #[test]

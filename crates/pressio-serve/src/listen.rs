@@ -113,7 +113,8 @@ fn connection_loop(mut conn: Conn, service: &impl Service) {
         protocol::next_request(&mut conn, service.max_frame(), &service.stop().flag)
     {
         let op_name = protocol::op_name(&request).to_string();
-        let _span = pressio_obs::span(format!("serve:op.{op_name}"));
+        let _span =
+            pressio_obs::is_enabled().then(|| pressio_obs::span(format!("serve:op.{op_name}")));
         // failpoint: the process dies after accepting a request but before
         // answering it — the widest crash window a client can face. Exit
         // code 86 distinguishes the injected crash from a real panic so
@@ -140,14 +141,15 @@ fn connection_loop(mut conn: Conn, service: &impl Service) {
         }
         // failpoint: sever the connection mid-frame — the client sees a
         // torn frame / EOF and must reconnect and retry
+        let frame = protocol::response_frame(&response);
         let write_ok = if pressio_faults::check("serve:conn.drop").is_some() {
-            if let Ok(frame) = protocol::frame_bytes(&response) {
-                let _ = std::io::Write::write_all(&mut conn, &frame[..frame.len() / 2]);
-                let _ = std::io::Write::flush(&mut conn);
-            }
+            let _ = std::io::Write::write_all(&mut conn, &frame[..frame.len() / 2]);
+            let _ = std::io::Write::flush(&mut conn);
             false
         } else {
-            protocol::write_frame(&mut conn, &response).is_ok()
+            std::io::Write::write_all(&mut conn, &frame)
+                .and_then(|()| std::io::Write::flush(&mut conn))
+                .is_ok()
         };
         if shutting_down {
             shutdown(service);

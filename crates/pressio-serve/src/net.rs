@@ -3,7 +3,7 @@
 //! and client are transport-agnostic.
 
 use pressio_core::error::{Error, Result};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -83,15 +83,17 @@ impl Endpoint {
     pub fn connect(&self) -> Result<Conn> {
         match self {
             #[cfg(unix)]
-            Endpoint::Unix(path) => Ok(Conn::Unix(UnixStream::connect(path).map_err(|e| {
-                Error::Io(format!("connecting unix socket {}: {e}", path.display()))
-            })?)),
+            Endpoint::Unix(path) => {
+                Ok(Conn::new(Stream::Unix(UnixStream::connect(path).map_err(
+                    |e| Error::Io(format!("connecting unix socket {}: {e}", path.display())),
+                )?)))
+            }
             Endpoint::Tcp(addr) => {
                 let stream = TcpStream::connect(addr)
                     .map_err(|e| Error::Io(format!("connecting tcp {addr}: {e}")))?;
                 // request/response framing: latency matters, not batching
                 let _ = stream.set_nodelay(true);
-                Ok(Conn::Tcp(stream))
+                Ok(Conn::new(Stream::Tcp(stream)))
             }
         }
     }
@@ -112,11 +114,11 @@ impl Listener {
     pub fn accept(&self) -> Result<Conn> {
         match self {
             #[cfg(unix)]
-            Listener::Unix(l, _) => Ok(Conn::Unix(l.accept()?.0)),
+            Listener::Unix(l, _) => Ok(Conn::new(Stream::Unix(l.accept()?.0))),
             Listener::Tcp(l) => {
                 let stream = l.accept()?.0;
                 let _ = stream.set_nodelay(true);
-                Ok(Conn::Tcp(stream))
+                Ok(Conn::new(Stream::Tcp(stream)))
             }
         }
     }
@@ -131,23 +133,41 @@ impl Listener {
     }
 }
 
-/// A connected stream (either transport).
-pub enum Conn {
-    /// Unix-domain stream.
+/// Bytes a [`Conn`] reads from its socket at a time: more than a request
+/// with an 8 KiB buffer, so a small frame — prefix, header and payload —
+/// costs one `read` call.
+pub const READ_BUFFER: usize = 16 << 10;
+
+/// `inner` read through a [`READ_BUFFER`]-byte buffer, as a [`Conn`] reads
+/// its socket. A read at least as large as the buffer that finds it empty
+/// goes straight into the caller's memory, so a large blob is not copied
+/// through it.
+pub fn buffered<R: Read>(inner: R) -> BufReader<R> {
+    BufReader::with_capacity(READ_BUFFER, inner)
+}
+
+/// A connected stream (either transport), read through [`buffered`] and
+/// written unbuffered: every frame is already one contiguous write.
+pub struct Conn(BufReader<Stream>);
+
+enum Stream {
     #[cfg(unix)]
     Unix(UnixStream),
-    /// TCP stream.
     Tcp(TcpStream),
 }
 
 impl Conn {
+    fn new(stream: Stream) -> Conn {
+        Conn(buffered(stream))
+    }
+
     /// Set (or clear) the read timeout; used by the server to poll the
     /// shutdown flag while idle.
     pub fn set_read_timeout(&self, dur: Option<Duration>) -> Result<()> {
-        match self {
+        match self.0.get_ref() {
             #[cfg(unix)]
-            Conn::Unix(s) => s.set_read_timeout(dur)?,
-            Conn::Tcp(s) => s.set_read_timeout(dur)?,
+            Stream::Unix(s) => s.set_read_timeout(dur)?,
+            Stream::Tcp(s) => s.set_read_timeout(dur)?,
         }
         Ok(())
     }
@@ -155,28 +175,44 @@ impl Conn {
 
 impl Read for Conn {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
-        }
+        self.0.read(buf)
     }
 }
 
 impl Write for Conn {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.get_mut().write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.get_mut().flush()
+    }
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
             #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
+            Stream::Unix(s) => s.read(buf),
+            Stream::Tcp(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match self {
+            #[cfg(unix)]
+            Stream::Unix(s) => s.write(buf),
+            Stream::Tcp(s) => s.write(buf),
         }
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
+            Stream::Unix(s) => s.flush(),
+            Stream::Tcp(s) => s.flush(),
         }
     }
 }

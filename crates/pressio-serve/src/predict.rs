@@ -182,6 +182,20 @@ pub(crate) fn probe(state: &ServerState, request: &mut Options) -> Option<Option
     ))
 }
 
+/// `serve:alpha` is the miscoverage an interval is asked for at: in (0, 1),
+/// or the interval is a false one (coverage above 1 or below 0, or a finite
+/// interval claiming all of it). Checked before the probe, so a hit and a
+/// miss are turned down alike.
+pub(crate) fn check_alpha(request: &Options) -> Result<()> {
+    match request.get_f64_opt("serve:alpha")? {
+        Some(alpha) if !(alpha > 0.0 && alpha < 1.0) => Err(Error::InvalidValue {
+            key: "serve:alpha".into(),
+            reason: format!("{alpha} is not a miscoverage rate in (0, 1)"),
+        }),
+        _ => Ok(()),
+    }
+}
+
 /// Add the interval a `serve:alpha` request asks for around `value`, when
 /// the predictor gives one. The interval reads nothing but the value, so a
 /// prediction-cache hit carries the one its miss did.

@@ -9,12 +9,13 @@
 //! ```
 //!
 //! where the header is `{"options": <Options JSON without its Bytes
-//! entries>, "blobs": [[key, len], ...]}` and the payload is those byte
-//! values concatenated in table order — a buffer costs one wire byte per
-//! data byte and is read straight into the `Vec<u8>` that becomes its
-//! [`Value::Bytes`]. Reusing `Options` as the envelope keeps the protocol
-//! self-describing the same way every other LibPressio object is: no
-//! schema negotiation, unknown keys are ignored. A peer whose first word
+//! entries>, "blobs": [[key, len], ...]}` (written and parsed directly by
+//! the `header` module) and the payload is those byte values concatenated
+//! in table order — a buffer costs one wire byte per data byte and is read
+//! straight into the `Vec<u8>` that becomes its [`Value::Bytes`]. Reusing
+//! `Options` as the envelope keeps the protocol self-describing the same
+//! way every other LibPressio object is: no schema negotiation, unknown
+//! keys are ignored. A peer whose first word
 //! is not the magic (the v1 `[u32 len][JSON]` frame can never be: its top
 //! byte is at most 0x04) is answered `bad_request` "unsupported wire
 //! version" and disconnected.
@@ -25,9 +26,10 @@
 //! — notably `overloaded` (bounded queue full; retry later) and
 //! `deadline_exceeded` (the request waited past its deadline).
 
+mod header;
+
 use pressio_core::error::{Error, Result};
 use pressio_core::{Options, Value};
-use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -38,15 +40,6 @@ pub const MAX_FRAME: usize = 128 << 20;
 
 /// First word of every frame: Pressio Serve Wire, version 2.
 pub const MAGIC: [u8; 4] = *b"PSW2";
-
-/// The JSON half of a frame: the message minus its byte values, and where
-/// each of those sits in the payload.
-#[derive(Serialize, Deserialize)]
-struct Header {
-    options: Options,
-    /// `(key, length)` of every `Value::Bytes` entry, in payload order.
-    blobs: Vec<(String, u64)>,
-}
 
 /// Request operations (`serve:op` values).
 pub mod op {
@@ -131,43 +124,49 @@ pub fn op_name(request: &Options) -> &str {
     request.get_str_opt("serve:op").ok().flatten().unwrap_or("")
 }
 
-/// Serialize one frame without writing it.
+/// Serialize one frame without writing it. A non-finite float has no
+/// JSON form: it is refused as an [`Error::InvalidValue`] naming its key.
 pub fn frame_bytes(msg: &Options) -> Result<Vec<u8>> {
-    let mut payload: Vec<&[u8]> = Vec::new();
-    let mut header = Header {
-        options: Options::new(),
-        blobs: Vec::new(),
-    };
-    for (key, value) in msg.iter() {
-        match value {
-            Value::Bytes(bytes) => {
-                header.blobs.push((key.to_string(), bytes.len() as u64));
-                payload.push(bytes);
-            }
-            other => {
-                header.options.set(key, other.clone());
-            }
-        }
-    }
-    let header = serde_json::to_string(&header).map_err(|e| Error::Serialization(e.to_string()))?;
-    let payload_len: usize = payload.iter().map(|b| b.len()).sum();
-    let body_len = header.len() + payload_len;
-    if body_len > MAX_FRAME {
-        return Err(Error::Serialization(format!(
+    let blobs = || msg.iter().filter_map(|(_, value)| value.as_bytes());
+    let payload_len: usize = blobs().map(<[u8]>::len).sum();
+    let too_big = |body_len: usize| {
+        Error::Serialization(format!(
             "frame of {body_len} bytes exceeds MAX_FRAME ({MAX_FRAME})"
-        )));
+        ))
+    };
+    if payload_len > MAX_FRAME {
+        return Err(too_big(payload_len));
     }
     // one contiguous buffer: separate prefix and payload writes would
-    // interact with Nagle + delayed ACK on TCP, stalling every frame ~40 ms
-    let mut frame = Vec::with_capacity(16 + body_len);
+    // interact with Nagle + delayed ACK on TCP, stalling every frame ~40 ms.
+    // The lengths are patched in once the header is written; 256 bytes hold
+    // most headers, so the payload rarely moves the buffer.
+    let mut frame = Vec::with_capacity(16 + 256 + payload_len);
     frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&(header.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&(payload_len as u64).to_be_bytes());
-    frame.extend_from_slice(header.as_bytes());
-    for blob in payload {
+    frame.extend_from_slice(&[0; 12]);
+    header::write(msg, &mut frame)?;
+    let header_len = frame.len() - 16;
+    let body_len = header_len + payload_len;
+    if body_len > MAX_FRAME {
+        return Err(too_big(body_len));
+    }
+    frame[4..8].copy_from_slice(&(header_len as u32).to_be_bytes());
+    frame[8..16].copy_from_slice(&(payload_len as u64).to_be_bytes());
+    frame.reserve_exact(payload_len);
+    for blob in blobs() {
         frame.extend_from_slice(blob);
     }
     Ok(frame)
+}
+
+/// The frame of a server's `response`, or — when it carries a value no
+/// frame can (a non-finite float) — of an `internal` error saying which, so
+/// the connection survives the answer it could not send.
+pub fn response_frame(response: &Options) -> Vec<u8> {
+    frame_bytes(response).unwrap_or_else(|e| {
+        let error = error_response(code::INTERNAL, format!("unencodable response: {e}"));
+        frame_bytes(&error).expect("an error response is always encodable")
+    })
 }
 
 /// Write one frame in a single `write_all`.
@@ -254,8 +253,8 @@ pub fn read_frame_polled(
     }
     let mut header = vec![0u8; header_len as usize];
     fill(r, &mut header, stop, false)?;
-    let Header { mut options, blobs } = serde_json::from_slice(&header)
-        .map_err(|e| Error::CorruptStream(format!("frame header: {e}")))?;
+    let (mut options, blobs) =
+        header::read(&header).map_err(|e| Error::CorruptStream(format!("frame header: {e}")))?;
     if options.iter().any(|(_, v)| matches!(v, Value::Bytes(_))) {
         return Err(Error::CorruptStream(
             "frame header carries a byte value inline; bytes travel in the payload".into(),

@@ -692,19 +692,18 @@ fn handle_train(state: &ServerState, request: &Options) -> Result<Options> {
 fn submit_and_wait(daemon: &Daemon, mut request: Options) -> Options {
     let state = &*daemon.state;
     let predicting = protocol::op_name(&request) == op::PREDICT;
-    let batch_key = if !predicting {
-        // sleeps never batch together: each occupies a worker alone
-        format!("sleep:{}", daemon.seq.fetch_add(1, Ordering::Relaxed))
-    } else if let Ok(Some(model)) = request.get_str_opt("serve:model") {
-        format!("model:{model}")
-    } else if let Ok(Some(scheme)) = request.get_str_opt("serve:scheme") {
-        format!("scheme:{scheme}")
-    } else {
-        return protocol::error_response(
-            code::BAD_REQUEST,
-            "predict needs serve:model or serve:scheme",
-        );
-    };
+    if predicting {
+        let target = |key| request.get_str_opt(key).ok().flatten().is_some();
+        if !target("serve:model") && !target("serve:scheme") {
+            return protocol::error_response(
+                code::BAD_REQUEST,
+                "predict needs serve:model or serve:scheme",
+            );
+        }
+        if let Err(e) = predict::check_alpha(&request) {
+            return respond(Err(e));
+        }
+    }
     let deadline_ms = request
         .get_u64_opt("serve:deadline_ms")
         .ok()
@@ -727,6 +726,15 @@ fn submit_and_wait(daemon: &Daemon, mut request: Options) -> Options {
             return settled(state, pipeline::checked(hit, deadline));
         }
     }
+    // named only for a request that goes on to the queue
+    let batch_key = if !predicting {
+        // sleeps never batch together: each occupies a worker alone
+        format!("sleep:{}", daemon.seq.fetch_add(1, Ordering::Relaxed))
+    } else if let Ok(Some(model)) = request.get_str_opt("serve:model") {
+        format!("model:{model}")
+    } else {
+        format!("scheme:{}", request.get_str("serve:scheme").unwrap_or(""))
+    };
     let (reply, rx) = sync_channel(1);
     let item = WorkItem {
         batch_key,

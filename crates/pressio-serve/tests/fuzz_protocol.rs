@@ -4,10 +4,14 @@
 //! or malformed JSON headers — only return `Ok`/`Err`. Cases are seeded
 //! mutations of real frames (see `pressio_core::fuzz`), so every failure
 //! replays from the `seed`/`iteration` pair in the panic message; the
-//! nightly CI tier deepens the run via `PRESSIO_FUZZ_ITERS`.
+//! nightly CI tier deepens the run via `PRESSIO_FUZZ_ITERS`. The mutated
+//! headers also run through the `serde_json` reader the protocol used to
+//! parse them with (`reference/`): the two must agree on every case.
+
+mod reference;
 
 use pressio_core::fuzz::Fuzzer;
-use pressio_core::{Data, Options};
+use pressio_core::{Data, Error, Options, Value};
 use pressio_serve::protocol::{self, error_response, frame_bytes, op, read_frame};
 use pressio_serve::{Client, Endpoint, ServeConfig, Server};
 
@@ -53,7 +57,8 @@ fn header_parser_never_panics_on_mutated_headers() {
     // mutate the JSON header alone, then re-wrap it under a prefix whose
     // lengths are true: the length checks pass, so every case reaches the
     // header parser and the blob-table checks behind it — invalid UTF-8,
-    // "almost JSON", tables that no longer match the payload
+    // "almost JSON", tables that no longer match the payload. The serde
+    // reader must read each case the same way
     let corpus: Vec<Vec<u8>> = corpus()
         .into_iter()
         .map(|f| {
@@ -63,12 +68,9 @@ fn header_parser_never_panics_on_mutated_headers() {
         .collect();
     let payload = [0x5au8; 64]; // the predict frame's blob is 64 bytes
     Fuzzer::from_env(600).run(&corpus, |case| {
-        let mut frame = protocol::MAGIC.to_vec();
-        frame.extend_from_slice(&(case.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-        frame.extend_from_slice(case);
-        frame.extend_from_slice(&payload);
-        let _ = read_frame(&mut frame.as_slice());
+        if let Some(disagreement) = reference::disagreement(case, &payload) {
+            panic!("{disagreement}");
+        }
     });
 }
 
@@ -206,7 +208,21 @@ fn surviving_frames_reserialize() {
     Fuzzer::from_env(400).run(&corpus, |case| {
         let mut cursor = std::io::Cursor::new(case);
         if let Ok(Some(parsed)) = read_frame(&mut cursor) {
-            let bytes = frame_bytes(&parsed).expect("parsed frame must reserialize");
+            // a number past f64's range reads as inf, which no frame carries:
+            // the writer refuses it, naming the key that holds it
+            let bytes = match frame_bytes(&parsed) {
+                Err(Error::InvalidValue { key, .. }) => {
+                    let finite = |x: &f64| x.is_finite();
+                    let value = parsed.get(&key).expect("the refusal names a key");
+                    assert!(
+                        matches!(value, Value::F64(x) if !finite(x))
+                            || matches!(value, Value::F64Vec(xs) if !xs.iter().all(finite)),
+                        "{key} = {value:?} refused"
+                    );
+                    return;
+                }
+                bytes => bytes.expect("parsed frame must reserialize"),
+            };
             let back = read_frame(&mut std::io::Cursor::new(bytes))
                 .expect("reserialized frame must parse")
                 .expect("non-empty stream");

@@ -681,3 +681,107 @@ fn a_cached_prediction_carries_the_interval_it_was_asked_for() {
     handle.wait().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `serve:alpha` is a miscoverage rate: outside (0, 1) the interval it asks
+/// for is false (coverage past 1 or below 0, or a finite interval claiming
+/// all of it), so the request is turned down as `bad_request` — on a miss
+/// and on a prediction-cache hit alike.
+#[test]
+fn an_alpha_outside_the_unit_interval_is_a_bad_request() {
+    let dir = temp_dir("alpha_range");
+    let handle = Server::start(local_config(&dir)).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let trained = client.call(&train_request("g", "ganguli2023")).unwrap();
+    assert_eq!(
+        trained.get_str("serve:type").unwrap(),
+        "trained",
+        "{trained}"
+    );
+    let bound = Options::new().with("pressio:abs", 1e-4);
+    let refused = |client: &mut Client, data: &pressio_core::Data, alpha: f64| {
+        let resp = client
+            .predict("g", data, &bound.clone().with("serve:alpha", alpha))
+            .unwrap();
+        assert!(
+            protocol::is_error(&resp, code::BAD_REQUEST),
+            "alpha {alpha}: {resp}"
+        );
+        assert!(
+            resp.get_str("serve:message")
+                .unwrap()
+                .contains("serve:alpha"),
+            "{resp}"
+        );
+    };
+    let (cold, warm) = (sample_data(1), sample_data(0));
+    let warmed = client.predict("g", &warm, &bound).unwrap();
+    assert!(!warmed.get_bool("serve:cached").unwrap(), "{warmed}");
+    for alpha in [2.0, -1.0, 0.0, 1.0, f64::MAX] {
+        refused(&mut client, &cold, alpha);
+        refused(&mut client, &warm, alpha);
+    }
+    // the refusals cached nothing: the cold buffer is still cold, and an
+    // alpha inside the range is answered, with its interval, from the cache
+    let asked = bound.clone().with("serve:alpha", 0.25);
+    let resp = client.predict("g", &cold, &asked).unwrap();
+    assert!(!resp.get_bool("serve:cached").unwrap(), "{resp}");
+    let resp = client.predict("g", &warm, &asked).unwrap();
+    assert!(resp.get_bool("serve:cached").unwrap(), "{resp}");
+    assert_eq!(resp.get_f64("serve:interval.coverage").unwrap(), 0.75);
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A NaN or infinite bound has no JSON form: the client's writer refuses
+/// it, naming the key, and the connection it used to poison still
+/// answers. A peer that writes a bound past f64's range gets a typed
+/// `bad_request` naming it, on a connection that survives too.
+#[test]
+fn a_non_finite_bound_never_poisons_the_connection() {
+    use std::io::Write;
+    let dir = temp_dir("non_finite");
+    let handle = Server::start(local_config(&dir)).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let data = sample_data(0);
+    for abs in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let extra = Options::new().with("pressio:abs", abs);
+        match client.predict("m", &data, &extra) {
+            Err(pressio_core::Error::InvalidValue { key, .. }) => assert_eq!(key, "pressio:abs"),
+            other => panic!("abs {abs}: {other:?}"),
+        }
+        assert_eq!(
+            client.ping().unwrap().get_str("serve:type").unwrap(),
+            "pong"
+        );
+    }
+
+    let mut request = Client::predict_request("m", &data, &Options::new().with("pressio:abs", 1.5));
+    request.remove("serve:model");
+    request.set("serve:scheme", "jin2022");
+    let frame = protocol::frame_bytes(&request).unwrap();
+    let header_len = u32::from_be_bytes(frame[4..8].try_into().unwrap()) as usize;
+    let header = String::from_utf8(frame[16..16 + header_len].to_vec()).unwrap();
+    let header = header.replace(r#"{"F64":1.5}"#, r#"{"F64":1e999}"#);
+    let mut raw = protocol::MAGIC.to_vec();
+    raw.extend_from_slice(&(header.len() as u32).to_be_bytes());
+    raw.extend_from_slice(&frame[8..16]);
+    raw.extend_from_slice(header.as_bytes());
+    raw.extend_from_slice(&frame[16 + header_len..]);
+    let mut conn = handle.endpoint().connect().unwrap();
+    conn.write_all(&raw).unwrap();
+    let resp = protocol::read_frame(&mut conn).unwrap().unwrap();
+    assert!(protocol::is_error(&resp, code::BAD_REQUEST), "{resp}");
+    assert!(
+        resp.get_str("serve:message")
+            .unwrap()
+            .contains("pressio:abs"),
+        "{resp}"
+    );
+    protocol::write_frame(&mut conn, &Options::new().with("serve:op", op::PING)).unwrap();
+    let pong = protocol::read_frame(&mut conn).unwrap().unwrap();
+    assert_eq!(pong.get_str("serve:type").unwrap(), "pong");
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}

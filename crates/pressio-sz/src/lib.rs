@@ -342,11 +342,14 @@ impl Compressor for SzCompressor {
     }
 
     fn get_options(&self) -> Options {
-        self.bound
-            .options()
+        self.error_settings()
             .with("sz3:predictor", self.predictor.as_str())
             .with("sz3:block_size", self.block as u64)
             .with("pressio:nthreads", self.nthreads.unwrap_or(0) as u64)
+    }
+
+    fn error_settings(&self) -> Options {
+        self.bound.options()
     }
 
     fn get_configuration(&self) -> Options {

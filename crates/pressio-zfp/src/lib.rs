@@ -505,12 +505,16 @@ impl Compressor for ZfpCompressor {
     }
 
     fn get_options(&self) -> Options {
+        self.error_settings()
+            .with("pressio:nthreads", self.nthreads.unwrap_or(0) as u64)
+    }
+
+    fn error_settings(&self) -> Options {
         self.bound
             .options()
             .with("zfp:mode", self.mode.as_str())
             .with("zfp:precision", self.precision as u64)
             .with("zfp:rate", self.rate)
-            .with("pressio:nthreads", self.nthreads.unwrap_or(0) as u64)
     }
 
     fn get_configuration(&self) -> Options {
