@@ -67,6 +67,8 @@ pub(crate) struct Args {
     pub options: Options,
     pub dims: (usize, usize, usize),
     pub timesteps: usize,
+    /// `bench`: truth workers, with features extracted on the calling
+    /// thread beside them; `serve`: pipeline workers.
     pub workers: usize,
     pub trace: Option<PathBuf>,
     pub ablation: Option<String>,

@@ -503,6 +503,19 @@ mod tests {
         }
     }
 
+    /// 48 identical rows leave each column a std of rounding residue, not
+    /// zero. Standardizing by it once sent a probe off the rows to a ratio
+    /// of 0.0 or inf; a column that flat is constant.
+    #[test]
+    fn linear_predictor_on_identical_rows_answers_a_positive_ratio() {
+        let row = Options::new().with("a", 0.1).with("b", 0.7);
+        let mut p = LinearPredictor::new(vec!["a".to_string(), "b".to_string()]);
+        p.fit(&vec![row; 48], &[3.0; 48]).unwrap();
+        let probe = Options::new().with("a", 0.2).with("b", 0.5);
+        let ratio = p.predict(&probe).unwrap();
+        assert!(ratio.is_finite() && ratio > 0.0, "{ratio}");
+    }
+
     #[test]
     fn spline_predictor_fits_nonlinear_law() {
         // CR = 2^( (entropy-4)^2 / 4 ): nonlinear in entropy

@@ -28,6 +28,10 @@ impl std::fmt::Display for FitError {
 
 impl std::error::Error for FitError {}
 
+/// A column whose std is at most this share of `max(|mean|, 1)` is
+/// constant: identical rows leave a std of a few ulps of the mean.
+const CONSTANT_STD: f64 = 1e-12;
+
 /// A fitted linear model `y = b0 + Σ bi·(xi − μi)/σi` with standardized
 /// features (standardization makes the ridge in the SPD solve scale-free).
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
@@ -68,9 +72,11 @@ impl LinearModel {
                 *s += (x - m) * (x - m);
             }
         }
-        for s in &mut stds {
+        for (s, m) in stds.iter_mut().zip(&means) {
             *s = (*s / n as f64).sqrt();
-            if *s == 0.0 || !s.is_finite() {
+            // a constant feature's std is rounding residue, not always 0:
+            // standardizing by it would blow a probe's offset up
+            if !s.is_finite() || *s <= CONSTANT_STD * m.abs().max(1.0) {
                 *s = 1.0; // constant feature: coefficient will be ~0
             }
         }

@@ -205,7 +205,10 @@ impl RegressionTree {
                 let sse_split = (ql - sl * sl / nl) + (qr - sr * sr / nr);
                 // no split between equal feature values, nor before a NaN
                 if (a < b) & best.is_none_or(|(_, _, b)| sse_split < b) {
-                    best = Some((f, 0.5 * (a + b), sse_split));
+                    // the midpoint rounds to `b` when the two are one ulp
+                    // apart and overflows near ±MAX: split at `a` then
+                    let mid = 0.5 * (a + b);
+                    best = Some((f, if a <= mid && mid < b { mid } else { a }, sse_split));
                 }
             }
         }
@@ -366,5 +369,50 @@ mod tests {
             9,
         );
         assert_eq!(t.nodes, vec![Node::Leaf(3.0)]);
+    }
+
+    /// Fit, state round trip and every prediction finite: what a split
+    /// between two neighbouring values must leave.
+    fn assert_sound(xs: &[Vec<f64>], ys: &[f64]) {
+        let t = RegressionTree::fit(xs, ys, &TreeParams::default(), 5);
+        let json = serde_json::to_string(&t).unwrap();
+        let back: RegressionTree = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        for x in xs {
+            let y = t.predict(x);
+            assert!(y.is_finite(), "{x:?} -> {y}: {json}");
+            assert_eq!(back.predict(x).to_bits(), y.to_bits());
+        }
+        let forest = crate::RandomForest::fit(xs, ys, &Default::default());
+        let back = crate::RandomForest::from_json(&forest.to_json()).expect("state reloads");
+        assert_eq!(back.to_json(), forest.to_json());
+        assert!(xs.iter().all(|x| forest.predict(x).is_finite()));
+    }
+
+    /// `0.5 * (a + b)` rounds to `b` for `a = 1 + ε`, `b = 1 + 2ε`, and
+    /// overflows to ±inf near `±f64::MAX`: each time the split is at `a`.
+    #[test]
+    fn a_split_between_neighbouring_values_keeps_both_children() {
+        let top = f64::MAX.next_down().next_down().next_down();
+        for lo in [1.0, -f64::MAX, top] {
+            let xs: Vec<Vec<f64>> = (0..4)
+                .scan(lo, |v, _| Some(vec![std::mem::replace(v, v.next_up())]))
+                .collect();
+            assert_sound(&xs, &[0.0, 0.0, 1.0, 1.0]);
+        }
+    }
+
+    /// A table whose third feature, `0.05 i + 0.3 (i mod 7)`, meets itself
+    /// one ulp apart (`f(1)` and `f(7)`).
+    #[test]
+    fn a_table_with_one_ulp_neighbours_fits_and_reloads() {
+        let xs: Vec<Vec<f64>> = (0..48)
+            .map(|i| {
+                let f = i as f64;
+                vec![f % 5.0, (f * 0.37).sin(), 0.05 * f + 0.3 * (i % 7) as f64]
+            })
+            .collect();
+        let ys: Vec<f64> = (0..48).map(|i| (1.0 + i as f64).log2()).collect();
+        assert_sound(&xs, &ys);
     }
 }
