@@ -86,6 +86,9 @@ pub struct MethodRow {
     pub inference_ms: Option<MeanStd>,
     /// Median absolute percentage error over all validation predictions.
     pub medape: Option<f64>,
+    /// Validation predictions that were not finite, which `medape` leaves
+    /// out.
+    pub non_finite: usize,
 }
 
 /// Complete Table 2 result.
@@ -438,6 +441,7 @@ fn evaluate(
             row.inference_ms = Some(traced(&stage("inference"), cv.inference_ms.iter().copied()));
         }
         row.medape = medape(&ratios, &cv.predictions);
+        row.non_finite = cv.predictions.iter().filter(|p| !p.is_finite()).count();
         out.methods.push(row);
     }
     Ok(())
@@ -541,6 +545,10 @@ pub fn format_table2(t: &Table2) -> String {
                 ));
                 continue;
             }
+            let mut medape = m.medape.map_or_else(|| "N/A".into(), |v| format!("{v:.2}"));
+            if m.non_finite > 0 {
+                medape += &format!(" ({} non-finite left out)", m.non_finite);
+            }
             s.push_str(&format!(
                 "| {} {} | {} | {} | {} | {} | {} | | {} |\n",
                 m.compressor,
@@ -550,9 +558,7 @@ pub fn format_table2(t: &Table2) -> String {
                 fmt_opt(&m.training_ms, 2),
                 fmt_opt(&m.fit_ms, 2),
                 fmt_opt(&m.inference_ms, 4),
-                m.medape
-                    .map(|v| format!("{v:.2}"))
-                    .unwrap_or_else(|| "N/A".into()),
+                medape,
             ));
         }
     }
@@ -563,6 +569,7 @@ pub fn format_table2(t: &Table2) -> String {
 mod tests {
     use super::*;
     use pressio_dataset::Hurricane;
+    use pressio_predict::features::FeaturePass;
 
     fn tiny_config() -> Table2Config {
         Table2Config {
@@ -709,6 +716,73 @@ mod tests {
         assert_eq!(
             digest, 0x0d54304c6fe7091b,
             "MedAPEs moved: digest {digest:#018x}\n{lines}"
+        );
+    }
+
+    /// A scheme whose predictor answers feature `x` back: `NaN` on the one
+    /// observation whose `x` is `NaN`.
+    struct EchoX;
+
+    impl Scheme for EchoX {
+        fn info(&self) -> pressio_predict::SchemeInfo {
+            standard_schemes().build("khan2023").unwrap().info()
+        }
+        fn supports(&self, _: &str) -> bool {
+            true
+        }
+        fn error_agnostic_from(&self, _: &FeaturePass<'_>) -> Result<Options> {
+            Ok(Options::new())
+        }
+        fn error_dependent_from(&self, _: &FeaturePass<'_>, _: &dyn Compressor) -> Result<Options> {
+            Ok(Options::new())
+        }
+        fn make_predictor(&self) -> Box<dyn pressio_predict::Predictor> {
+            Box::new(pressio_predict::IdentityPredictor::new("x"))
+        }
+        fn feature_keys(&self) -> Vec<String> {
+            vec!["x".into()]
+        }
+    }
+
+    #[test]
+    fn a_row_counts_the_non_finite_predictions_its_medape_left_out() {
+        let xs = [1.0, 2.0, f64::NAN, 4.0];
+        let truths: Vec<Truth> = (0..xs.len())
+            .map(|dataset| Truth {
+                dataset,
+                bound: 1e-4,
+                ratio: 2.0,
+                compress_ms: 1.0,
+                decompress_ms: 1.0,
+            })
+            .collect();
+        let features = xs.iter().map(|&x| Options::new().with("x", x)).collect();
+        let row = MethodRow {
+            scheme: "echo".into(),
+            compressor: "sz3".into(),
+            supported: true,
+            ..MethodRow::default()
+        };
+        let scheme: Box<dyn Scheme> = Box::new(EchoX);
+        let extracted = std::iter::once((row, Some((scheme, features))));
+        let mut table = Table2::default();
+        evaluate(
+            "sz3",
+            &truths,
+            extracted,
+            &tiny_config(),
+            xs.len(),
+            &mut table,
+        )
+        .unwrap();
+        let row = &table.methods[0];
+        assert_eq!(row.non_finite, 1);
+        // the finite three: 50 %, 0 % and 100 % off a ratio of 2
+        assert_eq!(row.medape, Some(50.0));
+        assert!(
+            format_table2(&table).contains("| 50.00 (1 non-finite left out) |"),
+            "{}",
+            format_table2(&table)
         );
     }
 

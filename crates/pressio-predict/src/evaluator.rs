@@ -14,7 +14,7 @@
 use crate::features::FeaturePass;
 use crate::scheme::Scheme;
 use pressio_core::error::{Error, Result};
-use pressio_core::hash::hash_options_hex;
+use pressio_core::hash::{hash_options, to_hex};
 use pressio_core::metrics::invalidations;
 use pressio_core::timing::time_ms;
 use pressio_core::{Compressor, Data, Options};
@@ -73,10 +73,15 @@ impl CachedEvaluator {
     /// ([`Compressor::error_settings`]) and its id: the error-dependent
     /// cache key component.
     pub fn error_settings_key(compressor: &dyn Compressor) -> String {
+        to_hex(&Self::error_settings_digest(compressor))
+    }
+
+    /// The raw digest [`CachedEvaluator::error_settings_key`] renders.
+    pub fn error_settings_digest(compressor: &dyn Compressor) -> [u8; 32] {
         let keyed = compressor
             .error_settings()
             .with("compressor:id", compressor.id());
-        hash_options_hex(&keyed)
+        hash_options(&keyed)
     }
 
     /// Compute (or reuse) the merged feature structure for `data` under
@@ -244,6 +249,7 @@ mod tests {
     use crate::predictor::{IdentityPredictor, Predictor};
     use crate::scheme::SchemeInfo;
     use crate::schemes::KrasowskaScheme;
+    use pressio_core::hash::hash_options_hex;
     use pressio_core::Options as Opts;
     use pressio_stats::k_folds;
     use pressio_sz::SzCompressor;

@@ -380,6 +380,45 @@ pub fn feature_vector<'a>(
     keys.into_iter().map(|k| features.get_f64(k)).collect()
 }
 
+/// A feature group held as the numbers a predictor reads of it: the values
+/// of a scheme's `feature_keys()` the group has, read through `get_f64` as
+/// [`feature_vector`] reads them, and which of the keys those are. A cache
+/// entry of a few words in place of an [`Options`] tree.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FeatureRow {
+    /// Bit `i` set: `values` holds `keys[i]`'s value.
+    present: u64,
+    values: Box<[f64]>,
+}
+
+impl FeatureRow {
+    /// `features` as a row over `keys`, or `None` when there are more keys
+    /// than `present` has bits.
+    pub fn of(features: &Options, keys: &[String]) -> Option<FeatureRow> {
+        let held: Vec<Option<f64>> = keys.iter().map(|k| features.get_f64(k).ok()).collect();
+        (keys.len() <= 64).then(|| FeatureRow {
+            present: (0..keys.len()).fold(0, |bits, i| bits | u64::from(held[i].is_some()) << i),
+            values: held.into_iter().flatten().collect(),
+        })
+    }
+
+    /// The group rebuilt over the `keys` it was made with: every number
+    /// [`feature_vector`] reads of it, as `f64`.
+    pub fn options(&self, keys: &[String]) -> Options {
+        let held = keys.iter().enumerate();
+        let held = held.filter(|&(i, _)| self.present >> i & 1 == 1);
+        let held = held.zip(self.values.iter());
+        held.fold(Options::new(), |row, ((_, key), &value)| {
+            row.with(key.as_str(), value)
+        })
+    }
+
+    /// What the row owns beyond its own size.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.values)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,6 +619,28 @@ mod tests {
         let v = feature_vector(&f, &["b".into(), "a".into()]).unwrap();
         assert_eq!(v, vec![2.0, 1.0]);
         assert!(feature_vector(&f, &["missing".into()]).is_err());
+    }
+
+    #[test]
+    fn a_feature_row_holds_what_feature_vector_reads() {
+        let keys: Vec<String> = ["a", "n", "gone", "c"].map(String::from).into();
+        let f = Options::new()
+            .with("c", -0.0)
+            .with("a", f64::NAN)
+            .with("n", 7u64)
+            .with("unread", 9.0);
+        let row = FeatureRow::of(&f, &keys).unwrap();
+        assert_eq!(row.heap_bytes(), 3 * 8, "three of the four keys");
+        let rebuilt = row.options(&keys);
+        let present = ["a", "n", "c"].map(String::from);
+        let bits = |o: &Options| -> Vec<u64> {
+            let v = feature_vector(o, &present).unwrap();
+            v.into_iter().map(f64::to_bits).collect()
+        };
+        assert_eq!(bits(&rebuilt), bits(&f));
+        assert!(!rebuilt.contains("gone") && !rebuilt.contains("unread"));
+        let many: Vec<String> = (0..65).map(|i| format!("k{i}")).collect();
+        assert!(FeatureRow::of(&f, &many).is_none());
     }
 
     #[test]

@@ -1,21 +1,48 @@
-//! Sharded, content-hash-keyed LRU cache for features and predictions.
+//! Sharded, digest-keyed LRU cache for features and predictions.
 //!
-//! Keys are content hashes (SHA-256 of the data buffer plus the scheme and
-//! error-affecting compressor settings), so identical buffers queried
+//! Every key is one 32-byte digest, a [`CacheKey`], built from the raw
+//! digests of a request's parts or from a string; identical buffers queried
 //! through different connections share entries. The map is split into
 //! shards, each behind its own mutex, so concurrent connections contend
-//! only when they hash to the same shard. Eviction is true LRU per shard
-//! via a recency index (`BTreeMap<tick, key>`), giving O(log n) touch and
-//! eviction with strictly bounded memory.
+//! only when they hash to the same shard.
+//!
+//! An entry is one hash-map slot — key, recency tick, value — with no
+//! recency index beside it: a hit rewrites the tick, and a full shard drops
+//! its least-recently-used sixteenth at once, found by one selection over
+//! the ticks. Touching is O(1), an eviction O(1) amortised, and memory is
+//! strictly bounded.
 //!
 //! Hit/miss/eviction counts are mirrored into `pressio-obs` counters
 //! (`<name>.hit`, `<name>.miss`, `<name>.eviction`) so a `--trace` run
 //! shows cache effectiveness alongside the request spans.
 
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
+use pressio_core::hash::Sha256;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
+
+/// A cache key: one SHA-256 digest, whatever it was built from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CacheKey([u8; 32]);
+
+impl CacheKey {
+    /// The digest of `parts`, each prefixed by its length so that no two
+    /// lists of parts share a key.
+    pub fn of(parts: &[&[u8]]) -> CacheKey {
+        let mut h = Sha256::new();
+        for part in parts {
+            h.update(&(part.len() as u64).to_le_bytes());
+            h.update(part);
+        }
+        CacheKey(h.finalize())
+    }
+}
+
+impl<S: AsRef<str>> From<S> for CacheKey {
+    fn from(key: S) -> CacheKey {
+        CacheKey(Sha256::digest(key.as_ref().as_bytes()))
+    }
+}
 
 /// Aggregate statistics across all shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,14 +59,9 @@ pub struct CacheStats {
     pub len: usize,
 }
 
+/// key → (recency tick, value); a larger tick is more recent.
 struct Shard<V> {
-    /// key → (recency tick, value). The tick doubles as the index into
-    /// `order`, so the pair of maps stays consistent under the shard lock.
-    /// Keys are two content hashes long (~150 bytes) and both maps need
-    /// them, so an entry holds its key once and the maps share it.
-    entries: HashMap<Arc<str>, (u64, V)>,
-    /// recency tick → key, oldest first.
-    order: BTreeMap<u64, Arc<str>>,
+    entries: HashMap<CacheKey, (u64, V)>,
     tick: u64,
 }
 
@@ -47,18 +69,7 @@ impl<V> Shard<V> {
     fn new() -> Shard<V> {
         Shard {
             entries: HashMap::new(),
-            order: BTreeMap::new(),
             tick: 0,
-        }
-    }
-
-    fn touch(&mut self, key: &str) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((at, _)) = self.entries.get_mut(key) {
-            let key = self.order.remove(at).expect("index consistent");
-            self.order.insert(tick, key);
-            *at = tick;
         }
     }
 }
@@ -97,89 +108,74 @@ impl<V: Clone> ShardedLru<V> {
         }
     }
 
-    fn shard(&self, key: &str) -> &Mutex<Shard<V>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    /// The locked shard a key lives in: a digest's leading bytes are
+    /// already uniform.
+    fn shard(&self, key: &CacheKey) -> std::sync::MutexGuard<'_, Shard<V>> {
+        let lead = u64::from_le_bytes(key.0[..8].try_into().expect("8 bytes"));
+        let shard = &self.shards[(lead % self.shards.len() as u64) as usize];
+        shard.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Look `key` up, refreshing its recency on a hit.
-    pub fn get(&self, key: &str) -> Option<V> {
-        let mut shard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
-        match shard.entries.get(key).map(|(_, v)| v.clone()) {
-            Some(v) => {
-                shard.touch(key);
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                pressio_obs::add_counter(&self.hit_counter, 1);
-                Some(v)
-            }
-            None => {
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                pressio_obs::add_counter(&self.miss_counter, 1);
-                None
-            }
-        }
+    pub fn get(&self, key: impl Into<CacheKey>) -> Option<V> {
+        let key = key.into();
+        let mut shard = self.shard(&key);
+        shard.tick += 1;
+        let tick = shard.tick;
+        let found = shard.entries.get_mut(&key).map(|(at, v)| {
+            *at = tick;
+            v.clone()
+        });
+        drop(shard);
+        let (count, counter) = match found {
+            Some(_) => (&self.hits, &self.hit_counter),
+            None => (&self.misses, &self.miss_counter),
+        };
+        count.fetch_add(1, Ordering::Relaxed);
+        pressio_obs::add_counter(counter, 1);
+        found
     }
 
-    /// Insert (or refresh) `key`, evicting the shard's least-recently-used
-    /// entry if the shard is at capacity.
-    pub fn insert(&self, key: impl Into<String>, value: V) {
-        let key: Arc<str> = key.into().into();
-        let mut evicted = 0u64;
-        {
-            let mut shard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
-            if shard.entries.contains_key(&*key) {
-                shard.touch(&key);
-                shard.entries.get_mut(&*key).unwrap().1 = value;
-            } else {
-                while shard.entries.len() >= self.per_shard_capacity {
-                    // oldest tick = least recently used
-                    let Some((&old_tick, _)) = shard.order.iter().next() else {
-                        break;
-                    };
-                    let victim = shard.order.remove(&old_tick).expect("index consistent");
-                    shard.entries.remove(&*victim);
-                    evicted += 1;
-                }
-                shard.tick += 1;
-                let tick = shard.tick;
-                shard.order.insert(tick, key.clone());
-                shard.entries.insert(key, (tick, value));
-            }
+    /// Insert (or refresh) `key`. A shard at capacity first drops its
+    /// least-recently-used sixteenth (at least one entry).
+    pub fn insert(&self, key: impl Into<CacheKey>, value: V) {
+        let key = key.into();
+        let mut shard = self.shard(&key);
+        let len = shard.entries.len();
+        if len >= self.per_shard_capacity && !shard.entries.contains_key(&key) {
+            let mut ticks: Vec<u64> = shard.entries.values().map(|(t, _)| *t).collect();
+            let newest_victim = *ticks.select_nth_unstable((len / 16).max(1) - 1).1;
+            shard.entries.retain(|_, (t, _)| *t > newest_victim);
         }
+        let evicted = len - shard.entries.len();
+        shard.tick += 1;
+        let tick = shard.tick;
+        shard.entries.insert(key, (tick, value));
+        drop(shard);
         self.insertions.fetch_add(1, Ordering::Relaxed);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            pressio_obs::add_counter(&self.eviction_counter, evicted as i64);
+        self.evicted(evicted);
+    }
+
+    fn evicted(&self, n: usize) {
+        if n > 0 {
+            self.evictions.fetch_add(n as u64, Ordering::Relaxed);
+            pressio_obs::add_counter(&self.eviction_counter, n as i64);
         }
     }
 
-    /// Remove every entry whose key satisfies `predicate`, returning how
-    /// many were removed. Used by model hot-reload: predictions cached
-    /// under a superseded model version are invalidated in one sweep
-    /// instead of lingering until LRU eviction.
-    pub fn purge_where(&self, predicate: impl Fn(&str) -> bool) -> usize {
-        let mut removed = 0usize;
+    /// Remove every entry whose value satisfies `predicate`, returning how
+    /// many were removed. Used by model hot-reload: predictions a
+    /// superseded model version made are invalidated in one sweep instead
+    /// of lingering until LRU eviction.
+    pub fn purge_where(&self, predicate: impl Fn(&V) -> bool) -> usize {
+        let mut removed = 0;
         for shard in self.shards.iter() {
             let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            let victims: Vec<(u64, Arc<str>)> = shard
-                .entries
-                .iter()
-                .filter(|(k, _)| predicate(k))
-                .map(|(k, (tick, _))| (*tick, k.clone()))
-                .collect();
-            for (tick, key) in victims {
-                shard.order.remove(&tick);
-                shard.entries.remove(&key);
-                removed += 1;
-            }
+            let before = shard.entries.len();
+            shard.entries.retain(|_, (_, v)| !predicate(v));
+            removed += before - shard.entries.len();
         }
-        if removed > 0 {
-            self.evictions.fetch_add(removed as u64, Ordering::Relaxed);
-            pressio_obs::add_counter(&self.eviction_counter, removed as i64);
-        }
+        self.evicted(removed);
         removed
     }
 
@@ -194,6 +190,20 @@ impl<V: Clone> ShardedLru<V> {
             .iter()
             .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).entries.len())
             .sum()
+    }
+
+    /// Bytes the entries hold: a fixed slot each (key, tick, value) plus
+    /// what `heap` says a value owns beyond its slot.
+    pub fn bytes(&self, heap: impl Fn(&V) -> usize) -> u64 {
+        let slot = std::mem::size_of::<(CacheKey, (u64, V))>();
+        let shard_bytes = |s: &Mutex<Shard<V>>| {
+            let s = s.lock().unwrap_or_else(|e| e.into_inner());
+            s.entries
+                .values()
+                .map(|(_, v)| slot + heap(v))
+                .sum::<usize>()
+        };
+        self.shards.iter().map(shard_bytes).sum::<usize>() as u64
     }
 
     /// Whether the cache holds no entries.
@@ -262,6 +272,25 @@ mod tests {
     }
 
     #[test]
+    fn a_full_shard_drops_its_least_recently_used_sixteenth() {
+        let c: ShardedLru<usize> = ShardedLru::new("t", 1, 32);
+        for i in 0..32 {
+            c.insert(format!("k{i}"), i);
+        }
+        for i in 0..4 {
+            c.get(format!("k{i}").as_str()); // now the four most recent
+        }
+        c.insert("new", 32);
+        // 32 / 16 = 2 victims: the two oldest not refreshed
+        assert_eq!(c.stats().evictions, 2);
+        assert_eq!(c.len(), 31);
+        assert!(c.get("k4").is_none() && c.get("k5").is_none());
+        assert!((0..4)
+            .chain(6..32)
+            .all(|i| c.get(format!("k{i}")) == Some(i)));
+    }
+
+    #[test]
     fn size_stays_bounded_under_churn() {
         let c: ShardedLru<usize> = ShardedLru::new("t", 8, 32);
         for i in 0..10_000 {
@@ -275,24 +304,44 @@ mod tests {
 
     #[test]
     fn purge_where_removes_only_matching_keys() {
-        let c: ShardedLru<u32> = ShardedLru::new("t", 4, 64);
+        // each value records the model that made it, as a cached
+        // prediction does; one shard, full, so reuse is visible
+        let c: ShardedLru<(u32, u32)> = ShardedLru::new("t", 1, 40);
         for i in 0..20 {
-            c.insert(format!("p:m@1:{i}"), i);
-            c.insert(format!("p:m@2:{i}"), i);
+            c.insert(format!("m@1:{i}"), (1, i));
+            c.insert(format!("m@2:{i}"), (2, i));
         }
-        let removed = c.purge_where(|k| k.starts_with("p:m@1:"));
+        let removed = c.purge_where(|&(model, _)| model == 1);
         assert_eq!(removed, 20);
         assert_eq!(c.len(), 20);
-        assert!(c.get("p:m@1:3").is_none());
-        assert_eq!(c.get("p:m@2:3"), Some(3));
-        // purged slots are reusable and recency stays consistent
+        assert!((0..20).all(|i| c.get(format!("m@1:{i}")).is_none()));
+        assert!((0..20).all(|i| c.get(format!("m@2:{i}")) == Some((2, i))));
+        // the purged slots are reused: a full shard again, nothing evicted
         for i in 0..20 {
-            c.insert(format!("p:m@3:{i}"), i);
+            c.insert(format!("m@3:{i}"), (3, i));
         }
-        assert!(c.len() <= c.capacity());
-        let live = c.len();
-        assert_eq!(c.clear(), live, "clear reports what it removed");
+        assert_eq!((c.len(), c.stats().evictions), (40, 20));
+        assert!((0..20).all(|i| c.get(format!("m@2:{i}")) == Some((2, i))));
+        assert_eq!(c.clear(), 40, "clear reports what it removed");
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn bytes_are_fixed_slots_plus_what_values_own() {
+        let c: ShardedLru<Vec<u8>> = ShardedLru::new("t", 4, 64);
+        assert_eq!(c.bytes(Vec::len), 0);
+        c.insert("a", vec![0; 10]);
+        c.insert("b", vec![0; 30]);
+        let slot = std::mem::size_of::<(CacheKey, (u64, Vec<u8>))>();
+        assert_eq!(c.bytes(Vec::len), 2 * slot as u64 + 40);
+    }
+
+    #[test]
+    fn string_keys_and_part_lists_are_distinct_digests() {
+        assert_eq!(CacheKey::from("ab"), CacheKey::from(String::from("ab")));
+        assert_ne!(CacheKey::from("ab"), CacheKey::from("ba"));
+        // the length prefix: moving a byte across a part boundary moves the key
+        assert_ne!(CacheKey::of(&[b"a", b"bc"]), CacheKey::of(&[b"ab", b"c"]));
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod store;
 pub mod stream;
 
 pub use breaker::CircuitBreaker;
-pub use cache::{CacheStats, ShardedLru};
+pub use cache::{CacheKey, CacheStats, ShardedLru};
 pub use client::{Client, RetryPolicy, ShardedClient};
 pub use journal::SessionJournal;
 pub use net::Endpoint;

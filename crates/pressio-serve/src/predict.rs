@@ -14,13 +14,14 @@
 //! **prepare** (decode, feature-cache probes), a coalesced parallel
 //! **extract**, and a serial **finalize** (merge, predict, cache, reply).
 
+use crate::cache::CacheKey;
 use crate::pipeline::WorkItem;
 use crate::protocol::{self, code};
 use crate::server::{respond, LoadedModel, ServerState, Stat};
 use pressio_core::error::{Error, Result};
 use pressio_core::{threads, Compressor, Data, Options};
 use pressio_predict::evaluator::CachedEvaluator;
-use pressio_predict::features::FeaturePass;
+use pressio_predict::features::{FeaturePass, FeatureRow};
 use pressio_predict::{standard_compressors, standard_schemes, Predictor, Scheme};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -45,10 +46,10 @@ pub(crate) fn resolve_target(
             "request needs serve:model or serve:scheme",
         )
     })?;
-    let predictor = standard_schemes()
+    let scheme = standard_schemes()
         .build(scheme_name)
-        .map_err(|e| respond(Err(e)))?
-        .make_predictor();
+        .map_err(|e| respond(Err(e)))?;
+    let predictor = scheme.make_predictor();
     if predictor.requires_training() {
         return Err(protocol::error_response(
             code::NOT_FOUND,
@@ -63,6 +64,7 @@ pub(crate) fn resolve_target(
         name: String::new(),
         version: 0,
         scheme: scheme_name.to_string(),
+        keys: scheme.feature_keys(),
         predictor,
     }))
 }
@@ -127,20 +129,20 @@ const PROBED_DIGEST: &str = "serve:probed.digest";
 fn keyed(
     state: &ServerState,
     request: &Options,
-    digest: Option<String>,
-) -> Result<(Box<dyn Compressor>, String)> {
+    digest: Option<[u8; 32]>,
+) -> Result<(Box<dyn Compressor>, [u8; 32])> {
     protocol::check_data(request)?;
     let comp = compressor(compressor_id(request)?, &[request])?;
     if digest.is_none() {
         state.count(Stat::PredictHashes, 1);
     }
-    let data_sha = digest.map_or_else(|| protocol::data_content_hash(request), Ok)?;
+    let data_sha = digest.map_or_else(|| protocol::data_content_digest(request), Ok)?;
     Ok((comp, data_sha))
 }
 
-fn prediction_key(target: &LoadedModel, settings_key: &str, data_sha: &str) -> String {
-    let (scheme, tag) = (&target.scheme, &target.tag);
-    format!("p:{scheme}:{tag}:{settings_key}:{data_sha}")
+fn prediction_key(target: &LoadedModel, settings: &[u8; 32], data_sha: &[u8; 32]) -> CacheKey {
+    let (scheme, tag) = (target.scheme.as_bytes(), target.tag.as_bytes());
+    CacheKey::of(&[b"p", scheme, tag, settings, data_sha])
 }
 
 /// A `predict`'s one look at the prediction cache, on the connection thread
@@ -158,12 +160,12 @@ pub(crate) fn probe(state: &ServerState, request: &mut Options) -> Option<Option
     )
     .ok()?;
     let (comp, data_sha) = keyed(state, request, None).ok()?;
-    let Some(value) = state.prediction_cache.get(&prediction_key(
-        &target,
-        &CachedEvaluator::error_settings_key(comp.as_ref()),
-        &data_sha,
-    )) else {
-        request.set(PROBED_DIGEST, data_sha);
+    let settings = CachedEvaluator::error_settings_digest(comp.as_ref());
+    let Some((value, _)) = state
+        .prediction_cache
+        .get(prediction_key(&target, &settings, &data_sha))
+    else {
+        request.set(PROBED_DIGEST, data_sha.to_vec());
         return None;
     };
     state.count(Stat::PredictionsServed, 1);
@@ -221,10 +223,10 @@ struct Prep {
     data: Data,
     comp: Box<dyn Compressor>,
     /// Content hash of `data`: requests with the same one share a pass.
-    data_sha: String,
-    pred_key: String,
-    agnostic_key: String,
-    dependent_key: String,
+    data_sha: [u8; 32],
+    pred_key: CacheKey,
+    agnostic_key: CacheKey,
+    dependent_key: CacheKey,
     /// Cached error-agnostic features (`None` = must compute).
     agnostic: Option<Options>,
     /// Cached error-dependent features (`None` = must compute).
@@ -233,7 +235,7 @@ struct Prep {
 
 /// Features by cache key, errors pre-rendered to responses so one failed
 /// extraction answers every request that coalesced onto it.
-type Extracted = HashMap<String, std::result::Result<Options, Options>>;
+type Extracted = HashMap<CacheKey, std::result::Result<Options, Options>>;
 
 /// Answer a batch of `predict` requests. Items share the batch key by
 /// construction, so the model/scheme is resolved once from the first.
@@ -260,7 +262,7 @@ pub(crate) fn handle_predict_batch(state: &ServerState, batch: Vec<WorkItem>) {
     if preps.is_empty() {
         return;
     }
-    let extracted = extract(state, &target.scheme, &preps);
+    let extracted = extract(state, &target, &preps);
     for prep in preps {
         finalize(state, &target, &extracted, prep);
     }
@@ -271,7 +273,7 @@ pub(crate) fn handle_predict_batch(state: &ServerState, batch: Vec<WorkItem>) {
 /// here and never reaches feature extraction.
 fn prepare(state: &ServerState, target: &LoadedModel, mut item: WorkItem) -> Option<Prep> {
     let digest = item.request.remove(PROBED_DIGEST);
-    let digest = digest.and_then(|sha| sha.as_str().map(str::to_owned));
+    let digest = digest.and_then(|sha| <[u8; 32]>::try_from(sha.as_bytes()?).ok());
     let request = &item.request;
     let decoded = keyed(state, request, digest)
         .and_then(|(comp, data_sha)| Ok((comp, data_sha, protocol::data_from_request(request)?)));
@@ -285,14 +287,15 @@ fn prepare(state: &ServerState, target: &LoadedModel, mut item: WorkItem) -> Opt
     // from here on it holds the buffer once: the wire copy would sit
     // beside `data` through the extraction
     item.request.remove("data:bytes");
-    let scheme_name = &target.scheme;
-    let settings_key = CachedEvaluator::error_settings_key(comp.as_ref());
-    let agnostic_key = format!("a:{scheme_name}:{data_sha}");
-    let dependent_key = format!("d:{scheme_name}:{settings_key}:{data_sha}");
+    let scheme = target.scheme.as_bytes();
+    let settings = CachedEvaluator::error_settings_digest(comp.as_ref());
+    let agnostic_key = CacheKey::of(&[b"a", scheme, &data_sha]);
+    let dependent_key = CacheKey::of(&[b"d", scheme, &settings, &data_sha]);
+    let cached = |key| Some(state.feature_cache.get(key)?.options(&target.keys));
     Some(Prep {
-        agnostic: state.feature_cache.get(&agnostic_key),
-        dependent: state.feature_cache.get(&dependent_key),
-        pred_key: prediction_key(target, &settings_key, &data_sha),
+        agnostic: cached(agnostic_key),
+        dependent: cached(dependent_key),
+        pred_key: prediction_key(target, &settings, &data_sha),
         item,
         data,
         comp,
@@ -308,12 +311,12 @@ fn prepare(state: &ServerState, target: &LoadedModel, mut item: WorkItem) -> Opt
 /// requests need it. The first prep needing a key owns the job. Every job
 /// on a buffer — both stages, and the dependent stage at each distinct
 /// bound — reads it through that buffer's one [`FeaturePass`].
-fn extract(state: &ServerState, scheme_name: &str, preps: &[Prep]) -> Extracted {
-    let mut passes: HashMap<&str, FeaturePass<'_>> = HashMap::new();
+fn extract(state: &ServerState, target: &LoadedModel, preps: &[Prep]) -> Extracted {
+    let mut passes: HashMap<&[u8; 32], FeaturePass<'_>> = HashMap::new();
     // (cache key, buffer, the compressor when it is the error-dependent stage)
-    let mut jobs: Vec<(&str, &str, Option<&dyn Compressor>)> = Vec::new();
+    let mut jobs: Vec<(CacheKey, &[u8; 32], Option<&dyn Compressor>)> = Vec::new();
     let mut needed = 0u64;
-    let mut claimed: HashSet<&str> = HashSet::new();
+    let mut claimed: HashSet<CacheKey> = HashSet::new();
     for p in preps {
         for (cached, key, comp) in [
             (&p.agnostic, &p.agnostic_key, None),
@@ -321,11 +324,11 @@ fn extract(state: &ServerState, scheme_name: &str, preps: &[Prep]) -> Extracted 
         ] {
             if cached.is_none() {
                 needed += 1;
-                if claimed.insert(key) {
+                if claimed.insert(*key) {
                     passes
                         .entry(&p.data_sha)
                         .or_insert_with(|| FeaturePass::new(&p.data));
-                    jobs.push((key, &p.data_sha, comp));
+                    jobs.push((*key, &p.data_sha, comp));
                 }
             }
         }
@@ -339,7 +342,7 @@ fn extract(state: &ServerState, scheme_name: &str, preps: &[Prep]) -> Extracted 
     let nthreads = threads::resolve(None).min(jobs.len().max(1));
     let results: Vec<Result<Options>> = threads::par_map_indexed(nthreads, jobs.len(), |j| {
         let (_, data_sha, comp) = jobs[j];
-        let scheme = standard_schemes().build(scheme_name)?;
+        let scheme = standard_schemes().build(&target.scheme)?;
         match comp {
             Some(comp) => scheme.error_dependent_from(&passes[data_sha], comp),
             None => scheme.error_agnostic_from(&passes[data_sha]),
@@ -347,14 +350,14 @@ fn extract(state: &ServerState, scheme_name: &str, preps: &[Prep]) -> Extracted 
     });
     let mut extracted = Extracted::new();
     let mut computed = 0u64;
-    for ((key, _, _), result) in jobs.iter().zip(results) {
+    for ((key, _, _), result) in jobs.into_iter().zip(results) {
         let entry = result.map_err(|e| respond(Err(e))).inspect(|features| {
-            state
-                .feature_cache
-                .insert(key.to_string(), features.clone());
+            if let Some(row) = FeatureRow::of(features, &target.keys) {
+                state.feature_cache.insert(key, row);
+            }
             computed += 1;
         });
-        extracted.insert(key.to_string(), entry);
+        extracted.insert(key, entry);
     }
     if computed > 0 {
         state.count(Stat::FeaturesComputed, computed);
@@ -364,12 +367,12 @@ fn extract(state: &ServerState, scheme_name: &str, preps: &[Prep]) -> Extracted 
 
 /// Assemble one request's features, predict, cache and reply.
 fn finalize(state: &ServerState, target: &LoadedModel, extracted: &Extracted, prep: Prep) {
-    let fetch = |cached: Option<Options>, key: &str| match cached {
+    let fetch = |cached: Option<Options>, key: &CacheKey| match cached {
         Some(features) => Ok(features),
         None => extracted.get(key).cloned().unwrap_or_else(|| {
             Err(protocol::error_response(
                 code::INTERNAL,
-                format!("no extraction job produced feature key {key}"),
+                format!("no extraction job produced feature key {key:?}"),
             ))
         }),
     };
@@ -378,7 +381,9 @@ fn finalize(state: &ServerState, target: &LoadedModel, extracted: &Extracted, pr
         let mut features = fetch(prep.agnostic, &prep.agnostic_key)?;
         features.merge_from(&fetch(prep.dependent, &prep.dependent_key)?);
         let value = predictor.predict(&features).map_err(|e| respond(Err(e)))?;
-        state.prediction_cache.insert(prep.pred_key, value);
+        state
+            .prediction_cache
+            .insert(prep.pred_key, (value, target.id()));
         state.count(Stat::PredictionsServed, 1);
         let resp = prediction_response(
             value,

@@ -328,23 +328,28 @@ pub fn data_into_request(req: &mut Options, data: &pressio_core::Data) {
 }
 
 /// Stable content hash of the data buffer embedded in a request (dtype +
-/// dims + raw bytes). This is the routing AND cache key root: identical
-/// buffers sent by different clients share cache entries, and the
+/// dims + raw bytes), as hex. This is the routing AND cache key root:
+/// identical buffers sent by different clients share cache entries, and the
 /// supervisor/sharded client route on the same hash the shard caches are
 /// keyed by, so every buffer has exactly one home shard whose LRU stays
 /// hot for it.
 pub fn data_content_hash(req: &Options) -> Result<String> {
-    use pressio_core::hash::{to_hex, Sha256};
+    Ok(pressio_core::hash::to_hex(&data_content_digest(req)?))
+}
+
+/// The raw digest [`data_content_hash`] renders: what cache keys are built
+/// from.
+pub fn data_content_digest(req: &Options) -> Result<[u8; 32]> {
     let bytes = req.get_bytes("data:bytes")?;
     let dims = req.get_u64_slice("data:dims")?;
     let dtype = req.get_str("data:dtype")?;
-    let mut h = Sha256::new();
+    let mut h = pressio_core::hash::Sha256::new();
     h.update(dtype.as_bytes());
     for d in dims {
         h.update(&d.to_le_bytes());
     }
     h.update(bytes);
-    Ok(to_hex(&h.finalize()))
+    Ok(h.finalize())
 }
 
 /// The embedded buffer's dtype, dims and payload, checked to agree (a

@@ -28,7 +28,7 @@ use pressio_core::error::{Error, Result};
 use pressio_core::timing::time_ms;
 use pressio_core::{threads, Options};
 use pressio_dataset::{DatasetPlugin, TIMESTEPS};
-use pressio_predict::features::FeaturePass;
+use pressio_predict::features::{FeaturePass, FeatureRow};
 use pressio_predict::{standard_schemes, Predictor, Scheme};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -39,8 +39,8 @@ use std::time::{Duration, Instant};
 
 /// Default [`ServeConfig::cache_entries`] (and `pressio serve --cache`):
 /// well over ten seconds of cold 1 MiB traffic from two callers (~250
-/// req/s once buffers cross the wire raw). An entry is a key and a
-/// number, or a key and a few dozen features.
+/// req/s once buffers cross the wire raw). An entry is a 32-byte key and
+/// a prediction, or a key and a row of a scheme's feature numbers.
 pub const DEFAULT_CACHE_ENTRIES: usize = 16384;
 
 /// Shard count of each of the feature and prediction caches.
@@ -178,7 +178,16 @@ pub(crate) struct LoadedModel {
     pub(crate) name: String,
     pub(crate) version: u64,
     pub(crate) scheme: String,
+    /// The scheme's `feature_keys()`: the numbers a cached feature row holds.
+    pub(crate) keys: Vec<String>,
     pub(crate) predictor: Box<dyn Predictor>,
+}
+
+impl LoadedModel {
+    /// What a cached prediction records of the model that made it.
+    pub(crate) fn id(&self) -> u64 {
+        pressio_core::hash::fnv1a64(self.tag.as_bytes())
+    }
 }
 
 /// Shared server state.
@@ -192,8 +201,9 @@ pub(crate) struct ServerState {
     /// references trust this within `latest_ttl_ms`, so hot traffic does
     /// not pay a directory scan per request; `reload` clears it.
     pub(crate) latest: RwLock<HashMap<String, (u64, Instant)>>,
-    pub(crate) feature_cache: ShardedLru<Options>,
-    pub(crate) prediction_cache: ShardedLru<f64>,
+    pub(crate) feature_cache: ShardedLru<FeatureRow>,
+    /// (prediction, [`LoadedModel::id`] of the model that made it).
+    pub(crate) prediction_cache: ShardedLru<(f64, u64)>,
     pub(crate) breaker: CircuitBreaker,
     /// Open streaming sessions.
     pub(crate) streams: stream::SessionMap,
@@ -294,6 +304,7 @@ impl ServerState {
             name: artifact.name,
             version: artifact.version,
             scheme: artifact.scheme,
+            keys: scheme.feature_keys(),
             predictor,
         });
         // keyed by the version actually loaded: on quarantine fallback
@@ -329,6 +340,7 @@ impl ServerState {
             name: name.to_string(),
             version,
             scheme: scheme_name.to_string(),
+            keys: scheme.feature_keys(),
             predictor,
         };
         write(&self.catalog).insert((model.name.clone(), version), Arc::new(model));
@@ -353,27 +365,23 @@ impl ServerState {
         write(&self.latest).clear();
         let names: std::collections::BTreeSet<String> =
             read(&self.catalog).keys().map(|(n, _)| n.clone()).collect();
-        let mut stale_tags: Vec<String> = Vec::new();
+        let mut stale: Vec<u64> = Vec::new();
         let mut dropped = 0usize;
         for name in &names {
             // a name whose artifacts vanished entirely drops all versions
             let latest = self.store.versions(name)?.last().copied();
-            write(&self.catalog).retain(|(n, v), _| {
+            write(&self.catalog).retain(|(n, v), model| {
                 if n != name || Some(*v) == latest {
                     return true;
                 }
-                // colon-delimited so `m@1` cannot match inside `mm@12`
-                stale_tags.push(format!(":{n}@{v}:"));
+                stale.push(model.id());
                 dropped += 1;
                 false
             });
         }
-        let purged = if stale_tags.is_empty() {
-            0
-        } else {
-            self.prediction_cache
-                .purge_where(|key| stale_tags.iter().any(|tag| key.contains(tag.as_str())))
-        };
+        let purged = self
+            .prediction_cache
+            .purge_where(|(_, model)| stale.contains(model));
         self.count(Stat::Reloads, 1);
         Ok(Options::new()
             .with("serve:type", "reloaded")
@@ -553,10 +561,18 @@ fn stats_response(state: &ServerState, pipeline: &Pipeline) -> Options {
         .with("serve:feature_cache.misses", f.misses)
         .with("serve:feature_cache.evictions", f.evictions)
         .with("serve:feature_cache.len", f.len as u64)
+        .with(
+            "serve:feature_cache.bytes",
+            state.feature_cache.bytes(FeatureRow::heap_bytes),
+        )
         .with("serve:prediction_cache.hits", p.hits)
         .with("serve:prediction_cache.misses", p.misses)
         .with("serve:prediction_cache.evictions", p.evictions)
         .with("serve:prediction_cache.len", p.len as u64)
+        .with(
+            "serve:prediction_cache.bytes",
+            state.prediction_cache.bytes(|_| 0),
+        )
         .with("serve:queue.depth", pipeline.depth() as u64)
         .with("serve:streams.active", state.streams.active() as u64)
         .with("serve:models.resident", read(&state.catalog).len() as u64)

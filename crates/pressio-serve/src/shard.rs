@@ -582,6 +582,8 @@ fn supervisor_stats(state: &SupervisorState) -> Options {
         "serve:feature_cache.misses",
         "serve:prediction_cache.hits",
         "serve:prediction_cache.misses",
+        "serve:feature_cache.bytes",
+        "serve:prediction_cache.bytes",
         "serve:features.computed",
         "serve:predictions.served",
         "serve:coalesced",

@@ -51,7 +51,7 @@ fn concurrent_insert_get_no_lost_updates() {
     for t in 0..threads {
         for i in 0..per_thread {
             assert_eq!(
-                cache.get(&format!("k-{t}-{i}")),
+                cache.get(format!("k-{t}-{i}")),
                 Some((t * per_thread + i) as u64)
             );
         }
@@ -83,7 +83,7 @@ fn concurrent_churn_stays_bounded() {
                 barrier.wait();
                 for i in 0..per_thread {
                     cache.insert(format!("k-{t}-{i}"), i);
-                    let _ = cache.get(&format!("k-{}-{i}", (t + 1) % threads));
+                    let _ = cache.get(format!("k-{}-{i}", (t + 1) % threads));
                 }
             })
         })

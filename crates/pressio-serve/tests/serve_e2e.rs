@@ -785,3 +785,84 @@ fn a_non_finite_bound_never_poisons_the_connection() {
     handle.wait().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A buffer asked at a second bound finds its error-agnostic features in
+/// the feature cache, held there as a flat row of the numbers the predictor
+/// reads: for every scheme the daemon serves, on every compressor it
+/// models, the answer is bit for bit what a daemon that never saw the
+/// buffer answers.
+#[test]
+fn an_agnostic_feature_hit_answers_what_a_cold_daemon_answers() {
+    let dir = temp_dir("agnostic_hit");
+    let schemes = pressio_predict::standard_schemes();
+    let mut cases = Vec::new();
+    for name in schemes.names() {
+        let scheme = schemes.build(name).unwrap();
+        for comp in ["sz3", "zfp"].into_iter().filter(|c| scheme.supports(c)) {
+            let trained = scheme.make_predictor().requires_training();
+            cases.push((name, comp, trained));
+        }
+    }
+    // a buffer of its own per case, so the cold daemon shares nothing
+    let mut fields = Hurricane::with_dims(8, 8, 4, 2);
+    assert!(fields.len() >= cases.len());
+    let buffers: Vec<_> = (0..cases.len())
+        .map(|i| fields.load_data(i).unwrap())
+        .collect();
+    let request = |i: usize, abs: f64| {
+        let (scheme, comp, trained) = cases[i];
+        let target = if trained {
+            "serve:model"
+        } else {
+            "serve:scheme"
+        };
+        let model = format!("{scheme}-{comp}");
+        let mut req = Options::new()
+            .with("serve:op", op::PREDICT)
+            .with(target, if trained { model.as_str() } else { scheme })
+            .with("serve:compressor", comp)
+            .with("pressio:abs", abs);
+        protocol::data_into_request(&mut req, &buffers[i]);
+        req
+    };
+    let value = |resp: &Options| {
+        assert_eq!(resp.get_str("serve:type").unwrap(), "prediction", "{resp}");
+        assert!(!resp.get_bool("serve:cached").unwrap(), "{resp}");
+        resp.get_f64("serve:prediction").unwrap().to_bits()
+    };
+
+    let handle = Server::start(local_config(&dir)).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let mut second_bound = Vec::new();
+    for (i, &(scheme, comp, trained)) in cases.iter().enumerate() {
+        if trained {
+            let train = train_request(&format!("{scheme}-{comp}"), scheme)
+                .with("serve:compressor", comp)
+                .with("serve:bounds", vec![1e-4, 1e-3]);
+            let resp = client.call(&train).unwrap();
+            assert_eq!(resp.get_str("serve:type").unwrap(), "trained", "{resp}");
+        }
+        value(&client.call(&request(i, 1e-3)).unwrap());
+        let hits = |client: &mut Client| {
+            let stats = client.stats().unwrap();
+            stats.get_u64("serve:feature_cache.hits").unwrap()
+        };
+        let before = hits(&mut client);
+        second_bound.push(value(&client.call(&request(i, 1e-4)).unwrap()));
+        assert_eq!(hits(&mut client), before + 1, "{scheme} on {comp}");
+    }
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+
+    let handle = Server::start(local_config(&dir)).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    for (i, warm) in second_bound.into_iter().enumerate() {
+        let cold = value(&client.call(&request(i, 1e-4)).unwrap());
+        assert_eq!(cold, warm, "{} on {}", cases[i].0, cases[i].1);
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get_u64("serve:feature_cache.hits").unwrap(), 0);
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}

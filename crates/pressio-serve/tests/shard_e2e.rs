@@ -251,6 +251,17 @@ fn reload_invalidates_predictions_cached_under_old_model_version() {
     let stale = client_a.predict("m", &data, &extra).unwrap();
     assert_eq!(stale.get_str("serve:model").unwrap(), "m@1");
     assert!(stale.get_bool("serve:cached").unwrap());
+    // a prediction no model made, which no reload makes stale
+    let mut analytic = Options::new()
+        .with("serve:op", op::PREDICT)
+        .with("serve:scheme", "khan2023")
+        .with("pressio:abs", 1e-4);
+    protocol::data_into_request(&mut analytic, &data);
+    assert!(!client_a
+        .call(&analytic)
+        .unwrap()
+        .get_bool("serve:cached")
+        .unwrap());
 
     // reload: after this, nothing cached under v1 may be served
     let reloaded = client_a
@@ -262,7 +273,13 @@ fn reload_invalidates_predictions_cached_under_old_model_version() {
         "{reloaded}"
     );
     assert!(reloaded.get_u64("serve:models.dropped").unwrap() >= 1);
-    assert!(reloaded.get_u64("serve:predictions.purged").unwrap() >= 1);
+    // exactly the one prediction m@1 made
+    assert_eq!(reloaded.get_u64("serve:predictions.purged").unwrap(), 1);
+    assert!(client_a
+        .call(&analytic)
+        .unwrap()
+        .get_bool("serve:cached")
+        .unwrap());
     let fresh = client_a.predict("m", &data, &extra).unwrap();
     assert_eq!(
         fresh.get_str("serve:model").unwrap(),
