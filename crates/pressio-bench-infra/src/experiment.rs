@@ -3,16 +3,15 @@
 //! timing (error-agnostic / error-dependent / training / fit / inference),
 //! checkpointed truth collection, and data-affinity parallel execution.
 
-use crate::queue::{run_tasks, PoolConfig, Task};
+use crate::queue::{run_tasks, PoolConfig, Task, TaskOutcome};
 use crate::store::CheckpointStore;
 use pressio_core::error::{Error, Result};
 use pressio_core::hash::{hash_options_hex, to_hex, Sha256};
 use pressio_core::timing::{time_ms, MeanStd};
-use pressio_core::{Compressor, Data, Options, Registry};
+use pressio_core::{Compressor, Data, Options};
 use pressio_dataset::DatasetPlugin;
-use pressio_predict::evaluator::cross_validate;
+use pressio_predict::evaluator::{cross_validate, cross_validate_fold, CrossValidation};
 use pressio_predict::registry::{standard_compressors, standard_schemes};
-use pressio_predict::Scheme;
 use pressio_stats::{k_folds, medape};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -30,8 +29,8 @@ pub struct Table2Config {
     pub folds: usize,
     /// Seed for fold shuffling.
     pub seed: u64,
-    /// Worker threads for ground-truth collection. The caller extracts
-    /// the features beside them, so a run keeps `workers + 1` busy.
+    /// A run keeps `workers + 1` threads busy on one pool, which takes
+    /// every truth, feature and fold task of the table alike.
     pub workers: usize,
     /// Optional checkpoint database path (resume support).
     pub checkpoint: Option<PathBuf>,
@@ -107,11 +106,20 @@ pub struct Table2 {
 /// One ground-truth observation.
 #[derive(Debug, Clone)]
 struct Truth {
-    dataset: usize,
-    bound: f64,
     ratio: f64,
     compress_ms: f64,
     decompress_ms: f64,
+}
+
+impl Truth {
+    /// A truth as a task returns it and the checkpoint keeps it.
+    fn read(v: &Options) -> Result<Truth> {
+        Ok(Truth {
+            ratio: v.get_f64("ratio")?,
+            compress_ms: v.get_f64("compress_ms")?,
+            decompress_ms: v.get_f64("decompress_ms")?,
+        })
+    }
 }
 
 /// What a truth is keyed by besides its compressor and bound: the dataset's
@@ -144,121 +152,115 @@ fn configured(compressor_name: &str, abs: f64) -> Result<Box<dyn Compressor>> {
     Ok(c)
 }
 
-/// Every (dataset, bound) observation in the order truths and features are
-/// both kept in: dataset-major, then bound.
-fn observations(n_data: usize, bounds: &[f64]) -> Vec<(usize, f64)> {
-    let mut bounds = bounds.to_vec();
-    bounds.sort_by(f64::total_cmp);
-    (0..n_data)
-        .flat_map(|di| bounds.iter().map(move |&abs| (di, abs)))
-        .collect()
+/// A truth task: one compress and decompress of `data` at `abs`.
+fn measure_truth(compressor_name: &str, data: &Data, abs: f64) -> Result<Options> {
+    let _span = pressio_obs::span(format!("table2:{compressor_name}:truth"));
+    let comp = configured(compressor_name, abs)?;
+    let (compressed, compress_ms) = time_ms(|| comp.compress(data));
+    let compressed = compressed?;
+    let (decompressed, decompress_ms) =
+        time_ms(|| comp.decompress(&compressed, data.dtype(), data.dims()));
+    decompressed?;
+    let ratio = data.size_in_bytes() as f64 / compressed.len().max(1) as f64;
+    Ok(Options::new()
+        .with("ratio", ratio)
+        .with("compress_ms", compress_ms)
+        .with("decompress_ms", decompress_ms))
 }
 
-/// Collect ground truth (ratio + timings) for every observation for one
-/// compressor, using the worker pool and the checkpoint store; also returns
-/// how many truths the pool computed (the rest were checkpoint hits).
-fn collect_truth(
-    compressor_name: &str,
-    datasets: &Arc<Vec<(String, Data)>>,
-    dataset_keys: &[Options],
-    observations: &[(usize, f64)],
-    cfg: &Table2Config,
-    store: &mut Option<CheckpointStore>,
-) -> Result<(Vec<Truth>, usize)> {
-    let _span = pressio_obs::span(format!("table2:{compressor_name}:truth"));
-    let mut truths = Vec::new();
-    let mut tasks = Vec::new();
-    for &(di, abs) in observations {
-        let key = truth_key(compressor_name, &dataset_keys[di], abs);
-        if let Some(store) = store.as_ref() {
-            if let Some(v) = store.get(&key) {
-                pressio_obs::add_counter("table2:checkpoint.hit", 1);
-                truths.push(Truth {
-                    dataset: di,
-                    bound: abs,
-                    ratio: v.get_f64("ratio")?,
-                    compress_ms: v.get_f64("compress_ms")?,
-                    decompress_ms: v.get_f64("decompress_ms")?,
-                });
-                continue;
-            }
+/// What a feature task measured: its error-agnostic stage's ms and whether
+/// it found features, then per compressor and bound the merged feature
+/// set, the error-dependent stage's ms and whether that stage found any.
+type Features = (f64, bool, Vec<Vec<(Options, f64, bool)>>);
+
+/// A feature task: scheme `name`'s error-agnostic stage on `data` once,
+/// then its error-dependent stage for each of `codecs` at each bound.
+fn features_of(name: &str, data: &Data, codecs: &[String], bounds: &[f64]) -> Result<Features> {
+    let _span = pressio_obs::span(format!("table2:{name}:features"));
+    let scheme = standard_schemes().build(name)?;
+    let (agnostic, agnostic_ms) = time_ms(|| scheme.error_agnostic_features(data));
+    let agnostic = agnostic?;
+    pressio_obs::add_counter("table2:features.agnostic", 1);
+    let dependent = codecs.iter().map(|codec| {
+        let at_bound = bounds.iter().map(|&abs| {
+            let comp = configured(codec, abs)?;
+            let (dep, ms) = time_ms(|| scheme.error_dependent_features(data, comp.as_ref()));
+            let dep = dep?;
+            let mut merged = agnostic.clone();
+            merged.merge_from(&dep);
+            Ok((merged, ms, !dep.is_empty()))
+        });
+        at_bound.collect::<Result<Vec<_>>>()
+    });
+    let dependent = dependent.collect::<Result<_>>()?;
+    Ok((agnostic_ms, !agnostic.is_empty(), dependent))
+}
+
+/// What a task of the first wave measured, and where it belongs.
+enum Measured {
+    /// A truth: its compressor, its observation and its value.
+    Truth(usize, usize, Options),
+    /// A feature task: its scheme, its dataset and what it measured.
+    Features(usize, usize, Features),
+}
+
+/// A task of Table 2's graph at (`a`, `b`) — (compressor, observation) for
+/// a truth, (scheme, dataset) for a feature set, (trained row, fold) for a
+/// fold — stamped with its stage and keyed by `key`, its dataset for the
+/// first two.
+fn task(stage: &str, key: usize, a: usize, b: usize) -> Task {
+    let at = Options::new().with("a", a as u64).with("b", b as u64);
+    Task::new(format!("table2:{stage}:{a}:{b}"), key as u64, at)
+        .with_parent(format!("table2:{stage}"))
+}
+
+/// `tasks` on one pool of `workers + 1` threads, under a span named
+/// `wave`, each measured by `measure(stage, a, b)`.
+fn run_wave<M: Send + 'static>(
+    wave: &str,
+    tasks: Vec<Task>,
+    workers: usize,
+    measure: impl Fn(&str, usize, usize) -> Result<M> + Send + Sync + 'static,
+) -> Vec<TaskOutcome<M>> {
+    let _span = pressio_obs::span(wave);
+    let pool = PoolConfig {
+        workers: workers + 1,
+        ..Default::default()
+    };
+    let worker = move |task: &Task, _| {
+        let (a, b) = (task.config.get_usize("a")?, task.config.get_usize("b")?);
+        measure(task.parent.as_deref().unwrap_or_default(), a, b)
+    };
+    run_tasks(tasks, pool, Arc::new(worker)).0
+}
+
+/// Store `v` under `key`. Checkpointing is an optimization: a put (or the
+/// wave's one sync) that keeps failing costs recomputation on the next
+/// run, never the campaign. The truth value itself is already in hand.
+fn checkpoint(store: &mut CheckpointStore, key: &str, v: &Options) {
+    let mut attempt = 1;
+    while let Err(e) = store.put(key, v.clone()) {
+        attempt += 1;
+        if attempt > 3 {
+            pressio_obs::add_counter("table2:checkpoint.put_failed", 1);
+            eprintln!("warning: checkpoint put for {key} failed: {e}");
+            break;
         }
-        pressio_obs::add_counter("table2:checkpoint.miss", 1);
-        tasks.push(Task::new(
-            key,
-            di as u64,
-            Options::new()
-                .with("dataset_index", di as u64)
-                .with("pressio:abs", abs),
-        ));
+        pressio_obs::add_counter("table2:checkpoint.put_retried", 1);
+        let wait = pressio_faults::backoff_ms(5, 80, attempt, key);
+        std::thread::sleep(std::time::Duration::from_millis(wait));
     }
-    let computed = tasks.len();
-    if !tasks.is_empty() {
-        let datasets = datasets.clone();
-        let comp_name = compressor_name.to_string();
-        let (outcomes, _stats) = run_tasks(
-            tasks,
-            PoolConfig {
-                workers: cfg.workers,
-                ..Default::default()
-            },
-            Arc::new(move |task: &Task, _w| {
-                let di = task.config.get_usize("dataset_index")?;
-                let abs = task.config.get_f64("pressio:abs")?;
-                let comp = configured(&comp_name, abs)?;
-                let data = &datasets[di].1;
-                let (compressed, compress_ms) = time_ms(|| comp.compress(data));
-                let compressed = compressed?;
-                let ((), decompress_ms) = {
-                    let (r, ms) =
-                        time_ms(|| comp.decompress(&compressed, data.dtype(), data.dims()));
-                    r?;
-                    ((), ms)
-                };
-                let ratio = data.size_in_bytes() as f64 / compressed.len().max(1) as f64;
-                Ok(Options::new()
-                    .with("dataset_index", di as u64)
-                    .with("pressio:abs", abs)
-                    .with("ratio", ratio)
-                    .with("compress_ms", compress_ms)
-                    .with("decompress_ms", decompress_ms))
-            }),
-        );
-        for o in outcomes {
-            let v = o.result?;
-            if let Some(store) = store.as_mut() {
-                // Checkpointing is an optimization: a put that keeps
-                // failing after spaced retries costs recomputation on the
-                // next run, never the campaign. The truth value itself is
-                // already in hand.
-                let mut attempt = 1;
-                while let Err(e) = store.put(&o.id, v.clone()) {
-                    attempt += 1;
-                    if attempt > 3 {
-                        pressio_obs::add_counter("table2:checkpoint.put_failed", 1);
-                        eprintln!("warning: checkpoint put for {} failed: {e}", o.id);
-                        break;
-                    }
-                    pressio_obs::add_counter("table2:checkpoint.put_retried", 1);
-                    let wait = pressio_faults::backoff_ms(5, 80, attempt, &o.id);
-                    std::thread::sleep(std::time::Duration::from_millis(wait));
-                }
-            }
-            truths.push(Truth {
-                dataset: v.get_usize("dataset_index")?,
-                bound: v.get_f64("pressio:abs")?,
-                ratio: v.get_f64("ratio")?,
-                compress_ms: v.get_f64("compress_ms")?,
-                decompress_ms: v.get_f64("decompress_ms")?,
-            });
-        }
-    }
-    // deterministic order: dataset-major, then bound
-    truths.sort_by(|a, b| a.dataset.cmp(&b.dataset).then(a.bound.total_cmp(&b.bound)));
-    Ok((truths, computed))
 }
 
 /// Run the full Table 2 experiment over `dataset`.
+///
+/// Every stage is a task on one pool of `workers + 1` threads; the caller
+/// only plans, checkpoints and assembles. The first wave holds a truth task
+/// per (compressor, dataset, bound) the checkpoint misses and a feature
+/// task per (scheme, dataset), each keyed by its dataset. Once it drains
+/// and its truths are checkpointed, the second holds a fit-and-predict task
+/// per (compressor, trained scheme, fold). A truth error outranks a feature
+/// error, which outranks a fold error.
 pub fn run_table2(dataset: &mut dyn DatasetPlugin, cfg: &Table2Config) -> Result<Table2> {
     // 1. load everything once (the bench preloads; workers share via Arc)
     let load_span = pressio_obs::span("table2:load");
@@ -283,13 +285,13 @@ pub fn run_table2(dataset: &mut dyn DatasetPlugin, cfg: &Table2Config) -> Result
         loaded.push((meta.name.clone(), data));
     }
     drop(load_span);
-    let datasets = Arc::new(loaded);
-    let n_data = datasets.len();
+    let n_data = loaded.len();
+    let invalid = |reason: String| Error::InvalidValue {
+        key: "dataset".into(),
+        reason,
+    };
     if n_data == 0 {
-        return Err(Error::InvalidValue {
-            key: "dataset".into(),
-            reason: "no datasets to evaluate".into(),
-        });
+        return Err(invalid("no datasets to evaluate".into()));
     }
 
     let mut store = match &cfg.checkpoint {
@@ -302,7 +304,8 @@ pub fn run_table2(dataset: &mut dyn DatasetPlugin, cfg: &Table2Config) -> Result
                         s.len()
                     );
                 }
-                Some(s)
+                // one sync for all of a wave's truths, after their puts
+                Some(s.with_sync_every(usize::MAX))
             }
             Err(e) => {
                 // run uncheckpointed rather than aborting the campaign
@@ -314,199 +317,184 @@ pub fn run_table2(dataset: &mut dyn DatasetPlugin, cfg: &Table2Config) -> Result
         None => None,
     };
 
+    // 2. the first wave: the truths the checkpoint misses, and the features
+    //    of every scheme on every dataset for the compressors it supports;
+    //    truths and features are both kept dataset-major, then by bound
     let registry = standard_schemes();
-    let dataset_keys: Vec<Options> = datasets
-        .iter()
-        .map(|(name, data)| dataset_key(name, data))
+    let schemes = cfg.schemes.iter().map(|s| registry.build(s));
+    let schemes = schemes.collect::<Result<Vec<_>>>();
+    let codecs = &cfg.compressors;
+    let supported: Vec<Vec<String>> = (schemes.iter().flatten())
+        .map(|s| codecs.iter().filter(|c| s.supports(c)).cloned().collect())
         .collect();
-    let observations = observations(n_data, &cfg.abs_bounds);
+    let mut bounds = cfg.abs_bounds.clone();
+    bounds.sort_by(f64::total_cmp);
+    let n = n_data * bounds.len();
+    let dataset_keys: Vec<Options> = loaded.iter().map(|(n, d)| dataset_key(n, d)).collect();
+    let (mut keys, mut truths, mut tasks) = (Vec::new(), vec![None; codecs.len() * n], Vec::new());
+    for (c, codec) in codecs.iter().enumerate() {
+        for (di, dataset) in dataset_keys.iter().enumerate() {
+            for (b, &abs) in bounds.iter().enumerate() {
+                let (o, key) = (di * bounds.len() + b, truth_key(codec, dataset, abs));
+                if let Some(v) = store.as_ref().and_then(|s| s.get(&key)) {
+                    pressio_obs::add_counter("table2:checkpoint.hit", 1);
+                    truths[c * n + o] = Some(Truth::read(v)?);
+                } else {
+                    pressio_obs::add_counter("table2:checkpoint.miss", 1);
+                    tasks.push(task("truth", di, c, o));
+                }
+                keys.push(key);
+            }
+        }
+    }
+    let misses = tasks.len();
+    for (s, _) in supported.iter().enumerate().filter(|(_, c)| !c.is_empty()) {
+        tasks.extend((0..n_data).map(|di| task("features", di, s, di)));
+    }
+    let (plan, per_scheme, bounds_of) = (cfg.clone(), supported.clone(), bounds.clone());
+    let measured = run_wave("table2:measure", tasks, cfg.workers, move |stage, a, b| {
+        if stage == "table2:truth" {
+            let (di, abs) = (b / bounds_of.len(), bounds_of[b % bounds_of.len()]);
+            let v = measure_truth(&plan.compressors[a], &loaded[di].1, abs)?;
+            return Ok(Measured::Truth(a, b, v));
+        }
+        let f = features_of(&plan.schemes[a], &loaded[b].1, &per_scheme[a], &bounds_of)?;
+        Ok(Measured::Features(a, b, f))
+    });
 
-    // 2. a truth needs the pool and the checkpoint, a feature only its
-    //    buffer and bound: the pool collects the truths compressor by
-    //    compressor on a thread of its own while the caller extracts every
-    //    feature set, then cross-validates each compressor as its truths
-    //    come in. A failed side is reported once the pool has stopped, the
-    //    truths' error first, so the checkpoint keeps every truth finished.
-    std::thread::scope(|s| {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let (datasets, keys, obs, store) = (&datasets, &dataset_keys, &observations, &mut store);
-        s.spawn(move || {
-            for c in &cfg.compressors {
-                let truths = collect_truth(c, datasets, keys, obs, cfg, store);
-                let failed = truths.is_err();
-                if tx.send(truths).is_err() || failed {
-                    break;
+    // 3. its truths checkpointed, then its errors, truths' first
+    let mut features = vec![vec![None; n_data]; supported.len()];
+    let (mut truth_error, mut feature_error) = (None, None);
+    for outcome in measured {
+        match outcome.result {
+            Ok(Measured::Truth(c, o, v)) => {
+                if let Some(store) = store.as_mut() {
+                    checkpoint(store, &keys[c * n + o], &v);
+                }
+                truths[c * n + o] = Some(Truth::read(&v)?);
+            }
+            Ok(Measured::Features(s, di, f)) => features[s][di] = Some(f),
+            Err(e) if outcome.id.contains(":truth:") => truth_error = truth_error.or(Some(e)),
+            Err(e) => feature_error = feature_error.or(Some(e)),
+        }
+    }
+    if let Some(Err(e)) = store.as_mut().map(CheckpointStore::sync) {
+        pressio_obs::add_counter("table2:checkpoint.sync_failed", 1);
+        eprintln!("warning: checkpoint sync failed: {e}");
+    }
+    truth_error.map_or(Ok(()), Err)?;
+    let schemes = schemes?;
+    feature_error.map_or(Ok(()), Err)?;
+
+    // 4. each row's feature stage; a scheme without training predicts here,
+    //    a trained one waits for the second wave
+    let truths: Vec<Truth> = truths.into_iter().flatten().collect();
+    let ratios: Vec<f64> = truths.iter().map(|t| t.ratio).collect();
+    let groups: Vec<usize> = (0..n).map(|o| o / bounds.len()).collect();
+    let (mut rows, mut fits) = (Vec::new(), Vec::new());
+    for (c, codec) in codecs.iter().enumerate() {
+        for (s, scheme) in schemes.iter().enumerate() {
+            let mut row = MethodRow::default();
+            (row.scheme, row.compressor) = (cfg.schemes[s].clone(), codec.clone());
+            let stage = |name: &str| format!("table2:{codec}:{}:{name}", cfg.schemes[s]);
+            if let Some(at) = supported[s].iter().position(|x| x == codec) {
+                let (mut agnostic, mut dependent) = (Vec::new(), Vec::new());
+                for f in features[s].iter_mut().flatten() {
+                    agnostic.push((f.0, f.1));
+                    dependent.extend(std::mem::take(&mut f.2[at]));
+                }
+                let agnostic_ms = traced(&stage("error_agnostic"), agnostic.iter().map(|a| a.0));
+                row.error_agnostic_ms = Some(agnostic_ms).filter(|_| agnostic.iter().any(|a| a.1));
+                let dep_ms = traced(&stage("error_dependent"), dependent.iter().map(|d| d.1));
+                row.error_dependent_ms = Some(dep_ms).filter(|_| dependent.iter().any(|d| d.2));
+                let set: Vec<Options> = dependent.into_iter().map(|d| d.0).collect();
+                row.supported = true;
+                let ratios = &ratios[c * n..][..n];
+                if !scheme.make_predictor().requires_training() {
+                    let cv = cross_validate(scheme.as_ref(), &set, ratios, &groups, &[])?;
+                    score(&mut row, ratios, &cv.predictions);
+                } else if n_data < 2 {
+                    let s = &row.scheme;
+                    return Err(invalid(format!(
+                        "cross-validating {s} needs at least 2 datasets, got {n_data}"
+                    )));
+                } else {
+                    fits.push((rows.len(), c, row.scheme.clone(), set));
                 }
             }
-        });
-        let extracted = cfg
-            .compressors
-            .iter()
-            .flat_map(|c| cfg.schemes.iter().map(move |s| (c, s)))
-            .map(|(c, s)| extract_features(&registry, c, s, datasets, obs))
-            .collect::<Result<Vec<_>>>();
-        let mut extracted = match extracted {
-            Ok(extracted) => extracted.into_iter(),
-            Err(e) => return rx.into_iter().try_for_each(|t| t.map(drop)).and(Err(e)),
-        };
-        let mut out = Table2::default();
-        for (compressor_name, truths) in cfg.compressors.iter().zip(rx) {
-            let (truths, computed) = truths?;
-            out.checkpoint_misses += computed;
-            out.checkpoint_hits += truths.len() - computed;
-            let in_step = truths.iter().map(|t| (t.dataset, t.bound));
-            assert!(in_step.eq(obs.iter().copied()), "truths out of step");
-            let stages = extracted.by_ref().take(cfg.schemes.len());
-            evaluate(compressor_name, &truths, stages, cfg, n_data, &mut out)?;
+            rows.push(row);
         }
-        Ok(out)
+    }
+
+    // 5. the second wave: every fold of every trained row, each fit on the
+    //    fold's training datasets in ascending order
+    let mut folds = match fits.is_empty() {
+        true => Vec::new(),
+        false => k_folds(n_data, cfg.folds.clamp(2, n_data), cfg.seed),
+    };
+    folds.iter_mut().for_each(|fold| fold.train.sort_unstable());
+    let k = folds.len();
+    let tasks = (0..fits.len() * k)
+        .map(|j| task("fold", j, j / k, j % k))
+        .collect();
+    let fits = Arc::new(fits);
+    let (inputs, ratios_of, folds_of) = (fits.clone(), ratios.clone(), folds);
+    let fold_runs = run_wave("table2:folds", tasks, cfg.workers, move |_, r, k| {
+        let (_, c, name, set) = &inputs[r];
+        let scheme = standard_schemes().build(name)?;
+        let ratios = &ratios_of[c * n..][..n];
+        let run = cross_validate_fold(scheme.as_ref(), set, ratios, &groups, &folds_of[k])?;
+        Ok((r, k, run))
+    });
+    let mut runs = vec![vec![None; k]; fits.len()];
+    for outcome in fold_runs {
+        let (r, k, run) = outcome.result?;
+        runs[r][k] = Some(run);
+    }
+
+    // 6. the rows; every measurement is fed to the trace in the order its
+    //    MeanStd takes it
+    for (&(row, c, ..), runs) in fits.iter().zip(runs) {
+        let cv = CrossValidation::from_folds(n, runs.into_iter().flatten())?;
+        let row = &mut rows[row];
+        let stage = |name: &str| format!("table2:{}:{}:{name}", row.compressor, row.scheme);
+        // training = collecting ground truth = running the compressor
+        let training = truths[c * n..][..n].iter().map(|t| t.compress_ms);
+        row.training_ms = Some(traced(&stage("training"), training));
+        row.fit_ms = Some(traced(&stage("fit"), cv.fit_ms));
+        row.inference_ms = Some(traced(&stage("inference"), cv.inference_ms));
+        score(row, &ratios[c * n..][..n], &cv.predictions);
+    }
+    let baselines = codecs.iter().zip(truths.chunks(n)).map(|(codec, truths)| {
+        let mut ratio = MeanStd::new();
+        truths.iter().for_each(|t| ratio.push(t.ratio));
+        pressio_obs::set_gauge(&format!("table2:{codec}:ratio.mean"), ratio.mean());
+        let compress = truths.iter().map(|t| t.compress_ms);
+        let decompress = truths.iter().map(|t| t.decompress_ms);
+        BaselineRow {
+            compressor: codec.clone(),
+            compress_ms: traced(&format!("table2:{codec}:compress_ms"), compress),
+            decompress_ms: traced(&format!("table2:{codec}:decompress_ms"), decompress),
+            ratio,
+        }
+    });
+    Ok(Table2 {
+        baselines: baselines.collect(),
+        methods: rows,
+        checkpoint_hits: codecs.len() * n - misses,
+        checkpoint_misses: misses,
     })
 }
 
-/// Table 2's rows for one compressor: its baseline row from `truths`, and
-/// each scheme's row from its feature stage, cross-validated here.
-fn evaluate(
-    compressor_name: &str,
-    truths: &[Truth],
-    extracted: impl Iterator<Item = (MethodRow, Option<Fittable>)>,
-    cfg: &Table2Config,
-    n_data: usize,
-    out: &mut Table2,
-) -> Result<()> {
-    let ratios: Vec<f64> = truths.iter().map(|t| t.ratio).collect();
-    let obs_dataset: Vec<usize> = truths.iter().map(|t| t.dataset).collect();
-
-    // baseline row — each observation is also fed to the trace under
-    // the same name, so the trace aggregates equal the printed MeanStds
-    let mut comp_acc = MeanStd::new();
-    let mut decomp_acc = MeanStd::new();
-    let mut ratio_acc = MeanStd::new();
-    for t in truths {
-        comp_acc.push(t.compress_ms);
-        decomp_acc.push(t.decompress_ms);
-        ratio_acc.push(t.ratio);
-        pressio_obs::record_ms(
-            &format!("table2:{compressor_name}:compress_ms"),
-            t.compress_ms,
-        );
-        pressio_obs::record_ms(
-            &format!("table2:{compressor_name}:decompress_ms"),
-            t.decompress_ms,
-        );
-    }
-    pressio_obs::set_gauge(
-        &format!("table2:{compressor_name}:ratio.mean"),
-        ratio_acc.mean(),
-    );
-    out.baselines.push(BaselineRow {
-        compressor: compressor_name.to_string(),
-        compress_ms: comp_acc.clone(),
-        decompress_ms: decomp_acc,
-        ratio: ratio_acc,
-    });
-
-    for (mut row, fittable) in extracted {
-        let Some((scheme, features)) = fittable else {
-            out.methods.push(row);
-            continue;
-        };
-        let scheme_name = row.scheme.clone();
-        let stage = |name: &str| format!("table2:{compressor_name}:{scheme_name}:{name}");
-
-        // 3. evaluate, folding over datasets so validation fields are
-        //    out-of-sample; each fold trains in ascending dataset order
-        let trainable = scheme.make_predictor().requires_training();
-        let mut folds = Vec::new();
-        if trainable {
-            if n_data < 2 {
-                return Err(Error::InvalidValue {
-                    key: "dataset".into(),
-                    reason: format!(
-                        "cross-validating {scheme_name} needs at least 2 datasets, got {n_data}"
-                    ),
-                });
-            }
-            folds = k_folds(n_data, cfg.folds.clamp(2, n_data), cfg.seed);
-            folds.iter_mut().for_each(|fold| fold.train.sort_unstable());
-        }
-        let cv = cross_validate(scheme.as_ref(), &features, &ratios, &obs_dataset, &folds)?;
-
-        if trainable {
-            // training = collecting ground truth = running the compressor
-            row.training_ms = Some(traced(
-                &stage("training"),
-                truths.iter().map(|t| t.compress_ms),
-            ));
-            row.fit_ms = Some(traced(&stage("fit"), cv.fit_ms.iter().copied()));
-            row.inference_ms = Some(traced(&stage("inference"), cv.inference_ms.iter().copied()));
-        }
-        row.medape = medape(&ratios, &cv.predictions);
-        row.non_finite = cv.predictions.iter().filter(|p| !p.is_finite()).count();
-        out.methods.push(row);
-    }
-    Ok(())
-}
-
-/// A supported pair's scheme and its feature set per observation.
-type Fittable = (Box<dyn Scheme>, Vec<Options>);
-
-/// The feature stage of `scheme_name` on `compressor_name` for every
-/// observation: its row with the stage times filled in, and what the folds
-/// fit (`None` if the scheme does not support the compressor). Agnostic
-/// features are computed once per dataset (the invalidation reuse the
-/// framework enables) and each stage is timed on its own. It reads no
-/// truth, so it runs while the pool collects them.
-fn extract_features(
-    registry: &Registry<dyn Scheme>,
-    compressor_name: &str,
-    scheme_name: &str,
-    datasets: &[(String, Data)],
-    observations: &[(usize, f64)],
-) -> Result<(MethodRow, Option<Fittable>)> {
-    let _scheme_span = pressio_obs::span(format!("table2:{compressor_name}:{scheme_name}"));
-    let stage = |name: &str| format!("table2:{compressor_name}:{scheme_name}:{name}");
-    let mut row = MethodRow {
-        scheme: scheme_name.to_string(),
-        compressor: compressor_name.to_string(),
-        ..MethodRow::default()
-    };
-    let scheme = registry.build(scheme_name)?;
-    if !scheme.supports(compressor_name) {
-        return Ok((row, None));
-    }
-    let mut agnostic_time = MeanStd::new();
-    let mut dependent_time = MeanStd::new();
-    let (mut has_agnostic, mut has_dependent) = (false, false);
-    let mut features = Vec::with_capacity(observations.len());
-    // observations are dataset-major: one run per dataset
-    for run in observations.chunk_by(|a, b| a.0 == b.0) {
-        let data = &datasets[run[0].0].1;
-        let (agnostic, ms) = time_ms(|| scheme.error_agnostic_features(data));
-        let agnostic = agnostic?;
-        agnostic_time.push(ms);
-        pressio_obs::record_ms(&stage("error_agnostic"), ms);
-        has_agnostic |= !agnostic.is_empty();
-        for &(_, abs) in run {
-            let comp = configured(compressor_name, abs)?;
-            let (dep, ms) = time_ms(|| scheme.error_dependent_features(data, comp.as_ref()));
-            let dep = dep?;
-            dependent_time.push(ms);
-            pressio_obs::record_ms(&stage("error_dependent"), ms);
-            has_dependent |= !dep.is_empty();
-            let mut merged = agnostic.clone();
-            merged.merge_from(&dep);
-            features.push(merged);
-        }
-    }
-    row.supported = true;
-    row.error_agnostic_ms = has_agnostic.then_some(agnostic_time);
-    row.error_dependent_ms = has_dependent.then_some(dependent_time);
-    Ok((row, Some((scheme, features))))
+/// A row's MedAPE over `predictions`, and how many it left out.
+fn score(row: &mut MethodRow, ratios: &[f64], predictions: &[f64]) {
+    row.medape = medape(ratios, predictions);
+    row.non_finite = predictions.iter().filter(|p| !p.is_finite()).count();
 }
 
 /// `values` in one [`MeanStd`], each also fed to the trace as `name`, so
 /// the trace aggregates equal the printed row.
-fn traced(name: &str, values: impl Iterator<Item = f64>) -> MeanStd {
+fn traced(name: &str, values: impl IntoIterator<Item = f64>) -> MeanStd {
     let mut acc = MeanStd::new();
     for ms in values {
         acc.push(ms);
@@ -570,6 +558,7 @@ mod tests {
     use super::*;
     use pressio_dataset::Hurricane;
     use pressio_predict::features::FeaturePass;
+    use pressio_predict::Scheme;
 
     fn tiny_config() -> Table2Config {
         Table2Config {
@@ -747,38 +736,30 @@ mod tests {
     #[test]
     fn a_row_counts_the_non_finite_predictions_its_medape_left_out() {
         let xs = [1.0, 2.0, f64::NAN, 4.0];
-        let truths: Vec<Truth> = (0..xs.len())
-            .map(|dataset| Truth {
-                dataset,
-                bound: 1e-4,
-                ratio: 2.0,
-                compress_ms: 1.0,
-                decompress_ms: 1.0,
-            })
-            .collect();
-        let features = xs.iter().map(|&x| Options::new().with("x", x)).collect();
-        let row = MethodRow {
+        let ratios = vec![2.0; xs.len()];
+        let groups: Vec<usize> = (0..xs.len()).collect();
+        let features: Vec<Options> = xs.iter().map(|&x| Options::new().with("x", x)).collect();
+        let cv = cross_validate(&EchoX, &features, &ratios, &groups, &[]).unwrap();
+        let mut row = MethodRow {
             scheme: "echo".into(),
             compressor: "sz3".into(),
             supported: true,
             ..MethodRow::default()
         };
-        let scheme: Box<dyn Scheme> = Box::new(EchoX);
-        let extracted = std::iter::once((row, Some((scheme, features))));
-        let mut table = Table2::default();
-        evaluate(
-            "sz3",
-            &truths,
-            extracted,
-            &tiny_config(),
-            xs.len(),
-            &mut table,
-        )
-        .unwrap();
-        let row = &table.methods[0];
+        score(&mut row, &ratios, &cv.predictions);
         assert_eq!(row.non_finite, 1);
         // the finite three: 50 %, 0 % and 100 % off a ratio of 2
         assert_eq!(row.medape, Some(50.0));
+        let table = Table2 {
+            baselines: vec![BaselineRow {
+                compressor: "sz3".into(),
+                compress_ms: MeanStd::new(),
+                decompress_ms: MeanStd::new(),
+                ratio: MeanStd::new(),
+            }],
+            methods: vec![row],
+            ..Table2::default()
+        };
         assert!(
             format_table2(&table).contains("| 50.00 (1 non-finite left out) |"),
             "{}",

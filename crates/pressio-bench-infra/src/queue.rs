@@ -31,10 +31,11 @@ pub struct Task {
     pub affinity_key: u64,
     /// Task configuration handed to the worker function.
     pub config: Options,
-    /// Id of the task that spawned this one, if it entered the queue as a
-    /// dynamic follow-up. [`run_tasks_dynamic`] stamps this automatically
-    /// on unstamped follow-ups and exports each edge to the trace, so the
-    /// run's dependency graph is reconstructible afterwards.
+    /// Id of the task (or name of the stage) this one belongs to.
+    /// [`run_tasks`] exports each edge to the trace as it dispatches the
+    /// task, and [`run_tasks_dynamic`] stamps unstamped follow-ups with
+    /// their spawner, so the run's dependency graph is reconstructible
+    /// afterwards.
     pub parent: Option<String>,
 }
 
@@ -95,11 +96,11 @@ impl Default for PoolConfig {
 
 /// Outcome of one task.
 #[derive(Debug, Clone)]
-pub struct TaskOutcome {
+pub struct TaskOutcome<T = Options> {
     /// The task id.
     pub id: String,
     /// Result value or the final error.
-    pub result: Result<Options, Error>,
+    pub result: Result<T, Error>,
     /// Attempts consumed (1 = first try succeeded).
     pub attempts: usize,
     /// Worker that produced the final outcome.
@@ -127,20 +128,21 @@ impl PoolStats {
 }
 
 /// Shared worker callback: `(task, worker_id) -> result`.
-pub type WorkerFn = Arc<dyn Fn(&Task, usize) -> Result<Options, Error> + Send + Sync>;
+pub type WorkerFn<T = Options> = Arc<dyn Fn(&Task, usize) -> Result<T, Error> + Send + Sync>;
 
 /// Shared worker callback for [`run_tasks_dynamic`]: may spawn follow-ups.
 pub type DynamicWorkerFn = Arc<dyn Fn(&Task, usize) -> Result<DynamicOutcome, Error> + Send + Sync>;
 
 /// Run `tasks` on a pool. `worker_fn(task, worker_id)` runs on pool
-/// threads; panics are caught and treated as task failures (the paper's
-/// motivation: buggy metrics implementations surfaced by diverse data must
-/// not take down the run).
-pub fn run_tasks(
+/// threads and returns what its task measured (`Options` unless the caller
+/// names another type); panics are caught and treated as task failures
+/// (the paper's motivation: buggy metrics implementations surfaced by
+/// diverse data must not take down the run).
+pub fn run_tasks<T: Send + 'static>(
     tasks: Vec<Task>,
     config: PoolConfig,
-    worker_fn: WorkerFn,
-) -> (Vec<TaskOutcome>, PoolStats) {
+    worker_fn: WorkerFn<T>,
+) -> (Vec<TaskOutcome<T>>, PoolStats) {
     let workers = config.workers.max(1);
     let max_attempts = config.max_attempts.max(1);
     let backoff_base = config.retry_backoff_ms;
@@ -155,10 +157,10 @@ pub fn run_tasks(
     // can report per-worker utilization gauges. A worker that hits the
     // `queue:worker.crash` failpoint dies without reporting its current
     // attempt — exactly what a crashed node looks like to the collector.
-    fn spawn_worker(
+    fn spawn_worker<T: Send + 'static>(
         w: usize,
-        worker_fn: WorkerFn,
-        result_tx: Sender<(TaskOutcome, Option<Attempt>)>,
+        worker_fn: WorkerFn<T>,
+        result_tx: Sender<(TaskOutcome<T>, Option<Attempt>)>,
         max_attempts: usize,
         backoff_base: u64,
     ) -> (Sender<Attempt>, std::thread::JoinHandle<f64>) {
@@ -228,7 +230,7 @@ pub fn run_tasks(
     }
 
     let pool_start = std::time::Instant::now();
-    let (result_tx, result_rx) = unbounded::<(TaskOutcome, Option<Attempt>)>();
+    let (result_tx, result_rx) = unbounded::<(TaskOutcome<T>, Option<Attempt>)>();
     let mut worker_txs: Vec<Sender<Attempt>> = Vec::with_capacity(workers);
     // One live handle per slot; reaped handles accumulate their busy time
     // into `busy_acc` so restarts don't lose utilization data.
@@ -280,6 +282,9 @@ pub fn run_tasks(
         let _ = worker_txs[w].send(attempt);
     };
     for task in tasks {
+        if let Some(parent) = &task.parent {
+            pressio_obs::task_link(&task.id, parent);
+        }
         dispatch(
             Attempt {
                 task,
@@ -296,7 +301,7 @@ pub fn run_tasks(
     // collect, re-dispatching retries; double as supervisor — a worker
     // slot whose thread finished while work remains has crashed, so
     // restart it and requeue whatever it held
-    let mut final_outcomes: HashMap<String, TaskOutcome> = HashMap::new();
+    let mut final_outcomes: HashMap<String, TaskOutcome<T>> = HashMap::new();
     let mut retries = 0usize;
     let mut done = 0usize;
     while done < total {
@@ -381,7 +386,7 @@ pub fn run_tasks(
             }
         }
     }
-    let mut outcomes: Vec<TaskOutcome> = final_outcomes.into_values().collect();
+    let mut outcomes: Vec<TaskOutcome<T>> = final_outcomes.into_values().collect();
     outcomes.sort_by(|a, b| a.id.cmp(&b.id));
     let stats = PoolStats {
         distinct_keys_per_worker: key_seen.iter().map(|s| s.len()).collect(),
@@ -453,12 +458,7 @@ pub fn run_tasks_dynamic(
                         out.follow_ups.len() as i64,
                     );
                     for follow_up in &mut out.follow_ups {
-                        if follow_up.parent.is_none() {
-                            follow_up.parent = Some(task.id.clone());
-                        }
-                        if let Some(parent) = &follow_up.parent {
-                            pressio_obs::task_link(&follow_up.id, parent);
-                        }
+                        follow_up.parent.get_or_insert_with(|| task.id.clone());
                     }
                     fu.lock().extend(out.follow_ups);
                 }

@@ -164,3 +164,86 @@ fn resume_after_faulted_run_recomputes_nothing() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Faults that land on feature and fold tasks, not truths: a resumed run's
+/// first wave holds only the 12 feature tasks (6 datasets × 2 schemes), so
+/// the first `queue:task.err` hit is a feature task's, and the 14th
+/// `queue:task.panic` hit (12 first attempts and the retry before it) is a
+/// fold task's first attempt. Both are retried, and the table is
+/// byte-identical to the clean cold run's.
+#[test]
+fn faults_on_feature_and_fold_tasks_leave_table2_byte_identical() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join("pressio_chaos_table2_graph");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("graph.jsonl");
+
+    pressio_faults::clear();
+    let reference = run_once(Some(ckpt.clone()));
+    assert_eq!(reference.checkpoint_misses, 12);
+
+    let collector = Arc::new(pressio_obs::Collector::new());
+    pressio_obs::install(collector.clone());
+    pressio_faults::configure("queue:task.err=err,times=1;queue:task.panic=panic,after=13,times=1")
+        .unwrap();
+    let chaotic = run_once(Some(ckpt));
+    let fired = pressio_faults::report();
+    pressio_faults::clear();
+    pressio_obs::uninstall();
+
+    assert_eq!(
+        (chaotic.checkpoint_hits, chaotic.checkpoint_misses),
+        (12, 0)
+    );
+    assert_eq!(
+        deterministic_fingerprint(&chaotic),
+        deterministic_fingerprint(&reference),
+        "results diverged under faults on feature and fold tasks"
+    );
+    let fires: std::collections::HashMap<&str, u64> = fired
+        .iter()
+        .map(|(site, _, n)| (site.as_str(), *n))
+        .collect();
+    assert_eq!(fires.get("queue:task.err"), Some(&1), "{fires:?}");
+    assert_eq!(fires.get("queue:task.panic"), Some(&1), "{fires:?}");
+    let report = collector.report();
+    assert_eq!(report.counters.get("queue:retry"), Some(&2));
+    assert_eq!(report.counters.get("queue:panic"), Some(&1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fold task that fails every attempt fails the run, but only after the
+/// first wave drained and its truths were checkpointed: the 24 `err` hits
+/// of that wave (12 truths, 12 feature sets) pass, every later one fires,
+/// and a fault-free rerun hits all 12 truths.
+#[test]
+fn a_failed_fold_task_is_reported_after_every_truth_is_checkpointed() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join("pressio_chaos_table2_fold_error");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("folds.jsonl");
+
+    pressio_faults::clear();
+    let reference = run_once(None);
+    pressio_faults::configure("queue:task.err=err,after=24").unwrap();
+    let mut hurricane = Hurricane::with_dims(12, 12, 6, 2)
+        .with_fields(&["P", "U", "TC"])
+        .unwrap();
+    let failed = run_table2(&mut hurricane, &config(Some(ckpt.clone())));
+    pressio_faults::clear();
+    let err = failed.expect_err("every fold task failed").to_string();
+    assert_eq!(
+        err,
+        pressio_faults::injected_error("queue:task.err").to_string()
+    );
+
+    let rerun = run_once(Some(ckpt));
+    assert_eq!((rerun.checkpoint_hits, rerun.checkpoint_misses), (12, 0));
+    assert_eq!(
+        deterministic_fingerprint(&rerun),
+        deterministic_fingerprint(&reference)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

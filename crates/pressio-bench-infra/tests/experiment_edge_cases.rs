@@ -179,3 +179,30 @@ fn a_truth_error_outranks_a_feature_error() {
     assert_eq!(err, truth);
     assert!(!err.contains("definitely_not_a_scheme"), "{err}");
 }
+
+/// The test above at a pool of `workers: 2` (three threads with the
+/// caller's), which splits the datasets by parity: the same table cold and
+/// resumed.
+#[test]
+fn the_table_is_the_same_at_two_workers_cold_or_resumed() {
+    let dir = std::env::temp_dir().join("pressio_table2_two_workers");
+    let _ = std::fs::remove_dir_all(&dir);
+    let one = run_table2(&mut tiny(), &two_codecs()).unwrap();
+    let mut cfg = two_codecs();
+    cfg.workers = 2;
+    let two = run_table2(&mut tiny(), &cfg).unwrap();
+    assert_eq!(fingerprint(&two), fingerprint(&one));
+    assert_eq!((two.checkpoint_hits, two.checkpoint_misses), (0, 12));
+
+    cfg.checkpoint = Some(dir.join("truth.jsonl"));
+    let cold = run_table2(&mut tiny(), &cfg).unwrap();
+    let resumed = run_table2(&mut tiny(), &cfg).unwrap();
+    assert_eq!((cold.checkpoint_hits, cold.checkpoint_misses), (0, 12));
+    assert_eq!(
+        (resumed.checkpoint_hits, resumed.checkpoint_misses),
+        (12, 0)
+    );
+    assert_eq!(fingerprint(&cold), fingerprint(&one));
+    assert_eq!(fingerprint(&resumed), fingerprint(&one));
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -420,6 +420,69 @@ fn dynamic_task_graph_is_reconstructible_from_trace() {
     assert_eq!(collector.report().task_parents, expected);
 }
 
+/// Table 2's task graph in the trace: `run_tasks` links every task to the
+/// stage Table 2 stamped on it, so the links per stage count the graph — a
+/// truth per (compressor, dataset, bound), a feature set per (scheme,
+/// dataset), a fold per (compressor, trained scheme, fold). A feature set
+/// runs its scheme's error-agnostic stage once for every compressor, so
+/// both codec rows print the same samples.
+#[test]
+fn table2_task_graph_is_linked_by_stage_in_the_trace() {
+    let _guard = exclusive();
+    let sink = VecSink::default();
+    let events = sink.0.clone();
+    let collector = Arc::new(pressio_obs::Collector::with_sink(Box::new(sink)));
+    pressio_obs::install(collector.clone());
+    // 3 fields × 2 timesteps = 6 datasets
+    let mut hurricane = Hurricane::with_dims(12, 12, 6, 2)
+        .with_fields(&["P", "U", "QRAIN"])
+        .unwrap();
+    let cfg = Table2Config {
+        schemes: vec!["khan2023".into(), "jin2022".into(), "rahman2023".into()],
+        compressors: vec!["sz3".into(), "zfp".into()],
+        abs_bounds: vec![1e-6, 1e-4],
+        folds: 3,
+        seed: 7,
+        workers: 1,
+        checkpoint: None,
+    };
+    let table = run_table2(&mut hurricane, &cfg).unwrap();
+    pressio_obs::flush();
+    pressio_obs::uninstall();
+
+    let mut per_stage: BTreeMap<String, usize> = BTreeMap::new();
+    for event in events.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+        if let TraceEvent::TaskLink { parent, .. } = event {
+            *per_stage.entry(parent.clone()).or_default() += 1;
+        }
+    }
+    let expected = [
+        // 3 schemes × 6 datasets
+        ("table2:features", 18),
+        // rahman2023, the one trained scheme, on 2 codecs × 3 folds
+        ("table2:fold", 6),
+        // 2 codecs × 6 datasets × 2 bounds
+        ("table2:truth", 24),
+    ];
+    let expected = expected.map(|(stage, n)| (stage.to_string(), n));
+    assert_eq!(per_stage, BTreeMap::from(expected));
+
+    let report = collector.report();
+    // once per (scheme, dataset), not once per (compressor, scheme, dataset)
+    assert_eq!(report.counters["table2:features.agnostic"], 18);
+    assert_eq!(report.span_parents["table2:sz3:truth"], "queue:task");
+    let rahman = |codec: &str| {
+        let row = table
+            .methods
+            .iter()
+            .find(|m| m.scheme == "rahman2023" && m.compressor == codec);
+        let e_agn = row.unwrap().error_agnostic_ms.clone().unwrap();
+        (e_agn.count(), e_agn.mean().to_bits(), e_agn.std().to_bits())
+    };
+    assert_eq!(rahman("sz3"), rahman("zfp"));
+    assert_eq!(rahman("sz3").0, 6);
+}
+
 /// With tracing off, every record entry point allocates nothing: a span
 /// guard, a duration, a counter, a gauge, a task edge and a flush, each a
 /// thousand times, against a counting allocator. (That they take no lock is

@@ -67,8 +67,8 @@ pub(crate) struct Args {
     pub options: Options,
     pub dims: (usize, usize, usize),
     pub timesteps: usize,
-    /// `bench`: truth workers, with features extracted on the calling
-    /// thread beside them; `serve`: pipeline workers.
+    /// `bench`: Table 2 keeps `workers + 1` threads busy on one pool of
+    /// truth, feature and fold tasks; `serve`: pipeline workers.
     pub workers: usize,
     pub trace: Option<PathBuf>,
     pub ablation: Option<String>,

@@ -183,15 +183,87 @@ pub struct CrossValidation {
     pub inference_ms: Vec<f64>,
 }
 
+impl CrossValidation {
+    /// [`cross_validate`]'s result from the runs of its folds, in fold
+    /// order, over `n` observations: an error if one is in no fold's
+    /// validation groups.
+    pub fn from_folds(
+        n: usize,
+        runs: impl IntoIterator<Item = FoldRun>,
+    ) -> Result<CrossValidation> {
+        let (mut cv, mut predictions) = (CrossValidation::default(), vec![None; n]);
+        for run in runs {
+            cv.fit_ms.extend(run.fit_ms);
+            cv.inference_ms.extend(run.inference_ms);
+            run.predictions
+                .into_iter()
+                .for_each(|(i, p)| predictions[i] = Some(p));
+        }
+        cv.predictions = predictions
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| {
+                p.ok_or_else(|| Error::InvalidValue {
+                    key: "folds".into(),
+                    reason: format!("observation {i} is in no fold's validation groups"),
+                })
+            })
+            .collect::<Result<_>>()?;
+        Ok(cv)
+    }
+}
+
+/// What one fold of [`cross_validate`] measured.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FoldRun {
+    /// Each observation of the validation groups, in the order predicted,
+    /// with its prediction.
+    pub predictions: Vec<(usize, f64)>,
+    /// Milliseconds of the fit (`None` for a scheme without training).
+    pub fit_ms: Option<f64>,
+    /// Milliseconds of each inference, in the same order.
+    pub inference_ms: Vec<f64>,
+}
+
+/// One fold of [`cross_validate`]: a fresh predictor fit on the
+/// observations of `fold`'s training groups — groups in the order the fold
+/// lists them, each group's observations in index order — then asked for
+/// those of its validation groups. A scheme without training is not fit.
+pub fn cross_validate_fold(
+    scheme: &dyn Scheme,
+    features: &[Options],
+    truths: &[f64],
+    groups: &[usize],
+    fold: &Fold,
+) -> Result<FoldRun> {
+    let observations = |of: &[usize]| -> Vec<usize> {
+        of.iter()
+            .flat_map(|&g| (0..groups.len()).filter(move |&i| groups[i] == g))
+            .collect()
+    };
+    let (mut run, mut predictor) = (FoldRun::default(), scheme.make_predictor());
+    if predictor.requires_training() {
+        let train = observations(&fold.train);
+        let train_f: Vec<Options> = train.iter().map(|&i| features[i].clone()).collect();
+        let train_t: Vec<f64> = train.iter().map(|&i| truths[i]).collect();
+        let (fitted, ms) = time_ms(|| predictor.fit(&train_f, &train_t));
+        run.fit_ms = Some(fitted.map(|()| ms)?);
+    }
+    for i in observations(&fold.validate) {
+        let (p, ms) = time_ms(|| predictor.predict(&features[i]));
+        run.predictions.push((i, p?));
+        run.inference_ms.push(ms);
+    }
+    Ok(run)
+}
+
 /// The k-fold protocol of Table 2 (and of the Black-Box paper): predict
 /// every observation with a predictor that never saw its group.
 ///
 /// `groups[i]` is the group of observation `i` (Table 2's dataset) and the
-/// folds split group indices. Each fold fits a fresh predictor on the
-/// observations of its training groups — groups in the order the fold lists
-/// them, each group's observations in index order — then predicts the
-/// observations of its validation groups. A scheme without training
-/// predicts every observation once, with no fit.
+/// folds split group indices; each runs as [`cross_validate_fold`]. A
+/// scheme without training predicts every observation once, in index
+/// order, with no fit.
 pub fn cross_validate(
     scheme: &dyn Scheme,
     features: &[Options],
@@ -199,9 +271,9 @@ pub fn cross_validate(
     groups: &[usize],
     folds: &[Fold],
 ) -> Result<CrossValidation> {
-    let mut cv = CrossValidation::default();
     let untrained = scheme.make_predictor();
     if !untrained.requires_training() {
+        let mut cv = CrossValidation::default();
         for f in features {
             let (p, ms) = time_ms(|| untrained.predict(f));
             cv.predictions.push(p?);
@@ -209,38 +281,11 @@ pub fn cross_validate(
         }
         return Ok(cv);
     }
-    // the observations of some groups: group by group, each in index order
-    let observations = |of: &[usize]| -> Vec<usize> {
-        of.iter()
-            .flat_map(|&g| (0..groups.len()).filter(move |&i| groups[i] == g))
-            .collect()
-    };
-    let mut predictions = vec![None; features.len()];
-    for fold in folds {
-        let train = observations(&fold.train);
-        let train_f: Vec<Options> = train.iter().map(|&i| features[i].clone()).collect();
-        let train_t: Vec<f64> = train.iter().map(|&i| truths[i]).collect();
-        let mut predictor = scheme.make_predictor();
-        let (fitted, ms) = time_ms(|| predictor.fit(&train_f, &train_t));
-        fitted?;
-        cv.fit_ms.push(ms);
-        for i in observations(&fold.validate) {
-            let (p, ms) = time_ms(|| predictor.predict(&features[i]));
-            predictions[i] = Some(p?);
-            cv.inference_ms.push(ms);
-        }
-    }
-    cv.predictions = predictions
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| {
-            p.ok_or_else(|| Error::InvalidValue {
-                key: "folds".into(),
-                reason: format!("observation {i} is in no fold's validation groups"),
-            })
-        })
-        .collect::<Result<_>>()?;
-    Ok(cv)
+    let runs = folds
+        .iter()
+        .map(|fold| cross_validate_fold(scheme, features, truths, groups, fold))
+        .collect::<Result<Vec<_>>>()?;
+    CrossValidation::from_folds(features.len(), runs)
 }
 
 #[cfg(test)]
@@ -248,7 +293,7 @@ mod tests {
     use super::*;
     use crate::predictor::{IdentityPredictor, Predictor};
     use crate::scheme::SchemeInfo;
-    use crate::schemes::KrasowskaScheme;
+    use crate::schemes::{KhanScheme, KrasowskaScheme, RahmanScheme};
     use pressio_core::hash::hash_options_hex;
     use pressio_core::Options as Opts;
     use pressio_stats::k_folds;
@@ -489,6 +534,44 @@ mod tests {
         let mut partial = k_folds(5, 5, 7);
         partial.pop();
         assert!(cross_validate(&trained, &features, &truths, &groups, &partial).is_err());
+    }
+
+    /// `cross_validate` is its folds run one by one: assembled from
+    /// `cross_validate_fold`, a trained scheme (rahman's forest) and an
+    /// untrained one (khan's identity) give the same prediction bits and
+    /// the same fits.
+    #[test]
+    fn cross_validation_is_its_folds_run_one_by_one() {
+        let groups: Vec<usize> = (0..24).map(|i| i % 8).collect();
+        let truths: Vec<f64> = (0..24).map(|i| 3.0 + (i as f64 * 0.7).sin()).collect();
+        let folds = k_folds(8, 4, 11);
+        let schemes: [Box<dyn Scheme>; 2] =
+            [Box::new(RahmanScheme::default()), Box::new(KhanScheme)];
+        for scheme in &schemes {
+            let keys = scheme.feature_keys();
+            let row = |i: usize| {
+                let values = keys
+                    .iter()
+                    .enumerate()
+                    .map(|(k, key)| (key, (i * (k + 3) % 7) as f64));
+                values.fold(Opts::new(), |o, (key, v)| o.with(key.as_str(), 1.0 + v))
+            };
+            let features: Vec<Opts> = (0..24).map(row).collect();
+            let scheme = scheme.as_ref();
+            let whole = cross_validate(scheme, &features, &truths, &groups, &folds).unwrap();
+            let runs = folds.iter().map(|fold| {
+                cross_validate_fold(scheme, &features, &truths, &groups, fold).unwrap()
+            });
+            let by_fold = CrossValidation::from_folds(features.len(), runs).unwrap();
+            let bits = |cv: &CrossValidation| -> Vec<u64> {
+                cv.predictions.iter().map(|p| p.to_bits()).collect()
+            };
+            assert_eq!(bits(&by_fold), bits(&whole));
+            assert_eq!(by_fold.fit_ms.len(), whole.fit_ms.len());
+            assert_eq!(by_fold.inference_ms.len(), whole.inference_ms.len());
+            let trained = scheme.make_predictor().requires_training();
+            assert_eq!(whole.fit_ms.len(), if trained { folds.len() } else { 0 });
+        }
     }
 
     #[test]

@@ -60,7 +60,8 @@ pub mod schemes;
 
 pub use bandwidth::{bandwidth_features, bandwidth_model};
 pub use evaluator::{
-    cross_validate, CacheCounters, CachedEvaluator, CrossValidation, FeatureTimes,
+    cross_validate, cross_validate_fold, CacheCounters, CachedEvaluator, CrossValidation,
+    FeatureTimes, FoldRun,
 };
 pub use predictor::{
     ConformalForestPredictor, ForestPredictor, GpPredictor, IdentityPredictor, LinearPredictor,

@@ -203,12 +203,16 @@ impl RegressionTree {
                 let sr = total - sl;
                 let qr = total_sq - ql;
                 let sse_split = (ql - sl * sl / nl) + (qr - sr * sr / nr);
-                // no split between equal feature values, nor before a NaN
-                if (a < b) & best.is_none_or(|(_, _, b)| sse_split < b) {
+                // no split between equal feature values, nor before a NaN,
+                // nor where no finite threshold separates −inf from `b`
+                let finite = a > f64::NEG_INFINITY || b > f64::MIN;
+                if (a < b) & finite & best.is_none_or(|(_, _, b)| sse_split < b) {
                     // the midpoint rounds to `b` when the two are one ulp
-                    // apart and overflows near ±MAX: split at `a` then
+                    // apart and overflows near ±MAX: split at `a` then, or
+                    // at `f64::MIN` if `a` is −inf, so state saves no `null`
                     let mid = 0.5 * (a + b);
-                    best = Some((f, if a <= mid && mid < b { mid } else { a }, sse_split));
+                    let at = if a <= mid && mid < b { mid } else { a };
+                    best = Some((f, at.max(f64::MIN), sse_split));
                 }
             }
         }

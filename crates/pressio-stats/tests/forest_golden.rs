@@ -10,13 +10,17 @@
 //!    `max_depth` 0/1/12, `min_samples_split` 1/2/4, and FXRZ augmentation
 //!    0/2. A digest is FNV-1a over one line per case; on a mismatch the test
 //!    prints the digest it computed, and `FOREST_GOLDEN_DUMP=1` prints the
-//!    lines themselves. Re-taken once, when a split whose midpoint rounded
-//!    to its upper value (one ulp apart) or overflowed (next to ±inf) moved
-//!    to its lower value: the 234 lines that moved (181 `Signed`, 53
-//!    augmented `Duplicates`) are exactly those whose forest or tree held
-//!    a `NaN` leaf, and no other line moved.
+//!    lines themselves. Re-taken twice. First when a split whose midpoint
+//!    rounded to its upper value (one ulp apart) or overflowed (next to
+//!    ±inf) moved to its lower value: the 234 lines that moved (181
+//!    `Signed`, 53 augmented `Duplicates`) are exactly those whose forest
+//!    or tree held a `NaN` leaf, and no other line moved. Then when a split
+//!    above −inf moved its threshold from −inf, which JSON saves as `null`,
+//!    to `f64::MIN`: the 191 lines that moved (all `Signed`; 117 in both
+//!    digests, 59 in the forest's only, 15 in the tree's only) are exactly
+//!    those whose JSON held a `null`, and no other line moved.
 //! 2. A property test against the split search that sorted every node,
-//!    kept below as `reference` (verbatim but for that threshold rule):
+//!    kept below as `reference` (verbatim but for those threshold rules):
 //!    the same `RandomForest` and the same `RegressionTree`, field for
 //!    field, on random shapes, ties and signed zeros and infinities.
 
@@ -26,7 +30,7 @@ use pressio_stats::{RegressionTree, TreeParams};
 use proptest::prelude::*;
 use std::fmt::Write;
 
-const GOLDEN: u64 = 0x931ef5df8af3e9b3;
+const GOLDEN: u64 = 0xcffe47b78fec642d;
 
 /// What the feature columns look like.
 #[derive(Debug, Clone, Copy)]
@@ -239,10 +243,41 @@ fn every_forest_matches_the_digest_taken_at_the_parent_commit() {
     assert_eq!(digest, GOLDEN, "forests moved: digest {digest:#018x}");
 }
 
+/// A forest fitted on a column holding −inf splits it off at `f64::MIN`, so
+/// its JSON holds no `null`: it reloads to the same forest, bit for bit,
+/// and answers every row, −inf included, as the forest it was saved from.
+#[test]
+fn a_forest_over_negative_infinity_saves_and_reloads_bit_for_bit() {
+    let xs: Vec<Vec<f64>> = (0..40)
+        .map(|i| match i % 4 {
+            0 => vec![f64::NEG_INFINITY, (i % 3) as f64],
+            _ => vec![i as f64 * 0.25, (i % 3) as f64],
+        })
+        .collect();
+    let ys: Vec<f64> = xs.iter().map(|r| r[0].max(-40.0) + r[1]).collect();
+    let params = ForestParams {
+        num_trees: 8,
+        mtry: Some(2),
+        ..ForestParams::default()
+    };
+    let forest = RandomForest::fit(&xs, &ys, &params);
+    let json = forest.to_json();
+    assert!(!json.contains("null"), "{json}");
+    // f64::MIN, as the JSON writes it
+    assert!(json.contains(r#""threshold":-17976931348623157"#), "{json}");
+    let back = RandomForest::from_json(&json).expect("the saved forest reads back");
+    assert_eq!(back, forest);
+    assert_eq!(back.to_json(), json);
+    let probes = [vec![f64::NEG_INFINITY, 1.0], vec![f64::MIN, 0.0]];
+    for x in xs.iter().chain(&probes) {
+        assert_eq!(back.predict(x).to_bits(), forest.predict(x).to_bits());
+    }
+}
+
 /// The fit as it was before presorting: every node clones its index list,
 /// sorts it by each drawn feature, and partitions into fresh vectors; every
 /// tree clones its bootstrap rows. Kept verbatim (bar paths, the `pub`s a
-/// test module needs and the threshold rule), so it panics on a NaN
+/// test module needs and the threshold rules), so it panics on a NaN
 /// feature as it did. Its types have the real ones' names and fields, so
 /// `{:?}` of both must agree.
 mod reference {
@@ -358,8 +393,10 @@ mod reference {
                     prefix_sq[k + 1] = prefix_sq[k] + ys[i] * ys[i];
                 }
                 for k in 1..n {
-                    // no split between equal feature values
-                    if xs[order[k - 1]][f] >= xs[order[k]][f] {
+                    // no split between equal feature values, nor where no
+                    // finite threshold separates −inf from the next value
+                    let (a, b) = (xs[order[k - 1]][f], xs[order[k]][f]);
+                    if a >= b || (a == f64::NEG_INFINITY && b <= f64::MIN) {
                         continue;
                     }
                     let (nl, nr) = (k as f64, (n - k) as f64);
@@ -369,11 +406,16 @@ mod reference {
                     let qr = prefix_sq[n] - ql;
                     let sse_split = (ql - sl * sl / nl) + (qr - sr * sr / nr);
                     if best.is_none_or(|(_, _, b)| sse_split < b) {
-                        let (a, b) = (xs[order[k - 1]][f], xs[order[k]][f]);
-                        // the fix the real fit took: `a` when the midpoint
-                        // is not in [a, b) (one ulp apart, or overflowed)
+                        // the fixes the real fit took: `a` when the midpoint
+                        // is not in [a, b) (one ulp apart, or overflowed),
+                        // and `f64::MIN` in place of a −inf threshold
                         let mid = 0.5 * (a + b);
                         let thr = if a <= mid && mid < b { mid } else { a };
+                        let thr = if a == f64::NEG_INFINITY {
+                            f64::MIN
+                        } else {
+                            thr
+                        };
                         best = Some((f, thr, sse_split));
                     }
                 }
