@@ -18,8 +18,9 @@
 //! after writing the temp file, before the rename — the log must survive
 //! untouched).
 
-use pressio_core::error::{Error, Result};
+use pressio_core::error::Result;
 use pressio_core::fs::{publish, quarantine};
+use pressio_core::options::json::{self, Reader};
 use pressio_core::Options;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -43,10 +44,32 @@ pub struct CheckpointStore {
     sync_every: usize,
 }
 
-#[derive(serde::Serialize, serde::Deserialize)]
-struct Record {
-    key: String,
-    value: Options,
+/// One record's line, newline included: `{"key":KEY,"value":OPTIONS}` in
+/// core's JSON form, which refuses a non-finite float before a byte is out.
+fn record_line(key: &str, value: &Options) -> Result<Vec<u8>> {
+    let mut line = b"{\"key\":".to_vec();
+    json::write_str(&mut line, key);
+    line.extend_from_slice(b",\"value\":");
+    json::write(value, &mut line, true)?;
+    line.extend_from_slice(b"}\n");
+    Ok(line)
+}
+
+/// The record a line holds, or `None` for a torn or malformed one.
+fn parse_record(line: &str) -> Option<(String, Options)> {
+    let mut p = Reader::new(line);
+    let (mut key, mut value) = (None, None);
+    p.object(0, |p, name, depth| {
+        match &*name {
+            "key" => key = Some(p.field(depth, Reader::string)?),
+            "value" => value = Some(p.field(depth, Reader::options)?),
+            _ => p.skip(depth)?,
+        }
+        Ok(())
+    })
+    .and_then(|()| p.end("trailing characters after the record"))
+    .ok()?;
+    Some((key?.ok()?, value?.ok()?))
 }
 
 /// One line per record of `index`, sorted by key (deterministic).
@@ -54,12 +77,7 @@ fn write_records(w: &mut dyn Write, index: &HashMap<String, Options>) -> Result<
     let mut keys: Vec<&String> = index.keys().collect();
     keys.sort();
     for key in keys {
-        let rec = Record {
-            key: key.clone(),
-            value: index[key].clone(),
-        };
-        let line = serde_json::to_string(&rec).map_err(|e| Error::Serialization(e.to_string()))?;
-        writeln!(w, "{line}")?;
+        w.write_all(&record_line(key, &index[key])?)?;
     }
     Ok(())
 }
@@ -74,31 +92,19 @@ impl CheckpointStore {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let mut records: Vec<Record> = Vec::new();
-        let mut bad_lines = 0usize;
-        let mut trailing_bad = false; // was the *last* non-empty line bad?
+        let mut index = HashMap::new();
+        let (mut bad_lines, mut trailing_bad) = (0usize, false); // was the *last* bad?
         if path.is_file() {
-            let reader = BufReader::new(std::fs::File::open(path)?);
-            for line in reader.lines() {
+            for line in BufReader::new(std::fs::File::open(path)?).lines() {
                 let line = line?;
                 if line.trim().is_empty() {
                     continue;
                 }
-                match serde_json::from_str::<Record>(&line) {
-                    Ok(rec) => {
-                        records.push(rec);
-                        trailing_bad = false;
-                    }
-                    Err(_) => {
-                        bad_lines += 1;
-                        trailing_bad = true;
-                    }
-                }
+                let record = parse_record(&line);
+                trailing_bad = record.is_none();
+                bad_lines += usize::from(trailing_bad);
+                index.extend(record);
             }
-        }
-        let mut index = HashMap::new();
-        for rec in records {
-            index.insert(rec.key, rec.value);
         }
         let mut quarantined = None;
         if bad_lines > 1 || (bad_lines == 1 && !trailing_bad) {
@@ -171,13 +177,7 @@ impl CheckpointStore {
     /// could still drop the record; the fsync closes that gap.
     pub fn put(&mut self, key: impl Into<String>, value: Options) -> Result<()> {
         let key = key.into();
-        let rec = Record {
-            key: key.clone(),
-            value: value.clone(),
-        };
-        let mut line =
-            serde_json::to_string(&rec).map_err(|e| Error::Serialization(e.to_string()))?;
-        line.push('\n');
+        let line = record_line(&key, &value)?;
         pressio_faults::inject("store:put.io")?;
         if self.tail_dirty {
             // a previous append failed mid-line; terminate that fragment
@@ -187,12 +187,12 @@ impl CheckpointStore {
         }
         if pressio_faults::check("store:put.torn").is_some() {
             // persist only a prefix, as a crash mid-append would
-            self.file.write_all(&line.as_bytes()[..line.len() / 2])?;
+            self.file.write_all(&line[..line.len() / 2])?;
             self.file.flush()?;
             self.tail_dirty = true;
             return Err(pressio_faults::injected_error("store:put.torn"));
         }
-        if let Err(e) = self.file.write_all(line.as_bytes()) {
+        if let Err(e) = self.file.write_all(&line) {
             self.tail_dirty = true; // unknown how much hit the file
             return Err(e.into());
         }
@@ -482,5 +482,27 @@ mod tests {
         }
         let s = CheckpointStore::open(&path).unwrap();
         assert_eq!(s.get("k").unwrap(), &value);
+    }
+
+    /// A result holding a NaN is refused by key before the log is
+    /// touched: a good record after it does not make the next open
+    /// quarantine the log.
+    #[test]
+    fn a_non_finite_result_is_refused_and_the_log_stays_clean() {
+        let path = temp("non_finite.jsonl");
+        {
+            let mut s = CheckpointStore::open(&path).unwrap();
+            match s.put("nan", Options::new().with("ratio", f64::NAN)) {
+                Err(pressio_core::Error::InvalidValue { key, .. }) => assert_eq!(key, "ratio"),
+                other => panic!("{other:?}"),
+            }
+            assert!(!s.contains("nan"));
+            s.put("good", Options::new().with("ratio", 2.0)).unwrap();
+        }
+        let s = CheckpointStore::open(&path).unwrap();
+        assert!(s.quarantined().is_none());
+        assert_eq!(s.recovered_torn(), 0);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.get("good").unwrap().get_f64("ratio").unwrap(), 2.0);
     }
 }

@@ -2,10 +2,9 @@
 
 use crate::error::{Error, Result};
 use crate::lattice::gather;
-use serde::{Deserialize, Serialize};
 
 /// Element type of a buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dtype {
     /// 32-bit IEEE float (the dominant type in HPC outputs).
     F32,
@@ -55,7 +54,7 @@ impl Dtype {
 
 /// Typed storage. Keeping per-type vectors (instead of a `Vec<u8>` blob)
 /// guarantees alignment for safe typed slices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Storage {
     F32(Vec<f32>),
     F64(Vec<f64>),
@@ -103,7 +102,7 @@ macro_rules! with_elements {
 /// Dimensions follow LibPressio's convention: `dims[0]` is the **fastest**
 /// varying dimension. A Hurricane Isabel field is
 /// `dims = [500, 500, 100]` (x fastest, z slowest).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Data {
     dims: Vec<usize>,
     storage: Storage,

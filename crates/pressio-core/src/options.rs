@@ -7,12 +7,13 @@
 
 use crate::error::{Error, Result};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
+pub mod json;
+
 /// An ordered, typed option map.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Options {
     entries: BTreeMap<String, Value>,
 }
@@ -200,14 +201,26 @@ impl Options {
         Options { entries }
     }
 
-    /// Serialize to a canonical JSON string (sorted keys by construction).
+    /// The canonical JSON text ([`json`]; sorted keys by construction). A
+    /// non-finite float is refused as an [`Error::InvalidValue`] naming
+    /// its key.
     pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string(&self).map_err(|e| Error::Serialization(e.to_string()))
+        let mut out = Vec::new();
+        json::write(self, &mut out, true)?;
+        Ok(String::from_utf8(out).expect("the JSON writer writes UTF-8"))
     }
 
-    /// Parse from the JSON produced by [`Options::to_json`].
+    /// Parse any JSON text [`json::Reader::options`] reads.
     pub fn from_json(s: &str) -> Result<Options> {
-        serde_json::from_str(s).map_err(|e| Error::Serialization(e.to_string()))
+        let mut reader = json::Reader::new(s);
+        let options = reader.options(0);
+        options
+            .and_then(|o| {
+                reader
+                    .end("trailing characters after the options")
+                    .map(|()| o)
+            })
+            .map_err(|fault| Error::Serialization(fault.to_string()))
     }
 }
 

@@ -1,6 +1,5 @@
 //! Typed option values, mirroring `pressio_option` from LibPressio.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dynamically-typed configuration value.
@@ -11,7 +10,7 @@ use std::fmt;
 /// label, and is deliberately **excluded from option hashing** (see
 /// [`crate::hash::hash_options`]) exactly as the paper's Section 4.3 footnote
 /// requires.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Boolean flag.
     Bool(bool),
@@ -255,10 +254,24 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        let v = Value::F64Vec(vec![1.0, 2.5]);
-        let json = serde_json::to_string(&v).unwrap();
-        let back: Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(v, back);
+    fn json_round_trip_of_each_variant() {
+        let values = [
+            Value::Bool(true),
+            Value::I64(i64::MIN),
+            Value::U64(u64::MAX),
+            Value::F64(-0.0),
+            Value::Str("a\"b\n\u{1}é".into()),
+            Value::F64Vec(vec![1.0, 2.5, 5e-324, f64::MAX]),
+            Value::U64Vec(vec![0, 7]),
+            Value::StrVec(vec![String::new(), "x".into()]),
+            Value::Bytes(vec![0, 128, 255]),
+            Value::Opaque("mpi_comm".into()),
+        ];
+        for v in values {
+            let options = crate::Options::new().with("k", v.clone());
+            let back = crate::Options::from_json(&options.to_json().unwrap()).unwrap();
+            // `Debug` tells -0.0 from 0.0, which `==` does not
+            assert_eq!(format!("{:?}", back.get("k")), format!("{:?}", Some(&v)));
+        }
     }
 }

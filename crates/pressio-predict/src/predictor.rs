@@ -704,6 +704,28 @@ mod tests {
         );
     }
 
+    /// A feature column near 1e300 squares past f64's range: the MLP's
+    /// scale stays finite, so its state loads back bit for bit and it
+    /// predicts a finite positive ratio.
+    #[test]
+    fn mlp_state_with_a_1e300_column_loads_back() {
+        let (mut features, targets) = training_set(40);
+        for (i, f) in features.iter_mut().enumerate() {
+            f.set("variogram:score", 1e300 * (1.0 + i as f64 / 40.0));
+        }
+        let mut p = MlpPredictor::new(vec![
+            "qent:entropy".to_string(),
+            "variogram:score".to_string(),
+        ]);
+        p.fit(&features, &targets).unwrap();
+        let state = p.state().unwrap();
+        let mut q = MlpPredictor::new(vec![]);
+        q.load_state(&state).unwrap();
+        assert_eq!(q.state().unwrap(), state);
+        let ratio = q.predict(&features[3]).unwrap();
+        assert!(ratio.is_finite() && ratio > 0.0, "{ratio}");
+    }
+
     #[test]
     fn linear_state_round_trip() {
         let (features, targets) = training_set(50);

@@ -265,4 +265,18 @@ mod tests {
         record.abs = -1.0;
         assert!(decode(&record.encode().unwrap()).is_err());
     }
+
+    /// A NaN predicted ratio has no JSON form: encode refuses it by key
+    /// instead of writing a `null` that `decode` refuses.
+    #[test]
+    fn encode_refuses_a_non_finite_predicted_ratio() {
+        let record = DecisionRecord {
+            predicted_ratio: f64::NAN,
+            ..sample()
+        };
+        match record.encode() {
+            Err(Error::InvalidValue { key, .. }) => assert_eq!(key, "select:predicted_ratio"),
+            other => panic!("{other:?}"),
+        }
+    }
 }

@@ -256,4 +256,29 @@ mod tests {
             journal.remove(id).unwrap();
         }
     }
+
+    /// A record holding a NaN is refused by key before the file is
+    /// touched, so the records appended after it still load.
+    #[test]
+    fn a_non_finite_record_is_refused_and_the_journal_stays_readable() {
+        let dir = temp_store("non_finite");
+        let journal = SessionJournal::open(&dir).unwrap();
+        journal.reset("s").unwrap();
+        journal.append("s", &record(1)).unwrap();
+        let before = std::fs::read(journal.path("s")).unwrap();
+        match journal.append("s", &record(2).with("j:prediction", f64::NAN)) {
+            Err(Error::InvalidValue { key, .. }) => assert_eq!(key, "j:prediction"),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(std::fs::read(journal.path("s")).unwrap(), before);
+        journal.append("s", &record(3)).unwrap();
+        let seqs: Vec<u64> = journal
+            .load("s")
+            .unwrap()
+            .unwrap()
+            .iter()
+            .map(|r| r.get_u64("j:seq").unwrap())
+            .collect();
+        assert_eq!(seqs, [1, 3]);
+    }
 }

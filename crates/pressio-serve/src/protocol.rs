@@ -9,10 +9,11 @@
 //! ```
 //!
 //! where the header is `{"options": <Options JSON without its Bytes
-//! entries>, "blobs": [[key, len], ...]}` (written and parsed directly by
-//! the `header` module) and the payload is those byte values concatenated
-//! in table order — a buffer costs one wire byte per data byte and is read
-//! straight into the `Vec<u8>` that becomes its [`Value::Bytes`]. Reusing
+//! entries>, "blobs": [[key, len], ...]}` (core's one JSON form of
+//! [`Options`], `pressio_core::options::json`, plus the blob table) and the
+//! payload is those byte values concatenated in table order — a buffer
+//! costs one wire byte per data byte and is read straight into the
+//! `Vec<u8>` that becomes its [`Value::Bytes`]. Reusing
 //! `Options` as the envelope keeps the protocol self-describing the same
 //! way every other LibPressio object is: no schema negotiation, unknown
 //! keys are ignored. A peer whose first word
@@ -26,9 +27,8 @@
 //! — notably `overloaded` (bounded queue full; retry later) and
 //! `deadline_exceeded` (the request waited past its deadline).
 
-mod header;
-
 use pressio_core::error::{Error, Result};
+use pressio_core::options::json::{self, Parsed, Reader};
 use pressio_core::{Options, Value};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -127,8 +127,11 @@ pub fn op_name(request: &Options) -> &str {
 /// Serialize one frame without writing it. A non-finite float has no
 /// JSON form: it is refused as an [`Error::InvalidValue`] naming its key.
 pub fn frame_bytes(msg: &Options) -> Result<Vec<u8>> {
-    let blobs = || msg.iter().filter_map(|(_, value)| value.as_bytes());
-    let payload_len: usize = blobs().map(<[u8]>::len).sum();
+    let blobs = || {
+        msg.iter()
+            .filter_map(|(key, value)| Some((key, value.as_bytes()?)))
+    };
+    let payload_len: usize = blobs().map(|(_, blob)| blob.len()).sum();
     let too_big = |body_len: usize| {
         Error::Serialization(format!(
             "frame of {body_len} bytes exceeds MAX_FRAME ({MAX_FRAME})"
@@ -144,7 +147,15 @@ pub fn frame_bytes(msg: &Options) -> Result<Vec<u8>> {
     let mut frame = Vec::with_capacity(16 + 256 + payload_len);
     frame.extend_from_slice(&MAGIC);
     frame.extend_from_slice(&[0; 12]);
-    header::write(msg, &mut frame)?;
+    frame.extend_from_slice(br#"{"options":"#);
+    json::write(msg, &mut frame, false)?;
+    frame.extend_from_slice(br#","blobs":["#);
+    for (i, (key, blob)) in blobs().enumerate() {
+        frame.extend_from_slice(if i > 0 { b",[" } else { b"[" });
+        json::write_str(&mut frame, key);
+        write!(frame, ",{}]", blob.len())?;
+    }
+    frame.extend_from_slice(b"]}");
     let header_len = frame.len() - 16;
     let body_len = header_len + payload_len;
     if body_len > MAX_FRAME {
@@ -153,7 +164,7 @@ pub fn frame_bytes(msg: &Options) -> Result<Vec<u8>> {
     frame[4..8].copy_from_slice(&(header_len as u32).to_be_bytes());
     frame[8..16].copy_from_slice(&(payload_len as u64).to_be_bytes());
     frame.reserve_exact(payload_len);
-    for blob in blobs() {
+    for (_, blob) in blobs() {
         frame.extend_from_slice(blob);
     }
     Ok(frame)
@@ -254,7 +265,7 @@ pub fn read_frame_polled(
     let mut header = vec![0u8; header_len as usize];
     fill(r, &mut header, stop, false)?;
     let (mut options, blobs) =
-        header::read(&header).map_err(|e| Error::CorruptStream(format!("frame header: {e}")))?;
+        read_header(&header).map_err(|e| Error::CorruptStream(format!("frame header: {e}")))?;
     if options.iter().any(|(_, v)| matches!(v, Value::Bytes(_))) {
         return Err(Error::CorruptStream(
             "frame header carries a byte value inline; bytes travel in the payload".into(),
@@ -280,6 +291,50 @@ pub fn read_frame_polled(
         options.set(key, bytes);
     }
     Ok(Some(options))
+}
+
+/// Parse a header: the message without its byte values (inline `Bytes`
+/// entries included, for the caller to refuse), and the blob table. The
+/// members follow [`json`]'s rules.
+fn read_header(header: &[u8]) -> std::result::Result<(Options, Vec<(String, u64)>), String> {
+    let text = std::str::from_utf8(header).map_err(|e| format!("invalid UTF-8: {e}"))?;
+    let mut p = Reader::new(text);
+    let (mut options, mut blobs) = (None, None);
+    let parsed = p
+        .object(0, |p, key, depth| {
+            match &*key {
+                "options" => options = Some(p.field(depth, Reader::options)?),
+                "blobs" => blobs = Some(p.field(depth, blob_table)?),
+                _ => p.skip(depth)?,
+            }
+            Ok(())
+        })
+        .and_then(|()| p.end("trailing characters after the header"))
+        .and_then(|()| {
+            let options = options.ok_or_else(|| p.err("missing field `options`"))??;
+            let blobs = blobs.ok_or_else(|| p.err("missing field `blobs`"))??;
+            Ok((options, blobs))
+        });
+    parsed.map_err(|fault| fault.to_string())
+}
+
+/// `[[KEY, LENGTH], ...]`.
+fn blob_table(p: &mut Reader, depth: usize) -> Parsed<Vec<(String, u64)>> {
+    p.vec(depth, |p, depth| {
+        let (mut key, mut len) = (None, None);
+        p.array(depth, |p, depth| {
+            if key.is_none() {
+                key = Some(p.string(depth)?);
+            } else if len.is_none() {
+                len = Some(p.u64(depth)?);
+            } else {
+                return Err(p.err("a blob entry is [key, length]"));
+            }
+            Ok(())
+        })?;
+        key.zip(len)
+            .ok_or_else(|| p.err("a blob entry is [key, length]"))
+    })
 }
 
 /// A server connection's next request, or `None` when the connection is

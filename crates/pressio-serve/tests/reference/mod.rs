@@ -3,38 +3,45 @@
 //! The frame header as `serde_json` wrote and read it through a derived
 //! `Header` struct, before the protocol wrote and parsed it directly: the
 //! reference the direct codec is held to, byte for byte and case for case.
+//! Its `options` is [`mirror::Mirror`], the derive `Options` had.
 
+pub mod mirror;
+
+use mirror::Mirror;
 use pressio_core::{Options, Value};
 use serde::{Deserialize, Serialize};
 
 #[derive(Serialize, Deserialize)]
 struct Header {
-    options: Options,
+    options: Mirror,
     blobs: Vec<(String, u64)>,
 }
 
 /// The header the serde derive printed for `msg`.
 pub fn header_bytes(msg: &Options) -> Vec<u8> {
-    let mut header = Header {
-        options: Options::new(),
-        blobs: Vec::new(),
-    };
+    let mut options = Options::new();
+    let mut blobs = Vec::new();
     for (key, value) in msg.iter() {
         match value {
-            Value::Bytes(bytes) => header.blobs.push((key.to_string(), bytes.len() as u64)),
+            Value::Bytes(bytes) => blobs.push((key.to_string(), bytes.len() as u64)),
             other => {
-                header.options.set(key, other.clone());
+                options.set(key, other.clone());
             }
         }
     }
+    let header = Header {
+        options: Mirror::from(&options),
+        blobs,
+    };
     serde_json::to_vec(&header).expect("the serde writer cannot fail")
 }
 
 /// What the serde reader made of a frame whose prefix is true: `header`
 /// then `payload`. Errors are only told apart from successes.
 pub fn read_frame(header: &[u8], payload: &[u8]) -> Result<Options, String> {
-    let Header { mut options, blobs } =
+    let Header { options, blobs } =
         serde_json::from_slice(header).map_err(|e| format!("frame header: {e}"))?;
+    let mut options = Options::from(options);
     if options.iter().any(|(_, v)| matches!(v, Value::Bytes(_))) {
         return Err("inline bytes".into());
     }

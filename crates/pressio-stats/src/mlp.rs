@@ -92,8 +92,17 @@ impl Mlp {
                 *s += (x - m) * (x - m) / n as f64;
             }
         }
-        for s in &mut x_stds {
-            *s = s.sqrt().max(1e-12);
+        for (j, (s, &m)) in x_stds.iter_mut().zip(&x_means).enumerate() {
+            *s = if s.is_finite() {
+                s.sqrt()
+            } else {
+                // the squares overflowed (|x - mean| past ~1.3e154): sum
+                // them again scaled by the column's largest deviation
+                let scale = xs.iter().map(|r| (r[j] - m).abs()).fold(0.0, f64::max);
+                let dev = |r: &Vec<f64>| ((r[j] - m) / scale).powi(2) / n as f64;
+                scale * xs.iter().map(dev).sum::<f64>().sqrt()
+            }
+            .max(1e-12);
         }
         let y_mean = ys.iter().sum::<f64>() / n as f64;
         let y_std = (ys.iter().map(|y| (y - y_mean) * (y - y_mean)).sum::<f64>() / n as f64)

@@ -473,4 +473,16 @@ mod tests {
         // an end marker prefix parses as a chunk record with outer == 0
         assert_eq!(ChunkRecord::parse_prefix(&bytes).outer, 0);
     }
+
+    /// A NaN codec option has no JSON form: encode refuses it by key, and
+    /// nothing is written for a reader to choke on.
+    #[test]
+    fn encode_refuses_a_non_finite_codec_option() {
+        let mut header = sample();
+        header.codec_options.set("sz3:tolerance", f64::NAN);
+        match header.encode() {
+            Err(Error::InvalidValue { key, .. }) => assert_eq!(key, "sz3:tolerance"),
+            other => panic!("{other:?}"),
+        }
+    }
 }
