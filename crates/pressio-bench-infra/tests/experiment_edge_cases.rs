@@ -1,7 +1,7 @@
 //! Edge-case coverage for the Table 2 experiment driver: configuration
 //! errors fail loudly, folds clamp sensibly, single-bound runs work, and
-//! extracting features beside the truth pool changes no result and loses
-//! no finished truth.
+//! running the truth, feature and fold tasks as one graph on one pool
+//! changes no result and loses no finished truth.
 
 use pressio_bench_infra::experiment::{run_table2, Table2, Table2Config};
 use pressio_core::Data;
@@ -121,8 +121,8 @@ fn two_codecs() -> Table2Config {
     }
 }
 
-/// The features are extracted beside the truth pool: neither its width
-/// nor a checkpoint that answers every truth moves a bit of the table.
+/// Truth and feature tasks share one pool: neither its width nor a
+/// checkpoint that answers every truth moves a bit of the table.
 #[test]
 fn the_table_is_the_same_at_any_worker_count_cold_or_resumed() {
     let dir = std::env::temp_dir().join("pressio_table2_schedules");

@@ -710,7 +710,7 @@ fn invalidation(study: &Study, out: &mut dyn Write) -> Result<()> {
 /// Every form must produce the same streams. `--dims` is not used: the
 /// shapes are the table's rows. Quick mode is one field.
 fn lorenzo(study: &Study, out: &mut dyn Write) -> Result<()> {
-    use pressio_sz::lorenzo::Kernel;
+    use pressio_sz::lorenzo::{Encoded, Kernel};
     const SHAPES: [[usize; 3]; 4] = [[16, 16, 8], [32, 32, 16], [64, 64, 16], [128, 128, 64]];
     let fields: &[&str] = if study.quick {
         &["P"]
@@ -745,9 +745,11 @@ fn lorenzo(study: &Study, out: &mut dyn Write) -> Result<()> {
                 best * 1e6 / n as f64
             };
             let reference = forms[0].encode(values, dims, bound, false, Vec::new());
-            let decoded = forms[0]
-                .decode::<f32>(dims, bound, &reference.symbols, &reference.unpredictable)
-                .unwrap();
+            let decode = |kernel: Kernel, coded: &Encoded| {
+                let escapes = coded.unpredictable.iter().copied();
+                kernel.decode::<f32, _>(dims, bound, &coded.symbols[..], escapes)
+            };
+            let decoded = decode(forms[0], &reference).unwrap();
             let (mut encode_ns, mut decode_ns, mut equal) = (Vec::new(), Vec::new(), true);
             for kernel in forms {
                 let coded = kernel.encode(values, dims, bound, false, Vec::new());
@@ -755,15 +757,12 @@ fn lorenzo(study: &Study, out: &mut dyn Write) -> Result<()> {
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 equal &= *symbols == reference.symbols
                     && bits(verbatim) == bits(&reference.unpredictable)
-                    && kernel
-                        .decode::<f32>(dims, bound, symbols, verbatim)
-                        .unwrap()
-                        == decoded;
+                    && decode(kernel, &coded).unwrap() == decoded;
                 encode_ns.push(ns_per_element(&mut || {
                     std::hint::black_box(kernel.encode(values, dims, bound, false, Vec::new()));
                 }));
                 decode_ns.push(ns_per_element(&mut || {
-                    std::hint::black_box(kernel.decode::<f32>(dims, bound, symbols, verbatim).ok());
+                    std::hint::black_box(decode(kernel, &coded).ok());
                 }));
             }
             all_equal &= equal;

@@ -31,6 +31,14 @@ impl BitWriter {
         }
     }
 
+    /// Writer that appends to `bytes`.
+    pub(crate) fn appending(bytes: Vec<u8>) -> Self {
+        BitWriter {
+            bytes,
+            ..Self::default()
+        }
+    }
+
     /// Total bits written so far.
     pub fn len_bits(&self) -> usize {
         self.bytes.len() * 8 + self.nbits as usize

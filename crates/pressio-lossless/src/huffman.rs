@@ -8,6 +8,8 @@
 //! header, and both encoder and decoder derive identical codebooks from it.
 
 use crate::bitstream::{BitReader, BitWriter};
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Errors from Huffman coding.
@@ -503,90 +505,187 @@ pub const ENC_SHARD: usize = 1 << 15;
 /// lengths ride in the header. Single-threaded output is byte-identical to
 /// any parallel output because shard boundaries are a format constant.
 pub fn compress_symbols_sharded(symbols: &[u32], nthreads: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_symbols_sharded(symbols, nthreads, &mut out);
+    out
+}
+
+/// [`compress_symbols_sharded`] appended to `out`. The shard-length table
+/// is written as zeros and filled in once the shards are written: at one
+/// thread each shard is encoded straight onto `out`, at more each into a
+/// buffer of its own, in parallel. `out` grows once, by a bound taken from
+/// the histogram.
+pub fn write_symbols_sharded(symbols: &[u32], nthreads: usize, out: &mut Vec<u8>) {
     let freqs = histogram_par(symbols, nthreads);
     let book = Codebook::from_frequencies(&freqs);
-    let encode_shard = |shard: &[u32]| -> Vec<u8> {
-        let mut sw = BitWriter::with_capacity(shard.len() / 2);
-        book.encode(shard, &mut sw)
-            .expect("all symbols present in freshly built codebook");
-        sw.into_bytes()
-    };
-    let payloads: Vec<Vec<u8>> = if nthreads <= 1 || symbols.len() <= ENC_SHARD {
-        symbols.chunks(ENC_SHARD).map(encode_shard).collect()
-    } else {
-        rayon::par_chunks(symbols, ENC_SHARD, |_, shard| encode_shard(shard))
-    };
-    let mut w = BitWriter::new();
+    let n_shards = symbols.len().div_ceil(ENC_SHARD);
+    let mut w = BitWriter::appending(std::mem::take(out));
     book.write_table(&mut w);
     w.write_bits(symbols.len() as u64, 64);
-    w.write_bits(payloads.len() as u64, 64);
-    for p in &payloads {
-        w.write_bits(p.len() as u64, 64);
+    w.write_bits(n_shards as u64, 64);
+    let lengths_at = w.len_bits();
+    for _ in 0..n_shards {
+        w.write_bits(0, 64);
     }
-    for p in &payloads {
-        w.write_bytes_aligned(p);
+    *out = w.into_bytes();
+    // every code's bits, and at most a byte of padding per shard
+    let bits: u64 = freqs
+        .iter()
+        .map(|&(s, f)| f * book.code_length(s).map_or(0, u64::from))
+        .sum();
+    out.reserve(bits.div_ceil(8) as usize + n_shards);
+    let encode = |shard: &[u32], w: &mut BitWriter| {
+        book.encode(shard, w)
+            .expect("all symbols present in freshly built codebook")
+    };
+    let mut lengths = Vec::with_capacity(n_shards);
+    if nthreads <= 1 || n_shards <= 1 {
+        for shard in symbols.chunks(ENC_SHARD) {
+            let (start, mut w) = (out.len(), BitWriter::appending(std::mem::take(out)));
+            encode(shard, &mut w);
+            *out = w.into_bytes();
+            lengths.push(out.len() - start);
+        }
+    } else {
+        for payload in rayon::par_chunks(symbols, ENC_SHARD, |_, shard| {
+            let mut w = BitWriter::with_capacity(shard.len() / 2);
+            encode(shard, &mut w);
+            w.into_bytes()
+        }) {
+            lengths.push(payload.len());
+            out.extend_from_slice(&payload);
+        }
     }
-    w.into_bytes()
+    // the lengths' bits into the zeros written for them
+    for (i, len) in lengths.into_iter().enumerate() {
+        for bit in (0..64).filter(|bit| len >> bit & 1 == 1) {
+            let at = lengths_at + 64 * i + bit;
+            out[at / 8] |= 1 << (at % 8);
+        }
+    }
+}
+
+/// A stream [`compress_symbols_sharded`] wrote, borrowed or owned, its
+/// code table and shard table read and checked against its length; its
+/// symbols are decoded as [`ShardedSymbols::take`] reads them.
+pub struct ShardedSymbols<'a> {
+    bytes: Cow<'a, [u8]>,
+    book: Codebook,
+    count: usize,
+    /// Each shard's payload in `bytes` and how many symbols it holds.
+    shards: Vec<(Range<usize>, usize)>,
+    /// Shards decoded so far, into `buf`, of which `taken` symbols are read.
+    decoded: usize,
+    buf: Vec<u32>,
+    taken: usize,
+}
+
+impl<'a> ShardedSymbols<'a> {
+    /// Read everything of `bytes` but the shards' contents: a stream too
+    /// short for what its header claims is refused here, before anything
+    /// is sized by the claim.
+    pub fn parse(bytes: impl Into<Cow<'a, [u8]>>) -> Result<Self, HuffmanError> {
+        let bytes = bytes.into();
+        let mut r = BitReader::new(&bytes);
+        let book = Codebook::read_table(&mut r)?;
+        let count = r
+            .read_bits(64)
+            .ok_or(HuffmanError::Corrupt("missing count"))? as usize;
+        if count > 0 && book.is_empty() {
+            return Err(HuffmanError::Corrupt("empty codebook with nonzero count"));
+        }
+        // every symbol costs at least one bit: a larger count is corrupt (and
+        // must be rejected before Vec::with_capacity aborts on it)
+        if count > r.remaining_bits() {
+            return Err(HuffmanError::Corrupt("count exceeds stream"));
+        }
+        let n_shards = r
+            .read_bits(64)
+            .ok_or(HuffmanError::Corrupt("missing shard count"))? as usize;
+        if n_shards != count.div_ceil(ENC_SHARD) {
+            return Err(HuffmanError::Corrupt("shard count mismatch"));
+        }
+        let mut shard_bytes = Vec::with_capacity(n_shards);
+        for _ in 0..n_shards {
+            let len = r
+                .read_bits(64)
+                .ok_or(HuffmanError::Corrupt("truncated shard table"))?
+                as usize;
+            if len > bytes.len() {
+                return Err(HuffmanError::Corrupt("shard length exceeds stream"));
+            }
+            shard_bytes.push(len);
+        }
+        let mut shards = Vec::with_capacity(n_shards);
+        for (i, &len) in shard_bytes.iter().enumerate() {
+            let start = r.bit_position().div_ceil(8);
+            let payload = r
+                .read_bytes_aligned(len)
+                .ok_or(HuffmanError::Corrupt("truncated shard payload"))?;
+            let n_syms = ENC_SHARD.min(count - i * ENC_SHARD);
+            if n_syms > payload.len() * 8 {
+                return Err(HuffmanError::Corrupt("shard count exceeds payload"));
+            }
+            shards.push((start..start + len, n_syms));
+        }
+        let (decoded, buf, taken) = (0, Vec::new(), 0);
+        Ok(ShardedSymbols {
+            bytes,
+            book,
+            count,
+            shards,
+            decoded,
+            buf,
+            taken,
+        })
+    }
+
+    /// Symbols in the stream.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// The next `len` symbols; fewer only where the stream ends. Shards are
+    /// decoded `nthreads` at a time (in parallel) into one buffer, whose
+    /// symbols already read are dropped first; a shard that does not
+    /// decode is an error when the read reaches it.
+    pub fn take(&mut self, len: usize, nthreads: usize) -> Result<&[u32], HuffmanError> {
+        if self.buf.len() - self.taken < len {
+            self.buf.drain(..self.taken);
+            self.taken = 0;
+            while self.buf.len() < len && self.decoded < self.shards.len() {
+                let window = nthreads.clamp(1, self.shards.len() - self.decoded);
+                let shards = &self.shards[self.decoded..][..window];
+                if nthreads <= 1 || window == 1 {
+                    for (payload, n_syms) in shards {
+                        let mut r = BitReader::new(&self.bytes[payload.clone()]);
+                        self.book.decode_onto(&mut r, *n_syms, &mut self.buf)?;
+                    }
+                } else {
+                    for shard in rayon::par_chunks(shards, 1, |_, shard| {
+                        let (payload, n_syms) = &shard[0];
+                        let mut r = BitReader::new(&self.bytes[payload.clone()]);
+                        self.book.decode(&mut r, *n_syms)
+                    }) {
+                        self.buf.extend_from_slice(&shard?);
+                    }
+                }
+                self.decoded += window;
+            }
+        }
+        let read = &self.buf[self.taken..][..len.min(self.buf.len() - self.taken)];
+        self.taken += read.len();
+        Ok(read)
+    }
 }
 
 /// Inverse of [`compress_symbols_sharded`]; shards decode in parallel when
 /// `nthreads > 1`, with identical results at any thread count.
 pub fn decompress_symbols_sharded(bytes: &[u8], nthreads: usize) -> Result<Vec<u32>, HuffmanError> {
-    let mut r = BitReader::new(bytes);
-    let book = Codebook::read_table(&mut r)?;
-    let count = r
-        .read_bits(64)
-        .ok_or(HuffmanError::Corrupt("missing count"))? as usize;
-    if count > 0 && book.is_empty() {
-        return Err(HuffmanError::Corrupt("empty codebook with nonzero count"));
-    }
-    // every symbol costs at least one bit: a larger count is corrupt (and
-    // must be rejected before Vec::with_capacity aborts on it)
-    if count > r.remaining_bits() {
-        return Err(HuffmanError::Corrupt("count exceeds stream"));
-    }
-    let n_shards = r
-        .read_bits(64)
-        .ok_or(HuffmanError::Corrupt("missing shard count"))? as usize;
-    if n_shards != count.div_ceil(ENC_SHARD) {
-        return Err(HuffmanError::Corrupt("shard count mismatch"));
-    }
-    let mut shard_bytes = Vec::with_capacity(n_shards);
-    for _ in 0..n_shards {
-        let len = r
-            .read_bits(64)
-            .ok_or(HuffmanError::Corrupt("truncated shard table"))? as usize;
-        if len > bytes.len() {
-            return Err(HuffmanError::Corrupt("shard length exceeds stream"));
-        }
-        shard_bytes.push(len);
-    }
-    let mut shards: Vec<(&[u8], usize)> = Vec::with_capacity(n_shards);
-    for (i, &len) in shard_bytes.iter().enumerate() {
-        let payload = r
-            .read_bytes_aligned(len)
-            .ok_or(HuffmanError::Corrupt("truncated shard payload"))?;
-        let n_syms = ENC_SHARD.min(count - i * ENC_SHARD);
-        if n_syms > payload.len() * 8 {
-            return Err(HuffmanError::Corrupt("shard count exceeds payload"));
-        }
-        shards.push((payload, n_syms));
-    }
-    let mut out = Vec::with_capacity(count);
-    if nthreads <= 1 || n_shards <= 1 {
-        for (payload, n_syms) in shards {
-            book.decode_onto(&mut BitReader::new(payload), n_syms, &mut out)?;
-        }
-    } else {
-        let decoded = rayon::par_chunks(&shards, 1, |_, shard| {
-            let (payload, n_syms) = shard[0];
-            book.decode(&mut BitReader::new(payload), n_syms)
-        });
-        for shard in decoded {
-            out.extend_from_slice(&shard?);
-        }
-    }
-    Ok(out)
+    let mut stream = ShardedSymbols::parse(bytes)?;
+    stream.buf.reserve_exact(stream.count);
+    stream.take(stream.count, nthreads)?;
+    Ok(stream.buf)
 }
 
 /// Histogram of a symbol stream as sorted `(symbol, count)` pairs.

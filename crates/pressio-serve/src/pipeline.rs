@@ -69,8 +69,14 @@ struct Shared {
     cond: Condvar,
     capacity: usize,
     batch_max: usize,
-    /// New submissions are rejected once draining starts.
+    /// New submissions are rejected once draining starts. Set with
+    /// `queue`'s lock held, so no worker is between its check of the flag
+    /// and its wait on `cond` when the flag changes.
     draining: AtomicBool,
+    /// Run by a worker between its check of `draining` and its wait, the
+    /// queue lock held: where a test parks one.
+    #[cfg(test)]
+    before_wait: Option<fn(&AtomicBool)>,
 }
 
 /// Handle to the worker pool; dropping without [`Pipeline::shutdown`] joins
@@ -90,13 +96,24 @@ impl Pipeline {
         workers: usize,
         handler: Arc<dyn Fn(Vec<WorkItem>) + Send + Sync>,
     ) -> Pipeline {
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             queue: Mutex::new(VecDeque::new()),
             cond: Condvar::new(),
             capacity: capacity.max(1),
             batch_max: batch_max.max(1),
             draining: AtomicBool::new(false),
-        });
+            #[cfg(test)]
+            before_wait: None,
+        };
+        Self::spawn(shared, workers, handler)
+    }
+
+    fn spawn(
+        shared: Shared,
+        workers: usize,
+        handler: Arc<dyn Fn(Vec<WorkItem>) + Send + Sync>,
+    ) -> Pipeline {
+        let shared = Arc::new(shared);
         let workers = (0..workers.max(1))
             .map(|w| {
                 let shared = shared.clone();
@@ -117,11 +134,13 @@ impl Pipeline {
     /// capacity or the pipeline is draining. On rejection the item is
     /// handed back so the caller can answer `overloaded` itself.
     pub fn submit(&self, item: WorkItem) -> std::result::Result<(), WorkItem> {
-        if self.shared.draining.load(Ordering::Acquire) {
-            return Err(item);
-        }
         {
             let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            // under the lock: a worker that saw the queue empty and draining
+            // set has exited, and an item pushed now would never be answered
+            if self.shared.draining.load(Ordering::Acquire) {
+                return Err(item);
+            }
             if queue.len() >= self.shared.capacity {
                 pressio_obs::add_counter("serve:queue.rejected", 1);
                 return Err(item);
@@ -146,7 +165,10 @@ impl Pipeline {
     /// already queued, then join them. Idempotent — later calls find the
     /// handle list already empty.
     pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::Release);
+        {
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.draining.store(true, Ordering::Release);
+        }
         self.shared.cond.notify_all();
         let workers = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|e| e.into_inner()));
         for w in workers {
@@ -178,6 +200,10 @@ fn worker_loop(shared: &Shared, handler: &(dyn Fn(Vec<WorkItem>) + Send + Sync))
                 }
                 if shared.draining.load(Ordering::Acquire) {
                     return;
+                }
+                #[cfg(test)]
+                if let Some(park) = &shared.before_wait {
+                    park(&shared.draining);
                 }
                 queue = shared.cond.wait(queue).unwrap_or_else(|e| e.into_inner());
             }
@@ -304,6 +330,47 @@ mod tests {
         let resp = doomed_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(protocol::is_error(&resp, code::DEADLINE_EXCEEDED), "{resp}");
         p.shutdown();
+    }
+
+    #[test]
+    fn shutdown_wakes_a_worker_between_its_check_and_its_wait() {
+        // the one worker parks after it found the queue empty and the flag
+        // clear, until the flag is set or 300 ms pass; a shutdown that sets
+        // the flag without the queue lock lets it go on to wait for a
+        // notification already sent, and the join never returns
+        static PARKED: AtomicBool = AtomicBool::new(false);
+        fn park(draining: &AtomicBool) {
+            if !PARKED.swap(true, Ordering::AcqRel) {
+                let until = Instant::now() + Duration::from_millis(300);
+                while !draining.load(Ordering::Acquire) && Instant::now() < until {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }
+        let shared = Shared {
+            queue: Mutex::new(VecDeque::new()),
+            cond: Condvar::new(),
+            capacity: 4,
+            batch_max: 1,
+            draining: AtomicBool::new(false),
+            before_wait: Some(park),
+        };
+        let p = Pipeline::spawn(shared, 1, Arc::new(|_| {}));
+        let parked_by = Instant::now() + Duration::from_secs(5);
+        while !PARKED.load(Ordering::Acquire) {
+            assert!(
+                Instant::now() < parked_by,
+                "the worker never reached its wait"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (done_tx, done) = sync_channel(1);
+        std::thread::spawn(move || {
+            p.shutdown();
+            done_tx.send(()).unwrap();
+        });
+        done.recv_timeout(Duration::from_secs(10))
+            .expect("shutdown did not return: the worker missed its wake-up");
     }
 
     #[test]

@@ -14,6 +14,8 @@ pub enum FitError {
     Singular,
     /// Feature-dimension mismatch between fit and predict.
     DimensionMismatch,
+    /// A saved model state did not parse; the parser's reason.
+    BadState(String),
 }
 
 impl std::fmt::Display for FitError {
@@ -22,6 +24,7 @@ impl std::fmt::Display for FitError {
             FitError::TooFewSamples => write!(f, "too few samples to fit"),
             FitError::Singular => write!(f, "singular design matrix"),
             FitError::DimensionMismatch => write!(f, "feature dimension mismatch"),
+            FitError::BadState(why) => write!(f, "unloadable model state: {why}"),
         }
     }
 }
@@ -133,7 +136,7 @@ impl LinearModel {
 
     /// Deserialize from [`LinearModel::to_json`].
     pub fn from_json(s: &str) -> Result<LinearModel, FitError> {
-        serde_json::from_str(s).map_err(|_| FitError::Singular)
+        serde_json::from_str(s).map_err(|e| FitError::BadState(e.to_string()))
     }
 }
 
@@ -221,5 +224,17 @@ mod tests {
             m.predict(&[1.0, 2.0]).unwrap(),
             restored.predict(&[1.0, 2.0]).unwrap()
         );
+    }
+
+    #[test]
+    fn a_truncated_state_says_why_it_does_not_load() {
+        let (xs, ys) = noisy_plane(50);
+        let state = LinearModel::fit(&xs, &ys).unwrap().to_json();
+        match LinearModel::from_json(&state[..state.len() - 1]) {
+            Err(e @ FitError::BadState(_)) => {
+                assert!(e.to_string().starts_with("unloadable model state: "), "{e}")
+            }
+            other => panic!("a truncated state: {other:?}"),
+        }
     }
 }

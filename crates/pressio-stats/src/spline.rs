@@ -113,7 +113,7 @@ impl NaturalSpline {
 
     /// Deserialize from [`NaturalSpline::to_json`].
     pub fn from_json(s: &str) -> Result<NaturalSpline, FitError> {
-        serde_json::from_str(s).map_err(|_| FitError::Singular)
+        serde_json::from_str(s).map_err(|e| FitError::BadState(e.to_string()))
     }
 }
 
@@ -192,5 +192,18 @@ mod tests {
         let sp = NaturalSpline::fit(&xs, &ys, 6).unwrap();
         let restored = NaturalSpline::from_json(&sp.to_json()).unwrap();
         assert_eq!(sp, restored);
+    }
+
+    #[test]
+    fn a_truncated_state_says_why_it_does_not_load() {
+        let xs: Vec<f64> = (0..30).map(|i| i as f64).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x.sqrt()).collect();
+        let state = NaturalSpline::fit(&xs, &ys, 6).unwrap().to_json();
+        match NaturalSpline::from_json(&state[..state.len() / 2]) {
+            Err(e @ FitError::BadState(_)) => {
+                assert!(e.to_string().starts_with("unloadable model state: "), "{e}")
+            }
+            other => panic!("a truncated state: {other:?}"),
+        }
     }
 }

@@ -1,12 +1,14 @@
 //! Stream assembly for the SZ-like compressor: header, predictor side
 //! streams, Huffman-coded symbols, and the lossless backend stage.
 
-use crate::quantizer::{DequantError, Dequantizer, Quantizer};
+use crate::quantizer::{Dequantizer, Quantizer};
 use crate::{interp, lorenzo, regression};
 use pressio_core::error::{Error, Result};
-use pressio_core::lanes::Widen;
+use pressio_core::lanes::{Element, Widen};
 use pressio_core::{Data, Dtype};
+use pressio_lossless::huffman::ShardedSymbols;
 use pressio_lossless::{entropy, huffman, lzss};
+use std::borrow::Cow;
 
 const MAGIC: &[u8; 4] = b"SZRS";
 const VERSION: u8 = 1;
@@ -258,25 +260,36 @@ pub fn assemble_par(
     push_u64(&mut out, stream.block_modes.len() as u64);
     out.extend_from_slice(&stream.block_modes);
     // entropy-coded symbols (sharded layout so both encode and decode can
-    // fan out per shard), then the dictionary backend where it helps
-    let huff = {
+    // fan out per shard) written in place after the backend byte and the
+    // payload length, which are filled in last; then the dictionary backend
+    // where it helps, over that tail
+    let backend_at = out.len();
+    out.push(2);
+    push_u64(&mut out, 0);
+    let huff_at = out.len();
+    {
         let _span = pressio_obs::span("sz3:huffman");
-        huffman::compress_symbols_sharded(&stream.symbols, nthreads)
-    };
+        huffman::write_symbols_sharded(&stream.symbols, nthreads, &mut out);
+    }
     let dict = {
         let _span = pressio_obs::span("sz3:lzss");
-        lzss_trial_shrinks(&huff).then(|| lzss::compress(&huff))
+        let huff = &out[huff_at..];
+        lzss_trial_shrinks(huff).then(|| lzss::compress(huff))
     };
     // the trial decides whether to try; the result itself has the last word
-    let (outcome, backend, payload) = match &dict {
-        None => ("sz3:lzss.skipped", 2, &huff),
-        Some(dict) if dict.len() < huff.len() => ("sz3:lzss.kept", 3, dict),
-        Some(_) => ("sz3:lzss.discarded", 2, &huff),
+    let outcome = match dict {
+        None => "sz3:lzss.skipped",
+        Some(dict) if dict.len() < out.len() - huff_at => {
+            out.truncate(huff_at);
+            out.extend_from_slice(&dict);
+            out[backend_at] = 3;
+            "sz3:lzss.kept"
+        }
+        Some(_) => "sz3:lzss.discarded",
     };
     pressio_obs::add_counter(outcome, 1);
-    out.push(backend);
-    push_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(payload);
+    let payload = (out.len() - huff_at) as u64;
+    out[backend_at + 1..huff_at].copy_from_slice(&payload.to_le_bytes());
     out
 }
 
@@ -326,10 +339,48 @@ pub struct ParsedStream {
     pub block_modes: Vec<u8>,
 }
 
-/// Parse and entropy-decode a stream produced by [`assemble_par`], with a
-/// thread count: the sharded Huffman backend decodes its shards in
-/// parallel. Results are identical at any thread count.
-pub fn parse_par(bytes: &[u8], nthreads: usize) -> Result<ParsedStream> {
+/// A stream produced by [`assemble_par`] read up to its symbols: the header
+/// and side streams checked against the stream's length, the Huffman
+/// stream's table and shard table not yet read.
+struct Layout<'a> {
+    dtype: Dtype,
+    dims: Vec<usize>,
+    n: usize,
+    eb: f64,
+    predictor: Predictor,
+    block: usize,
+    /// The escapes' values as stored, at the stream's precision.
+    verbatim: &'a [u8],
+    coefficients: &'a [u8],
+    block_modes: &'a [u8],
+    /// The sharded Huffman stream, or LZSS over it where `packed`.
+    payload: &'a [u8],
+    packed: bool,
+}
+
+fn corrupt(e: impl std::fmt::Display) -> Error {
+    Error::CorruptStream(e.to_string())
+}
+
+/// `count` items of `size` bytes at `pos`; `None` or more than the stream
+/// holds is `CorruptStream(why)`.
+fn items<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+    count: Option<usize>,
+    size: usize,
+    why: &str,
+) -> Result<&'a [u8]> {
+    let len = count
+        .and_then(|c| c.checked_mul(size))
+        .filter(|&len| len <= bytes.len().saturating_sub(*pos))
+        .ok_or_else(|| Error::CorruptStream(why.into()))?;
+    *pos += len;
+    Ok(&bytes[*pos - len..*pos])
+}
+
+/// Read everything of `bytes` but the symbols.
+fn read_layout(bytes: &[u8]) -> Result<Layout<'_>> {
     let mut pos = 0usize;
     if bytes.len() < 8 || &bytes[..4] != MAGIC {
         return Err(Error::CorruptStream("bad magic".into()));
@@ -371,102 +422,194 @@ pub fn parse_par(bytes: &[u8], nthreads: usize) -> Result<ParsedStream> {
     if !(eb.is_finite() && eb > 0.0) {
         return Err(Error::CorruptStream("invalid error bound".into()));
     }
-    let n_unpred = read_u64(bytes, &mut pos)? as usize;
-    let value_size = if dtype == Dtype::F32 { 4 } else { 8 };
-    // must fit in the remaining stream (reject before allocating for it)
-    if n_unpred > n || n_unpred.saturating_mul(value_size) > bytes.len().saturating_sub(pos) {
-        return Err(Error::CorruptStream(
-            "unpredictable count exceeds size".into(),
-        ));
-    }
-    let mut unpredictable = Vec::with_capacity(n_unpred);
-    for _ in 0..n_unpred {
-        if dtype == Dtype::F32 {
-            let s = bytes
-                .get(pos..pos + 4)
-                .ok_or_else(|| Error::CorruptStream("truncated unpredictable".into()))?;
-            unpredictable.push(f32::from_le_bytes(s.try_into().unwrap()) as f64);
-            pos += 4;
-        } else {
-            let s = bytes
-                .get(pos..pos + 8)
-                .ok_or_else(|| Error::CorruptStream("truncated unpredictable".into()))?;
-            unpredictable.push(f64::from_le_bytes(s.try_into().unwrap()));
-            pos += 8;
-        }
-    }
-    let n_coef = read_u64(bytes, &mut pos)? as usize;
-    if n_coef > 4 * n + 4 || n_coef.saturating_mul(4) > bytes.len().saturating_sub(pos) {
-        return Err(Error::CorruptStream(
-            "coefficient count exceeds size".into(),
-        ));
-    }
-    let mut coefficients = Vec::with_capacity(n_coef);
-    for _ in 0..n_coef {
-        let s = bytes
-            .get(pos..pos + 4)
-            .ok_or_else(|| Error::CorruptStream("truncated coefficients".into()))?;
-        coefficients.push(f32::from_le_bytes(s.try_into().unwrap()));
-        pos += 4;
-    }
-    let n_modes = read_u64(bytes, &mut pos)? as usize;
-    if n_modes > bytes.len().saturating_sub(pos) {
-        return Err(Error::CorruptStream("mode bitmap exceeds stream".into()));
-    }
-    let block_modes = bytes
-        .get(pos..pos + n_modes)
-        .ok_or_else(|| Error::CorruptStream("truncated mode bitmap".into()))?
-        .to_vec();
-    pos += n_modes;
+    // each side stream must fit in the rest of the stream: refused
+    // before anything is sized by its count
+    let n_unpred = Some(read_u64(bytes, &mut pos)? as usize).filter(|&c| c <= n);
+    let verbatim = items(
+        bytes,
+        &mut pos,
+        n_unpred,
+        dtype.size(),
+        "unpredictable count exceeds size",
+    )?;
+    let n_coef = Some(read_u64(bytes, &mut pos)? as usize).filter(|&c| c <= 4 * n + 4);
+    let coefficients = items(bytes, &mut pos, n_coef, 4, "coefficient count exceeds size")?;
+    let n_modes = Some(read_u64(bytes, &mut pos)? as usize);
+    let block_modes = items(bytes, &mut pos, n_modes, 1, "mode bitmap exceeds stream")?;
     let backend = read_u8(bytes, &mut pos)?;
-    let payload_len = read_u64(bytes, &mut pos)? as usize;
-    let payload = bytes
-        .get(pos..pos + payload_len)
-        .ok_or_else(|| Error::CorruptStream("truncated payload".into()))?;
+    let payload_len = Some(read_u64(bytes, &mut pos)? as usize);
+    let payload = items(bytes, &mut pos, payload_len, 1, "truncated payload")?;
     // 2 = the sharded Huffman stream, 3 = LZSS over it
-    let unpacked;
-    let huff = match backend {
-        2 => payload,
-        3 => {
-            unpacked =
-                lzss::decompress(payload).map_err(|e| Error::CorruptStream(e.to_string()))?;
-            &unpacked
-        }
-        _ => return Err(Error::CorruptStream("unknown backend".into())),
-    };
-    let symbols = huffman::decompress_symbols_sharded(huff, nthreads)
-        .map_err(|e| Error::CorruptStream(e.to_string()))?;
-    if symbols.len() != n {
-        return Err(Error::CorruptStream(format!(
-            "symbol count {} != element count {n}",
-            symbols.len()
-        )));
+    if !matches!(backend, 2 | 3) {
+        return Err(Error::CorruptStream("unknown backend".into()));
     }
-    Ok(ParsedStream {
+    Ok(Layout {
         dtype,
         dims,
+        n,
         eb,
         predictor,
         block,
-        symbols,
-        unpredictable,
+        verbatim,
         coefficients,
         block_modes,
+        payload,
+        packed: backend == 3,
     })
 }
 
-/// The Lorenzo sweep, written as the element type the stream holds.
-fn lorenzo_reconstruct(p: &ParsedStream) -> std::result::Result<Data, DequantError> {
-    let kernel = lorenzo::Kernel::selected();
-    let (symbols, verbatim) = (&p.symbols[..], &p.unpredictable[..]);
-    Ok(match p.dtype {
+impl<'a> Layout<'a> {
+    /// The escapes' values in element order.
+    fn escapes(&self) -> impl Iterator<Item = f64> + 'a {
+        let size = self.dtype.size();
+        self.verbatim.chunks_exact(size).map(move |v| match size {
+            4 => f32::from_le_bytes(v.try_into().unwrap()) as f64,
+            _ => f64::from_le_bytes(v.try_into().unwrap()),
+        })
+    }
+
+    /// The sharded Huffman stream, LZSS undone.
+    fn huffman(&self) -> Result<Cow<'a, [u8]>> {
+        Ok(match self.packed {
+            false => Cow::Borrowed(self.payload),
+            true => Cow::Owned(lzss::decompress(self.payload).map_err(corrupt)?),
+        })
+    }
+
+    fn count_is_n(&self, count: usize) -> Result<()> {
+        match count == self.n {
+            true => Ok(()),
+            false => Err(Error::CorruptStream(format!(
+                "symbol count {count} != element count {}",
+                self.n
+            ))),
+        }
+    }
+
+    /// Every symbol decoded, the side streams copied out.
+    fn parse(self, nthreads: usize) -> Result<ParsedStream> {
+        let huff = self.huffman()?;
+        let symbols = huffman::decompress_symbols_sharded(&huff, nthreads).map_err(corrupt)?;
+        self.count_is_n(symbols.len())?;
+        let coefficients = self.coefficients.chunks_exact(4);
+        Ok(ParsedStream {
+            unpredictable: self.escapes().collect(),
+            coefficients: coefficients
+                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+                .collect(),
+            block_modes: self.block_modes.to_vec(),
+            symbols,
+            dtype: self.dtype,
+            dims: self.dims,
+            eb: self.eb,
+            predictor: self.predictor,
+            block: self.block,
+        })
+    }
+}
+
+impl lorenzo::SymbolSource for (ShardedSymbols<'_>, usize) {
+    type Error = Error;
+
+    fn next_plane(&mut self, len: usize) -> Result<&[u32]> {
+        self.0.take(len, self.1).map_err(corrupt)
+    }
+}
+
+/// Parse and entropy-decode a stream produced by [`assemble_par`], with a
+/// thread count: the sharded Huffman backend decodes its shards in
+/// parallel. Results are identical at any thread count.
+pub fn parse_par(bytes: &[u8], nthreads: usize) -> Result<ParsedStream> {
+    read_layout(bytes)?.parse(nthreads)
+}
+
+/// [`SzCompressor::decompress`](crate::SzCompressor): a Lorenzo stream's
+/// symbols are decoded a window of `nthreads` shards at a time and its
+/// escapes read off its bytes as the sweep reaches them; any other stream
+/// goes through [`parse_par`] and [`reconstruct_par`]. The `dtype` and
+/// `dims` asked for are checked once every symbol is decoded, as they are
+/// after `parse_par`: corrupt symbols are `CorruptStream` whatever is asked.
+pub(crate) fn decompress(
+    bytes: &[u8],
+    dtype: Dtype,
+    dims: &[usize],
+    nthreads: usize,
+) -> Result<Data> {
+    let parse = pressio_obs::span("sz3:parse");
+    let layout = read_layout(bytes)?;
+    if layout.predictor != Predictor::Lorenzo {
+        let parsed = layout.parse(nthreads)?;
+        drop(parse);
+        requested(parsed.dtype, &parsed.dims, dtype, dims)?;
+        let _span = pressio_obs::span("sz3:reconstruct");
+        return reconstruct_par(&parsed, nthreads);
+    }
+    // Tables are checked before the output is allocated. LZSS's output is
+    // then dropped and made again after it: kept, it would split the heap
+    // block the last call's output left, which the output needs whole.
+    let checked = ShardedSymbols::parse(layout.huffman()?).map_err(corrupt)?;
+    layout.count_is_n(checked.count())?;
+    let stored = (!layout.packed).then_some(checked);
+    drop(parse);
+    let _span = pressio_obs::span("sz3:reconstruct");
+    let data = lorenzo_decode(
+        layout.dtype,
+        &layout.dims,
+        layout.eb,
+        layout.escapes(),
+        || {
+            let symbols = match stored {
+                Some(symbols) => symbols,
+                None => ShardedSymbols::parse(layout.huffman()?).map_err(corrupt)?,
+            };
+            Ok((symbols, nthreads))
+        },
+    )?;
+    requested(data.dtype(), data.dims(), dtype, dims)?;
+    Ok(data)
+}
+
+/// Refuse a decompress whose `dtype` or `dims` are not the stream's.
+fn requested(stream: Dtype, stream_dims: &[usize], dtype: Dtype, dims: &[usize]) -> Result<()> {
+    let why = match (stream == dtype, stream_dims == dims) {
+        (false, _) => format!(
+            "stream holds {}, caller asked for {}",
+            stream.name(),
+            dtype.name()
+        ),
+        (_, false) => format!("stream dims {stream_dims:?} do not match requested {dims:?}"),
+        _ => return Ok(()),
+    };
+    Err(Error::UnsupportedData(why))
+}
+
+/// The Lorenzo sweep into a buffer of the stream's element type, which is
+/// allocated before `symbols` makes the source.
+fn lorenzo_decode<S: lorenzo::SymbolSource>(
+    dtype: Dtype,
+    dims: &[usize],
+    eb: f64,
+    escapes: impl Iterator<Item = f64>,
+    symbols: impl FnOnce() -> std::result::Result<S, S::Error>,
+) -> std::result::Result<Data, S::Error> {
+    fn sweep<T: Element, S: lorenzo::SymbolSource>(
+        dims: &[usize],
+        bound: (f64, i64, bool),
+        escapes: impl Iterator<Item = f64>,
+        symbols: impl FnOnce() -> std::result::Result<S, S::Error>,
+    ) -> std::result::Result<Vec<T>, S::Error> {
+        let mut out = vec![T::default(); dims.iter().product()];
+        lorenzo::Kernel::selected().decode_into(dims, bound, symbols()?, escapes, &mut out)?;
+        Ok(out)
+    }
+    Ok(match dtype {
         Dtype::F32 => Data::from_f32(
-            p.dims.clone(),
-            kernel.decode(&p.dims, (p.eb, RADIUS, true), symbols, verbatim)?,
+            dims.to_vec(),
+            sweep(dims, (eb, RADIUS, true), escapes, symbols)?,
         ),
         _ => Data::from_f64(
-            p.dims.clone(),
-            kernel.decode(&p.dims, (p.eb, RADIUS, false), symbols, verbatim)?,
+            dims.to_vec(),
+            sweep(dims, (eb, RADIUS, false), escapes, symbols)?,
         ),
     })
 }
@@ -478,9 +621,12 @@ fn lorenzo_reconstruct(p: &ParsedStream) -> std::result::Result<Data, DequantErr
 /// sequential. All paths are bit-identical at any thread count.
 pub fn reconstruct_par(p: &ParsedStream, nthreads: usize) -> Result<Data> {
     let round_f32 = p.dtype == Dtype::F32;
-    let corrupt = |e: DequantError| Error::CorruptStream(e.to_string());
     let recon = match p.predictor {
-        Predictor::Lorenzo => return lorenzo_reconstruct(p).map_err(corrupt),
+        Predictor::Lorenzo => {
+            let escapes = p.unpredictable.iter().copied();
+            let symbols = || Ok(&p.symbols[..]);
+            return Ok(lorenzo_decode(p.dtype, &p.dims, p.eb, escapes, symbols)?);
+        }
         Predictor::Interp => interp::decode_par(
             &p.dims,
             p.eb,
@@ -498,8 +644,7 @@ pub fn reconstruct_par(p: &ParsedStream, nthreads: usize) -> Result<Data> {
             let mut dq = Dequantizer::new(p.eb, RADIUS, round_f32, &p.symbols, &p.unpredictable);
             crate::hybrid::decode(&p.dims, p.block, &p.coefficients, &p.block_modes, &mut dq)
         }
-    }
-    .map_err(corrupt)?;
+    }?;
     Ok(decoded_buffer(p.dtype, &p.dims, recon))
 }
 

@@ -397,25 +397,7 @@ impl Compressor for SzCompressor {
             pressio_obs::add_counter("sz3:decompress.bytes_in", compressed.len() as i64);
         }
         let nthreads = pressio_core::threads::resolve(self.nthreads);
-        let parsed = {
-            let _span = pressio_obs::span("sz3:parse");
-            codec::parse_par(compressed, nthreads)?
-        };
-        if parsed.dtype != dtype {
-            return Err(Error::UnsupportedData(format!(
-                "stream holds {}, caller asked for {}",
-                parsed.dtype.name(),
-                dtype.name()
-            )));
-        }
-        if parsed.dims != dims {
-            return Err(Error::UnsupportedData(format!(
-                "stream dims {:?} do not match requested {:?}",
-                parsed.dims, dims
-            )));
-        }
-        let _span = pressio_obs::span("sz3:reconstruct");
-        codec::reconstruct_par(&parsed, nthreads)
+        codec::decompress(compressed, dtype, dims, nthreads)
     }
 
     fn clone_box(&self) -> Box<dyn Compressor> {

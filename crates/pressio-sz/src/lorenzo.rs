@@ -13,7 +13,7 @@ mod sweep;
 #[cfg(test)]
 mod twin;
 
-pub use sweep::{Encoded, Kernel};
+pub use sweep::{Encoded, Kernel, SymbolSource};
 
 use pressio_core::lanes::{finite, fold, Widen, LANES};
 
@@ -182,7 +182,12 @@ mod tests {
         let (kernel, bound) = (Kernel::selected(), (eb, 32768, false));
         let coded = kernel.encode(values, dims, bound, true, Vec::new());
         let decoded: Vec<f64> = kernel
-            .decode(dims, bound, &coded.symbols, &coded.unpredictable)
+            .decode(
+                dims,
+                bound,
+                &coded.symbols[..],
+                coded.unpredictable.into_iter(),
+            )
             .unwrap();
         assert_eq!(
             coded.reconstruction, decoded,
@@ -289,7 +294,8 @@ mod tests {
         let kernel = Kernel::selected();
         let coded = kernel.encode::<f64>(&[], &[0], (1e-3, 32768, false), true, Vec::new());
         assert!(coded.symbols.is_empty() && coded.reconstruction.is_empty());
-        let decoded = kernel.decode::<f32>(&[0], (1e-3, 32768, true), &[], &[]);
+        let decoded =
+            kernel.decode::<f32, &[u32]>(&[0], (1e-3, 32768, true), &[], std::iter::empty());
         assert!(decoded.unwrap().is_empty());
     }
 

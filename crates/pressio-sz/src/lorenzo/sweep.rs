@@ -305,18 +305,38 @@ pub struct Encoded {
     pub reconstruction: Vec<f64>,
 }
 
+/// Where [`Kernel::decode`] takes its symbols from, a plane at a time: a
+/// slice of them all, or a coded stream decoded as the sweep goes.
+pub trait SymbolSource {
+    /// What reading the source, or the symbols it yields, can fail with.
+    type Error: From<DequantError>;
+
+    /// The next `len` symbols; fewer only where the source ends.
+    fn next_plane(&mut self, len: usize) -> Result<&[u32], Self::Error>;
+}
+
+impl SymbolSource for &[u32] {
+    type Error = DequantError;
+
+    fn next_plane(&mut self, len: usize) -> Result<&[u32], DequantError> {
+        let (plane, rest) = self.split_at(len.min(self.len()));
+        *self = rest;
+        Ok(plane)
+    }
+}
+
 /// Check one plane's worth of symbols in raster order — so the first
 /// failure is the one the element-at-a-time decoder stops at — and put
 /// each escape's verbatim value where the sweep will select it.
-fn place_escapes<'a>(
+fn place_escapes(
     radius: f64,
     symbols: &[u32],
-    unpredictable: &mut impl Iterator<Item = &'a f64>,
+    unpredictable: &mut impl Iterator<Item = f64>,
     plane: &mut [f64],
 ) -> Result<(), DequantError> {
     for (&symbol, slot) in symbols.iter().zip(plane) {
         if symbol == 0 {
-            *slot = *unpredictable
+            *slot = unpredictable
                 .next()
                 .ok_or(DequantError("unpredictable stream exhausted"))?;
         } else if symbol as f64 >= 2.0 * radius {
@@ -375,27 +395,42 @@ impl Kernel {
     }
 
     /// Reconstruct a Lorenzo-coded buffer as `T`, or say what the
-    /// element-at-a-time decoder would have said of a corrupt one.
-    pub fn decode<T: Element>(
+    /// element-at-a-time decoder would have said of a corrupt one. The
+    /// symbols are read a plane at a time, the escapes as the planes reach
+    /// them: beside the output, the decode holds two planes and what the
+    /// source holds.
+    pub fn decode<T: Element, S: SymbolSource>(
+        self,
+        dims: &[usize],
+        bound: (f64, i64, bool),
+        symbols: S,
+        unpredictable: impl Iterator<Item = f64>,
+    ) -> Result<Vec<T>, S::Error> {
+        let mut out = vec![T::default(); normalize_dims(dims).iter().product()];
+        self.decode_into(dims, bound, symbols, unpredictable, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Kernel::decode`] into `out`, which holds the buffer's elements.
+    pub fn decode_into<T: Element, S: SymbolSource>(
         self,
         dims: &[usize],
         (eb, radius, round_f32): (f64, i64, bool),
-        symbols: &[u32],
-        unpredictable: &[f64],
-    ) -> Result<Vec<T>, DequantError> {
+        mut symbols: S,
+        mut unpredictable: impl Iterator<Item = f64>,
+        out: &mut [T],
+    ) -> Result<(), S::Error> {
         let formula = Formula::new(eb, radius, round_f32);
         let [nx, ny, nz] = normalize_dims(dims);
         let nxy = nx * ny;
-        let mut out = vec![T::default(); nxy * nz];
-        let mut unpredictable = unpredictable.iter();
+        debug_assert_eq!(out.len(), nxy * nz);
         let mut ring = Ring::new(nxy, nz);
         for (z, out) in out.chunks_exact_mut(nxy.max(1)).enumerate() {
             let (plane, below) = ring.at(z);
-            let symbols = symbols.get(z * nxy..).unwrap_or(&[]);
-            let symbols = &symbols[..symbols.len().min(nxy)];
+            let symbols = symbols.next_plane(nxy)?;
             place_escapes(formula.radius, symbols, &mut unpredictable, plane)?;
             if symbols.len() < nxy {
-                return Err(DequantError("symbol stream exhausted"));
+                return Err(DequantError("symbol stream exhausted").into());
             }
             for_each_unit(self, [nx, ny], plane, below, |at, around, recon| {
                 let symbols = &symbols[at..at + recon.len()];
@@ -405,6 +440,6 @@ impl Kernel {
                 *out = T::narrow(value);
             }
         }
-        Ok(out)
+        Ok(())
     }
 }

@@ -90,8 +90,8 @@ fn check_decode(
     what: &str,
 ) {
     let want = twin_decode(dims, bound.0, bound.2, symbols, verbatim);
-    let wide = kernel.decode::<f64>(dims, bound, symbols, verbatim);
-    let narrow = kernel.decode::<f32>(dims, bound, symbols, verbatim);
+    let wide = kernel.decode::<f64, _>(dims, bound, symbols, verbatim.iter().copied());
+    let narrow = kernel.decode::<f32, _>(dims, bound, symbols, verbatim.iter().copied());
     let (wide, narrow) = (wide.map_err(|e| e.0), narrow.map_err(|e| e.0));
     let context = format!("{} {dims:?} {bound:?}: {what}", kernel.name());
     assert_eq!(

@@ -230,6 +230,12 @@ impl std::fmt::Display for DequantError {
 
 impl std::error::Error for DequantError {}
 
+impl From<DequantError> for pressio_core::Error {
+    fn from(e: DequantError) -> Self {
+        pressio_core::Error::CorruptStream(e.to_string())
+    }
+}
+
 /// Stateless single-symbol decode shared by [`Dequantizer::recover`] and
 /// the pass-parallel interpolation decoder: `Ok(Some(v))` recovers a coded
 /// value, `Ok(None)` means "take the next unpredictable value verbatim",

@@ -6,7 +6,7 @@
 //! runs.
 
 use pressio_core::fuzz::Fuzzer;
-use pressio_core::{Compressor, Data, Options};
+use pressio_core::{Compressor, Data, Dtype, Error, Options};
 use pressio_sz::SzCompressor;
 
 /// Deterministic synthetic field: smooth signal plus seeded noise.
@@ -107,5 +107,34 @@ fn unmutated_corpus_round_trips() {
         let data =
             pressio_sz::codec::reconstruct_par(&parsed, 1).expect("corpus stream reconstructs");
         assert_eq!(data.dims(), parsed.dims.as_slice());
+    }
+}
+
+#[test]
+fn a_header_claiming_2_pow_34_elements_is_refused_before_the_output_is_made() {
+    // a rank-1 stream of 257 values whose header claims 2^34: its 8-byte
+    // extent sits after magic, version, dtype, predictor, block and rank.
+    // Decoding it would take a 128 GiB output; the claim is refused on the
+    // symbol count the Huffman stream holds, before anything is sized by it
+    let mut sz = SzCompressor::new();
+    sz.set_options(
+        &Options::new()
+            .with("sz3:predictor", "lorenzo")
+            .with("pressio:abs", 1e-3),
+    )
+    .unwrap();
+    let data = Data::from_f64(vec![257], synth(257, 7));
+    let mut bytes = sz.compress(&data).unwrap();
+    assert_eq!(bytes[8], 1, "rank");
+    bytes[9..17].copy_from_slice(&(1u64 << 34).to_le_bytes());
+    let claim = [1usize << 34];
+    for refused in [
+        sz.decompress(&bytes, Dtype::F64, &claim).map(drop),
+        pressio_sz::codec::parse_par(&bytes, 1).map(drop),
+    ] {
+        match refused {
+            Err(Error::CorruptStream(why)) => assert!(why.contains("element count"), "{why}"),
+            other => panic!("a 2^34-element claim over {} B: {other:?}", bytes.len()),
+        }
     }
 }
