@@ -1,11 +1,8 @@
 //! The flag table. Every `pressio` flag is one row of [`FLAGS`]: its
-//! spellings, the verbs that read it, what its value must be, where the
-//! value lands in [`Args`] and — for the rows a shard child must inherit —
-//! how to say it back ([`Flag::show`], walked by [`crate::spawn`]).
-//! [`parse`] is a walk over the table; nothing else in the crate names a
-//! flag, so an option is spelled once.
+//! spellings, the verbs that read it, what its value must be, and where
+//! the value lands in [`Args`]. [`parse`] is a walk over the table;
+//! nothing else in the crate names a flag, so an option is spelled once.
 
-use crate::serve::Serve as ServeCommand;
 use pressio_core::error::{Error, Result};
 use pressio_core::Options;
 use pressio_serve::{Endpoint, ServeConfig};
@@ -75,8 +72,6 @@ pub(crate) struct Args {
     pub endpoint: Option<Endpoint>,
     pub op: Option<String>,
     pub model: Option<String>,
-    pub shards: usize,
-    pub route: bool,
     pub consult: String,
     pub chunk: usize,
     pub chained: bool,
@@ -109,8 +104,6 @@ impl Args {
             endpoint: None,
             op: None,
             model: None,
-            shards: 0,
-            route: false,
             consult: "trial".into(),
             chunk: 1,
             chained: false,
@@ -125,7 +118,7 @@ type Verbs = &'static [Verb];
 
 /// One row of the table.
 pub(crate) struct Flag {
-    /// Every spelling; the first is the one usage text and shard argv use.
+    /// Every spelling; the first is the one usage text uses.
     pub names: &'static [&'static str],
     /// The verbs that read it (any other verb rejects it); empty for the
     /// two that act process-wide, which every verb accepts.
@@ -135,18 +128,9 @@ pub(crate) struct Flag {
     pub needs: &'static str,
     /// Put the value where it lands; `None` if it is not what `needs` says.
     set: fn(&mut Args, &str) -> Option<()>,
-    /// How a shard child is told: `None` from the function leaves the flag
-    /// off, `Some` is its value (ignored for a switch). Rows without one
-    /// are not a shard's business.
-    pub show: Option<fn(&ServeCommand) -> Option<String>>,
 }
 
 impl Flag {
-    const fn shown(mut self, show: fn(&ServeCommand) -> Option<String>) -> Flag {
-        self.show = Some(show);
-        self
-    }
-
     pub(crate) fn read_by(&self, verb: Verb) -> bool {
         self.verbs.is_empty() || self.verbs.contains(&verb)
     }
@@ -158,13 +142,11 @@ const fn flag(
     needs: &'static str,
     set: fn(&mut Args, &str) -> Option<()>,
 ) -> Flag {
-    let show = None;
     Flag {
         names,
         verbs,
         needs,
         set,
-        show,
     }
 }
 
@@ -201,10 +183,6 @@ fn real(text: &str) -> Option<f64> {
     text.parse().ok()
 }
 
-fn say(value: impl ToString) -> Option<String> {
-    Some(value.to_string())
-}
-
 fn set_dims(a: &mut Args, text: &str) -> Option<()> {
     let [x, y, z] = list(text)?[..] else {
         return None;
@@ -238,22 +216,6 @@ fn set_socket(a: &mut Args, text: &str) -> Option<()> {
     None
 }
 
-fn show_socket(s: &ServeCommand) -> Option<String> {
-    match &s.config.listen {
-        #[cfg(unix)]
-        Endpoint::Unix(path) => say(path.display()),
-        Endpoint::Tcp(_) => None,
-    }
-}
-
-fn show_tcp(s: &ServeCommand) -> Option<String> {
-    match &s.config.listen {
-        Endpoint::Tcp(addr) => say(addr),
-        #[cfg(unix)]
-        Endpoint::Unix(_) => None,
-    }
-}
-
 const PATH: &str = "a path";
 const NAME: &str = "a name";
 const NUM: &str = "a number";
@@ -265,11 +227,9 @@ const GRID: Verbs = &[Generate, Bench, Query];
 const DIALS: Verbs = &[Serve, Query, Select, Stream];
 const SERVE: Verbs = &[Serve];
 
-/// The table (laid out by hand: a row is a line, or two when it has a
-/// `shown` half). That half must undo the row's setter — `spawn`'s
-/// round-trip test holds every one of them to it.
+/// The table (laid out by hand: a row is a line).
 #[rustfmt::skip]
-pub(crate) static FLAGS: [Flag; 41] = [
+pub(crate) static FLAGS: [Flag; 38] = [
     flag(&["-i", "--input"], READS_INPUT, PATH, |a, v| some(&mut a.input, v)),
     flag(&["-o", "--output", "--out"], WRITES_OUTPUT, PATH, |a, v| some(&mut a.output, v)),
     flag(&["-c", "--compressor", "--codec"], NAMES_CODEC, NAME, |a, v| to(&mut a.compressor, v)),
@@ -286,7 +246,6 @@ pub(crate) static FLAGS: [Flag; 41] = [
     flag(&["--ablation"], &[Bench], NAME, |a, v| some(&mut a.ablation, v)),
     flag(&["--op"], &[Query], "an operation", |a, v| some(&mut a.op, v)),
     flag(&["--model"], &[Query, Select, Stream], "a model reference", |a, v| some(&mut a.model, v)),
-    flag(&["--route"], &[Query], "", |a, _| on(&mut a.route)),
     flag(&["--consult"], &[Select], "trial, remote or static", |a, v| to(&mut a.consult, v)),
     flag(&["--psnr"], &[Select], "a number (dB)", |a, v| option(a, "select:psnr", real(v))),
     flag(&["--bounds"], &[Select], "B1,B2,...", |a, v| option(a, "select:bounds", list::<f64>(v))),
@@ -295,38 +254,21 @@ pub(crate) static FLAGS: [Flag; 41] = [
     flag(&["--stack"], &[Generate], "", |a, _| on(&mut a.stack)),
     flag(&["--threads"], &[], NUM, set_threads),
     flag(&["--faults"], &[], "a fault schedule", |a, v| some(&mut a.faults, v)),
-    // what `serve` reads, each with the way a shard child is told
-    flag(&["--socket"], DIALS, "a socket path, on a Unix platform", set_socket).shown(show_socket),
-    flag(&["--tcp"], DIALS, "host:port", |a, v| put(&mut a.endpoint, Endpoint::Tcp(v.into())))
-        .shown(show_tcp),
-    flag(&["--models"], SERVE, PATH, |a, v| to(&mut a.serve.model_dir, v))
-        .shown(|s| say(s.config.model_dir.display())),
-    flag(&["--workers"], &[Bench, Serve], NUM, |a, v| to(&mut a.workers, v))
-        .shown(|s| say(s.config.workers)),
-    flag(&["--queue"], SERVE, NUM, |a, v| to(&mut a.serve.queue_capacity, v))
-        .shown(|s| say(s.config.queue_capacity)),
-    flag(&["--batch"], SERVE, NUM, |a, v| to(&mut a.serve.batch_max, v))
-        .shown(|s| say(s.config.batch_max)),
-    flag(&["--cache"], SERVE, NUM, |a, v| to(&mut a.serve.cache_entries, v))
-        .shown(|s| say(s.config.cache_entries)),
-    flag(&["--deadline"], SERVE, "milliseconds", |a, v| to(&mut a.serve.default_deadline_ms, v))
-        .shown(|s| say(s.config.default_deadline_ms)),
-    flag(&["--trace"], &[Bench, Serve], PATH, |a, v| some(&mut a.trace, v))
-        .shown(|s| say(s.trace.as_ref()?.display())),
-    flag(&["--shards"], SERVE, NUM, |a, v| to(&mut a.shards, v))
-        .shown(|s| (s.shards > 0).then(|| s.shards.to_string())),
-    flag(&["--shard-index"], SERVE, NUM, |a, v| some(&mut a.serve.shard_index, v))
-        .shown(|s| say(s.config.shard_index?)),
-    flag(&["--online"], SERVE, "", |a, _| on(&mut a.serve.online))
-        .shown(|s| s.config.online.then(String::new)),
-    flag(&["--online-window"], SERVE, NUM, |a, v| to(&mut a.serve.online_window, v))
-        .shown(|s| say(s.config.online_window)),
-    flag(&["--refit-every"], SERVE, NUM, |a, v| to(&mut a.serve.online_refit_every, v))
-        .shown(|s| say(s.config.online_refit_every)),
-    flag(&["--max-frame-mb"], SERVE, "a number of MiB", set_max_frame)
-        .shown(|s| say(s.config.max_frame >> 20)),
-    flag(&["--stream-idle-secs"], SERVE, "seconds", |a, v| to(&mut a.serve.stream_idle_secs, v))
-        .shown(|s| say(s.config.stream_idle_secs)),
+    // what `serve` reads
+    flag(&["--socket"], DIALS, "a socket path, on a Unix platform", set_socket),
+    flag(&["--tcp"], DIALS, "host:port", |a, v| put(&mut a.endpoint, Endpoint::Tcp(v.into()))),
+    flag(&["--models"], SERVE, PATH, |a, v| to(&mut a.serve.model_dir, v)),
+    flag(&["--workers"], &[Bench, Serve], NUM, |a, v| to(&mut a.workers, v)),
+    flag(&["--queue"], SERVE, NUM, |a, v| to(&mut a.serve.queue_capacity, v)),
+    flag(&["--batch"], SERVE, NUM, |a, v| to(&mut a.serve.batch_max, v)),
+    flag(&["--cache"], SERVE, NUM, |a, v| to(&mut a.serve.cache_entries, v)),
+    flag(&["--deadline"], SERVE, "milliseconds", |a, v| to(&mut a.serve.default_deadline_ms, v)),
+    flag(&["--trace"], &[Bench, Serve], PATH, |a, v| some(&mut a.trace, v)),
+    flag(&["--online"], SERVE, "", |a, _| on(&mut a.serve.online)),
+    flag(&["--online-window"], SERVE, NUM, |a, v| to(&mut a.serve.online_window, v)),
+    flag(&["--refit-every"], SERVE, NUM, |a, v| to(&mut a.serve.online_refit_every, v)),
+    flag(&["--max-frame-mb"], SERVE, "a number of MiB", set_max_frame),
+    flag(&["--stream-idle-secs"], SERVE, "seconds", |a, v| to(&mut a.serve.stream_idle_secs, v)),
 ];
 
 /// Walk `argv` (the words after the verb) into an [`Args`]: every word is

@@ -31,10 +31,8 @@
 //! two listings), [`generate`], [`bench`] (with [`studies`], the paper's
 //! experiments beside Table 2), [`serve`], [`query`], [`select`],
 //! [`stream`] — holds the constructor that turns the walked
-//! arguments into its [`Command`] and the function that runs it; [`spawn`]
-//! turns a shard's configuration back into a command line through the same
-//! table. This file is [`Command`], [`parse_args`] and the [`run`]
-//! dispatch.
+//! arguments into its [`Command`] and the function that runs it. This file
+//! is [`Command`], [`parse_args`] and the [`run`] dispatch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +46,6 @@ pub mod generate;
 pub mod query;
 pub mod select;
 pub mod serve;
-pub mod spawn;
 pub mod stream;
 pub mod studies;
 #[cfg(test)]
@@ -79,8 +76,7 @@ pub enum Command {
     /// paper's other studies via `--ablation`, optionally writing a
     /// structured JSONL trace.
     Bench(bench::Bench),
-    /// Run the online prediction daemon (single process, or a sharded
-    /// supervisor with `--shards N`).
+    /// Run the online prediction daemon.
     Serve(serve::Serve),
     /// Send one request to a running daemon and print the JSON response.
     Query(query::Query),

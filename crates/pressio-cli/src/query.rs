@@ -15,7 +15,7 @@ pub struct Query {
     /// Daemon to talk to.
     pub endpoint: Endpoint,
     /// Operation: ping, stats, models, load, train, predict, shutdown,
-    /// topology, reload.
+    /// reload.
     pub op: String,
     /// Model reference `name[@version]` (load/train/predict).
     pub model: Option<String>,
@@ -31,10 +31,6 @@ pub struct Query {
     pub dims: (usize, usize, usize),
     /// Training timesteps.
     pub timesteps: usize,
-    /// Route shard-aware: fetch the topology and send the request
-    /// straight to its home shard (with failover) instead of through
-    /// the supervisor proxy.
-    pub route: bool,
 }
 
 /// `Err` when the daemon's answer is an error response.
@@ -65,7 +61,6 @@ impl Query {
             options: a.options,
             dims: a.dims,
             timesteps: a.timesteps,
-            route: a.route,
         })
     }
 
@@ -95,13 +90,7 @@ impl Query {
             }
             _ => {}
         }
-        let response = if self.route {
-            // topology-aware: fetch the shard layout from the base
-            // endpoint and send straight to the home shard
-            pressio_serve::ShardedClient::connect(&self.endpoint)?.call(&request)?
-        } else {
-            pressio_serve::Client::connect(&self.endpoint)?.call(&request)?
-        };
+        let response = pressio_serve::Client::connect(&self.endpoint)?.call(&request)?;
         writeln!(out, "{}", response.to_json()?)?;
         server_error(&response)
     }

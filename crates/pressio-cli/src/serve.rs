@@ -1,25 +1,19 @@
-//! `pressio serve`: the prediction daemon, single-process or as a
-//! supervisor over `--shards N` re-executed shard processes.
+//! `pressio serve`: the prediction daemon, one process.
 
 use crate::args::{usage_error, Args};
 use crate::bench::install_trace;
-use crate::spawn::ProcessSpawner;
-use pressio_core::error::{Error, Result};
-use pressio_serve::{ServeConfig, Server, Supervisor, SupervisorConfig};
+use pressio_core::error::Result;
+use pressio_serve::{ServeConfig, Server};
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::Arc;
 
-/// What `pressio serve` runs: the daemon's own configuration, plus the two
-/// things the CLI adds around it.
+/// What `pressio serve` runs: the daemon's own configuration, plus the
+/// trace the CLI adds around it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Serve {
-    /// The daemon's tunables (for a supervisor, the template every shard
-    /// is configured from).
+    /// The daemon's tunables.
     pub config: ServeConfig,
-    /// Shard processes to supervise (0 = plain single-process server).
-    pub shards: usize,
-    /// Observability trace output path (shard `i` writes `<trace>.s<i>`).
+    /// Observability trace output path.
     pub trace: Option<PathBuf>,
 }
 
@@ -35,37 +29,16 @@ impl Serve {
         config.workers = a.workers;
         Ok(Serve {
             config,
-            shards: a.shards,
             trace: a.trace,
         })
     }
 
     pub(crate) fn run(self, out: &mut impl Write) -> Result<()> {
         let collector = install_trace(self.trace.as_deref())?;
-        let result = if self.shards > 0 {
-            // supervisor mode: re-execute this binary as N shard
-            // workers and run the control plane / routing proxy here
-            let exe = std::env::current_exe()
-                .map_err(|e| Error::Io(format!("resolving current executable: {e}")))?;
-            let base = self.config.listen.clone();
-            let sup = SupervisorConfig::new(base, self.config, self.shards);
-            let spawner = Arc::new(ProcessSpawner {
-                exe,
-                trace: self.trace,
-            });
-            let handle = Supervisor::start(sup, spawner)?;
-            writeln!(out, "pressio-serve listening on {}", handle.endpoint())?;
-            for (i, shard) in handle.topology().shards.iter().enumerate() {
-                writeln!(out, "pressio-serve shard {i} on {shard}")?;
-            }
-            out.flush()?;
-            handle.wait()
-        } else {
-            let handle = Server::start(self.config)?;
-            writeln!(out, "pressio-serve listening on {}", handle.endpoint())?;
-            out.flush()?;
-            handle.wait()
-        };
+        let handle = Server::start(self.config)?;
+        writeln!(out, "pressio-serve listening on {}", handle.endpoint())?;
+        out.flush()?;
+        let result = handle.wait();
         if let Some(c) = collector {
             c.flush();
             let _ = pressio_obs::uninstall();

@@ -222,8 +222,7 @@ impl Stream {
         let endpoint = self.endpoint.clone().expect("parser enforces endpoint");
         let data = read_raw(&self.input)?;
         let chunks = self.encode_chunks(&data)?;
-        // the stream id is the field's content hash: chunk ops
-        // carrying it all route to the same shard
+        // the stream id is the field's content hash
         let stream_id = format!("{:016x}", pressio_core::hash::fnv1a64(&data.to_le_bytes()));
         let mut extra = self
             .options
@@ -235,9 +234,9 @@ impl Stream {
         if let Some(s) = &self.scheme {
             extra.set("serve:scheme", s.as_str());
         }
-        // a daemon crash + respawn (or a supervisor failover) can
-        // take far longer than the default client retry budget;
-        // give the interactive sender room to ride it out
+        // a daemon crash + respawn can take far longer than the default
+        // client retry budget; give the interactive sender room to ride
+        // it out
         let policy = RetryPolicy {
             max_attempts: 12,
             base_ms: 25,

@@ -122,8 +122,8 @@ fn every_verb_reads_its_own_flags_and_no_others() {
         }
     }
     // the case that ran, and ignored three flags, at the parent
-    let err = parse("generate --out d --shards 3 --online --psnr 50").unwrap_err();
-    assert!(err.to_string().contains("generate does not read --shards"));
+    let err = parse("generate --out d --queue 3 --online --psnr 50").unwrap_err();
+    assert!(err.to_string().contains("generate does not read --queue"));
     assert!(err.to_string().contains("--stack"), "{err}");
 }
 
@@ -447,26 +447,21 @@ fn parses_bench_ablation_and_serve_and_query() {
     assert!(parse("query --op ping").is_err());
 }
 
+/// `serve` runs one daemon process: the flags of a sharded deployment
+/// are usage errors that name the flag.
 #[test]
-fn parses_shard_flags() {
-    let Command::Serve(cmd) =
-        parse("serve --tcp 127.0.0.1:9000 --models /tmp/m --shards 3").unwrap()
-    else {
-        panic!("not a serve");
-    };
-    assert_eq!((cmd.shards, cmd.config.shard_index), (3, None));
-    let Command::Serve(cmd) =
-        parse("serve --tcp 127.0.0.1:0 --models /tmp/m --shard-index 2").unwrap()
-    else {
-        panic!("not a serve");
-    };
-    assert_eq!((cmd.shards, cmd.config.shard_index), (0, Some(2)));
-    let cmd = parse("query --tcp 127.0.0.1:9 --op topology --route").unwrap();
-    assert!(matches!(
-        cmd,
-        Command::Query(query::Query { route: true, .. })
-    ));
-    assert!(parse("serve --tcp x:1 --models m --shards no").is_err());
+fn the_shard_flags_are_usage_errors() {
+    let serve = "serve --socket /tmp/s.sock --models /tmp/m";
+    for line in [
+        format!("{serve} --shards 2"),
+        format!("{serve} --shard-index 0"),
+        "query --socket /tmp/s.sock --op ping --route".to_string(),
+    ] {
+        let err = parse(&line).unwrap_err().to_string();
+        let flag = line.split(' ').rev().find(|w| w.starts_with("--")).unwrap();
+        assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+        assert!(err.contains("usage: pressio <"), "{err}");
+    }
 }
 
 // ---- select ----------------------------------------------------------------

@@ -85,7 +85,7 @@ fn empty_state() -> State {
 }
 
 /// Stable shard index for the current thread (cached per thread).
-fn shard_index() -> usize {
+fn thread_shard() -> usize {
     thread_local! {
         static IDX: usize = {
             let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -135,7 +135,7 @@ impl Collector {
     }
 
     fn lock_shard<'a>(&self, shards: &'a [Mutex<Shard>]) -> std::sync::MutexGuard<'a, Shard> {
-        shards[shard_index()]
+        shards[thread_shard()]
             .lock()
             .unwrap_or_else(|e| e.into_inner())
     }

@@ -547,6 +547,40 @@ mod tests {
         );
     }
 
+    /// A truncated state is refused with the parser's reason, and the
+    /// predictor stays unfitted rather than half-loaded.
+    #[test]
+    fn a_truncated_linear_state_says_why_it_does_not_load() {
+        let (features, targets) = training_set(50);
+        let mut p = LinearPredictor::new(vec!["qent:entropy".to_string()]);
+        p.fit(&features, &targets).unwrap();
+        let state = p.state().unwrap();
+        let mut q = LinearPredictor::new(vec!["qent:entropy".to_string()]);
+        match q.load_state(&state[..state.len() - 1]) {
+            Err(e @ Error::Serialization(_)) => {
+                assert!(e.to_string().starts_with("serialization error: "), "{e}")
+            }
+            other => panic!("a truncated state: {other:?}"),
+        }
+        assert!(matches!(q.predict(&features[0]), Err(Error::NotFitted(_))));
+    }
+
+    #[test]
+    fn a_truncated_spline_state_says_why_it_does_not_load() {
+        let (features, targets) = training_set(60);
+        let mut p = SplinePredictor::new("qent:entropy", vec!["variogram:score".to_string()]);
+        p.fit(&features, &targets).unwrap();
+        let state = p.state().unwrap();
+        let mut q = SplinePredictor::new("qent:entropy", vec!["variogram:score".to_string()]);
+        match q.load_state(&state[..state.len() / 2]) {
+            Err(e @ Error::Serialization(_)) => {
+                assert!(e.to_string().starts_with("serialization error: "), "{e}")
+            }
+            other => panic!("a truncated state: {other:?}"),
+        }
+        assert!(matches!(q.predict(&features[0]), Err(Error::NotFitted(_))));
+    }
+
     #[test]
     fn forest_predictor_round_trips_state() {
         let (features, targets) = training_set(80);

@@ -13,7 +13,7 @@ use pressio_core::data::{Data, Dtype};
 use pressio_core::error::{Error, Result};
 use pressio_core::{Compressor, Options};
 use pressio_predict::standard_compressors;
-use pressio_serve::{Endpoint, ShardedClient};
+use pressio_serve::{Client, Endpoint};
 
 use crate::engine::{
     pick_winner, remote_estimates, static_decision, trial_estimates, trial_scheme, Consult,
@@ -32,7 +32,7 @@ pub struct SelectCodec {
     policy: Policy,
     consult: Consult,
     /// Pooled remote connection, reused across `compress` calls.
-    client: Mutex<Option<ShardedClient>>,
+    client: Mutex<Option<Client>>,
 }
 
 impl Default for SelectCodec {
@@ -89,20 +89,14 @@ impl SelectCodec {
                 } => {
                     let mut pooled = self.client.lock().unwrap_or_else(|e| e.into_inner());
                     if pooled.is_none() {
-                        *pooled = Some(ShardedClient::connect(endpoint)?);
+                        *pooled = Some(Client::connect(endpoint)?);
                     }
                     let client = pooled.as_mut().expect("connected above");
                     let estimates =
                         remote_estimates(client, model_prefix, data, &feasible, *min_model_version);
-                    let estimates = match estimates {
-                        Ok(e) => e,
-                        Err(e) => {
-                            // a poisoned connection must not poison the
-                            // next compress call too
-                            *pooled = None;
-                            return Err(e);
-                        }
-                    };
+                    // a poisoned connection must not poison the next
+                    // compress call too
+                    let estimates = estimates.inspect_err(|_| *pooled = None)?;
                     let w = pick_winner(&estimates)?;
                     Ok(Decision {
                         codec: w.codec.to_string(),

@@ -6,8 +6,8 @@
 //! - **trial** — Tao-style block sampling in-process: compress a few seeded
 //!   sample blocks with the *actual* candidate codec and extrapolate. No
 //!   model, deterministic for a fixed seed.
-//! - **remote** — query a `pressio-serve` daemon through the resilient
-//!   topology-aware [`ShardedClient`], one trained model per codec
+//! - **remote** — query a `pressio-serve` daemon through
+//!   [`Client::call_resilient`], one trained model per codec
 //!   (`<prefix>-sz3`, `<prefix>-zfp`).
 //! - **static** — no estimate at all: the policy's deterministic choice
 //!   (SZ at the loosest admissible bound). This is also the fallback when
@@ -20,7 +20,7 @@ use pressio_core::error::{Error, Result};
 use pressio_core::{Compressor, Data, Options};
 use pressio_predict::schemes::TaoScheme;
 use pressio_predict::{standard_compressors, Scheme};
-use pressio_serve::{Endpoint, ShardedClient};
+use pressio_serve::{Client, Endpoint, RetryPolicy};
 
 use crate::policy::Policy;
 
@@ -52,7 +52,7 @@ pub enum Consult {
     Trial(TaoScheme),
     /// Query a running `pressio-serve` daemon.
     Remote {
-        /// Base endpoint (supervisor or standalone server).
+        /// The daemon's endpoint.
         endpoint: Endpoint,
         /// Model name prefix: the selector consults `<prefix>-<codec>`.
         model_prefix: String,
@@ -148,9 +148,9 @@ pub fn model_tag_version(tag: &str) -> Option<u64> {
 }
 
 /// Estimate every candidate by querying the serve daemon: one predict per
-/// `(codec, bound)`, against the model `<prefix>-<codec>`.
+/// `(codec, bound)` against the model `<prefix>-<codec>`, default retries.
 pub fn remote_estimates(
-    client: &mut ShardedClient,
+    client: &mut Client,
     model_prefix: &str,
     data: &Data,
     feasible: &[f64],
@@ -163,7 +163,8 @@ pub fn remote_estimates(
             let extra = Options::new()
                 .with("serve:compressor", codec)
                 .with("pressio:abs", abs);
-            let resp = client.predict(&model_ref, data, &extra)?;
+            let request = Client::predict_request(&model_ref, data, &extra);
+            let resp = client.call_resilient(&request, &RetryPolicy::default())?;
             if resp.get_str_opt("serve:type")? == Some("error") {
                 return Err(Error::TaskFailed(format!(
                     "serve answered {} for model {model_ref}",

@@ -13,12 +13,10 @@ use crate::net::{Conn, Endpoint};
 use crate::protocol::{self, op, read_frame, write_frame};
 pub use crate::retry::RetryPolicy;
 use crate::retry::{classify, Outcome, RetryBudget};
-use crate::route::ShardConns;
-use crate::shard::{routing_key, Topology};
 use pressio_core::error::{Error, Result};
 use pressio_core::{Data, Options};
 
-/// Bumped once per retry by both clients in this module.
+/// Bumped once per retry by [`Client::call_resilient`].
 const RETRY_COUNTER: &str = "serve:client.retry";
 
 /// One connection to a `pressio-serve` daemon; requests are strictly
@@ -224,91 +222,6 @@ impl Client {
                 .with("stream:token", token)
                 .with("stream:acked", acked),
         )
-    }
-}
-
-/// A topology-aware client: fetches the shard [`Topology`] once from the
-/// base endpoint, then routes every request *directly* to its home shard
-/// by content hash, bypassing the supervisor proxy on the hot path. On a
-/// transport failure it walks the rendezvous failover order, and on any
-/// failover refetches the topology in case shards were restarted under a
-/// new generation.
-pub struct ShardedClient {
-    base: Endpoint,
-    topology: Topology,
-    /// One cached connection per shard, opened lazily.
-    conns: ShardConns,
-    policy: RetryPolicy,
-}
-
-impl ShardedClient {
-    /// Connect to `base` (a supervisor or standalone server) and fetch the
-    /// topology.
-    pub fn connect(base: &Endpoint) -> Result<ShardedClient> {
-        Ok(ShardedClient {
-            base: base.clone(),
-            topology: Self::fetch_topology(base)?,
-            conns: ShardConns::default(),
-            policy: RetryPolicy::default(),
-        })
-    }
-
-    fn fetch_topology(base: &Endpoint) -> Result<Topology> {
-        let mut client = Client::connect(base)?;
-        let resp = client.call(&Options::new().with("serve:op", op::TOPOLOGY))?;
-        Topology::from_options(&resp)
-    }
-
-    /// The topology this client is routing against.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Refetch the topology from the base endpoint (after failover, or
-    /// when a response carries an unexpected shard). Cached connections
-    /// to endpoints the new topology no longer lists are never reused.
-    pub fn refresh(&mut self) -> Result<()> {
-        self.topology = Self::fetch_topology(&self.base)?;
-        Ok(())
-    }
-
-    /// Route one request to its home shard, failing over along the
-    /// rendezvous order when shards are unreachable. Transient server
-    /// errors (`overloaded`, `deadline_exceeded`) retry under the retry
-    /// policy without failing over — they signal load, not death, and
-    /// spilling load to another shard would dilute its cache.
-    pub fn call(&mut self, request: &Options) -> Result<Options> {
-        let key = routing_key(request).unwrap_or_default();
-        let mut budget = RetryBudget::new(&self.policy, RETRY_COUNTER);
-        loop {
-            let routed = self.conns.call_routed(&self.topology, &key, request);
-            match &routed {
-                Ok(routed) if routed.hops == 0 => {}
-                // shards changed under us; pick up the new layout
-                Ok(routed) => {
-                    pressio_obs::add_counter("serve:client.failover", routed.hops as i64);
-                    let _ = self.refresh();
-                }
-                Err(_) => {
-                    let _ = self.refresh();
-                }
-            }
-            let outcome = routed.map(|routed| routed.response);
-            if classify(&outcome) != Outcome::Busy || !budget.spend(&key) {
-                return outcome;
-            }
-        }
-    }
-
-    /// `predict` routed by the data buffer's content hash.
-    pub fn predict(&mut self, model_ref: &str, data: &Data, extra: &Options) -> Result<Options> {
-        self.call(&Client::predict_request(model_ref, data, extra))
-    }
-
-    /// Aggregate `stats` from the base endpoint (the supervisor sums
-    /// across shards).
-    pub fn stats(&mut self) -> Result<Options> {
-        Client::connect(&self.base)?.stats()
     }
 }
 

@@ -2,11 +2,10 @@
 //!
 //! Every streaming session journals its begin configuration and each
 //! processed chunk to an append-only file under `<model_dir>/sessions/`,
-//! so a respawned daemon — or the rendezvous-failover shard sharing the
-//! same model store — can rehydrate the session on `stream.resume`: the
-//! carried trailing slice, the acked chunk offset, the cached per-chunk
-//! predictions (idempotent replay), and the online learner's window all
-//! come back.
+//! so a restarted daemon on the same model store can rehydrate the
+//! session on `stream.resume`: the carried trailing slice, the acked chunk
+//! offset, the cached per-chunk predictions (idempotent replay), and the
+//! online learner's window all come back.
 //!
 //! The format follows the store's durability discipline adapted to an
 //! append log: each record is `[u32 BE payload length][u64 LE fnv1a64 of

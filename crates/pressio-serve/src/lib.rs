@@ -9,21 +9,15 @@
 //! - wire frames, caps, version check → [`protocol`]
 //! - transports (Unix-domain sockets and TCP behind one endpoint) → [`net`]
 //! - serving a socket: accept loop, connection loop, stop signal,
-//!   connection failpoints → `listen` (the daemon and the supervisor are
-//!   each an op table behind it)
+//!   connection failpoints → `listen`
 //! - the daemon: config, model catalog, op table, `train` / `load` /
 //!   `reload` / `stats`, graceful drain → [`server`]
 //! - the predict core (the paper's Fig. 4: who answers, which compressor,
 //!   error-agnostic → error-dependent → predictor) and the batched
 //!   `predict` op → `predict`
 //! - retrying: attempt budget, deterministic backoff, outcome classes →
-//!   `retry`, under [`Client::call_resilient`], [`ShardedClient`] and
+//!   `retry`, under [`Client::call_resilient`] and
 //!   [`ResilientStreamSender`]
-//! - the routed call: per-shard connection cache, stale-socket redial,
-//!   failover walk → `route`, under the supervisor's proxy and
-//!   [`ShardedClient`]
-//! - rendezvous routing, the topology file, shard spawn and restart →
-//!   [`shard`]
 //! - stream sessions: state, journal records, chunk responses, the online
 //!   learner, the `stream.*` ops → [`stream`]
 //! - journal framing, append + fsync, torn-tail load → [`journal`]
@@ -48,20 +42,17 @@ pub mod pipeline;
 mod predict;
 pub mod protocol;
 mod retry;
-mod route;
 pub mod sender;
 pub mod server;
-pub mod shard;
 pub mod store;
 pub mod stream;
 
 pub use breaker::CircuitBreaker;
 pub use cache::{CacheKey, CacheStats, ShardedLru};
-pub use client::{Client, RetryPolicy, ShardedClient};
+pub use client::{Client, RetryPolicy};
 pub use journal::SessionJournal;
 pub use net::Endpoint;
 pub use sender::ResilientStreamSender;
 pub use server::{serve, ServeConfig, Server, ServerHandle};
-pub use shard::{InProcessSpawner, ShardSpawner, Supervisor, SupervisorConfig, Topology};
 pub use store::{ModelArtifact, ModelStore};
 pub use stream::OnlineLearner;

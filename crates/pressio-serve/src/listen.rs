@@ -1,13 +1,13 @@
-//! Serving a socket: the one accept loop and the one connection loop.
+//! Serving the daemon's socket: the accept loop and the connection loop.
 //!
-//! The daemon and the supervisor are both a [`Service`] — an op table and
-//! a [`StopSignal`] — behind the same skeleton: read a request, dispatch
-//! it, stamp `serve:elapsed_ms`, write the response, and on `shutdown`
-//! answer `bye`, stop accepting, and let every connection finish the
+//! A connection reads a request, has the [`Daemon`] dispatch it, stamps
+//! `serve:elapsed_ms`, writes the response, and on `shutdown` answers
+//! `bye`, raises the [`StopSignal`], and lets every connection finish the
 //! request it is on.
 
 use crate::net::{Conn, Endpoint, Listener};
 use crate::protocol::{self, op};
+use crate::server::Daemon;
 use pressio_core::error::{Error, Result};
 use pressio_core::Options;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,63 +35,38 @@ impl StopSignal {
     }
 
     /// Raise the flag and wake the accept loop (the accepted no-op
-    /// connection closes immediately when the loop breaks). True for the
-    /// one call that raised it.
-    fn raise(&self) -> bool {
-        let first = !self.flag.swap(true, Ordering::AcqRel);
-        if first {
+    /// connection closes immediately when the loop breaks); idempotent.
+    pub(crate) fn raise(&self) {
+        if !self.flag.swap(true, Ordering::AcqRel) {
             let _ = self.listener.connect();
         }
-        first
     }
 }
 
-/// What differs between the servers in this crate.
-pub(crate) trait Service: Send + Sync + 'static {
-    fn stop(&self) -> &StopSignal;
-    /// Largest frame accepted from a peer (see `ServeConfig::max_frame`).
-    fn max_frame(&self) -> usize;
-    /// Answer one request; `shutdown` never reaches here.
-    fn dispatch(&self, op_name: &str, request: Options) -> Options;
-    /// What stopping means beyond closing the listeners.
-    fn on_stop(&self) {}
-}
-
-/// Stop `service` gracefully; idempotent.
-pub(crate) fn shutdown(service: &impl Service) {
-    if service.stop().raise() {
-        service.on_stop();
-    }
-}
-
-/// Accept on `listener` in a thread named `name` until the service stops,
-/// one `<name>-conn` thread per connection; ends once every connection
-/// has, removing a Unix socket file on the way out.
-pub(crate) fn spawn_accept_loop<S: Service>(
-    listener: Listener,
-    service: Arc<S>,
-    name: String,
-) -> Result<JoinHandle<()>> {
+/// Accept on `listener` until the daemon stops, one connection thread per
+/// connection; ends once every connection has, removing a Unix socket
+/// file on the way out.
+pub(crate) fn spawn_accept_loop(listener: Listener, daemon: Arc<Daemon>) -> Result<JoinHandle<()>> {
     std::thread::Builder::new()
-        .name(name.clone())
-        .spawn(move || accept_loop(listener, service, &name))
+        .name("pressio-serve".into())
+        .spawn(move || accept_loop(listener, daemon))
         .map_err(|e| Error::Io(format!("spawning accept thread: {e}")))
 }
 
-fn accept_loop<S: Service>(listener: Listener, service: Arc<S>, name: &str) {
+fn accept_loop(listener: Listener, daemon: Arc<Daemon>) {
     let mut connections = Vec::new();
-    while !service.stop().is_raised() {
+    while !daemon.stop.is_raised() {
         let conn = match listener.accept() {
             Ok(c) => c,
             Err(_) => continue,
         };
-        if service.stop().is_raised() {
+        if daemon.stop.is_raised() {
             break; // the shutdown self-connect
         }
-        let service = service.clone();
+        let daemon = daemon.clone();
         if let Ok(handle) = std::thread::Builder::new()
-            .name(format!("{name}-conn"))
-            .spawn(move || connection_loop(conn, &*service))
+            .name("pressio-serve-conn".into())
+            .spawn(move || connection_loop(conn, &daemon))
         {
             connections.push(handle);
         }
@@ -107,18 +82,17 @@ fn accept_loop<S: Service>(listener: Listener, service: Arc<S>, name: &str) {
     }
 }
 
-fn connection_loop(mut conn: Conn, service: &impl Service) {
+fn connection_loop(mut conn: Conn, daemon: &Daemon) {
     let _ = conn.set_read_timeout(Some(Duration::from_millis(200)));
-    while let Some(request) =
-        protocol::next_request(&mut conn, service.max_frame(), &service.stop().flag)
-    {
+    let max_frame = daemon.max_frame();
+    while let Some(request) = protocol::next_request(&mut conn, max_frame, &daemon.stop.flag) {
         let op_name = protocol::op_name(&request).to_string();
         let _span =
             pressio_obs::is_enabled().then(|| pressio_obs::span(format!("serve:op.{op_name}")));
         // failpoint: the process dies after accepting a request but before
         // answering it — the widest crash window a client can face. Exit
         // code 86 distinguishes the injected crash from a real panic so
-        // supervisors and chaos tests can assert on it.
+        // chaos tests can assert on it.
         if let Some(pressio_faults::FaultAction::Crash) =
             pressio_faults::check("serve:request.crash")
         {
@@ -129,7 +103,7 @@ fn connection_loop(mut conn: Conn, service: &impl Service) {
         let response = if shutting_down {
             Options::new().with("serve:type", "bye")
         } else {
-            service.dispatch(&op_name, request)
+            daemon.dispatch(&op_name, request)
         };
         let response = response.with("serve:elapsed_ms", started.elapsed().as_secs_f64() * 1e3);
         // failpoint: a stalled client holds the response in flight
@@ -152,7 +126,7 @@ fn connection_loop(mut conn: Conn, service: &impl Service) {
                 .is_ok()
         };
         if shutting_down {
-            shutdown(service);
+            daemon.stop.raise();
             break;
         }
         if !write_ok {

@@ -34,7 +34,7 @@ impl std::fmt::Display for Endpoint {
 impl Endpoint {
     /// Parse the `Display` form back into an endpoint: `unix:<path>` or
     /// `tcp:<host:port>`. A bare `host:port` is accepted as TCP, so
-    /// endpoints round-trip through topology files and log lines.
+    /// endpoints round-trip through log lines.
     pub fn parse(spec: &str) -> Result<Endpoint> {
         if let Some(path) = spec.strip_prefix("unix:") {
             #[cfg(unix)]

@@ -100,7 +100,6 @@ pub(crate) fn prediction_response(
     cached: bool,
     scheme: &str,
     model_tag: &str,
-    shard: Option<usize>,
 ) -> Options {
     pressio_obs::add_counter("serve:prediction", 1);
     let mut resp = Options::new()
@@ -110,9 +109,6 @@ pub(crate) fn prediction_response(
         .with("serve:scheme", scheme);
     if !model_tag.is_empty() {
         resp = resp.with("serve:model", model_tag);
-    }
-    if let Some(shard) = shard {
-        resp = resp.with("serve:shard", shard as u64);
     }
     resp
 }
@@ -169,13 +165,7 @@ pub(crate) fn probe(state: &ServerState, request: &mut Options) -> Option<Option
         return None;
     };
     state.count(Stat::PredictionsServed, 1);
-    let resp = prediction_response(
-        value,
-        true,
-        &target.scheme,
-        &target.tag,
-        state.config.shard_index,
-    );
+    let resp = prediction_response(value, true, &target.scheme, &target.tag);
     Some(with_interval(
         resp,
         target.predictor.as_ref(),
@@ -385,13 +375,7 @@ fn finalize(state: &ServerState, target: &LoadedModel, extracted: &Extracted, pr
             .prediction_cache
             .insert(prep.pred_key, (value, target.id()));
         state.count(Stat::PredictionsServed, 1);
-        let resp = prediction_response(
-            value,
-            false,
-            &target.scheme,
-            &target.tag,
-            state.config.shard_index,
-        );
+        let resp = prediction_response(value, false, &target.scheme, &target.tag);
         Ok(with_interval(resp, predictor, value, &prep.item.request))
     })();
     // deadline re-check after compute: the client stopped waiting at the

@@ -60,12 +60,9 @@ pub mod op {
     /// Occupy a pipeline worker for `serve:ms` milliseconds (testing and
     /// backpressure demonstrations).
     pub const SLEEP: &str = "sleep";
-    /// Describe the shard topology (multi-shard deployments): shard
-    /// endpoints plus a generation counter that bumps on every restart.
-    pub const TOPOLOGY: &str = "topology";
     /// Re-resolve models against the store and invalidate anything cached
-    /// under a superseded version. Broadcast by the supervisor after a
-    /// train so every shard picks the new version up immediately.
+    /// under a superseded version, so a version another daemon trained
+    /// into the shared store is served at once.
     pub const RELOAD: &str = "reload";
     /// Open a streaming prediction session (`stream:id`, scheme/model,
     /// compressor knobs). Chunks then flow through [`STREAM_CHUNK`].
@@ -383,11 +380,8 @@ pub fn data_into_request(req: &mut Options, data: &pressio_core::Data) {
 }
 
 /// Stable content hash of the data buffer embedded in a request (dtype +
-/// dims + raw bytes), as hex. This is the routing AND cache key root:
-/// identical buffers sent by different clients share cache entries, and the
-/// supervisor/sharded client route on the same hash the shard caches are
-/// keyed by, so every buffer has exactly one home shard whose LRU stays
-/// hot for it.
+/// dims + raw bytes), as hex. This is the cache key root: identical
+/// buffers sent by different clients share cache entries.
 pub fn data_content_hash(req: &Options) -> Result<String> {
     Ok(pressio_core::hash::to_hex(&data_content_digest(req)?))
 }

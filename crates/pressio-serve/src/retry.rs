@@ -1,6 +1,6 @@
 //! The one retry budget and the one outcome classifier behind every
-//! retrying caller ([`crate::Client::call_resilient`],
-//! [`crate::ShardedClient`], [`crate::ResilientStreamSender`]).
+//! retrying caller ([`crate::Client::call_resilient`] and
+//! [`crate::ResilientStreamSender`]).
 //!
 //! A caller classifies each exchange and, when it is worth another try,
 //! spends an attempt: that bumps the caller's counter and sleeps the

@@ -236,8 +236,8 @@ impl ResilientStreamSender {
                     }
                 }
                 Outcome::Done => {
-                    // the in-memory session vanished (shard crash/respawn
-                    // or reap): resume — the journal rehydrates it — then
+                    // the in-memory session vanished (daemon restart or
+                    // reap): resume — the journal rehydrates it — then
                     // retry
                     let lost = is_chunk
                         && self.begun

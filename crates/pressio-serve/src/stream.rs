@@ -241,7 +241,7 @@ impl ChunkRecord {
 /// One open streaming session.
 pub(crate) struct StreamSession {
     /// Client-chosen identifier (by convention the stream's content
-    /// hash), also the shard routing key for every op that carries it.
+    /// hash).
     pub(crate) id: String,
     /// Session token: minted at `stream.begin` (client-supplied or
     /// server-minted) and required by `stream.resume`.
@@ -387,19 +387,13 @@ impl StreamSession {
 
     /// The `stream.prediction` response for acked chunk `seq`, fresh or
     /// (`replayed`) served again from the outcome cache.
-    pub(crate) fn chunk_response(
-        &self,
-        seq: u64,
-        replayed: bool,
-        shard: Option<usize>,
-    ) -> Option<Options> {
+    pub(crate) fn chunk_response(&self, seq: u64, replayed: bool) -> Option<Options> {
         let outcome = self.outcome(seq)?;
         let mut resp = prediction_response(
             outcome.prediction,
             replayed,
             &self.scheme_name,
             &outcome.model_tag,
-            shard,
         )
         .with("serve:type", "stream.prediction")
         .with("stream:id", self.id.as_str())

@@ -133,7 +133,7 @@ fn replayed_chunk(
         )));
     }
     let resp = session
-        .chunk_response(seq, true, state.config.shard_index)
+        .chunk_response(seq, true)
         .ok_or_else(|| invalid(format!("chunk {seq} is acked but has no cached outcome")))?;
     session.last_active = Instant::now();
     state.count(Stat::StreamReplays, 1);
@@ -150,8 +150,8 @@ fn chunk_faults(sessions: &SessionMap, id: &str) -> Option<Options> {
     {
         std::thread::sleep(Duration::from_millis(ms));
     }
-    // the in-memory session vanishes (as a shard crash or respawn would
-    // lose it) while the durable journal survives — the client sees
+    // the in-memory session vanishes (as a daemon restart would lose
+    // it) while the durable journal survives — the client sees
     // `not_found`, resumes, and the journal rehydrates
     if pressio_faults::check("stream:session.lost").is_some() {
         sessions.end(id);
@@ -233,7 +233,7 @@ pub(crate) fn handle_chunk(state: &ServerState, request: &Options) -> Result<Opt
     let seq = chunk.seq;
     session.commit(chunk);
     let mut resp = session
-        .chunk_response(seq, false, state.config.shard_index)
+        .chunk_response(seq, false)
         .expect("the chunk just committed has an outcome");
     if let Some(e) = refit_error {
         resp.set("stream:online.refit_error", e.to_string());
@@ -326,8 +326,8 @@ pub(crate) fn handle_end(state: &ServerState, request: &Options) -> Result<Optio
     Ok(resp)
 }
 
-/// Rehydrate or re-attach a streaming session after a disconnect, crash,
-/// or shard respawn. The client presents the stream id, its session
+/// Rehydrate or re-attach a streaming session after a disconnect or a
+/// daemon restart. The client presents the stream id, its session
 /// token, and its last-acked chunk offset; the server answers with the
 /// *authoritative* acked offset (the client replays from there — replays
 /// of already-acked chunks are idempotent). A session missing from memory
@@ -335,7 +335,7 @@ pub(crate) fn handle_end(state: &ServerState, request: &Options) -> Result<Optio
 pub(crate) fn handle_resume(state: &ServerState, request: &Options) -> Result<Options> {
     state.sweep_sessions();
     // failpoint: the resume is refused with a retryable code (as a
-    // rebalancing or mid-rehydration shard would); the resilient sender
+    // busy or mid-rehydration daemon would); the resilient sender
     // backs off and retries
     if pressio_faults::check("stream:resume.reject").is_some() {
         return Ok(protocol::error_response(
@@ -387,16 +387,12 @@ pub(crate) fn handle_resume(state: &ServerState, request: &Options) -> Result<Op
     }
     session.last_active = Instant::now();
     state.count(Stat::StreamResumes, 1);
-    let mut resp = Options::new()
+    Ok(Options::new()
         .with("serve:type", "stream.resumed")
         .with("stream:id", id)
         .with("serve:scheme", session.scheme_name.as_str())
         .with("stream:token", session.token.as_str())
         .with("stream:acked", session.chunks)
         .with("stream:online", session.learner.is_some())
-        .with("stream:rehydrated", rehydrated);
-    if let Some(shard) = state.config.shard_index {
-        resp.set("serve:shard", shard as u64);
-    }
-    Ok(resp)
+        .with("stream:rehydrated", rehydrated))
 }

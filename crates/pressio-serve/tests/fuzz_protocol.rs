@@ -22,7 +22,8 @@ fn corpus() -> Vec<Vec<u8>> {
     let messages = vec![
         Options::new().with("serve:op", op::PING),
         Options::new().with("serve:op", op::STATS),
-        Options::new().with("serve:op", op::TOPOLOGY),
+        // an op no daemon knows: answered bad_request
+        Options::new().with("serve:op", "topology"),
         Options::new()
             .with("serve:op", op::TRAIN)
             .with("serve:model", "m")

@@ -1,12 +1,14 @@
 //! End-to-end daemon tests over a real socket: train → persist → load →
-//! predict, cache-hit fast path, overload backpressure, deadlines, and
-//! persistence across a daemon restart.
+//! predict, cache-hit fast path, overload backpressure, deadlines,
+//! persistence across a daemon restart, reload invalidation and batch
+//! coalescing.
 
 use pressio_core::Options;
 use pressio_dataset::{DatasetPlugin, Hurricane};
 use pressio_serve::protocol::{self, code, op};
 use pressio_serve::{Client, Endpoint, ServeConfig, Server};
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("pressio_serve_e2e").join(name);
@@ -422,19 +424,77 @@ fn queued_request_past_deadline_answers_deadline_exceeded() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An op the daemon does not serve (`topology` among them: a daemon is one
+/// process) is a bad request naming the op, and the connection survives.
 #[test]
 fn unknown_op_is_bad_request_and_connection_survives() {
     let dir = temp_dir("badop");
     let handle = Server::start(local_config(&dir)).unwrap();
     let mut client = Client::connect(handle.endpoint()).unwrap();
-    let resp = client
-        .call(&Options::new().with("serve:op", "frobnicate"))
-        .unwrap();
-    assert!(protocol::is_error(&resp, code::BAD_REQUEST), "{resp}");
-    // the connection is still usable afterwards
+    for name in ["frobnicate", "topology"] {
+        let resp = client.call(&Options::new().with("serve:op", name)).unwrap();
+        assert!(protocol::is_error(&resp, code::BAD_REQUEST), "{resp}");
+        let message = resp.get_str("serve:message").unwrap();
+        assert!(message.contains(&format!("'{name}'")), "{message}");
+        // the connection is still usable afterwards
+        assert_eq!(
+            client.ping().unwrap().get_str("serve:type").unwrap(),
+            "pong"
+        );
+    }
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A models directory a multi-process deployment left a `.topology.json`
+/// in still lists and loads its models.
+#[test]
+fn a_models_directory_with_a_topology_file_lists_and_loads_its_models() {
+    let dir = temp_dir("old_topology");
+    let handle = Server::start(local_config(&dir)).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let trained = client.call(&train_request("m", "rahman2023")).unwrap();
     assert_eq!(
-        client.ping().unwrap().get_str("serve:type").unwrap(),
-        "pong"
+        trained.get_str("serve:type").unwrap(),
+        "trained",
+        "{trained}"
+    );
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    // the file as a two-shard deployment wrote it
+    let topology = Options::new()
+        .with("serve:type", "topology")
+        .with("topology:generation", 1u64)
+        .with("topology:base", "unix:/tmp/s.sock")
+        .with(
+            "topology:shards",
+            vec![
+                "unix:/tmp/s.sock.s0".to_string(),
+                "unix:/tmp/s.sock.s1".into(),
+            ],
+        );
+    let topology_file = dir.join("models").join(".topology.json");
+    std::fs::write(topology_file, topology.to_json().unwrap()).unwrap();
+
+    let handle = Server::start(local_config(&dir)).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let models = client.models().unwrap();
+    assert_eq!(
+        models.get_str_slice("serve:models").unwrap(),
+        ["m@1"],
+        "{models}"
+    );
+    let loaded = client.load("m").unwrap();
+    assert_eq!(loaded.get_str("serve:type").unwrap(), "loaded", "{loaded}");
+    assert_eq!(loaded.get_u64("serve:version").unwrap(), 1);
+    let data = sample_data(0);
+    let extra = Options::new().with("pressio:abs", 1e-4);
+    let predicted = client.predict("m", &data, &extra).unwrap();
+    assert_eq!(
+        predicted.get_str("serve:model").unwrap(),
+        "m@1",
+        "{predicted}"
     );
     client.shutdown().unwrap();
     handle.wait().unwrap();
@@ -862,6 +922,142 @@ fn an_agnostic_feature_hit_answers_what_a_cold_daemon_answers() {
     }
     let stats = client.stats().unwrap();
     assert_eq!(stats.get_u64("serve:feature_cache.hits").unwrap(), 0);
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn reload_invalidates_predictions_cached_under_old_model_version() {
+    let dir = temp_dir("reload");
+    let mut config = local_config(&dir);
+    // a long TTL so the stale window is deterministic: without reload,
+    // server A would keep resolving v1 for a minute
+    config.latest_ttl_ms = 60_000;
+    let handle_a = Server::start(config).unwrap();
+    let mut client_a = Client::connect(handle_a.endpoint()).unwrap();
+    client_a.call(&train_request("m", "rahman2023")).unwrap();
+    let extra = Options::new().with("pressio:abs", 1e-4);
+    let data = sample_data(0);
+    let v1 = client_a.predict("m", &data, &extra).unwrap();
+    assert_eq!(v1.get_str("serve:model").unwrap(), "m@1", "{v1}");
+    assert!(client_a
+        .predict("m", &data, &extra)
+        .unwrap()
+        .get_bool("serve:cached")
+        .unwrap());
+
+    // another server over the same store trains version 2
+    let handle_b = Server::start(local_config(&dir)).unwrap();
+    let mut client_b = Client::connect(handle_b.endpoint()).unwrap();
+    let trained = client_b.call(&train_request("m", "rahman2023")).unwrap();
+    assert_eq!(trained.get_u64("serve:version").unwrap(), 2);
+
+    // server A still serves v1 from its TTL'd resolution + cache
+    let stale = client_a.predict("m", &data, &extra).unwrap();
+    assert_eq!(stale.get_str("serve:model").unwrap(), "m@1");
+    assert!(stale.get_bool("serve:cached").unwrap());
+    // a prediction no model made, which no reload makes stale
+    let mut analytic = Options::new()
+        .with("serve:op", op::PREDICT)
+        .with("serve:scheme", "khan2023")
+        .with("pressio:abs", 1e-4);
+    protocol::data_into_request(&mut analytic, &data);
+    assert!(!client_a
+        .call(&analytic)
+        .unwrap()
+        .get_bool("serve:cached")
+        .unwrap());
+
+    // reload: after this, nothing cached under v1 may be served
+    let reloaded = client_a
+        .call(&Options::new().with("serve:op", op::RELOAD))
+        .unwrap();
+    assert_eq!(
+        reloaded.get_str("serve:type").unwrap(),
+        "reloaded",
+        "{reloaded}"
+    );
+    assert!(reloaded.get_u64("serve:models.dropped").unwrap() >= 1);
+    // exactly the one prediction m@1 made
+    assert_eq!(reloaded.get_u64("serve:predictions.purged").unwrap(), 1);
+    assert!(client_a
+        .call(&analytic)
+        .unwrap()
+        .get_bool("serve:cached")
+        .unwrap());
+    let fresh = client_a.predict("m", &data, &extra).unwrap();
+    assert_eq!(
+        fresh.get_str("serve:model").unwrap(),
+        "m@2",
+        "reload must not serve predictions cached under the old version: {fresh}"
+    );
+    assert!(!fresh.get_bool("serve:cached").unwrap());
+
+    client_a.shutdown().unwrap();
+    handle_a.wait().unwrap();
+    client_b.shutdown().unwrap();
+    handle_b.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn identical_buffers_in_one_batch_coalesce_into_one_extraction() {
+    let dir = temp_dir("coalesce");
+    let mut config = local_config(&dir);
+    config.workers = 1;
+    config.batch_max = 8;
+    config.queue_capacity = 16;
+    let handle = Server::start(config).unwrap();
+    let endpoint = handle.endpoint().clone();
+    let mut client = Client::connect(&endpoint).unwrap();
+    client.call(&train_request("m", "rahman2023")).unwrap();
+    let extra = Options::new().with("pressio:abs", 1e-4);
+
+    // occupy the single worker so the predicts pile into one batch
+    let blocker = {
+        let endpoint = endpoint.clone();
+        std::thread::spawn(move || {
+            Client::connect(&endpoint)
+                .unwrap()
+                .call(
+                    &Options::new()
+                        .with("serve:op", op::SLEEP)
+                        .with("serve:ms", 400u64),
+                )
+                .unwrap()
+        })
+    };
+    std::thread::sleep(Duration::from_millis(100));
+    // four connections submit the SAME buffer while the worker sleeps
+    let workers: Vec<_> = (0..4)
+        .map(|_| {
+            let endpoint = endpoint.clone();
+            let extra = extra.clone();
+            std::thread::spawn(move || {
+                Client::connect(&endpoint)
+                    .unwrap()
+                    .predict("m", &sample_data(0), &extra)
+                    .unwrap()
+            })
+        })
+        .collect();
+    let responses: Vec<Options> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+    blocker.join().unwrap();
+    let first = responses[0].get_f64("serve:prediction").unwrap();
+    for resp in &responses {
+        assert_eq!(resp.get_str("serve:type").unwrap(), "prediction", "{resp}");
+        assert_eq!(resp.get_f64("serve:prediction").unwrap(), first);
+    }
+    let stats = client.stats().unwrap();
+    // 4 identical cold requests need agnostic+dependent features exactly
+    // once: 2 extractions ran, 6 were coalesced away
+    assert_eq!(
+        stats.get_u64("serve:features.computed").unwrap(),
+        2,
+        "identical buffers must extract once: {stats}"
+    );
+    assert_eq!(stats.get_u64("serve:coalesced").unwrap(), 6, "{stats}");
     client.shutdown().unwrap();
     handle.wait().unwrap();
     let _ = std::fs::remove_dir_all(&dir);

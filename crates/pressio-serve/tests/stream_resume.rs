@@ -93,7 +93,7 @@ fn lost_session_is_rehydrated_from_the_journal_byte_identically() {
     let reference = reference_predictions(&mut client, "ref", &data);
 
     // the faulted stream: three chunks land, then the in-memory session
-    // is lost (as a crashed-and-respawned shard would lose it)
+    // is lost (as a crashed-and-restarted daemon would lose it)
     let begun = client.stream_begin("fault", &extra()).unwrap();
     assert_eq!(begun.get_str("serve:type").unwrap(), "stream.begun");
     let token = begun.get_str("stream:token").unwrap().to_string();

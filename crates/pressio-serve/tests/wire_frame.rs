@@ -39,7 +39,7 @@ fn frame_layout_is_pinned() {
     assert_eq!(frame_bytes(&predict).unwrap(), want);
 }
 
-/// Cache keys and rendezvous routing are pinned on this digest (taken
+/// Cache keys are pinned on this digest (taken
 /// when buffers still crossed the wire as JSON integer arrays).
 #[test]
 fn content_hash_is_pinned() {

@@ -14,8 +14,6 @@ pub enum FitError {
     Singular,
     /// Feature-dimension mismatch between fit and predict.
     DimensionMismatch,
-    /// A saved model state did not parse; the parser's reason.
-    BadState(String),
 }
 
 impl std::fmt::Display for FitError {
@@ -24,7 +22,6 @@ impl std::fmt::Display for FitError {
             FitError::TooFewSamples => write!(f, "too few samples to fit"),
             FitError::Singular => write!(f, "singular design matrix"),
             FitError::DimensionMismatch => write!(f, "feature dimension mismatch"),
-            FitError::BadState(why) => write!(f, "unloadable model state: {why}"),
         }
     }
 }
@@ -128,16 +125,6 @@ impl LinearModel {
     pub fn coefficients(&self) -> &[f64] {
         &self.coefficients
     }
-
-    /// Serialize to JSON (the `predictors:state` payload).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("LinearModel is always serializable")
-    }
-
-    /// Deserialize from [`LinearModel::to_json`].
-    pub fn from_json(s: &str) -> Result<LinearModel, FitError> {
-        serde_json::from_str(s).map_err(|e| FitError::BadState(e.to_string()))
-    }
 }
 
 #[cfg(test)]
@@ -218,23 +205,12 @@ mod tests {
     fn json_state_round_trip() {
         let (xs, ys) = noisy_plane(50);
         let m = LinearModel::fit(&xs, &ys).unwrap();
-        let restored = LinearModel::from_json(&m.to_json()).unwrap();
+        let json = serde_json::to_string(&m).unwrap();
+        let restored: LinearModel = serde_json::from_str(&json).unwrap();
         assert_eq!(m, restored);
         assert_eq!(
             m.predict(&[1.0, 2.0]).unwrap(),
             restored.predict(&[1.0, 2.0]).unwrap()
         );
-    }
-
-    #[test]
-    fn a_truncated_state_says_why_it_does_not_load() {
-        let (xs, ys) = noisy_plane(50);
-        let state = LinearModel::fit(&xs, &ys).unwrap().to_json();
-        match LinearModel::from_json(&state[..state.len() - 1]) {
-            Err(e @ FitError::BadState(_)) => {
-                assert!(e.to_string().starts_with("unloadable model state: "), "{e}")
-            }
-            other => panic!("a truncated state: {other:?}"),
-        }
     }
 }

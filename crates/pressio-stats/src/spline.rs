@@ -105,16 +105,6 @@ impl NaturalSpline {
     pub fn predict_batch(&self, xs: &[f64]) -> Vec<f64> {
         xs.iter().map(|&x| self.predict(x)).collect()
     }
-
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("NaturalSpline is always serializable")
-    }
-
-    /// Deserialize from [`NaturalSpline::to_json`].
-    pub fn from_json(s: &str) -> Result<NaturalSpline, FitError> {
-        serde_json::from_str(s).map_err(|e| FitError::BadState(e.to_string()))
-    }
 }
 
 #[cfg(test)]
@@ -190,20 +180,8 @@ mod tests {
         let xs: Vec<f64> = (0..30).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| x.sqrt()).collect();
         let sp = NaturalSpline::fit(&xs, &ys, 6).unwrap();
-        let restored = NaturalSpline::from_json(&sp.to_json()).unwrap();
+        let json = serde_json::to_string(&sp).unwrap();
+        let restored: NaturalSpline = serde_json::from_str(&json).unwrap();
         assert_eq!(sp, restored);
-    }
-
-    #[test]
-    fn a_truncated_state_says_why_it_does_not_load() {
-        let xs: Vec<f64> = (0..30).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| x.sqrt()).collect();
-        let state = NaturalSpline::fit(&xs, &ys, 6).unwrap().to_json();
-        match NaturalSpline::from_json(&state[..state.len() / 2]) {
-            Err(e @ FitError::BadState(_)) => {
-                assert!(e.to_string().starts_with("unloadable model state: "), "{e}")
-            }
-            other => panic!("a truncated state: {other:?}"),
-        }
     }
 }
