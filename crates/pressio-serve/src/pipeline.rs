@@ -15,7 +15,7 @@
 use crate::protocol::{self, code};
 use pressio_core::Options;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -69,6 +69,8 @@ struct Shared {
     cond: Condvar,
     capacity: usize,
     batch_max: usize,
+    /// Workers between claiming a batch and finishing it.
+    busy: AtomicUsize,
     /// New submissions are rejected once draining starts. Set with
     /// `queue`'s lock held, so no worker is between its check of the flag
     /// and its wait on `cond` when the flag changes.
@@ -101,6 +103,7 @@ impl Pipeline {
             cond: Condvar::new(),
             capacity: capacity.max(1),
             batch_max: batch_max.max(1),
+            busy: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             #[cfg(test)]
             before_wait: None,
@@ -152,13 +155,10 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Queued (not yet claimed) items.
-    pub fn depth(&self) -> usize {
-        self.shared
-            .queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
+    /// Queued (not yet claimed) items, and workers handling a batch.
+    pub fn load(&self) -> (usize, usize) {
+        let queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+        (queue.len(), self.shared.busy.load(Ordering::Acquire))
     }
 
     /// Graceful shutdown: stop accepting, let workers drain everything
@@ -196,6 +196,7 @@ fn worker_loop(shared: &Shared, handler: &(dyn Fn(Vec<WorkItem>) + Send + Sync))
                         }
                     }
                     pressio_obs::set_gauge("serve:queue.depth", queue.len() as f64);
+                    shared.busy.fetch_add(1, Ordering::AcqRel);
                     break batch;
                 }
                 if shared.draining.load(Ordering::Acquire) {
@@ -223,6 +224,7 @@ fn worker_loop(shared: &Shared, handler: &(dyn Fn(Vec<WorkItem>) + Send + Sync))
         if !live.is_empty() {
             handler(live);
         }
+        shared.busy.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -352,6 +354,7 @@ mod tests {
             cond: Condvar::new(),
             capacity: 4,
             batch_max: 1,
+            busy: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             before_wait: Some(park),
         };

@@ -175,8 +175,21 @@ fn breaker_trips_sheds_and_recovers() {
     config.breaker_cooldown_ms = 150;
     let handle = Server::start(config).unwrap();
     let endpoint = handle.endpoint().clone();
+    let mut filler = Client::connect(&endpoint).unwrap();
+    // poll the daemon until `key` reads `want`: the steps below wait on
+    // what the daemon reports, not on how fast a busy host schedules them
+    let await_stat = |client: &mut Client, key: &str, want: u64| {
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while client.stats().unwrap().get_u64(key).unwrap() != want {
+            assert!(
+                std::time::Instant::now() < give_up,
+                "{key} never read {want}"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+    };
 
-    // occupy the single worker, fill the queue slot
+    // occupy the single worker, then fill the queue slot
     let blocker = {
         let endpoint = endpoint.clone();
         std::thread::spawn(move || {
@@ -184,13 +197,12 @@ fn breaker_trips_sheds_and_recovers() {
             c.call(
                 &Options::new()
                     .with("serve:op", op::SLEEP)
-                    .with("serve:ms", 500u64),
+                    .with("serve:ms", 1_000u64),
             )
             .unwrap()
         })
     };
-    std::thread::sleep(std::time::Duration::from_millis(100));
-    let mut filler = Client::connect(&endpoint).unwrap();
+    await_stat(&mut filler, "serve:workers.busy", 1);
     let filler_pending = std::thread::spawn({
         let endpoint = endpoint.clone();
         move || {
@@ -203,7 +215,7 @@ fn breaker_trips_sheds_and_recovers() {
             .unwrap()
         }
     });
-    std::thread::sleep(std::time::Duration::from_millis(50));
+    await_stat(&mut filler, "serve:queue.depth", 1);
 
     // queue full: consecutive rejections trip the breaker (threshold 2),
     // after which requests are shed without touching the queue
