@@ -251,6 +251,27 @@ impl Data {
         }
     }
 
+    /// Hand `f` the [`Data::to_le_bytes`] image in order, 8 KiB at a time,
+    /// without materialising it whole.
+    pub fn le_runs(&self, mut f: impl FnMut(&[u8])) {
+        fn runs<T, const N: usize>(v: &[T], le: fn(&T) -> [u8; N], f: &mut impl FnMut(&[u8])) {
+            let mut image = [0u8; 8 << 10];
+            for run in v.chunks(image.len() / N) {
+                for (bytes, x) in image.chunks_exact_mut(N).zip(run) {
+                    bytes.copy_from_slice(&le(x));
+                }
+                f(&image[..run.len() * N]);
+            }
+        }
+        match &self.storage {
+            Storage::F32(v) => runs(v, |x| x.to_le_bytes(), &mut f),
+            Storage::F64(v) => runs(v, |x| x.to_le_bytes(), &mut f),
+            Storage::I32(v) => runs(v, |x| x.to_le_bytes(), &mut f),
+            Storage::I64(v) => runs(v, |x| x.to_le_bytes(), &mut f),
+            Storage::U8(v) => v.chunks(8 << 10).for_each(f),
+        }
+    }
+
     /// What [`Data::from_le_bytes`] requires of its arguments — `byte_len`
     /// is exactly `dims` elements of `dtype` — checked without the bytes,
     /// so a caller can reject a malformed buffer before paying for the copy.
@@ -404,6 +425,26 @@ mod tests {
             let bytes = src.to_le_bytes();
             let back = Data::from_le_bytes(dt, vec![3, 2], &bytes).unwrap();
             assert_eq!(src, back, "{dt:?}");
+        }
+    }
+
+    #[test]
+    fn le_runs_are_the_le_image_in_order() {
+        let n = 3001;
+        for data in [
+            Data::from_f32(vec![n], (0..n).map(|i| i as f32 * -0.37).collect()),
+            Data::from_f64(vec![n], (0..n).map(|i| i as f64 * 1e-300).collect()),
+            Data::from_i32(vec![n], (0..n).map(|i| i as i32 - 18).collect()),
+            Data::from_i64(vec![n], (0..n).map(|i| (i as i64) << 40).collect()),
+            Data::from_bytes((0..3 * n).map(|i| (i as u8).wrapping_mul(7)).collect()),
+            Data::from_f32(vec![0], Vec::new()),
+        ] {
+            let mut image = Vec::new();
+            data.le_runs(|run| {
+                assert!(!run.is_empty() && run.len() <= 8 << 10);
+                image.extend_from_slice(run);
+            });
+            assert_eq!(image, data.to_le_bytes(), "{:?}", data.dtype());
         }
     }
 

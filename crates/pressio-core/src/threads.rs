@@ -15,6 +15,7 @@
 //! chunks run on pool threads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide thread-count override (0 = unset).
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -25,11 +26,16 @@ pub fn set_global_threads(n: usize) {
     GLOBAL_THREADS.store(n, Ordering::Relaxed);
 }
 
-/// The machine's available parallelism (≥ 1).
+/// The machine's available parallelism (≥ 1), read once per process:
+/// `available_parallelism` re-reads the cgroup files on every call, and
+/// the pool this count sizes is itself sized once.
 pub fn available() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Resolve the effective thread count: `instance` option if set, else the

@@ -3,7 +3,7 @@
 //! factory for the matching predictor — so applications can switch methods
 //! without knowing their internals (Figure 4).
 
-use crate::features::FeaturePass;
+use crate::features::{FeaturePass, PassChain};
 use crate::predictor::Predictor;
 use pressio_core::error::Result;
 use pressio_core::{Compressor, Data, Options};
@@ -57,6 +57,13 @@ pub trait Scheme: Send {
         pass: &FeaturePass<'_>,
         compressor: &dyn Compressor,
     ) -> Result<Options>;
+
+    /// The chains of a pass this scheme's stages read of every buffer,
+    /// for a caller that runs them side by side ahead of the stages
+    /// ([`crate::features::with_chains_ahead`]). None by default.
+    fn pass_chains(&self) -> &'static [PassChain] {
+        &[]
+    }
 
     /// [`Scheme::error_agnostic_from`] on a pass of its own, for a caller
     /// that runs this stage alone.

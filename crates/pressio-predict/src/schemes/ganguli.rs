@@ -5,7 +5,7 @@
 //! on the estimate — the "bounded" feature of Table 1 that makes it suited
 //! to the HDF5 parallel-write use case (§2.1).
 
-use crate::features::{quantized_entropy_features, spatial_features, FeaturePass};
+use crate::features::{quantized_entropy_features, spatial_features, FeaturePass, PassChain};
 use crate::predictor::{ConformalForestPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use pressio_core::error::Result;
@@ -32,6 +32,10 @@ impl Scheme for GanguliScheme {
 
     fn supports(&self, _compressor_id: &str) -> bool {
         true
+    }
+
+    fn pass_chains(&self) -> &'static [PassChain] {
+        &[PassChain::Moments]
     }
 
     fn error_agnostic_from(&self, pass: &FeaturePass<'_>) -> Result<Options> {

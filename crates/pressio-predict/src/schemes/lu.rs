@@ -3,7 +3,9 @@
 //! trained per compressor (Table 1: training + sampling, not black-box,
 //! accurate).
 
-use crate::features::{global_stats, sz_quantization_profile, FeaturePass};
+use crate::features::{
+    global_stats, sz_quantization_profile, FeaturePass, PassChain, GLOBAL_STATS_CHAINS,
+};
 use crate::predictor::{GpPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use pressio_core::error::Result;
@@ -33,6 +35,10 @@ impl Scheme for LuScheme {
 
     fn supports(&self, compressor_id: &str) -> bool {
         matches!(compressor_id, "sz3" | "zfp")
+    }
+
+    fn pass_chains(&self) -> &'static [PassChain] {
+        GLOBAL_STATS_CHAINS
     }
 
     fn error_agnostic_from(&self, pass: &FeaturePass<'_>) -> Result<Options> {

@@ -3,7 +3,9 @@
 //! Lu (2018) fed to a small MLP (Table 1: deep learning, accurate,
 //! training + sampling, not black-box).
 
-use crate::features::{global_stats, sz_quantization_profile, FeaturePass};
+use crate::features::{
+    global_stats, sz_quantization_profile, FeaturePass, PassChain, GLOBAL_STATS_CHAINS,
+};
 use crate::predictor::{MlpPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use pressio_core::error::Result;
@@ -33,6 +35,10 @@ impl Scheme for QinScheme {
 
     fn supports(&self, compressor_id: &str) -> bool {
         matches!(compressor_id, "sz3" | "zfp")
+    }
+
+    fn pass_chains(&self) -> &'static [PassChain] {
+        GLOBAL_STATS_CHAINS
     }
 
     fn error_agnostic_from(&self, pass: &FeaturePass<'_>) -> Result<Options> {

@@ -5,7 +5,7 @@
 //! on Hurricane (§6); here that is the `stat:zero_fraction` feature family,
 //! which the ablation bench can disable.
 
-use crate::features::{global_stats, FeaturePass};
+use crate::features::{global_stats, FeaturePass, PassChain, GLOBAL_STATS_CHAINS};
 use crate::predictor::{ForestPredictor, Predictor};
 use crate::scheme::{Scheme, SchemeInfo};
 use pressio_core::error::Result;
@@ -63,6 +63,10 @@ impl Scheme for RahmanScheme {
     fn supports(&self, compressor_id: &str) -> bool {
         // black-box features + per-compressor training: any compressor
         matches!(compressor_id, "sz3" | "zfp")
+    }
+
+    fn pass_chains(&self) -> &'static [PassChain] {
+        GLOBAL_STATS_CHAINS
     }
 
     fn error_agnostic_from(&self, pass: &FeaturePass<'_>) -> Result<Options> {

@@ -3,7 +3,7 @@
 //! and client are transport-agnostic.
 
 use pressio_core::error::{Error, Result};
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -147,7 +147,7 @@ pub fn buffered<R: Read>(inner: R) -> BufReader<R> {
 }
 
 /// A connected stream (either transport), read through [`buffered`] and
-/// written unbuffered: every frame is already one contiguous write.
+/// written unbuffered: every frame is already one (vectored) write.
 pub struct Conn(BufReader<Stream>);
 
 enum Stream {
@@ -184,6 +184,10 @@ impl Write for Conn {
         self.0.get_mut().write(buf)
     }
 
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        self.0.get_mut().write_vectored(bufs)
+    }
+
     fn flush(&mut self) -> std::io::Result<()> {
         self.0.get_mut().flush()
     }
@@ -205,6 +209,14 @@ impl Write for Stream {
             #[cfg(unix)]
             Stream::Unix(s) => s.write(buf),
             Stream::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            #[cfg(unix)]
+            Stream::Unix(s) => s.write_vectored(bufs),
+            Stream::Tcp(s) => s.write_vectored(bufs),
         }
     }
 

@@ -21,7 +21,7 @@ use crate::server::{respond, LoadedModel, ServerState, Stat};
 use pressio_core::error::{Error, Result};
 use pressio_core::{threads, Compressor, Data, Options};
 use pressio_predict::evaluator::CachedEvaluator;
-use pressio_predict::features::{FeaturePass, FeatureRow};
+use pressio_predict::features::{with_chains_ahead, FeaturePass, FeatureRow};
 use pressio_predict::{standard_compressors, standard_schemes, Predictor, Scheme};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -129,10 +129,14 @@ fn keyed(
 ) -> Result<(Box<dyn Compressor>, [u8; 32])> {
     protocol::check_data(request)?;
     let comp = compressor(compressor_id(request)?, &[request])?;
-    if digest.is_none() {
-        state.count(Stat::PredictHashes, 1);
-    }
-    let data_sha = digest.map_or_else(|| protocol::data_content_digest(request), Ok)?;
+    let data_sha = match digest {
+        Some(digest) => digest,
+        None => {
+            state.count(Stat::PredictHashes, 1);
+            let _span = pressio_obs::span("serve:predict.digest");
+            protocol::data_content_digest(request)?
+        }
+    };
     Ok((comp, data_sha))
 }
 
@@ -300,7 +304,9 @@ fn prepare(state: &ServerState, target: &LoadedModel, mut item: WorkItem) -> Opt
 /// unique (key → extraction) job runs exactly once regardless of how many
 /// requests need it. The first prep needing a key owns the job. Every job
 /// on a buffer — both stages, and the dependent stage at each distinct
-/// bound — reads it through that buffer's one [`FeaturePass`].
+/// bound — reads it through that buffer's one [`FeaturePass`], whose
+/// independent chains the scheme reads are started side by side ahead of
+/// the jobs.
 fn extract(state: &ServerState, target: &LoadedModel, preps: &[Prep]) -> Extracted {
     let mut passes: HashMap<&[u8; 32], FeaturePass<'_>> = HashMap::new();
     // (cache key, buffer, the compressor when it is the error-dependent stage)
@@ -329,14 +335,20 @@ fn extract(state: &ServerState, target: &LoadedModel, preps: &[Prep]) -> Extract
     }
     // The scheme is rebuilt inside the closure (a cheap registry
     // construction; schemes are not `Sync`) so the closure stays `Sync`.
-    let nthreads = threads::resolve(None).min(jobs.len().max(1));
-    let results: Vec<Result<Options>> = threads::par_map_indexed(nthreads, jobs.len(), |j| {
-        let (_, data_sha, comp) = jobs[j];
-        let scheme = standard_schemes().build(&target.scheme)?;
-        match comp {
-            Some(comp) => scheme.error_dependent_from(&passes[data_sha], comp),
-            None => scheme.error_agnostic_from(&passes[data_sha]),
-        }
+    let scheme = standard_schemes().build(&target.scheme);
+    let chains = scheme.map_or(&[][..], |scheme| scheme.pass_chains());
+    let pool = threads::resolve(None);
+    let nthreads = pool.min(jobs.len().max(1));
+    let ahead: Vec<&FeaturePass<'_>> = passes.values().collect();
+    let results: Vec<Result<Options>> = with_chains_ahead(&ahead, chains, pool, || {
+        threads::par_map_indexed(nthreads, jobs.len(), |j| {
+            let (_, data_sha, comp) = jobs[j];
+            let scheme = standard_schemes().build(&target.scheme)?;
+            match comp {
+                Some(comp) => scheme.error_dependent_from(&passes[data_sha], comp),
+                None => scheme.error_agnostic_from(&passes[data_sha]),
+            }
+        })
     });
     let mut extracted = Extracted::new();
     let mut computed = 0u64;

@@ -30,7 +30,7 @@
 use pressio_core::error::{Error, Result};
 use pressio_core::options::json::{self, Parsed, Reader};
 use pressio_core::{Options, Value};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Largest accepted frame (header + payload, 128 MiB): bounds
@@ -121,49 +121,12 @@ pub fn op_name(request: &Options) -> &str {
     request.get_str_opt("serve:op").ok().flatten().unwrap_or("")
 }
 
-/// Serialize one frame without writing it. A non-finite float has no
-/// JSON form: it is refused as an [`Error::InvalidValue`] naming its key.
+/// Serialize one frame without writing it: the bytes [`write_frame`]
+/// sends, collected. A non-finite float has no JSON form: it is refused as
+/// an [`Error::InvalidValue`] naming its key.
 pub fn frame_bytes(msg: &Options) -> Result<Vec<u8>> {
-    let blobs = || {
-        msg.iter()
-            .filter_map(|(key, value)| Some((key, value.as_bytes()?)))
-    };
-    let payload_len: usize = blobs().map(|(_, blob)| blob.len()).sum();
-    let too_big = |body_len: usize| {
-        Error::Serialization(format!(
-            "frame of {body_len} bytes exceeds MAX_FRAME ({MAX_FRAME})"
-        ))
-    };
-    if payload_len > MAX_FRAME {
-        return Err(too_big(payload_len));
-    }
-    // one contiguous buffer: separate prefix and payload writes would
-    // interact with Nagle + delayed ACK on TCP, stalling every frame ~40 ms.
-    // The lengths are patched in once the header is written; 256 bytes hold
-    // most headers, so the payload rarely moves the buffer.
-    let mut frame = Vec::with_capacity(16 + 256 + payload_len);
-    frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&[0; 12]);
-    frame.extend_from_slice(br#"{"options":"#);
-    json::write(msg, &mut frame, false)?;
-    frame.extend_from_slice(br#","blobs":["#);
-    for (i, (key, blob)) in blobs().enumerate() {
-        frame.extend_from_slice(if i > 0 { b",[" } else { b"[" });
-        json::write_str(&mut frame, key);
-        write!(frame, ",{}]", blob.len())?;
-    }
-    frame.extend_from_slice(b"]}");
-    let header_len = frame.len() - 16;
-    let body_len = header_len + payload_len;
-    if body_len > MAX_FRAME {
-        return Err(too_big(body_len));
-    }
-    frame[4..8].copy_from_slice(&(header_len as u32).to_be_bytes());
-    frame[8..16].copy_from_slice(&(payload_len as u64).to_be_bytes());
-    frame.reserve_exact(payload_len);
-    for (_, blob) in blobs() {
-        frame.extend_from_slice(blob);
-    }
+    let mut frame = Vec::new();
+    write_frame(&mut frame, msg)?;
     Ok(frame)
 }
 
@@ -177,9 +140,55 @@ pub fn response_frame(response: &Options) -> Vec<u8> {
     })
 }
 
-/// Write one frame in a single `write_all`.
+/// Write one frame: the prefix and header, then every blob in place, in
+/// one vectored write where the writer takes it all, so no frame-sized
+/// copy is made. Both ends set `TCP_NODELAY`, so a write the socket splits
+/// is sent at once, not held by Nagle's algorithm for a delayed ACK.
 pub fn write_frame(w: &mut impl Write, msg: &Options) -> Result<()> {
-    w.write_all(&frame_bytes(msg)?)?;
+    let blobs: Vec<(&str, &[u8])> = msg
+        .iter()
+        .filter_map(|(key, value)| Some((key, value.as_bytes()?)))
+        .collect();
+    let payload_len: usize = blobs.iter().map(|(_, blob)| blob.len()).sum();
+    let too_big = |body_len: usize| {
+        Error::Serialization(format!(
+            "frame of {body_len} bytes exceeds MAX_FRAME ({MAX_FRAME})"
+        ))
+    };
+    if payload_len > MAX_FRAME {
+        return Err(too_big(payload_len));
+    }
+    // the lengths are patched in once the header is written
+    let mut head = Vec::with_capacity(16 + 256);
+    head.extend_from_slice(&MAGIC);
+    head.extend_from_slice(&[0; 12]);
+    head.extend_from_slice(br#"{"options":"#);
+    json::write(msg, &mut head, false)?;
+    head.extend_from_slice(br#","blobs":["#);
+    for (i, (key, blob)) in blobs.iter().enumerate() {
+        head.extend_from_slice(if i > 0 { b",[" } else { b"[" });
+        json::write_str(&mut head, key);
+        write!(head, ",{}]", blob.len())?;
+    }
+    head.extend_from_slice(b"]}");
+    let header_len = head.len() - 16;
+    let body_len = header_len + payload_len;
+    if body_len > MAX_FRAME {
+        return Err(too_big(body_len));
+    }
+    head[4..8].copy_from_slice(&(header_len as u32).to_be_bytes());
+    head[8..16].copy_from_slice(&(payload_len as u64).to_be_bytes());
+    let slices = std::iter::once(&head[..]).chain(blobs.iter().map(|(_, blob)| *blob));
+    let mut slices: Vec<IoSlice<'_>> = slices.map(IoSlice::new).collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
@@ -379,26 +388,22 @@ pub fn data_into_request(req: &mut Options, data: &pressio_core::Data) {
     req.set("data:dtype", data.dtype().name());
 }
 
-/// Stable content hash of the data buffer embedded in a request (dtype +
-/// dims + raw bytes), as hex. This is the cache key root: identical
-/// buffers sent by different clients share cache entries.
+/// Content hash of the data buffer embedded in a request, as hex. This is
+/// the cache key root: identical buffers sent by different clients share
+/// cache entries.
 pub fn data_content_hash(req: &Options) -> Result<String> {
     Ok(pressio_core::hash::to_hex(&data_content_digest(req)?))
 }
 
-/// The raw digest [`data_content_hash`] renders: what cache keys are built
-/// from.
+/// The raw digest [`data_content_hash`] renders, what cache keys are built
+/// from: [`pressio_core::hash::content_digest`] of the embedded dtype,
+/// dims and payload. It lives in memory only; no file or wire field
+/// carries it.
 pub fn data_content_digest(req: &Options) -> Result<[u8; 32]> {
     let bytes = req.get_bytes("data:bytes")?;
     let dims = req.get_u64_slice("data:dims")?;
     let dtype = req.get_str("data:dtype")?;
-    let mut h = pressio_core::hash::Sha256::new();
-    h.update(dtype.as_bytes());
-    for d in dims {
-        h.update(&d.to_le_bytes());
-    }
-    h.update(bytes);
-    Ok(h.finalize())
+    Ok(pressio_core::hash::content_digest(dtype, dims, bytes))
 }
 
 /// The embedded buffer's dtype, dims and payload, checked to agree (a

@@ -599,6 +599,43 @@ mod tests {
         assert_eq!(map.active(), 0);
     }
 
+    /// An active session is refreshed by its own traffic: a chunk committed
+    /// to a session gone quiet past the expiry keeps it from the sweep,
+    /// while an equally old session with no traffic goes. The clocks are
+    /// set, not slept on.
+    #[test]
+    fn a_committed_chunk_refreshes_a_session_against_the_sweep() {
+        let expiry = Duration::from_secs(60);
+        let map = SessionMap::new(expiry);
+        let stale = Instant::now().checked_sub(2 * expiry).unwrap();
+        for id in ["quiet", "active"] {
+            let mut s = session(id);
+            s.last_active = stale;
+            map.begin(s).unwrap();
+        }
+        let outcome = ChunkOutcome {
+            prediction: 1.5,
+            model_tag: String::new(),
+            online_error: None,
+            online_observations: None,
+            online_version: None,
+            observed: false,
+        };
+        map.get("active")
+            .unwrap()
+            .lock()
+            .unwrap()
+            .commit(ChunkRecord {
+                seq: 1,
+                outcome,
+                observation: None,
+                prev_last: None,
+            });
+        assert_eq!(map.sweep(), 1);
+        assert!(map.get("quiet").is_none());
+        assert_eq!(map.get("active").unwrap().lock().unwrap().chunks, 1);
+    }
+
     #[test]
     fn outcome_lookup_respects_acked_window() {
         let mut s = session("s");

@@ -240,9 +240,11 @@ fn calculation_scheme_predicts_without_a_model() {
 /// the payload is decoded — and must never stand in for the error a
 /// malformed request gets. Two malformed twins of a cached request: one
 /// whose `data:dims` no longer match `data:bytes` (dims are in the hash,
-/// so it cannot even find the entry), and one built to *share* the cached
-/// request's hash (the last dim moved to the front of the payload), which
-/// only the check ahead of the probe turns away.
+/// so it cannot even find the entry), and one with the last dim moved to
+/// the front of the payload, which shared the cached request's hash while
+/// the hash concatenated dtype ‖ dims ‖ bytes unframed. The content tree
+/// frames the dims and binds the length, so it no longer does; the check
+/// ahead of the probe still turns it away.
 #[test]
 fn a_prediction_cache_hit_never_masks_a_malformed_request() {
     let dir = temp_dir("hit_vs_malformed");
@@ -259,14 +261,14 @@ fn a_prediction_cache_hit_never_masks_a_malformed_request() {
     assert_ne!(protocol::data_content_hash(&stale_dims).unwrap(), good_sha);
     let mut shifted_bytes = 4u64.to_le_bytes().to_vec();
     shifted_bytes.extend_from_slice(good.get_bytes("data:bytes").unwrap());
-    let same_hash = good
+    let moved_dim = good
         .clone()
         .with("data:dims", vec![8u64, 8])
         .with("data:bytes", shifted_bytes);
-    assert_eq!(protocol::data_content_hash(&same_hash).unwrap(), good_sha);
+    assert_ne!(protocol::data_content_hash(&moved_dim).unwrap(), good_sha);
     let mut no_dtype = good.clone();
     no_dtype.remove("data:dtype");
-    let malformed = [stale_dims, same_hash, no_dtype];
+    let malformed = [stale_dims, moved_dim, no_dtype];
 
     // what each gets from a daemon that has nothing cached
     let rejected_cold: Vec<Options> = malformed

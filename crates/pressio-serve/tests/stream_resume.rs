@@ -351,17 +351,9 @@ fn idle_sessions_are_reaped_on_stream_ops_and_counted() {
         .stream_chunk_at("idle", 1, &data[0], &Options::new())
         .unwrap();
     assert_eq!(gone.get_str("serve:code").unwrap(), code::NOT_FOUND);
-
-    // …but an active one is refreshed by its own traffic: chunk, sleep
-    // less than the expiry, chunk again — still alive
-    client
-        .stream_chunk_at("fresh", 1, &data[0], &Options::new())
-        .unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(600));
-    let resp = client
-        .stream_chunk_at("fresh", 2, &data[0], &Options::new())
-        .unwrap();
-    assert_eq!(resp.get_str("serve:type").unwrap(), "stream.prediction");
+    // that an active session is refreshed by its own traffic is a clock
+    // question, asked without sleeps in `stream.rs`'s
+    // `a_committed_chunk_refreshes_a_session_against_the_sweep`
 
     client.stream_end("fresh").unwrap();
     client.shutdown().unwrap();

@@ -5,7 +5,8 @@
 
 use pressio_core::{Data, Error, Options};
 use pressio_serve::protocol::{
-    data_content_hash, frame_bytes, op, read_frame, read_frame_polled, MAGIC, MAX_FRAME,
+    data_content_hash, frame_bytes, op, read_frame, read_frame_polled, write_frame, MAGIC,
+    MAX_FRAME,
 };
 use pressio_serve::Client;
 use proptest::prelude::*;
@@ -39,13 +40,14 @@ fn frame_layout_is_pinned() {
     assert_eq!(frame_bytes(&predict).unwrap(), want);
 }
 
-/// Cache keys are pinned on this digest (taken
-/// when buffers still crossed the wire as JSON integer arrays).
+/// Cache keys are pinned on this digest: the content tree's root over one
+/// leaf (taken when the flat SHA-256 of dtype ‖ dims ‖ bytes became the
+/// tree), checked against an independent SHA-256.
 #[test]
 fn content_hash_is_pinned() {
     let data = Data::from_f32(vec![4, 3], (0..12).map(|i| i as f32 * 0.5).collect());
     let req = Client::predict_request("m", &data, &Options::new());
-    let pinned = "111767ed604107989040cc7162ece1dde40e7f47a472386bbd3ca8040a577b2b";
+    let pinned = "156de2b54e46771d0dd0bf84cd703a749147c1b29bedc04e73fc2cd72f670d4e";
     assert_eq!(data_content_hash(&req).unwrap(), pinned);
     let wired = read_frame(&mut frame_bytes(&req).unwrap().as_slice())
         .unwrap()
@@ -182,6 +184,80 @@ fn polled_reads_ride_timeouts_and_stop_only_between_frames() {
     // without a poll a timeout is the caller's error to handle
     let unpolled = read_frame(&mut Timeouts(&frame, false));
     assert!(matches!(unpolled, Err(Error::Io(_))));
+}
+
+/// A socket that takes a few bytes of a vectored write at a time, spread
+/// over its slices, and is interrupted before every other write.
+#[derive(Default)]
+struct Trickle(Vec<u8>, bool);
+impl std::io::Write for Trickle {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.write_vectored(&[std::io::IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        self.1 = !self.1;
+        if self.1 {
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        let mut budget = 7;
+        for buf in bufs {
+            let n = buf.len().min(budget);
+            self.0.extend_from_slice(&buf[..n]);
+            budget -= n;
+        }
+        Ok(7 - budget)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// `write_frame` sends the bytes `frame_bytes` returns, whatever share of
+/// a vectored write the writer takes at a time.
+#[test]
+fn write_frame_sends_the_bytes_of_frame_bytes() {
+    let data = Data::from_f32(vec![3], vec![1.0, -2.0, 0.5]);
+    let messages = [
+        Options::new().with("serve:type", "pong"),
+        Client::predict_request("m@1", &data, &Options::new().with("pressio:abs", 1e-4)),
+        Options::new()
+            .with("a:first", vec![7u8; 300])
+            .with("m:empty", Vec::<u8>::new())
+            .with("serve:op", op::PREDICT)
+            .with("z:last", vec![9u8; 5]),
+    ];
+    for msg in messages {
+        let want = frame_bytes(&msg).unwrap();
+        let mut whole = Vec::new();
+        write_frame(&mut whole, &msg).unwrap();
+        assert_eq!(whole, want);
+        let mut trickle = Trickle::default();
+        write_frame(&mut trickle, &msg).unwrap();
+        assert_eq!(trickle.0, want);
+    }
+}
+
+/// A payload cut short is the mid-frame error, with or without a poll; with
+/// the stop flag up, the timeouts inside the payload are read through to
+/// the cut.
+#[test]
+fn a_payload_cut_short_is_a_mid_frame_error() {
+    let msg = Options::new()
+        .with("serve:op", op::PREDICT)
+        .with("data:bytes", vec![5u8; 4096]);
+    let frame = frame_bytes(&msg).unwrap();
+    let cut = &frame[..frame.len() - 100];
+    let stop = AtomicBool::new(true);
+    let mid_frame = |err| matches!(err, Error::Io(ref m) if m == "connection closed mid-frame");
+    let polled = read_frame_polled(&mut Timeouts(cut, true), MAX_FRAME, Some(&stop));
+    assert!(mid_frame(polled.unwrap_err()));
+    for stop in [None, Some(&stop)] {
+        assert!(mid_frame(
+            read_frame_polled(&mut &cut[..], MAX_FRAME, stop).unwrap_err()
+        ));
+    }
 }
 
 /// Blob sizes the frame must carry: nothing, one byte, a 1 MiB buffer.
