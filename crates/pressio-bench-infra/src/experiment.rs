@@ -175,17 +175,19 @@ fn measure_truth(compressor_name: &str, data: &Data, abs: f64) -> Result<Options
 type Features = (f64, bool, Vec<Vec<(Options, f64, bool)>>);
 
 /// A feature task: scheme `name`'s error-agnostic stage on `data` once,
-/// then its error-dependent stage for each of `codecs` at each bound.
+/// then its error-dependent stage for each of `codecs` at each bound, all
+/// read through one pass: a dependent stage reuses what the agnostic swept.
 fn features_of(name: &str, data: &Data, codecs: &[String], bounds: &[f64]) -> Result<Features> {
     let _span = pressio_obs::span(format!("table2:{name}:features"));
     let scheme = standard_schemes().build(name)?;
-    let (agnostic, agnostic_ms) = time_ms(|| scheme.error_agnostic_features(data));
+    let pass = pressio_predict::features::FeaturePass::new(data);
+    let (agnostic, agnostic_ms) = time_ms(|| scheme.error_agnostic_from(&pass));
     let agnostic = agnostic?;
     pressio_obs::add_counter("table2:features.agnostic", 1);
     let dependent = codecs.iter().map(|codec| {
         let at_bound = bounds.iter().map(|&abs| {
             let comp = configured(codec, abs)?;
-            let (dep, ms) = time_ms(|| scheme.error_dependent_features(data, comp.as_ref()));
+            let (dep, ms) = time_ms(|| scheme.error_dependent_from(&pass, comp.as_ref()));
             let dep = dep?;
             let mut merged = agnostic.clone();
             merged.merge_from(&dep);
@@ -235,21 +237,31 @@ fn run_wave<M: Send + 'static>(
     run_tasks(tasks, pool, Arc::new(worker)).0
 }
 
+/// `op`, tried up to three times: each retry is counted under `counter`
+/// and waits a backoff seeded by `key`. The last error if all three fail.
+fn retried<T>(key: &str, counter: &str, mut op: impl FnMut() -> Result<T>) -> Result<T> {
+    let mut attempt = 1;
+    loop {
+        match op() {
+            Err(_) if attempt < 3 => {
+                attempt += 1;
+                pressio_obs::add_counter(counter, 1);
+                let wait = pressio_faults::backoff_ms(5, 80, attempt, key);
+                std::thread::sleep(std::time::Duration::from_millis(wait));
+            }
+            done => return done,
+        }
+    }
+}
+
 /// Store `v` under `key`. Checkpointing is an optimization: a put (or the
 /// wave's one sync) that keeps failing costs recomputation on the next
 /// run, never the campaign. The truth value itself is already in hand.
 fn checkpoint(store: &mut CheckpointStore, key: &str, v: &Options) {
-    let mut attempt = 1;
-    while let Err(e) = store.put(key, v.clone()) {
-        attempt += 1;
-        if attempt > 3 {
-            pressio_obs::add_counter("table2:checkpoint.put_failed", 1);
-            eprintln!("warning: checkpoint put for {key} failed: {e}");
-            break;
-        }
-        pressio_obs::add_counter("table2:checkpoint.put_retried", 1);
-        let wait = pressio_faults::backoff_ms(5, 80, attempt, key);
-        std::thread::sleep(std::time::Duration::from_millis(wait));
+    let put = || store.put(key, v.clone());
+    if let Err(e) = retried(key, "table2:checkpoint.put_retried", put) {
+        pressio_obs::add_counter("table2:checkpoint.put_failed", 1);
+        eprintln!("warning: checkpoint put for {key} failed: {e}");
     }
 }
 
@@ -270,19 +282,7 @@ pub fn run_table2(dataset: &mut dyn DatasetPlugin, cfg: &Table2Config) -> Result
     for (i, meta) in metas.iter().enumerate() {
         // transient load failures (busy filesystem, injected faults) get
         // spaced retries before they can kill the campaign
-        let mut attempt = 1;
-        let data = loop {
-            match dataset.load_data(i) {
-                Ok(d) => break d,
-                Err(_) if attempt < 3 => {
-                    attempt += 1;
-                    pressio_obs::add_counter("table2:load.retried", 1);
-                    let wait = pressio_faults::backoff_ms(5, 80, attempt, &meta.name);
-                    std::thread::sleep(std::time::Duration::from_millis(wait));
-                }
-                Err(e) => return Err(e),
-            }
-        };
+        let data = retried(&meta.name, "table2:load.retried", || dataset.load_data(i))?;
         loaded.push((meta.name.clone(), data));
     }
     drop(load_span);

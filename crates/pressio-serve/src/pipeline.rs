@@ -2,11 +2,12 @@
 //!
 //! Connection threads submit work items into a bounded queue; a fixed pool
 //! of worker threads drains them in **batches grouped by batch key** (the
-//! model reference for predictions), so requests for the same model amortize
-//! model resolution and run their feature extraction together on the
-//! `pressio_core::threads` pool. Backpressure is explicit: when the queue
-//! is full, [`Pipeline::submit`] fails immediately and the caller answers
-//! `overloaded` — the queue can never grow without bound.
+//! resolved model for predictions), so requests for the same model run their
+//! feature extraction together on the `pressio_core::threads` pool. An item
+//! carries a decoded request frame by default; the daemon queues typed jobs.
+//! Backpressure is explicit: when the queue is full, [`Pipeline::submit`]
+//! fails immediately and the caller answers `overloaded` — the queue can
+//! never grow without bound.
 //!
 //! Every accepted item is guaranteed exactly one reply: workers answer
 //! expired items with `deadline_exceeded` before processing, and shutdown
@@ -20,12 +21,12 @@ use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// One queued request.
-pub struct WorkItem {
+/// One queued request, carrying a `T`.
+pub struct WorkItem<T = Options> {
     /// Requests sharing a batch key may be processed in one batch.
     pub batch_key: String,
-    /// The decoded request frame.
-    pub request: Options,
+    /// What the worker is handed: by default the decoded request frame.
+    pub request: T,
     /// Absolute deadline; items popped after it answer `deadline_exceeded`.
     pub deadline: Instant,
     /// Reply channel back to the connection thread (capacity ≥ 1, so
@@ -33,7 +34,7 @@ pub struct WorkItem {
     pub reply: SyncSender<Options>,
 }
 
-impl WorkItem {
+impl<T> WorkItem<T> {
     /// Send the reply, ignoring a connection that already went away.
     pub fn respond(&self, response: Options) {
         let _ = self.reply.send(response);
@@ -63,8 +64,8 @@ pub fn checked(response: Options, deadline: Instant) -> Options {
     response
 }
 
-struct Shared {
-    queue: Mutex<VecDeque<WorkItem>>,
+struct Shared<T> {
+    queue: Mutex<VecDeque<WorkItem<T>>>,
     /// Signals workers that the queue gained an item or state changed.
     cond: Condvar,
     capacity: usize,
@@ -83,12 +84,15 @@ struct Shared {
 
 /// Handle to the worker pool; dropping without [`Pipeline::shutdown`] joins
 /// nothing (the server owns shutdown ordering explicitly).
-pub struct Pipeline {
-    shared: Arc<Shared>,
+pub struct Pipeline<T = Options> {
+    shared: Arc<Shared<T>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-impl Pipeline {
+/// The function workers hand each batch to.
+type Handler<T> = Arc<dyn Fn(Vec<WorkItem<T>>) + Send + Sync>;
+
+impl<T: Send + 'static> Pipeline<T> {
     /// Spawn `workers` threads processing batches with `handler`. The
     /// handler receives 1..=`batch_max` items sharing one batch key and
     /// must reply to every one of them.
@@ -96,8 +100,8 @@ impl Pipeline {
         capacity: usize,
         batch_max: usize,
         workers: usize,
-        handler: Arc<dyn Fn(Vec<WorkItem>) + Send + Sync>,
-    ) -> Pipeline {
+        handler: Handler<T>,
+    ) -> Pipeline<T> {
         let shared = Shared {
             queue: Mutex::new(VecDeque::new()),
             cond: Condvar::new(),
@@ -111,11 +115,7 @@ impl Pipeline {
         Self::spawn(shared, workers, handler)
     }
 
-    fn spawn(
-        shared: Shared,
-        workers: usize,
-        handler: Arc<dyn Fn(Vec<WorkItem>) + Send + Sync>,
-    ) -> Pipeline {
+    fn spawn(shared: Shared<T>, workers: usize, handler: Handler<T>) -> Pipeline<T> {
         let shared = Arc::new(shared);
         let workers = (0..workers.max(1))
             .map(|w| {
@@ -136,7 +136,7 @@ impl Pipeline {
     /// Enqueue an item, or reject it immediately when the queue is at
     /// capacity or the pipeline is draining. On rejection the item is
     /// handed back so the caller can answer `overloaded` itself.
-    pub fn submit(&self, item: WorkItem) -> std::result::Result<(), WorkItem> {
+    pub fn submit(&self, item: WorkItem<T>) -> std::result::Result<(), WorkItem<T>> {
         {
             let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             // under the lock: a worker that saw the queue empty and draining
@@ -177,7 +177,7 @@ impl Pipeline {
     }
 }
 
-fn worker_loop(shared: &Shared, handler: &(dyn Fn(Vec<WorkItem>) + Send + Sync)) {
+fn worker_loop<T>(shared: &Shared<T>, handler: &(dyn Fn(Vec<WorkItem<T>>) + Send + Sync)) {
     loop {
         let batch = {
             let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -212,7 +212,7 @@ fn worker_loop(shared: &Shared, handler: &(dyn Fn(Vec<WorkItem>) + Send + Sync))
         pressio_obs::add_counter("serve:batch.count", 1);
         pressio_obs::set_gauge("serve:batch.size", batch.len() as f64);
         let now = Instant::now();
-        let (live, expired): (Vec<WorkItem>, Vec<WorkItem>) =
+        let (live, expired): (Vec<_>, Vec<_>) =
             batch.into_iter().partition(|item| now <= item.deadline);
         for item in expired {
             pressio_obs::add_counter("serve:deadline.exceeded", 1);
@@ -349,7 +349,7 @@ mod tests {
                 }
             }
         }
-        let shared = Shared {
+        let shared: Shared<Options> = Shared {
             queue: Mutex::new(VecDeque::new()),
             cond: Condvar::new(),
             capacity: 4,
@@ -419,6 +419,66 @@ mod tests {
             rx.recv().unwrap().get_str("serve:type").unwrap(),
             "prediction"
         );
+    }
+
+    #[test]
+    fn a_typed_payload_is_batched_expired_and_drained_like_options() {
+        // the payload is a number; each batch records its (key, payloads)
+        let batches = Arc::new(Mutex::new(Vec::new()));
+        let seen = batches.clone();
+        let handler: Arc<dyn Fn(Vec<WorkItem<u64>>) + Send + Sync> = Arc::new(move |batch| {
+            let payloads = batch.iter().map(|it| (it.batch_key.clone(), it.request));
+            seen.lock().unwrap().push(payloads.collect::<Vec<_>>());
+            for it in batch {
+                it.respond(Options::new().with("payload", it.request));
+            }
+        });
+        // one idle worker: everything is queued before shutdown wakes it
+        let p = Pipeline::start(64, 8, 1, handler);
+        let typed = |key: &str, payload: u64, deadline: Instant| {
+            let (reply, rx) = sync_channel(1);
+            let batch_key = key.to_string();
+            let item = WorkItem {
+                batch_key,
+                request: payload,
+                deadline,
+                reply,
+            };
+            (item, rx)
+        };
+        let later = Instant::now() + Duration::from_secs(10);
+        let mut receivers = Vec::new();
+        let expired = {
+            let mut q = p.shared.queue.lock().unwrap();
+            for i in 0..12 {
+                let (it, rx) = typed(if i % 2 == 0 { "even" } else { "odd" }, i, later);
+                q.push_back(it);
+                receivers.push((i, rx));
+            }
+            let (it, rx) = typed("even", 99, Instant::now());
+            q.push_back(it);
+            rx
+        };
+        std::thread::sleep(Duration::from_millis(5));
+        p.shutdown(); // wakes the worker, which drains the queue first
+        for (i, rx) in receivers {
+            let resp = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(resp.get_u64("payload").unwrap(), i, "{resp}");
+        }
+        let resp = expired.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(protocol::is_error(&resp, code::DEADLINE_EXCEEDED), "{resp}");
+        let batches = batches.lock().unwrap().clone();
+        for batch in &batches {
+            assert!(
+                batch.iter().all(|(key, _)| *key == batch[0].0),
+                "{batches:?}"
+            );
+            assert!(
+                batch.iter().all(|&(_, payload)| payload != 99),
+                "{batches:?}"
+            );
+        }
+        assert!(batches.iter().any(|b| b.len() > 1), "{batches:?}");
     }
 
     #[test]

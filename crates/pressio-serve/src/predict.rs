@@ -7,12 +7,12 @@
 //! builds its compressor through [`compressor`] and reads both feature
 //! stages of a buffer through one [`FeaturePass`].
 //!
-//! A `predict` is hashed and looked up once, on the connection thread that
-//! read it: [`probe`] answers a prediction-cache hit there, with no queue
-//! hand-off. A miss goes to the pipeline carrying its content hash, and
-//! the batch handler runs three stages over the misses: a serial
-//! **prepare** (decode, feature-cache probes), a coalesced parallel
-//! **extract**, and a serial **finalize** (merge, predict, cache, reply).
+//! A `predict` is resolved, checked, hashed and looked up once, on the
+//! connection thread that read it: [`probe`] answers a prediction-cache hit
+//! or the error it found there, with no queue hand-off. A miss is decoded
+//! and looks its features up there too, and goes to the pipeline as a typed
+//! [`Miss`]; the batch handler runs a coalesced parallel **extract** and a
+//! serial **finalize** (merge, predict, cache, reply) over the misses.
 
 use crate::cache::CacheKey;
 use crate::pipeline::WorkItem;
@@ -25,6 +25,7 @@ use pressio_predict::features::{with_chains_ahead, FeaturePass, FeatureRow};
 use pressio_predict::{standard_compressors, standard_schemes, Predictor, Scheme};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Who answers a prediction: the resident trained model a `serve:model`
 /// reference names (which wins), or the analytic predictor of a
@@ -113,69 +114,103 @@ pub(crate) fn prediction_response(
     resp
 }
 
-/// Where a `predict` that missed the prediction cache carries its content
-/// hash to the worker. [`probe`] strips it from every request first, so no
-/// client can hand the worker a digest of its choosing.
-const PROBED_DIGEST: &str = "serve:probed.digest";
-
-/// Check the buffer, build the compressor the request names and hash the
-/// buffer, unless `digest` already holds its hash. The check comes first, so
-/// a request that would not decode answers `bad request` ahead of every
-/// other error and of any cached answer.
-fn keyed(
-    state: &ServerState,
-    request: &Options,
-    digest: Option<[u8; 32]>,
-) -> Result<(Box<dyn Compressor>, [u8; 32])> {
-    protocol::check_data(request)?;
-    let comp = compressor(compressor_id(request)?, &[request])?;
-    let data_sha = match digest {
-        Some(digest) => digest,
-        None => {
-            state.count(Stat::PredictHashes, 1);
-            let _span = pressio_obs::span("serve:predict.digest");
-            protocol::data_content_digest(request)?
-        }
-    };
-    Ok((comp, data_sha))
-}
-
 fn prediction_key(target: &LoadedModel, settings: &[u8; 32], data_sha: &[u8; 32]) -> CacheKey {
     let (scheme, tag) = (target.scheme.as_bytes(), target.tag.as_bytes());
     CacheKey::of(&[b"p", scheme, tag, settings, data_sha])
 }
 
+/// A `predict` that missed the prediction cache, as its probe left it:
+/// everything a worker needs, found once on the connection thread.
+pub(crate) struct Miss {
+    target: Arc<LoadedModel>,
+    comp: Box<dyn Compressor>,
+    data: Data,
+    /// Content hash of `data`: misses with the same one share a pass.
+    data_sha: [u8; 32],
+    pred_key: CacheKey,
+    agnostic_key: CacheKey,
+    dependent_key: CacheKey,
+    /// Cached error-agnostic features (`None` = must compute).
+    agnostic: Option<Options>,
+    /// Cached error-dependent features (`None` = must compute).
+    dependent: Option<Options>,
+    /// `serve:alpha`: the miscoverage the reply's interval is asked at.
+    alpha: Option<f64>,
+}
+
+impl Miss {
+    /// The pipeline batch key: the resolved model's tag, or the analytic
+    /// scheme's name (a tag always holds an `@`, a scheme name never does),
+    /// so one batch never mixes model versions.
+    pub(crate) fn batch_key(&self) -> String {
+        match self.target.tag.as_str() {
+            "" => self.target.scheme.clone(),
+            tag => tag.to_string(),
+        }
+    }
+}
+
 /// A `predict`'s one look at the prediction cache, on the connection thread
-/// ahead of the pipeline: resolve who answers, check and hash the buffer,
-/// probe. A hit is the answer and never pays the copy of its payload into a
-/// [`Data`]. Anything else returns `None` for the pipeline: a miss now
-/// carries its hash, so the worker neither hashes nor probes it again, and
-/// an error is found again and answered there.
-pub(crate) fn probe(state: &ServerState, request: &mut Options) -> Option<Options> {
-    request.remove(PROBED_DIGEST);
+/// that read it: resolve who answers, check the buffer, build the compressor,
+/// hash the buffer and probe. `Err` is the answer itself: a hit, which never
+/// pays the copy of its payload into a [`Data`], or the error the probe
+/// found. A miss is then decoded, looks both feature stages up and goes to
+/// the pipeline typed, which does none of this again. The buffer check comes
+/// before the hash, so a request that would not decode answers `bad request`
+/// ahead of any cached answer.
+pub(crate) fn probe(state: &ServerState, request: Options) -> std::result::Result<Miss, Options> {
+    let started = Instant::now();
     let target = resolve_target(
         state,
         request.get_str_opt("serve:model").ok().flatten(),
         request.get_str_opt("serve:scheme").ok().flatten(),
-    )
-    .ok()?;
-    let (comp, data_sha) = keyed(state, request, None).ok()?;
-    let settings = CachedEvaluator::error_settings_digest(comp.as_ref());
-    let Some((value, _)) = state
-        .prediction_cache
-        .get(prediction_key(&target, &settings, &data_sha))
-    else {
-        request.set(PROBED_DIGEST, data_sha.to_vec());
-        return None;
+    )?;
+    let refused = |e: Error| respond(Err(e));
+    protocol::check_data(&request).map_err(refused)?;
+    let comp = compressor_id(&request)
+        .and_then(|id| compressor(id, &[&request]))
+        .map_err(refused)?;
+    state.count(Stat::PredictHashes, 1);
+    let data_sha = {
+        let _span = pressio_obs::span("serve:predict.digest");
+        protocol::data_content_digest(&request).map_err(refused)?
     };
-    state.count(Stat::PredictionsServed, 1);
-    let resp = prediction_response(value, true, &target.scheme, &target.tag);
-    Some(with_interval(
-        resp,
-        target.predictor.as_ref(),
-        value,
-        request,
-    ))
+    let settings = CachedEvaluator::error_settings_digest(comp.as_ref());
+    let pred_key = prediction_key(&target, &settings, &data_sha);
+    let alpha = request.get_f64_opt("serve:alpha").ok().flatten();
+    if let Some((value, _)) = state.prediction_cache.get(pred_key) {
+        state.count(Stat::PredictionsServed, 1);
+        let resp = prediction_response(value, true, &target.scheme, &target.tag);
+        pressio_obs::record_ms("serve:predict.hit", started.elapsed().as_secs_f64() * 1e3);
+        return Err(with_interval(resp, target.predictor.as_ref(), value, alpha));
+    }
+    let data = {
+        let _span = pressio_obs::span("serve:predict.decode");
+        protocol::data_from_request(&request).map_err(refused)?
+    };
+    // from here on the miss holds the buffer once: the wire copy would sit
+    // beside `data` in the queue and through the extraction
+    drop(request);
+    let scheme = target.scheme.as_bytes();
+    let agnostic_key = CacheKey::of(&[b"a", scheme, &data_sha]);
+    let dependent_key = CacheKey::of(&[b"d", scheme, &settings, &data_sha]);
+    let (agnostic, dependent) = {
+        let _span = pressio_obs::span("serve:predict.feature_cache");
+        let cached = |key| Some(state.feature_cache.get(key)?.options(&target.keys));
+        (cached(agnostic_key), cached(dependent_key))
+    };
+    Ok(Miss {
+        target,
+        comp,
+        data,
+        data_sha,
+        pred_key,
+        agnostic_key,
+        dependent_key,
+        agnostic,
+        dependent,
+        alpha,
+    })
 }
 
 /// `serve:alpha` is the miscoverage an interval is asked for at: in (0, 1),
@@ -199,9 +234,8 @@ fn with_interval(
     resp: Options,
     predictor: &dyn Predictor,
     value: f64,
-    request: &Options,
+    alpha: Option<f64>,
 ) -> Options {
-    let alpha = request.get_f64_opt("serve:alpha").ok().flatten();
     match alpha.and_then(|alpha| predictor.interval(value, alpha)) {
         Some(iv) => resp
             .with("serve:interval.lo", iv.lo)
@@ -211,109 +245,37 @@ fn with_interval(
     }
 }
 
-/// A request that missed the prediction cache, waiting on features.
-struct Prep {
-    item: WorkItem,
-    data: Data,
-    comp: Box<dyn Compressor>,
-    /// Content hash of `data`: requests with the same one share a pass.
-    data_sha: [u8; 32],
-    pred_key: CacheKey,
-    agnostic_key: CacheKey,
-    dependent_key: CacheKey,
-    /// Cached error-agnostic features (`None` = must compute).
-    agnostic: Option<Options>,
-    /// Cached error-dependent features (`None` = must compute).
-    dependent: Option<Options>,
-}
-
 /// Features by cache key, errors pre-rendered to responses so one failed
 /// extraction answers every request that coalesced onto it.
 type Extracted = HashMap<CacheKey, std::result::Result<Options, Options>>;
 
-/// Answer a batch of `predict` requests. Items share the batch key by
-/// construction, so the model/scheme is resolved once from the first.
-pub(crate) fn handle_predict_batch(state: &ServerState, batch: Vec<WorkItem>) {
+/// Answer a batch of misses: a coalesced parallel **extract**, then a
+/// serial **finalize** (merge, predict, cache, reply) per miss. The misses
+/// share a batch key, so one resolved model answers them all.
+pub(crate) fn handle_predict_batch(state: &ServerState, batch: Vec<WorkItem<Miss>>) {
     let _span = pressio_obs::span("serve:predict.batch");
-    let first = &batch[0].request;
-    let target = match resolve_target(
-        state,
-        first.get_str_opt("serve:model").ok().flatten(),
-        first.get_str_opt("serve:scheme").ok().flatten(),
-    ) {
-        Ok(target) => target,
-        Err(resp) => {
-            for item in batch {
-                item.respond(resp.clone());
-            }
-            return;
-        }
-    };
-    let preps: Vec<Prep> = batch
-        .into_iter()
-        .filter_map(|item| prepare(state, &target, item))
-        .collect();
-    if preps.is_empty() {
-        return;
+    let extracted = extract(state, &batch);
+    for item in batch {
+        finalize(state, &extracted, item);
     }
-    let extracted = extract(state, &target, &preps);
-    for prep in preps {
-        finalize(state, &target, &extracted, prep);
-    }
-}
-
-/// Decode one request that missed the prediction cache and probe the
-/// feature cache for both of its stages. A malformed request is answered
-/// here and never reaches feature extraction.
-fn prepare(state: &ServerState, target: &LoadedModel, mut item: WorkItem) -> Option<Prep> {
-    let digest = item.request.remove(PROBED_DIGEST);
-    let digest = digest.and_then(|sha| <[u8; 32]>::try_from(sha.as_bytes()?).ok());
-    let request = &item.request;
-    let decoded = keyed(state, request, digest)
-        .and_then(|(comp, data_sha)| Ok((comp, data_sha, protocol::data_from_request(request)?)));
-    let (comp, data_sha, data) = match decoded {
-        Ok(decoded) => decoded,
-        Err(e) => {
-            item.respond(respond(Err(e)));
-            return None;
-        }
-    };
-    // from here on it holds the buffer once: the wire copy would sit
-    // beside `data` through the extraction
-    item.request.remove("data:bytes");
-    let scheme = target.scheme.as_bytes();
-    let settings = CachedEvaluator::error_settings_digest(comp.as_ref());
-    let agnostic_key = CacheKey::of(&[b"a", scheme, &data_sha]);
-    let dependent_key = CacheKey::of(&[b"d", scheme, &settings, &data_sha]);
-    let cached = |key| Some(state.feature_cache.get(key)?.options(&target.keys));
-    Some(Prep {
-        agnostic: cached(agnostic_key),
-        dependent: cached(dependent_key),
-        pred_key: prediction_key(target, &settings, &data_sha),
-        item,
-        data,
-        comp,
-        data_sha,
-        agnostic_key,
-        dependent_key,
-    })
 }
 
 /// Coalesced parallel extraction: identical buffers submitted by
 /// different connections in the same batch share a cache key, so each
 /// unique (key → extraction) job runs exactly once regardless of how many
-/// requests need it. The first prep needing a key owns the job. Every job
+/// requests need it. The first miss needing a key owns the job. Every job
 /// on a buffer — both stages, and the dependent stage at each distinct
 /// bound — reads it through that buffer's one [`FeaturePass`], whose
 /// independent chains the scheme reads are started side by side ahead of
 /// the jobs.
-fn extract(state: &ServerState, target: &LoadedModel, preps: &[Prep]) -> Extracted {
+fn extract(state: &ServerState, misses: &[WorkItem<Miss>]) -> Extracted {
+    let target = &misses[0].request.target;
     let mut passes: HashMap<&[u8; 32], FeaturePass<'_>> = HashMap::new();
     // (cache key, buffer, the compressor when it is the error-dependent stage)
     let mut jobs: Vec<(CacheKey, &[u8; 32], Option<&dyn Compressor>)> = Vec::new();
     let mut needed = 0u64;
     let mut claimed: HashSet<CacheKey> = HashSet::new();
-    for p in preps {
+    for WorkItem { request: p, .. } in misses {
         for (cached, key, comp) in [
             (&p.agnostic, &p.agnostic_key, None),
             (&p.dependent, &p.dependent_key, Some(p.comp.as_ref())),
@@ -368,7 +330,9 @@ fn extract(state: &ServerState, target: &LoadedModel, preps: &[Prep]) -> Extract
 }
 
 /// Assemble one request's features, predict, cache and reply.
-fn finalize(state: &ServerState, target: &LoadedModel, extracted: &Extracted, prep: Prep) {
+fn finalize(state: &ServerState, extracted: &Extracted, mut item: WorkItem<Miss>) {
+    let miss = &mut item.request;
+    let target = &miss.target;
     let fetch = |cached: Option<Options>, key: &CacheKey| match cached {
         Some(features) => Ok(features),
         None => extracted.get(key).cloned().unwrap_or_else(|| {
@@ -380,18 +344,17 @@ fn finalize(state: &ServerState, target: &LoadedModel, extracted: &Extracted, pr
     };
     let predictor = target.predictor.as_ref();
     let response = (|| -> std::result::Result<Options, Options> {
-        let mut features = fetch(prep.agnostic, &prep.agnostic_key)?;
-        features.merge_from(&fetch(prep.dependent, &prep.dependent_key)?);
+        let mut features = fetch(miss.agnostic.take(), &miss.agnostic_key)?;
+        features.merge_from(&fetch(miss.dependent.take(), &miss.dependent_key)?);
         let value = predictor.predict(&features).map_err(|e| respond(Err(e)))?;
         state
             .prediction_cache
-            .insert(prep.pred_key, (value, target.id()));
+            .insert(miss.pred_key, (value, target.id()));
         state.count(Stat::PredictionsServed, 1);
         let resp = prediction_response(value, false, &target.scheme, &target.tag);
-        Ok(with_interval(resp, predictor, value, &prep.item.request))
+        Ok(with_interval(resp, predictor, value, miss.alpha))
     })();
     // deadline re-check after compute: the client stopped waiting at the
     // deadline, so a slow extraction must not pretend to succeed
-    prep.item
-        .respond_checked(response.unwrap_or_else(|error| error));
+    item.respond_checked(response.unwrap_or_else(|error| error));
 }

@@ -8,10 +8,11 @@
 //! request, drains the bounded pipeline queue, joins all threads, and
 //! removes the Unix socket file — a graceful drain, never a drop.
 //!
-//! Request flow for `predict`: the connection thread hashes the buffer and
-//! probes the prediction cache once, answering a hit itself; a miss is
-//! submitted to the [`Pipeline`], whose workers batch same-model requests
-//! and answer them in the `predict` module. `train` and the `stream.*` ops
+//! Request flow for `predict`: the connection thread resolves the target,
+//! checks and hashes the buffer and probes the prediction cache once,
+//! answering a hit or an error itself; a miss, decoded there, is submitted
+//! typed to the [`Pipeline`], whose workers batch same-model misses and
+//! answer them in the `predict` module. `train` and the `stream.*` ops
 //! ([`crate::stream`]) run inline on the connection thread too, so long
 //! fits never starve the prediction workers.
 
@@ -70,7 +71,7 @@ pub struct ServeConfig {
     /// How long the breaker stays open before probing with one request.
     pub breaker_cooldown_ms: u64,
     /// How long a resolved "latest version" for an unversioned model
-    /// reference stays trusted before the store is re-probed. Bounds the
+    /// reference stays trusted before the store is asked again. Bounds the
     /// staleness window of hot traffic to a re-trained model without a
     /// directory scan per request; a `reload` op invalidates it
     /// immediately.
@@ -401,7 +402,7 @@ fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// pipeline every connection feeds, and the stop signal.
 pub(crate) struct Daemon {
     state: Arc<ServerState>,
-    pipeline: Pipeline,
+    pipeline: Pipeline<Job>,
     pub(crate) stop: StopSignal,
     /// Numbers the `sleep` ops so none of them batch together.
     seq: AtomicU64,
@@ -522,7 +523,7 @@ pub(crate) fn respond(result: Result<Options>) -> Options {
     })
 }
 
-fn stats_response(state: &ServerState, pipeline: &Pipeline) -> Options {
+fn stats_response(state: &ServerState, pipeline: &Pipeline<Job>) -> Options {
     let f = state.feature_cache.stats();
     let p = state.prediction_cache.stats();
     let (queued, busy) = pipeline.load();
@@ -674,10 +675,10 @@ fn handle_train(state: &ServerState, request: &Options) -> Result<Options> {
         .with("serve:fit_ms", fit_ms))
 }
 
-/// Compute the batch key for a queued op and answer it: a prediction-cache
-/// hit here, anything else by submitting it and waiting for the worker's
-/// reply (or answering `overloaded` immediately).
-fn submit_and_wait(daemon: &Daemon, mut request: Options) -> Options {
+/// Answer a queued op: a `predict` its probe answers (a prediction-cache
+/// hit, or the error it found) here, anything else by submitting it and
+/// waiting for the worker's reply (or answering `overloaded` immediately).
+fn submit_and_wait(daemon: &Daemon, request: Options) -> Options {
     let state = &*daemon.state;
     let predicting = protocol::op_name(&request) == op::PREDICT;
     if predicting {
@@ -707,26 +708,21 @@ fn submit_and_wait(daemon: &Daemon, mut request: Options) -> Options {
             "shedding load (circuit breaker open); retry later",
         );
     }
-    if predicting {
-        let (hit, ms) = time_ms(|| predict::probe(state, &mut request));
-        if let Some(hit) = hit {
-            pressio_obs::record_ms("serve:predict.hit", ms);
-            return settled(state, pipeline::checked(hit, deadline));
+    let (batch_key, job) = if predicting {
+        match predict::probe(state, request) {
+            Ok(miss) => (miss.batch_key(), Job::Predict(Box::new(miss))),
+            Err(answer) => return settled(state, pipeline::checked(answer, deadline)),
         }
-    }
-    // named only for a request that goes on to the queue
-    let batch_key = if !predicting {
-        // sleeps never batch together: each occupies a worker alone
-        format!("sleep:{}", daemon.seq.fetch_add(1, Ordering::Relaxed))
-    } else if let Ok(Some(model)) = request.get_str_opt("serve:model") {
-        format!("model:{model}")
     } else {
-        format!("scheme:{}", request.get_str("serve:scheme").unwrap_or(""))
+        // sleeps never batch together: each occupies a worker alone
+        let ms = request.get_u64_opt("serve:ms").ok().flatten();
+        let seq = daemon.seq.fetch_add(1, Ordering::Relaxed);
+        (format!("sleep:{seq}"), Job::Sleep(ms.unwrap_or(100)))
     };
     let (reply, rx) = sync_channel(1);
     let item = WorkItem {
         batch_key,
-        request,
+        request: job,
         deadline,
         reply,
     };
@@ -756,18 +752,40 @@ fn settled(state: &ServerState, resp: Options) -> Options {
 
 // ---- worker side -----------------------------------------------------------
 
-fn handle_batch(state: &ServerState, batch: Vec<WorkItem>) {
-    if protocol::op_name(&batch[0].request) != op::SLEEP {
-        return handle_predict_batch(state, batch);
+/// What the daemon queues for a worker.
+pub(crate) enum Job {
+    /// A `predict` that missed the prediction cache.
+    Predict(Box<predict::Miss>),
+    /// A `sleep` op: hold a worker this many milliseconds.
+    Sleep(u64),
+}
+
+fn handle_batch(state: &ServerState, batch: Vec<WorkItem<Job>>) {
+    let mut misses = Vec::with_capacity(batch.len());
+    for WorkItem {
+        batch_key,
+        request,
+        deadline,
+        reply,
+    } in batch
+    {
+        match request {
+            Job::Predict(miss) => misses.push(WorkItem {
+                batch_key,
+                request: *miss,
+                deadline,
+                reply,
+            }),
+            Job::Sleep(ms) => {
+                std::thread::sleep(Duration::from_millis(ms));
+                let slept = Options::new()
+                    .with("serve:type", "slept")
+                    .with("serve:ms", ms);
+                let _ = reply.send(pipeline::checked(slept, deadline));
+            }
+        }
     }
-    for item in batch {
-        let ms = item.request.get_u64_opt("serve:ms").ok().flatten();
-        let ms = ms.unwrap_or(100);
-        std::thread::sleep(Duration::from_millis(ms));
-        item.respond_checked(
-            Options::new()
-                .with("serve:type", "slept")
-                .with("serve:ms", ms),
-        );
+    if !misses.is_empty() {
+        handle_predict_batch(state, misses);
     }
 }

@@ -929,6 +929,56 @@ fn an_agnostic_feature_hit_answers_what_a_cold_daemon_answers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A miss reaches its worker typed, so no request key can hand the worker
+/// a digest of the client's choosing: a predict whose `serve:probed.digest`
+/// holds another buffer's digest — one whose prediction is cached — gets,
+/// cold and then hot, exactly the replies of the same request without it.
+#[test]
+fn a_forged_probe_digest_is_inert() {
+    let dir = temp_dir("forged_digest");
+    let request = |index: usize| {
+        let mut req = Options::new()
+            .with("serve:op", op::PREDICT)
+            .with("serve:scheme", "khan2023")
+            .with("pressio:abs", 1e-3);
+        protocol::data_into_request(&mut req, &sample_data(index));
+        req
+    };
+    let (other, plain) = (request(1), request(0));
+    let other_digest = protocol::data_content_digest(&other).unwrap();
+    assert_ne!(protocol::data_content_digest(&plain).unwrap(), other_digest);
+    let forged = plain
+        .clone()
+        .with("serve:probed.digest", other_digest.to_vec());
+    // on a fresh daemon each: the other buffer's prediction cached, then
+    // the request cold and hot
+    let replies = |req: &Options| {
+        let handle = Server::start(local_config(&dir)).unwrap();
+        let mut client = Client::connect(handle.endpoint()).unwrap();
+        let cached = client.call(&other).unwrap();
+        assert_eq!(cached.get_str("serve:type").unwrap(), "prediction");
+        let replies: Vec<Options> = (0..2)
+            .map(|_| {
+                let mut resp = client.call(req).unwrap();
+                resp.remove("serve:elapsed_ms");
+                resp
+            })
+            .collect();
+        client.shutdown().unwrap();
+        handle.wait().unwrap();
+        replies
+    };
+    let (forged, plain) = (replies(&forged), replies(&plain));
+    assert!(
+        !forged[0].get_bool("serve:cached").unwrap(),
+        "{}",
+        forged[0]
+    );
+    assert!(forged[1].get_bool("serve:cached").unwrap(), "{}", forged[1]);
+    assert_eq!(forged, plain);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn reload_invalidates_predictions_cached_under_old_model_version() {
     let dir = temp_dir("reload");
